@@ -6,11 +6,13 @@ of covering subexpressions (CSEs), after Zhou, Larson, Freytag & Lehner,
 from .signature import TableSignature, signature_of_tree
 from .manager import CseManager
 from .compatibility import (
+    ConsumerProfile,
+    ConsumerProfiles,
     compatibility_groups,
     derive_compatibility_from_parts,
     join_compatible,
 )
-from .construct import CseDefinition, construct_cse, estimate_cse_rows
+from .construct import CoveringState, CseDefinition, construct_cse
 from .candidates import CandidateCse, CandidateIdAllocator, generate_candidates
 from .heuristics import (
     HeuristicConfig,
@@ -28,12 +30,14 @@ __all__ = [
     "TableSignature",
     "signature_of_tree",
     "CseManager",
+    "ConsumerProfile",
+    "ConsumerProfiles",
     "compatibility_groups",
     "derive_compatibility_from_parts",
     "join_compatible",
     "CseDefinition",
     "construct_cse",
-    "estimate_cse_rows",
+    "CoveringState",
     "CandidateCse",
     "CandidateIdAllocator",
     "generate_candidates",

@@ -15,14 +15,14 @@ produced, reproducing the five candidates of Figure 6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
-from ..errors import OptimizerError
-from ..obs import active_journal
+from ..obs import active_journal, active_registry
 from ..optimizer.cardinality import CardinalityEstimator
 from ..optimizer.cost import CostModel
-from ..optimizer.memo import BlockInfo, Group
-from .construct import CseDefinition, construct_cse
+from ..optimizer.memo import Group
+from .compatibility import ConsumerProfiles
+from .construct import CoveringState, CseDefinition, covering_state
 from .heuristics import (
     PruneTrace,
     consumer_lower_bound,
@@ -85,7 +85,7 @@ class CandidateIdAllocator:
 
 def generate_candidates(
     compatible_set: Sequence[Group],
-    infos: Dict[str, BlockInfo],
+    profiles: ConsumerProfiles,
     estimator: CardinalityEstimator,
     cost_model: CostModel,
     batch_cost: float,
@@ -95,28 +95,27 @@ def generate_candidates(
     id_allocator: Callable[[], str],
     trace: Optional[PruneTrace] = None,
 ) -> List[CseDefinition]:
-    """Generate candidate CSEs for one join-compatible consumer set."""
+    """Generate candidate CSEs for one join-compatible consumer set.
+
+    Only the candidates returned are materialised (body instances, a
+    ``QueryBlock``); every merge probe works on slot-space states."""
     journal = active_journal()
+    registry = active_registry()
     consumers = sorted(compatible_set, key=lambda g: g.gid)
     if len(consumers) < 2:
         return []
 
-    def build(members: Sequence[Group], cse_id: Optional[str] = None) -> CseDefinition:
-        return construct_cse(
-            cse_id if cse_id is not None else "tmp",
-            members,
-            infos,
-            instance_allocator,
-            estimator,
-        )
+    def labels(state: CoveringState) -> List[str]:
+        return [f"g{g.gid}" for g in state.consumer_groups]
 
-    def journal_candidate(definition: CseDefinition) -> CseDefinition:
+    def emit(state: CoveringState) -> CseDefinition:
+        definition = state.materialise(id_allocator(), instance_allocator)
         if journal.enabled:
             journal.event(
                 "candidate",
                 cse_id=definition.cse_id,
                 signature=repr(definition.signature),
-                consumers=[f"g{g.gid}" for g in definition.consumer_groups],
+                consumers=labels(state),
                 est_rows=definition.est_rows,
             )
         return definition
@@ -136,7 +135,7 @@ def generate_candidates(
 
     if not use_heuristics:
         # One candidate covering all consumers of the compatible set.
-        return [journal_candidate(build(consumers, id_allocator()))]
+        return [emit(covering_state([profiles(g) for g in consumers], estimator))]
 
     # Heuristic 1 (second application; the engine applied it per signature
     # bucket before compatibility analysis).
@@ -161,29 +160,27 @@ def generate_candidates(
         return []
     journal_h1(consumers, passed=True)
 
-    # Algorithm 1: greedy merging driven by the benefit Δ (Heuristic 3).
+    # Algorithm 1: greedy merging driven by the benefit Δ (Heuristic 3),
+    # starting from one trivial CSE per consumer.
     candidates: List[CseDefinition] = []
-    remaining: List[Group] = list(consumers)
+    remaining: List[CoveringState] = [
+        CoveringState.trivial(profiles(g), estimator) for g in consumers
+    ]
     while len(remaining) > 1:
-        seed = remaining.pop(0)
-        members: List[Group] = [seed]
-        current = build(members)
-        current_sources = [current]
+        current = remaining.pop(0)
         merged_any = False
         while remaining:
             best_delta = 0.0
             top_delta = float("-inf")
             best_index = -1
-            best_merged: Optional[CseDefinition] = None
+            best_merged: Optional[CoveringState] = None
+            probed = len(remaining)
+            registry.counter("cse.merge_probes", probed)
             for index, other in enumerate(remaining):
-                other_def = build([other])
-                try:
-                    merged = build(members + [other])
-                except OptimizerError:
+                merged = current.merged_with(other.members[0], estimator)
+                if merged is None:
                     continue
-                delta = merge_benefit(
-                    merged, current_sources + [other_def], cost_model
-                )
+                delta = merge_benefit(merged, [current, other], cost_model)
                 if delta > top_delta:
                     top_delta = delta
                 if delta > best_delta:
@@ -191,37 +188,34 @@ def generate_candidates(
                     best_index = index
                     best_merged = merged
             if best_merged is None:
-                if remaining:
-                    if trace is not None:
-                        trace.heuristic3.append(
-                            f"stop@{len(members)} members"
-                        )
-                    if journal.enabled:
-                        journal.event(
-                            "h3",
-                            members=[f"g{g.gid}" for g in members],
-                            delta=(
-                                top_delta
-                                if top_delta > float("-inf")
-                                else 0.0
-                            ),
-                            merged=False,
-                        )
+                if trace is not None:
+                    trace.heuristic3.append(
+                        f"stop@{len(current.members)} members"
+                    )
+                if journal.enabled:
+                    journal.event(
+                        "h3",
+                        members=labels(current),
+                        delta=(
+                            top_delta if top_delta > float("-inf") else 0.0
+                        ),
+                        merged=False,
+                        probed=probed,
+                    )
                 break
-            members.append(remaining.pop(best_index))
+            del remaining[best_index]
+            current = best_merged
+            merged_any = True
             if journal.enabled:
                 journal.event(
                     "h3",
-                    members=[f"g{g.gid}" for g in members],
+                    members=labels(current),
                     delta=best_delta,
                     merged=True,
+                    probed=probed,
                 )
-            current = best_merged
-            current_sources = [current]
-            merged_any = True
         if merged_any:
-            final = journal_candidate(build(members, id_allocator()))
-            candidates.append(final)
+            candidates.append(emit(current))
         # Un-merged seeds are dropped (a trivial CSE with one consumer is
         # never useful); the while loop retries with the rest.
     return candidates

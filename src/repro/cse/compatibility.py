@@ -5,23 +5,31 @@ the equijoin graph built from the **intersection of their column equivalence
 classes** is connected. Join-compatible expressions can share a covering
 subexpression without resorting to Cartesian products.
 
-Because each consumer references its own table *instances*, classes are first
-mapped into a common *slot space*: slot ``(name, k)`` is the k-th occurrence
-of base table ``name`` among the expression's instances (sorted). For
+Because each consumer references its own table *instances*, consumers are
+first mapped into a common *slot space*: slot ``(name, k)`` is the k-th
+occurrence of base table ``name`` among the expression's instances (sorted),
+and every slot has one instance-free template :class:`TableRef`. For
 self-join-free queries — every workload in the paper — the mapping is exact;
-with self-joins it is the documented greedy positional assignment.
+with self-joins it is the documented greedy positional assignment. A
+:class:`ConsumerProfile` is a consumer expressed over those templates.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from ..expr.expressions import ColumnRef, TableRef
-from ..expr.predicates import EquivalenceClasses
+from ..errors import OptimizerError
+from ..expr.expressions import AggExpr, ColumnRef, Expr, TableRef, canon_sorted
+from ..expr.predicates import (
+    EquivalenceClasses,
+    column_equalities,
+    non_equality_conjuncts,
+)
+from ..obs import active_registry
 from ..optimizer.memo import BlockInfo, Group
 
 Slot = Tuple[str, int]
-SlotColumn = Tuple[str, int, str]  # (table name, occurrence, column)
 
 
 def slot_assignment(tables: Iterable[TableRef]) -> Dict[TableRef, Slot]:
@@ -36,89 +44,169 @@ def slot_assignment(tables: Iterable[TableRef]) -> Dict[TableRef, Slot]:
     return assignment
 
 
-def slot_classes(
-    tables: FrozenSet[TableRef], classes: List[FrozenSet[ColumnRef]]
-) -> EquivalenceClasses:
-    """Map instance-level equivalence classes into slot space."""
+def slot_tables(tables: Iterable[TableRef]) -> Dict[TableRef, TableRef]:
+    """Map each table instance onto its slot's instance-free *template*: the
+    k-th slot in sorted order becomes instance ``k`` under the alias
+    ``<name><occurrence>``. Expressions of one table signature share their
+    templates, so once remapped their predicates, classes and keys compare
+    directly — no CSE-body instances needed."""
     assignment = slot_assignment(tables)
-    result = EquivalenceClasses()
-    for cls in classes:
-        members = sorted(cls, key=repr)
-        mapped = [
-            (assignment[m.table_ref][0], assignment[m.table_ref][1], m.column)
-            for m in members
-            if m.table_ref in assignment
-        ]
-        if len(mapped) < 2:
-            continue
-        first = mapped[0]
-        result.add(first)
-        for member in mapped[1:]:
-            result.add_equality(first, member)
-    return result
+    ordinal = {slot: k for k, slot in enumerate(sorted(assignment.values()))}
+    return {
+        table: TableRef(
+            table=table.table,
+            instance=ordinal[slot],
+            alias=f"{slot[0]}{slot[1]}",
+            is_delta=table.is_delta,
+            storage_name=table.storage_name,
+        )
+        for table, slot in assignment.items()
+    }
 
 
-def consumer_slot_classes(group: Group, info: BlockInfo) -> EquivalenceClasses:
-    """The slot-space equivalence classes of a consumer group's underlying
-    SPJ expression (its block's classes restricted to the group's tables)."""
-    return slot_classes(group.tables, info.classes_within(group.tables))
+def remap_expr(expr: Expr, table_map: Dict[TableRef, TableRef]) -> Expr:
+    """Rewrite every column reference per ``table_map``."""
+    mapping: Dict[Expr, Expr] = {}
+    for col in expr.columns():
+        target = table_map.get(col.table_ref)
+        if target is not None:
+            mapping[col] = ColumnRef(target, col.column, col.data_type)
+    return expr.substitute(mapping)
 
 
-def _graph_connected(slots: Set[Slot], classes: EquivalenceClasses) -> bool:
-    """Connectivity of the equijoin graph over ``slots`` whose edges come
-    from ``classes`` (an edge wherever a class holds columns of two slots)."""
-    if len(slots) <= 1:
-        return True
-    edges: Set[FrozenSet[Slot]] = set()
-    for cls in classes.classes():
-        touched = sorted({(m[0], m[1]) for m in cls})
-        for i, a in enumerate(touched):
-            for b in touched[i + 1:]:
-                edges.add(frozenset((a, b)))
-    start = next(iter(slots))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        current = frontier.pop()
-        for edge in edges:
-            if current in edge:
-                other = next(iter(edge - {current}))
-                if other in slots and other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-    return seen == slots
+def consumer_conjuncts(group: Group, info: BlockInfo) -> List[Expr]:
+    """The consumer's full predicate over its tables: equality conjuncts
+    regenerated from its equivalence classes plus every applicable
+    non-equality conjunct (the normalized SPJ form of §4.1)."""
+    classes = EquivalenceClasses()
+    for cls in info.classes_within(group.tables):
+        members = canon_sorted(cls)
+        for member in members[1:]:
+            classes.add_equality(members[0], member)
+    conjuncts: List[Expr] = list(classes.equality_conjuncts())
+    conjuncts.extend(info.noneq_within(group.tables))
+    return conjuncts
 
 
-def join_compatible_classes(
-    class_sets: Sequence[EquivalenceClasses], slots: Set[Slot]
-) -> Tuple[bool, EquivalenceClasses]:
-    """Intersect slot-space class sets and test equijoin-graph connectivity.
-
-    Returns ``(compatible, intersection)``.
-    """
-    if not class_sets:
-        return True, EquivalenceClasses()
-    intersection = class_sets[0]
-    for other in class_sets[1:]:
-        intersection = intersection.intersect(other)
-    return _graph_connected(slots, intersection), intersection
+def consumer_table_map(
+    group: Group, body_by_slot: Dict[Slot, TableRef]
+) -> Dict[TableRef, TableRef]:
+    """Map a consumer's table instances onto the CSE body's instances via
+    the shared slot assignment."""
+    assignment = slot_assignment(group.tables)
+    return {tref: body_by_slot[slot] for tref, slot in assignment.items()}
 
 
-def join_compatible(
-    group_a: Group,
-    group_b: Group,
-    info_a: BlockInfo,
-    info_b: BlockInfo,
+@dataclass(frozen=True, eq=False)
+class ConsumerProfile:
+    """One consumer group's normalized SPJG expression in slot space —
+    everything Definition 4.1, Algorithm 1 and §4.2 construction read from a
+    consumer, derived once per optimization."""
+
+    group: Group
+    #: The signature's slot templates, in slot order.
+    tables: Tuple[TableRef, ...]
+    #: The predicate: ``col = col`` conjuncts regenerated from the classes,
+    #: then everything else (local filters, non-equi joins).
+    equalities: Tuple[Expr, ...]
+    filters: Tuple[Expr, ...]
+    classes: EquivalenceClasses
+    #: Grouping columns and aggregates (aggregated signatures only).
+    group_keys: FrozenSet[ColumnRef]
+    aggregates: Tuple[AggExpr, ...]
+    #: Columns the consumer's ancestors read (SPJ signatures only).
+    required: FrozenSet[ColumnRef]
+
+
+def consumer_profile(group: Group, info: BlockInfo) -> ConsumerProfile:
+    """Express ``group`` over its signature's slot templates."""
+    if group.signature is None:
+        raise OptimizerError("consumer group has no table signature")
+    active_registry().counter("cse.consumer_profiles")
+    table_map = slot_tables(group.tables)
+    conjuncts = [
+        remap_expr(c, table_map) for c in consumer_conjuncts(group, info)
+    ]
+    group_keys: FrozenSet[ColumnRef] = frozenset()
+    aggregates: Tuple[AggExpr, ...] = ()
+    required: FrozenSet[ColumnRef] = frozenset()
+    if group.signature.has_groupby:
+        for out in group.agg_outs:
+            if not isinstance(out, AggExpr):
+                raise OptimizerError(
+                    f"consumer aggregate output {out!r} is not an aggregate"
+                )
+        group_keys = frozenset(
+            remap_expr(key, table_map) for key in group.agg_keys
+        )
+        aggregates = tuple(
+            remap_expr(out, table_map) for out in group.agg_outs
+        )
+    else:
+        required = frozenset().union(
+            *(remap_expr(e, table_map).columns() for e in group.required_outputs)
+        )
+    return ConsumerProfile(
+        group=group,
+        tables=tuple(sorted(table_map.values(), key=lambda t: t.instance)),
+        equalities=tuple(column_equalities(conjuncts)),
+        filters=tuple(non_equality_conjuncts(conjuncts)),
+        classes=EquivalenceClasses.from_conjuncts(conjuncts),
+        group_keys=group_keys,
+        aggregates=aggregates,
+        required=required,
+    )
+
+
+class ConsumerProfiles:
+    """The per-optimization profile cache: one :class:`ConsumerProfile` per
+    consumer group, shared by :func:`compatibility_groups`, Algorithm 1 and
+    construction."""
+
+    def __init__(self, infos: Dict[str, BlockInfo]) -> None:
+        self.infos = infos
+        self._profiles: Dict[int, ConsumerProfile] = {}
+
+    def __len__(self) -> int:
+        return len(self._profiles)
+
+    def __call__(self, group: Group) -> ConsumerProfile:
+        profile = self._profiles.get(group.gid)
+        if profile is None:
+            profile = self._profiles[group.gid] = consumer_profile(
+                group, self.infos[group.block.name]
+            )
+        return profile
+
+
+def graph_connected(
+    tables: Sequence[TableRef], classes: EquivalenceClasses
 ) -> bool:
-    """Definition 4.1 for two consumer groups (same table signature)."""
-    slots = set(slot_assignment(group_a.tables).values())
-    slots_b = set(slot_assignment(group_b.tables).values())
-    if slots != slots_b:
-        return False
-    classes_a = consumer_slot_classes(group_a, info_a)
-    classes_b = consumer_slot_classes(group_b, info_b)
-    compatible, _ = join_compatible_classes([classes_a, classes_b], slots)
-    return compatible
+    """Connectivity of the equijoin graph over ``tables`` whose edges come
+    from ``classes`` (an edge wherever a class holds columns of two tables)."""
+    if len(tables) <= 1:
+        return True
+    neighbors: Dict[TableRef, Set[TableRef]] = {}
+    for cls in classes.classes():
+        touched = {member.table_ref for member in cls}
+        for table in touched:
+            neighbors.setdefault(table, set()).update(touched)
+    seen = {tables[0]}
+    frontier = [tables[0]]
+    while frontier:
+        for other in neighbors.get(frontier.pop(), ()):
+            if other not in seen:
+                seen.add(other)
+                frontier.append(other)
+    return seen.issuperset(tables)
+
+
+def join_compatible(first: ConsumerProfile, second: ConsumerProfile) -> bool:
+    """Definition 4.1 for two consumers: same slots, and the equijoin graph
+    of their intersected classes is connected."""
+    return first.tables == second.tables and graph_connected(
+        first.tables, first.classes.intersect(second.classes)
+    )
 
 
 def derive_compatibility_from_parts(
@@ -155,7 +243,7 @@ def derive_compatibility_from_parts(
 
 
 def compatibility_groups(
-    groups: Sequence[Group], infos: Dict[str, BlockInfo]
+    groups: Sequence[Group], profiles: ConsumerProfiles
 ) -> List[List[Group]]:
     """Partition one signature bucket into join-compatible sets (§4.2).
 
@@ -165,7 +253,6 @@ def compatibility_groups(
     """
     clusters: List[List[Group]] = []
     for group in sorted(groups, key=lambda g: g.gid):
-        info = infos[group.block.name] if group.block is not None else None
         placed = False
         for cluster in clusters:
             ok = True
@@ -183,10 +270,7 @@ def compatibility_groups(
                     # input), so they cannot share a spool.
                     ok = False
                     break
-                member_info = infos[member.block.name]
-                if info is None or not join_compatible(
-                    member, group, member_info, info
-                ):
+                if not join_compatible(profiles(member), profiles(group)):
                     ok = False
                     break
             if ok:

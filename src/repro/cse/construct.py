@@ -26,8 +26,8 @@ c_nationkey < 25``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import OptimizerError
 from ..expr.expressions import (
@@ -38,15 +38,19 @@ from ..expr.expressions import (
     Expr,
     Literal,
     TableRef,
+    canon_sorted,
 )
-from ..expr.predicates import (
-    EquivalenceClasses,
-    implied_by_equalities,
-)
+from ..expr.predicates import EquivalenceClasses, non_equality_conjuncts
 from ..logical.blocks import OutputColumn, QueryBlock
+from ..obs import active_registry
 from ..optimizer.cardinality import CardinalityEstimator, cardenas
 from ..optimizer.memo import BlockInfo, Group
-from .compatibility import join_compatible_classes, slot_assignment, slot_classes
+from .compatibility import (
+    ConsumerProfile,
+    consumer_profile,
+    graph_connected,
+    remap_expr,
+)
 from .signature import TableSignature
 
 
@@ -65,8 +69,6 @@ class CseDefinition:
     joint_classes: EquivalenceClasses
     #: Conjuncts of the (weakened) covering predicate (step 3), body space.
     covering_conjuncts: Tuple[Expr, ...]
-    #: consumer index -> its table map (consumer instance -> body instance).
-    table_maps: List[Dict[TableRef, TableRef]] = field(default_factory=list)
     est_rows: float = 0.0
     row_width: int = 0
 
@@ -97,39 +99,6 @@ class CseDefinition:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CSE({self.cse_id} {self.signature!r} consumers={self.consumer_gids})"
-
-
-def remap_expr(expr: Expr, table_map: Dict[TableRef, TableRef]) -> Expr:
-    """Rewrite every column reference per ``table_map``."""
-    mapping: Dict[Expr, Expr] = {}
-    for col in expr.columns():
-        target = table_map.get(col.table_ref)
-        if target is not None:
-            mapping[col] = ColumnRef(target, col.column, col.data_type)
-    return expr.substitute(mapping)
-
-
-def consumer_conjuncts(group: Group, info: BlockInfo) -> List[Expr]:
-    """The consumer's full predicate over its tables: equality conjuncts
-    regenerated from its equivalence classes plus every applicable
-    non-equality conjunct (the normalized SPJ form of §4.1)."""
-    classes = EquivalenceClasses()
-    for cls in info.classes_within(group.tables):
-        members = sorted(cls, key=repr)
-        for member in members[1:]:
-            classes.add_equality(members[0], member)
-    conjuncts: List[Expr] = list(classes.equality_conjuncts())
-    conjuncts.extend(info.noneq_within(group.tables))
-    return conjuncts
-
-
-def consumer_table_map(
-    group: Group, body_by_slot: Dict[Tuple[str, int], TableRef]
-) -> Dict[TableRef, TableRef]:
-    """Map a consumer's table instances onto the CSE body's instances via
-    the shared slot assignment."""
-    assignment = slot_assignment(group.tables)
-    return {tref: body_by_slot[slot] for tref, slot in assignment.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +159,14 @@ def weakened_covering(
     if not residual_sets:
         return [], []
     # (a) conjuncts present in every consumer's simplified predicate.
-    commons: List[Expr] = []
-    first = residual_sets[0]
-    for conjunct in first:
-        if all(conjunct in other for other in residual_sets[1:]):
-            if conjunct not in commons:
-                commons.append(conjunct)
+    others = [set(conjuncts) for conjuncts in residual_sets[1:]]
+    commons = [
+        conjunct for conjunct in dict.fromkeys(residual_sets[0])
+        if all(conjunct in other for other in others)
+    ]
+    shared = set(commons)
     residuals = [
-        [c for c in conjuncts if c not in commons] for conjuncts in residual_sets
+        [c for c in conjuncts if c not in shared] for conjuncts in residual_sets
     ]
     covering: List[Expr] = list(commons)
     # (b) per-column range hulls across the remaining disjuncts.
@@ -206,7 +175,7 @@ def weakened_covering(
         shared_columns = set(per_consumer_bounds[0])
         for bounds in per_consumer_bounds[1:]:
             shared_columns &= set(bounds)
-        for column in sorted(shared_columns, key=repr):
+        for column in canon_sorted(shared_columns):
             lows = [b[column][0] for b in per_consumer_bounds]
             highs = [b[column][2] for b in per_consumer_bounds]
             if all(l is not None for l in lows):
@@ -246,6 +215,218 @@ def _hull_literal(value: float, column: ColumnRef) -> Literal:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class CoveringState:
+    """The covering subexpression of a member set, in slot space — what
+    Algorithm 1 carries from one merge probe to the next.
+
+    Holds §4.2 steps 1-5 over the slot templates plus the §4.3.3 size
+    estimate, so a probe costs one class intersection and a re-derivation
+    over the members' profiles; no body instances, ``QueryBlock`` or
+    ``BlockInfo`` exist until :meth:`materialise`.
+    """
+
+    members: Tuple[ConsumerProfile, ...]
+    #: Step 1: the intersection of the members' equivalence classes.
+    joint: EquivalenceClasses
+    #: Step 3: the (weakened) covering predicate.
+    covering: Tuple[Expr, ...]
+    #: Steps 4-5: grouping keys and aggregates, or the SPJ output columns.
+    group_keys: Tuple[ColumnRef, ...]
+    aggregates: Tuple[AggExpr, ...]
+    columns: Tuple[ColumnRef, ...]
+    est_rows: float
+    row_width: int
+
+    @property
+    def consumer_groups(self) -> List[Group]:
+        """The covered consumer groups, in merge order."""
+        return [member.group for member in self.members]
+
+    @classmethod
+    def trivial(
+        cls, profile: ConsumerProfile, estimator: Optional[CardinalityEstimator]
+    ) -> Optional["CoveringState"]:
+        """The trivial CSE of one consumer: "exactly the same as its only
+        consumer" (§4.3)."""
+        return _derive((profile,), profile.classes, estimator)
+
+    def merged_with(
+        self, profile: ConsumerProfile, estimator: Optional[CardinalityEstimator]
+    ) -> Optional["CoveringState"]:
+        """This state widened to cover ``profile`` too, or None when the
+        members would no longer be join compatible (Def 4.1)."""
+        if profile.group.signature != self.members[0].group.signature:
+            raise OptimizerError("consumers have mismatched signatures")
+        return _derive(
+            self.members + (profile,),
+            self.joint.intersect(profile.classes),
+            estimator,
+        )
+
+    def materialise(
+        self, cse_id: str, instance_allocator: Callable[[], int]
+    ) -> CseDefinition:
+        """Step 6: the state as a spoolable ``QueryBlock`` over fresh body
+        instances, one per slot, allocated in slot order."""
+        active_registry().counter("cse.constructions")
+        body = {
+            template: TableRef(
+                table=template.table,
+                instance=instance_allocator(),
+                alias=f"{cse_id}_{template.alias}",
+                is_delta=template.is_delta,
+                storage_name=template.storage_name,
+            )
+            for template in self.members[0].tables
+        }
+
+        def to_body(exprs: Sequence[Expr]) -> tuple:
+            return tuple(remap_expr(expr, body) for expr in exprs)
+
+        joint_equalities = to_body(self.joint.equality_conjuncts())
+        covering = to_body(self.covering)
+        group_keys = to_body(self.group_keys)
+        aggregates = to_body(self.aggregates)
+        outputs = tuple(
+            OutputColumn(name=f"{prefix}{i}", expr=expr)
+            for prefix, exprs in (
+                ("k", group_keys), ("a", aggregates), ("c", to_body(self.columns))
+            )
+            for i, expr in enumerate(exprs)
+        )
+        return CseDefinition(
+            cse_id=cse_id,
+            signature=self.members[0].group.signature,
+            block=QueryBlock(
+                name=f"__cse_{cse_id}",
+                tables=tuple(body.values()),
+                conjuncts=joint_equalities + covering,
+                output=outputs,
+                group_keys=group_keys,
+                aggregates=aggregates,
+            ),
+            outputs=outputs,
+            consumer_groups=self.consumer_groups,
+            joint_equalities=joint_equalities,
+            joint_classes=self.joint.mapped(lambda col: remap_expr(col, body)),
+            covering_conjuncts=covering,
+            est_rows=self.est_rows,
+            row_width=self.row_width,
+        )
+
+
+def _derive(
+    members: Tuple[ConsumerProfile, ...],
+    joint: EquivalenceClasses,
+    estimator: Optional[CardinalityEstimator],
+) -> Optional[CoveringState]:
+    """§4.2 steps 2-5 and the §4.3.3 estimate for ``members``, given their
+    joint classes (step 1); None unless those connect the slots (Def 4.1)."""
+    tables = members[0].tables
+    if not graph_connected(tables, joint):
+        return None
+    # Step 2: each member's predicate minus what the joint classes imply.
+    simplified = [
+        [e for e in m.equalities if not joint.same_class(e.left, e.right)]
+        + list(m.filters)
+        for m in members
+    ]
+    # Step 3: the (weakened) covering predicate.
+    covering, residuals = weakened_covering(simplified)
+    # Columns the residuals reference — needed in the output (and in the
+    # grouping keys for aggregated CSEs) so compensation can run.
+    needed: Set[ColumnRef] = set().union(
+        *(conjunct.columns() for residual in residuals for conjunct in residual)
+    )
+    group_keys: Tuple[ColumnRef, ...] = ()
+    columns: Tuple[ColumnRef, ...] = ()
+    has_groupby = members[0].group.signature.has_groupby
+    # Step 4: keys = union of member keys + residual columns, and the
+    # members' aggregates without repeats.
+    aggregates = tuple(dict.fromkeys(a for m in members for a in m.aggregates))
+    if has_groupby:
+        group_keys = tuple(
+            canon_sorted(needed.union(*(m.group_keys for m in members)))
+        )
+    else:
+        # Step 5 (SPJ case): union of columns any member requires.
+        columns = tuple(
+            canon_sorted(needed.union(*(m.required for m in members)))
+        )
+    est_rows, row_width = 0.0, 0
+    if estimator is not None:
+        est_rows = _estimate_rows(
+            tables, joint, covering, group_keys, has_groupby, estimator
+        )
+        row_width = estimator.width_of(group_keys + aggregates + columns)
+    return CoveringState(
+        members, joint, tuple(covering), group_keys, aggregates, columns,
+        est_rows, row_width,
+    )
+
+
+def _estimate_rows(
+    tables: Tuple[TableRef, ...],
+    joint: EquivalenceClasses,
+    covering: Tuple[Expr, ...],
+    group_keys: Tuple[ColumnRef, ...],
+    has_groupby: bool,
+    estimator: CardinalityEstimator,
+) -> float:
+    """Estimate the CSE result cardinality without optimizing its body:
+    base rows × class factors × covering selectivity, then Cardenas over the
+    grouping keys for aggregated CSEs."""
+    filters = [(c, c.tables()) for c in non_equality_conjuncts(covering)]
+    rows = 1.0
+    items = frozenset(tables)
+    item_rows: Dict[object, float] = {}
+    for table in tables:
+        base = estimator.table_rows(table)
+        for conjunct, touched in filters:
+            if touched == {table}:
+                base *= estimator.selectivity(conjunct)
+        item_rows[table] = max(base, 1.0)
+        rows *= item_rows[table]
+    for cls in joint.classes():
+        rows *= estimator.class_factor_for_join(cls, item_rows, items)
+    for conjunct, touched in filters:
+        if len(touched) >= 2:
+            rows *= estimator.selectivity(conjunct)
+    rows = max(rows, 1.0)
+    if not has_groupby:
+        return rows
+    domain = 1.0
+    representatives: List[ColumnRef] = []
+    for key in group_keys:
+        if any(joint.same_class(key, kept) for kept in representatives):
+            continue
+        representatives.append(key)
+        domain *= max(min(estimator.column_ndv(key), rows), 1.0)
+    return cardenas(domain, rows)
+
+
+def covering_state(
+    profiles: Sequence[ConsumerProfile],
+    estimator: Optional[CardinalityEstimator],
+) -> CoveringState:
+    """Fold ``profiles`` into one covering state (§4.2 steps 1-5)."""
+    if not profiles:
+        raise OptimizerError("cannot construct a CSE with no consumers")
+    state = CoveringState.trivial(profiles[0], estimator)
+    for profile in profiles[1:]:
+        if state is None:
+            break
+        state = state.merged_with(profile, estimator)
+    if state is None:
+        raise OptimizerError(
+            "consumers "
+            + ",".join(f"g{p.group.gid}" for p in profiles)
+            + " are not join compatible"
+        )
+    return state
+
+
 def construct_cse(
     cse_id: str,
     consumers: Sequence[Group],
@@ -254,182 +435,7 @@ def construct_cse(
     estimator: Optional[CardinalityEstimator] = None,
 ) -> CseDefinition:
     """Build a CSE covering ``consumers`` (paper §4.2 steps 1-6)."""
-    if not consumers:
-        raise OptimizerError("cannot construct a CSE with no consumers")
-    signature = consumers[0].signature
-    if signature is None:
-        raise OptimizerError("consumer group has no table signature")
-    for group in consumers[1:]:
-        if group.signature != signature:
-            raise OptimizerError(f"consumers of {cse_id} have mismatched signatures")
-
-    # Fresh body instances, one per slot of the shared signature.
-    sample_assignment = slot_assignment(consumers[0].tables)
-    sample_by_slot = {slot: tref for tref, slot in sample_assignment.items()}
-    slot_order = sorted(sample_by_slot)
-    body_by_slot: Dict[Tuple[str, int], TableRef] = {}
-    for slot in slot_order:
-        sample = sample_by_slot[slot]
-        body_by_slot[slot] = TableRef(
-            table=sample.table,
-            instance=instance_allocator(),
-            alias=f"{cse_id}_{slot[0]}{slot[1]}",
-            is_delta=sample.is_delta,
-            storage_name=sample.storage_name,
-        )
-
-    table_maps: List[Dict[TableRef, TableRef]] = [
-        consumer_table_map(group, body_by_slot) for group in consumers
-    ]
-
-    # Verify join compatibility (Def 4.1) before constructing anything.
-    compatible, _ = join_compatible_classes(
-        [
-            slot_classes(
-                group.tables, infos[group.block.name].classes_within(group.tables)
-            )
-            for group in consumers
-        ],
-        set(slot_order),
+    profiles = [consumer_profile(g, infos[g.block.name]) for g in consumers]
+    return covering_state(profiles, estimator).materialise(
+        cse_id, instance_allocator
     )
-    if not compatible:
-        raise OptimizerError(f"consumers of {cse_id} are not join compatible")
-
-    # Step 1: intersect equivalence classes in body column space.
-    per_consumer_conjuncts: List[List[Expr]] = []
-    per_consumer_classes: List[EquivalenceClasses] = []
-    for group, table_map in zip(consumers, table_maps):
-        info = infos[group.block.name]
-        mapped = [
-            remap_expr(c, table_map) for c in consumer_conjuncts(group, info)
-        ]
-        per_consumer_conjuncts.append(mapped)
-        per_consumer_classes.append(EquivalenceClasses.from_conjuncts(mapped))
-    joint = per_consumer_classes[0]
-    for other in per_consumer_classes[1:]:
-        joint = joint.intersect(other)
-    join_conjuncts = joint.equality_conjuncts()
-
-    # Step 2: simplify each consumer's predicate against the joint classes.
-    simplified: List[List[Expr]] = [
-        [c for c in conjuncts if not implied_by_equalities(c, joint)]
-        for conjuncts in per_consumer_conjuncts
-    ]
-
-    # Step 3: the (weakened) covering predicate.
-    covering_conjuncts, residuals = weakened_covering(simplified)
-
-    body_conjuncts: List[Expr] = list(join_conjuncts) + list(covering_conjuncts)
-
-    # Columns the per-consumer residuals reference — needed in the output (and
-    # in the grouping keys for aggregated CSEs) so compensation can run.
-    residual_columns: Set[ColumnRef] = set()
-    for residual in residuals:
-        for conjunct in residual:
-            residual_columns.update(conjunct.columns())
-
-    outputs: List[OutputColumn] = []
-    group_keys: Tuple[ColumnRef, ...] = ()
-    aggregates: Tuple[AggExpr, ...] = ()
-
-    if signature.has_groupby:
-        # Step 4: keys = union of consumer keys + residual columns.
-        keys: Set[ColumnRef] = set(residual_columns)
-        aggs: List[AggExpr] = []
-        for group, table_map in zip(consumers, table_maps):
-            for key in group.agg_keys:
-                mapped_key = remap_expr(key, table_map)
-                assert isinstance(mapped_key, ColumnRef)
-                keys.add(mapped_key)
-            for out in group.agg_outs:
-                if not isinstance(out, AggExpr):
-                    raise OptimizerError(
-                        f"consumer aggregate output {out!r} is not an aggregate"
-                    )
-                mapped_out = remap_expr(out, table_map)
-                assert isinstance(mapped_out, AggExpr)
-                if mapped_out not in aggs:
-                    aggs.append(mapped_out)
-        group_keys = tuple(sorted(keys, key=repr))
-        aggregates = tuple(aggs)
-        # Step 5: outputs = keys + aggregates.
-        for i, key in enumerate(group_keys):
-            outputs.append(OutputColumn(name=f"k{i}", expr=key))
-        for i, agg in enumerate(aggregates):
-            outputs.append(OutputColumn(name=f"a{i}", expr=agg))
-    else:
-        # Step 5 (SPJ case): union of columns any consumer requires.
-        needed: Set[ColumnRef] = set(residual_columns)
-        for group, table_map in zip(consumers, table_maps):
-            for expr in group.required_outputs:
-                mapped = remap_expr(expr, table_map)
-                needed.update(mapped.columns())
-        for i, col in enumerate(sorted(needed, key=repr)):
-            outputs.append(OutputColumn(name=f"c{i}", expr=col))
-
-    block = QueryBlock(
-        name=f"__cse_{cse_id}",
-        tables=tuple(body_by_slot[slot] for slot in slot_order),
-        conjuncts=tuple(body_conjuncts),
-        output=tuple(outputs),
-        group_keys=group_keys,
-        aggregates=aggregates,
-    )
-
-    definition = CseDefinition(
-        cse_id=cse_id,
-        signature=signature,
-        block=block,
-        outputs=tuple(outputs),
-        consumer_groups=list(consumers),
-        joint_equalities=tuple(join_conjuncts),
-        joint_classes=joint,
-        covering_conjuncts=tuple(covering_conjuncts),
-        table_maps=table_maps,
-    )
-    if estimator is not None:
-        definition.est_rows = estimate_cse_rows(definition, estimator)
-        definition.row_width = estimator.width_of(
-            [o.expr for o in definition.outputs]
-        )
-    return definition
-
-
-def estimate_cse_rows(
-    definition: CseDefinition, estimator: CardinalityEstimator
-) -> float:
-    """Estimate the CSE result cardinality without optimizing its body:
-    base rows × class factors × covering selectivity, then Cardenas over the
-    grouping keys for aggregated CSEs."""
-    block = definition.block
-    info = BlockInfo(block)
-    rows = 1.0
-    item_rows: Dict[object, float] = {}
-    for table in block.tables:
-        base = estimator.table_rows(table)
-        for conjunct in info.local_conjuncts(table):
-            base *= estimator.selectivity(conjunct)
-        item_rows[table] = max(base, 1.0)
-        rows *= item_rows[table]
-    for cls in info.classes_within(block.table_set):
-        rows *= estimator.class_factor_for_join(
-            cls, item_rows, frozenset(block.tables)
-        )
-    for conjunct in info.noneq:
-        if len(conjunct.tables()) >= 2:
-            rows *= estimator.selectivity(conjunct)
-    rows = max(rows, 1.0)
-    if not definition.has_groupby:
-        return rows
-    domain = 1.0
-    representatives = []
-    for key in sorted(definition.block.group_keys, key=repr):
-        if any(
-            definition.joint_classes.same_class(key, kept)
-            or info.classes.same_class(key, kept)
-            for kept in representatives
-        ):
-            continue
-        representatives.append(key)
-        domain *= max(min(estimator.column_ndv(key), rows), 1.0)
-    return cardenas(domain, rows)

@@ -19,12 +19,16 @@ normal optimization; none requires optimizing a candidate's body:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..obs import active_journal, active_registry
 from ..optimizer.cost import CostModel
 from ..optimizer.memo import Group, Memo
-from .construct import CseDefinition
+from .construct import CoveringState, CseDefinition
+
+#: What §4.3.3 prices: a constructed candidate, or the slot-space state of
+#: one Algorithm 1 is still probing (consumers + estimated size suffice).
+SizedCse = Union[CseDefinition, CoveringState]
 
 
 @dataclass
@@ -113,7 +117,7 @@ def heuristic2_filter(
 
 
 def cse_usage_cost(
-    definition: CseDefinition, cost_model: CostModel
+    definition: SizedCse, cost_model: CostModel
 ) -> Tuple[float, float, float]:
     """(C_E_lower, C_W, C_R) for a constructed candidate.
 
@@ -131,7 +135,7 @@ def cse_usage_cost(
 
 
 def candidate_total_cost(
-    definition: CseDefinition, cost_model: CostModel
+    definition: SizedCse, cost_model: CostModel
 ) -> float:
     """The candidate's contribution to the final query per §4.3.3:
     ``C_E + C_W + N × C_R`` (with the lower-bound approximation of C_E)."""
@@ -140,8 +144,8 @@ def candidate_total_cost(
 
 
 def merge_benefit(
-    merged: CseDefinition,
-    sources: Sequence[CseDefinition],
+    merged: SizedCse,
+    sources: Sequence[SizedCse],
     cost_model: CostModel,
 ) -> float:
     """Heuristic 3's Δ: cost of using the source CSEs separately minus the

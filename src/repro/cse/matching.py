@@ -26,13 +26,13 @@ from ..expr.predicates import (
 from ..obs import active_journal
 from ..optimizer.aggs import AggCompute, reaggregate_computes
 from ..optimizer.memo import BlockInfo, Group
-from .compatibility import slot_assignment
-from .construct import (
-    CseDefinition,
+from .compatibility import (
     consumer_conjuncts,
     consumer_table_map,
     remap_expr,
+    slot_assignment,
 )
+from .construct import CseDefinition
 
 
 @dataclass

@@ -234,8 +234,12 @@ def check_consumer_match(definition, group, info) -> Verdict:
     consumers (semi/anti build sides) are safe because deduplication
     happens in the consuming join operator, not the spool.
     """
-    from ..cse.compatibility import slot_assignment
-    from ..cse.construct import consumer_conjuncts, consumer_table_map, remap_expr
+    from ..cse.compatibility import (
+        consumer_conjuncts,
+        consumer_table_map,
+        remap_expr,
+        slot_assignment,
+    )
 
     if group.signature != definition.signature:
         return Verdict(REFUTED, "table signature mismatch")

@@ -22,6 +22,37 @@ from ..errors import OptimizerError
 from ..types import DataType, common_numeric_type, literal_type
 
 
+def _structure_cached(cls):
+    """Cache the dataclass-generated structural hash on the instance.
+
+    Nodes are immutable, so the first hash is authoritative — the same
+    argument (and the same ``__dict__`` side door past the frozen
+    ``__setattr__``) as :func:`canon_key`. Every ``*_cache`` entry stays out
+    of ``repr``, ``==`` and ``dataclasses.fields``, and out of pickles:
+    string hashes are salted per process, so a carried hash would be stale.
+    """
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        state = self.__dict__
+        cached = state.get("_hash_cache")
+        if cached is None:
+            cached = state["_hash_cache"] = structural(self)
+        return cached
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if not name.endswith("_cache")
+        }
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_structure_cached
 @dataclass(frozen=True, order=True)
 class TableRef:
     """One instance of a table in a query (batch).
@@ -70,14 +101,15 @@ class Expr:
     data_type: DataType
 
     def columns(self) -> FrozenSet["ColumnRef"]:
-        """All column references in this expression tree."""
-        found = set()
-        self._collect_columns(found)
-        return frozenset(found)
-
-    def _collect_columns(self, out: set) -> None:
-        for child in self.children():
-            child._collect_columns(out)
+        """All column references in this expression tree (computed once per
+        node, from the children's cached sets)."""
+        state = self.__dict__
+        cached = state.get("_columns_cache")
+        if cached is None:
+            cached = state["_columns_cache"] = frozenset().union(
+                *(child.columns() for child in self.children())
+            )
+        return cached
 
     def tables(self) -> FrozenSet[TableRef]:
         """All table instances referenced by this expression."""
@@ -108,6 +140,7 @@ class Expr:
         return any(isinstance(node, AggExpr) for node in self.walk())
 
 
+@_structure_cached
 @dataclass(frozen=True)
 class ColumnRef(Expr):
     """A reference to one column of one table instance."""
@@ -116,8 +149,8 @@ class ColumnRef(Expr):
     column: str
     data_type: DataType = field(compare=False, hash=False, default=DataType.INT)
 
-    def _collect_columns(self, out: set) -> None:
-        out.add(self)
+    def columns(self) -> FrozenSet["ColumnRef"]:
+        return frozenset((self,))
 
     @property
     def base_key(self) -> Tuple[str, str]:
@@ -128,6 +161,7 @@ class ColumnRef(Expr):
         return f"{self.table_ref!r}.{self.column}"
 
 
+@_structure_cached
 @dataclass(frozen=True)
 class Literal(Expr):
     """A constant. ``value`` is stored in engine representation (dates as
@@ -183,6 +217,7 @@ _NEGATED = {
 }
 
 
+@_structure_cached
 @dataclass(frozen=True)
 class Comparison(Expr):
     """``left op right`` producing a boolean."""
@@ -224,6 +259,7 @@ class Comparison(Expr):
         return f"({self.left!r} {self.op.value} {self.right!r})"
 
 
+@_structure_cached
 @dataclass(frozen=True)
 class And(Expr):
     """Conjunction over two or more boolean terms (flattened)."""
@@ -252,6 +288,7 @@ class And(Expr):
         return "(" + " AND ".join(repr(t) for t in self.terms) + ")"
 
 
+@_structure_cached
 @dataclass(frozen=True)
 class Or(Expr):
     """Disjunction over two or more boolean terms (flattened)."""
@@ -280,6 +317,7 @@ class Or(Expr):
         return "(" + " OR ".join(repr(t) for t in self.terms) + ")"
 
 
+@_structure_cached
 @dataclass(frozen=True)
 class Not(Expr):
     """Boolean negation."""
@@ -306,6 +344,7 @@ class ArithmeticOp(enum.Enum):
     DIV = "/"
 
 
+@_structure_cached
 @dataclass(frozen=True)
 class Arithmetic(Expr):
     """``left op right`` over numeric operands."""
@@ -353,6 +392,7 @@ class AggFunc(enum.Enum):
         return True
 
 
+@_structure_cached
 @dataclass(frozen=True)
 class AggExpr(Expr):
     """An aggregate function application. ``arg is None`` means COUNT(*)."""

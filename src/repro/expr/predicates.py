@@ -36,6 +36,8 @@ from .expressions import (
     Literal,
     Or,
     TRUE,
+    canon_key,
+    canon_sorted,
 )
 
 
@@ -104,6 +106,10 @@ class EquivalenceClasses:
 
     def __init__(self) -> None:
         self._parent: Dict[Hashable, Hashable] = {}
+        #: ``classes()`` and its member -> class index, kept until the next
+        #: ``add_equality`` that unions two classes.
+        self._classes: Optional[List[FrozenSet[Hashable]]] = None
+        self._class_of: Dict[Hashable, FrozenSet[Hashable]] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -129,6 +135,7 @@ class EquivalenceClasses:
         root_right = self._find(right)
         if root_left != root_right:
             self._parent[root_right] = root_left
+            self._classes = None
 
     def _find(self, item: Hashable) -> Hashable:
         root = item
@@ -148,25 +155,28 @@ class EquivalenceClasses:
         return self._find(left) == self._find(right)
 
     def classes(self) -> List[FrozenSet[Hashable]]:
-        """All equivalence classes with at least two members."""
-        groups: Dict[Hashable, Set[Hashable]] = {}
-        for item in self._parent:
-            groups.setdefault(self._find(item), set()).add(item)
-        return [frozenset(g) for g in groups.values() if len(g) >= 2]
+        """All equivalence classes with at least two members (a cached
+        list — callers iterate it, they do not mutate it)."""
+        if self._classes is None:
+            groups: Dict[Hashable, Set[Hashable]] = {}
+            for item in self._parent:
+                groups.setdefault(self._find(item), set()).add(item)
+            self._classes = [
+                frozenset(g) for g in groups.values() if len(g) >= 2
+            ]
+            self._class_of = {
+                member: cls for cls in self._classes for member in cls
+            }
+        return self._classes
 
     def class_of(self, item: Hashable) -> FrozenSet[Hashable]:
         """All members known equal to ``item``."""
-        if item not in self._parent:
-            return frozenset([item])
-        root = self._find(item)
-        return frozenset(
-            member for member in self._parent if self._find(member) == root
-        )
+        self.classes()
+        return self._class_of.get(item) or frozenset([item])
 
     def representative(self, item: Hashable) -> Hashable:
         """A canonical member of ``item``'s class (smallest by sort order)."""
-        members = self.class_of(item)
-        return min(members, key=repr)
+        return min(self.class_of(item), key=canon_key)
 
     # -- operations ---------------------------------------------------------
 
@@ -174,7 +184,7 @@ class EquivalenceClasses:
         """A new structure whose members are ``key(member)``."""
         result = EquivalenceClasses()
         for cls_members in self.classes():
-            members = sorted(cls_members, key=repr)
+            members = canon_sorted(cls_members)
             first = key(members[0])
             result.add(first)
             for member in members[1:]:
@@ -194,7 +204,7 @@ class EquivalenceClasses:
             for theirs in other_classes:
                 common = mine & theirs
                 if len(common) >= 2:
-                    members = sorted(common, key=repr)
+                    members = canon_sorted(common)
                     for member in members[1:]:
                         result.add_equality(members[0], member)
         return result
@@ -206,7 +216,7 @@ class EquivalenceClasses:
         """
         conjuncts: List[Comparison] = []
         for cls_members in self.classes():
-            members = sorted(cls_members, key=repr)
+            members = canon_sorted(cls_members)
             first = members[0]
             for member in members[1:]:
                 assert isinstance(first, ColumnRef) and isinstance(member, ColumnRef)

@@ -30,9 +30,13 @@ kind                      meaning / key fields
                           ``dropped``
 ``h3``                    Heuristic 3 / Algorithm 1 merge step: ``members``
                           (consumer gid labels), ``delta`` (separate −
-                          merged), ``merged``
+                          merged), ``merged``, ``probed`` (merges evaluated
+                          to choose this step)
 ``candidate``             candidate generated: ``cse_id``, ``signature``,
                           ``consumers`` (gid labels), ``est_rows``
+``generation``            Step-2 work done: ``consumer_profiles`` (consumers
+                          put into slot space), ``constructions`` (candidates
+                          materialised)
 ``h4``                    Heuristic 4 containment: ``inner``, ``outer``
                           (cse ids), ``inner_bytes``, ``outer_bytes``,
                           ``beta``, ``pruned``
@@ -168,7 +172,16 @@ class DecisionJournal:
                 f"→ {action}"
             )
         if stage_lines:
-            lines.append("candidate generation:")
+            generation = self.events("generation")
+            lines.append(
+                "candidate generation: "
+                f"{sum(e.get('consumer_profiles', 0) for e in generation)} "
+                "consumer profile(s), "
+                f"{sum(e.get('probed', 0) for e in self.events('h3'))} "
+                "merge probe(s), "
+                f"{sum(e.get('constructions', 0) for e in generation)} "
+                "construction(s)"
+            )
             lines.extend(stage_lines)
 
         equiv_lines = []

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..cse.candidates import CandidateCse, CandidateIdAllocator, generate_candidates
-from ..cse.compatibility import compatibility_groups
+from ..cse.compatibility import ConsumerProfiles, compatibility_groups
 from ..cse.enumeration import SubsetEnumerator
 from ..cse.heuristics import PruneTrace, heuristic1_keep, heuristic4_filter
 from ..cse.manager import CseManager
@@ -725,12 +725,12 @@ class Optimizer:
         max_instance = max(
             (t.instance for g in memo.groups for t in g.tables), default=0
         )
-        counter = itertools.count(max_instance + 1)
-
-        def instance_allocator() -> int:
-            return next(counter)
-
+        # Body instances go to emitted candidates only, consecutively after
+        # the batch's own, so EXPLAIN numbering does not depend on how many
+        # merges Algorithm 1 probed.
+        instance_allocator = itertools.count(max_instance + 1).__next__
         id_allocator = CandidateIdAllocator()
+        profiles = ConsumerProfiles(memo.block_infos)
         journal = self.journal
         definitions = []
         for signature, groups in buckets:
@@ -753,11 +753,11 @@ class Optimizer:
                 if not keep:
                     trace.heuristic1.append(f"bucket:{signature!r}")
                     continue
-            for compatible_set in compatibility_groups(groups, memo.block_infos):
+            for compatible_set in compatibility_groups(groups, profiles):
                 definitions.extend(
                     generate_candidates(
                         compatible_set,
-                        memo.block_infos,
+                        profiles,
                         self.estimator,
                         self.cost_model,
                         base_cost,
@@ -769,6 +769,11 @@ class Optimizer:
                     )
                 )
         stats.candidates_before_pruning = len(definitions)
+        journal.event(
+            "generation",
+            consumer_profiles=len(profiles),
+            constructions=len(definitions),
+        )
         if options.enable_heuristics:
             before_ids = {d.cse_id for d in definitions}
             definitions = heuristic4_filter(definitions, memo, options.beta, trace)

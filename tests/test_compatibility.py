@@ -6,13 +6,14 @@ Uses hand-built memos over TPC-H blocks plus the paper's Examples 2 and 3.
 import pytest
 
 from repro.cse.compatibility import (
+    ConsumerProfiles,
     compatibility_groups,
-    consumer_slot_classes,
     derive_compatibility_from_parts,
+    graph_connected,
     join_compatible,
-    join_compatible_classes,
+    remap_expr,
     slot_assignment,
-    slot_classes,
+    slot_tables,
 )
 from repro.expr.expressions import ColumnRef, TableRef, eq
 from repro.expr.predicates import EquivalenceClasses
@@ -47,58 +48,50 @@ class TestSlotMapping:
         assignment = slot_assignment([a2, a1])
         assert sorted(assignment.values()) == [("A", 0), ("A", 1)]
 
-    def test_slot_classes(self):
-        classes = slot_classes(
-            frozenset([R1, S1]),
-            [frozenset([col(R1, "a"), col(S1, "d")])],
+    def test_slot_templates_are_instance_free(self):
+        first, second = slot_tables([S1, R1]), slot_tables([R2, S2])
+        # Different instances of one signature land on the same templates,
+        # numbered by slot order.
+        assert first[R1] == second[R2] and first[S1] == second[S2]
+        assert [first[R1].instance, first[S1].instance] == [0, 1]
+        assert remap_expr(eq(col(R1, "a"), col(S1, "d")), first) == remap_expr(
+            eq(col(R2, "a"), col(S2, "d")), second
         )
-        assert classes.same_class(("R", 0, "a"), ("S", 0, "d"))
+
+    def test_self_join_templates_distinct(self):
+        a1, a2 = TableRef("A", 1), TableRef("A", 2)
+        templates = slot_tables([a2, a1])
+        assert templates[a1] != templates[a2]
+        assert templates[a1].instance < templates[a2].instance
 
 
 class TestExample2:
     """Paper Example 2, verbatim."""
 
-    def _expr1(self, r, s):
-        # R ⋈(R.a=S.d ∧ R.b=S.e) S
-        return slot_classes(
-            frozenset([r, s]),
-            [
-                frozenset([col(r, "a"), col(s, "d")]),
-                frozenset([col(r, "b"), col(s, "e")]),
-            ],
-        )
-
-    def _expr2(self, r, s):
-        # R ⋈(R.a=S.d ∧ R.c=S.f) S
-        return slot_classes(
-            frozenset([r, s]),
-            [
-                frozenset([col(r, "a"), col(s, "d")]),
-                frozenset([col(r, "c"), col(s, "f")]),
-            ],
-        )
-
-    def _expr3(self, r, s):
-        # R ⋈(R.c=S.f) S only
-        return slot_classes(
-            frozenset([r, s]), [frozenset([col(r, "c"), col(s, "f")])]
-        )
+    @staticmethod
+    def _slot_classes(r, s, *pairs):
+        """The classes of ``R ⋈(pairs) S`` over instances r, s, in slot
+        space."""
+        templates = slot_tables([r, s])
+        return tuple(templates.values()), classes_of(*(
+            remap_expr(eq(col(r, left), col(s, right)), templates)
+            for left, right in pairs
+        ))
 
     def test_compatible_pair(self):
-        slots = {("R", 0), ("S", 0)}
-        ok, intersection = join_compatible_classes(
-            [self._expr1(R1, S1), self._expr2(R2, S2)], slots
-        )
-        assert ok
+        # R ⋈(R.a=S.d ∧ R.b=S.e) S  vs  R ⋈(R.a=S.d ∧ R.c=S.f) S
+        slots, expr1 = self._slot_classes(R1, S1, ("a", "d"), ("b", "e"))
+        _, expr2 = self._slot_classes(R2, S2, ("a", "d"), ("c", "f"))
+        intersection = expr1.intersect(expr2)
+        assert graph_connected(slots, intersection)
         # Intersection is exactly {{R.a, S.d}}.
         assert len(intersection.classes()) == 1
 
     def test_incompatible_pair(self):
-        slots = {("R", 0), ("S", 0)}
-        expr1 = self._expr1(R1, S1)  # a=d, b=e
-        expr3 = self._expr3(R2, S2)  # c=f only
-        ok, intersection = join_compatible_classes([expr1, expr3], slots)
-        assert not ok
+        slots, expr1 = self._slot_classes(R1, S1, ("a", "d"), ("b", "e"))
+        _, expr3 = self._slot_classes(R2, S2, ("c", "f"))  # c=f only
+        intersection = expr1.intersect(expr3)
+        assert not graph_connected(slots, intersection)
         assert len(intersection.classes()) == 0
 
 
@@ -156,11 +149,8 @@ class TestOnRealBlocks:
 
     def test_same_joins_compatible(self, two_query_memo):
         memo, tops = two_query_memo
-        assert join_compatible(
-            tops[0], tops[1],
-            memo.block_infos[tops[0].block.name],
-            memo.block_infos[tops[1].block.name],
-        )
+        profiles = ConsumerProfiles(memo.block_infos)
+        assert join_compatible(profiles(tops[0]), profiles(tops[1]))
 
     def test_different_table_sets_incompatible(self, two_query_memo):
         memo, tops = two_query_memo
@@ -169,19 +159,20 @@ class TestOnRealBlocks:
             if g.kind == "join" and len(g.items) == 2
             and g.block.name == tops[0].block.name
         ][0]
-        assert not join_compatible(
-            tops[0], smaller,
-            memo.block_infos[tops[0].block.name],
-            memo.block_infos[smaller.block.name],
-        )
+        profiles = ConsumerProfiles(memo.block_infos)
+        assert not join_compatible(profiles(tops[0]), profiles(smaller))
 
     def test_compatibility_groups_partition(self, two_query_memo):
         memo, tops = two_query_memo
-        clusters = compatibility_groups(list(tops), memo.block_infos)
+        clusters = compatibility_groups(
+            list(tops), ConsumerProfiles(memo.block_infos)
+        )
         assert len(clusters) == 1 and len(clusters[0]) == 2
 
     def test_overlapping_instances_not_clustered(self, two_query_memo):
         memo, tops = two_query_memo
         # A group cannot share a CSE with itself (same instances).
-        clusters = compatibility_groups([tops[0], tops[0]], memo.block_infos)
+        clusters = compatibility_groups(
+            [tops[0], tops[0]], ConsumerProfiles(memo.block_infos)
+        )
         assert clusters == []

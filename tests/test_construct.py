@@ -6,7 +6,6 @@ import pytest
 
 from repro.cse.construct import (
     construct_cse,
-    estimate_cse_rows,
     weakened_covering,
 )
 from repro.cse.manager import CseManager

@@ -176,6 +176,77 @@ class TestAggExpr:
         assert agg in nodes and col("x") in nodes and col("y") in nodes
 
 
+def _one_of_each():
+    """One node of every cached type, built from scratch on each call."""
+    x, y = col("x"), col("y")
+    cmp = Comparison(ComparisonOp.LT, x, Literal(5))
+    return [
+        tref(), x, Literal("a"), cmp, And((cmp, eq(x, y))), Or((cmp, eq(x, y))),
+        Not(cmp), Arithmetic(ArithmeticOp.ADD, x, y), AggExpr(AggFunc.SUM, x),
+    ]
+
+
+class TestStructureCache:
+    """The per-instance hash / columns() caches never leak into identity."""
+
+    def test_independent_equal_nodes_collide(self):
+        for first, second in zip(_one_of_each(), _one_of_each()):
+            assert first is not second and first == second
+            assert hash(first) == hash(second) == hash(first)
+            assert len({first, second}) == 1 and {first: 1}[second] == 1
+
+    def test_caches_invisible_to_identity(self):
+        import dataclasses
+
+        from repro.expr.expressions import canon_key
+
+        for node, fresh in zip(_one_of_each(), _one_of_each()):
+            before = (repr(node), canon_key(fresh))
+            hash(node)
+            if isinstance(node, Expr):
+                node.columns()
+            cached = [name for name in vars(node) if name.endswith("_cache")]
+            assert "_hash_cache" in cached
+            assert (repr(node), canon_key(node)) == before and node == fresh
+            names = {f.name for f in dataclasses.fields(node)}
+            assert not names & set(cached)
+
+    def test_columns_cached_and_correct(self):
+        node = And((lt(col("x"), Literal(5)), eq(col("x"), col("y"))))
+        assert node.columns() == frozenset([col("x"), col("y")])
+        assert node.columns() is node.columns()
+        assert Literal(1).columns() == frozenset()
+
+    def test_replace_and_substitute_get_fresh_hashes(self):
+        import dataclasses
+
+        node = lt(col("x"), Literal(5))
+        hash(node), node.columns()
+        replaced = dataclasses.replace(node, right=Literal(6))
+        substituted = node.substitute({col("x"): col("z")})
+        for derived, expected in (
+            (replaced, lt(col("x"), Literal(6))),
+            (substituted, lt(col("z"), Literal(5))),
+        ):
+            assert "_hash_cache" not in vars(derived)
+            assert derived == expected and hash(derived) == hash(expected)
+            assert hash(derived) != hash(node)
+        assert substituted.columns() == frozenset([col("z")])
+
+    def test_pickle_drops_caches(self):
+        import copy
+        import pickle
+
+        for node in _one_of_each():
+            hash(node)
+            # A hash from another process (str hashes are salted) must not
+            # survive the round trip.
+            vars(node)["_hash_cache"] = -1
+            for clone in (pickle.loads(pickle.dumps(node)), copy.copy(node)):
+                assert not [n for n in vars(clone) if n.endswith("_cache")]
+                assert clone == node and hash(clone) != -1
+
+
 class TestCanonKey:
     """The cached canonicalization sort key (memo hot-path fix)."""
 

@@ -8,13 +8,14 @@ import pytest
 
 from repro import MetricsRegistry, Session, Tracer
 from repro.obs import (
+    DecisionJournal,
     NULL_REGISTRY,
     NULL_TRACER,
     TRACE_HEADER_TYPE,
     active_registry,
     use_registry,
 )
-from repro.workloads import example1_batch
+from repro.workloads import example1_batch, scaleup_batch
 
 
 class TestMetricsRegistry:
@@ -152,6 +153,38 @@ class TestSessionWiring:
         assert counters["executor.spools_materialized"] >= 1
         assert counters["executor.spool_reads"] >= 2
         assert registry.timer_total("optimizer.total") > 0
+
+    @pytest.mark.parametrize("batch", ["example1", "fig8_6"])
+    def test_candidate_generation_work_counts(self, tiny_db, batch):
+        """The work Step 2 does, as counts: each consumer is put into slot
+        space once, probes never materialise, and a full construction
+        happens only for a candidate Algorithm 1 emits."""
+        sql = example1_batch() if batch == "example1" else scaleup_batch(6)
+        registry, journal = MetricsRegistry(), DecisionJournal()
+        session = Session(tiny_db, registry=registry)
+        stats = session.optimize(sql, journal=journal).stats
+        counters = registry.snapshot()["counters"]
+        assert counters["cse.constructions"] == stats.candidates_before_pruning
+        # Distinct consumer groups: every group of every signature bucket
+        # that reached compatibility analysis (bucket-level H1 passed).
+        analysed = {
+            e["signature"] for e in journal.events("h1")
+            if e["passed"] and not e["signature"].startswith("set:")
+        }
+        consumers = sum(
+            e["groups"] for e in journal.events("bucket")
+            if e["sharable"] and e["signature"] in analysed
+        )
+        assert counters["cse.consumer_profiles"] == consumers
+        probes = sum(e["probed"] for e in journal.events("h3"))
+        assert counters["cse.merge_probes"] == probes > 0
+        assert counters["cse.merge_benefit_evaluations"] <= probes
+        why = journal.render_why()
+        assert (
+            f"candidate generation: {consumers} consumer profile(s), "
+            f"{probes} merge probe(s), "
+            f"{stats.candidates_before_pruning} construction(s)"
+        ) in why
 
     def test_null_session_publishes_nothing(self, tiny_db):
         session = Session(tiny_db)

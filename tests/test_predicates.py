@@ -99,6 +99,23 @@ class TestEquivalenceClasses:
             [rcol("a"), scol("d"), scol("e")]
         )
 
+    def test_cached_classes_refresh_after_add_equality(self):
+        classes = EquivalenceClasses()
+        classes.add_equality(rcol("a"), scol("d"))
+        assert classes.classes() is classes.classes()  # cached
+        assert len(classes) == 1
+        classes.add_equality(rcol("b"), scol("e"))
+        classes.add(rcol("c"))
+        assert len(classes) == 2
+        classes.add_equality(scol("d"), scol("e"))
+        assert classes.classes() == [
+            frozenset([rcol("a"), rcol("b"), scol("d"), scol("e")])
+        ]
+        assert classes.class_of(rcol("b")) == classes.classes()[0]
+        assert classes.class_of(rcol("c")) == frozenset([rcol("c")])
+        assert classes.class_of(rcol("zz")) == frozenset([rcol("zz")])
+        assert classes.representative(scol("e")) == rcol("a")
+
     def test_from_conjuncts_ignores_filters(self):
         conjuncts = [eq(rcol("a"), scol("d")), gt(rcol("b"), Literal(5))]
         classes = EquivalenceClasses.from_conjuncts(conjuncts)
