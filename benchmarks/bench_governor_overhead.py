@@ -18,7 +18,9 @@ from repro.optimizer.options import OptimizerOptions
 from repro.serve import QueryBudget, ResourceGovernor
 from repro.workloads.tpch_queries import ADAPTED_QUERIES
 
-ROUNDS = 9
+#: enough rounds for the trimmed means of a ~35 ms suite to resolve a 2%
+#: (~0.7 ms) budget: 9 rounds scatter by +-2.5%, 31 by about +-1%.
+ROUNDS = 31
 #: allowed (governed - plain) / plain wall-time fraction.
 OVERHEAD_BUDGET = float(
     os.environ.get("REPRO_GOVERNOR_OVERHEAD_BUDGET", "0.02")

@@ -33,6 +33,11 @@ class Histogram:
     """
 
     buckets: List[Tuple[float, float, int]]
+    #: total rows covered by the histogram.
+    total: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.total = sum(count for _, _, count in self.buckets)
 
     @classmethod
     def build(cls, values: np.ndarray, buckets: int = 32) -> "Histogram":
@@ -52,11 +57,6 @@ class Histogram:
                 (float(data[lo_idx]), float(data[hi_idx - 1]), int(hi_idx - lo_idx))
             )
         return cls(buckets=built)
-
-    @property
-    def total(self) -> int:
-        """Total rows covered by the histogram."""
-        return sum(count for _, _, count in self.buckets)
 
     def fraction_below(self, value: float, inclusive: bool) -> float:
         """Estimated fraction of rows with column value < (or <=) ``value``."""

@@ -37,7 +37,7 @@ from ..optimizer.physical import (
 from ..optimizer.aggs import AggCompute
 from ..storage.database import Database
 from .iterators import execute_node, materialize_spool, sort_order_for
-from .runtime import ExecutionContext, ExecutionMetrics, KeyFactorCache
+from .runtime import ExecutionContext, ExecutionMetrics
 from .scans import ScanManager
 
 if TYPE_CHECKING:  # avoid the executor → serve → executor import cycle
@@ -124,7 +124,6 @@ class Executor:
         (a :class:`~repro.serve.governor.CancellationToken`) arms the
         cooperative deadline/budget checkpoints in the operator loop."""
         start = time.perf_counter()
-        factor_cache = KeyFactorCache()
         ctx = ExecutionContext(
             database=self.database,
             cost_model=self.cost_model,
@@ -134,7 +133,6 @@ class Executor:
             tracer=self.tracer,
             scans=ScanManager() if self.shared_scans else None,
             morsel_rows=self.morsel_rows,
-            factor_cache=factor_cache,
         )
         executed_plans: Dict[str, PhysicalPlan] = {}
         results: List[QueryResult] = []
@@ -149,8 +147,6 @@ class Executor:
                 results.append(result)
                 executed_plans[query_plan.name] = plan
         wall = time.perf_counter() - start
-        ctx.metrics.key_factorizations = factor_cache.factorizations
-        ctx.metrics.key_factor_reuses = factor_cache.reuses
         ctx.metrics.publish(self.registry)
         self.registry.timer_add("executor.wall", wall)
         return BatchResult(

@@ -1,10 +1,12 @@
 """Vectorized physical-operator implementations.
 
 Each operator consumes/produces a *frame*: a mapping from expression keys to
-numpy column arrays of equal length. Equi joins run as a vectorized
-sort-merge over factorized key codes (emitting rows in classic hash-join
-order: right rows ascending, left matches in build order), aggregation is
-vectorized hash aggregation over factorized key tuples, spools materialize
+numpy column arrays of equal length. Join and group-by keys are coded to
+dense integers without sorting (direct addressing for integer keys, one
+hash pass for strings); equi joins then address a ``bincount`` table over
+the build side (emitting rows in classic hash-join order: right rows
+ascending, left matches in build order), aggregation numbers groups by
+first appearance through a first-occurrence table, spools materialize
 frames into work tables. Keeping the hot loops inside numpy matters beyond
 single-query speed: numpy kernels release the GIL, which is what lets the
 parallel batch executor (``repro.serve``) get real wall-clock speedup from
@@ -303,9 +305,8 @@ def _hash_join(plan: PhysHashJoin, ctx: ExecutionContext) -> Frame:
     n_left = frame_length(left)
     n_right = frame_length(right)
     if plan.keys:
-        left_idx, right_idx = _equi_join_indices(
-            plan.keys, left, right, ctx
-        )
+        left_idx, right_idx = _equi_join_indices(plan.keys, left, right)
+        ctx.metrics.key_factorizations += len(plan.keys)
     else:
         left_idx = np.repeat(np.arange(n_left), n_right)
         right_idx = np.tile(np.arange(n_right), n_left)
@@ -376,113 +377,108 @@ def _null_extend(values: np.ndarray, pad: int) -> np.ndarray:
     )
 
 
-def _factorize(
-    col: np.ndarray, ctx: Optional[ExecutionContext] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(sorted uniques, int64 inverse codes)`` for one key column.
+#: A key's code domain may reach this multiple of the row count (plus a
+#: constant, so short inputs are not pushed to the sorting fallback) and
+#: still be direct-addressed. Every table the kernels allocate over a
+#: domain (bincount, build slots, first occurrences) is bounded by it.
+_DENSE_FACTOR = 4
+_DENSE_FLOOR = 1024
 
-    Routed through the batch's :class:`~repro.executor.runtime.KeyFactorCache`
-    when the context carries one: spool reads and shared scans alias the
-    producer's arrays, so every consumer of a CSE factorizes the *same*
-    ndarray objects and the per-column ``np.unique`` runs once per batch
-    instead of once per consumer."""
-    if ctx is not None and ctx.factor_cache is not None:
-        return ctx.factor_cache.factorize(col)
+
+def _dense_bound(n: int) -> int:
+    return _DENSE_FACTOR * n + _DENSE_FLOOR
+
+
+def _column_codes(col: np.ndarray) -> Tuple[np.ndarray, int]:
+    """``(int64 codes, domain)`` for one key column, without sorting.
+
+    Two rows get the same code iff their values are equal, and every code
+    lies in ``range(domain)``. Integer, bool and date columns are
+    direct-addressed (``col - min``) while the value span stays within
+    :func:`_dense_bound`; object (string) columns take one hash pass.
+    Floats and sparse integers fall back to ``np.unique``, which also
+    collapses NaNs into one code. Code *order* is arbitrary and must never
+    reach a result — callers renumber by position."""
+    n = len(col)
+    if n == 0:
+        return np.empty(0, dtype=np.int64), 1
+    kind = col.dtype.kind
+    if kind == "O":
+        values = col.tolist()
+        table = {v: i for i, v in enumerate(dict.fromkeys(values))}
+        codes = np.fromiter(
+            map(table.__getitem__, values), dtype=np.int64, count=n
+        )
+        return codes, len(table)
+    if kind in "biu":
+        ints = col.astype(np.int64, copy=False)
+        low = int(ints.min())
+        span = int(ints.max()) - low + 1
+        if span <= _dense_bound(n):
+            return ints - low, span
     uniques, inverse = np.unique(col, return_inverse=True)
-    return uniques, inverse.astype(np.int64, copy=False)
+    return inverse.astype(np.int64, copy=False), len(uniques)
 
 
-def _mix_codes(
-    codes: Optional[np.ndarray], inverse: np.ndarray
-) -> np.ndarray:
-    """Fold one more column's codes into the running combined codes,
-    re-compressing after every step so the combined code stays bounded by
-    the row count (no overflow for any key arity)."""
-    if codes is None:
-        return inverse
-    radix = int(inverse.max()) + 1 if len(inverse) else 1
-    _, codes = np.unique(codes * radix + inverse, return_inverse=True)
-    return codes.astype(np.int64, copy=False)
+def _key_codes(cols: List[np.ndarray]) -> Tuple[np.ndarray, int]:
+    """``(int64 codes, domain)`` per row, equal iff the key tuples are equal.
 
-
-def _joint_codes(
-    cols: List[np.ndarray], ctx: Optional[ExecutionContext] = None
-) -> np.ndarray:
-    """Dense int64 codes per row, equal iff the key tuples are equal.
-
-    Each column is factorized with ``np.unique`` (memoized per batch via
-    ``ctx.factor_cache``) and the per-column codes are mixed pairwise.
-    """
-    codes: Optional[np.ndarray] = None
-    for col in cols:
-        _, inverse = _factorize(col, ctx)
-        codes = _mix_codes(codes, inverse)
-    assert codes is not None
-    return codes
-
-
-def _paired_codes(
-    lc: np.ndarray, rc: np.ndarray, ctx: Optional[ExecutionContext]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Codes for one join-key column pair, over a shared value domain.
-
-    Equivalent to splitting ``np.unique(concatenate([lc, rc]))``'s inverse
-    at ``len(lc)``, but factorizes each side independently (so both sides
-    hit the batch's factor cache) and only uniques the two *unique* sets —
-    small — to merge the domains. ``np.unique`` sorts and collapses NaNs
-    on both paths, so the merged codes are identical to the direct ones.
-    """
-    l_uniques, l_inverse = _factorize(lc, ctx)
-    r_uniques, r_inverse = _factorize(rc, ctx)
-    merged = np.concatenate([l_uniques, r_uniques])
-    _, merged_inverse = np.unique(merged, return_inverse=True)
-    merged_inverse = merged_inverse.astype(np.int64, copy=False)
-    left_map = merged_inverse[: len(l_uniques)]
-    right_map = merged_inverse[len(l_uniques):]
-    return left_map[l_inverse], right_map[r_inverse]
+    Columns are coded by :func:`_column_codes` and mixed by radix; a
+    product that outgrows :func:`_dense_bound` is itself re-coded as one
+    integer column (a sort only if its codes are sparse too), so the
+    domain stays within the bound for any key arity."""
+    codes, domain = _column_codes(cols[0])
+    bound = _dense_bound(len(codes))
+    for col in cols[1:]:
+        col_codes, radix = _column_codes(col)
+        codes = codes * radix + col_codes
+        domain *= radix
+        if domain > bound:
+            codes, domain = _column_codes(codes)
+    return codes, domain
 
 
 def _equi_join_indices(
-    keys: Tuple[Tuple[Expr, Expr], ...],
-    left: Frame,
-    right: Frame,
-    ctx: Optional[ExecutionContext] = None,
+    keys: Tuple[Tuple[Expr, Expr], ...], left: Frame, right: Frame
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Matching (left, right) row indices for an equi join.
 
-    Vectorized sort-merge over factorized key codes. The output order is
+    Each key pair is coded over the concatenated rows (codes must be
+    comparable across sides) and the left side is the build side: a
+    ``bincount`` over its codes sizes every key's run. The output order is
     the hash-join contract the rest of the engine relies on: right rows
     ascending, and within one right row its left matches in original left
-    order (the stable argsort keeps equal codes in position order).
+    order. Unique build keys (the PK side) need no sort at all — one
+    scatter of left positions into the code table, one gather per right
+    row; duplicate build keys keep a stable argsort of the left codes
+    (equal codes stay in position order) with run starts read off the
+    ``bincount`` table.
     """
     n_left = frame_length(left)
     n_right = frame_length(right)
-    # Mix jointly over the concatenated rows (codes must stay comparable
-    # across sides); only the per-column factorization is split per side
-    # so it can hit the cache.
-    codes: Optional[np.ndarray] = None
-    for l_expr, r_expr in keys:
-        lc, rc = _paired_codes(
-            evaluate(l_expr, left), evaluate(r_expr, right), ctx
-        )
-        codes = _mix_codes(codes, np.concatenate([lc, rc]))
-    assert codes is not None
+    codes, domain = _key_codes(
+        [
+            np.concatenate([evaluate(l_expr, left), evaluate(r_expr, right)])
+            for l_expr, r_expr in keys
+        ]
+    )
     left_codes, right_codes = codes[:n_left], codes[n_left:]
+    build_counts = np.bincount(left_codes, minlength=domain)
+    if build_counts.max() <= 1:
+        slots = np.full(domain, -1, dtype=np.int64)
+        slots[left_codes] = np.arange(n_left, dtype=np.int64)
+        matches = slots[right_codes]
+        right_idx = np.flatnonzero(matches >= 0)
+        return matches[right_idx], right_idx
     order = np.argsort(left_codes, kind="stable")
-    sorted_codes = left_codes[order]
-    lo = np.searchsorted(sorted_codes, right_codes, side="left")
-    hi = np.searchsorted(sorted_codes, right_codes, side="right")
-    counts = hi - lo
+    run_starts = np.cumsum(build_counts) - build_counts
+    counts = build_counts[right_codes]
     total = int(counts.sum())
     right_idx = np.repeat(np.arange(n_right, dtype=np.int64), counts)
-    starts = np.repeat(lo, counts)
+    starts = np.repeat(run_starts[right_codes], counts)
     run_offsets = np.repeat(np.cumsum(counts) - counts, counts)
     within = np.arange(total, dtype=np.int64) - run_offsets
-    left_idx = order[starts + within]
-    return (
-        left_idx.astype(np.int64, copy=False),
-        right_idx,
-    )
+    return order[starts + within], right_idx
 
 
 # ---------------------------------------------------------------------------
@@ -491,44 +487,39 @@ def _equi_join_indices(
 
 
 def _group_ids(
-    keys: Tuple[Expr, ...],
-    frame: Frame,
-    ctx: Optional[ExecutionContext] = None,
+    keys: Tuple[Expr, ...], frame: Frame
 ) -> Tuple[np.ndarray, int, Frame]:
-    """(group id per row, group count, frame of group-key columns)."""
+    """(group id per row, group count, frame of group-key columns).
+
+    Groups are numbered by first appearance — the insertion order of a
+    hash aggregate — whatever codes the keys were given: a first-occurrence
+    table over the code domain finds each group's first row, and only those
+    rows (one per group) are sorted."""
     n = frame_length(frame)
     if not keys:
-        return np.zeros(n, dtype=np.int64), (1 if n else 1), {}
+        # A scalar aggregate is one group, also over an empty input.
+        return np.zeros(n, dtype=np.int64), 1, {}
     key_cols = [evaluate(k, frame) for k in keys]
-    codes = _joint_codes(key_cols, ctx)
-    _, first_idx, inverse = np.unique(
-        codes, return_index=True, return_inverse=True
-    )
-    # np.unique numbers groups in sorted-key order; renumber them by first
-    # appearance so group ids (and the key frame) match the insertion-order
-    # semantics of a hash aggregate.
-    appearance = np.argsort(first_idx, kind="stable")
-    remap = np.empty(len(first_idx), dtype=np.int64)
-    remap[appearance] = np.arange(len(first_idx), dtype=np.int64)
-    gids = remap[inverse.astype(np.int64, copy=False)]
-    count = len(first_idx)
-    group_rows = first_idx[appearance]
+    codes, domain = _key_codes(key_cols)
+    first = np.full(domain, n, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(n, dtype=np.int64))
+    group_rows = np.sort(first[first < n])
+    count = len(group_rows)
+    renumber = np.empty(domain, dtype=np.int64)
+    renumber[codes[group_rows]] = np.arange(count, dtype=np.int64)
     key_frame: Frame = {}
     for key_expr, col in zip(keys, key_cols):
         key_frame[key_expr] = np.asarray(
             col[group_rows], dtype=key_expr.data_type.numpy_dtype
         )
-    return gids, count, key_frame
+    return renumber[codes], count, key_frame
 
 
 def _hash_agg(plan: PhysHashAgg, ctx: ExecutionContext) -> Frame:
     frame = execute_node(plan.child, ctx)
     n = frame_length(frame)
-    gids, count, out = _group_ids(plan.keys, frame, ctx)
-    if not plan.keys and n == 0:
-        # Scalar aggregate over an empty input: one group with zero rows.
-        count = 1
-        gids = np.empty(0, dtype=np.int64)
+    gids, count, out = _group_ids(plan.keys, frame)
+    ctx.metrics.key_factorizations += len(plan.keys)
     for compute in plan.computes:
         out[compute.out] = _aggregate_column(compute, gids, count, frame, n)
     ctx.metrics.rows_aggregated += n

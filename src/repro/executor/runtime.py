@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..obs import NULL_REGISTRY, NULL_TRACER, MetricsRegistry, OperatorStats, Tracer
 from ..optimizer.cost import CostModel
@@ -114,52 +112,6 @@ class ScanStats:
         self.cost_units += other.cost_units
 
 
-class KeyFactorCache:
-    """Batch-scoped memo of per-column key factorizations.
-
-    ``np.unique(col, return_inverse=True)`` dominates join/group-by key
-    processing, and a shared batch evaluates it repeatedly over the *same*
-    physical arrays: spool reads alias the producer worktable's columns and
-    shared scans alias the cached fetch, so every consumer of a CSE hands
-    the identical ndarray objects back to ``_joint_codes``. This cache
-    keys on array identity — ``id(col)`` plus a strong reference to the
-    array itself, which both pins the id against reuse and lets a cheap
-    ``is`` check reject hash collisions from a dead object's recycled id.
-
-    Lifetime is one batch execution (created per ``execute`` call, shared
-    across parallel tasks like ``spools``), so entries never outlive the
-    frames they describe. Thread-safe: lookups and inserts take one lock;
-    a racing duplicate factorization is harmless (last write wins, values
-    are equal).
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        #: id(col) -> (col, uniques, inverse codes)
-        self._entries: Dict[
-            int, Tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
-        self.factorizations = 0
-        self.reuses = 0
-
-    def factorize(
-        self, col: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(uniques, int64 inverse codes)`` for one key column."""
-        key = id(col)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0] is col:
-                self.reuses += 1
-                return entry[1], entry[2]
-        uniques, inverse = np.unique(col, return_inverse=True)
-        inverse = inverse.astype(np.int64, copy=False)
-        with self._lock:
-            self.factorizations += 1
-            self._entries[key] = (col, uniques, inverse)
-        return uniques, inverse
-
-
 class SharedSpoolPool:
     """Refcounted spool storage for one coordinator-merged batch.
 
@@ -241,11 +193,10 @@ class ExecutionMetrics:
     spool_rows_read: int = 0
     spools_materialized: int = 0
     operator_invocations: int = 0
-    #: join/group-by key columns factorized (``np.unique`` actually run)
-    #: vs. served from the batch's :class:`KeyFactorCache`. Copied from
-    #: the cache once per batch (the cache is shared across tasks, so
-    #: per-task metrics never carry partial counts).
+    #: join/group-by key columns coded to dense integers.
     key_factorizations: int = 0
+    #: always 0 since key coding stopped being memoized; kept readable
+    #: for ``benchmarks/perf``, which still reports a reuse ratio.
     key_factor_reuses: int = 0
     spool_stats: Dict[str, SpoolStats] = field(default_factory=dict)
     #: per-(table, column-set) shared-scan accounting, keyed like
@@ -278,7 +229,6 @@ class ExecutionMetrics:
         self.spools_materialized += other.spools_materialized
         self.operator_invocations += other.operator_invocations
         self.key_factorizations += other.key_factorizations
-        self.key_factor_reuses += other.key_factor_reuses
         for cse_id, stats in other.spool_stats.items():
             self.spool(cse_id).merge(stats)
         for key, scan in other.scan_stats.items():
@@ -302,12 +252,9 @@ class ExecutionMetrics:
         registry.counter(
             "executor.operator_invocations", self.operator_invocations
         )
-        if self.key_factorizations or self.key_factor_reuses:
+        if self.key_factorizations:
             registry.counter(
                 "executor.key_factorizations", self.key_factorizations
-            )
-            registry.counter(
-                "executor.key_factor_reuses", self.key_factor_reuses
             )
         if self.scan_stats:
             registry.counter("executor.scan.reads", sum(
@@ -353,10 +300,6 @@ class ExecutionContext:
     #: batch-wide shared-scan manager (engine v2). None falls back to the
     #: per-consumer physical scan of v1.
     scans: Optional["ScanManager"] = None
-    #: batch-wide key-factorization memo, shared across tasks like
-    #: ``spools``. None disables memoization (every join/group-by
-    #: factorizes its keys from scratch).
-    factor_cache: Optional[KeyFactorCache] = None
     #: morsel size for fused streaming pipelines (rows per morsel).
     morsel_rows: int = 4096
 

@@ -48,7 +48,6 @@ from ..executor.executor import BatchResult, Executor, QueryResult
 from ..executor.runtime import (
     ExecutionContext,
     ExecutionMetrics,
-    KeyFactorCache,
     SharedSpoolPool,
 )
 from ..executor.scans import ScanManager
@@ -110,7 +109,6 @@ class _SharedRun:
     #: prefixed query name -> {cse_id: planned reads}.
     reads: Dict[str, Dict[str, int]]
     scans: Optional[ScanManager]
-    factor_cache: KeyFactorCache
     spool_spans: Dict[str, int]
     #: producer-phase metrics (spool materializations, shared scans);
     #: merged into the leader consumer's result so batch totals match an
@@ -377,7 +375,6 @@ class SharedBatchCoordinator:
         """Producer phase: every root spool, exactly once, into the pool."""
         pool = SharedSpoolPool()
         scans = ScanManager() if session.shared_scans else None
-        factor_cache = KeyFactorCache()
         spool_spans: Dict[str, int] = {}
         # Ungoverned on purpose: each *consumer* charges its own budget
         # for the spools it reads at attach time, exactly once — the
@@ -389,7 +386,6 @@ class SharedBatchCoordinator:
             tracer=session.tracer,
             spool_spans=spool_spans,
             scans=scans,
-            factor_cache=factor_cache,
             morsel_rows=session.morsel_rows,
         )
         for cse_id, body in result.bundle.root_spools:
@@ -412,7 +408,6 @@ class SharedBatchCoordinator:
             root_ids=frozenset(ctx.spools),
             reads=reads,
             scans=scans,
-            factor_cache=factor_cache,
             spool_spans=spool_spans,
             producer_metrics=ctx.metrics,
             strategy=result.stats.strategy or "paper",
@@ -467,7 +462,6 @@ class SharedBatchCoordinator:
                     tracer=session.tracer,
                     spool_spans=shared.spool_spans,
                     scans=shared.scans,
-                    factor_cache=shared.factor_cache,
                     morsel_rows=session.morsel_rows,
                 )
                 executor = Executor(
@@ -517,12 +511,10 @@ class SharedBatchCoordinator:
         metrics = ctx.metrics
         if consumer.slot == 0:
             # The leader's result absorbs the producer phase so batch
-            # totals (spool writes, shared scans, factorization counts)
-            # appear exactly once across the group.
+            # totals (spool writes, shared scans) appear exactly once
+            # across the group.
             shared.producer_metrics.merge(metrics)
             metrics = shared.producer_metrics
-            metrics.key_factorizations = shared.factor_cache.factorizations
-            metrics.key_factor_reuses = shared.factor_cache.reuses
         metrics.publish(session.registry)
         session.registry.timer_add("executor.wall", wall)
         my_reads = {

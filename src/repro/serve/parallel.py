@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import ExecutionError, QueryCancelledError
 from ..executor.executor import BatchResult, Executor, QueryResult
 from ..executor.iterators import materialize_spool
-from ..executor.runtime import ExecutionContext, ExecutionMetrics, KeyFactorCache
+from ..executor.runtime import ExecutionContext, ExecutionMetrics
 from ..executor.scans import ScanManager
 from ..obs import MetricsRegistry, OperatorStats, SpanContext, Tracer
 from ..optimizer.cost import CostModel
@@ -121,10 +121,6 @@ class ParallelExecutor(Executor):
         # context the same way ``spools`` is: per-key locks make each
         # physical fetch exactly-once, so merged totals stay deterministic.
         scans = ScanManager() if self.shared_scans else None
-        # One key-factorization memo for the whole batch: spool reads and
-        # shared scans alias arrays across tasks, so consumers of the same
-        # CSE reuse each other's ``np.unique`` work.
-        factor_cache = KeyFactorCache()
         with self.tracer.span(
             "execute_batch",
             queries=len(bundle.queries),
@@ -144,7 +140,6 @@ class ParallelExecutor(Executor):
                 token,
                 batch_context,
                 scans,
-                factor_cache,
             )
         metrics = ExecutionMetrics()
         op_stats: Optional[Dict[int, OperatorStats]] = (
@@ -166,10 +161,6 @@ class ParallelExecutor(Executor):
                 results.append(outcome.result)
                 executed_plans[task.label] = outcome.plan
         wall = time.perf_counter() - start
-        # The cache is batch-global (per-task metrics carry no counts), so
-        # the merged totals pick them up exactly once here.
-        metrics.key_factorizations = factor_cache.factorizations
-        metrics.key_factor_reuses = factor_cache.reuses
         metrics.publish(self.registry)
         self.registry.timer_add("executor.wall", wall)
         self.registry.counter("executor.parallel_batches")
@@ -191,7 +182,6 @@ class ParallelExecutor(Executor):
         collect_op_stats: bool,
         token: Optional[CancellationToken] = None,
         scans: Optional[ScanManager] = None,
-        factor_cache: Optional[KeyFactorCache] = None,
     ) -> ExecutionContext:
         return ExecutionContext(
             database=self.database,
@@ -204,7 +194,6 @@ class ParallelExecutor(Executor):
             tracer=self.tracer,
             scans=scans,
             morsel_rows=self.morsel_rows,
-            factor_cache=factor_cache,
         )
 
     def _run_task(
@@ -217,10 +206,9 @@ class ParallelExecutor(Executor):
         collect_op_stats: bool,
         token: Optional[CancellationToken],
         scans: Optional[ScanManager] = None,
-        factor_cache: Optional[KeyFactorCache] = None,
     ) -> _TaskOutcome:
         ctx = self._task_context(
-            spools, spool_spans, collect_op_stats, token, scans, factor_cache
+            spools, spool_spans, collect_op_stats, token, scans
         )
         start = time.perf_counter()
         outcome = "ok"
@@ -297,7 +285,6 @@ class ParallelExecutor(Executor):
         token: CancellationToken,
         batch_context: Optional[SpanContext] = None,
         scans: Optional[ScanManager] = None,
-        factor_cache: Optional[KeyFactorCache] = None,
     ) -> Dict[int, _TaskOutcome]:
         """Topological wave scheduling with bounded workers."""
         outcomes: Dict[int, _TaskOutcome] = {}
@@ -329,7 +316,6 @@ class ParallelExecutor(Executor):
                     collect_op_stats,
                     token,
                     scans,
-                    factor_cache,
                 )
                 running[future] = task.index
 

@@ -112,9 +112,17 @@ def coerce_value(value: Any, data_type: DataType) -> Any:
 
 
 def coerce_column(values: Any, data_type: DataType) -> np.ndarray:
-    """Coerce an iterable of values to a numpy column of ``data_type``."""
+    """Coerce an iterable of values to a numpy column of ``data_type``.
+
+    An array already of the storage dtype is returned as is. For STRING
+    (object arrays) that still requires :func:`coerce_value`'s check —
+    every entry a ``str`` — which is made once per distinct element type
+    instead of once per value; an array that fails it takes the per-value
+    path below and raises there for its first offending entry."""
     if isinstance(values, np.ndarray) and values.dtype == data_type.numpy_dtype:
-        if data_type is not DataType.STRING:
+        if data_type is not DataType.STRING or all(
+            issubclass(t, str) for t in set(map(type, values.tolist()))
+        ):
             return values
     coerced = [coerce_value(v, data_type) for v in values]
     return np.array(coerced, dtype=data_type.numpy_dtype)

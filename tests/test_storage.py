@@ -54,6 +54,15 @@ class TestTable:
         with pytest.raises(StorageError):
             Table(_schema(), data)
 
+    @pytest.mark.parametrize("bad", [None, 7])
+    def test_bad_string_rejected_on_load(self, bad):
+        data = _data()
+        data["s"][2] = bad
+        with pytest.raises(StorageError):
+            Table(_schema(), data)
+        with pytest.raises(StorageError):
+            Table(_schema()).replace_data(data)
+
     def test_row_access(self):
         table = Table(_schema(), _data())
         assert table.row(2) == (2, 3.0, "row2")

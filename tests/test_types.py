@@ -5,6 +5,7 @@ import datetime
 import numpy as np
 import pytest
 
+from repro import types
 from repro.errors import StorageError
 from repro.types import (
     DataType,
@@ -91,6 +92,62 @@ class TestCoercion:
     def test_coerce_column_dates(self):
         column = coerce_column(["1970-01-02", "1970-01-03"], DataType.DATE)
         assert column.tolist() == [1, 2]
+
+    def test_coerce_column_string_array_returned_uncopied(self, monkeypatch):
+        """A valid object array is checked per element *type*, not per
+        value, and is returned itself."""
+
+        def no_per_value_path(value, data_type):
+            raise AssertionError(f"coerce_value called for {value!r}")
+
+        monkeypatch.setattr(types, "coerce_value", no_per_value_path)
+        original = np.array(["a", "", "b"], dtype=object)
+        assert coerce_column(original, DataType.STRING) is original
+        empty = np.empty(0, dtype=object)
+        assert coerce_column(empty, DataType.STRING) is empty
+
+    @pytest.mark.parametrize("bad", [None, 3, 2.5, b"x", ["a"]])
+    def test_coerce_column_string_array_rejects_like_per_value(self, bad):
+        """The array path raises exactly the per-value path's error, for
+        the first offending entry."""
+        values = ["a", bad, None, "b"]
+        array = np.empty(len(values), dtype=object)
+        for position, value in enumerate(values):
+            array[position] = value
+        with pytest.raises(StorageError) as per_value:
+            coerce_value(bad, DataType.STRING)
+        for column in (array, values):
+            with pytest.raises(StorageError) as raised:
+                coerce_column(column, DataType.STRING)
+            assert str(raised.value) == str(per_value.value)
+
+    def test_coerce_column_string_subclass_accepted(self):
+        class Tagged(str):
+            pass
+
+        assert coerce_value(Tagged("t"), DataType.STRING) == "t"
+        array = np.array(["a", Tagged("t"), np.str_("n")], dtype=object)
+        assert coerce_column(array, DataType.STRING) is array
+
+    def test_coerce_column_other_inputs_take_per_value_path(self, monkeypatch):
+        """Lists and arrays not already of the storage dtype are coerced
+        value by value."""
+        seen = []
+        real = types.coerce_value
+
+        def counting(value, data_type):
+            seen.append(value)
+            return real(value, data_type)
+
+        monkeypatch.setattr(types, "coerce_value", counting)
+        column = coerce_column(["a", "b"], DataType.STRING)
+        assert column.dtype == object and column.tolist() == ["a", "b"]
+        fixed_width = np.array(["a", "b"])  # dtype '<U1', not object
+        column = coerce_column(fixed_width, DataType.STRING)
+        assert column.dtype == object and column.tolist() == ["a", "b"]
+        narrow = np.array([1, 2], dtype=np.int32)
+        assert coerce_column(narrow, DataType.INT).dtype == np.int64
+        assert len(seen) == 6
 
 
 class TestLiteralTypes:

@@ -5,7 +5,7 @@ import pytest
 
 from repro import OptimizerOptions
 from repro.catalog.tpch import build_tpch_database
-from repro.errors import CatalogError
+from repro.errors import CatalogError, StorageError
 from repro.views.maintenance import MaintenancePlanner
 from repro.views.materialized import ViewManager
 
@@ -118,6 +118,16 @@ class TestMaintenance:
         assert outcome.delta_rows == len(rows)
         # The delta table is dropped afterwards.
         assert not db.has_table(outcome.table + "_delta")
+
+    @pytest.mark.parametrize("bad", [None, 7])
+    def test_insert_of_bad_string_rejected(self, manager, db, bad):
+        planner = MaintenancePlanner(db, manager)
+        rows = _new_customers(db, 3)
+        rows[1] = rows[1][:1] + (bad,) + rows[1][2:]
+        before = db.table("customer").row_count
+        with pytest.raises(StorageError):
+            planner.apply_insert("customer", rows)
+        assert db.table("customer").row_count == before
 
     def test_maintenance_result_equals_recompute(self, manager, db):
         planner = MaintenancePlanner(db, manager)
