@@ -6,7 +6,7 @@ Two experiments over the §6.5-style six-query shared-spool batch:
   (fingerprint lookup + run). The warm path must skip the optimizer
   entirely, which the benchmark verifies through the registry counters
   before reporting the latency ratio.
-* parallel executor — wall clock at ``workers=1`` vs. ``workers=4`` with
+* pooled execution — wall clock at ``workers=1`` vs. ``workers=4`` with
   interleaved rounds, on the ``independent_pairs_batch`` workload (three
   mutually independent shared-spool pairs, so the heavy materializations
   themselves overlap rather than serializing behind one big spool).

@@ -24,9 +24,9 @@ Public entry points:
   with slow queries carrying their full EXPLAIN ANALYZE tree.
 * :class:`DecisionJournal` — the optimizer's per-candidate decision
   journal (``Session.explain(why=True)``, ``repro explain --why``).
-* :class:`PlanCache` / :class:`ParallelExecutor` — the serving layer:
-  signature-keyed plan caching and dependency-aware parallel batch
-  execution (``Session(workers=N)``, ``execute(parallel=True)``).
+* :class:`PlanCache` — the serving layer: signature-keyed plan caching;
+  dependency-aware parallel batch execution is ``Session(workers=N)``
+  or ``execute(workers=N)``.
 * :class:`ResourceGovernor` / :class:`QueryBudget` — admission control and
   per-batch deadlines/budgets with cooperative cancellation; failures of
   the sharing machinery degrade to the paper's no-sharing baseline plan
@@ -47,7 +47,6 @@ from .obs import (
 )
 from .serve import (
     CancellationToken,
-    ParallelExecutor,
     PlanCache,
     QueryBudget,
     ResourceGovernor,
@@ -94,7 +93,6 @@ __all__ = [
     "DecisionJournal",
     "render_prometheus",
     "PlanCache",
-    "ParallelExecutor",
     "ResourceGovernor",
     "QueryBudget",
     "CancellationToken",

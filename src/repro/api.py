@@ -22,7 +22,6 @@ Typical use::
 
 from __future__ import annotations
 
-import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from time import perf_counter
@@ -36,6 +35,7 @@ from .errors import (
     ReproError,
 )
 from .executor.executor import BatchResult, Executor
+from .executor.schedule import query_spool_read_counts
 from .logical.blocks import BoundBatch, BoundQuery
 from .obs import (
     NULL_JOURNAL,
@@ -53,7 +53,10 @@ from .obs import (
 )
 from .optimizer.cost import CostModel
 from .optimizer.engine import OptimizationResult, Optimizer
+from .optimizer.explain import explain_with_costs, render_analyzed_bundle
 from .optimizer.options import OptimizerOptions
+from .serve.cache import PlanCache, cached_optimize, register_invalidation
+from .serve.fingerprint import batch_fingerprint
 from .serve.governor import CancellationToken, QueryBudget, ResourceGovernor
 from .sql.binder import Binder
 from .sql.parser import parse_batch
@@ -61,9 +64,6 @@ from .storage.database import Database
 
 if TYPE_CHECKING:  # deferred: api → serve.coordinator → api cycle
     from .serve.coordinator import SharedBatchCoordinator
-
-#: Workers used by ``execute(..., parallel=True)`` on a serial session.
-DEFAULT_PARALLEL_WORKERS = 4
 
 
 @dataclass
@@ -102,11 +102,12 @@ class Session:
     """A connection-like facade over a database, optimizer, and executor.
 
     ``workers`` sets the default execution parallelism: with ``workers=N``
-    (N > 1) every :meth:`execute` schedules the bundle's spool DAG on N
-    threads. ``plan_cache_size`` bounds the per-session LRU plan cache
-    (``0`` disables caching): a warm :meth:`execute` skips optimization
-    entirely, and any mutation of the underlying :class:`Database`
-    invalidates the affected entries.
+    (N > 1) every :meth:`execute` schedules the bundle's task DAG on N
+    threads; with 1 the same tasks run inline on the calling thread.
+    ``plan_cache_size`` bounds the per-session LRU plan cache (``0``
+    disables caching): a warm :meth:`execute` skips optimization entirely,
+    and any mutation of the underlying :class:`Database` invalidates the
+    affected entries.
 
     Telemetry sinks (all optional, all no-ops by default):
 
@@ -206,12 +207,10 @@ class Session:
         self.workers = max(1, workers)
         self.plan_cache = None
         if plan_cache_size > 0:
-            from .serve import PlanCache
-
             self.plan_cache = PlanCache(
                 plan_cache_size, registry=self.registry
             )
-            _register_invalidation(database, self.plan_cache)
+            register_invalidation(database, self.plan_cache)
 
     # -- constructors ------------------------------------------------------
 
@@ -281,17 +280,13 @@ class Session:
         self,
         target: Union[str, BoundBatch, BoundQuery],
         collect_op_stats: bool = False,
-        parallel: Optional[bool] = None,
         workers: Optional[int] = None,
         budget: Optional[QueryBudget] = None,
     ) -> ExecutionOutcome:
         """Optimize (or fetch a cached plan) then execute.
 
-        ``parallel=True`` schedules the bundle's spool DAG on a thread
-        pool (``workers`` threads; defaults to the session's ``workers``,
-        or :data:`DEFAULT_PARALLEL_WORKERS` on a serial session);
-        ``parallel=False`` forces serial execution. With the default
-        ``parallel=None``, the session's ``workers`` setting decides.
+        ``workers`` overrides the session's ``workers`` for this call: N > 1
+        schedules the bundle's task DAG on N pool threads, 1 runs it inline.
 
         ``budget`` (default: the session's ``default_budget``) governs the
         call: its deadline and spool/row limits are checked cooperatively
@@ -333,8 +328,7 @@ class Session:
                         batch, budget, token
                     )
                     execution, exec_fallback = self._execute_governed(
-                        result, collect_op_stats, parallel, workers, budget,
-                        token,
+                        result, collect_op_stats, workers, budget, token
                     )
                     reason = opt_fallback or exec_fallback
                     ledger = self._build_ledger(result, execution, reason)
@@ -392,8 +386,6 @@ class Session:
         fallback_reason: Optional[str],
     ) -> SharingLedger:
         """The batch's sharing ledger (estimated vs measured Def 5.1)."""
-        from .serve.schedule import query_spool_read_counts
-
         # A spool-budget fallback executed the no-sharing baseline bundle,
         # so planned reads must come from the bundle that actually ran.
         bundle = (
@@ -442,11 +434,14 @@ class Session:
         retry bypasses the plan cache entirely: a degraded plan is never
         stored under the batch's normal fingerprint."""
         if budget is None:
-            result, cache_hit = self._cached_optimize(batch)
+            result, cache_hit = cached_optimize(
+                self.plan_cache, self, batch, "plan_cache_hit"
+            )
             return result, cache_hit, None
         try:
-            result, cache_hit = self._cached_optimize(
-                batch, deadline=budget.optimizer_deadline(token)
+            result, cache_hit = cached_optimize(
+                self.plan_cache, self, batch, "plan_cache_hit",
+                deadline=budget.optimizer_deadline(token),
             )
             return result, cache_hit, None
         except OptimizerTimeoutError as error:
@@ -508,7 +503,6 @@ class Session:
         self,
         result: OptimizationResult,
         collect_op_stats: bool,
-        parallel: Optional[bool],
         workers: Optional[int],
         budget: Optional[QueryBudget],
         token: Optional[CancellationToken],
@@ -517,14 +511,14 @@ class Session:
 
         Returns ``(execution, fallback_reason)``. A
         :class:`BudgetExceededError` (spool or row budget) re-executes the
-        no-sharing baseline bundle serially: it materializes no shared
-        spools, so the spool budget cannot re-trip; the retry token keeps
-        the original absolute deadline, so the whole call stays bounded.
+        no-sharing baseline bundle inline (``workers=1``): it materializes
+        no shared spools, so the spool budget cannot re-trip; the retry
+        token keeps the original absolute deadline, so the whole call stays
+        bounded.
         Deadline expiry (:class:`QueryTimeoutError`) always propagates."""
         try:
             execution = self.execute_bundle(
-                result, collect_op_stats, parallel=parallel,
-                workers=workers, token=token,
+                result, collect_op_stats, workers=workers, token=token
             )
             return execution, None
         except BudgetExceededError as error:
@@ -544,7 +538,7 @@ class Session:
         execution = self.execute_bundle(
             result,
             collect_op_stats,
-            parallel=False,
+            workers=1,
             token=token.for_retry() if token is not None else None,
             bundle=result.base_bundle,
         )
@@ -557,8 +551,6 @@ class Session:
         self, batch: BoundBatch, outcome: ExecutionOutcome, wall: float
     ) -> None:
         """Append one structured record for an executed batch."""
-        from .serve import batch_fingerprint
-
         stats = outcome.optimization.stats
         metrics = outcome.execution.metrics
         wall_ms = wall * 1000.0
@@ -587,8 +579,6 @@ class Session:
             # ANALYZE carry, so the three surfaces agree exactly.
             record["ledger"] = outcome.ledger.to_payload()
         if self.query_log.is_slow(wall_ms):
-            from .optimizer.explain import render_analyzed_bundle
-
             record["explain_analyze"] = render_analyzed_bundle(
                 self.database,
                 outcome.optimization,
@@ -611,74 +601,33 @@ class Session:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _cached_optimize(
-        self, batch: BoundBatch, deadline: Optional[float] = None
-    ) -> "tuple[OptimizationResult, bool]":
-        """A (result, was_cache_hit) pair; a hit skips the optimizer.
-
-        A plan optimized under a ``deadline`` is cached only when the
-        optimizer *finished* (expiry raises before reaching the put), so
-        the cache never holds a partially optimized plan."""
-        if self.plan_cache is None:
-            return self.optimize(batch, deadline=deadline), False
-        from .serve import batch_tables, cache_key
-
-        key = cache_key(batch, self.database, self.options, self.cost_model)
-        cached = self.plan_cache.get(key)
-        if cached is not None:
-            self.tracer.event("plan_cache_hit", fingerprint=key[0][:12])
-            return cached, True
-        result = self.optimize(batch, deadline=deadline)
-        self.plan_cache.put(key, result, batch_tables(batch))
-        return result, False
-
-    def _effective_workers(
-        self, parallel: Optional[bool], workers: Optional[int]
-    ) -> int:
-        if parallel is False:
-            return 1
-        count = workers if workers is not None else self.workers
-        if parallel and count <= 1 and workers is None:
-            count = DEFAULT_PARALLEL_WORKERS
-        return max(1, count)
+    def executor(self, workers: Optional[int] = None) -> Executor:
+        """The task runner configured like this session (``workers``
+        defaults to the session's)."""
+        return Executor(
+            self.database,
+            self.cost_model,
+            registry=self.registry,
+            tracer=self.tracer,
+            shared_scans=self.shared_scans,
+            morsel_rows=self.morsel_rows,
+            workers=self.workers if workers is None else workers,
+        )
 
     def execute_bundle(
         self,
         result: OptimizationResult,
         collect_op_stats: bool = False,
-        parallel: Optional[bool] = None,
         workers: Optional[int] = None,
         token: Optional[CancellationToken] = None,
         bundle=None,
     ) -> BatchResult:
-        """Execute a previously optimized bundle (serial or parallel).
+        """Execute a previously optimized bundle.
 
         ``token`` arms cooperative deadline/budget checks in the executor;
         ``bundle`` overrides the bundle to run (the governor's fallback
         path uses it to execute ``result.base_bundle``)."""
-        count = self._effective_workers(parallel, workers)
-        if count > 1:
-            from .serve import ParallelExecutor
-
-            executor: Executor = ParallelExecutor(
-                self.database,
-                self.cost_model,
-                registry=self.registry,
-                workers=count,
-                tracer=self.tracer,
-                shared_scans=self.shared_scans,
-                morsel_rows=self.morsel_rows,
-            )
-        else:
-            executor = Executor(
-                self.database,
-                self.cost_model,
-                registry=self.registry,
-                tracer=self.tracer,
-                shared_scans=self.shared_scans,
-                morsel_rows=self.morsel_rows,
-            )
-        return executor.execute(
+        return self.executor(workers).execute(
             bundle if bundle is not None else result.bundle,
             collect_op_stats,
             token=token,
@@ -689,7 +638,6 @@ class Session:
         target: Union[str, BoundBatch, BoundQuery],
         costs: bool = False,
         analyze: bool = False,
-        parallel: Optional[bool] = None,
         workers: Optional[int] = None,
         why: bool = False,
     ) -> str:
@@ -716,8 +664,6 @@ class Session:
                 "",
             ]
             report = "\n".join(header) + journal.render_why()
-            from .serve.schedule import query_spool_read_counts
-
             ledger = estimated_ledger(
                 result.candidates, query_spool_read_counts(result.bundle)
             )
@@ -728,16 +674,15 @@ class Session:
             return report
         result = self.optimize(target)
         if analyze:
-            from .optimizer.explain import explain_analyze
-
-            return explain_analyze(
+            execution = self.execute_bundle(
+                result, collect_op_stats=True, workers=workers
+            )
+            return render_analyzed_bundle(
                 self.database,
                 result,
+                execution,
                 self.cost_model,
-                registry=self.registry,
-                workers=self._effective_workers(parallel, workers),
-                shared_scans=self.shared_scans,
-                morsel_rows=self.morsel_rows,
+                ledger=self._build_ledger(result, execution, None),
             )
         header = [
             f"estimated cost: {result.est_cost:.2f} "
@@ -746,30 +691,9 @@ class Session:
             f" used: {result.stats.used_cses}",
         ]
         if costs:
-            from .optimizer.explain import explain_with_costs
-
             body = explain_with_costs(
                 self.database, result.bundle, self.cost_model
             )
         else:
             body = result.bundle.describe()
         return "\n".join(header) + "\n" + body
-
-
-def _register_invalidation(database: Database, cache) -> None:
-    """Hook a plan cache to a database's mutation stream.
-
-    The listener holds the cache weakly so sessions sharing a long-lived
-    database (the test fixtures, a server process) do not leak caches:
-    once a cache is collected, the first subsequent mutation unregisters
-    the listener."""
-    cache_ref = weakref.ref(cache)
-
-    def _listener(table):
-        target = cache_ref()
-        if target is None:
-            database.remove_mutation_listener(_listener)
-        else:
-            target.invalidate(table)
-
-    database.add_mutation_listener(_listener)

@@ -291,11 +291,9 @@ class ExecutionContext:
     #: trace sink; the disabled :data:`~repro.obs.NULL_TRACER` by default,
     #: so uninstrumented runs pay one ``enabled`` check per operator.
     tracer: Tracer = field(default_factory=lambda: NULL_TRACER)
-    #: ``cse_id -> span_id`` of each spool's materialization span. Shared
-    #: across a batch's contexts (like ``spools``) so consumer-side reads
-    #: can emit producer→consumer flow events; written before the spool
-    #: itself is published, so the same happens-before edge that makes
-    #: ``spools`` safe covers it.
+    #: ``cse_id -> span_id`` of each spool's materialization span, so
+    #: consumer-side reads can emit producer→consumer flow events. Shared
+    #: batch-wide like ``spools`` (see ``BatchState`` for why that is safe).
     spool_spans: Dict[str, int] = field(default_factory=dict)
     #: batch-wide shared-scan manager (engine v2). None falls back to the
     #: per-consumer physical scan of v1.

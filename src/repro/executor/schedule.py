@@ -5,9 +5,10 @@ each root spool must materialize before any of its consumers run, stacked
 spools (§5.5) must materialize before the spools that read them, and
 everything else is independent. :func:`build_schedule` extracts that DAG as
 a list of :class:`TaskSpec` — one per root spool and one per query — with
-dependency edges expressed as task indices, ready to hand to the parallel
-executor (or to anything else that wants the topology, e.g. EXPLAIN
-tooling or tests).
+dependency edges expressed as task indices, ready to hand to the executor's
+task runner (or to anything else that wants the topology, e.g. EXPLAIN
+tooling or tests). :meth:`Schedule.select` picks the tasks one caller runs:
+the whole bundle, only its producers, or a named subset of its queries.
 
 Spools defined *inside* a query plan (single-query LCA placements, rendered
 as ``PhysSpoolDef`` nodes) are private to that query's task: the optimizer
@@ -18,12 +19,12 @@ whose consumers span queries is always lifted to the bundle root.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Optional, Set, Tuple
 
-from ..executor.scans import RawKey, scan_group_key, stats_key_for
 from ..obs import SpanContext
 from ..optimizer.engine import PlanBundle, QueryPlan
 from ..optimizer.physical import PhysScan, PhysicalPlan, PhysSpoolRead
+from .scans import RawKey, scan_group_key, stats_key_for
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,42 @@ class Schedule:
             level[task.index] = task_level
             counts[task_level] = counts.get(task_level, 0) + 1
         return max(counts.values(), default=0)
+
+    def select(
+        self,
+        queries: Optional[Collection[str]] = None,
+        present: Collection[str] = (),
+        spools_only: bool = False,
+    ) -> List[TaskSpec]:
+        """The tasks one caller runs, in schedule order.
+
+        ``queries`` names the query tasks wanted (``None``: the whole
+        bundle, which also materializes every root spool, read or not).
+        A spool in ``present`` is already materialized: it is neither run
+        nor chased for its own dependencies. Of the remaining spool and
+        scan tasks, only those a selected task transitively depends on
+        are kept. ``spools_only`` then drops the query tasks themselves —
+        the producer phase of a batch whose queries run elsewhere."""
+        demanded: Set[int] = set()
+        chosen: List[TaskSpec] = []
+        # One reverse sweep closes over transitive dependencies: the task
+        # list is topologically ordered, so every reader precedes (in
+        # reverse) the producers it demands.
+        for task in reversed(self.tasks):
+            if task.kind == "query":
+                run = queries is None or task.label in queries
+            elif task.kind == "spool":
+                run = task.label not in present and (
+                    queries is None or task.index in demanded
+                )
+            else:
+                run = task.index in demanded
+            if run:
+                demanded.update(task.deps)
+                if not (spools_only and task.kind == "query"):
+                    chosen.append(task)
+        chosen.reverse()
+        return chosen
 
     def describe(self) -> str:
         """One line per task: kind, label, and dependency labels."""

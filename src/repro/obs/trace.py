@@ -11,8 +11,9 @@ considered, why, and where the execution wall time went.
 Cross-thread propagation: span nesting is tracked per thread, but a
 :class:`SpanContext` captured with :meth:`Tracer.current_context` can be
 re-attached in another thread via :meth:`Tracer.attach` — that is how the
-parallel batch executor parents every worker-thread task span under the
-batch's root span instead of orphaning it (see ``repro.serve.parallel``).
+executor's pooled task runner parents every worker-thread task span under
+the batch's root span instead of orphaning it (see
+``repro.executor.executor``).
 Every event also records the emitting thread's name, which becomes the
 lane assignment in the Chrome trace exporter (:mod:`repro.obs.chrome`).
 

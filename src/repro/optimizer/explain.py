@@ -6,9 +6,9 @@ annotated tree. The numbers match what the optimizer charged during search
 (the same formulas over the same cardinalities), so the annotated total of
 a query plan equals its winner cost up to the fixed finalization terms.
 
-EXPLAIN ANALYZE (:func:`explain_analyze`) additionally *executes* the
-bundle with per-operator stat collection and annotates every operator with
-actual rows and wall time alongside the estimates, then reports the
+EXPLAIN ANALYZE (:func:`render_analyzed_bundle`) renders a bundle that was
+*executed* with per-operator stat collection: every operator is annotated
+with actual rows and wall time alongside the estimates, followed by the
 Definition 5.1 cost split per spool (initial cost ``C_E + C_W`` charged
 once vs. usage cost ``C_R`` per read) and the optimizer's runtime counters
 (candidates generated, pruned per heuristic, CSEs kept).
@@ -279,57 +279,6 @@ def _optimizer_counters(result: OptimizationResult) -> List[str]:
     ]
 
 
-def explain_analyze(
-    database: Database,
-    result: OptimizationResult,
-    cost_model: Optional[CostModel] = None,
-    registry=None,
-    workers: int = 1,
-    shared_scans: bool = True,
-    morsel_rows: int = 4096,
-) -> str:
-    """EXPLAIN ANALYZE: execute the chosen bundle and render each operator
-    with estimated *and* actual rows/time, spool cost attribution, and the
-    optimizer's counters. ``workers > 1`` executes the bundle with the
-    dependency-aware parallel executor; apart from wall-clock timings the
-    rendered report is identical. Returns the full report text."""
-    from ..executor.executor import Executor
-
-    bundle = result.bundle
-    if workers > 1:
-        from ..serve.parallel import ParallelExecutor
-
-        executor = ParallelExecutor(
-            database,
-            cost_model,
-            registry=registry,
-            workers=workers,
-            shared_scans=shared_scans,
-            morsel_rows=morsel_rows,
-        )
-    else:
-        executor = Executor(
-            database,
-            cost_model,
-            registry=registry,
-            shared_scans=shared_scans,
-            morsel_rows=morsel_rows,
-        )
-    execution = executor.execute(bundle, collect_op_stats=True)
-    from ..obs import build_ledger
-    from ..serve.schedule import query_spool_read_counts
-
-    ledger = build_ledger(
-        result.candidates,
-        execution.metrics.spool_stats,
-        query_spool_read_counts(bundle),
-        scan_stats=execution.metrics.scan_stats,
-    )
-    return render_analyzed_bundle(
-        database, result, execution, cost_model, ledger=ledger
-    )
-
-
 def render_analyzed_bundle(
     database: Database,
     result: OptimizationResult,
@@ -338,9 +287,11 @@ def render_analyzed_bundle(
     ledger=None,
 ) -> str:
     """The EXPLAIN ANALYZE report for a bundle that *already executed*
-    (with ``collect_op_stats=True``). This is the slow-query-log path: the
-    session attaches the analyzed tree of the run it just measured instead
-    of re-executing the batch."""
+    (with ``collect_op_stats=True``): each operator with estimated *and*
+    actual rows/time, spool cost attribution, and the optimizer's
+    counters. ``Session.explain(analyze=True)`` executes and renders; the
+    slow-query log renders the run it just measured instead of
+    re-executing the batch."""
     bundle = result.bundle
     annotator = PlanAnnotator(database, cost_model)
 

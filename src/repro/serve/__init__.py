@@ -1,8 +1,8 @@
-"""The serving layer: plan caching, parallel execution, and governance.
+"""The serving layer: plan caching, cross-session sharing, and governance.
 
 Built for the warm path: a session serving the same (or similar) batches
-repeatedly should pay optimization once (:class:`PlanCache`), execute each
-bundle's spool DAG concurrently (:class:`ParallelExecutor`), and stay
+repeatedly should pay optimization once (:class:`PlanCache`), share work
+with its neighbours (:class:`SharedBatchCoordinator`), and stay
 responsive under load (:class:`ResourceGovernor` admission control plus
 per-batch :class:`QueryBudget` deadlines and spool budgets, with graceful
 degradation to the paper's no-sharing baseline). See README.md § Serving
@@ -10,6 +10,7 @@ and § Resource governance for semantics and DESIGN.md for the mapping back
 to the paper's §5.4/§5.5.
 """
 
+from ..executor.schedule import Schedule, TaskSpec, build_schedule
 from .cache import CacheEntry, PlanCache
 from .coordinator import SharedBatchCoordinator, SharedOutcome
 from .fingerprint import (
@@ -23,14 +24,11 @@ from .fingerprint import (
     query_table_signature,
 )
 from .governor import CancellationToken, QueryBudget, ResourceGovernor
-from .parallel import ParallelExecutor
-from .schedule import Schedule, TaskSpec, build_schedule
 
 __all__ = [
     "CacheEntry",
     "CacheKey",
     "CancellationToken",
-    "ParallelExecutor",
     "PlanCache",
     "QueryBudget",
     "ResourceGovernor",

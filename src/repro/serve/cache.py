@@ -18,14 +18,20 @@ and invalidations are counted as ``plan_cache.eviction`` /
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from time import perf_counter
-from typing import FrozenSet, Optional
+from typing import TYPE_CHECKING, FrozenSet, Optional, Tuple
 
+from ..logical.blocks import BoundBatch
 from ..obs import NULL_REGISTRY, MetricsRegistry
 from ..optimizer.engine import OptimizationResult
-from .fingerprint import CacheKey
+from ..storage.database import Database
+from .fingerprint import CacheKey, batch_tables, cache_key
+
+if TYPE_CHECKING:  # avoid the serve → api → serve import cycle
+    from ..api import Session
 
 
 @dataclass
@@ -135,3 +141,48 @@ class PlanCache:
         """Drop everything without counting invalidations."""
         with self._lock:
             self._entries.clear()
+
+
+def register_invalidation(database: Database, cache: PlanCache) -> None:
+    """Hook a plan cache to a database's mutation stream.
+
+    The listener holds the cache weakly so sessions sharing a long-lived
+    database (the test fixtures, a server process) do not leak caches:
+    once a cache is collected, the first subsequent mutation unregisters
+    the listener."""
+    cache_ref = weakref.ref(cache)
+
+    def _listener(table):
+        target = cache_ref()
+        if target is None:
+            database.remove_mutation_listener(_listener)
+        else:
+            target.invalidate(table)
+
+    database.add_mutation_listener(_listener)
+
+
+def cached_optimize(
+    cache: Optional[PlanCache],
+    session: "Session",
+    batch: BoundBatch,
+    hit_event: str,
+    deadline: Optional[float] = None,
+) -> "Tuple[OptimizationResult, bool]":
+    """A (result, was_cache_hit) pair; a hit skips the optimizer.
+
+    The key snapshots the catalog version current at this call. A plan
+    optimized under a ``deadline`` is cached only when the optimizer
+    *finished* (expiry raises before reaching the put), so the cache never
+    holds a partially optimized plan. ``hit_event`` is the trace event
+    emitted on a hit; ``cache=None`` (caching off) always optimizes."""
+    if cache is None:
+        return session.optimize(batch, deadline=deadline), False
+    key = cache_key(batch, session.database, session.options, session.cost_model)
+    cached = cache.get(key)
+    if cached is not None:
+        session.tracer.event(hit_event, fingerprint=key[0][:12])
+        return cached, True
+    result = session.optimize(batch, deadline=deadline)
+    cache.put(key, result, batch_tables(batch))
+    return result, False

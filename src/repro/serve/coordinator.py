@@ -20,15 +20,21 @@ Protocol (one :class:`_Group` per window):
    joined), closes the group, binds the concatenated SQL under
    slot-prefixed query names, optimizes it once (through the
    coordinator's own plan cache, keyed *after* the window closes so a
-   mid-window catalog mutation re-keys the merged plan), and materializes
-   every root spool exactly once into a refcounted
-   :class:`~repro.executor.runtime.SharedSpoolPool`.
+   mid-window catalog mutation re-keys the merged plan), and runs the
+   merged bundle's producer tasks (``Executor.execute(spools_only=True)``)
+   so every root spool is materialized exactly once, then published into
+   a refcounted :class:`~repro.executor.runtime.SharedSpoolPool`.
 3. Every consumer — leader included — then runs only *its own* query
-   plans on its own thread, attaching the shared spools (aliasing, never
-   copying) and charging its own :class:`~repro.serve.governor.QueryBudget`
-   for each spool it reads, exactly once, with the same amounts an
-   isolated materialization would have charged. The last detach frees the
-   spool.
+   tasks on its own thread (``Executor.execute(queries=...)``) against a
+   batch state holding the shared spools it attached (aliasing, never
+   copying), after charging its own
+   :class:`~repro.serve.governor.QueryBudget` for each spool it reads,
+   exactly once, with the same amounts an isolated materialization would
+   have charged. The last detach frees the spool.
+
+Both phases are calls into the one task runner
+(:mod:`repro.executor.executor`); this module owns only the window
+protocol, the pool's refcounts, and the per-consumer charging.
 
 Failure is never worse than not sharing: any error in the shared phase, or
 a consumer's own budget bust, makes that consumer fall back to its
@@ -38,24 +44,18 @@ session's ordinary governed path (``submit`` returns ``None``).
 from __future__ import annotations
 
 import threading
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..errors import ReproError
-from ..executor.executor import BatchResult, Executor, QueryResult
-from ..executor.runtime import (
-    ExecutionContext,
-    ExecutionMetrics,
-    SharedSpoolPool,
-)
-from ..executor.scans import ScanManager
-from ..executor.iterators import materialize_spool
+from ..executor.executor import BatchResult, BatchState
+from ..executor.runtime import ExecutionMetrics, SharedSpoolPool
+from ..executor.schedule import query_spool_read_counts
 from ..obs import NULL_REGISTRY, MetricsRegistry, SharingLedger, build_ledger
-from .cache import PlanCache
-from .fingerprint import batch_fingerprint, batch_tables, cache_key, config_key
-from .schedule import query_spool_read_counts
+from ..storage.worktable import WorkTable
+from .cache import PlanCache, cached_optimize, register_invalidation
+from .fingerprint import batch_fingerprint, batch_tables, config_key
 
 if TYPE_CHECKING:  # avoid the serve → api → serve import cycle
     from ..api import Session
@@ -80,7 +80,8 @@ class SharedOutcome:
     #: which Step-3 strategy optimized the merged batch.
     strategy: str
     #: this consumer's sharing ledger (its planned reads only; the
-    #: leader's measured columns also carry the producer-phase costs).
+    #: measured columns of the one consumer that claimed the producer
+    #: phase also carry its write-side costs).
     ledger: Optional[SharingLedger]
 
 
@@ -108,12 +109,16 @@ class _SharedRun:
     root_ids: FrozenSet[str]
     #: prefixed query name -> {cse_id: planned reads}.
     reads: Dict[str, Dict[str, int]]
-    scans: Optional[ScanManager]
-    spool_spans: Dict[str, int]
-    #: producer-phase metrics (spool materializations, shared scans);
-    #: merged into the leader consumer's result so batch totals match an
-    #: isolated execution.
-    producer_metrics: ExecutionMetrics
+    #: the producer phase's batch state (scan manager, spool span ids)
+    #: minus its spool map — the pool owns the tables, so the last detach
+    #: really frees them.
+    state: BatchState
+    #: producer-phase metrics (spool materializations, shared scans),
+    #: already published to the registry by the producer's execute. The
+    #: first consumer to *complete* claims them (under the group's lock)
+    #: into its own result, so the completed outcomes still sum to an
+    #: isolated execution whichever consumers fall back; None once claimed.
+    producer_metrics: Optional[ExecutionMetrics]
     strategy: str
 
 
@@ -125,6 +130,8 @@ class _Group:
         #: union of the consumers' physical base tables (the merge filter).
         self.tables = tables
         self.closed = False
+        #: guards the one-shot claim of the producer phase's metrics.
+        self.lock = threading.Lock()
         #: set when max_group is reached — wakes the leader early.
         self.full = threading.Event()
         #: set (always, via the leader's finally) once the shared phase
@@ -308,7 +315,17 @@ class SharedBatchCoordinator:
             # consistent binder numbering; slot prefixes keep names unique
             # even when consumers submitted identical SQL.
             merged = session.bind(";\n".join(parts), names)
-            result, cache_hit = self._cached_optimize(session, merged)
+            # Keyed *after* the window closed, so the key snapshots the
+            # catalog version current at optimization time: a table
+            # mutation that lands mid-window bumps the version and
+            # re-keys (and the mutation listener has already evicted any
+            # stale merged entry).
+            result, cache_hit = cached_optimize(
+                self._plan_cache_for(session.database),
+                session,
+                merged,
+                "shared_plan_cache_hit",
+            )
             reads = query_spool_read_counts(result.bundle)
             run = self._materialize(session, result, reads)
             run.cache_hit = cache_hit
@@ -330,31 +347,6 @@ class SharedBatchCoordinator:
                 )
             return run
 
-    def _cached_optimize(
-        self, session: "Session", merged: "BoundBatch"
-    ) -> "Tuple[OptimizationResult, bool]":
-        """Optimize the merged batch through the coordinator's plan cache.
-
-        The key is computed *after* the window closed, so it snapshots the
-        catalog version current at optimization time: a table mutation
-        that lands mid-window bumps the version and re-keys (and the
-        mutation listener has already evicted any stale merged entry)."""
-        cache = self._plan_cache_for(session.database)
-        if cache is None:
-            return session.optimize(merged), False
-        key = cache_key(
-            merged, session.database, session.options, session.cost_model
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            session.tracer.event(
-                "shared_plan_cache_hit", fingerprint=key[0][:12]
-            )
-            return cached, True
-        result = session.optimize(merged)
-        cache.put(key, result, batch_tables(merged))
-        return result, False
-
     def _plan_cache_for(self, database) -> Optional[PlanCache]:
         if self.plan_cache_size <= 0:
             return None
@@ -363,7 +355,7 @@ class SharedBatchCoordinator:
             if cache is None:
                 cache = PlanCache(self.plan_cache_size, registry=self.registry)
                 self._caches[id(database)] = cache
-                _register_invalidation(database, cache)
+                register_invalidation(database, cache)
             return cache
 
     def _materialize(
@@ -373,24 +365,15 @@ class SharedBatchCoordinator:
         reads: Dict[str, Dict[str, int]],
     ) -> _SharedRun:
         """Producer phase: every root spool, exactly once, into the pool."""
-        pool = SharedSpoolPool()
-        scans = ScanManager() if session.shared_scans else None
-        spool_spans: Dict[str, int] = {}
+        executor = session.executor()
+        state = executor.batch_state()
         # Ungoverned on purpose: each *consumer* charges its own budget
         # for the spools it reads at attach time, exactly once — the
         # producer must not double-charge the leader.
-        ctx = ExecutionContext(
-            database=session.database,
-            cost_model=session.cost_model,
-            registry=session.registry,
-            tracer=session.tracer,
-            spool_spans=spool_spans,
-            scans=scans,
-            morsel_rows=session.morsel_rows,
+        produced = executor.execute(
+            result.bundle, state=state, spools_only=True
         )
-        for cse_id, body in result.bundle.root_spools:
-            if cse_id not in ctx.spools:
-                ctx.spools[cse_id] = materialize_spool(cse_id, body, ctx)
+        pool = SharedSpoolPool()
         # Refcount = number of distinct consumers whose plans read the
         # spool (a consumer attaches once however many reads it performs).
         consumers_of: Dict[str, Set[str]] = {}
@@ -398,18 +381,17 @@ class SharedBatchCoordinator:
             slot = qname.split("__", 1)[0]
             for cse_id in counts:
                 consumers_of.setdefault(cse_id, set()).add(slot)
-        for cse_id, table in ctx.spools.items():
+        for cse_id, table in state.spools.items():
             pool.publish(cse_id, table, len(consumers_of.get(cse_id, ())))
         self.registry.counter("coordinator.spools_published", pool.published)
         return _SharedRun(
             result=result,
             cache_hit=False,
             pool=pool,
-            root_ids=frozenset(ctx.spools),
+            root_ids=frozenset(state.spools),
             reads=reads,
-            scans=scans,
-            spool_spans=spool_spans,
-            producer_metrics=ctx.metrics,
+            state=replace(state, spools={}),
+            producer_metrics=produced.metrics,
             strategy=result.stats.strategy or "paper",
         )
 
@@ -436,8 +418,7 @@ class SharedBatchCoordinator:
             }
         )
         token = consumer.budget.start() if consumer.budget is not None else None
-        attached: Dict[str, object] = {}
-        start = perf_counter()
+        attached: Dict[str, WorkTable] = {}
         try:
             with session.tracer.span(
                 "shared_consume", slot=consumer.slot, queries=len(my_plans)
@@ -452,41 +433,15 @@ class SharedBatchCoordinator:
                             table.row_count,
                             table.row_count * table.row_width(),
                         )
-                ctx = ExecutionContext(
-                    database=session.database,
-                    cost_model=session.cost_model,
-                    spools=dict(attached),
-                    registry=session.registry,
-                    op_stats={} if consumer.collect_op_stats else None,
+                execution = session.executor().execute(
+                    shared.result.bundle,
+                    consumer.collect_op_stats,
                     token=token,
-                    tracer=session.tracer,
-                    spool_spans=shared.spool_spans,
-                    scans=shared.scans,
-                    morsel_rows=session.morsel_rows,
+                    # A copy: query tasks add their inline spools to the
+                    # state's map, and only attached ids may be detached.
+                    state=replace(shared.state, spools=dict(attached)),
+                    queries={qp.name for qp in my_plans},
                 )
-                executor = Executor(
-                    session.database,
-                    session.cost_model,
-                    registry=session.registry,
-                    tracer=session.tracer,
-                    shared_scans=session.shared_scans,
-                    morsel_rows=session.morsel_rows,
-                )
-                results: List[QueryResult] = []
-                executed_plans: Dict[str, object] = {}
-                for query_plan in my_plans:
-                    query_result, plan = executor._execute_query(
-                        query_plan, ctx
-                    )
-                    original = query_result.name[len(prefix):]
-                    results.append(
-                        QueryResult(
-                            name=original,
-                            columns=query_result.columns,
-                            rows=query_result.rows,
-                        )
-                    )
-                    executed_plans[original] = plan
         except ReproError as error:
             # This consumer's own budget/limits tripped; its session
             # re-runs it unshared under a fresh token (the shared-attempt
@@ -507,32 +462,30 @@ class SharedBatchCoordinator:
                 if shared.pool.detach(cse_id):
                     self.registry.counter("coordinator.spools_freed")
                     session.tracer.event("shared_spool_freed", spool=cse_id)
-        wall = perf_counter() - start
-        metrics = ctx.metrics
-        if consumer.slot == 0:
-            # The leader's result absorbs the producer phase so batch
-            # totals (spool writes, shared scans) appear exactly once
-            # across the group.
-            shared.producer_metrics.merge(metrics)
-            metrics = shared.producer_metrics
-        metrics.publish(session.registry)
-        session.registry.timer_add("executor.wall", wall)
+        # Back to this consumer's own query names.
+        execution.results = [
+            replace(r, name=r.name[len(prefix):]) for r in execution.results
+        ]
+        execution.executed_plans = {
+            name[len(prefix):]: plan
+            for name, plan in execution.executed_plans.items()
+        }
+        with group.lock:
+            produced, shared.producer_metrics = shared.producer_metrics, None
+        if produced is not None:
+            # Producer first, then this consumer: the accumulation order
+            # of an isolated execution (spools, then queries).
+            produced.merge(execution.metrics)
+            execution.metrics = produced
         my_reads = {
             qp.name[len(prefix):]: dict(shared.reads.get(qp.name, {}))
             for qp in my_plans
         }
         ledger = build_ledger(
             shared.result.candidates,
-            metrics.spool_stats,
+            execution.metrics.spool_stats,
             my_reads,
-            scan_stats=metrics.scan_stats,
-        )
-        execution = BatchResult(
-            results=results,
-            metrics=metrics,
-            wall_time=wall,
-            op_stats=ctx.op_stats,
-            executed_plans=executed_plans,
+            scan_stats=execution.metrics.scan_stats,
         )
         return SharedOutcome(
             optimization=shared.result,
@@ -542,21 +495,3 @@ class SharedBatchCoordinator:
             strategy=shared.strategy,
             ledger=ledger,
         )
-
-
-def _register_invalidation(database, cache: PlanCache) -> None:
-    """Evict merged-plan entries when their tables mutate.
-
-    Same weakref pattern as the session-level hook in :mod:`repro.api`
-    (duplicated here to keep serve → api import-free): once the cache is
-    collected, the first subsequent mutation unregisters the listener."""
-    cache_ref = weakref.ref(cache)
-
-    def _listener(table):
-        target = cache_ref()
-        if target is None:
-            database.remove_mutation_listener(_listener)
-        else:
-            target.invalidate(table)
-
-    database.add_mutation_listener(_listener)

@@ -5,6 +5,7 @@ import pytest
 from repro import (
     CostModel,
     ExecutionOutcome,
+    MetricsRegistry,
     OptimizerOptions,
     ReproError,
     Session,
@@ -133,23 +134,25 @@ class TestTpchKwargsForwarding:
 class TestParallelExecuteFlags:
     def test_parallel_true_on_serial_session(self, small_session):
         outcome = small_session.execute(
-            "select r_name from region", parallel=True
+            "select r_name from region", workers=4
         )
         assert outcome.execution.results[0].row_count == 5
 
     def test_parallel_false_overrides_session_workers(self, small_db):
         session = Session(small_db, OptimizerOptions(), workers=4)
-        assert session._effective_workers(parallel=False, workers=None) == 1
-        assert session._effective_workers(parallel=None, workers=None) == 4
-        assert session._effective_workers(parallel=None, workers=2) == 2
+        assert session.executor(workers=1).workers == 1
+        assert session.executor().workers == 4
+        assert session.executor(workers=2).workers == 2
 
-    def test_explicit_workers_win_over_default(self, small_session):
-        from repro.api import DEFAULT_PARALLEL_WORKERS
-
-        assert (
-            small_session._effective_workers(parallel=True, workers=None)
-            == DEFAULT_PARALLEL_WORKERS
+    def test_explicit_workers_win_over_default(self, small_db):
+        registry = MetricsRegistry()
+        session = Session(small_db, OptimizerOptions(), registry=registry)
+        assert session.executor().workers == 1
+        session.execute("select r_name from region")
+        assert "executor.parallel_batches" not in (
+            registry.snapshot()["counters"]
         )
-        assert (
-            small_session._effective_workers(parallel=True, workers=2) == 2
-        )
+        session.execute("select r_name from region", workers=2)
+        snapshot = registry.snapshot()
+        assert snapshot["counters"]["executor.parallel_batches"] == 1
+        assert snapshot["gauges"]["executor.parallel_workers"] == 2

@@ -11,7 +11,7 @@ import pytest
 
 from repro import OptimizerOptions, Session
 from repro.catalog.tpch import build_tpch_database
-from repro.errors import ExecutionError
+from repro.errors import BudgetExceededError, ExecutionError
 from repro.executor.runtime import SharedSpoolPool
 from repro.obs import DecisionJournal, MetricsRegistry
 from repro.serve import (
@@ -362,6 +362,51 @@ class TestCoordinatorBudgets:
         assert _norm(results["a"].execution.results[0].rows) == _norm(
             iso_a.execution.results[0].rows
         )
+
+    @pytest.mark.parametrize("budgeted", ["a", "b"])
+    def test_producer_metrics_survive_a_consumer_fallback(self, budgeted):
+        """Whichever consumer falls back on its own budget — the one that
+        sorted into slot 0 or the other — the producer phase's write side
+        is published exactly once and lands in the surviving consumer's
+        result, so no ledger prices a spool nobody wrote."""
+        registry = MetricsRegistry()
+        coordinator = SharedBatchCoordinator(
+            window_ms=5000.0, max_group=2, registry=registry
+        )
+        s1, s2 = _sessions(coordinator, registry)
+        tight = QueryBudget(max_rows=1)
+
+        def run(session, sql, name):
+            try:
+                return session.execute(
+                    sql, budget=tight if name == budgeted else None
+                )
+            except BudgetExceededError:
+                # The row cap re-trips on the unshared retry too; only
+                # the neighbour's outcome matters here.
+                return None
+
+        results = _run_concurrent(
+            [
+                ("a", lambda: run(s1, Q_PRIORITY, "a")),
+                ("b", lambda: run(s2, Q_STATUS, "b")),
+            ]
+        )
+        counters = _counters(registry)
+        assert counters.get("coordinator.fallback.consumer") == 1
+        assert counters.get("coordinator.spools_published", 0) >= 1
+        assert counters.get("executor.spools_materialized") == counters.get(
+            "coordinator.spools_published"
+        )
+        assert counters.get("executor.spool_rows_written", 0) > 0
+        survivor = results["b" if budgeted == "a" else "a"]
+        metrics = survivor.execution.metrics
+        assert metrics.spools_materialized == counters.get(
+            "coordinator.spools_published"
+        )
+        assert survivor.ledger.spools
+        for entry in survivor.ledger.spools:
+            assert entry.rows_written > 0 and entry.consumers >= 1
 
     def test_generous_budget_stays_shared(self):
         registry = MetricsRegistry()

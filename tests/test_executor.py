@@ -651,7 +651,7 @@ class TestKeyKernels:
             TestFullExecution.SQL
         )
         parallel = Session(small_db, OptimizerOptions(), workers=4).execute(
-            TestFullExecution.SQL, parallel=True
+            TestFullExecution.SQL, workers=4
         )
         assert [
             (r.name, r.columns, r.rows) for r in serial.execution.results

@@ -103,7 +103,7 @@ def test_explain_analyze_parallel_matches_serial_golden(small_session, case):
     fields — plan shapes, actual row counts, measured cost units, spool
     attribution, and optimizer counters are all execution-order facts."""
     rendered = small_session.explain(
-        CASES[case], analyze=True, parallel=True, workers=4
+        CASES[case], analyze=True, workers=4
     )
     if os.environ.get("REPRO_UPDATE_GOLDEN"):
         return  # snapshots are owned by the serial variant above

@@ -1,6 +1,8 @@
 """Failure injection: the engine must fail loudly and precisely, never
 silently return wrong results."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,11 @@ from repro.errors import (
 from repro.executor.executor import Executor
 from repro.executor.iterators import materialize_spool
 from repro.executor.runtime import ExecutionContext
+from repro.obs import MetricsRegistry
+from repro.serve import SharedBatchCoordinator
+from repro.workloads import independent_pairs_batch
+
+from .conftest import run_split_across_sessions
 from repro.expr.expressions import ColumnRef, TableRef
 from repro.optimizer.physical import PhysScan, PhysSpoolRead
 from repro.storage.database import Database
@@ -80,6 +87,77 @@ class TestExecutorFailures:
         db.drop_table("t")
         with pytest.raises(CatalogError):
             session.execute_bundle(result)
+
+
+class TestProducerFailure:
+    """A spool producer that fails mid-batch, in each of the runner's three
+    modes: one contract — typed error or oracle rows, never a partial spool
+    or a leaked pool entry."""
+
+    SQL = independent_pairs_batch()
+
+    @pytest.fixture()
+    def failing_second_spool(self, monkeypatch):
+        """Make the batch's second spool materialization raise, once."""
+        from repro.executor import executor as executor_module
+
+        real = executor_module.materialize_spool
+        calls = itertools.count(1)
+        failed = []
+
+        def flaky(cse_id, body, ctx):
+            if next(calls) == 2:
+                failed.append(cse_id)
+                raise ExecutionError(f"injected failure producing {cse_id}")
+            return real(cse_id, body, ctx)
+
+        monkeypatch.setattr(executor_module, "materialize_spool", flaky)
+        return failed
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_single_session_raises_root_cause(
+        self, small_db, failing_second_spool, workers
+    ):
+        session = Session(small_db, OptimizerOptions())
+        result = session.optimize(self.SQL)
+        assert len(result.bundle.root_spools) >= 2
+        executor = session.executor(workers)
+        state = executor.batch_state()
+        with pytest.raises(ExecutionError, match="injected failure producing"):
+            executor.execute(result.bundle, state=state)
+        (failed,) = failing_second_spool
+        assert failed not in state.spools
+        if workers == 1:
+            # Inline, the first producer finished cleanly before the failure.
+            assert len(state.spools) == 1
+
+    def test_coordinator_falls_back_to_baseline_rows(
+        self, small_db, failing_second_spool
+    ):
+        registry = MetricsRegistry()
+        coordinator = SharedBatchCoordinator(
+            window_ms=60000.0, max_group=2, registry=registry
+        )
+        halves, outcomes = run_split_across_sessions(
+            small_db, self.SQL, coordinator, registry=registry
+        )
+        assert failing_second_spool, "the merged batch must share 2+ spools"
+        counters = registry.snapshot()["counters"]
+        assert counters.get("coordinator.merged_batches") == 1
+        assert counters.get("coordinator.fallback.shared_phase") == 1
+        assert counters.get("coordinator.spools_published") == counters.get(
+            "coordinator.spools_freed"
+        )
+        baseline = Session(small_db, OptimizerOptions(enable_cse=False))
+        for half, outcome in zip(halves, outcomes):
+            assert outcome is not None and not outcome.degraded
+            want = baseline.execute(half).execution
+            assert [
+                (r.name, r.columns, r.sorted_rows())
+                for r in outcome.execution.results
+            ] == [
+                (r.name, r.columns, r.sorted_rows()) for r in want.results
+            ]
 
 
 class TestDataIntegrityFailures:

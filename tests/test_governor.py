@@ -25,10 +25,10 @@ from repro.errors import (
     QueryCancelledError,
     QueryTimeoutError,
 )
+from repro.executor import Executor
 from repro.obs import DecisionJournal, MetricsRegistry
-from repro.serve import ParallelExecutor, QueryBudget, ResourceGovernor
+from repro.serve import QueryBudget, ResourceGovernor
 from repro.serve.governor import CancellationToken
-from repro.serve.schedule import build_schedule
 from repro.workloads import example1_batch, scaleup_batch
 
 
@@ -338,9 +338,7 @@ class TestCancellationPropagation:
         session = Session(small_db, OptimizerOptions())
         result = session.optimize(scaleup_batch(6))
         assert result.bundle.root_spools  # the DAG really shares spools
-        executor = ParallelExecutor(
-            small_db, session.cost_model, workers=4
-        )
+        executor = Executor(small_db, session.cost_model, workers=4)
         token = CancellationToken(deadline=monotonic() - 1.0)
         with pytest.raises(QueryTimeoutError):
             executor.execute(result.bundle, token=token)
@@ -359,23 +357,12 @@ class TestCancellationPropagation:
         session = Session(small_db, OptimizerOptions())
         result = session.optimize(example1_batch())
         assert result.bundle.root_spools
-        executor = ParallelExecutor(
-            small_db, session.cost_model, workers=4
-        )
+        executor = Executor(small_db, session.cost_model, workers=4)
         token = QueryBudget(max_spool_rows=0).start()
-        schedule = build_schedule(result.bundle)
-        spools = {}
+        state = executor.batch_state()
         with pytest.raises(BudgetExceededError):
-            executor._run_schedule(
-                schedule,
-                result.bundle,
-                dict(result.bundle.root_spools),
-                spools,
-                {},
-                False,
-                token,
-            )
-        assert spools == {}
+            executor.execute(result.bundle, token=token, state=state)
+        assert state.spools == {}
 
     def test_deadline_mid_execution_aborts_within_2x(
         self, small_db, monkeypatch
@@ -395,9 +382,7 @@ class TestCancellationPropagation:
         monkeypatch.setattr(iterators, "_dispatch", slow_dispatch)
         session = Session(small_db, OptimizerOptions())
         result = session.optimize(scaleup_batch(6))
-        executor = ParallelExecutor(
-            small_db, session.cost_model, workers=4
-        )
+        executor = Executor(small_db, session.cost_model, workers=4)
         deadline_s = 0.08
         token = CancellationToken(deadline=monotonic() + deadline_s)
         start = perf_counter()
@@ -527,7 +512,6 @@ class TestFallback:
             session.execute(
                 self.SQL,
                 budget=QueryBudget(deadline_ms=0.001),
-                parallel=True,
                 workers=4,
             )
 

@@ -1,27 +1,35 @@
-"""Concurrency tests for the parallel executor and shared-session serving.
+"""Concurrency tests for the executor's task runner and shared-session
+serving.
 
-The contract under test: parallel execution is an *optimization only* —
-results, deterministic metrics, and per-operator row counts are identical
-to the serial executor at every worker count, each kept CSE materializes
-exactly once, failures propagate to the caller, and one Session can be
-hammered from many threads without corrupting results or the plan cache.
+The contract under test: *how* a bundle's tasks are run is an
+optimization only — inline (``workers=1``), on a thread pool
+(``workers=N``), or split across two sessions behind one coordinator
+(the "coordinator" mode below, whose consumers' outcomes are summed) —
+results, deterministic metrics, and per-operator row counts are
+identical, each kept CSE materializes exactly once, failures propagate to
+the caller, and one Session can be hammered from many threads without
+corrupting results or the plan cache.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
 
 from repro import OptimizerOptions, Session
 from repro.errors import ExecutionError
-from repro.obs import MetricsRegistry
-from repro.serve import ParallelExecutor
+from repro.executor import BatchResult, ExecutionMetrics, Executor
+from repro.obs import MetricsRegistry, OperatorStats
+from repro.serve import SharedBatchCoordinator
 from repro.workloads import (
     example1_batch,
     independent_pairs_batch,
     scaleup_batch,
 )
+
+from .conftest import run_split_across_sessions
 
 BATCHES = {
     "example1": example1_batch(),
@@ -38,6 +46,71 @@ def _rows(execution):
     ]
 
 
+def _coordinated(db, sql, collect_op_stats=False):
+    """Run ``sql`` split across two sessions behind one coordinator.
+
+    Returns ``(merged, serial, summed)``: the merged optimization, its
+    bundle executed inline by one isolated session (the reference), and
+    the two consumers' executions summed into one :class:`BatchResult`
+    whose results carry the merged ``s<slot>__`` names again."""
+    _, outcomes = run_split_across_sessions(
+        db,
+        sql,
+        SharedBatchCoordinator(window_ms=60000.0, max_group=2),
+        collect_op_stats=collect_op_stats,
+    )
+    assert all(outcome is not None for outcome in outcomes)
+    merged = outcomes[0].optimization
+    # Both really went through the shared path (no fallback).
+    assert outcomes[1].optimization is merged
+    serial = Session(db, OptimizerOptions()).execute_bundle(
+        merged, collect_op_stats=collect_op_stats, workers=1
+    )
+    by_slot = {}
+    for result in serial.results:
+        slot, name = result.name.split("__", 1)
+        by_slot.setdefault(slot, []).append(
+            (name, result.columns, result.rows)
+        )
+    summed = BatchResult(results=[], metrics=ExecutionMetrics())
+    summed.op_stats = {} if collect_op_stats else None
+    for outcome in outcomes:
+        execution = outcome.execution
+        summed.metrics.merge(execution.metrics)
+        for node_id, stats in (execution.op_stats or {}).items():
+            summed.op_stats.setdefault(node_id, OperatorStats()).merge(stats)
+        # Which slot was this consumer? The one whose rows it returned.
+        slot = next(
+            s for s, rows in by_slot.items() if rows == _rows(execution)
+        )
+        del by_slot[slot]
+        summed.results.extend(
+            dataclasses.replace(result, name=f"{slot}__{result.name}")
+            for result in execution.results
+        )
+    order = [result.name for result in serial.results]
+    summed.results.sort(key=lambda result: order.index(result.name))
+    return merged, serial, summed
+
+
+def _run_mode(runs, batch, mode, collect_op_stats=False):
+    """``(result, serial, other)`` for one batch in one mode: an int is a
+    worker count, ``"coordinator"`` the cross-session split."""
+    session, result, serial = runs[batch]
+    if mode == "coordinator":
+        return _coordinated(
+            session.database, BATCHES[batch], collect_op_stats
+        )
+    if collect_op_stats:
+        serial = session.execute_bundle(
+            result, collect_op_stats=True, workers=1
+        )
+    other = session.execute_bundle(
+        result, collect_op_stats=collect_op_stats, workers=mode
+    )
+    return result, serial, other
+
+
 @pytest.fixture(scope="module")
 def shared_spool_runs(small_db):
     """Serial and optimized bundles for both batches, computed once."""
@@ -50,58 +123,85 @@ def shared_spool_runs(small_db):
     return runs
 
 
-@pytest.mark.parametrize("workers", [1, 2, 8])
+@pytest.mark.parametrize("workers", [1, 2, 8, "coordinator"])
 @pytest.mark.parametrize("batch", sorted(BATCHES))
 def test_parallel_results_identical_to_serial(
     shared_spool_runs, batch, workers
 ):
-    session, result, serial = shared_spool_runs[batch]
-    parallel = session.execute_bundle(result, workers=workers)
-    assert _rows(parallel) == _rows(serial)
+    _, serial, other = _run_mode(shared_spool_runs, batch, workers)
+    assert _rows(other) == _rows(serial)
 
 
 @pytest.mark.parametrize("batch", sorted(BATCHES))
 def test_deterministic_metrics_match_serial(shared_spool_runs, batch):
-    session, result, serial = shared_spool_runs[batch]
-    parallel = session.execute_bundle(result, workers=4)
-    assert parallel.metrics.rows_scanned == serial.metrics.rows_scanned
-    assert parallel.metrics.rows_joined == serial.metrics.rows_joined
-    assert (
-        parallel.metrics.spools_materialized
-        == serial.metrics.spools_materialized
-    )
-    assert (
-        parallel.metrics.spool_rows_written
-        == serial.metrics.spool_rows_written
-    )
-    assert parallel.metrics.spool_rows_read == serial.metrics.spool_rows_read
-    assert parallel.metrics.cost_units == pytest.approx(
-        serial.metrics.cost_units
-    )
+    for mode in (4, "coordinator"):
+        result, serial, other = _run_mode(shared_spool_runs, batch, mode)
+        for field in dataclasses.fields(ExecutionMetrics):
+            want = getattr(serial.metrics, field.name)
+            if isinstance(want, int):
+                assert getattr(other.metrics, field.name) == want, (
+                    mode, field.name
+                )
+        assert other.metrics.spools_materialized == len(
+            result.bundle.root_spools
+        )
+        assert other.metrics.cost_units == pytest.approx(
+            serial.metrics.cost_units
+        )
+        # One physical fetch per (table, column-set) group, however many
+        # tasks — or sessions — read it.
+        assert set(other.metrics.scan_stats) == set(serial.metrics.scan_stats)
+        for key, scan in other.metrics.scan_stats.items():
+            assert scan.physical_scans == 1, (mode, key)
+            assert scan.reads == serial.metrics.scan_stats[key].reads
 
 
 def test_each_kept_cse_materializes_exactly_once(shared_spool_runs):
-    session, result, _ = shared_spool_runs["scaleup6"]
-    assert result.stats.used_cses
-    parallel = session.execute_bundle(result, workers=8)
-    for cse_id in result.stats.used_cses:
-        stats = parallel.metrics.spool_stats[cse_id]
-        assert stats.writes == 1, f"{cse_id} materialized {stats.writes}x"
-        assert stats.reads >= 2, f"{cse_id} is shared; expected 2+ reads"
+    for mode in (8, "coordinator"):
+        result, _, other = _run_mode(shared_spool_runs, "scaleup6", mode)
+        assert result.stats.used_cses
+        for cse_id in result.stats.used_cses:
+            stats = other.metrics.spool_stats[cse_id]
+            assert stats.writes == 1, f"{cse_id} materialized {stats.writes}x"
+            assert stats.reads >= 2, f"{cse_id} is shared; expected 2+ reads"
 
 
 def test_operator_stats_totals_match_serial(shared_spool_runs):
-    session, result, _ = shared_spool_runs["example1"]
-    serial = session.execute_bundle(result, collect_op_stats=True, workers=1)
-    parallel = session.execute_bundle(
-        result, collect_op_stats=True, workers=4
-    )
-    assert serial.op_stats is not None and parallel.op_stats is not None
-    assert set(parallel.op_stats) == set(serial.op_stats)
-    for node_id, stats in serial.op_stats.items():
-        mirrored = parallel.op_stats[node_id]
-        assert mirrored.rows_out == stats.rows_out
-        assert mirrored.invocations == stats.invocations
+    for mode in (4, "coordinator"):
+        result, serial, other = _run_mode(
+            shared_spool_runs, "example1", mode, collect_op_stats=True
+        )
+        assert serial.op_stats is not None and other.op_stats is not None
+        expected = set(serial.op_stats)
+        if mode == "coordinator":
+            # The producer phase serves consumers with different
+            # collect_op_stats settings, so it records none: the spool
+            # bodies' operators are the only ones without actuals.
+            expected -= {
+                id(node)
+                for _, body in result.bundle.root_spools
+                for node in body.walk()
+            }
+        assert set(other.op_stats) == expected
+        for node_id in expected:
+            stats = serial.op_stats[node_id]
+            mirrored = other.op_stats[node_id]
+            assert mirrored.rows_out == stats.rows_out
+            assert mirrored.invocations == stats.invocations
+
+
+def test_workers_1_runs_inline_without_a_pool(shared_spool_runs, monkeypatch):
+    from repro.executor import executor as executor_module
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("workers=1 built a thread pool")
+
+    monkeypatch.setattr(executor_module, "ThreadPoolExecutor", no_pool)
+    session, result, serial = shared_spool_runs["example1"]
+    before = threading.active_count()
+    again = session.execute_bundle(result, workers=1)
+    assert threading.active_count() == before
+    assert _rows(again) == _rows(serial)
 
 
 def test_registry_counts_parallel_batches(small_db):
@@ -118,7 +218,7 @@ def test_registry_counts_parallel_batches(small_db):
 def test_worker_failure_propagates(shared_spool_runs):
     session, result, _ = shared_spool_runs["example1"]
 
-    class FailingExecutor(ParallelExecutor):
+    class FailingExecutor(Executor):
         def _execute_query(self, query_plan, ctx):
             if query_plan.name == "Q2":
                 raise ExecutionError("injected Q2 failure")
@@ -153,9 +253,7 @@ def test_spool_body_lookup_is_hoisted(shared_spool_runs):
     counting = _CountingSpools(original)
     bundle.root_spools = counting
     try:
-        executor = ParallelExecutor(
-            session.database, session.cost_model, workers=4
-        )
+        executor = Executor(session.database, session.cost_model, workers=4)
         executor.execute(bundle)
         iterations = counting.iterations
     finally:
@@ -171,7 +269,7 @@ def test_task_seconds_observed_for_every_outcome(shared_spool_runs):
     session, result, _ = shared_spool_runs["example1"]
     registry = MetricsRegistry()
 
-    class FailingExecutor(ParallelExecutor):
+    class FailingExecutor(Executor):
         def _execute_query(self, query_plan, ctx):
             if query_plan.name == "Q2":
                 raise ExecutionError("injected Q2 failure")
@@ -199,7 +297,7 @@ def test_task_seconds_tags_cancelled_tasks(shared_spool_runs):
     session, result, _ = shared_spool_runs["example1"]
     assert result.bundle.root_spools
     registry = MetricsRegistry()
-    executor = ParallelExecutor(
+    executor = Executor(
         session.database, session.cost_model, registry=registry, workers=4
     )
     from repro.errors import BudgetExceededError
@@ -215,7 +313,7 @@ def test_task_seconds_tags_cancelled_tasks(shared_spool_runs):
 
 
 def test_threads_hammering_one_shared_session(small_db):
-    """8 threads share one Session: mixed serial/parallel executes of two
+    """8 threads share one Session: mixed inline/pooled executes of the
     batches must all produce the reference rows, with no leaked errors and
     a consistent plan cache."""
     registry = MetricsRegistry()
@@ -235,7 +333,7 @@ def test_threads_hammering_one_shared_session(small_db):
             for i in range(rounds):
                 name = sorted(BATCHES)[(thread_index + i) % len(BATCHES)]
                 outcome = session.execute(
-                    BATCHES[name], parallel=(i % 2 == 0)
+                    BATCHES[name], workers=4 if i % 2 == 0 else 1
                 )
                 if _rows(outcome.execution) != expected[name]:
                     mismatches.append((thread_index, name))

@@ -9,9 +9,9 @@ import pytest
 
 from repro import CostModel, OptimizerOptions, Session
 from repro.errors import ExecutionError
+from repro.executor import Executor
 from repro.obs import MetricsRegistry
 from repro.serve import (
-    ParallelExecutor,
     PlanCache,
     batch_fingerprint,
     batch_tables,
@@ -272,10 +272,44 @@ class TestSchedule:
         assert schedule.width == 2
 
 
+    def test_select_picks_each_callers_tasks(self, small_session):
+        """The three callers of the one runner differ only in selection:
+        whole bundle, producers only, or named queries plus the spools
+        they still need."""
+        from repro.workloads import independent_pairs_batch
+
+        result = small_session.optimize(independent_pairs_batch())
+        schedule = build_schedule(result.bundle, include_scans=True)
+        spool_of = {
+            t.index: t.label for t in schedule.tasks if t.kind == "spool"
+        }
+        assert len(spool_of) >= 2
+        assert schedule.select() == schedule.tasks
+        producers = schedule.select(spools_only=True)
+        assert {t.kind for t in producers} == {"scan", "spool"}
+        assert [t for t in producers if t.kind == "spool"] == [
+            t for t in schedule.tasks if t.kind == "spool"
+        ]
+        reader = next(
+            t for t in schedule.tasks
+            if t.kind == "query" and set(t.deps) & set(spool_of)
+        )
+        needed = {spool_of[d] for d in reader.deps if d in spool_of}
+        mine = schedule.select(queries={reader.label})
+        assert {t.label for t in mine if t.kind == "spool"} == needed
+        assert [t.label for t in mine if t.kind == "query"] == [reader.label]
+        # Every dependency of a selected task is itself selected.
+        indices = {t.index for t in mine}
+        assert all(set(t.deps) <= indices for t in mine)
+        # Pre-published spools are neither run nor chased.
+        attached = schedule.select(queries={reader.label}, present=needed)
+        assert [t.kind for t in attached if t.kind != "scan"] == ["query"]
+
+
 class TestParallelExecutorConstruction:
     def test_workers_must_be_positive(self, small_db):
         with pytest.raises(ExecutionError):
-            ParallelExecutor(small_db, workers=0)
+            Executor(small_db, workers=0)
 
 
 class TestWarmExecuteSkipsOptimization:

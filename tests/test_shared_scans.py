@@ -124,7 +124,7 @@ class TestCostAccounting:
 
 class TestSchedule:
     def test_scan_tasks_emitted_first_with_edges(self, small_db):
-        from repro.serve.schedule import build_schedule
+        from repro.executor.schedule import build_schedule
 
         result = _no_cse(small_db).optimize(SHARED_SQL)
         schedule = build_schedule(result.bundle, include_scans=True)
@@ -146,7 +146,7 @@ class TestSchedule:
             assert scan_indices <= set(query.deps)
 
     def test_default_schedule_has_no_scan_tasks(self, small_db):
-        from repro.serve.schedule import build_schedule
+        from repro.executor.schedule import build_schedule
 
         result = _no_cse(small_db).optimize(SHARED_SQL)
         schedule = build_schedule(result.bundle)

@@ -427,7 +427,7 @@ class TestParallelTimerReconciliation:
         parallel = Session(small_db, workers=4, plan_cache_size=0)
         ser = serial.execute(EXAMPLE1_BATCH_SQL, collect_op_stats=True)
         par = parallel.execute(
-            EXAMPLE1_BATCH_SQL, collect_op_stats=True, parallel=True
+            EXAMPLE1_BATCH_SQL, collect_op_stats=True, workers=4
         )
 
         def timer_profile(execution):

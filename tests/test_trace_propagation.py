@@ -19,7 +19,7 @@ import pytest
 from repro import OptimizerOptions, Session, Tracer
 from repro.obs import TRACE_HEADER_TYPE, analyze, find_orphans, load_trace
 from repro.obs.critical import find_roots
-from repro.serve.schedule import build_schedule
+from repro.executor.schedule import build_schedule
 from repro.workloads import example1_batch, example1_with_q4
 
 
