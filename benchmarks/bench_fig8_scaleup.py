@@ -150,9 +150,9 @@ def test_scaleup_shared_scan_fused_wallclock(benchmark, bench_db):
     fast_s = _best_of(v2, batch)
     slow_s = _best_of(baseline, batch)
     speedup = slow_s / fast_s
-    # Floors sit ~10% under the lowest of ten runs per scale factor:
-    # 2.27-2.52x at SF=0.1 (~270 ms no sharing vs ~110 ms shared),
-    # 2.00-2.27x at SF=0.05, 1.32-1.71x at SF=0.01, where fixed
+    # Floors sit at least ~10% under the lowest run per scale factor:
+    # 2.35-2.85x over ten runs at SF=0.1 (~159 ms no sharing vs ~60 ms
+    # shared), 2.21-2.39x at SF=0.05, 1.74-1.89x at SF=0.01, where fixed
     # per-query overheads dominate the wall clock. What the shared side
     # still pays is every consumer re-reading and re-aggregating the
     # whole spool (ROADMAP item 1(d)).

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..types import DataType
+from ..types import DataType, string_pool
 
 
 @dataclass
@@ -109,17 +109,20 @@ class ColumnStats:
     def collect(
         cls, values: np.ndarray, data_type: DataType, histogram_buckets: int = 32
     ) -> "ColumnStats":
-        """Collect stats (NDV, min/max, histogram, MCV) for one column."""
+        """Collect stats (NDV, min/max, histogram, MCV) for one column as
+        stored (``Table.stored_column``: STRING values are pool codes)."""
         n = len(values)
         if n == 0:
             return cls(ndv=0)
         if data_type is DataType.STRING:
-            counts: Dict[object, int] = {}
-            for value in values.tolist():
-                counts[value] = counts.get(value, 0) + 1
-            ndv = len(counts)
-            mcv = _mcv_from_counts(counts, n) if ndv <= MCV_NDV_LIMIT else {}
-            return cls(ndv=ndv, mcv=mcv)
+            per_code = np.bincount(values)
+            present = np.flatnonzero(per_code)
+            ndv = len(present)
+            if ndv > MCV_NDV_LIMIT:
+                return cls(ndv=ndv)
+            strings = string_pool.decode(present).tolist()
+            counts = dict(zip(strings, per_code[present].tolist()))
+            return cls(ndv=ndv, mcv=_mcv_from_counts(counts, n))
         unique, unique_counts = np.unique(values, return_counts=True)
         ndv = int(len(unique))
         as_float = values.astype(np.float64)

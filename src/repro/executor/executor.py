@@ -77,6 +77,7 @@ from ..optimizer.physical import (
 from ..optimizer.aggs import AggCompute
 from ..storage.database import Database
 from ..storage.worktable import WorkTable
+from ..types import DataType, literal_type, string_pool
 from .iterators import execute_node, materialize_spool, sort_order_for
 from .runtime import ExecutionContext, ExecutionMetrics
 from .scans import ScanManager
@@ -457,8 +458,6 @@ class Executor:
         value = column[0]
         if isinstance(value, np.generic):
             value = value.item()
-        from ..types import literal_type
-
         return value, literal_type(value)
 
     def _run_named(
@@ -492,6 +491,15 @@ class Executor:
             ctx.metrics.cost_units += ctx.cost_model.sort(frame_length(frame))
             order = sort_order_for(sort_items, frame)
             columns = [c[order] for c in columns]
+        # The one place codes become strings again (a literal output may
+        # never have been pooled, so it is filled in from its own value).
+        for position, out in enumerate(node.outputs):
+            if out.expr.data_type is DataType.STRING:
+                columns[position] = (
+                    np.full(len(columns[position]), out.expr.value)
+                    if isinstance(out.expr, Literal)
+                    else string_pool.decode(columns[position])
+                )
         if ctx.op_stats is not None:
             # The finalization chain (Project, Sort, SpoolDef) bypasses
             # execute_node; record its nodes so analyze output is complete.

@@ -2,15 +2,15 @@
 
 Each operator consumes/produces a *frame*: a mapping from expression keys to
 numpy column arrays of equal length. Join and group-by keys are coded to
-dense integers without sorting (direct addressing for integer keys, one
-hash pass for strings); equi joins then address a ``bincount`` table over
-the build side (emitting rows in classic hash-join order: right rows
-ascending, left matches in build order), aggregation numbers groups by
-first appearance through a first-occurrence table, spools materialize
-frames into work tables. Keeping the hot loops inside numpy matters beyond
-single-query speed: numpy kernels release the GIL, which is what lets the
-parallel batch executor (``repro.serve``) get real wall-clock speedup from
-threads.
+dense integers without sorting (direct addressing; string columns arrive as
+``string_pool`` codes, so they are integer keys too); equi joins then
+address a ``bincount`` table over the build side (emitting rows in classic
+hash-join order: right rows ascending, left matches in build order),
+aggregation numbers groups by first appearance through a first-occurrence
+table, spools materialize frames into work tables. Keeping the hot loops
+inside numpy matters beyond single-query speed: numpy kernels release the
+GIL, which is what lets the parallel batch executor (``repro.serve``) get
+real wall-clock speedup from threads.
 """
 
 from __future__ import annotations
@@ -21,7 +21,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import ExecutionError
-from ..expr.evaluator import Frame, evaluate, evaluate_predicate, frame_length
+from ..expr.evaluator import (
+    Frame,
+    evaluate,
+    evaluate_predicate,
+    frame_length,
+    string_ranks,
+)
 from ..expr.expressions import AggExpr, AggFunc, ColumnRef, Expr
 from ..optimizer.aggs import AggCompute
 from ..optimizer.physical import (
@@ -38,7 +44,7 @@ from ..optimizer.physical import (
     PhysicalPlan,
 )
 from ..storage.worktable import WorkTable
-from ..types import DataType
+from ..types import DataType, string_pool
 from .runtime import ExecutionContext
 
 
@@ -156,16 +162,13 @@ def _scan(plan: PhysScan, ctx: ExecutionContext) -> Frame:
         # per batch; the manager does the Def 5.1-split charging.
         return _restrict(ctx.scans.scan_frame(plan, ctx), plan.outputs)
     table = ctx.database.table(plan.table_ref.physical_name)
-    frame = _scan_frame(plan.outputs, plan.conjuncts, table.column)
+    frame = _scan_frame(plan.outputs, plan.conjuncts, table.stored_column)
     rows = table.row_count
     ctx.metrics.rows_scanned += rows
     width = table.row_width()
     ctx.metrics.cost_units += ctx.cost_model.scan(rows, width, len(plan.conjuncts))
     if plan.conjuncts:
-        mask = np.ones(rows, dtype=bool)
-        for conjunct in plan.conjuncts:
-            mask &= evaluate_predicate(conjunct, frame)
-        frame = {k: v[mask] for k, v in frame.items()}
+        frame = _take(frame, _matching_rows(plan.conjuncts, frame))
     return _restrict(frame, plan.outputs)
 
 
@@ -181,17 +184,15 @@ def _index_scan(plan: PhysIndexScan, ctx: ExecutionContext) -> Frame:
         plan.low, plan.high, plan.low_inclusive, plan.high_inclusive
     )
     table = ctx.database.table(plan.table_ref.physical_name)
-    frame = _scan_frame(plan.outputs, plan.residual, table.column)
-    frame = {k: v[positions] for k, v in frame.items()}
+    frame = _take(
+        _scan_frame(plan.outputs, plan.residual, table.stored_column), positions
+    )
     ctx.metrics.rows_scanned += len(positions)
     ctx.metrics.cost_units += ctx.cost_model.index_scan(
         len(positions), table.row_width(), len(plan.residual)
     )
     if plan.residual:
-        mask = np.ones(len(positions), dtype=bool)
-        for conjunct in plan.residual:
-            mask &= evaluate_predicate(conjunct, frame)
-        frame = {k: v[mask] for k, v in frame.items()}
+        frame = _take(frame, _matching_rows(plan.residual, frame))
     return _restrict(frame, plan.outputs)
 
 
@@ -203,6 +204,20 @@ def _restrict(frame: Frame, outputs: Tuple[Expr, ...]) -> Frame:
             # Computable output (e.g. a passthrough expression).
             restricted[expr] = evaluate(expr, frame)
     return restricted
+
+
+def _matching_rows(conjuncts: Tuple[Expr, ...], frame: Frame) -> np.ndarray:
+    """Ascending indices of the rows every conjunct holds for. Filters
+    gather by these rather than by the boolean mask: the mask is scanned
+    once, not once per column."""
+    mask = np.ones(frame_length(frame), dtype=bool)
+    for conjunct in conjuncts:
+        mask &= evaluate_predicate(conjunct, frame)
+    return np.flatnonzero(mask)
+
+
+def _take(frame: Frame, rows: np.ndarray) -> Frame:
+    return {key: col[rows] for key, col in frame.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +273,7 @@ def _fused(plan: PhysFusedPipeline, ctx: ExecutionContext) -> Frame:
         for i, stage in enumerate(stages):
             stage_inputs[i] += frame_length(piece)
             if stage.kind == "filter":
-                rows = frame_length(piece)
-                mask = np.ones(rows, dtype=bool)
-                for conjunct in stage.exprs:
-                    mask &= evaluate_predicate(conjunct, piece)
-                piece = {k: v[mask] for k, v in piece.items()}
+                piece = _take(piece, _matching_rows(stage.exprs, piece))
             else:  # project
                 piece = {e: evaluate(e, piece) for e in stage.exprs}
             if charges:
@@ -322,12 +333,10 @@ def _hash_join(plan: PhysHashJoin, ctx: ExecutionContext) -> Frame:
         for key, col in right.items():
             if key not in pair_frame:
                 pair_frame[key] = col[right_idx]
-        mask = np.ones(len(left_idx), dtype=bool)
-        for conjunct in plan.residual:
-            mask &= evaluate_predicate(conjunct, pair_frame)
-        left_idx = left_idx[mask]
-        right_idx = right_idx[mask]
-        pair_frame = {k: v[mask] for k, v in pair_frame.items()}
+        passing = _matching_rows(plan.residual, pair_frame)
+        left_idx = left_idx[passing]
+        right_idx = right_idx[passing]
+        pair_frame = _take(pair_frame, passing)
     joined: Frame
     if plan.join_type == "inner":
         if pair_frame is not None:
@@ -343,7 +352,7 @@ def _hash_join(plan: PhysHashJoin, ctx: ExecutionContext) -> Frame:
         matched = np.zeros(n_left, dtype=bool)
         matched[left_idx] = True
         keep = matched if plan.join_type == "semi" else ~matched
-        joined = {key: col[keep] for key, col in left.items()}
+        joined = _take(left, np.flatnonzero(keep))
     elif plan.join_type == "left_outer":
         matched = np.zeros(n_left, dtype=bool)
         matched[left_idx] = True
@@ -365,10 +374,8 @@ def _hash_join(plan: PhysHashJoin, ctx: ExecutionContext) -> Frame:
 
 
 def _null_extend(values: np.ndarray, pad: int) -> np.ndarray:
-    """Append ``pad`` NULL entries: NaN for numeric columns (widening to
-    float64), None for object (string) columns."""
-    if values.dtype == np.object_:
-        return np.concatenate([values, np.full(pad, None, dtype=object)])
+    """Append ``pad`` NULL entries: NaN, widening the column (string codes
+    included) to float64."""
     return np.concatenate(
         [
             values.astype(np.float64, copy=False),
@@ -393,24 +400,16 @@ def _column_codes(col: np.ndarray) -> Tuple[np.ndarray, int]:
     """``(int64 codes, domain)`` for one key column, without sorting.
 
     Two rows get the same code iff their values are equal, and every code
-    lies in ``range(domain)``. Integer, bool and date columns are
-    direct-addressed (``col - min``) while the value span stays within
-    :func:`_dense_bound`; object (string) columns take one hash pass.
-    Floats and sparse integers fall back to ``np.unique``, which also
-    collapses NaNs into one code. Code *order* is arbitrary and must never
-    reach a result — callers renumber by position."""
+    lies in ``range(domain)``. Integer, bool, date and string-code columns
+    are direct-addressed (``col - min``) while the value span stays within
+    :func:`_dense_bound`. Floats (NULL-widened columns included) and sparse
+    integers fall back to ``np.unique``, which also collapses NaNs into one
+    code. Code *order* is arbitrary and must never reach a result — callers
+    renumber by position."""
     n = len(col)
     if n == 0:
         return np.empty(0, dtype=np.int64), 1
-    kind = col.dtype.kind
-    if kind == "O":
-        values = col.tolist()
-        table = {v: i for i, v in enumerate(dict.fromkeys(values))}
-        codes = np.fromiter(
-            map(table.__getitem__, values), dtype=np.int64, count=n
-        )
-        return codes, len(table)
-    if kind in "biu":
+    if col.dtype.kind in "biu":
         ints = col.astype(np.int64, copy=False)
         low = int(ints.min())
         span = int(ints.max()) - low + 1
@@ -538,6 +537,9 @@ def _aggregate_column(
         return result
     if compute.arg is None:
         raise ExecutionError(f"aggregate {compute!r} requires an argument")
+    if compute.arg.data_type is DataType.STRING:
+        # Codes are not values: their arithmetic and order mean nothing.
+        raise ExecutionError(f"aggregate {compute!r} over a STRING argument")
     values = evaluate(compute.arg, frame)
     # NULLs (NaN, from outer-join null extension) are skipped per SQL
     # aggregate semantics. NULL-free inputs take the original fast path.
@@ -601,11 +603,8 @@ def _aggregate_column(
 def _filter(plan: PhysFilter, ctx: ExecutionContext) -> Frame:
     frame = execute_node(plan.child, ctx)
     n = frame_length(frame)
-    mask = np.ones(n, dtype=bool)
-    for conjunct in plan.conjuncts:
-        mask &= evaluate_predicate(conjunct, frame)
     ctx.metrics.cost_units += ctx.cost_model.filter(n, len(plan.conjuncts))
-    return {k: v[mask] for k, v in frame.items()}
+    return _take(frame, _matching_rows(plan.conjuncts, frame))
 
 
 def _spool_read(plan: PhysSpoolRead, ctx: ExecutionContext) -> Frame:
@@ -613,7 +612,7 @@ def _spool_read(plan: PhysSpoolRead, ctx: ExecutionContext) -> Frame:
     worktable = ctx.spool(plan.cse_id)
     frame: Frame = {}
     for name, expr in plan.column_map:
-        frame[expr] = worktable.column(name)
+        frame[expr] = worktable.stored_column(name)
     rows = worktable.row_count
     read_cost = ctx.cost_model.spool_read(rows, worktable.row_width())
     ctx.metrics.spool_rows_read += rows
@@ -686,7 +685,7 @@ def _materialize_spool(
     # Everything charged so far is body evaluation — the measured C_E.
     body_cost = ctx.metrics.cost_units - cost_before
     worktable = WorkTable(cse_id, names, types)
-    worktable.load(columns)
+    worktable.load_stored(columns)
     if ctx.token is not None:
         # Charge before any accounting or publication: a budget bust raises
         # here, so a partially-governed spool is never visible to readers.
@@ -735,25 +734,13 @@ def _spool_def(plan: PhysSpoolDef, ctx: ExecutionContext) -> Frame:
 def _rank_codes(values: np.ndarray) -> np.ndarray:
     """Dense int64 rank codes for one sort key; NULL ranks largest.
 
-    NULL-extended outer-join frames (PR 6) flow NaN (numeric) and None
-    (object) columns into ORDER BY. Encoding each key as dense ranks with
-    NULL = highest rank gives a single deterministic NULL order — NULLs
-    last ascending, first descending — on both dtypes, lets descending
-    sort negate the codes (``np.argsort(-codes)``) instead of reversing a
-    stable order (which broke multi-key stability on ties), and avoids
-    ``np.argsort`` on object arrays containing None (a TypeError)."""
-    if values.dtype == np.object_:
-        nulls = np.fromiter(
-            (v is None for v in values), dtype=bool, count=len(values)
-        )
-        live = values[~nulls]
-        uniq = sorted(set(live.tolist()))
-        rank = {v: i for i, v in enumerate(uniq)}
-        codes = np.full(len(values), len(uniq), dtype=np.int64)
-        codes[~nulls] = np.fromiter(
-            (rank[v] for v in live), dtype=np.int64, count=len(live)
-        )
-        return codes
+    NULL-extended outer-join frames (PR 6) flow NaN columns into ORDER BY
+    (string keys arrive here already mapped to pool sort ranks, NULL still
+    NaN). Encoding each key as dense ranks with NULL = highest rank gives a
+    single deterministic NULL order — NULLs last ascending, first
+    descending — for every type, and lets descending sort negate the codes
+    (``np.argsort(-codes)``) instead of reversing a stable order (which
+    broke multi-key stability on ties)."""
     if np.issubdtype(values.dtype, np.floating):
         nulls = np.isnan(values)
         if nulls.any():
@@ -782,7 +769,10 @@ def sort_order_for(
     # descending keys negate their rank codes, keeping the sort stable
     # (NULL = largest rank, so NULLs sort last asc / first desc).
     for expr, descending in reversed(sort_items):
-        codes = _rank_codes(evaluate(expr, frame)[order])
+        values = evaluate(expr, frame)[order]
+        if expr.data_type is DataType.STRING:
+            values = string_ranks(expr, values, string_pool.order())
+        codes = _rank_codes(values)
         inner = np.argsort(-codes if descending else codes, kind="stable")
         order = order[inner]
     return order

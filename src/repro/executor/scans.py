@@ -71,12 +71,14 @@ class _RawEntry:
 
 
 class _FilteredEntry:
-    """One computed predicate mask plus lazily gathered filtered columns."""
+    """One computed predicate's passing row indices (a gather by index
+    scans the selection once, not once per column) plus lazily gathered
+    filtered columns."""
 
-    __slots__ = ("mask", "columns")
+    __slots__ = ("rows", "columns")
 
     def __init__(self, mask: np.ndarray):
-        self.mask = mask
+        self.rows = np.flatnonzero(mask)
         self.columns: Dict[str, np.ndarray] = {}
 
 
@@ -142,7 +144,7 @@ class ScanManager:
                 return entry
             physical, names = key
             table = ctx.database.table(physical)
-            columns = {name: table.column(name) for name in sorted(names)}
+            columns = {name: table.stored_column(name) for name in sorted(names)}
             rows = table.row_count
             width = table.row_width()
             charge = ctx.cost_model.scan(rows, width, 0)
@@ -187,7 +189,7 @@ class ScanManager:
                 # column twice; setdefault keeps one winner. Gathers are
                 # not charged, so duplicates do not skew totals.
                 column = filtered.columns.setdefault(
-                    expr.column, entry.columns[expr.column][filtered.mask]
+                    expr.column, entry.columns[expr.column][filtered.rows]
                 )
             out[expr] = column
         return out

@@ -4,6 +4,11 @@ A *frame* maps :class:`ColumnRef` objects (or arbitrary expression keys, for
 computed columns like partial aggregates flowing out of a spool) to numpy
 arrays of equal length. Evaluation is fully vectorized: predicates yield
 boolean masks, arithmetic yields value arrays.
+
+STRING columns are ``int64`` codes into ``repro.types.string_pool`` (NaN in a
+float-widened column is a NULL string, as for every other type): a STRING
+literal evaluates to its code, ``=``/``<>`` compare codes, and the ordering
+operators compare the pool's sort ranks of the codes.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..errors import ExecutionError
-from ..types import DataType
+from ..types import DataType, StringOrder, string_pool
 from .expressions import (
     AggExpr,
     And,
@@ -45,11 +50,15 @@ def evaluate(expr: Expr, frame: Frame) -> np.ndarray:
         return frame[expr]
     if isinstance(expr, Literal):
         n = frame_length(frame)
-        return np.full(n, expr.value, dtype=expr.data_type.numpy_dtype)
+        value = expr.value
+        if expr.data_type is DataType.STRING:
+            # -1 (never stored) equals no stored code; ordering goes by rank.
+            value = string_pool.code(value)
+        return np.full(n, value, dtype=expr.data_type.numpy_dtype)
     if isinstance(expr, ColumnRef):
         raise ExecutionError(f"column {expr!r} not present in frame")
     if isinstance(expr, Comparison):
-        return _evaluate_comparison(expr, frame)
+        return _raw_comparison(expr.op, *_comparison_operands(expr, frame))
     if isinstance(expr, And):
         result = evaluate(expr.terms[0], frame).astype(bool)
         for term in expr.terms[1:]:
@@ -72,23 +81,43 @@ def evaluate(expr: Expr, frame: Frame) -> np.ndarray:
     raise ExecutionError(f"cannot evaluate expression {expr!r}")
 
 
-def _evaluate_comparison(expr: Comparison, frame: Frame) -> np.ndarray:
-    left = evaluate(expr.left, frame)
-    right = evaluate(expr.right, frame)
-    op = expr.op
-    if op is ComparisonOp.EQ:
-        return left == right
-    if op is ComparisonOp.NE:
-        return left != right
-    if op is ComparisonOp.LT:
-        return left < right
-    if op is ComparisonOp.LE:
-        return left <= right
-    if op is ComparisonOp.GT:
-        return left > right
-    if op is ComparisonOp.GE:
-        return left >= right
-    raise ExecutionError(f"unknown comparison operator {op!r}")
+_ORDERING_OPS = (
+    ComparisonOp.LT, ComparisonOp.LE, ComparisonOp.GT, ComparisonOp.GE
+)
+
+
+def _comparison_operands(
+    expr: Comparison, frame: Frame
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Both sides of a comparison, ready for the raw numpy operator: STRING
+    operands of an ordering operator are mapped from codes to sort ranks."""
+    left, right = expr.left, expr.right
+    left_values, right_values = evaluate(left, frame), evaluate(right, frame)
+    if DataType.STRING not in (left.data_type, right.data_type):
+        return left_values, right_values
+    if isinstance(left, Literal) and isinstance(right, Literal):
+        # Two constants have no pool position to compare (both may be absent
+        # from it, sharing code -1): compare the values themselves.
+        sign = (left.value > right.value) - (left.value < right.value)
+        return np.full(len(left_values), sign), np.zeros_like(left_values)
+    if expr.op not in _ORDERING_OPS:
+        return left_values, right_values
+    # One snapshot for both sides, taken after both were evaluated so it
+    # covers every code they hold.
+    order = string_pool.order()
+    return (
+        string_ranks(left, left_values, order),
+        string_ranks(right, right_values, order),
+    )
+
+
+def string_ranks(expr: Expr, codes: np.ndarray, order: StringOrder) -> np.ndarray:
+    """Sort ranks for a STRING expression's evaluated ``codes``: NaN (NULL)
+    stays NaN, and a literal — possibly absent from the pool — takes its
+    position among the snapshot's sorted strings."""
+    if isinstance(expr, Literal):
+        return np.full(len(codes), order.rank_of(expr.value))
+    return order.ranks_of(codes)
 
 
 def _evaluate_arithmetic(expr: Arithmetic, frame: Frame) -> np.ndarray:
@@ -113,8 +142,8 @@ def evaluate_predicate(predicate: Optional[Expr], frame: Frame) -> np.ndarray:
     """Evaluate a (possibly absent) predicate to a boolean mask.
 
     SQL three-valued logic: a row passes only when the predicate is TRUE.
-    NULLs (NaN in float columns, None in object columns) appear only
-    downstream of outer joins; frames without NULLs take the original
+    NULLs (NaN in float-widened columns) appear only downstream of outer
+    joins; frames without NULLs take the original
     two-valued fast path unchanged.
     """
     n = frame_length(frame)
@@ -136,12 +165,9 @@ def evaluate_predicate(predicate: Optional[Expr], frame: Frame) -> np.ndarray:
 def null_mask(values: np.ndarray) -> Optional[np.ndarray]:
     """Boolean mask of NULL entries, or None when the column has none.
 
-    Numeric NULLs are NaN (outer-join null extension casts to float64);
-    string NULLs are None entries in object arrays.
+    NULLs are NaN: outer-join null extension casts every column — string
+    codes included — to float64.
     """
-    if values.dtype == np.object_:
-        mask = np.asarray(values == None, dtype=bool)  # noqa: E711
-        return mask if mask.any() else None
     if np.issubdtype(values.dtype, np.floating):
         mask = np.isnan(values)
         return mask if mask.any() else None
@@ -160,13 +186,8 @@ def evaluate3(expr: Expr, frame: Frame) -> "tuple[np.ndarray, Optional[np.ndarra
             values if values.dtype == np.bool_ else values.astype(bool)
         ), None
     if isinstance(expr, Comparison):
-        left = evaluate(expr.left, frame)
-        right = evaluate(expr.right, frame)
+        left, right = _comparison_operands(expr, frame)
         nulls = _combine_nulls(null_mask(left), null_mask(right))
-        if nulls is not None and left.dtype == np.object_:
-            left = np.where(nulls, "", left)
-        if nulls is not None and right.dtype == np.object_:
-            right = np.where(nulls, "", right)
         raw = _raw_comparison(expr.op, left, right)
         if nulls is None:
             return raw, None

@@ -177,7 +177,7 @@ class Database:
                 column_stats: Dict[str, ColumnStats] = {}
                 for col in table.schema.columns:
                     column_stats[col.name] = ColumnStats.collect(
-                        table.column(col.name), col.data_type, histogram_buckets
+                        table.stored_column(col.name), col.data_type, histogram_buckets
                     )
                 self._stats[name.lower()] = TableStats(
                     row_count=table.row_count, columns=column_stats

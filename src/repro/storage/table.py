@@ -1,10 +1,13 @@
 """Column-oriented in-memory tables.
 
 A :class:`Table` stores each column as a numpy array. All columns must have
-identical length. Tables are append-only from the storage layer's point of
-view; updates happen through the view-maintenance machinery which works with
-delta tables rather than in-place mutation (mirroring how the paper treats
-updates, §6.4).
+identical length. STRING columns are stored as ``int64`` codes into
+``repro.types.string_pool``: the value accessors (``column``, ``columns``,
+``row``, ``rows``) and every ingest speak python values, and
+``stored_column`` hands the executor the arrays as stored. Tables are
+append-only from the storage layer's point of view; updates happen through
+the view-maintenance machinery which works with delta tables rather than
+in-place mutation (mirroring how the paper treats updates, §6.4).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from ..catalog.schema import TableSchema
 from ..errors import StorageError
-from ..types import DataType, coerce_column
+from ..types import coerce_column, decode_column
 
 
 class Table:
@@ -70,8 +73,8 @@ class Table:
 
     # -- access ------------------------------------------------------------
 
-    def column(self, name: str) -> np.ndarray:
-        """One column as a numpy array, by name."""
+    def stored_column(self, name: str) -> np.ndarray:
+        """One column as stored (STRING as pool codes), by name."""
         try:
             return self._columns[name]
         except KeyError:
@@ -79,21 +82,26 @@ class Table:
                 f"table {self.schema.name!r} has no column {name!r}"
             ) from None
 
+    def column(self, name: str) -> np.ndarray:
+        """One column's values as a numpy array, by name."""
+        return decode_column(
+            self.stored_column(name), self.schema.column_type(name)
+        )
+
     def columns(self) -> Dict[str, np.ndarray]:
-        """A shallow copy of the column mapping."""
-        return dict(self._columns)
+        """Every column's values, by name."""
+        return {c.name: self.column(c.name) for c in self.schema.columns}
 
     def row(self, index: int) -> Tuple[Any, ...]:
-        """One row as a tuple, by position."""
+        """One row as a tuple of python values, by position."""
         if not 0 <= index < self.row_count:
             raise StorageError(f"row index {index} out of range")
-        return tuple(self._columns[c.name][index] for c in self.schema.columns)
+        return self.select(np.array([index])).rows()[0]
 
     def rows(self) -> List[Tuple[Any, ...]]:
-        """All rows as tuples in schema column order."""
-        names = self.schema.column_names
-        cols = [self._columns[n] for n in names]
-        return list(zip(*[c.tolist() for c in cols])) if cols else []
+        """All rows as tuples of python values in schema column order."""
+        cols = [self.column(n).tolist() for n in self.schema.column_names]
+        return list(zip(*cols)) if cols else []
 
     def select(self, mask_or_indices: np.ndarray) -> "Table":
         """A new table with the rows selected by a boolean mask or index array."""

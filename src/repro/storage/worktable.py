@@ -3,7 +3,10 @@
 The paper's spool operator materializes a CSE's result into an internal work
 table that consumers then read sequentially (§4.3.2, §5.2). A
 :class:`WorkTable` is that internal table: a bag of rows with named, typed
-columns but no catalog presence.
+columns but no catalog presence. Like a :class:`~repro.storage.table.Table`
+it stores STRING columns as ``string_pool`` codes behind value-level
+accessors; the executor reads ``stored_column`` and writes spools through
+``load_stored``.
 
 Delta tables for view maintenance (§6.4) are work tables tagged with the base
 table whose update they capture; the CSE machinery treats them "as a special
@@ -13,12 +16,12 @@ signature name ``delta(<base>)``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import StorageError
-from ..types import DataType, coerce_column
+from ..types import DataType, coerce_column, decode_column, string_pool
 
 
 class WorkTable:
@@ -61,8 +64,33 @@ class WorkTable:
             return f"delta({self.delta_of})"
         return self.name
 
-    def load(self, columns: Mapping[str, np.ndarray]) -> None:
-        """Replace the work table's columns (validates names/lengths)."""
+    def load(self, columns: Mapping[str, Any]) -> None:
+        """Replace the work table's columns with the given values
+        (validates names/types/lengths; STRING values are interned)."""
+        self._install(columns, coerce_column)
+
+    def load_rows(self, rows: Sequence[Sequence[Any]]) -> None:
+        """Replace the contents with row tuples ordered like the columns."""
+        columns: Dict[str, Any] = {}
+        for index, (name, col_type) in enumerate(
+            zip(self.column_names, self.column_types)
+        ):
+            values = [row[index] for row in rows]
+            columns[name] = (
+                values
+                if col_type is DataType.STRING
+                else np.array(values, dtype=col_type.numpy_dtype)
+            )
+        self.load(columns)
+
+    def load_stored(self, columns: Mapping[str, np.ndarray]) -> None:
+        """The spool write: like :meth:`load`, but STRING columns arrive as
+        the executor's code arrays and are range-checked against the pool
+        instead of interned. A float-widened (NULL-bearing) code column is
+        refused, as a NULL string always was."""
+        self._install(columns, _check_stored)
+
+    def _install(self, columns: Mapping[str, Any], coerce) -> None:
         if set(columns) != set(self.column_names):
             raise StorageError(
                 f"work table {self.name!r}: expected columns "
@@ -71,7 +99,7 @@ class WorkTable:
         length: Optional[int] = None
         loaded: Dict[str, np.ndarray] = {}
         for col_name, col_type in zip(self.column_names, self.column_types):
-            data = coerce_column(columns[col_name], col_type)
+            data = coerce(columns[col_name], col_type)
             if length is None:
                 length = len(data)
             elif len(data) != length:
@@ -90,14 +118,18 @@ class WorkTable:
     def __len__(self) -> int:
         return self.row_count
 
-    def column(self, name: str) -> np.ndarray:
-        """One column, by name."""
+    def stored_column(self, name: str) -> np.ndarray:
+        """One column as stored (STRING as pool codes), by name."""
         try:
             return self._columns[name]
         except KeyError:
             raise StorageError(
                 f"work table {self.name!r} has no column {name!r}"
             ) from None
+
+    def column(self, name: str) -> np.ndarray:
+        """One column's values, by name."""
+        return decode_column(self.stored_column(name), self.column_type(name))
 
     def column_type(self, name: str) -> DataType:
         """The declared type of one column."""
@@ -110,8 +142,13 @@ class WorkTable:
         return self.column_types[position]
 
     def columns(self) -> Dict[str, np.ndarray]:
-        """A shallow copy of the column mapping."""
-        return dict(self._columns)
+        """Every column's values, by name."""
+        return {name: self.column(name) for name in self.column_names}
+
+    def rows(self) -> List[Tuple[Any, ...]]:
+        """All rows as tuples of python values in column order."""
+        cols = [self.column(name).tolist() for name in self.column_names]
+        return list(zip(*cols)) if cols else []
 
     def row_width(self) -> int:
         """Row width in bytes (sum of column type widths)."""
@@ -120,3 +157,13 @@ class WorkTable:
     def size_bytes(self) -> int:
         """Total size in bytes."""
         return self.row_count * self.row_width()
+
+
+def _check_stored(values: np.ndarray, data_type: DataType) -> np.ndarray:
+    if data_type is not DataType.STRING:
+        return coerce_column(values, data_type)
+    if not (isinstance(values, np.ndarray) and values.dtype == np.int64):
+        raise StorageError(f"expected int64 string codes, got {values!r}")
+    if len(values) and not 0 <= values.min() <= values.max() < len(string_pool):
+        raise StorageError("string codes outside the string pool")
+    return values

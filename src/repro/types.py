@@ -4,13 +4,33 @@ The engine stores data column-wise in numpy arrays. Each logical column type
 maps to a numpy dtype and carries coercion and comparison rules. Dates are
 stored as integer days since 1970-01-01 so that range predicates on dates are
 ordinary integer comparisons (the same trick commercial engines use).
+
+Strings get the same treatment: a STRING value is stored and processed as an
+``int64`` code into :data:`string_pool`, so scans, joins, group-bys, spools
+and NULL tests over string columns are the integer kernels every other type
+uses (a NULL string is NaN in a float-widened code column, exactly like a
+NULL integer). A python ``str`` exists only at ingest (``coerce_column``
+interns) and at result assembly and the tables' value accessors
+(``StringPool.decode``). Equality compares codes; order compares
+``StringPool.order().ranks[codes]``.
+
+The pool is process-wide rather than per ``Database``, deliberately: the
+evaluator's contract is ``(expr, frame)`` with no database handle, nothing
+pickles a table, and a per-database pool would thread a parameter through
+every evaluation site for no behaviour anyone can observe. It is append-only
+and never shrinks — a dropped table's strings stay pooled for the life of the
+process — so a code, once handed out, never changes meaning. Growth and the
+lazy rebuilds of the decode and rank tables take one lock; lookups are
+lock-free reads of structures that are only appended to or swapped whole.
 """
 
 from __future__ import annotations
 
+import bisect
 import datetime as _dt
 import enum
-from typing import Any
+import threading
+from typing import Any, Dict, List, NamedTuple
 
 import numpy as np
 
@@ -47,7 +67,7 @@ class DataType(enum.Enum):
 _NUMPY_DTYPES = {
     DataType.INT: np.int64,
     DataType.FLOAT: np.float64,
-    DataType.STRING: object,
+    DataType.STRING: np.int64,  # codes into string_pool
     DataType.DATE: np.int64,
     DataType.BOOL: np.bool_,
 }
@@ -101,7 +121,8 @@ def coerce_value(value: Any, data_type: DataType) -> Any:
     if data_type is DataType.STRING:
         if not isinstance(value, str):
             raise StorageError(f"expected str, got {value!r}")
-        return value
+        # Subclasses (np.str_ included) are stored as exact ``str``.
+        return str.__str__(value)
     if data_type is DataType.DATE:
         return date_to_int(value)
     if data_type is DataType.BOOL:
@@ -111,21 +132,139 @@ def coerce_value(value: Any, data_type: DataType) -> Any:
     raise StorageError(f"unknown data type {data_type!r}")
 
 
+def _gather(table: np.ndarray, codes: np.ndarray, null: Any) -> np.ndarray:
+    """``table[codes]``; NaN (NULL) entries of a float-widened code column
+    become ``null``."""
+    if codes.dtype.kind != "f":
+        return table[codes]
+    live = ~np.isnan(codes)
+    out = np.full(len(codes), null, dtype=table.dtype)
+    out[live] = table[codes[live].astype(np.int64)]
+    return out
+
+
+class StringOrder(NamedTuple):
+    """One snapshot of the pool's sort order."""
+
+    #: code -> sort rank (``ranks[a] < ranks[b]`` iff string a < string b),
+    #: as float64 so that a NULL code's rank can be NaN.
+    ranks: np.ndarray
+    #: the pooled strings, sorted; ``strings[ranks[c]]`` is code c's string.
+    strings: List[str]
+
+    def ranks_of(self, codes: np.ndarray) -> np.ndarray:
+        """Sort ranks of a code column; NaN (NULL) stays NaN."""
+        return _gather(self.ranks, codes, np.nan)
+
+    def rank_of(self, value: str) -> float:
+        """Where ``value`` sorts among this snapshot's strings: its own rank
+        when pooled, else halfway between its neighbours' ranks."""
+        position = bisect.bisect_left(self.strings, value)
+        if position < len(self.strings) and self.strings[position] == value:
+            return float(position)
+        return position - 0.5
+
+
+class StringPool:
+    """Append-only ``str`` <-> ``int64`` code dictionary (module docstring)."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._codes: Dict[str, int] = {}
+        self._strings: List[str] = []
+        self._table = np.empty(0, dtype=object)  # code -> str, for gathers
+        self._order = StringOrder(np.empty(0, dtype=np.float64), [])
+
+    def __len__(self) -> int:
+        return len(self._strings)
+
+    def intern(self, values: Any) -> np.ndarray:
+        """Codes for an iterable of strings, adding the ones not yet pooled.
+
+        Pooled values cost one dict lookup each; only a batch holding
+        something new (or unhashable) is walked under the lock, where
+        anything not an exact ``str`` goes through :func:`coerce_value` — so
+        a non-``str`` or None still raises :class:`StorageError`."""
+        values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        codes = self._codes
+        try:
+            return self._lookup(values)
+        except (KeyError, TypeError):
+            pass
+        with self._lock:
+            for value in values:
+                if type(value) is not str:
+                    value = coerce_value(value, DataType.STRING)
+                if value not in codes:
+                    # List first: a code visible in the dict is decodable.
+                    self._strings.append(value)
+                    codes[value] = len(self._strings) - 1
+        return self._lookup(values)
+
+    def _lookup(self, values: List[Any]) -> np.ndarray:
+        return np.fromiter(
+            map(self._codes.__getitem__, values), dtype=np.int64, count=len(values)
+        )
+
+    def code(self, value: str) -> int:
+        """The code of ``value``, or -1 when it was never stored. Lookup
+        only: a read query must never grow the pool."""
+        return self._codes.get(value, -1)
+
+    def decode(self, codes: np.ndarray) -> np.ndarray:
+        """The strings behind a code column, as one object gather; NaN
+        (NULL) entries of a float-widened column decode to None."""
+        table = self._table
+        if len(table) < len(self._strings):
+            with self._lock:
+                table = self._table
+                fresh = self._strings[len(table):]
+                if fresh:
+                    grown = np.empty(len(table) + len(fresh), dtype=object)
+                    grown[: len(table)] = table
+                    grown[len(table):] = fresh
+                    table = self._table = grown
+        return _gather(table, codes, None)
+
+    def order(self) -> StringOrder:
+        """The current sort order, cached by pool length: rebuilt (under the
+        lock) only when the pool has grown since the last call, and covering
+        every code handed out before this call."""
+        order = self._order
+        if len(order.strings) < len(self._strings):
+            with self._lock:
+                order = self._order
+                if len(order.strings) < len(self._strings):
+                    strings = list(self._strings)
+                    by_rank = sorted(range(len(strings)), key=strings.__getitem__)
+                    ranks = np.empty(len(strings), dtype=np.float64)
+                    ranks[by_rank] = np.arange(len(strings))
+                    order = self._order = StringOrder(
+                        ranks, [strings[c] for c in by_rank]
+                    )
+        return order
+
+
+#: The process-wide pool every STRING column's codes index (module docstring).
+string_pool = StringPool()
+
+
 def coerce_column(values: Any, data_type: DataType) -> np.ndarray:
     """Coerce an iterable of values to a numpy column of ``data_type``.
 
-    An array already of the storage dtype is returned as is. For STRING
-    (object arrays) that still requires :func:`coerce_value`'s check —
-    every entry a ``str`` — which is made once per distinct element type
-    instead of once per value; an array that fails it takes the per-value
-    path below and raises there for its first offending entry."""
+    STRING values are interned (checked once per distinct value); for the
+    other types an array already of the storage dtype is returned as is."""
+    if data_type is DataType.STRING:
+        return string_pool.intern(values)
     if isinstance(values, np.ndarray) and values.dtype == data_type.numpy_dtype:
-        if data_type is not DataType.STRING or all(
-            issubclass(t, str) for t in set(map(type, values.tolist()))
-        ):
-            return values
+        return values
     coerced = [coerce_value(v, data_type) for v in values]
     return np.array(coerced, dtype=data_type.numpy_dtype)
+
+
+def decode_column(values: np.ndarray, data_type: DataType) -> np.ndarray:
+    """A stored column as values: STRING codes become ``str`` objects."""
+    return string_pool.decode(values) if data_type is DataType.STRING else values
 
 
 def literal_type(value: Any) -> DataType:

@@ -19,8 +19,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import CatalogError, UnsupportedFeatureError
 from ..executor.executor import BatchResult, Executor
 from ..executor.runtime import ExecutionMetrics
@@ -307,8 +305,7 @@ def _apply_delta(
         if isinstance(out.expr, AggExpr) and out.expr.func is AggFunc.COUNT
     ]
     existing: Dict[tuple, List[Any]] = {}
-    rows = list(zip(*[table.column(n).tolist() for n in table.column_names]))
-    for row in rows:
+    for row in table.rows():
         existing[tuple(row[i] for i in key_positions)] = list(row)
     for row in delta_rows:
         key = tuple(row[i] for i in key_positions)
@@ -326,50 +323,27 @@ def _apply_delta(
             current[i] <= 0 for i in count_positions
         ):
             del existing[key]
-    merged_rows = sorted(existing.values(), key=repr)
-    columns = {}
-    for index, name in enumerate(table.column_names):
-        columns[name] = np.array(
-            [row[index] for row in merged_rows],
-            dtype=table.column_types[index].numpy_dtype,
-        )
-    table.load(columns)
+    table.load_rows(sorted(existing.values(), key=repr))
 
 
 def _apply_spj_delta(table, delta_rows: List[Tuple], sign: int) -> None:
     if not delta_rows:
         return
     if sign > 0:
-        columns = table.columns()
-        merged: Dict[str, np.ndarray] = {}
-        for index, name in enumerate(table.column_names):
-            extra = np.array(
-                [row[index] for row in delta_rows],
-                dtype=table.column_types[index].numpy_dtype,
-            )
-            merged[name] = np.concatenate([columns[name], extra])
-        table.load(merged)
+        table.load_rows(table.rows() + list(delta_rows))
         return
     # Delete: bag semantics — remove one stored copy per delta occurrence.
     from collections import Counter
 
     doomed = Counter(tuple(row) for row in delta_rows)
     kept: List[Tuple] = []
-    stored = list(zip(*[table.column(n).tolist() for n in table.column_names]))
-    for row in stored:
+    for row in table.rows():
         key = tuple(row)
         if doomed.get(key, 0) > 0:
             doomed[key] -= 1
             continue
         kept.append(row)
-    columns = {
-        name: np.array(
-            [row[index] for row in kept],
-            dtype=table.column_types[index].numpy_dtype,
-        )
-        for index, name in enumerate(table.column_names)
-    }
-    table.load(columns)
+    table.load_rows(kept)
 
 
 def _merge_output(expr: Expr, old: Any, new: Any, sign: int = +1) -> Any:

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..errors import CatalogError
 from ..executor.executor import Executor
 from ..logical.blocks import BoundBatch, BoundQuery
@@ -117,14 +115,7 @@ class ViewManager:
 def _rows_to_worktable(
     view: MaterializedView, rows: List[Tuple]
 ) -> WorkTable:
-    names = view.column_names
     types: List[DataType] = [o.expr.data_type for o in view.query.block.output]
-    columns: Dict[str, np.ndarray] = {}
-    for index, col_name in enumerate(names):
-        values = [row[index] for row in rows]
-        columns[col_name] = np.array(
-            values, dtype=types[index].numpy_dtype
-        )
-    table = WorkTable(view.name, names, types)
-    table.load(columns)
+    table = WorkTable(view.name, view.column_names, types)
+    table.load_rows(rows)
     return table

@@ -6,7 +6,7 @@ import pytest
 from repro.catalog.schema import Catalog, ColumnSchema, IndexSchema, TableSchema
 from repro.catalog.statistics import ColumnStats, Histogram, TableStats
 from repro.errors import CatalogError
-from repro.types import DataType
+from repro.types import DataType, string_pool
 
 
 def _simple_schema(name="t"):
@@ -134,10 +134,13 @@ class TestColumnStats:
         assert stats.histogram is not None
 
     def test_string_collection(self):
-        values = np.array(["a", "b", "a"], dtype=object)
+        """Collected from the stored codes; MCV keys are the strings."""
+        values = string_pool.intern(["a", "b", "a"])
         stats = ColumnStats.collect(values, DataType.STRING)
         assert stats.ndv == 2
         assert stats.min_value is None
+        assert stats.mcv == {"a": 2 / 3, "b": 1 / 3}
+        assert list(stats.mcv) == ["a", "b"]
 
     def test_empty(self):
         stats = ColumnStats.collect(np.empty(0, dtype=np.int64), DataType.INT)

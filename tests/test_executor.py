@@ -40,7 +40,7 @@ from repro.optimizer.physical import (
     PhysSpoolRead,
 )
 from repro.storage.worktable import WorkTable
-from repro.types import DataType
+from repro.types import DataType, string_pool
 
 
 def ctx_for(db):
@@ -446,9 +446,9 @@ def _key_pool(dtype):
         pool[3] = np.nan
         return DataType.FLOAT, DataType.FLOAT, pool, pool
     if dtype == "string":
-        pool = np.array(
-            ["a", "b", "c", "aa", "ab", "", "B", "zz", "a b", "é", "0", "c0"],
-            dtype=object,
+        # STRING frames hold pool codes; interned together, they are dense.
+        pool = string_pool.intern(
+            ["a", "b", "c", "aa", "ab", "", "B", "zz", "a b", "é", "0", "c0"]
         )
         return DataType.STRING, DataType.STRING, pool, pool
     assert dtype == "mixed"
@@ -510,12 +510,9 @@ def _assert_group_ids_equal(got, want):
 def _spool_source(cse_id, frame, ctx):
     """Publish ``frame`` as a spool in ``ctx`` and return a plan reading it."""
     names = [f"c{i}" for i in range(len(frame))]
-    ctx.spools[cse_id] = WorkTable(
-        cse_id,
-        names,
-        [expr.data_type for expr in frame],
-        dict(zip(names, frame.values())),
-    )
+    worktable = WorkTable(cse_id, names, [expr.data_type for expr in frame])
+    worktable.load_stored(dict(zip(names, frame.values())))
+    ctx.spools[cse_id] = worktable
     return PhysSpoolRead(cse_id, tuple(zip(names, frame)))
 
 

@@ -1,9 +1,10 @@
 """NULL ordering through ORDER BY: engine and oracle must agree.
 
-NULL-extended outer-join frames (PR 6) flow ``None`` (object columns) and
-``NaN`` (numeric columns) into ORDER BY. The engine encodes each sort key as
-dense rank codes with NULL ranking largest — NULLs last ascending, first
-descending, on both dtypes — and the reference oracle sorts with stable
+NULL-extended outer-join frames (PR 6) flow ``NaN`` into ORDER BY — in
+numeric columns and in float-widened string-code columns alike (string keys
+are mapped to pool sort ranks first, NULL staying NaN). The engine encodes
+each sort key as dense rank codes with NULL ranking largest — NULLs last
+ascending, first descending, for every type — and the reference oracle sorts with stable
 per-key passes under the same rule. These tests pin the unit behavior
 (including descending-tie stability, which a reversed-stable-sort
 implementation breaks) and the engine↔oracle agreement on null-extended
@@ -17,9 +18,10 @@ import pytest
 
 from repro import OptimizerOptions, Session
 from repro.executor.iterators import _rank_codes, sort_order_for
+from repro.expr.evaluator import string_ranks
 from repro.executor.reference import evaluate_batch
 from repro.expr.expressions import ColumnRef, TableRef
-from repro.types import DataType
+from repro.types import DataType, string_pool
 
 #: pinned seed for the randomized sweep (satellite regression anchor).
 PINNED_SEED = 20260807
@@ -39,9 +41,13 @@ class TestRankCodes:
         assert list(codes) == [2, 3, 0, 1, 3]
 
     def test_object_none_ranks_largest(self):
-        values = np.array(["b", None, "a", None, "c"], dtype=object)
-        codes = _rank_codes(values)
-        assert list(codes) == [1, 3, 0, 3, 2]
+        """What was an object-array None is a NaN code: same ranks."""
+        b, a, c = string_pool.intern(["b", "a", "c"]).tolist()
+        values = np.array([b, np.nan, a, np.nan, c])  # NaN code = NULL
+        ranks = string_ranks(
+            _col("s", DataType.STRING), values, string_pool.order()
+        )
+        assert list(_rank_codes(ranks)) == [1, 3, 0, 3, 2]
 
     def test_plain_int_dense_ranks(self):
         values = np.array([30, 10, 20, 10])
@@ -61,8 +67,10 @@ class TestSortOrder:
         assert list(desc) == [1, 0, 2]
 
     def test_object_none_ordering(self):
+        """What was an object-array None is a NaN code: same order."""
         col = _col("s", DataType.STRING)
-        frame = {col: np.array(["b", None, "a"], dtype=object)}
+        b, a = string_pool.intern(["b", "a"]).tolist()
+        frame = {col: np.array([b, np.nan, a])}
         assert list(sort_order_for(((col, False),), frame)) == [2, 0, 1]
         assert list(sort_order_for(((col, True),), frame)) == [1, 0, 2]
 
@@ -81,8 +89,8 @@ class TestSortOrder:
         assert ranked == [(2, 20), (2, 40), (1, 10), (1, 30)]
 
 
-#: unmatched nations NULL-extend c_acctbal (NaN in the engine's numeric
-#: frames, None in the oracle's row tuples).
+#: unmatched nations NULL-extend c_acctbal (NaN in the engine's frames,
+#: None in the oracle's row tuples).
 NULL_EXTENDED_SQL = (
     "select n_name, c_acctbal "
     "from nation left join customer on n_nationkey = c_nationkey "

@@ -9,7 +9,7 @@ from repro.storage.database import Database
 from repro.storage.index import RangeIndex
 from repro.storage.table import Table
 from repro.storage.worktable import WorkTable
-from repro.types import DataType
+from repro.types import DataType, string_pool
 
 
 def _schema():
@@ -72,6 +72,43 @@ class TestTable:
     def test_rows(self):
         table = Table(_schema(), _data(2))
         assert table.rows() == [(0, 0.0, "row0"), (1, 1.5, "row1")]
+
+    def test_row_agrees_with_rows_on_plain_python_values(self):
+        """Regression: ``row(i)`` returned numpy scalars where ``rows()[i]``
+        returned python values, and a ``np.str_`` / ``str``-subclass value
+        came back as that subclass."""
+
+        class Tagged(str):
+            pass
+
+        table = Table(_schema(), _data(2))
+        table.append_rows([(7, 2.5, Tagged("tag")), (8, 3.5, np.str_("np"))])
+        rows = table.rows()
+        assert rows[2:] == [(7, 2.5, "tag"), (8, 3.5, "np")]
+        for index, row in enumerate(rows):
+            assert table.row(index) == row
+            assert [type(v) for v in table.row(index)] == [int, float, str]
+            assert [type(v) for v in row] == [int, float, str]
+        assert {type(v) for v in table.column("s").tolist()} == {str}
+
+    def test_string_columns_are_stored_as_pool_codes(self):
+        """Value accessors speak ``str``; ``stored_column`` is the codes."""
+        table = Table(_schema(), _data(3))
+        stored = table.stored_column("s")
+        assert stored.dtype == np.int64
+        assert string_pool.decode(stored).tolist() == ["row0", "row1", "row2"]
+        assert table.column("s").tolist() == ["row0", "row1", "row2"]
+        assert table.columns()["s"].tolist() == ["row0", "row1", "row2"]
+        assert table.stored_column("k") is table.column("k")
+        with pytest.raises(StorageError):
+            table.stored_column("zz")
+
+    @pytest.mark.parametrize("bad", [None, 7, np.int64(0)])
+    def test_bad_string_rejected_on_append(self, bad):
+        table = Table(_schema(), _data(2))
+        with pytest.raises(StorageError):
+            table.append_rows([(9, 1.0, bad)])
+        assert table.row_count == 2
 
     def test_select_mask(self):
         table = Table(_schema(), _data())
@@ -172,6 +209,40 @@ class TestWorkTable:
         wt = WorkTable("w", ["a"], [DataType.INT])
         with pytest.raises(StorageError):
             wt.column("zz")
+
+    def test_string_values_in_codes_stored(self):
+        wt = WorkTable("w", ["k", "s"], [DataType.INT, DataType.STRING])
+        wt.load({"k": np.array([1, 2]), "s": ["x", "y"]})
+        assert wt.stored_column("s").dtype == np.int64
+        assert wt.column("s").tolist() == ["x", "y"]
+        assert wt.rows() == [(1, "x"), (2, "y")]
+        wt.load_rows([(3, "y"), (4, "z"), (5, "y")])
+        assert wt.rows() == [(3, "y"), (4, "z"), (5, "y")]
+        for bad in (7, None):
+            with pytest.raises(StorageError):
+                wt.load({"k": np.array([1]), "s": [bad]})
+        assert wt.row_count == 3
+
+    def test_spool_write_checks_codes_against_the_pool(self):
+        """``load_stored`` takes the executor's code arrays as they are,
+        but only int64 codes that the pool can decode."""
+        wt = WorkTable("w", ["s"], [DataType.STRING])
+        codes = string_pool.intern(["p", "q", "p"])
+        wt.load_stored({"s": codes})
+        assert wt.stored_column("s") is codes
+        assert wt.column("s").tolist() == ["p", "q", "p"]
+        wt.load_stored({"s": np.empty(0, dtype=np.int64)})
+        assert wt.row_count == 0
+        for bad in (
+            np.array([len(string_pool)], dtype=np.int64),  # past the pool
+            np.array([0, -1], dtype=np.int64),  # a never-stored literal
+            np.array([0.0, np.nan]),  # float-widened: a NULL string
+            np.array(["p"], dtype=object),  # values, not codes
+            [0, 1],
+        ):
+            with pytest.raises(StorageError):
+                wt.load_stored({"s": bad})
+        assert wt.row_count == 0
 
 
 class TestDatabase:

@@ -2,8 +2,8 @@
 skipping aggregation.
 
 The widened surface introduces NULLs (outer-join null extension) into an
-engine that was previously NULL-free. Numeric NULLs are NaN in float64
-columns, string NULLs are None entries in object arrays; the vectorized
+engine that was previously NULL-free. NULLs are NaN in float64 columns —
+string columns hold pool codes, so a NULL string is a NaN code; the vectorized
 evaluator (:func:`repro.expr.evaluator.evaluate3`) and the row-at-a-time
 oracle (``_eval_scalar``) must agree on Kleene semantics exactly, and
 aggregates must skip NULLs (with SQL's one wart: COUNT(*) counts them).
@@ -27,7 +27,7 @@ from repro.expr.expressions import (
     eq,
     gt,
 )
-from repro.types import DataType
+from repro.types import DataType, string_pool
 
 T = TableRef("t", 1)
 P = ColumnRef(T, "p", DataType.FLOAT)
@@ -78,8 +78,11 @@ class TestNullMask:
         assert mask.tolist() == [False, True]
 
     def test_object_with_none(self):
-        mask = null_mask(np.array(["a", None, "b"], dtype=object))
+        """What was an object-array None is a NaN code."""
+        a, b = string_pool.intern(["a", "b"]).tolist()
+        mask = null_mask(np.array([a, np.nan, b]))
         assert mask.tolist() == [False, True, False]
+        assert null_mask(np.array([a, b], dtype=np.int64)) is None
 
 
 class TestEvaluate3:
@@ -90,9 +93,14 @@ class TestEvaluate3:
         assert nulls.tolist() == [False, True, False]
 
     def test_comparison_with_none_string_is_null(self):
-        frame = {S: np.array(["a", None, "b"], dtype=object)}
+        a, b = string_pool.intern(["a", "b"]).tolist()
+        frame = {S: np.array([a, np.nan, b])}
         true, nulls = evaluate3(eq(S, Literal("b")), frame)
         assert true.tolist() == [False, False, True]
+        assert nulls.tolist() == [False, True, False]
+        less = Comparison(ComparisonOp.LT, S, Literal("b"))
+        true, nulls = evaluate3(less, frame)
+        assert true.tolist() == [True, False, False]
         assert nulls.tolist() == [False, True, False]
 
     def test_null_free_frame_has_no_null_mask(self):
