@@ -12,8 +12,7 @@ import numpy as np
 
 from repro import OptimizerOptions, Session
 from repro.views.maintenance import MaintenancePlanner
-from repro.views.materialized import ViewManager
-from repro.workloads.example1 import Q1_SQL, Q2_SQL, Q3_SQL
+from repro.workloads.example1 import example1_views
 
 
 def new_customers(count=100, start=70_000_000):
@@ -34,11 +33,7 @@ def new_customers(count=100, start=70_000_000):
 def main() -> None:
     database = Session.tpch(scale_factor=0.005).database
 
-    views = ViewManager(database)
-    views.create_view("mv_nation_segment", Q1_SQL)
-    views.create_view("mv_nation", Q2_SQL)
-    views.create_view("mv_region", Q3_SQL)
-    views.refresh_all()
+    views = example1_views(database)
     for view in views.views():
         print(f"materialized {view.name}: {view.contents.row_count} rows")
 

@@ -121,16 +121,11 @@ def generate_report(
 def _maintenance_section(scale_factor: float) -> str:
     from ..catalog.tpch import build_tpch_database
     from ..views.maintenance import MaintenancePlanner
-    from ..views.materialized import ViewManager
-    from ..workloads.example1 import Q1_SQL, Q2_SQL, Q3_SQL
+    from ..workloads.example1 import example1_views
 
     def setup(options):
         db = build_tpch_database(scale_factor=min(scale_factor, 0.005))
-        manager = ViewManager(db)
-        for i, sql in enumerate((Q1_SQL, Q2_SQL, Q3_SQL), 1):
-            manager.create_view(f"mv{i}", sql)
-        manager.refresh_all()
-        return MaintenancePlanner(db, manager, options)
+        return MaintenancePlanner(db, example1_views(db), options)
 
     rng = np.random.default_rng(31)
     segments = ["AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD", "MACHINERY"]

@@ -456,16 +456,11 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
         import numpy as np
 
         from .views.maintenance import MaintenancePlanner
-        from .views.materialized import ViewManager
-        from .workloads.example1 import Q1_SQL, Q2_SQL, Q3_SQL
+        from .workloads.example1 import example1_views
 
         def setup(options):
             db = Session.tpch(scale_factor=args.sf, seed=args.seed).database
-            manager = ViewManager(db)
-            for i, sql in enumerate((Q1_SQL, Q2_SQL, Q3_SQL), 1):
-                manager.create_view(f"mv{i}", sql)
-            manager.refresh_all()
-            return MaintenancePlanner(db, manager, options)
+            return MaintenancePlanner(db, example1_views(db), options)
 
         rng = np.random.default_rng(7)
         rows = [

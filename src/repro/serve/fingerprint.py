@@ -152,11 +152,16 @@ def config_key(options: OptimizerOptions, cost_model: CostModel) -> str:
 
 
 def batch_tables(batch: BoundBatch) -> frozenset:
-    """Lower-cased physical table names the batch reads (for invalidation)."""
+    """Lower-cased physical table names the batch reads (for invalidation).
+
+    Delta references (§6.4) are left out: a delta table is the maintenance
+    batch's *input*, re-filled before every run, so the plan depends on
+    which table that is and not on what it holds."""
     return frozenset(
         t.physical_name.lower()
         for block in batch.all_blocks()
         for t in block.tables
+        if not t.is_delta
     )
 
 

@@ -1,4 +1,4 @@
-"""Work tables: spool targets and delta tables.
+"""Work tables: spool targets and stored view contents.
 
 The paper's spool operator materializes a CSE's result into an internal work
 table that consumers then read sequentially (§4.3.2, §5.2). A
@@ -7,11 +7,6 @@ columns but no catalog presence. Like a :class:`~repro.storage.table.Table`
 it stores STRING columns as ``string_pool`` codes behind value-level
 accessors; the executor reads ``stored_column`` and writes spools through
 ``load_stored``.
-
-Delta tables for view maintenance (§6.4) are work tables tagged with the base
-table whose update they capture; the CSE machinery treats them "as a special
-table when generating table signatures" — we give them a distinguishable
-signature name ``delta(<base>)``.
 """
 
 from __future__ import annotations
@@ -40,7 +35,6 @@ class WorkTable:
         column_names: Sequence[str],
         column_types: Sequence[DataType],
         columns: Optional[Mapping[str, np.ndarray]] = None,
-        delta_of: Optional[str] = None,
     ) -> None:
         if len(column_names) != len(column_types):
             raise StorageError("column names/types length mismatch")
@@ -49,20 +43,12 @@ class WorkTable:
         self.name = name
         self.column_names: List[str] = list(column_names)
         self.column_types: List[DataType] = list(column_types)
-        self.delta_of = delta_of
         self._columns: Dict[str, np.ndarray] = {}
         if columns is not None:
             self.load(columns)
         else:
             for col_name, col_type in zip(self.column_names, self.column_types):
                 self._columns[col_name] = np.empty(0, dtype=col_type.numpy_dtype)
-
-    @property
-    def signature_name(self) -> str:
-        """Name used when this table participates in table signatures."""
-        if self.delta_of is not None:
-            return f"delta({self.delta_of})"
-        return self.name
 
     def load(self, columns: Mapping[str, Any]) -> None:
         """Replace the work table's columns with the given values

@@ -1,32 +1,36 @@
 """Joint maintenance of materialized views (paper §6.4).
 
-When a base table receives inserts, the new rows land in a *delta table*;
-each affected view's definition is rewritten with the delta table substituted
-for the base table, and the rewritten maintenance queries are optimized
-**as one batch**. The delta table participates in table signatures as the
-special name ``delta(<base>)`` (paper: "we treat the delta table as a special
-table when generating table signatures"), so maintenance expressions for
-different views can share covering subexpressions exactly like a user batch.
+When a base table changes, the changed rows land in its *delta table*
+``__delta_<base>`` — a catalog table created on the first write and only
+re-filled afterwards. Each affected view's definition is rewritten with the
+delta table substituted for the base table, and the rewritten maintenance
+queries run **as one batch** through an ordinary :class:`~repro.api.Session`
+— plan cache, cost model and executor included. The delta table
+participates in table signatures as the special name ``delta(<base>)``
+(paper: "we treat the delta table as a special table when generating table
+signatures"), so maintenance expressions for different views can share
+covering subexpressions exactly like a user batch.
 
-Only insert maintenance is implemented (the experiment in §6.4 updates
-``customer`` with new rows); SUM/COUNT/MIN/MAX aggregates and SPJ views are
-self-maintainable under inserts.
+SUM/COUNT aggregates and SPJ views are self-maintainable under inserts and
+deletes; MIN/MAX under inserts only.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..errors import CatalogError, UnsupportedFeatureError
-from ..executor.executor import BatchResult, Executor
-from ..executor.runtime import ExecutionMetrics
-from ..expr.expressions import AggExpr, AggFunc, ColumnRef, Expr, TableRef
-from ..logical.blocks import BoundBatch, BoundQuery, OutputColumn, QueryBlock
-from ..optimizer.engine import OptimizationResult, Optimizer
-from ..optimizer.options import OptimizerOptions
+from ..api import Session
 from ..catalog.schema import ColumnSchema, TableSchema
+from ..cse.compatibility import remap_expr
+from ..errors import CatalogError, StorageError, UnsupportedFeatureError
+from ..executor.executor import BatchResult
+from ..expr.expressions import AggExpr, AggFunc, Expr, TableRef
+from ..logical.blocks import BoundBatch, BoundQuery, OutputColumn, QueryBlock
+from ..optimizer.engine import OptimizationResult
+from ..optimizer.options import OptimizerOptions
 from ..storage.database import Database
 from .materialized import MaterializedView, ViewManager
 
@@ -53,52 +57,8 @@ class MaintenanceOutcome:
         return self.execution.metrics.cost_units
 
 
-def _replace_table(expr: Expr, old: TableRef, new: TableRef) -> Expr:
-    mapping: Dict[Expr, Expr] = {}
-    for col in expr.columns():
-        if col.table_ref == old:
-            mapping[col] = ColumnRef(new, col.column, col.data_type)
-    return expr.substitute(mapping)
-
-
-def rewrite_block_with_delta(
-    block: QueryBlock, base_table: str, delta_ref_factory
-) -> QueryBlock:
-    """Substitute the delta table for every instance of ``base_table``."""
-    replacements: Dict[TableRef, TableRef] = {}
-    new_tables: List[TableRef] = []
-    for table_ref in block.tables:
-        if table_ref.table.lower() == base_table.lower():
-            replacement = delta_ref_factory(table_ref)
-            replacements[table_ref] = replacement
-            new_tables.append(replacement)
-        else:
-            new_tables.append(table_ref)
-    if not replacements:
-        raise CatalogError(
-            f"view block {block.name!r} does not reference {base_table!r}"
-        )
-
-    def rewrite(expr: Expr) -> Expr:
-        for old, new in replacements.items():
-            expr = _replace_table(expr, old, new)
-        return expr
-
-    return QueryBlock(
-        name=block.name,
-        tables=tuple(new_tables),
-        conjuncts=tuple(rewrite(c) for c in block.conjuncts),
-        output=tuple(
-            OutputColumn(name=o.name, expr=rewrite(o.expr)) for o in block.output
-        ),
-        group_keys=tuple(rewrite(k) for k in block.group_keys),  # type: ignore[misc]
-        aggregates=tuple(rewrite(a) for a in block.aggregates),  # type: ignore[misc]
-        having=tuple(rewrite(h) for h in block.having),
-    )
-
-
 class MaintenancePlanner:
-    """Plans and runs joint maintenance for all views affected by inserts."""
+    """Plans and runs joint maintenance for all views affected by a write."""
 
     def __init__(
         self,
@@ -108,8 +68,9 @@ class MaintenancePlanner:
     ) -> None:
         self.database = database
         self.views = views
-        self.options = options or OptimizerOptions()
-        self._delta_counter = itertools.count(1)
+        #: maintenance batches run like any user batch; the delta table's
+        #: stable name makes every write after the first a plan-cache hit.
+        self.session = Session(database, options)
 
     # ------------------------------------------------------------------
 
@@ -122,70 +83,48 @@ class MaintenancePlanner:
             raise CatalogError(
                 f"no materialized view references {table_name!r}"
             )
+        # Fresh instances throughout, so maintenance queries never share a
+        # table instance with each other or with the views they maintain.
+        instances = itertools.count(10_000_000)
         queries: List[BoundQuery] = []
-        instance_counter = itertools.count(10_000_000)
         for view in affected:
-            fresh = self._fresh_copy(view.query, instance_counter)
-
-            def delta_ref_factory(old: TableRef) -> TableRef:
-                return TableRef(
+            if view.query.subqueries:
+                raise UnsupportedFeatureError(
+                    "maintenance of views with subqueries"
+                )
+            block = view.query.block
+            table_map: Dict[TableRef, TableRef] = {}
+            for old in block.tables:
+                changed = old.table.lower() == table_name.lower()
+                table_map[old] = TableRef(
                     table=old.table,
-                    instance=next(instance_counter),
-                    alias=f"delta_{old.display_name}",
-                    is_delta=True,
-                    storage_name=delta_table,
+                    instance=next(instances),
+                    alias=f"delta_{old.display_name}" if changed else old.alias,
+                    is_delta=changed or old.is_delta,
+                    storage_name=delta_table if changed else old.storage_name,
                 )
 
-            block = rewrite_block_with_delta(
-                fresh.block, table_name, delta_ref_factory
-            )
+            def remap(exprs):
+                return tuple(remap_expr(e, table_map) for e in exprs)
+
             queries.append(
                 BoundQuery(
                     name=f"maint_{view.name}",
-                    block=block,
-                    subqueries={},
-                    order_by=(),
+                    block=QueryBlock(
+                        name=f"{block.name}__maint",
+                        tables=tuple(table_map.values()),
+                        conjuncts=remap(block.conjuncts),
+                        output=tuple(
+                            OutputColumn(o.name, remap_expr(o.expr, table_map))
+                            for o in block.output
+                        ),
+                        group_keys=remap(block.group_keys),
+                        aggregates=remap(block.aggregates),
+                        having=remap(block.having),
+                    ),
                 )
             )
         return BoundBatch(queries=queries), affected
-
-    @staticmethod
-    def _fresh_copy(query: BoundQuery, counter) -> BoundQuery:
-        """Re-instance a bound query so maintenance batches never share
-        table instances with each other or with the original views."""
-        if query.subqueries:
-            raise UnsupportedFeatureError(
-                "maintenance of views with subqueries"
-            )
-        block = query.block
-        mapping = {
-            t: TableRef(
-                table=t.table,
-                instance=next(counter),
-                alias=t.alias,
-                is_delta=t.is_delta,
-                storage_name=t.storage_name,
-            )
-            for t in block.tables
-        }
-
-        def rewrite(expr: Expr) -> Expr:
-            for old, new in mapping.items():
-                expr = _replace_table(expr, old, new)
-            return expr
-
-        new_block = QueryBlock(
-            name=f"{block.name}__maint",
-            tables=tuple(mapping[t] for t in block.tables),
-            conjuncts=tuple(rewrite(c) for c in block.conjuncts),
-            output=tuple(
-                OutputColumn(o.name, rewrite(o.expr)) for o in block.output
-            ),
-            group_keys=tuple(rewrite(k) for k in block.group_keys),  # type: ignore[misc]
-            aggregates=tuple(rewrite(a) for a in block.aggregates),  # type: ignore[misc]
-            having=tuple(rewrite(h) for h in block.having),
-        )
-        return BoundQuery(name=block.name, block=new_block)
 
     # ------------------------------------------------------------------
 
@@ -221,59 +160,82 @@ class MaintenancePlanner:
         self, table_name: str, rows: Sequence[Sequence[Any]], sign: int
     ) -> MaintenanceOutcome:
         schema = self.database.catalog.table(table_name)
-        delta_name = f"__delta_{schema.name}_{next(self._delta_counter)}"
-        delta_schema = TableSchema(
-            name=delta_name,
-            columns=[
-                ColumnSchema(c.name, c.data_type, c.ndv_hint)
-                for c in schema.columns
-            ],
-        )
-        self.database.create_table(delta_schema)
-        self.database.insert(delta_name, rows)
-        self.database.analyze(delta_name)
-
-        try:
-            batch, affected = self.build_maintenance_batch(
-                schema.name, delta_name
+        delta_name = f"__delta_{schema.name}"
+        batch, affected = self.build_maintenance_batch(schema.name, delta_name)
+        for view in affected:
+            if view.contents is None:
+                raise CatalogError(
+                    f"view {view.name!r} must be refreshed before maintenance"
+                )
+        if not self.database.has_table(delta_name):
+            self.database.create_table(
+                TableSchema(
+                    name=delta_name,
+                    columns=[
+                        ColumnSchema(c.name, c.data_type, c.ndv_hint)
+                        for c in schema.columns
+                    ],
+                )
             )
-            optimizer = Optimizer(self.database, self.options)
-            optimization = optimizer.optimize(batch)
-            execution = Executor(self.database).execute(optimization.bundle)
-            applied: Dict[str, int] = {}
-            for view in affected:
-                delta_rows = execution.query(f"maint_{view.name}").rows
-                applied[view.name] = len(delta_rows)
-                _apply_delta(view, delta_rows, sign)
-            # Finally, the base table itself changes.
-            if sign > 0:
-                self.database.insert(schema.name, rows)
-            else:
-                self._delete_base_rows(schema.name, rows)
-        finally:
-            self.database.drop_table(delta_name)
+        # A table-scoped mutation, and the only validation of ``rows``: a
+        # rejected write stops here, before any view or the base table moved.
+        self.database.load(delta_name, _columns_of(schema, rows))
+
+        outcome = self.session.execute(batch)
+        applied: Dict[str, int] = {}
+        for view in affected:
+            delta_rows = outcome.execution.query(f"maint_{view.name}").rows
+            applied[view.name] = len(delta_rows)
+            _apply_delta(view, delta_rows, sign)
+        # Finally, the base table itself changes.
+        if sign > 0:
+            self.database.insert(schema.name, rows)
+        else:
+            self._delete_base_rows(schema, rows)
 
         return MaintenanceOutcome(
             table=schema.name,
             delta_rows=len(rows),
             affected_views=[v.name for v in affected],
-            optimization=optimization,
-            execution=execution,
+            optimization=outcome.optimization,
+            execution=outcome.execution,
             applied_rows=applied,
         )
 
     def _delete_base_rows(
-        self, table_name: str, rows: Sequence[Sequence[Any]]
+        self, schema: TableSchema, rows: Sequence[Sequence[Any]]
     ) -> None:
-        table = self.database.table(table_name)
-        doomed = {tuple(row) for row in rows}
-        keep = [row for row in table.rows() if tuple(row) not in doomed]
-        names = table.schema.column_names
-        columns = {
-            name: [row[i] for row in keep] for i, name in enumerate(names)
-        }
-        self.database.load(table_name, columns)
-        self.database.analyze(table_name)
+        keep = _without_rows(self.database.table(schema.name).rows(), rows)
+        self.database.load(schema.name, _columns_of(schema, keep))
+        self.database.analyze(schema.name)
+
+
+def _columns_of(
+    schema: TableSchema, rows: Sequence[Sequence[Any]]
+) -> Mapping[str, List[Any]]:
+    """Row tuples as the column mapping ``Database.load`` takes."""
+    names = schema.column_names
+    for row in rows:
+        if len(row) != len(names):
+            raise StorageError(
+                f"row has {len(row)} values, table {schema.name!r} has "
+                f"{len(names)} columns"
+            )
+    return {name: [row[i] for row in rows] for i, name in enumerate(names)}
+
+
+def _without_rows(
+    stored: Sequence[Tuple], doomed_rows: Sequence[Sequence[Any]]
+) -> List[Tuple]:
+    """Bag difference: drop one stored copy per occurrence in the delta."""
+    doomed = Counter(tuple(row) for row in doomed_rows)
+    kept: List[Tuple] = []
+    for row in stored:
+        if doomed[row] > 0:
+            doomed[row] -= 1
+        else:
+            kept.append(row)
+    return kept
 
 
 def _apply_delta(
@@ -286,14 +248,13 @@ def _apply_delta(
     remove matching tuples on delete. On delete, a group whose COUNT(*)
     output reaches zero disappears.
     """
-    if view.contents is None:
-        raise CatalogError(
-            f"view {view.name!r} must be refreshed before maintenance"
-        )
     block = view.query.block
     table = view.contents
     if not block.has_groupby:
-        _apply_spj_delta(table, delta_rows, sign)
+        if sign > 0:
+            table.load_rows(table.rows() + list(delta_rows))
+        else:
+            table.load_rows(_without_rows(table.rows(), delta_rows))
         return
 
     key_positions = [
@@ -324,26 +285,6 @@ def _apply_delta(
         ):
             del existing[key]
     table.load_rows(sorted(existing.values(), key=repr))
-
-
-def _apply_spj_delta(table, delta_rows: List[Tuple], sign: int) -> None:
-    if not delta_rows:
-        return
-    if sign > 0:
-        table.load_rows(table.rows() + list(delta_rows))
-        return
-    # Delete: bag semantics — remove one stored copy per delta occurrence.
-    from collections import Counter
-
-    doomed = Counter(tuple(row) for row in delta_rows)
-    kept: List[Tuple] = []
-    for row in table.rows():
-        key = tuple(row)
-        if doomed.get(key, 0) > 0:
-            doomed[key] -= 1
-            continue
-        kept.append(row)
-    table.load_rows(kept)
 
 
 def _merge_output(expr: Expr, old: Any, new: Any, sign: int = +1) -> Any:

@@ -2,7 +2,7 @@
 
 A materialized view is an SPJG query whose result is stored. The
 :class:`ViewManager` keeps definitions, materializes their contents (through
-the regular optimizer/executor pipeline) and exposes which views are affected
+an ordinary :class:`~repro.api.Session`) and exposes which views are affected
 by an update to a base table.
 """
 
@@ -11,11 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..api import Session
 from ..errors import CatalogError
-from ..executor.executor import Executor
-from ..logical.blocks import BoundBatch, BoundQuery
-from ..optimizer.engine import Optimizer
-from ..optimizer.options import OptimizerOptions
+from ..logical.blocks import BoundQuery
 from ..sql.binder import Binder
 from ..sql.parser import parse_batch
 from ..storage.database import Database
@@ -94,22 +92,19 @@ class ViewManager:
 
     # ------------------------------------------------------------------
 
-    def refresh(
-        self, name: str, options: Optional[OptimizerOptions] = None
-    ) -> MaterializedView:
+    def refresh(self, name: str) -> MaterializedView:
         """(Re)compute one view's contents from scratch."""
         view = self.view(name)
-        optimizer = Optimizer(self.database, options or OptimizerOptions())
-        result = optimizer.optimize(BoundBatch(queries=[view.query]))
-        execution = Executor(self.database).execute(result.bundle)
-        rows = execution.query(view.name).rows
+        # A throw-away session, so no plan cache (or its listener) to set up.
+        outcome = Session(self.database, plan_cache_size=0).execute(view.query)
+        rows = outcome.execution.query(view.name).rows
         view.contents = _rows_to_worktable(view, rows)
         return view
 
-    def refresh_all(self, options: Optional[OptimizerOptions] = None) -> None:
+    def refresh_all(self) -> None:
         """Recompute every view's contents."""
         for view in self._views.values():
-            self.refresh(view.name, options)
+            self.refresh(view.name)
 
 
 def _rows_to_worktable(

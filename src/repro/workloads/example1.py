@@ -17,6 +17,9 @@ from __future__ import annotations
 
 from typing import List
 
+from ..storage.database import Database
+from ..views.materialized import ViewManager
+
 Q1_SQL = """
 select c_nationkey, c_mktsegment,
        sum(l_extendedprice) as le, sum(l_quantity) as lq
@@ -92,3 +95,13 @@ def example1_with_q4() -> str:
 def nested_query() -> str:
     """The Table 3 nested query."""
     return NESTED_QUERY_SQL.strip()
+
+
+def example1_views(database: Database) -> ViewManager:
+    """The §6.4 fixture: Q1-Q3 as materialized views ``mv1``-``mv3`` over
+    ``database``, refreshed."""
+    manager = ViewManager(database)
+    for number, sql in enumerate(EXAMPLE1_QUERIES, 1):
+        manager.create_view(f"mv{number}", sql)
+    manager.refresh_all()
+    return manager

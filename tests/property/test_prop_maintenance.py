@@ -15,6 +15,11 @@ VIEW_SQL = (
     "group by c_nationkey"
 )
 
+CUSTOMER_VIEW_SQL = (
+    "select c_nationkey, sum(c_acctbal) as bal, count(*) as n "
+    "from customer group by c_nationkey"
+)
+
 SEGMENTS = ["AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD", "MACHINERY"]
 
 
@@ -84,3 +89,53 @@ class TestMaintenanceRoundtrip:
         fresh.create_view("f", VIEW_SQL)
         fresh.refresh("f")
         assert incremental == _view_dict(fresh.view("f"))
+
+    @given(
+        st.lists(st.integers(1, 40), min_size=3, max_size=3),
+        st.integers(0, 2**16),
+    )
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
+    )
+    def test_successive_writes_through_one_cached_plan(self, sizes, seed):
+        """Three inserts of different sizes, then a delete, through one
+        planner: every write after the first re-runs the plan costed for
+        the first delta. The new customers reuse existing keys, so their
+        deltas join with stored orders."""
+        db = build_tpch_database(scale_factor=0.0005)
+        views = {"v": VIEW_SQL, "c": CUSTOMER_VIEW_SQL}
+        manager = ViewManager(db)
+        fresh = ViewManager(db)
+        for name, sql in views.items():
+            manager.create_view(name, sql)
+            fresh.create_view(name, sql)
+        manager.refresh_all()
+        planner = MaintenancePlanner(db, manager)
+        rng = np.random.default_rng(seed)
+        keys = db.table("customer").column("c_custkey")
+        written = []
+        for size in sizes:
+            rows = [
+                (
+                    int(rng.choice(keys)),
+                    f"Again#{len(written) + i}",
+                    int(rng.integers(0, 25)),
+                    SEGMENTS[int(rng.integers(0, 5))],
+                    float(rng.integers(0, 1000)),
+                )
+                for i in range(size)
+            ]
+            planner.apply_insert("customer", rows)
+            written.extend(rows)
+        planner.apply_delete("customer", written[::2])
+        assert planner.session.plan_cache.hits == 3
+        fresh.refresh_all()
+        for name in views:
+            assert _view_dict(manager.view(name)) == _view_dict(
+                fresh.view(name)
+            ), name

@@ -1,7 +1,11 @@
 """Tests for the public Session API."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import (
     CostModel,
     ExecutionOutcome,
@@ -156,3 +160,18 @@ class TestParallelExecuteFlags:
         snapshot = registry.snapshot()
         assert snapshot["counters"]["executor.parallel_batches"] == 1
         assert snapshot["gauges"]["executor.parallel_workers"] == 2
+
+
+def test_only_the_session_constructs_an_optimizer_or_executor():
+    """One entry into the engine: ``api.py`` builds every ``Optimizer`` and
+    ``Executor``; views, serving and the CLI go through a ``Session``."""
+    root = Path(repro.__file__).parent
+    constructed = re.compile(r"(?<!\w)(?<!class )(Optimizer|Executor)\(")
+    offenders = [
+        f"{path.relative_to(root)}:{number}: {line.strip()}"
+        for path in sorted(root.rglob("*.py"))
+        if path.name != "api.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if constructed.search(line)
+    ]
+    assert offenders == []

@@ -194,6 +194,50 @@ class TestDataIntegrityFailures:
                 "customer", [(99_999_999, "X", 1, "BUILDING", 1.0)]
             )
 
+    def test_rejected_write_changes_nothing(self):
+        """A write refused for a badly typed row, or for a view that was
+        never refreshed, leaves the catalog, every view and the base table
+        as they were — no leaked delta table, no half-merged views."""
+        from repro.views.maintenance import MaintenancePlanner
+        from repro.views.materialized import ViewManager
+
+        db = Database()
+        db.create_table(
+            TableSchema(
+                "t",
+                [ColumnSchema("a", DataType.INT), ColumnSchema("b", DataType.INT)],
+            )
+        )
+        db.insert("t", [(1, 10), (2, 20)])
+        manager = ViewManager(db)
+        manager.create_view("flat", "select a, b from t")
+        manager.create_view("agg", "select a, sum(b) as s from t group by a")
+        manager.refresh_all()
+        planner = MaintenancePlanner(db, manager)
+        planner.apply_insert("t", [(3, 30)])
+
+        def state():
+            return (
+                db.catalog_version,
+                sorted(db.catalog.table_names()),
+                db.table("t").rows(),
+                [
+                    view.contents.rows()
+                    for view in manager.views()
+                    if view.contents is not None
+                ],
+            )
+
+        before = state()
+        with pytest.raises(StorageError):
+            planner.apply_insert("t", [("x", 1)])
+        assert state() == before
+
+        manager.create_view("late", "select b from t")  # never refreshed
+        with pytest.raises(CatalogError, match="refreshed"):
+            planner.apply_insert("t", [(4, 40)])
+        assert state() == before
+
 
 class TestOptimizerGuards:
     def test_bad_cost_mode(self):

@@ -135,3 +135,23 @@ class TestDeleteMaintenance:
         planner = MaintenancePlanner(db, manager)
         outcome = planner.apply_delete("customer", _existing_customers(db, 40))
         assert outcome.optimization.stats.used_cses
+
+    def test_delete_one_of_two_identical_rows(self, db):
+        """Bag semantics on the base table too: deleting one copy of a
+        duplicated row leaves the other, in the table and in the views."""
+        twin = db.table("customer").row(0)
+        db.insert("customer", [twin])
+        views = {"flat": SPJ_VIEW.replace("< 5", "< 25"), "agg": SUM_VIEW}
+        manager = ViewManager(db)
+        fresh = ViewManager(db)
+        for name, sql in views.items():
+            manager.create_view(name, sql)
+            fresh.create_view(name, sql)
+        manager.refresh_all()
+        MaintenancePlanner(db, manager).apply_delete("customer", [twin])
+        assert db.table("customer").rows().count(twin) == 1
+        fresh.refresh_all()
+        assert sorted(manager.view("flat").contents.rows()) == sorted(
+            fresh.view("flat").contents.rows()
+        )
+        assert _view_dict(manager.view("agg")) == _view_dict(fresh.view("agg"))

@@ -85,6 +85,30 @@ class TestFingerprint:
             {"customer", "orders", "lineitem", "nation"}
         )
 
+    def test_maintenance_batch_scope_excludes_its_delta(self):
+        """§6.4: the delta table is the maintenance batch's input, so
+        neither it nor the written base table is in the plan's
+        invalidation scope — the other tables the views read are."""
+        from repro.views.maintenance import MaintenancePlanner
+        from repro.workloads.example1 import example1_views
+
+        session = Session.tpch(scale_factor=0.0005)
+        database = session.database
+        planner = MaintenancePlanner(database, example1_views(database))
+        batch, _ = planner.build_maintenance_batch(
+            "customer", "__delta_customer"
+        )
+        assert batch_tables(batch) == frozenset(
+            {"orders", "lineitem", "nation"}
+        )
+        row = (1, "Customer#again", 7, "BUILDING", 1.0)
+        planner.apply_insert("customer", [row])
+        planner.apply_insert("customer", [row])
+        cache = planner.session.plan_cache
+        assert (len(cache), cache.hits) == (1, 1)
+        database.insert("orders", [database.table("orders").row(0)])
+        assert len(cache) == 0
+
     def test_config_key_distinguishes_options(self):
         model = CostModel()
         assert config_key(OptimizerOptions(), model) != config_key(

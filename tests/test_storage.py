@@ -185,12 +185,6 @@ class TestWorkTable:
         assert wt.column("a").tolist() == [1, 2]
         assert wt.column_type("b") is DataType.FLOAT
 
-    def test_signature_name_plain_and_delta(self):
-        plain = WorkTable("w", ["a"], [DataType.INT])
-        delta = WorkTable("w", ["a"], [DataType.INT], delta_of="customer")
-        assert plain.signature_name == "w"
-        assert delta.signature_name == "delta(customer)"
-
     def test_mismatched_load_rejected(self):
         wt = WorkTable("w", ["a"], [DataType.INT])
         with pytest.raises(StorageError):

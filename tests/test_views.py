@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import OptimizerOptions
+from repro import OptimizerOptions, Session
 from repro.catalog.tpch import build_tpch_database
 from repro.errors import CatalogError, StorageError
 from repro.views.maintenance import MaintenancePlanner
@@ -74,6 +74,22 @@ def _view_as_dict(view):
     return {tuple(r[:key_count]): r[key_count:] for r in rows}
 
 
+def _rounded(view):
+    return {
+        key: tuple(round(x, 4) for x in values)
+        for key, values in _view_as_dict(view).items()
+    }
+
+
+def _assert_views_equal_recompute(db, manager):
+    fresh = ViewManager(db)
+    for name, sql in (("v1", V1), ("v2", V2), ("v3", V3)):
+        fresh.create_view(name, sql)
+    fresh.refresh_all()
+    for name in ("v1", "v2", "v3"):
+        assert _rounded(manager.view(name)) == _rounded(fresh.view(name)), name
+
+
 class TestViewManager:
     def test_create_and_refresh(self, manager):
         view = manager.view("v1")
@@ -97,8 +113,6 @@ class TestViewManager:
             manager.view("v3")
 
     def test_refresh_matches_direct_query(self, manager, db):
-        from repro import Session
-
         view = manager.view("v1")
         outcome = Session(db).execute(V1)
         direct = sorted(outcome.execution.results[0].rows, key=repr)
@@ -116,8 +130,8 @@ class TestMaintenance:
         outcome = planner.apply_insert("customer", rows)
         assert sorted(outcome.affected_views) == ["v1", "v2", "v3"]
         assert outcome.delta_rows == len(rows)
-        # The delta table is dropped afterwards.
-        assert not db.has_table(outcome.table + "_delta")
+        # The delta table stays: one stable catalog table per written base.
+        assert db.has_table("__delta_customer")
 
     @pytest.mark.parametrize("bad", [None, 7])
     def test_insert_of_bad_string_rejected(self, manager, db, bad):
@@ -132,29 +146,7 @@ class TestMaintenance:
     def test_maintenance_result_equals_recompute(self, manager, db):
         planner = MaintenancePlanner(db, manager)
         planner.apply_insert("customer", _new_customers(db))
-        incremental = {
-            name: _view_as_dict(manager.view(name)) for name in ("v1", "v2", "v3")
-        }
-        # Recompute from scratch over the updated base tables.
-        fresh = ViewManager(db)
-        for name, sql in (("f1", V1), ("f2", V2), ("f3", V3)):
-            fresh.create_view(name, sql)
-        fresh.refresh_all()
-        recomputed = {
-            "v1": _view_as_dict(fresh.view("f1")),
-            "v2": _view_as_dict(fresh.view("f2")),
-            "v3": _view_as_dict(fresh.view("f3")),
-        }
-        for name in ("v1", "v2", "v3"):
-            got = {
-                k: tuple(round(x, 4) for x in v)
-                for k, v in incremental[name].items()
-            }
-            want = {
-                k: tuple(round(x, 4) for x in v)
-                for k, v in recomputed[name].items()
-            }
-            assert got == want, name
+        _assert_views_equal_recompute(db, manager)
 
     def test_maintenance_batch_shares_cse(self, manager, db):
         """The paper's §6.4 claim: maintenance expressions share a covering
@@ -225,3 +217,67 @@ class TestMaintenance:
         matching = sum(1 for r in rows if r[2] == 3)
         planner.apply_insert("customer", rows)
         assert manager.view("flat").contents.row_count == before + matching
+
+
+class TestMaintenanceThroughSession:
+    """§6.4 through the one engine: the maintenance batch is a plan-cache
+    entry like any other, and a write invalidates by table, not by DDL."""
+
+    def test_write_invalidates_by_table_only(self, manager, db):
+        planner = MaintenancePlanner(db, manager)
+        reader = Session(db)
+        untouched = (
+            "select o_orderstatus, sum(l_quantity) as q from orders, lineitem "
+            "where o_orderkey = l_orderkey group by o_orderstatus"
+        )
+        touched = (
+            "select c_mktsegment, sum(o_totalprice) as t from customer, orders "
+            "where c_custkey = o_custkey group by c_mktsegment"
+        )
+        # The first write creates __delta_customer (DDL); warm up after it.
+        planner.apply_insert("customer", _new_customers(db, 5))
+        reader.execute(untouched)
+        reader.execute(touched)
+        version = db.catalog_version
+        planner.apply_insert(
+            "customer", _new_customers(db, 5, start_key=11_000_000)
+        )
+        assert db.catalog_version == version
+        assert reader.execute(untouched).plan_cache_hit
+        assert not reader.execute(touched).plan_cache_hit
+
+    def test_maintenance_plan_is_cached(self, manager, db):
+        planner = MaintenancePlanner(db, manager)
+        cache = planner.session.plan_cache
+        previous = planner.apply_insert("customer", _new_customers(db, 5))
+        assert cache.hits == 0
+        for write in range(1, 4):
+            outcome = planner.apply_insert(
+                "customer",
+                # Existing keys: these customers have orders, so every
+                # view's delta is non-empty and of a different size.
+                _new_customers(db, 7 * write, start_key=30 * write),
+            )
+            assert cache.hits == write
+            assert outcome.optimization is previous.optimization
+            assert outcome.applied_rows["v3"] > 0
+            previous = outcome
+        _assert_views_equal_recompute(db, manager)
+
+    def test_options_do_not_share_plans(self, manager, db):
+        sharing = MaintenancePlanner(db, manager)
+        baseline = MaintenancePlanner(
+            db, manager, OptimizerOptions(enable_cse=False)
+        )
+        start = 1  # existing keys, so the deltas join with orders
+        for planner in (sharing, baseline, sharing, baseline):
+            planner.apply_insert(
+                "customer", _new_customers(db, 6, start_key=start)
+            )
+            start += 10
+        # One miss each (their config keys differ), then one hit each.
+        for planner in (sharing, baseline):
+            assert planner.session.plan_cache.misses == 1
+            assert planner.session.plan_cache.hits == 1
+        assert sharing.session.plan_cache is not baseline.session.plan_cache
+        _assert_views_equal_recompute(db, manager)
