@@ -66,19 +66,19 @@ def test_stacked_consumers_detected(benchmark, bench_db):
     def run():
         optimizer = Optimizer(bench_db, OptimizerOptions())
         batch = bind_batch(bench_db.catalog, example1_with_q4())
-        result = optimizer.optimize(batch)
+        result, state = optimizer.optimize_with_run(batch)
         narrow = next(
             c for c in result.candidates
             if c.definition.signature.tables == ("lineitem", "orders")
         )
-        return optimizer, narrow
+        return state, narrow
 
-    optimizer, narrow = run()
-    assert optimizer._body_specs[narrow.cse_id]
+    state, narrow = run()
+    assert state.body_specs[narrow.cse_id]
     assert narrow.lifted_to_root
     print(
         f"\nstacked: {narrow.cse_id} has "
-        f"{len(optimizer._body_specs[narrow.cse_id])} body consumer(s) and "
-        f"{len(optimizer._specs[narrow.cse_id])} query consumer(s)"
+        f"{len(state.body_specs[narrow.cse_id])} body consumer(s) and "
+        f"{len(state.specs[narrow.cse_id])} query consumer(s)"
     )
     benchmark(lambda: run()[0])

@@ -19,7 +19,7 @@ Public entry points:
 * :class:`MetricsRegistry` / :class:`Tracer` — opt-in observability sinks
   for optimizer/executor counters, latency histograms, and structured
   trace events; :class:`TelemetryServer` exposes a registry over HTTP in
-  Prometheus text format (``Session(telemetry_port=...)``).
+  Prometheus text format.
 * :class:`QueryLog` — one structured JSONL record per executed batch,
   with slow queries carrying their full EXPLAIN ANALYZE tree.
 * :class:`DecisionJournal` — the optimizer's per-candidate decision

@@ -46,7 +46,6 @@ from .obs import (
     MetricsRegistry,
     QueryLog,
     SharingLedger,
-    TelemetryServer,
     Tracer,
     build_ledger,
     estimated_ledger,
@@ -111,10 +110,12 @@ class Session:
 
     Telemetry sinks (all optional, all no-ops by default):
 
-    * ``registry`` — counters/timers/histograms; ``telemetry_port`` starts
-      an HTTP server exposing it at ``/metrics`` in Prometheus text format
-      (pass ``0`` for an ephemeral port; see ``session.telemetry.url``).
-      Setting a port with no registry creates one implicitly.
+    * ``registry`` — counters/timers/histograms; hand the same registry to
+      a :class:`~repro.obs.TelemetryServer` to expose it at ``/metrics`` in
+      Prometheus text format.
+    * ``tracer`` — spans and events; one built with ``Tracer(path=…)``
+      streams to a JSONL file that :meth:`close` (or the context manager)
+      settles.
     * ``query_log`` — one structured JSONL record per :meth:`execute`;
       records over the log's ``slow_ms`` threshold carry the full EXPLAIN
       ANALYZE tree of the run that was measured (no re-execution).
@@ -130,18 +131,15 @@ class Session:
         cost_model: Optional[CostModel] = None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        trace_path: Optional[str] = None,
         workers: int = 1,
         plan_cache_size: int = 64,
         journal: Optional[DecisionJournal] = None,
         query_log: Optional[QueryLog] = None,
-        telemetry_port: Optional[int] = None,
         governor: Optional[ResourceGovernor] = None,
         default_budget: Optional[QueryBudget] = None,
         shared_scans: bool = True,
         morsel_rows: int = 4096,
         coordinator: Optional["SharedBatchCoordinator"] = None,
-        share_window_ms: float = 0.0,
     ) -> None:
         self.database = database
         self.options = options or OptimizerOptions()
@@ -153,14 +151,7 @@ class Session:
         self.morsel_rows = morsel_rows
         #: observability sinks shared by every optimize/execute on this
         #: session; the null defaults make instrumentation a no-op.
-        if registry is None and telemetry_port is not None:
-            registry = MetricsRegistry()
         self.registry = registry or NULL_REGISTRY
-        # ``trace_path`` binds a fresh tracer to a JSONL file with the full
-        # flush/close lifecycle (closed by Session.close / the context
-        # manager, finalized at interpreter exit as a last resort).
-        if tracer is None and trace_path is not None:
-            tracer = Tracer(path=trace_path)
         self.tracer = tracer or NULL_TRACER
         # Explicit None checks: journals and query logs are sized containers,
         # so a fresh (empty) one is falsy and `or` would drop it.
@@ -168,11 +159,6 @@ class Session:
         self.query_log = (
             query_log if query_log is not None else NULL_QUERY_LOG
         )
-        self.telemetry: Optional[TelemetryServer] = None
-        if telemetry_port is not None:
-            self.telemetry = TelemetryServer(
-                self.registry, port=telemetry_port
-            ).start()
         #: admission control shared across this session's executes (and any
         #: other sessions holding the same governor). A governor built with
         #: the default null registry inherits the session's, so its
@@ -188,15 +174,10 @@ class Session:
         #: own (None = ungoverned).
         self.default_budget = default_budget
         #: cross-session micro-batching (see
-        #: :class:`~repro.serve.coordinator.SharedBatchCoordinator`). Pass
-        #: a coordinator to share windows across sessions, or just
-        #: ``share_window_ms`` for a session-private one. Like the
+        #: :class:`~repro.serve.coordinator.SharedBatchCoordinator`): the
+        #: sessions holding one coordinator share its windows. Like the
         #: governor, a coordinator built with the null registry inherits
         #: the session's.
-        if coordinator is None and share_window_ms > 0:
-            from .serve.coordinator import SharedBatchCoordinator
-
-            coordinator = SharedBatchCoordinator(window_ms=share_window_ms)
         self.coordinator = coordinator
         if (
             coordinator is not None
@@ -589,10 +570,7 @@ class Session:
         self.query_log.record(record)
 
     def close(self) -> None:
-        """Stop the telemetry server and settle the trace file, if any."""
-        if self.telemetry is not None:
-            self.telemetry.stop()
-            self.telemetry = None
+        """Settle the tracer's trace file, if it writes one."""
         self.tracer.close()
 
     def __enter__(self) -> "Session":

@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "file",
-        help="trace file written by `query --trace` / Session(trace_path=…)",
+        help="trace file written by `query --trace` / Tracer(path=…)",
     )
     trace.add_argument(
         "--critical-path", action="store_true",
@@ -284,6 +284,11 @@ def _cmd_query(args: argparse.Namespace, out) -> int:
         from .obs import QueryLog
 
         query_log = QueryLog(path=args.query_log, slow_ms=args.slow_ms)
+    coordinator = None
+    if args.share_window_ms > 0:
+        from .serve import SharedBatchCoordinator
+
+        coordinator = SharedBatchCoordinator(window_ms=args.share_window_ms)
     workers = args.parallel if args.parallel and args.parallel > 1 else 1
     session = Session(
         database,
@@ -293,7 +298,7 @@ def _cmd_query(args: argparse.Namespace, out) -> int:
         workers=workers,
         query_log=query_log,
         morsel_rows=args.morsel_rows,
-        share_window_ms=args.share_window_ms,
+        coordinator=coordinator,
     )
     budget = None
     if (

@@ -15,7 +15,6 @@ from .compatibility import (
 from .construct import CoveringState, CseDefinition, construct_cse
 from .candidates import CandidateCse, CandidateIdAllocator, generate_candidates
 from .heuristics import (
-    HeuristicConfig,
     PruneTrace,
     heuristic1_keep,
     heuristic2_filter,
@@ -24,7 +23,6 @@ from .heuristics import (
     merge_benefit,
 )
 from .matching import ConsumerSpec, build_consumer_specs, try_match_consumer
-from .enumeration import SubsetEnumerator, competing
 
 __all__ = [
     "TableSignature",
@@ -41,7 +39,6 @@ __all__ = [
     "CandidateCse",
     "CandidateIdAllocator",
     "generate_candidates",
-    "HeuristicConfig",
     "PruneTrace",
     "heuristic1_keep",
     "heuristic2_filter",
@@ -51,6 +48,4 @@ __all__ = [
     "ConsumerSpec",
     "build_consumer_specs",
     "try_match_consumer",
-    "SubsetEnumerator",
-    "competing",
 ]

@@ -32,14 +32,6 @@ SizedCse = Union[CseDefinition, CoveringState]
 
 
 @dataclass
-class HeuristicConfig:
-    """Thresholds for the pruning heuristics (paper defaults)."""
-
-    alpha: float = 0.10
-    beta: float = 0.90
-
-
-@dataclass
 class PruneTrace:
     """Records which heuristic removed what — used by the benchmarks to
     reproduce the paper's Figure 6/7 narratives and by the tests."""

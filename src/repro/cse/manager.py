@@ -13,7 +13,7 @@ sharing exists.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..obs import active_journal
 from ..optimizer.memo import Group
@@ -26,10 +26,6 @@ class CseManager:
     def __init__(self) -> None:
         self._buckets: Dict[TableSignature, List[Group]] = {}
         self.registrations = 0
-        #: candidate id -> gids of its view-matched consumer groups. Filled
-        #: after matching (Step 2) and consumed by the optimizer's §5.4
-        #: history cache to compute per-group candidate footprints.
-        self._consumers: Dict[str, Set[int]] = {}
 
     def register(self, group: Group) -> None:
         """Record one group under its signature (no-op for signature-less
@@ -43,10 +39,6 @@ class CseManager:
         """Register every group in creation order."""
         for group in groups:
             self.register(group)
-
-    def bucket(self, signature: TableSignature) -> List[Group]:
-        """The groups registered under one signature."""
-        return list(self._buckets.get(signature, []))
 
     def sharable_buckets(self) -> List[Tuple[TableSignature, List[Group]]]:
         """Signature buckets referencing at least two distinct groups with
@@ -77,25 +69,3 @@ class CseManager:
                 if not (first.tables & second.tables):
                     return True
         return False
-
-    # -- consumer registry (§5.4 footprint input) ---------------------------
-
-    def record_consumers(self, cse_id: str, gids: Iterable[int]) -> None:
-        """Record the consumer-group gids a candidate can substitute into
-        (query-side and stacked body-side alike)."""
-        self._consumers.setdefault(cse_id, set()).update(gids)
-
-    def consumer_map(self) -> Dict[str, Set[int]]:
-        """Candidate id -> consumer gids, as recorded (copies the sets)."""
-        return {cid: set(gids) for cid, gids in self._consumers.items()}
-
-    @property
-    def bucket_count(self) -> int:
-        """Number of distinct signatures seen."""
-        return len(self._buckets)
-
-    def clear(self) -> None:
-        """Forget all registrations."""
-        self._buckets.clear()
-        self.registrations = 0
-        self._consumers.clear()

@@ -59,7 +59,6 @@ from ..obs import (
     Tracer,
 )
 from ..optimizer.cost import CostModel
-from ..optimizer.engine import PlanBundle, QueryPlan
 from ..optimizer.physical import (
     FusedStage,
     PhysFilter,
@@ -73,6 +72,8 @@ from ..optimizer.physical import (
     PhysSpoolDef,
     PhysSpoolRead,
     PhysicalPlan,
+    PlanBundle,
+    QueryPlan,
 )
 from ..optimizer.aggs import AggCompute
 from ..storage.database import Database

@@ -22,8 +22,13 @@ from dataclasses import dataclass, field
 from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from ..obs import SpanContext
-from ..optimizer.engine import PlanBundle, QueryPlan
-from ..optimizer.physical import PhysScan, PhysicalPlan, PhysSpoolRead
+from ..optimizer.physical import (
+    PhysScan,
+    PhysicalPlan,
+    PhysSpoolRead,
+    PlanBundle,
+    QueryPlan,
+)
 from .scans import RawKey, scan_group_key, stats_key_for
 
 

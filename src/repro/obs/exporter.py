@@ -17,8 +17,8 @@ well-formed (line grammar, TYPE declarations, histogram invariants).
 
 :class:`TelemetryServer` serves ``/metrics`` and ``/healthz`` from a
 ``http.server.ThreadingHTTPServer`` on a daemon thread — no third-party
-dependency, safe to embed in a :class:`~repro.api.Session`
-(``Session(telemetry_port=…)``) or run via ``repro serve-metrics``.
+dependency, safe to embed beside a :class:`~repro.api.Session` sharing its
+registry or run via ``repro serve-metrics``.
 """
 
 from __future__ import annotations

@@ -197,12 +197,7 @@ class CardinalityEstimator:
 
     # -- aggregation --------------------------------------------------------------
 
-    def group_rows(
-        self,
-        input_rows: float,
-        keys: Sequence[ColumnRef],
-        _context: object = None,
-    ) -> float:
+    def group_rows(self, input_rows: float, keys: Sequence[ColumnRef]) -> float:
         """Cardenas estimate of the number of groups."""
         input_rows = max(input_rows, 1.0)
         if not keys:

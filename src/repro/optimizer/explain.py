@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..storage.database import Database
 from .cost import CostModel
-from .engine import OptimizationResult, PlanBundle
+from .engine import OptimizationResult
 from .physical import (
     PhysFilter,
     PhysFusedPipeline,
@@ -34,6 +34,7 @@ from .physical import (
     PhysSpoolDef,
     PhysSpoolRead,
     PhysicalPlan,
+    PlanBundle,
 )
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .engine import PlanBundle, QueryPlan
 from .physical import (
     FusedStage,
     PhysFilter,
@@ -33,6 +32,8 @@ from .physical import (
     PhysSpoolDef,
     PhysSpoolRead,
     PhysicalPlan,
+    PlanBundle,
+    QueryPlan,
 )
 
 

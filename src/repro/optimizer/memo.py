@@ -39,7 +39,6 @@ from typing import (
 
 from ..errors import OptimizerError
 from ..expr.expressions import (
-    AggExpr,
     ColumnRef,
     Comparison,
     Expr,
@@ -57,6 +56,10 @@ from ..cse.signature import TableSignature
 from .aggs import AggCompute, combine_computes, decomposable_over, direct_computes, partial_computes
 from .cardinality import CardinalityEstimator
 from .options import OptimizerOptions
+
+#: Pre-aggregation is explored for connected table subsets of at most this
+#: size (a search-space guard for very large joins).
+PREAGG_MAX_TABLES = 5
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +204,6 @@ class Group:
     def add_expr(self, expr: GroupExpression) -> None:
         """Append one group expression."""
         self.exprs.append(expr)
-
-    @property
-    def est_bytes(self) -> float:
-        """Estimated result size in bytes."""
-        return self.est_rows * max(1, self.row_width)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         names = ",".join(sorted(repr(i) for i in self.items))
@@ -375,10 +373,6 @@ class Memo:
         self._groups_by_key[key] = group
         return group
 
-    def group_for_key(self, key: object) -> Optional[Group]:
-        """The group registered under a memo key, if any."""
-        return self._groups_by_key.get(key)
-
     # -- block construction ---------------------------------------------------
 
     def build_block(self, block: QueryBlock, part_id: str) -> Group:
@@ -422,7 +416,6 @@ class Memo:
         group.est_rows = self.estimator.group_rows(
             full_join.est_rows,
             self._key_representatives(info, block.group_keys),
-            self._ndv_context(info),
         )
         group.required_outputs = tuple(block.group_keys) + tuple(block.aggregates)
         group.row_width = self.estimator.width_of(group.required_outputs)
@@ -449,13 +442,9 @@ class Memo:
             subset = frozenset(subset_items)
             if len(subset) >= len(all_tables):
                 continue  # pre-aggregating everything IS the final aggregation
-            if len(subset) > self.options.preagg_max_tables:
+            if len(subset) > PREAGG_MAX_TABLES:
                 continue
             if not decomposable_over(block.aggregates, subset):
-                continue
-            if self.options.preagg_needs_aggregate and not self._has_inside_arg(
-                block.aggregates, subset
-            ):
                 continue
             partials = partial_computes(block.aggregates, subset)
             if not partials:
@@ -467,8 +456,7 @@ class Memo:
             group_count = self.estimator.group_rows(
                 input_join.est_rows,
                 self._key_representatives(info, keys),
-                self._ndv_context(info),
-            )
+                )
             if group_count > self.options.preagg_min_compression * max(
                 input_join.est_rows, 1.0
             ):
@@ -487,18 +475,6 @@ class Memo:
                     combine_computes(block.aggregates, subset),
                 )
             )
-
-    @staticmethod
-    def _has_inside_arg(
-        aggs: Sequence[AggExpr], subset: FrozenSet[TableRef]
-    ) -> bool:
-        for agg in aggs:
-            if agg.arg is None:
-                continue
-            tables = {c.table_ref for c in agg.arg.columns()}
-            if tables and tables <= subset:
-                return True
-        return False
 
     @staticmethod
     def _key_representatives(
@@ -546,7 +522,6 @@ class Memo:
         group.est_rows = self.estimator.group_rows(
             input_join.est_rows,
             self._key_representatives(info, item.keys),
-            self._ndv_context(info),
         )
         group.required_outputs = tuple(item.keys) + tuple(p.out for p in item.partials)
         group.row_width = self.estimator.width_of(group.required_outputs)
@@ -823,9 +798,6 @@ class Memo:
         return tuple(hash_keys), residual
 
     # -- cardinality ---------------------------------------------------------
-
-    def _ndv_context(self, info: BlockInfo):
-        return self.estimator
 
     def _estimate_join_rows(
         self, items: FrozenSet[JoinItem], info: BlockInfo

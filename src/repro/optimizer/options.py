@@ -37,18 +37,10 @@ class OptimizerOptions:
     #: E4/E5 (Figure 6).
     enable_preagg: bool = True
 
-    #: Pre-aggregation is explored for connected table subsets of at most
-    #: this size (a search-space guard for very large joins).
-    preagg_max_tables: int = 5
-
-    #: Only explore pre-aggregation of a subset that contains at least one
-    #: aggregate argument. Off by default: the compression rule below is the
-    #: search-space gate (count-only pre-aggregates are still allowed when
-    #: they compress, which the stacked-CSE experiment of §6.2 needs).
-    preagg_needs_aggregate: bool = False
-
     #: Explore a pre-aggregation only when its estimated group count is at
-    #: most this fraction of its input cardinality. Non-compressing
+    #: most this fraction of its input cardinality (count-only
+    #: pre-aggregates are allowed when they compress, which the stacked-CSE
+    #: experiment of §6.2 needs). Non-compressing
     #: pre-aggregates never win and would flood the signature table with
     #: spurious sharing opportunities (Figure 6 contains γ(O⋈L) but not the
     #: non-compressing γ(C⋈O)).
@@ -83,14 +75,11 @@ class OptimizerOptions:
     #: re-evaluated benefits, so large candidate sets optimize in
     #: near-linear passes instead of up to ``max_cse_optimizations``
     #: subsets. ``"auto"`` picks greedy once the candidate count exceeds
-    #: ``greedy_threshold`` (what coordinator-merged cross-session batches
-    #: hit) and the paper enumeration below it. Part of the plan-cache
-    #: config key: changing the strategy re-keys cached plans.
+    #: :data:`repro.optimizer.selection.GREEDY_THRESHOLD` (what
+    #: coordinator-merged cross-session batches hit) and the paper
+    #: enumeration below it. Part of the plan-cache config key: changing
+    #: the strategy re-keys cached plans.
     cse_strategy: str = "paper"
-
-    #: ``cse_strategy="auto"`` switches to greedy selection strictly above
-    #: this candidate count.
-    greedy_threshold: int = 12
 
     #: §5.4 optimization-history reuse: keep per-group plan sets (keyed by
     #: the group's candidate footprint ∩ the enabled set), finalized
@@ -124,8 +113,10 @@ class OptimizerOptions:
             raise ValueError(f"unknown cost_mode {self.cost_mode!r}")
         if self.cse_strategy not in ("paper", "greedy", "auto"):
             raise ValueError(f"unknown cse_strategy {self.cse_strategy!r}")
-        if self.greedy_threshold < 0:
-            raise ValueError("greedy_threshold must be non-negative")
+        if self.max_candidates < 0 or self.max_cse_optimizations < 0:
+            raise ValueError(
+                "max_candidates and max_cse_optimizations must be non-negative"
+            )
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be within [0, 1]")
         if not 0.0 <= self.beta:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..expr.expressions import ColumnRef, Expr, TableRef
 from ..logical.blocks import OutputColumn
@@ -270,13 +270,57 @@ class PhysSpoolDef(PhysicalPlan):
 
 
 @dataclass
-class PhysBatch(PhysicalPlan):
-    """The dummy batch root: independent per-query plans evaluated in order."""
+class QueryPlan:
+    """One finalized query plan plus the plans of its scalar subqueries."""
 
-    queries: Tuple[Tuple[str, PhysicalPlan], ...]  # (query name, plan)
+    name: str
+    plan: PhysicalPlan
+    subquery_plans: Dict[str, PhysicalPlan] = field(default_factory=dict)
+    output_names: List[str] = field(default_factory=list)
 
-    def children(self) -> Tuple[PhysicalPlan, ...]:
-        return tuple(plan for _, plan in self.queries)
 
-    def _describe_line(self) -> str:
-        return f"Batch [{', '.join(name for name, _ in self.queries)}]"
+@dataclass
+class PlanBundle:
+    """The final batch plan: shared spools (dependency order) + queries."""
+
+    root_spools: Tuple[Tuple[str, PhysicalPlan], ...]
+    queries: List[QueryPlan]
+    est_cost: float
+
+    def describe(self) -> str:
+        """Human-readable text of all plans, spools first."""
+        lines: List[str] = []
+        for cse_id, body in self.root_spools:
+            lines.append(f"Spool {cse_id}:")
+            lines.append(body.describe(1))
+        for query in self.queries:
+            for sid, plan in query.subquery_plans.items():
+                lines.append(f"{query.name} subquery {sid}:")
+                lines.append(plan.describe(1))
+            lines.append(f"{query.name}:")
+            lines.append(query.plan.describe(1))
+        return "\n".join(lines)
+
+    def fingerprint(self) -> str:
+        """Stable short digest of the whole bundle's shape — what the
+        history-reuse tests and benchmarks compare to assert that §5.4
+        reuse changed the work done, not the plans chosen."""
+        text = self.describe().encode("utf-8")
+        return hashlib.sha256(text).hexdigest()[:16]
+
+    def used_cses(self) -> List[str]:
+        """CSE ids actually materialized by this bundle, in order."""
+        used: List[str] = [cid for cid, _ in self.root_spools]
+        for query in self.queries:
+            plans = [query.plan] + list(query.subquery_plans.values())
+            for plan in plans:
+                for node in plan.walk():
+                    if isinstance(node, PhysSpoolDef):
+                        used.extend(cid for cid, _ in node.spools)
+        seen: Set[str] = set()
+        ordered: List[str] = []
+        for cid in used:
+            if cid not in seen:
+                seen.add(cid)
+                ordered.append(cid)
+        return ordered

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-import repro.optimizer.engine as engine
+import repro.optimizer.step2 as step2
 from repro import OptimizerOptions, Session
 from repro.catalog.tpch import build_tpch_database
 from repro.cse.candidates import generate_candidates
@@ -238,7 +238,7 @@ def check_batch(sql, monkeypatch, **options):
         calls.append((compatible_set, profiles.infos, args, definitions, journal))
         return definitions
 
-    monkeypatch.setattr(engine, "generate_candidates", recording)
+    monkeypatch.setattr(step2, "generate_candidates", recording)
     result = Session(DB, OptimizerOptions(**options)).optimize(sql)
     body_instances = []
     for compatible_set, infos, args, definitions, journal in calls:

@@ -279,7 +279,8 @@ class TestCoordinatorMerging:
         assert "coordinator.windows" not in _counters(registry)
 
     def test_session_private_coordinator_from_share_window_ms(self):
-        session = Session(DB, share_window_ms=25.0)
+        coordinator = SharedBatchCoordinator(window_ms=25.0)
+        session = Session(DB, coordinator=coordinator)
         assert session.coordinator is not None
         assert session.coordinator.enabled
         outcome = session.execute(Q_PRIORITY)

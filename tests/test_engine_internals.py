@@ -5,16 +5,16 @@ import pytest
 
 from repro.errors import OptimizerError
 from repro.logical.blocks import OutputColumn
-from repro.optimizer.engine import (
+from repro.optimizer.assembly import _toposort_spools
+from repro.optimizer.search import _cap_planset
+from repro.optimizer.state import (
     EMPTY_PROFILE,
     PlanChoice,
-    _cap_planset,
     _profile_add,
     _profile_get,
     _profile_merge,
     _profile_support,
     _profile_without,
-    _toposort_spools,
 )
 from repro.optimizer.physical import (
     PhysProject,

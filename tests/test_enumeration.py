@@ -4,7 +4,7 @@ import pytest
 
 from repro.cse.candidates import CandidateCse
 from repro.cse.construct import CseDefinition
-from repro.cse.enumeration import SubsetEnumerator, competing
+from repro.optimizer.selection import SubsetEnumerator, competing
 from repro.cse.signature import TableSignature
 from repro.logical.blocks import QueryBlock
 from repro.optimizer.cardinality import CardinalityEstimator

@@ -134,8 +134,8 @@ class TestHeuristic4:
             small_db, OptimizerOptions(enable_heuristics=False)
         )
         batch = bind_batch(small_db.catalog, example1_batch())
-        result = optimizer.optimize(batch)
-        memo = optimizer._memo
+        result, run = optimizer.optimize_with_run(batch)
+        memo = run.memo
         return memo, {c.cse_id: c.definition for c in result.candidates}
 
     def test_join_contained_in_aggregation(self, candidates):

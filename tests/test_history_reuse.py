@@ -21,6 +21,8 @@ from repro.cli import _options, build_parser
 from repro.errors import OptimizerTimeoutError
 from repro.obs import DecisionJournal, MetricsRegistry
 from repro.optimizer.engine import Optimizer
+from repro.optimizer.search import relevant_ids, relevant_ids_slow
+from repro.optimizer.step2 import build_pass_context
 from repro.workloads import scaleup_batch
 
 DB = build_tpch_database(scale_factor=0.002)
@@ -40,37 +42,38 @@ def _optimize(reuse: bool, registry=None, journal=None, deadline=None):
         journal=journal,
         deadline=deadline,
     )
-    return optimizer, optimizer.optimize(batch)
+    result, run = optimizer.optimize_with_run(batch)
+    return run, result
 
 
 class TestFootprints:
     def test_footprints_match_descendant_walk_oracle(self):
-        optimizer, result = _optimize(True)
+        run, result = _optimize(True)
         assert len(result.candidates) >= 3
-        assert optimizer._footprints is not None
-        ctx = optimizer._build_pass_context(tuple(result.candidates))
-        for group in optimizer._memo.groups:
-            fast = optimizer._relevant_ids(group, ctx)
-            slow = optimizer._relevant_ids_slow(group, ctx)
+        assert run.footprints is not None
+        ctx = build_pass_context(run, tuple(result.candidates))
+        for group in run.memo.groups:
+            fast = relevant_ids(run, group, ctx)
+            slow = relevant_ids_slow(run, group, ctx)
             assert fast == slow, f"footprint mismatch at g{group.gid}"
 
     def test_candidate_free_groups_have_empty_footprints(self):
         """A group whose subtree contains no consumer of any candidate
         has an empty footprint — its base-pass plan set serves every
         Step-3 pass (key (gid, frozenset()) never varies)."""
-        optimizer, result = _optimize(True)
+        run, result = _optimize(True)
         consumer_gids = set()
-        for gids in optimizer._consumer_gids.values():
+        for gids in run.consumer_gids.values():
             consumer_gids |= gids
-        footprints = optimizer._footprints
-        for group in optimizer._memo.groups:
+        footprints = run.footprints
+        for group in run.memo.groups:
             if not footprints[group.gid]:
                 assert group.gid not in consumer_gids
 
     def test_memo_footprint_cache_invalidates(self):
-        optimizer, _ = _optimize(True)
-        memo = optimizer._memo
-        consumers = optimizer._manager.consumer_map()
+        run, _ = _optimize(True)
+        memo = run.memo
+        consumers = run.consumer_gids
         first = memo.candidate_footprints(consumers)
         assert memo.candidate_footprints(consumers) is first  # cached
         memo.invalidate_dag_cache()

@@ -11,7 +11,7 @@ query subtrees — genuinely independent per Definition 5.2.
 import pytest
 
 from repro import OptimizerOptions, Session
-from repro.cse.enumeration import SubsetEnumerator, competing
+from repro.optimizer.selection import SubsetEnumerator, competing
 from repro.executor.reference import evaluate_batch
 from repro.optimizer.engine import Optimizer
 from repro.sql.binder import bind_batch
@@ -39,13 +39,13 @@ def optimized(small_db):
         OptimizerOptions(enable_heuristics=False, max_cse_optimizations=32),
     )
     batch = bind_batch(small_db.catalog, SQL)
-    result = optimizer.optimize(batch)
-    return optimizer, result
+    result, run = optimizer.optimize_with_run(batch)
+    return run, result
 
 
 class TestIndependence:
     def test_candidates_from_both_queries(self, optimized):
-        optimizer, result = optimized
+        run, result = optimized
         blocks = set()
         for candidate in result.candidates:
             for group in candidate.definition.consumer_groups:
@@ -53,8 +53,8 @@ class TestIndependence:
         assert {"Q1", "Q2"} <= blocks
 
     def test_cross_query_independence_detected(self, optimized):
-        optimizer, result = optimized
-        memo = optimizer._memo
+        run, result = optimized
+        memo = run.memo
         q1_candidates = [
             c for c in result.candidates
             if not c.lifted_to_root
@@ -70,8 +70,8 @@ class TestIndependence:
         assert not competing(q1_candidates[0], q2_candidates[0], memo)
 
     def test_same_query_candidates_compete(self, optimized):
-        optimizer, result = optimized
-        memo = optimizer._memo
+        run, result = optimized
+        memo = run.memo
         q1 = [
             c for c in result.candidates
             if not c.lifted_to_root
@@ -84,8 +84,8 @@ class TestIndependence:
     def test_prop54_cuts_passes_for_independent_pair(self, optimized):
         """With two independent candidates, the enumerator stops after the
         first pass when both decisions resolve (Prop 5.4)."""
-        optimizer, result = optimized
-        memo = optimizer._memo
+        run, result = optimized
+        memo = run.memo
         independent = []
         for candidate in result.candidates:
             if candidate.lifted_to_root:

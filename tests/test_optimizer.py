@@ -213,8 +213,8 @@ class TestHistoryReuse:
             small_db, OptimizerOptions(enable_heuristics=False)
         )
         batch = bind_batch(small_db.catalog, example1_batch())
-        optimizer.optimize(batch)
+        _, run = optimizer.optimize_with_run(batch)
         # Groups relevant to no candidate were optimized exactly once: their
         # cache key is (gid, empty set).
-        base_keys = [k for k in optimizer._plan_cache if k[1] == frozenset()]
+        base_keys = [k for k in run.history.plan_cache if k[1] == frozenset()]
         assert base_keys

@@ -109,15 +109,15 @@ class TestExample8IntraQuery:
             OptimizerOptions(enable_heuristics=False, max_cse_optimizations=4),
         )
         batch = bind_batch(small_db.catalog, self.SQL)
-        result = optimizer.optimize(batch)
-        root_gid = optimizer._root.gid
+        result, run = optimizer.optimize_with_run(batch)
+        root_gid = run.root.gid
         inside = [
             c for c in result.candidates
             if not c.lifted_to_root and c.lca_gid != root_gid
         ]
         assert inside
         for candidate in inside:
-            lca = optimizer._memo.groups[candidate.lca_gid]
+            lca = run.memo.groups[candidate.lca_gid]
             assert lca.block is not None  # a group of the query's block
 
     def test_rows_correct_all_modes(self, small_db):

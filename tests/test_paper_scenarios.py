@@ -132,12 +132,12 @@ class TestTable2Stacked:
 
         optimizer = Optimizer(small_db, OptimizerOptions())
         batch = bind_batch(small_db.catalog, example1_with_q4())
-        result = optimizer.optimize(batch)
+        result, run = optimizer.optimize_with_run(batch)
         narrow = next(
             c for c in result.candidates
             if c.definition.signature.tables == ("lineitem", "orders")
         )
-        assert optimizer._body_specs[narrow.cse_id], (
+        assert run.body_specs[narrow.cse_id], (
             "the narrow candidate should be consumable inside the wide "
             "candidate's body (stacked CSEs)"
         )

@@ -30,12 +30,13 @@ STACKED_SQL = (
 def stacked_result(small_db):
     optimizer = Optimizer(small_db, OptimizerOptions())
     batch = bind_batch(small_db.catalog, STACKED_SQL)
-    return optimizer, optimizer.optimize(batch)
+    result, run = optimizer.optimize_with_run(batch)
+    return run, result
 
 
 class TestStackedDetection:
     def test_wider_candidate_hosts_narrower(self, stacked_result):
-        optimizer, result = stacked_result
+        run, result = stacked_result
         wide = next(
             c for c in result.candidates
             if c.definition.signature.table_count == 3
@@ -46,7 +47,7 @@ class TestStackedDetection:
         )
         assert wide.signature_wider_than(narrow)
         assert not narrow.signature_wider_than(wide)
-        body_specs = optimizer._body_specs[narrow.cse_id]
+        body_specs = run.body_specs[narrow.cse_id]
         assert body_specs
         assert all(
             spec.group.block.name == wide.definition.block.name
@@ -64,10 +65,10 @@ class TestStackedDetection:
     def test_stacking_never_cycles(self, stacked_result):
         """Stacking is restricted to strictly-narrower-inside-wider, so
         spool dependencies are acyclic by construction."""
-        optimizer, result = stacked_result
+        run, result = stacked_result
         edges = set()
         for inner in result.candidates:
-            for spec in optimizer._body_specs[inner.cse_id]:
+            for spec in run.body_specs[inner.cse_id]:
                 outer_name = spec.group.block.name
                 edges.add((inner.cse_id, outer_name))
         for inner_id, outer_body in edges:
@@ -105,11 +106,11 @@ class TestStackedExecution:
             small_db, OptimizerOptions(enable_stacked=False)
         )
         batch = bind_batch(small_db.catalog, STACKED_SQL)
-        result = optimizer.optimize(batch)
+        result, run = optimizer.optimize_with_run(batch)
         for candidate in result.candidates:
-            assert optimizer._body_specs[candidate.cse_id] == []
+            assert run.body_specs[candidate.cse_id] == []
             assert not candidate.lifted_to_root or (
-                candidate.lca_gid == optimizer._root.gid
+                candidate.lca_gid == run.root.gid
             )
 
     def test_stacked_execution_metrics(self, small_db):

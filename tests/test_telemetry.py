@@ -171,13 +171,14 @@ class TestExporter:
                 urllib.request.urlopen(server.url + "/nope")
 
     def test_session_telemetry_port(self, small_db):
-        session = Session(small_db, telemetry_port=0, plan_cache_size=0)
+        registry = MetricsRegistry()
+        server = TelemetryServer(registry, port=0).start()
+        session = Session(small_db, registry=registry, plan_cache_size=0)
         try:
-            # A port with no registry implies an enabled registry.
             assert session.registry.enabled
             session.execute("select r_name from region")
             text = (
-                urllib.request.urlopen(session.telemetry.url + "/metrics")
+                urllib.request.urlopen(server.url + "/metrics")
                 .read()
                 .decode()
             )
@@ -185,7 +186,7 @@ class TestExporter:
             assert any("serve_query_seconds" in n for n in families)
         finally:
             session.close()
-        assert session.telemetry is None
+            server.stop()
 
 
 # ---------------------------------------------------------------------------

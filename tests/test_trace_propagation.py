@@ -151,9 +151,8 @@ class TestTracerLifecycle:
 
     def test_session_context_manager_settles_trace(self, small_db, tmp_path):
         path = tmp_path / "trace.jsonl"
-        with Session(
-            small_db, OptimizerOptions(), trace_path=str(path)
-        ) as session:
+        tracer = Tracer(path=str(path))
+        with Session(small_db, OptimizerOptions(), tracer=tracer) as session:
             session.execute(example1_batch())
         trace = load_trace(str(path))
         assert trace.header is not None
