@@ -11,8 +11,6 @@ candidates, multiple Step-3 passes), total Step-3 time with reuse must
 stay within ``REPRO_HISTORY_REUSE_BUDGET`` (default 0.7, i.e. a ≥30%
 reduction) of the no-reuse baseline. CI's smoke run loosens the budget
 to 1.0 — "never slower" — to tolerate shared-runner noise.
-
-Emits ``BENCH_history_reuse.json`` via benchmarks/conftest.py.
 """
 
 from __future__ import annotations

@@ -4,76 +4,14 @@ The TPC-H database is generated once per session at the benchmark scale
 factor (default 0.01; override with REPRO_BENCH_SF). Tables are printed to
 stdout so `pytest benchmarks/ --benchmark-only -s` reproduces the paper's
 tables verbatim; the same rows land in each benchmark's `extra_info`.
-
-Every benchmark module additionally emits a machine-readable artifact at
-the repo root — ``BENCH_<name>.json`` for ``bench_<name>.py`` — holding
-per-test wall time, outcome, and whatever the test recorded in
-``benchmark.extra_info``. CI uploads these artifacts for trend tracking.
 """
 
 from __future__ import annotations
-
-import json
-import time
-from collections import defaultdict
-from pathlib import Path
-from typing import Any, Dict
 
 import pytest
 
 from repro.bench.harness import bench_scale_factor
 from repro.catalog.tpch import build_tpch_database
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-#: module stem -> {test name -> artifact entry}, flushed at session end.
-_ARTIFACTS: Dict[str, Dict[str, Dict[str, Any]]] = defaultdict(dict)
-
-
-@pytest.fixture(autouse=True)
-def _bench_artifact(request):
-    """Collect one artifact entry per benchmark test (autouse)."""
-    start = time.perf_counter()
-    yield
-    module = Path(str(request.node.fspath)).stem
-    if not module.startswith("bench_"):
-        return
-    entry = _ARTIFACTS[module].setdefault(request.node.name, {})
-    entry["wall_seconds"] = round(time.perf_counter() - start, 4)
-    entry["scale_factor"] = bench_scale_factor()
-    bench = getattr(request.node, "funcargs", {}).get("benchmark")
-    extra = getattr(bench, "extra_info", None)
-    if extra:
-        entry["extra_info"] = json.loads(json.dumps(dict(extra), default=str))
-
-
-def pytest_runtest_logreport(report):
-    """Stamp pass/fail onto the artifact entry for the call phase."""
-    if report.when != "call":
-        return
-    module = Path(str(report.fspath)).stem
-    if not module.startswith("bench_"):
-        return
-    name = report.nodeid.rsplit("::", 1)[-1]
-    entry = _ARTIFACTS[module].setdefault(name, {})
-    entry["outcome"] = report.outcome
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Write one ``BENCH_<name>.json`` per executed benchmark module."""
-    for module, tests in _ARTIFACTS.items():
-        payload = {
-            "benchmark": module,
-            "generated_at": time.strftime(
-                "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-            ),
-            "exit_status": int(exitstatus),
-            "tests": tests,
-        }
-        name = module[len("bench_"):]
-        path = _REPO_ROOT / f"BENCH_{name}.json"
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
-        )
 
 
 @pytest.fixture(scope="session")

@@ -334,13 +334,6 @@ def conjuncts_imply(
     return True
 
 
-def predicate_columns(predicate: Optional[Expr]) -> FrozenSet[ColumnRef]:
-    """Columns referenced by an optional predicate."""
-    if predicate is None:
-        return frozenset()
-    return predicate.columns()
-
-
 def always_true(predicate: Optional[Expr]) -> bool:
     """Whether the predicate is absent or the TRUE literal."""
     return predicate is None or predicate == TRUE

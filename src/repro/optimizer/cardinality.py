@@ -169,7 +169,7 @@ class CardinalityEstimator:
         self,
         cls: FrozenSet[ColumnRef],
         item_rows: Mapping[object, float],
-        items: FrozenSet[object],
+        items: Sequence[object],
     ) -> float:
         """Join selectivity factor of an equivalence class spanning several
         join items. Each item contributes one effective NDV (its members are

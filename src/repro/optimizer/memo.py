@@ -61,6 +61,14 @@ from .options import OptimizerOptions
 #: size (a search-space guard for very large joins).
 PREAGG_MAX_TABLES = 5
 
+#: Explore a pre-aggregation only when its estimated group count is at most
+#: this fraction of its input cardinality (count-only pre-aggregates are
+#: allowed when they compress, which the stacked-CSE experiment of §6.2
+#: needs). Non-compressing pre-aggregates never win and would flood the
+#: signature table with spurious sharing opportunities (Figure 6 contains
+#: γ(O⋈L) but not the non-compressing γ(C⋈O)).
+PREAGG_MIN_COMPRESSION = 0.7
+
 
 # ---------------------------------------------------------------------------
 # Join items
@@ -457,7 +465,7 @@ class Memo:
                 input_join.est_rows,
                 self._key_representatives(info, keys),
                 )
-            if group_count > self.options.preagg_min_compression * max(
+            if group_count > PREAGG_MIN_COMPRESSION * max(
                 input_join.est_rows, 1.0
             ):
                 continue  # non-compressing pre-aggregation: not useful
@@ -640,11 +648,12 @@ class Memo:
             self.signature_log.append(group)
 
         # Cardinality.
-        group.est_rows = self._estimate_join_rows(items, info)
+        ordered = canon_sorted(items)
+        group.est_rows = self._estimate_join_rows(ordered, info)
 
         # Expressions.
         if len(items) == 1:
-            item = next(iter(items))
+            item = ordered[0]
             if isinstance(item, TableRef):
                 conjuncts = tuple(info.local_conjuncts(item))
                 conjuncts = conjuncts + tuple(
@@ -654,7 +663,6 @@ class Memo:
             # Single AggItem groups are aggregate groups, never join groups.
             return group
 
-        ordered = canon_sorted(items)
         anchor = ordered[0]
         for mask in range(0, 2 ** (len(ordered) - 1)):
             left_items = {anchor}
@@ -800,8 +808,11 @@ class Memo:
     # -- cardinality ---------------------------------------------------------
 
     def _estimate_join_rows(
-        self, items: FrozenSet[JoinItem], info: BlockInfo
+        self, items: Sequence[JoinItem], info: BlockInfo
     ) -> float:
+        """Estimated rows of a join over ``items``, given in canonical
+        order: the estimate is a float product, so multiplying in set
+        iteration order would change its last bit with the hash seed."""
         rows = 1.0
         item_rows: Dict[JoinItem, float] = {}
         for item in items:
@@ -835,7 +846,7 @@ class Memo:
         return max(rows, 1.0)
 
     def _cross_item_classes(
-        self, items: FrozenSet[JoinItem], info: BlockInfo
+        self, items: Sequence[JoinItem], info: BlockInfo
     ) -> List[FrozenSet[ColumnRef]]:
         tables = items_tables(items)
         result = []

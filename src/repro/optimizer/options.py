@@ -37,20 +37,6 @@ class OptimizerOptions:
     #: E4/E5 (Figure 6).
     enable_preagg: bool = True
 
-    #: Explore a pre-aggregation only when its estimated group count is at
-    #: most this fraction of its input cardinality (count-only
-    #: pre-aggregates are allowed when they compress, which the stacked-CSE
-    #: experiment of §6.2 needs). Non-compressing
-    #: pre-aggregates never win and would flood the signature table with
-    #: spurious sharing opportunities (Figure 6 contains γ(O⋈L) but not the
-    #: non-compressing γ(C⋈O)).
-    preagg_min_compression: float = 0.7
-
-    #: Minimum number of referenced tables for a sharable signature bucket.
-    #: Single-table covering subexpressions save no join work and the
-    #: paper's prototype does not generate them (Figure 6).
-    min_cse_tables: int = 2
-
     #: §5.2's dynamic LCA: compute the least common ancestor over the
     #: consumers that can actually substitute (matched), not the full
     #: constructed set. The paper's runtime narrowing ("after a consumer's

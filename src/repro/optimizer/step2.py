@@ -23,6 +23,11 @@ from ..obs import DecisionJournal
 from .search import Search
 from .state import BASE_PASS, EMPTY_PROFILE, OptimizerRun, PassContext
 
+#: Minimum number of referenced tables for a sharable signature bucket.
+#: Single-table covering subexpressions save no join work and the paper's
+#: prototype does not generate them (Figure 6).
+MIN_CSE_TABLES = 2
+
 
 def generate(
     search: Search, journal: DecisionJournal, buckets, base_cost: float
@@ -46,7 +51,7 @@ def generate(
     definitions = []
     for signature, groups in buckets:
         search.check_deadline()
-        if signature.table_count < options.min_cse_tables:
+        if signature.table_count < MIN_CSE_TABLES:
             continue
         if options.enable_heuristics:
             keep = heuristic1_keep(groups, base_cost, options.alpha)

@@ -16,12 +16,9 @@ from .coordinator import SharedBatchCoordinator, SharedOutcome
 from .fingerprint import (
     CacheKey,
     batch_fingerprint,
-    batch_signatures,
     batch_tables,
     cache_key,
     config_key,
-    query_fingerprint,
-    query_table_signature,
 )
 from .governor import CancellationToken, QueryBudget, ResourceGovernor
 
@@ -37,11 +34,8 @@ __all__ = [
     "SharedOutcome",
     "TaskSpec",
     "batch_fingerprint",
-    "batch_signatures",
     "batch_tables",
     "build_schedule",
     "cache_key",
     "config_key",
-    "query_fingerprint",
-    "query_table_signature",
 ]

@@ -118,34 +118,6 @@ def batch_fingerprint(batch: BoundBatch) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def query_fingerprint(query: BoundQuery) -> str:
-    """The normalized SHA-256 fingerprint of one bound query."""
-    return hashlib.sha256(_query_text(query).encode()).hexdigest()
-
-
-def query_table_signature(query: BoundQuery) -> str:
-    """The query's table signature: sorted physical tables, ``+``-joined.
-
-    The per-query analogue of the paper's Step-1 signature (the multiset
-    of base tables a subexpression touches): two queries whose signatures
-    share a table *may* expose common subexpressions, and the coordinator
-    uses exactly that — signature-bucket overlap — to decide which
-    in-flight queries are worth merging into one shared optimization."""
-    names = sorted(
-        {
-            t.physical_name.lower()
-            for block in query.all_blocks()
-            for t in block.tables
-        }
-    )
-    return "+".join(names)
-
-
-def batch_signatures(batch: BoundBatch) -> frozenset:
-    """Every distinct per-query table signature in a batch."""
-    return frozenset(query_table_signature(q) for q in batch.queries)
-
-
 def config_key(options: OptimizerOptions, cost_model: CostModel) -> str:
     """A stable key for the optimizer configuration a plan depends on."""
     return f"{options!r}|{cost_model!r}"

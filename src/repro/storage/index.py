@@ -9,7 +9,7 @@ the paper's Heuristic 3 / Example 7 relies on.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -70,10 +70,3 @@ class RangeIndex:
     def lookup_equal(self, value: float) -> np.ndarray:
         """Row positions whose column equals ``value``."""
         return self.lookup_range(low=value, high=value)
-
-    def estimate_range(
-        self, low: Optional[float], high: Optional[float]
-    ) -> Tuple[int, int]:
-        """(matching rows, total rows) without materializing positions."""
-        matches = len(self.lookup_range(low, high))
-        return matches, self.entry_count

@@ -128,7 +128,7 @@ class TestWidenedSharingInvariants:
 
 #: two EXISTS consumers with identical correlation signatures over the same
 #: orders ⋈ lineitem inner chain — the decorrelated semi-join build side is
-#: a two-table block, so it clears min_cse_tables and must be shared.
+#: a two-table block, so it clears MIN_CSE_TABLES and must be shared.
 EXISTS_PAIR = (
     "select c_nationkey, count(*) as v from customer where exists "
     "(select * from orders, lineitem where o_custkey = c_custkey and "

@@ -91,77 +91,3 @@ class TestPhaseTimers:
         assert result.exec_cost == result.counter("executor.cost_units")
         assert result.q_error_max >= result.q_error_mean >= 1.0
 
-
-class TestCompareTrend:
-    """The CI trend gate (benchmarks/compare_trend.py) as a module."""
-
-    @pytest.fixture(scope="class")
-    def trend(self):
-        import importlib.util
-        from pathlib import Path
-
-        path = (
-            Path(__file__).parent.parent / "benchmarks" / "compare_trend.py"
-        )
-        spec = importlib.util.spec_from_file_location("compare_trend", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def _artifact(self, wall, ms):
-        return {
-            "benchmark": "bench_x",
-            "tests": {
-                "test_a": {
-                    "wall_seconds": wall,
-                    "extra_info": {"traced_ms": ms, "overhead": 0.01},
-                }
-            },
-        }
-
-    def _write(self, directory, payload):
-        import json
-
-        directory.mkdir(exist_ok=True)
-        (directory / "BENCH_x.json").write_text(json.dumps(payload))
-
-    def test_regression_beyond_threshold_fails(self, trend, tmp_path):
-        self._write(tmp_path / "cur", self._artifact(1.0, 1000.0))
-        self._write(tmp_path / "base", self._artifact(0.5, 500.0))
-        assert trend.main(
-            ["--current", str(tmp_path / "cur"),
-             "--baseline", str(tmp_path / "base")]
-        ) == 1
-
-    def test_growth_within_threshold_passes(self, trend, tmp_path):
-        self._write(tmp_path / "cur", self._artifact(0.55, 550.0))
-        self._write(tmp_path / "base", self._artifact(0.5, 500.0))
-        assert trend.main(
-            ["--current", str(tmp_path / "cur"),
-             "--baseline", str(tmp_path / "base")]
-        ) == 0
-
-    def test_noise_floor_forgives_tiny_absolute_growth(self, trend, tmp_path):
-        # +100% but only +2ms: under the 5ms floor, not a regression.
-        self._write(tmp_path / "cur", self._artifact(0.004, 4.0))
-        self._write(tmp_path / "base", self._artifact(0.002, 2.0))
-        assert trend.main(
-            ["--current", str(tmp_path / "cur"),
-             "--baseline", str(tmp_path / "base")]
-        ) == 0
-
-    def test_missing_baseline_passes(self, trend, tmp_path):
-        self._write(tmp_path / "cur", self._artifact(1.0, 1000.0))
-        assert trend.main(
-            ["--current", str(tmp_path / "cur"),
-             "--baseline", str(tmp_path / "missing")]
-        ) == 0
-
-    def test_non_overlapping_tests_pass(self, trend, tmp_path):
-        self._write(tmp_path / "cur", self._artifact(1.0, 1000.0))
-        base = {"benchmark": "bench_x", "tests": {"test_other": {}}}
-        self._write(tmp_path / "base", base)
-        assert trend.main(
-            ["--current", str(tmp_path / "cur"),
-             "--baseline", str(tmp_path / "base")]
-        ) == 0

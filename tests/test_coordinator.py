@@ -1,5 +1,5 @@
 """Cross-session coordinator: micro-batching windows, shared spools,
-per-query signatures, budget accounting, and plan-cache invalidation."""
+budget accounting, and plan-cache invalidation."""
 
 from __future__ import annotations
 
@@ -14,13 +14,7 @@ from repro.catalog.tpch import build_tpch_database
 from repro.errors import BudgetExceededError, ExecutionError
 from repro.executor.runtime import SharedSpoolPool
 from repro.obs import DecisionJournal, MetricsRegistry
-from repro.serve import (
-    QueryBudget,
-    SharedBatchCoordinator,
-    batch_signatures,
-    query_fingerprint,
-    query_table_signature,
-)
+from repro.serve import QueryBudget, SharedBatchCoordinator
 from repro.storage.worktable import WorkTable
 
 
@@ -73,43 +67,6 @@ def _run_concurrent(jobs, timeout=60.0):
         if isinstance(value, BaseException):
             raise AssertionError(f"job {name} raised") from value
     return results
-
-
-# ---------------------------------------------------------------------------
-# Per-query signatures (Step-1 analogue at window granularity)
-# ---------------------------------------------------------------------------
-
-
-class TestQuerySignatures:
-    def test_signature_is_sorted_table_union(self):
-        batch = Session(DB).bind(Q_PRIORITY)
-        assert query_table_signature(batch.queries[0]) == "lineitem+orders"
-
-    def test_signature_ignores_from_order(self):
-        session = Session(DB)
-        a = session.bind(
-            "select o_orderkey from orders, lineitem "
-            "where o_orderkey = l_orderkey"
-        )
-        b = session.bind(
-            "select o_orderkey from lineitem, orders "
-            "where o_orderkey = l_orderkey"
-        )
-        assert query_table_signature(a.queries[0]) == query_table_signature(
-            b.queries[0]
-        )
-        assert query_fingerprint(a.queries[0]) == query_fingerprint(
-            b.queries[0]
-        )
-
-    def test_batch_signatures_collects_distinct(self):
-        session = Session(DB)
-        batch = session.bind(
-            Q_PRIORITY + "; select n_name from nation where n_regionkey = 1"
-        )
-        assert batch_signatures(batch) == frozenset(
-            {"lineitem+orders", "nation"}
-        )
 
 
 # ---------------------------------------------------------------------------

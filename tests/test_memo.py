@@ -1,8 +1,15 @@
 """Unit tests for the memo (groups, exploration, signatures, DAG, LCA)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cse.signature import TableSignature
+from repro.optimizer import memo as memo_module
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.memo import (
     AggImplExpr,
@@ -97,9 +104,10 @@ class TestBlockExploration:
         aggs = [g for g in memo.groups if g.kind == "agg"]
         assert len(aggs) == 1  # only the final aggregation
 
-    def test_preagg_compression_gate(self, memo_for):
+    def test_preagg_compression_gate(self, memo_for, monkeypatch):
         # With an impossible compression requirement nothing is explored.
-        memo, _ = memo_for(JOIN3, OptimizerOptions(preagg_min_compression=0.0))
+        monkeypatch.setattr(memo_module, "PREAGG_MIN_COMPRESSION", 0.0)
+        memo, _ = memo_for(JOIN3)
         aggs = [g for g in memo.groups if g.kind == "agg"]
         assert len(aggs) == 1
 
@@ -213,3 +221,43 @@ class TestCardinalityWiring:
         top1_join = [g for g in memo1.groups if g.kind == "join" and len(g.items) == 3][0]
         top2_join = [g for g in memo2.groups if g.kind == "join" and len(g.items) == 3][0]
         assert top2_join.est_rows < top1_join.est_rows
+
+
+#: prints both batch-level estimates of two batches, exactly.
+_ESTIMATES = """
+from repro import Session
+from repro.workloads import example1_batch, independent_pairs_batch
+
+session = Session.tpch(0.002)
+for sql in (independent_pairs_batch(), example1_batch()):
+    stats = session.optimize(sql).stats
+    print(repr(stats.est_cost_no_cse), repr(stats.est_cost_final))
+"""
+
+
+def test_estimates_are_bit_stable_across_hash_seeds():
+    """Join estimates multiply per-item factors in canonical order, not in
+    ``frozenset`` iteration order, so no estimate depends on the
+    interpreter's string-hash seed down to the last bit."""
+    src = Path(repro.__file__).resolve().parent.parent
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _ESTIMATES],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": str(seed)},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for seed in range(8)
+    ]
+    outputs = []
+    try:
+        for run in runs:
+            out, err = run.communicate(timeout=300)
+            assert run.returncode == 0, err
+            outputs.append(out)
+    finally:
+        for run in runs:
+            run.kill()  # a no-op once the process has exited
+    assert len(outputs[0].splitlines()) == 2
+    assert len(set(outputs)) == 1, sorted(set(outputs))
