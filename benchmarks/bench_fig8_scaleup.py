@@ -9,7 +9,6 @@ joining nation/region). Reproduces both panels:
   no-pruning mode pays visibly more.
 """
 
-import dataclasses
 import math
 import time
 
@@ -109,18 +108,15 @@ def _best_of(session, batch, repeats=7):
     return best
 
 
-def test_scaleup_shared_scan_fused_wallclock(benchmark, bench_db):
-    """Full v2 (CSE spools + shared table scans + fused morsel pipelines)
-    vs the no-sharing baseline on a 12-query Figure-8 batch: identical
-    results, one physical scan per (table, column-set) group, and a
-    wall-clock speedup that must clear 2x at bench scale (CI runs this
+def test_scaleup_shared_scan_wallclock(benchmark, bench_db):
+    """CSE spools + shared table scans vs the no-sharing baseline on a
+    12-query Figure-8 batch: identical results, one physical scan per
+    (table, column-set) group, and a wall-clock speedup that must clear 2x at bench scale (CI runs this
     at REPRO_BENCH_SF=0.1)."""
     sql = scaleup_batch(12)
     v2 = Session(bench_db, options_for(MODE_CSE))
     baseline = Session(
-        bench_db,
-        dataclasses.replace(options_for(MODE_NO_CSE), enable_fusion=False),
-        shared_scans=False,
+        bench_db, options_for(MODE_NO_CSE), shared_scans=False
     )
     batch = v2.bind(sql)
     fast = v2.execute(batch)
@@ -130,7 +126,7 @@ def test_scaleup_shared_scan_fused_wallclock(benchmark, bench_db):
         assert _rows_match(
             fast.execution.query(query.name).rows,
             slow.execution.query(query.name).rows,
-        ), f"shared/fused results diverged for {query.name}"
+        ), f"shared results diverged for {query.name}"
     sf = bench_scale_factor()
     if sf <= 0.01:  # the row-at-a-time oracle is too slow at CI scale
         oracle = evaluate_batch(bench_db, batch)
@@ -151,19 +147,19 @@ def test_scaleup_shared_scan_fused_wallclock(benchmark, bench_db):
     slow_s = _best_of(baseline, batch)
     speedup = slow_s / fast_s
     # Floors sit at least ~10% under the lowest run per scale factor:
-    # 2.35-2.85x over ten runs at SF=0.1 (~159 ms no sharing vs ~60 ms
+    # 3.20-3.89x over ten runs at SF=0.1 (~155 ms no sharing vs ~47 ms
     # shared), 2.21-2.39x at SF=0.05, 1.74-1.89x at SF=0.01, where fixed
     # per-query overheads dominate the wall clock. What the shared side
     # still pays is every consumer re-reading and re-aggregating the
     # whole spool (ROADMAP item 1(d)).
     floor = 2.0 if sf >= 0.1 else 1.2
     print(
-        f"\nshared+fused wall clock: {slow_s * 1000:.1f}ms -> "
+        f"\nshared wall clock: {slow_s * 1000:.1f}ms -> "
         f"{fast_s * 1000:.1f}ms ({speedup:.2f}x, floor {floor}x, SF={sf})"
     )
     assert speedup >= floor, f"speedup {speedup:.2f}x below {floor}x"
 
-    benchmark.extra_info["shared_fused_panel"] = {
+    benchmark.extra_info["shared_panel"] = {
         "scale_factor": sf,
         "queries": 12,
         "fast_seconds": round(fast_s, 4),

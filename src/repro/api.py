@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .errors import (
     BudgetExceededError,
+    ExecutionError,
     OptimizerError,
     OptimizerTimeoutError,
     QueryTimeoutError,
@@ -138,17 +139,15 @@ class Session:
         governor: Optional[ResourceGovernor] = None,
         default_budget: Optional[QueryBudget] = None,
         shared_scans: bool = True,
-        morsel_rows: int = 4096,
         coordinator: Optional["SharedBatchCoordinator"] = None,
     ) -> None:
+        if workers < 1:
+            raise ExecutionError("workers must be positive")
         self.database = database
         self.options = options or OptimizerOptions()
         self.cost_model = cost_model or CostModel()
         #: share one physical scan per (table, column-set) group per batch.
         self.shared_scans = shared_scans
-        #: rows per morsel streamed through fused pipelines (<=0: whole
-        #: frame in one morsel).
-        self.morsel_rows = morsel_rows
         #: observability sinks shared by every optimize/execute on this
         #: session; the null defaults make instrumentation a no-op.
         self.registry = registry or NULL_REGISTRY
@@ -185,7 +184,7 @@ class Session:
             and self.registry is not NULL_REGISTRY
         ):
             coordinator.registry = self.registry
-        self.workers = max(1, workers)
+        self.workers = workers
         self.plan_cache = None
         if plan_cache_size > 0:
             self.plan_cache = PlanCache(
@@ -588,7 +587,6 @@ class Session:
             registry=self.registry,
             tracer=self.tracer,
             shared_scans=self.shared_scans,
-            morsel_rows=self.morsel_rows,
             workers=self.workers if workers is None else workers,
         )
 

@@ -114,21 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     query.add_argument(
-        "--no-fused", action="store_true",
-        help=(
-            "disable operator fusion: scan->filter->project chains run "
-            "as separate materializing operators instead of one "
-            "morsel-streamed pipeline"
-        ),
-    )
-    query.add_argument(
-        "--morsel-rows", type=int, metavar="N", default=4096,
-        help=(
-            "rows per morsel streamed through fused pipelines "
-            "(default 4096; 0 = whole frame in one morsel)"
-        ),
-    )
-    query.add_argument(
         "--share-window-ms", type=float, metavar="MS", default=0.0,
         help=(
             "hold arriving queries up to MS milliseconds to merge them "
@@ -164,10 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
             "execute the plan and annotate operators with actual rows and "
             "time, spool cost attribution, and optimizer counters"
         ),
-    )
-    explain.add_argument(
-        "--no-fused", action="store_true",
-        help="disable operator fusion (see `query --no-fused`)",
     )
     explain.add_argument(
         "--why", action="store_true",
@@ -257,8 +238,6 @@ def _options(args: argparse.Namespace) -> OptimizerOptions:
         options = OptimizerOptions()
     if getattr(args, "no_history_reuse", False):
         options = dataclasses.replace(options, reuse_history=False)
-    if getattr(args, "no_fused", False):
-        options = dataclasses.replace(options, enable_fusion=False)
     if getattr(args, "cse_strategy", None):
         options = dataclasses.replace(
             options, cse_strategy=args.cse_strategy
@@ -297,7 +276,6 @@ def _cmd_query(args: argparse.Namespace, out) -> int:
         tracer=tracer,
         workers=workers,
         query_log=query_log,
-        morsel_rows=args.morsel_rows,
         coordinator=coordinator,
     )
     budget = None

@@ -60,9 +60,7 @@ from ..obs import (
 )
 from ..optimizer.cost import CostModel
 from ..optimizer.physical import (
-    FusedStage,
     PhysFilter,
-    PhysFusedPipeline,
     PhysHashAgg,
     PhysHashJoin,
     PhysIndexScan,
@@ -174,7 +172,6 @@ class Executor:
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         shared_scans: bool = True,
-        morsel_rows: int = 4096,
         workers: int = 1,
     ) -> None:
         if workers < 1:
@@ -185,8 +182,6 @@ class Executor:
         self.tracer = tracer or NULL_TRACER
         #: engine v2: one physical scan per (table, column-set) per batch.
         self.shared_scans = shared_scans
-        #: morsel size for fused streaming pipelines.
-        self.morsel_rows = morsel_rows
         #: 1 runs tasks inline; N > 1 schedules them on N pool threads.
         self.workers = workers
 
@@ -251,7 +246,6 @@ class Executor:
                 tracer=self.tracer,
                 spool_spans=state.spool_spans,
                 scans=state.scans,
-                morsel_rows=self.morsel_rows,
             )
             if task.kind == "query":
                 return ctx, self._execute_query(query_plans[task.label], ctx)
@@ -616,19 +610,6 @@ def bind_scalars(plan: PhysicalPlan, mapping: Dict[Expr, Expr]) -> PhysicalPlan:
         )
     if isinstance(plan, PhysSpoolRead):
         return plan
-    if isinstance(plan, PhysFusedPipeline):
-        return PhysFusedPipeline(
-            source=bind_scalars(plan.source, mapping),
-            stages=tuple(
-                FusedStage(
-                    kind=s.kind,
-                    exprs=_sub_all(s.exprs, mapping),
-                    est_rows=s.est_rows,
-                )
-                for s in plan.stages
-            ),
-            est_rows=plan.est_rows,
-        )
     if isinstance(plan, PhysSpoolDef):
         return PhysSpoolDef(
             spools=tuple(

@@ -32,7 +32,6 @@ from ..expr.expressions import AggExpr, AggFunc, ColumnRef, Expr
 from ..optimizer.aggs import AggCompute
 from ..optimizer.physical import (
     PhysFilter,
-    PhysFusedPipeline,
     PhysHashAgg,
     PhysHashJoin,
     PhysIndexScan,
@@ -63,19 +62,15 @@ def execute_node(
     charged afterwards — so a runaway plan stops at the next operator
     boundary instead of stalling the batch. ``charge_output=False``
     suppresses the output-row charge for this node only (a spool body's
-    top output is charged at each consumer read, never at the producer);
-    fused pipelines charge per morsel inside the streaming loop instead."""
+    top output is charged at each consumer read, never at the producer)."""
     token = ctx.token
     if token is not None:
         token.check()
-    charge = (
-        charge_output and not isinstance(plan, PhysFusedPipeline)
-    )
     ctx.metrics.operator_invocations += 1
     tracer = ctx.tracer
     if ctx.op_stats is None and not tracer.enabled:
         frame = _dispatch(plan, ctx)
-        if token is not None and token.charges_rows and charge:
+        if token is not None and token.charges_rows and charge_output:
             token.charge_rows(frame_length(frame))
         return frame
     start = perf_counter()
@@ -96,7 +91,7 @@ def execute_node(
         stats.invocations += 1
         stats.rows_out += rows
         stats.wall_time += elapsed
-    if token is not None and token.charges_rows and charge:
+    if token is not None and token.charges_rows and charge_output:
         token.charge_rows(rows)
     return frame
 
@@ -109,8 +104,6 @@ def _op_span_name(plan: PhysicalPlan) -> str:
 def _dispatch(plan: PhysicalPlan, ctx: ExecutionContext) -> Frame:
     if isinstance(plan, PhysScan):
         return _scan(plan, ctx)
-    if isinstance(plan, PhysFusedPipeline):
-        return _fused(plan, ctx)
     if isinstance(plan, PhysIndexScan):
         return _index_scan(plan, ctx)
     if isinstance(plan, PhysHashJoin):
@@ -218,91 +211,6 @@ def _matching_rows(conjuncts: Tuple[Expr, ...], frame: Frame) -> np.ndarray:
 
 def _take(frame: Frame, rows: np.ndarray) -> Frame:
     return {key: col[rows] for key, col in frame.items()}
-
-
-# ---------------------------------------------------------------------------
-# Fused pipelines (engine v2 morsel streaming)
-# ---------------------------------------------------------------------------
-
-
-def _fused(plan: PhysFusedPipeline, ctx: ExecutionContext) -> Frame:
-    """Stream a fused scan→filter→project chain morsel-at-a-time.
-
-    The source resolves like its unfused self (shared-scan manager for
-    scans, per-consumer read accounting for spool reads); the stages then
-    run over fixed-size morsels so no whole intermediate frame is ever
-    materialized. The governor token is checked once per morsel, making
-    cancellation strictly finer-grained than the per-operator checkpoints
-    of the unfused path. Row-budget charges mirror the unfused plan
-    exactly — the source's output once, then every stage's output — so
-    ``max_rows`` semantics are identical with fusion on or off, at any
-    morsel size. Filter costs are charged once over the summed morsel
-    inputs, so the deterministic cost-unit totals are morsel-size
-    independent too."""
-    source = plan.source
-    if isinstance(source, PhysScan):
-        frame = _scan(source, ctx)
-    elif isinstance(source, PhysSpoolRead):
-        frame = _spool_read(source, ctx)
-    else:
-        raise ExecutionError(
-            f"fused pipeline cannot source from {type(source).__name__}"
-        )
-    n = frame_length(frame)
-    if ctx.op_stats is not None:
-        # The source never goes through execute_node; record it so
-        # EXPLAIN ANALYZE does not report "never executed".
-        stats = ctx.stats_for(source)
-        stats.invocations += 1
-        stats.rows_out += n
-    token = ctx.token
-    charges = token is not None and token.charges_rows
-    if charges:
-        # The source's own output charge (execute_node would have made it).
-        token.charge_rows(n)
-    stages = plan.stages
-    morsel = ctx.morsel_rows if ctx.morsel_rows > 0 else (n or 1)
-    stage_inputs = [0] * len(stages)
-    pieces: List[Frame] = []
-    start = 0
-    while True:
-        stop = min(start + morsel, n)
-        piece: Frame = {k: v[start:stop] for k, v in frame.items()}
-        if token is not None:
-            token.check()
-        for i, stage in enumerate(stages):
-            stage_inputs[i] += frame_length(piece)
-            if stage.kind == "filter":
-                piece = _take(piece, _matching_rows(stage.exprs, piece))
-            else:  # project
-                piece = {e: evaluate(e, piece) for e in stage.exprs}
-            if charges:
-                # Per-stage output charge, mirroring the unfused
-                # operator-by-operator accounting exactly.
-                token.charge_rows(frame_length(piece))
-        pieces.append(piece)
-        start = stop
-        if start >= n:
-            break
-    for i, stage in enumerate(stages):
-        if stage.kind == "filter":
-            ctx.metrics.cost_units += ctx.cost_model.filter(
-                stage_inputs[i], len(stage.exprs)
-            )
-    return _concat_frames(pieces)
-
-
-def _concat_frames(pieces: List[Frame]) -> Frame:
-    if len(pieces) == 1:
-        return pieces[0]
-    # Skip empty morsel outputs (an all-filtered morsel's dtype can
-    # degrade under concatenate); keep one piece for the key set.
-    live = [p for p in pieces if frame_length(p)] or pieces[:1]
-    if len(live) == 1:
-        return live[0]
-    return {
-        key: np.concatenate([p[key] for p in live]) for key in live[0]
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -298,8 +298,6 @@ class ExecutionContext:
     #: batch-wide shared-scan manager (engine v2). None falls back to the
     #: per-consumer physical scan of v1.
     scans: Optional["ScanManager"] = None
-    #: morsel size for fused streaming pipelines (rows per morsel).
-    morsel_rows: int = 4096
 
     def stats_for(self, node: object) -> OperatorStats:
         """The (created-on-demand) stats slot for one plan node."""

@@ -46,13 +46,17 @@ from . import step2
 from .assembly import assemble
 from .cardinality import CardinalityEstimator
 from .cost import CostModel
-from .fusion import fuse_bundle
 from .memo import Group, Memo
 from .options import OptimizerOptions
 from .physical import PlanBundle
 from .search import Search
 from .selection import select, select_strategy
 from .state import BASE_PASS, History, OptimizerRun, OptimizerStats
+
+#: Enter the CSE phase only when the batch's estimated cost exceeds this
+#: value ("only if the query is expensive", §2.2). 0 admits every batch
+#: with a positive estimated cost.
+CSE_COST_THRESHOLD = 0.0
 
 
 @dataclass
@@ -124,13 +128,6 @@ class Optimizer:
         with use_registry(self.registry), use_journal(self.journal):
             with self.tracer.span("optimize", queries=len(batch.queries)):
                 result, run = self._optimize(batch)
-        if self.options.enable_fusion:
-            shared = result.base_bundle is result.bundle
-            result.bundle = fuse_bundle(result.bundle)
-            if shared:
-                result.base_bundle = result.bundle
-            elif result.base_bundle is not None:
-                result.base_bundle = fuse_bundle(result.base_bundle)
         result.journal = self.journal
         self._publish_stats(result.stats)
         return result, run
@@ -240,7 +237,7 @@ class Optimizer:
 
         if not self.options.enable_cse:
             return finish_base()
-        if base_cost <= self.options.cse_cost_threshold:
+        if base_cost <= CSE_COST_THRESHOLD:
             self.tracer.event(
                 "cse_skipped", reason="below_cost_threshold", cost=base_cost
             )

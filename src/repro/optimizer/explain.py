@@ -24,7 +24,6 @@ from .cost import CostModel
 from .engine import OptimizationResult
 from .physical import (
     PhysFilter,
-    PhysFusedPipeline,
     PhysHashAgg,
     PhysHashJoin,
     PhysIndexScan,
@@ -140,19 +139,6 @@ class PlanAnnotator:
             return model.project(plan.child.est_rows, len(plan.outputs))
         if isinstance(plan, PhysSort):
             return model.sort(plan.child.est_rows)
-        if isinstance(plan, PhysFusedPipeline):
-            # The source annotates as a child; the fused node's local cost
-            # is the sum of its stages over the preserved per-stage
-            # estimates — the same numbers the unfused chain annotated.
-            total = 0.0
-            input_rows = plan.source.est_rows
-            for stage in plan.stages:
-                if stage.kind == "filter":
-                    total += model.filter(input_rows, len(stage.exprs))
-                else:
-                    total += model.project(input_rows, len(stage.exprs))
-                input_rows = stage.est_rows
-            return total
         if isinstance(plan, PhysSpoolRead):
             rows, width = self._spool_stats.get(
                 plan.cse_id, (plan.est_rows, 8)

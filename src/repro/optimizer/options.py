@@ -49,8 +49,8 @@ class OptimizerOptions:
     #: §5.5 stacked CSEs: let candidate bodies consume other candidates.
     enable_stacked: bool = True
 
-    #: Hard caps keeping pathological inputs bounded.
-    max_candidates: int = 64
+    #: Hard cap on Step-3 passes, keeping pathological inputs bounded (the
+    #: Step-2 candidate cap is :data:`repro.optimizer.step2.MAX_CANDIDATES`).
     max_cse_optimizations: int = 128
 
     #: Step-3 selection strategy. ``"paper"`` is the paper's §5.3 subset
@@ -84,25 +84,13 @@ class OptimizerOptions:
     #: split evenly among potential consumers at substitution time).
     cost_mode: str = "profile"
 
-    #: Enter the CSE phase only when the batch's estimated cost exceeds this
-    #: value ("only if the query is expensive", §2.2). 0 disables the gate.
-    cse_cost_threshold: float = 0.0
-
-    #: Engine-v2 pipeline fusion: collapse eligible scan→filter→project
-    #: chains into a single streaming ``PhysFusedPipeline`` node that the
-    #: executor runs morsel-at-a-time (``--no-fused`` turns it off). Plan
-    #: costs are unchanged — fusion is a post-pass on the chosen bundle.
-    enable_fusion: bool = True
-
     def __post_init__(self) -> None:
         if self.cost_mode not in ("profile", "naive_split"):
             raise ValueError(f"unknown cost_mode {self.cost_mode!r}")
         if self.cse_strategy not in ("paper", "greedy", "auto"):
             raise ValueError(f"unknown cse_strategy {self.cse_strategy!r}")
-        if self.max_candidates < 0 or self.max_cse_optimizations < 0:
-            raise ValueError(
-                "max_candidates and max_cse_optimizations must be non-negative"
-            )
+        if self.max_cse_optimizations < 0:
+            raise ValueError("max_cse_optimizations must be non-negative")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be within [0, 1]")
         if not 0.0 <= self.beta:

@@ -214,41 +214,6 @@ class PhysSpoolRead(PhysicalPlan):
         return f"SpoolRead {self.cse_id} (~{self.est_rows:.0f} rows)"
 
 
-@dataclass(frozen=True)
-class FusedStage:
-    """One stage of a fused pipeline: a filter (conjuncts) or an interior
-    projection (expressions to evaluate), with the original node's
-    cardinality estimate preserved for explain-cost annotation."""
-
-    kind: str  # "filter" | "project"
-    exprs: Tuple[Expr, ...]
-    est_rows: float = 0.0
-
-
-@dataclass
-class PhysFusedPipeline(PhysicalPlan):
-    """A scan→filter→project chain collapsed into one streaming operator.
-
-    ``source`` is the original leaf (PhysScan with its pushed-down
-    conjuncts, or PhysSpoolRead); ``stages`` run source-first. The
-    executor streams fixed-size columnar morsels through the stages
-    instead of materializing one whole frame per operator, checking the
-    governor token per morsel."""
-
-    source: PhysicalPlan
-    stages: Tuple[FusedStage, ...]
-    est_rows: float = 0.0
-
-    def children(self) -> Tuple[PhysicalPlan, ...]:
-        return (self.source,)
-
-    def _describe_line(self) -> str:
-        kinds = "+".join(s.kind for s in self.stages) or "pass"
-        return (
-            f"FusedPipeline [{kinds}] (~{self.est_rows:.0f} rows)"
-        )
-
-
 @dataclass
 class PhysSpoolDef(PhysicalPlan):
     """Materialize one or more spools, then evaluate the child once.

@@ -28,6 +28,11 @@ from .state import BASE_PASS, EMPTY_PROFILE, OptimizerRun, PassContext
 #: prototype does not generate them (Figure 6).
 MIN_CSE_TABLES = 2
 
+#: Cap on the candidates that survive Heuristics 1-4; past it, the ones
+#: with the largest summed consumer lower bounds are kept (a guard that
+#: keeps pathological inputs bounded).
+MAX_CANDIDATES = 64
+
 
 def generate(
     search: Search, journal: DecisionJournal, buckets, base_cost: float
@@ -100,20 +105,20 @@ def generate(
                 kept=False,
                 reason="H4 containment prune",
             )
-    if len(definitions) > options.max_candidates:
+    if len(definitions) > MAX_CANDIDATES:
         definitions.sort(
             key=lambda d: -sum(
                 g.lower_bound or 0.0 for g in d.consumer_groups
             )
         )
-        for definition in definitions[options.max_candidates:]:
+        for definition in definitions[MAX_CANDIDATES:]:
             journal.event(
                 "verdict",
                 cse_id=definition.cse_id,
                 kept=False,
                 reason="max_candidates cap",
             )
-        definitions = definitions[: options.max_candidates]
+        definitions = definitions[:MAX_CANDIDATES]
 
     # Build candidate bodies into the memo and optimize them standalone.
     candidates: List[CandidateCse] = []

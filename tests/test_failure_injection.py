@@ -248,11 +248,6 @@ class TestOptimizerGuards:
         with pytest.raises(ValueError):
             OptimizerOptions(alpha=2.0)
 
-    def test_negative_max_candidates(self):
-        # -1 used to reach definitions[:-1] and silently drop a candidate.
-        with pytest.raises(ValueError):
-            OptimizerOptions(max_candidates=-1)
-
     def test_negative_max_cse_optimizations(self):
         with pytest.raises(ValueError):
             OptimizerOptions(max_cse_optimizations=-1)

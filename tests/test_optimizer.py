@@ -142,17 +142,8 @@ class TestCseDecisions:
         q1 = result.bundle.queries[0].plan
         read = nodes_of(q1, PhysSpoolRead)
         assert read
-        # The residual nationkey range survives as a filter node, or as a
-        # filter stage after the fusion pass collapsed the chain.
-        from repro.optimizer.physical import PhysFusedPipeline
-
-        fused_filters = [
-            stage
-            for node in nodes_of(q1, PhysFusedPipeline)
-            for stage in node.stages
-            if stage.kind == "filter"
-        ]
-        assert nodes_of(q1, PhysFilter) or fused_filters
+        # The residual nationkey range survives as a filter node.
+        assert nodes_of(q1, PhysFilter)
 
     def test_signature_overhead_counted(self, small_session):
         result = small_session.optimize(example1_batch())
@@ -166,10 +157,11 @@ class TestCseDecisions:
         assert result.stats.candidates_generated == 0
         assert result.est_cost == result.stats.est_cost_no_cse
 
-    def test_cheap_batch_skipped_by_threshold(self, small_db):
-        session = Session(
-            small_db, OptimizerOptions(cse_cost_threshold=1e12)
-        )
+    def test_cheap_batch_skipped_by_threshold(self, small_db, monkeypatch):
+        from repro.optimizer import engine
+
+        monkeypatch.setattr(engine, "CSE_COST_THRESHOLD", 1e12)
+        session = Session(small_db, OptimizerOptions())
         result = session.optimize(example1_batch())
         assert result.stats.cse_optimizations == 0
 

@@ -118,7 +118,5 @@ def test_no_function_local_imports(module):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert local == []
-    if module == "engine":
-        assert "fusion" in _sibling_imports("engine")
     if module == "search":
         assert "aggs" in _sibling_imports("search")

@@ -182,17 +182,22 @@ class TestExample11MutuallyExclusiveCandidates:
         "group by o_orderstatus"
     )
 
-    def test_full_enumeration_at_least_as_good_as_restrictions(self, small_db):
+    def test_full_enumeration_at_least_as_good_as_restrictions(
+        self, small_db, monkeypatch
+    ):
+        from repro.optimizer import step2
+
         session = Session(
             small_db, OptimizerOptions(enable_heuristics=False,
                                        max_cse_optimizations=32)
         )
         full = session.optimize(self.SQL)
         # Restrict to each single candidate by pruning everything else.
+        monkeypatch.setattr(step2, "MAX_CANDIDATES", 1)
         for candidate in full.candidates:
             restricted_session = Session(
                 small_db,
-                OptimizerOptions(enable_heuristics=False, max_candidates=1,
+                OptimizerOptions(enable_heuristics=False,
                                  max_cse_optimizations=4),
             )
             restricted = restricted_session.optimize(self.SQL)

@@ -335,6 +335,12 @@ class TestParallelExecutorConstruction:
         with pytest.raises(ExecutionError):
             Executor(small_db, workers=0)
 
+    def test_session_workers_must_be_positive(self, small_db):
+        # Session, Executor and Session.execute share one rule for
+        # ``workers``; the constructor used to clamp 0 to 1 silently.
+        with pytest.raises(ExecutionError, match="workers must be positive"):
+            Session(small_db, workers=0)
+
 
 class TestWarmExecuteSkipsOptimization:
     def test_no_optimizer_span_on_cache_hit(self, small_db):

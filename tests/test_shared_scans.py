@@ -94,7 +94,7 @@ class TestSharingInvariant:
 class TestCostAccounting:
     def test_single_consumer_totals_unchanged(self, small_db):
         """With one consumer per group the split charge (raw fetch +
-        predicate mask) must equal the legacy fused scan charge."""
+        predicate mask) must equal the unshared scan's single charge."""
         sql = (
             "select c_nationkey, sum(c_acctbal) as v from customer "
             "where c_nationkey < 10 group by c_nationkey"
