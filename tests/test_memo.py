@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import Session
 from repro.cse.signature import TableSignature
 from repro.optimizer import memo as memo_module
 from repro.optimizer.cardinality import CardinalityEstimator
+from repro.optimizer.engine import Optimizer
 from repro.optimizer.memo import (
     AggImplExpr,
     AggItem,
@@ -20,6 +22,12 @@ from repro.optimizer.memo import (
 )
 from repro.optimizer.options import OptimizerOptions
 from repro.sql.binder import bind_batch, bind_sql
+from repro.workloads import (
+    ADAPTED_QUERIES,
+    complex_join_batch,
+    example1_batch,
+    scaleup_batch,
+)
 
 
 @pytest.fixture()
@@ -233,6 +241,55 @@ for sql in (independent_pairs_batch(), example1_batch()):
     stats = session.optimize(sql).stats
     print(repr(stats.est_cost_no_cse), repr(stats.est_cost_final))
 """
+
+
+MEMO_GOLDEN = Path(__file__).parent / "golden" / "memo_estimates.txt"
+
+#: the 8 adapted TPC-H queries, Example 1, one Fig-8 batch and Table 4.
+MEMO_CASES = {
+    **ADAPTED_QUERIES,
+    "example1": example1_batch(),
+    "fig8_6": scaleup_batch(6),
+    "table4": complex_join_batch(),
+}
+
+
+def _memo_lines(database):
+    """One line per memo group of every case: items, exact row estimate,
+    width, expression count and each join's hash keys and residuals."""
+    lines = []
+    for name, sql in MEMO_CASES.items():
+        batch = Session(database).bind(sql)
+        _, run = Optimizer(database, OptimizerOptions()).optimize_with_run(batch)
+        lines.append(f"# {name}")
+        for group in run.memo.groups:
+            items = ",".join(sorted(repr(i) for i in group.items))
+            joins = " ".join(
+                f"{e!r}{list(e.hash_keys)!r}{list(e.residual)!r}"
+                for e in group.exprs if isinstance(e, JoinExpr)
+            )
+            lines.append(
+                f"g{group.gid} {group.kind} [{items}] "
+                f"{float.hex(group.est_rows)} w={group.row_width} "
+                f"n={len(group.exprs)} {joins}".rstrip()
+            )
+    return lines
+
+
+def test_memo_estimates_golden(tiny_db):
+    """Every group, estimate and join spec the memo builds for the paper's
+    workloads, pinned bit for bit. Regenerate after an intentional change
+    with ``REPRO_UPDATE_GOLDEN=1``."""
+    got = "\n".join(_memo_lines(tiny_db)) + "\n"
+    if os.environ.get("REPRO_UPDATE_GOLDEN"):
+        MEMO_GOLDEN.write_text(got)
+        return
+    want = MEMO_GOLDEN.read_text()
+    for index, (line, expected) in enumerate(
+        zip(got.splitlines(), want.splitlines())
+    ):
+        assert line == expected, f"memo_estimates.txt line {index + 1}"
+    assert got == want
 
 
 def test_estimates_are_bit_stable_across_hash_seeds():
