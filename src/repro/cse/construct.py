@@ -379,8 +379,7 @@ def _estimate_rows(
     grouping keys for aggregated CSEs."""
     filters = [(c, c.tables()) for c in non_equality_conjuncts(covering)]
     rows = 1.0
-    items = frozenset(tables)
-    item_rows: Dict[object, float] = {}
+    item_rows: Dict[TableRef, float] = {}
     for table in tables:
         base = estimator.table_rows(table)
         for conjunct, touched in filters:
@@ -389,7 +388,11 @@ def _estimate_rows(
         item_rows[table] = max(base, 1.0)
         rows *= item_rows[table]
     for cls in joint.classes():
-        rows *= estimator.class_factor_for_join(cls, item_rows, items)
+        ndvs: Dict[TableRef, float] = {}
+        for member in cls:
+            ndv = min(estimator.column_ndv(member), item_rows[member.table_ref])
+            ndvs[member.table_ref] = min(ndvs.get(member.table_ref, ndv), ndv)
+        rows *= estimator.class_factor_for_join(ndvs.values())
     for conjunct, touched in filters:
         if len(touched) >= 2:
             rows *= estimator.selectivity(conjunct)

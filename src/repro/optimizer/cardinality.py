@@ -10,7 +10,7 @@ deterministic given the database statistics, which keeps optimizer decisions
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..catalog.statistics import ColumnStats
 from ..expr.expressions import (
@@ -25,7 +25,6 @@ from ..expr.expressions import (
     TableRef,
 )
 from ..storage.database import Database
-from ..types import DataType
 
 #: Fallback selectivity for predicates the estimator cannot analyze.
 DEFAULT_SELECTIVITY = 0.25
@@ -150,11 +149,7 @@ class CardinalityEstimator:
 
     # -- joins ----------------------------------------------------------------
 
-    def class_factor(
-        self,
-        cls: FrozenSet[ColumnRef],
-        rows_by_table: Mapping[TableRef, float],
-    ) -> float:
+    def class_factor(self, cls: Iterable[ColumnRef]) -> float:
         """Selectivity factor of an equivalence class applied *within* the
         current scope (single table): one factor per implied equality."""
         ndvs = sorted(
@@ -165,31 +160,14 @@ class CardinalityEstimator:
             factor /= ndv
         return factor
 
-    def class_factor_for_join(
-        self,
-        cls: FrozenSet[ColumnRef],
-        item_rows: Mapping[object, float],
-        items: Sequence[object],
-    ) -> float:
+    @staticmethod
+    def class_factor_for_join(item_ndvs: Iterable[float]) -> float:
         """Join selectivity factor of an equivalence class spanning several
-        join items. Each item contributes one effective NDV (its members are
-        already equal within the item); the factor is ``1/∏`` of all item
-        NDVs except the smallest."""
-        from .memo import item_tables  # local import to avoid a cycle
-
-        per_item_ndv: Dict[object, float] = {}
-        for member in cls:
-            for item in items:
-                if member.table_ref in item_tables(item):
-                    rows = max(item_rows.get(item, 1.0), 1.0)
-                    ndv = min(self.column_ndv(member), rows)
-                    current = per_item_ndv.get(item)
-                    per_item_ndv[item] = (
-                        ndv if current is None else min(current, ndv)
-                    )
-        ndvs = sorted(per_item_ndv.values(), reverse=True)
-        if len(ndvs) < 2:
-            return 1.0
+        join items, from each touching item's effective NDV: the smallest
+        NDV of its members (they are already equal within the item), capped
+        by its rows. The factor is ``1/∏`` of all item NDVs except the
+        smallest; one item alone gives 1."""
+        ndvs = sorted(item_ndvs, reverse=True)
         factor = 1.0
         for ndv in ndvs[:-1]:
             factor /= max(ndv, 1.0)

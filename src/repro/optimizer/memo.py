@@ -23,7 +23,6 @@ candidate-generation heuristics (§4.3) consume.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -41,16 +40,13 @@ from ..errors import OptimizerError
 from ..expr.expressions import (
     ColumnRef,
     Comparison,
+    ComparisonOp,
     Expr,
     TableRef,
     canon_key,
     canon_sorted,
 )
-from ..expr.predicates import (
-    EquivalenceClasses,
-    non_equality_conjuncts,
-    split_conjuncts,
-)
+from ..expr.predicates import EquivalenceClasses, non_equality_conjuncts
 from ..logical.blocks import QueryBlock
 from ..cse.signature import TableSignature
 from .aggs import AggCompute, combine_computes, decomposable_over, direct_computes, partial_computes
@@ -89,21 +85,6 @@ class AggItem:
 
 
 JoinItem = Union[TableRef, AggItem]
-
-
-def item_tables(item: JoinItem) -> FrozenSet[TableRef]:
-    """The base-table instances one join item covers."""
-    if isinstance(item, TableRef):
-        return frozenset([item])
-    return item.source
-
-
-def items_tables(items: Iterable[JoinItem]) -> FrozenSet[TableRef]:
-    """Union of base tables over several join items."""
-    result: Set[TableRef] = set()
-    for item in items:
-        result.update(item_tables(item))
-    return frozenset(result)
 
 
 # ---------------------------------------------------------------------------
@@ -225,116 +206,179 @@ class Group:
 
 class BlockInfo:
     """Derived structures for one block: equivalence classes, conjunct
-    assignment, and the equijoin graph."""
+    assignment, the equijoin graph, and the estimator inputs the memo reads
+    for every subset.
 
-    def __init__(self, block: QueryBlock) -> None:
+    Every set test the memo makes is an ``int`` mask test. The i-th table of
+    ``sorted(block.tables)`` is bit ``1 << i``; a join item's mask is the OR
+    of its tables' bits; the join graph is one neighbour mask per bit. An
+    *item* set is connected exactly when the union of its masks is: a plain
+    table is a single bit and every :class:`AggItem` source is itself a
+    connected subset, so a path between the union's tables is a path
+    between its items and vice versa.
+    """
+
+    def __init__(self, block: QueryBlock, estimator: CardinalityEstimator) -> None:
         self.block = block
         self.classes: EquivalenceClasses = block.equivalence_classes()
         self.noneq: List[Expr] = non_equality_conjuncts(block.conjuncts)
-        self.required = block.required_columns()
-        # Join graph over table instances.
-        self.edges: Set[FrozenSet[TableRef]] = set()
-        for cls in self.classes.classes():
-            tables = sorted({m.table_ref for m in cls if isinstance(m, ColumnRef)})
-            for a, b in itertools.combinations(tables, 2):
-                self.edges.add(frozenset((a, b)))
-        for conjunct in self.noneq:
-            tables = sorted(conjunct.tables())
-            for a, b in itertools.combinations(tables, 2):
-                self.edges.add(frozenset((a, b)))
+        self.tables: Tuple[TableRef, ...] = tuple(sorted(block.tables))
+        self.bits: Tuple[int, ...] = tuple(1 << i for i in range(len(self.tables)))
+        self.bit: Dict[TableRef, int] = dict(zip(self.tables, self.bits))
+        self.full = (1 << len(self.tables)) - 1
+        #: (table, bit) in canonical item order, the order estimates multiply in.
+        self.canon_tables = [(t, self.bit[t]) for t in canon_sorted(self.tables)]
+        #: Each class as (table mask, canonical ((member, bit, ndv), ...)).
+        self.class_bits: List[Tuple[int, Tuple[Tuple[ColumnRef, int, float], ...]]] = [
+            (
+                self.mask_of(m.table_ref for m in cls),
+                tuple((m, self.bit[m.table_ref], estimator.column_ndv(m))
+                      for m in canon_sorted(cls)),
+            )
+            for cls in self.classes.classes()
+        ]
+        #: (conjunct, table mask, selectivity) per non-equality conjunct.
+        self.noneq_bits: List[Tuple[Expr, int, float]] = [
+            (c, self.mask_of(c.tables()), estimator.selectivity(c)) for c in self.noneq
+        ]
+        #: Block-required columns in canonical order, with their table bit.
+        self.required: Tuple[Tuple[ColumnRef, int], ...] = tuple(
+            (c, self.bit[c.table_ref]) for c in canon_sorted(block.required_columns())
+        )
+        self.neighbors = [0] * len(self.tables)
+        for mask, _ in self.class_bits:
+            self._link(mask)
+        for _, mask, _ in self.noneq_bits:
+            self._link(mask)
         self._bridge_components()
-        self._all_classes = self.classes.classes()
-        self._classes_cache: Dict[FrozenSet[TableRef], List[FrozenSet[ColumnRef]]] = {}
-        self._neighbors: Dict[TableRef, Set[TableRef]] = {}
-        for edge in self.edges:
-            pair = sorted(edge)
-            if len(pair) == 2:
-                a, b = pair
-                self._neighbors.setdefault(a, set()).add(b)
-                self._neighbors.setdefault(b, set()).add(a)
+        self._connected: Dict[int, bool] = {}
+        self._unions: Dict[Tuple[int, ...], List[int]] = {}
+        self._classes_cache: Dict[int, List[Tuple[ColumnRef, ...]]] = {}
+        self._preagg_keys: Dict[int, Tuple[ColumnRef, ...]] = {}
+        #: Filtered rows of each table (local conjuncts, single-table classes).
+        self.base_rows: Dict[int, float] = {}
+        for table, bit in zip(self.tables, self.bits):
+            rows = estimator.table_rows(table)
+            for _, mask, selectivity in self.noneq_bits:
+                if mask == bit:
+                    rows *= selectivity
+            for members in self.classes_within((table,)):
+                rows *= estimator.class_factor(members)
+            self.base_rows[bit] = max(rows, 0.0)
 
-    def tables_adjacent(self, first: TableRef, second: TableRef) -> bool:
-        """Whether two instances share a join-graph edge."""
-        return second in self._neighbors.get(first, ())
+    # -- masks and the join graph -------------------------------------------
+
+    def mask_of(self, tables: Iterable[TableRef]) -> int:
+        """The mask of some of the block's table instances."""
+        mask = 0
+        for table in tables:
+            mask |= self.bit[table]
+        return mask
+
+    def tables_of(self, mask: int) -> FrozenSet[TableRef]:
+        """The table instances of ``mask``."""
+        return frozenset(t for t, bit in zip(self.tables, self.bits) if bit & mask)
+
+    def bits_of(self, mask: int) -> Tuple[int, ...]:
+        """The single-table bits of ``mask``, in ``sorted(block.tables)`` order."""
+        return tuple(bit for bit in self.bits if bit & mask)
+
+    def _link(self, mask: int) -> None:
+        """Join every pair of tables in ``mask``."""
+        for index, bit in enumerate(self.bits):
+            if bit & mask:
+                self.neighbors[index] |= mask & ~bit
 
     def _bridge_components(self) -> None:
         """Connect disconnected components with synthetic (cartesian) edges
-        so subset enumeration covers the whole block."""
-        tables = sorted(self.block.tables)
-        if not tables:
-            return
-        seen: Set[TableRef] = set()
-        components: List[List[TableRef]] = []
-        for table in tables:
-            if table in seen:
-                continue
-            component = [table]
-            seen.add(table)
-            frontier = [table]
-            while frontier:
-                current = frontier.pop()
-                for edge in self.edges:
-                    if current in edge:
-                        other = next(iter(edge - {current}))
-                        if other not in seen:
-                            seen.add(other)
-                            component.append(other)
-                            frontier.append(other)
-            components.append(component)
-        for first, second in zip(components, components[1:]):
-            self.edges.add(frozenset((first[0], second[0])))
+        so subset enumeration covers the whole block: each component's
+        first table joins the next component's."""
+        seen, firsts = 0, []
+        for bit in self.bits:
+            if not bit & seen:
+                seen |= self._reach(bit, self.full)
+                firsts.append(bit)
+        for first, second in zip(firsts, firsts[1:]):
+            self._link(first | second)
+
+    def _reach(self, start: int, within: int) -> int:
+        """The tables reachable from ``start`` over edges inside ``within``."""
+        reached = frontier = start
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown = self.neighbors[low.bit_length() - 1] & within & ~reached
+            reached |= grown
+            frontier |= grown
+        return reached
+
+    def connected(self, mask: int) -> bool:
+        """Whether the tables of ``mask`` form a connected join graph."""
+        known = self._connected.get(mask)
+        if known is None:
+            known = self._connected[mask] = self._reach(mask & -mask, mask) == mask
+        return known
+
+    def connected_unions(self, masks: Tuple[int, ...]) -> List[int]:
+        """The union masks of the connected subsets of disjoint items with
+        masks ``masks``: fewest items first, ties in subset-index order
+        (bit i of the index picks ``masks[i]``)."""
+        cached = self._unions.get(masks)
+        if cached is None:
+            unions = [0]
+            for mask in masks:
+                unions += [union | mask for union in unions]
+            order = sorted(range(1, len(unions)), key=lambda i: bin(i).count("1"))
+            cached = self._unions[masks] = [
+                unions[i] for i in order if self.connected(unions[i])
+            ]
+        return cached
 
     # -- conjunct assignment ----------------------------------------------
 
-    def conjunct_tables(self, conjunct: Expr) -> FrozenSet[TableRef]:
-        """Table instances a conjunct references."""
-        return conjunct.tables()
-
-    def noneq_within(self, tables: FrozenSet[TableRef]) -> List[Expr]:
+    def noneq_within(self, tables: Iterable[TableRef]) -> List[Expr]:
         """Non-equality conjuncts fully inside ``tables``."""
-        return [
-            c for c in self.noneq if self.conjunct_tables(c) <= tables
-        ]
+        mask = self.mask_of(tables)
+        return [c for c, conj_mask, _ in self.noneq_bits if not conj_mask & ~mask]
 
     def local_conjuncts(self, table: TableRef) -> List[Expr]:
         """Single-table non-equality conjuncts of one instance."""
-        singleton = frozenset([table])
-        return [c for c in self.noneq if self.conjunct_tables(c) == singleton]
+        bit = self.bit[table]
+        return [c for c, conj_mask, _ in self.noneq_bits if conj_mask == bit]
 
-    def classes_within(self, tables: FrozenSet[TableRef]) -> List[FrozenSet[ColumnRef]]:
-        """Equivalence classes restricted to ``tables`` (>= 2 members)."""
-        cached = self._classes_cache.get(tables)
-        if cached is not None:
-            return cached
-        restricted: List[FrozenSet[ColumnRef]] = []
-        for cls in self._all_classes:
-            members = frozenset(
-                m for m in cls
-                if isinstance(m, ColumnRef) and m.table_ref in tables
+    def classes_within(self, tables: Iterable[TableRef]) -> List[Tuple[ColumnRef, ...]]:
+        """Equivalence classes restricted to ``tables`` (>= 2 members), each
+        in canonical member order; cached per table mask."""
+        mask = self.mask_of(tables)
+        cached = self._classes_cache.get(mask)
+        if cached is None:
+            restricted = (
+                tuple(m for m, bit, _ in members if bit & mask)
+                for _, members in self.class_bits
             )
-            if len(members) >= 2:
-                restricted.append(members)
-        self._classes_cache[tables] = restricted
-        return restricted
+            cached = self._classes_cache[mask] = [c for c in restricted if len(c) >= 2]
+        return cached
 
-    def spanning_columns(self, subset: FrozenSet[TableRef]) -> Set[ColumnRef]:
-        """Columns of ``subset`` referenced by conjuncts that span the subset
-        boundary — the join columns a pre-aggregation of ``subset`` must keep."""
-        rest = self.block.table_set - subset
-        needed: Set[ColumnRef] = set()
-        for cls in self.classes.classes():
-            members = [m for m in cls if isinstance(m, ColumnRef)]
-            inside = [m for m in members if m.table_ref in subset]
-            outside = [m for m in members if m.table_ref in rest]
-            if inside and outside:
-                needed.update(inside)
-        for conjunct in self.noneq:
-            tables = self.conjunct_tables(conjunct)
-            if tables & subset and tables & rest:
-                needed.update(
-                    c for c in conjunct.columns() if c.table_ref in subset
-                )
-        return needed
+    def preagg_keys(self, mask: int) -> Tuple[ColumnRef, ...]:
+        """Grouping keys of a pre-aggregation over ``mask``: the block's
+        group keys inside it plus the columns of conjuncts spanning its
+        boundary (the join columns it must keep); cached per mask."""
+        cached = self._preagg_keys.get(mask)
+        if cached is None:
+            keys: Set[ColumnRef] = {
+                k for k in self.block.group_keys
+                if self.bit.get(k.table_ref, 0) & mask
+            }
+            for class_mask, members in self.class_bits:
+                if class_mask & mask and class_mask & ~mask:
+                    keys.update(m for m, bit, _ in members if bit & mask)
+            for conjunct, conj_mask, _ in self.noneq_bits:
+                if conj_mask & mask and conj_mask & ~mask:
+                    keys.update(
+                        c for c in conjunct.columns() if self.bit[c.table_ref] & mask
+                    )
+            cached = self._preagg_keys[mask] = tuple(canon_sorted(keys))
+        return cached
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +402,10 @@ class Memo:
         #: (group, part_id) registrations in creation order, consumed by the
         #: CSE manager (Step 1 of the paper's architecture).
         self.signature_log: List[Group] = []
+        #: DAG caches: descendant gids per gid, and the footprints of the last
+        #: consumer map. Adding a group drops both.
+        self._desc_cache: Dict[int, Set[int]] = {}
+        self._footprint_cache: Optional[Tuple[object, List[FrozenSet[str]]]] = None
 
     # -- group creation -----------------------------------------------------
 
@@ -368,6 +416,7 @@ class Memo:
         block: Optional[QueryBlock],
         part_id: str,
         items: FrozenSet[JoinItem],
+        tables: FrozenSet[TableRef],
     ) -> Group:
         group = Group(
             gid=len(self.groups),
@@ -375,10 +424,12 @@ class Memo:
             block=block,
             part_id=part_id,
             items=items,
-            tables=items_tables(items),
+            tables=tables,
         )
         self.groups.append(group)
         self._groups_by_key[key] = group
+        self._desc_cache = {}
+        self._footprint_cache = None
         return group
 
     # -- block construction ---------------------------------------------------
@@ -387,37 +438,33 @@ class Memo:
         """Explore one SPJG block; returns its top group."""
         if block.name in self.block_infos:
             raise OptimizerError(f"block {block.name!r} built twice")
-        info = BlockInfo(block)
+        info = BlockInfo(block, self.estimator)
         self.block_infos[block.name] = info
 
-        base_items: Tuple[JoinItem, ...] = tuple(sorted(block.tables))
-        subsets = self._connected_subsets(base_items, info)
-        for subset in subsets:
-            self._build_join_group(frozenset(subset), info, part_id)
-
-        full_set: FrozenSet[JoinItem] = frozenset(base_items)
-        top = self._groups_by_key[("join", block.name, full_set)]
+        for subset in info.connected_unions(info.bits):
+            self._build_join_group(info, part_id, subset)
+        top = self._groups_by_key[("join", block.name, info.full, 0)]
 
         if block.has_groupby:
-            final = self._build_final_agg_group(info, part_id)
-            top = final
+            top = self._build_final_agg_group(info, part_id)
         self.block_tops[block.name] = top
         return top
 
     def _build_final_agg_group(self, info: BlockInfo, part_id: str) -> Group:
         block = info.block
-        full_tables = block.table_set
         key = (
             "agg",
             block.name,
-            full_tables,
+            info.full,
             tuple(canon_sorted(block.group_keys)),
             tuple(canon_sorted(block.aggregates)),
         )
-        group = self._new_group(key, "agg", block, part_id, frozenset(block.tables))
+        group = self._new_group(
+            key, "agg", block, part_id, block.table_set, block.table_set
+        )
         group.agg_keys = block.group_keys
         group.agg_outs = tuple(block.aggregates)
-        full_join = self._groups_by_key[("join", block.name, frozenset(block.tables))]
+        full_join = self._groups_by_key[("join", block.name, info.full, 0)]
         group.add_expr(
             AggImplExpr(full_join, block.group_keys, direct_computes(block.aggregates))
         )
@@ -427,7 +474,7 @@ class Memo:
         )
         group.required_outputs = tuple(block.group_keys) + tuple(block.aggregates)
         group.row_width = self.estimator.width_of(group.required_outputs)
-        group.signature = self._agg_signature(frozenset(block.tables))
+        group.signature = self._agg_signature(block.table_set)
         self.signature_log.append(group)
 
         if self.options.enable_preagg:
@@ -442,25 +489,21 @@ class Memo:
         over the mixed item set, and a combine implementation of the final
         aggregation."""
         block = info.block
-        all_tables = block.table_set
-        base_items: Tuple[JoinItem, ...] = tuple(sorted(block.tables))
-        if len(base_items) < 2:
+        if len(info.bits) < 2:
             return
-        for subset_items in self._connected_subsets(base_items, info):
-            subset = frozenset(subset_items)
-            if len(subset) >= len(all_tables):
+        for subset in info.connected_unions(info.bits):
+            if subset == info.full:
                 continue  # pre-aggregating everything IS the final aggregation
-            if len(subset) > PREAGG_MAX_TABLES:
+            if bin(subset).count("1") > PREAGG_MAX_TABLES:
                 continue
-            if not decomposable_over(block.aggregates, subset):
+            source = info.tables_of(subset)
+            if not decomposable_over(block.aggregates, source):
                 continue
-            partials = partial_computes(block.aggregates, subset)
+            partials = partial_computes(block.aggregates, source)
             if not partials:
                 continue
-            keys = self._preagg_keys(info, subset)
-            input_join = self._groups_by_key[
-                ("join", block.name, frozenset(subset))
-            ]
+            keys = info.preagg_keys(subset)
+            input_join = self._groups_by_key[("join", block.name, subset, 0)]
             group_count = self.estimator.group_rows(
                 input_join.est_rows,
                 self._key_representatives(info, keys),
@@ -469,18 +512,16 @@ class Memo:
                 input_join.est_rows, 1.0
             ):
                 continue  # non-compressing pre-aggregation: not useful
-            agg_item = AggItem(source=subset, keys=keys, partials=partials)
-            preagg_group = self._build_preagg_group(info, part_id, agg_item)
-            # A pre-aggregation that doesn't reduce cardinality is still a
-            # legal alternative; cost-based choice handles it.
-            mixed_top = self._build_mixed_joins(info, part_id, agg_item)
+            agg_item = AggItem(source=source, keys=keys, partials=partials)
+            self._build_preagg_group(info, part_id, agg_item, subset)
+            mixed_top = self._build_mixed_joins(info, part_id, agg_item, subset)
             if mixed_top is None:
                 continue
             final_group.add_expr(
                 AggImplExpr(
                     mixed_top,
                     block.group_keys,
-                    combine_computes(block.aggregates, subset),
+                    combine_computes(block.aggregates, source),
                 )
             )
 
@@ -498,34 +539,27 @@ class Memo:
             chosen.append(key)
         return tuple(chosen)
 
-    def _preagg_keys(
-        self, info: BlockInfo, subset: FrozenSet[TableRef]
-    ) -> Tuple[ColumnRef, ...]:
-        keys: Set[ColumnRef] = {
-            k for k in info.block.group_keys if k.table_ref in subset
-        }
-        keys.update(info.spanning_columns(subset))
-        return tuple(canon_sorted(keys))
+    @staticmethod
+    def _agg_key(info: BlockInfo, item: AggItem, mask: int) -> tuple:
+        """Memo key of the pre-aggregation group computing ``item``, whose
+        source tables are ``mask``."""
+        outs = tuple(canon_sorted(p.out for p in item.partials))
+        return ("agg", info.block.name, mask, tuple(canon_sorted(item.keys)), outs)
 
     def _build_preagg_group(
-        self, info: BlockInfo, part_id: str, item: AggItem
+        self, info: BlockInfo, part_id: str, item: AggItem, mask: int
     ) -> Group:
         block = info.block
-        outs = tuple(canon_sorted(p.out for p in item.partials))
-        key = (
-            "agg",
-            block.name,
-            item.source,
-            tuple(canon_sorted(item.keys)),
-            outs,
-        )
+        key = self._agg_key(info, item, mask)
         existing = self._groups_by_key.get(key)
         if existing is not None:
             return existing
-        group = self._new_group(key, "agg", block, part_id, frozenset([item]))
+        group = self._new_group(
+            key, "agg", block, part_id, frozenset([item]), item.source
+        )
         group.agg_keys = item.keys
-        group.agg_outs = outs
-        input_join = self._groups_by_key[("join", block.name, frozenset(item.source))]
+        group.agg_outs = key[4]
+        input_join = self._groups_by_key[("join", block.name, mask, 0)]
         group.add_expr(AggImplExpr(input_join, item.keys, item.partials))
         group.est_rows = self.estimator.group_rows(
             input_join.est_rows,
@@ -535,11 +569,11 @@ class Memo:
         group.row_width = self.estimator.width_of(group.required_outputs)
         group.signature = self._agg_signature(item.source)
         self.signature_log.append(group)
-        self._nest_preaggregation(info, group, item)
+        self._nest_preaggregation(info, group, item, mask)
         return group
 
     def _nest_preaggregation(
-        self, info: BlockInfo, group: Group, item: AggItem
+        self, info: BlockInfo, group: Group, item: AggItem, mask: int
     ) -> None:
         """Combine-implementations of a pre-aggregation over *deeper*
         pre-aggregations: ``γ(S) = γ-combine(join(γ(S'), S∖S'))``.
@@ -550,29 +584,29 @@ class Memo:
         containment check relies on (paper Example 9)."""
         block = info.block
         outer_aggs = [p.out for p in item.partials]
-        base_items: Tuple[JoinItem, ...] = tuple(sorted(item.source))
-        if len(base_items) < 2:
+        if len(item.source) < 2:
             return
-        for subset_items in self._connected_subsets(base_items, info):
-            inner_source = frozenset(subset_items)
-            if len(inner_source) >= len(item.source):
+        for inner in info.connected_unions(info.bits_of(mask)):
+            if inner == mask:
                 continue
+            inner_source = info.tables_of(inner)
             if not decomposable_over(outer_aggs, inner_source):
                 continue
             inner_partials = partial_computes(outer_aggs, inner_source)
             if not inner_partials:
                 continue
-            inner_keys = self._preagg_keys(info, inner_source)
             inner_item = AggItem(
-                source=inner_source, keys=inner_keys, partials=inner_partials
+                source=inner_source,
+                keys=info.preagg_keys(inner),
+                partials=inner_partials,
             )
-            inner_group = self._agg_item_group(inner_item, info)
-            if inner_group is None:
+            if self._groups_by_key.get(self._agg_key(info, inner_item, inner)) is None:
                 continue  # only reuse pre-aggregations the block explores
-            mixed = frozenset({inner_item} | (item.source - inner_source))
-            mixed_join = self._groups_by_key.get(("join", block.name, mixed))
-            if mixed_join is None:
-                continue
+            mixed_join = self._groups_by_key.get(
+                ("join", block.name, mask & ~inner, inner)
+            )
+            if mixed_join is None or inner_item not in mixed_join.items:
+                continue  # the masks match; the partials must match too
             try:
                 computes = combine_computes(outer_aggs, inner_source)
             except OptimizerError:
@@ -580,291 +614,202 @@ class Memo:
             group.add_expr(AggImplExpr(mixed_join, item.keys, computes))
 
     def _build_mixed_joins(
-        self, info: BlockInfo, part_id: str, item: AggItem
+        self, info: BlockInfo, part_id: str, item: AggItem, mask: int
     ) -> Optional[Group]:
         """Join groups over {AggItem} ∪ (remaining tables); returns the group
         covering everything, or None when the block has no remaining tables
         (the caller then has nothing to combine)."""
-        block = info.block
-        rest = tuple(sorted(block.table_set - item.source))
-        mixed_items: Tuple[JoinItem, ...] = (item,) + rest
+        assert info.connected(mask), "an AggItem's source must be connected"
+        rest = info.full & ~mask
         if not rest:
             return None
-        for subset in self._connected_subsets(mixed_items, info):
-            subset_f = frozenset(subset)
-            if item not in subset_f or len(subset_f) < 2:
-                continue  # pure-table subsets exist; {item} is the agg group
-            self._build_join_group(subset_f, info, part_id)
-        return self._groups_by_key.get(("join", block.name, frozenset(mixed_items)))
+        for union in info.connected_unions((mask,) + info.bits_of(rest)):
+            if union & mask and union != mask:
+                # pure-table subsets exist; {item} alone is the agg group
+                self._build_join_group(info, part_id, union & ~mask, item, mask)
+        return self._groups_by_key.get(("join", info.block.name, rest, mask))
 
     # -- join groups -----------------------------------------------------------
 
     def _build_join_group(
-        self, items: FrozenSet[JoinItem], info: BlockInfo, part_id: str
+        self,
+        info: BlockInfo,
+        part_id: str,
+        plain: int,
+        agg: Optional[AggItem] = None,
+        agg_mask: int = 0,
     ) -> Group:
+        """The join group over the tables of ``plain`` plus, for a mixed
+        group, the pre-aggregated input ``agg`` over the tables of
+        ``agg_mask``; keyed by those two masks."""
         block = info.block
-        key = ("join", block.name, items)
+        key = ("join", block.name, plain, agg_mask)
         existing = self._groups_by_key.get(key)
         if existing is not None:
             return existing
-        group = self._new_group(key, "join", block, part_id, items)
-        tables = group.tables
-        agg_items = [i for i in items if isinstance(i, AggItem)]
+        mask = plain | agg_mask
+        tables = info.tables_of(mask)
+        items = tables if agg is None else info.tables_of(plain) | {agg}
+        group = self._new_group(key, "join", block, part_id, items, tables)
 
-        # Required outputs: block-required columns of covered tables, except
-        # that columns folded inside a pre-aggregation are replaced by the
-        # pre-aggregation's keys and partial outputs.
-        hidden: Set[TableRef] = set()
-        extra: List[Expr] = []
-        for agg_item in agg_items:
-            hidden.update(agg_item.source)
-            extra.extend(agg_item.keys)
-            extra.extend(p.out for p in agg_item.partials)
-        required: List[Expr] = [
-            c for c in canon_sorted(info.required)
-            if c.table_ref in tables and c.table_ref not in hidden
-        ]
-        seen: Set[Expr] = set(required)
-        for expr in extra:
-            if expr not in seen:
-                required.append(expr)
-                seen.add(expr)
+        # Required outputs: block-required columns of the plain tables; the
+        # columns folded inside a pre-aggregation are replaced by its keys
+        # and partial outputs.
+        required: List[Expr] = [c for c, bit in info.required if bit & plain]
+        if agg is not None:
+            seen: Set[Expr] = set(required)
+            for expr in tuple(agg.keys) + tuple(p.out for p in agg.partials):
+                if expr not in seen:
+                    required.append(expr)
+                    seen.add(expr)
         group.required_outputs = tuple(required)
         group.row_width = self.estimator.width_of(group.required_outputs)
 
         # Signature: join of plain tables => [F; names]; anything involving a
         # pre-aggregated input has no signature (Figure 2 "other cases").
-        if not agg_items:
+        if agg is None:
             if len(items) == 1:
                 table_ref = next(iter(items))
-                assert isinstance(table_ref, TableRef)
                 group.signature = TableSignature(
                     False, (table_ref.signature_name,)
                 )
             else:
                 group.signature = TableSignature.of_tables(
-                    (t for t in tables), has_groupby=False
+                    group.tables, has_groupby=False
                 )
             self.signature_log.append(group)
 
-        # Cardinality.
-        ordered = canon_sorted(items)
-        group.est_rows = self._estimate_join_rows(ordered, info)
+        # Cardinality, over (item, mask) pairs in canonical item order.
+        ordered = [(t, bit) for t, bit in info.canon_tables if bit & plain]
+        agg_group = None
+        if agg is not None:
+            agg_group = self._groups_by_key.get(self._agg_key(info, agg, agg_mask))
+            ordered.append((agg, agg_mask))
+            ordered.sort(key=lambda pair: canon_key(pair[0]))
+        group.est_rows = self._estimate_join_rows(info, ordered, agg_mask, agg_group)
 
         # Expressions.
-        if len(items) == 1:
-            item = ordered[0]
-            if isinstance(item, TableRef):
-                conjuncts = tuple(info.local_conjuncts(item))
-                conjuncts = conjuncts + tuple(
-                    self._single_table_equalities(item, info)
+        if len(ordered) == 1:
+            if agg is None:
+                table = ordered[0][0]
+                conjuncts = tuple(info.local_conjuncts(table)) + tuple(
+                    self._single_table_equalities(table, info)
                 )
-                group.add_expr(ScanExpr(item, conjuncts))
+                group.add_expr(ScanExpr(table, conjuncts))
             # Single AggItem groups are aggregate groups, never join groups.
             return group
 
-        anchor = ordered[0]
-        for mask in range(0, 2 ** (len(ordered) - 1)):
-            left_items = {anchor}
-            for position, item in enumerate(ordered[1:]):
-                if mask & (1 << position):
-                    left_items.add(item)
-            right_items = set(ordered) - left_items
-            if not right_items:
+        # Each class's members visible above this join (not folded inside
+        # the pre-aggregation), and the non-equality conjuncts inside it.
+        classes = []
+        for _, members in info.class_bits:
+            visible = tuple(
+                (m, bit) for m, bit, _ in members
+                if bit & plain or (bit & agg_mask and m in agg.keys)
+            )
+            if len(visible) >= 2:
+                classes.append(visible)
+        within = [(c, m) for c, m, _ in info.noneq_bits if not m & ~mask]
+
+        def side_group(side: int) -> Optional[Group]:
+            if side == agg_mask:
+                return agg_group
+            return self._groups_by_key.get(
+                ("join", block.name, side & ~agg_mask, side & agg_mask)
+            )
+
+        # One partition per subset of the non-anchor items joined to the
+        # first item, in subset-index order.
+        lefts = [ordered[0][1]]
+        for _, item_mask in ordered[1:]:
+            lefts += [left | item_mask for left in lefts]
+        for left in lefts:
+            right = mask ^ left
+            if not right or not (info.connected(left) and info.connected(right)):
                 continue
-            left_f = frozenset(left_items)
-            right_f = frozenset(right_items)
-            if not self._is_connected(left_f, info):
-                continue
-            if not self._is_connected(right_f, info):
-                continue
-            left_group = self._groups_by_key.get(("join", block.name, left_f))
-            right_group = self._groups_by_key.get(("join", block.name, right_f))
-            if len(left_f) == 1 and isinstance(next(iter(left_f)), AggItem):
-                left_group = self._agg_item_group(next(iter(left_f)), info)
-            if len(right_f) == 1 and isinstance(next(iter(right_f)), AggItem):
-                right_group = self._agg_item_group(next(iter(right_f)), info)
+            left_group, right_group = side_group(left), side_group(right)
             if left_group is None or right_group is None:
                 continue
-            hash_keys, residual = self._join_spec(left_f, right_f, info)
-            group.add_expr(JoinExpr(left_group, right_group, hash_keys, residual))
+            hash_keys = []
+            for visible in classes:
+                left_key = next((m for m, bit in visible if bit & left), None)
+                right_key = next((m for m, bit in visible if bit & right), None)
+                if left_key is not None and right_key is not None:
+                    hash_keys.append((left_key, right_key))
+            residual = tuple(c for c, m in within if m & left and m & right)
+            group.add_expr(JoinExpr(left_group, right_group, tuple(hash_keys), residual))
         if not group.exprs:
             raise OptimizerError(
                 f"join group over {sorted(map(repr, items))} has no expression"
             )
         return group
 
-    def _agg_item_group(self, item: AggItem, info: BlockInfo) -> Optional[Group]:
-        outs = tuple(canon_sorted(p.out for p in item.partials))
-        key = (
-            "agg",
-            info.block.name,
-            item.source,
-            tuple(canon_sorted(item.keys)),
-            outs,
-        )
-        return self._groups_by_key.get(key)
-
-    def _single_table_equalities(
-        self, table: TableRef, info: BlockInfo
-    ) -> List[Expr]:
-        singleton = frozenset([table])
+    @staticmethod
+    def _single_table_equalities(table: TableRef, info: BlockInfo) -> List[Expr]:
         conjuncts: List[Expr] = []
-        for cls in info.classes_within(singleton):
-            members = canon_sorted(cls)
+        for members in info.classes_within((table,)):
             first = members[0]
             for member in members[1:]:
-                from ..expr.expressions import ComparisonOp
-
                 conjuncts.append(Comparison(ComparisonOp.EQ, first, member))
         return conjuncts
-
-    # -- join helpers ---------------------------------------------------------
-
-    def _item_adjacent(
-        self, item_a: JoinItem, item_b: JoinItem, info: BlockInfo
-    ) -> bool:
-        for t1 in item_tables(item_a):
-            for t2 in item_tables(item_b):
-                if info.tables_adjacent(t1, t2):
-                    return True
-        return False
-
-    def _is_connected(self, items: FrozenSet[JoinItem], info: BlockInfo) -> bool:
-        items_list = list(items)
-        if len(items_list) <= 1:
-            return True
-        seen = {items_list[0]}
-        frontier = [items_list[0]]
-        while frontier:
-            current = frontier.pop()
-            for other in items_list:
-                if other not in seen and self._item_adjacent(current, other, info):
-                    seen.add(other)
-                    frontier.append(other)
-        return len(seen) == len(items_list)
-
-    def _connected_subsets(
-        self, items: Sequence[JoinItem], info: BlockInfo
-    ) -> List[Tuple[JoinItem, ...]]:
-        """All connected subsets, ordered by size (small to large)."""
-        items = list(items)
-        n = len(items)
-        result: List[Tuple[JoinItem, ...]] = []
-        for mask in range(1, 2 ** n):
-            subset = tuple(
-                items[i] for i in range(n) if mask & (1 << i)
-            )
-            if self._is_connected(frozenset(subset), info):
-                result.append(subset)
-        result.sort(key=len)
-        return result
-
-    def _visible_columns_of(
-        self, column: ColumnRef, items: FrozenSet[JoinItem]
-    ) -> bool:
-        """Whether ``column`` is visible in the output of a join over
-        ``items`` (not folded away inside a pre-aggregation)."""
-        for item in items:
-            if isinstance(item, TableRef):
-                if column.table_ref == item:
-                    return True
-            else:
-                if column.table_ref in item.source:
-                    return column in item.keys
-        return False
-
-    def _join_spec(
-        self,
-        left: FrozenSet[JoinItem],
-        right: FrozenSet[JoinItem],
-        info: BlockInfo,
-    ) -> Tuple[Tuple[Tuple[ColumnRef, ColumnRef], ...], Tuple[Expr, ...]]:
-        """Hash-key pairs (one per spanning equivalence class) and residual
-        conjuncts becoming applicable at this join."""
-        left_tables = items_tables(left)
-        right_tables = items_tables(right)
-        all_tables = left_tables | right_tables
-        hash_keys: List[Tuple[ColumnRef, ColumnRef]] = []
-        for cls in info.classes_within(all_tables):
-            left_members = canon_sorted(
-                m for m in cls
-                if m.table_ref in left_tables and self._visible_columns_of(m, left)
-            )
-            right_members = canon_sorted(
-                m for m in cls
-                if m.table_ref in right_tables and self._visible_columns_of(m, right)
-            )
-            if left_members and right_members:
-                hash_keys.append((left_members[0], right_members[0]))
-        residual = tuple(
-            c for c in info.noneq
-            if (lambda tabs: tabs <= all_tables
-                and not tabs <= left_tables
-                and not tabs <= right_tables)(c.tables())
-        )
-        return tuple(hash_keys), residual
 
     # -- cardinality ---------------------------------------------------------
 
     def _estimate_join_rows(
-        self, items: Sequence[JoinItem], info: BlockInfo
+        self,
+        info: BlockInfo,
+        ordered: Sequence[Tuple[JoinItem, int]],
+        agg_mask: int,
+        agg_group: Optional[Group],
     ) -> float:
-        """Estimated rows of a join over ``items``, given in canonical
-        order: the estimate is a float product, so multiplying in set
-        iteration order would change its last bit with the hash seed."""
+        """Estimated rows of a join over the (item, mask) pairs ``ordered``,
+        given in canonical item order: the estimate is a float product, so
+        multiplying in set or bit order would tie its last bit to the hash
+        seed or to the bit assignment."""
         rows = 1.0
-        item_rows: Dict[JoinItem, float] = {}
-        for item in items:
-            if isinstance(item, TableRef):
-                base = self.estimator.table_rows(item)
-                for conjunct in info.local_conjuncts(item):
-                    base *= self.estimator.selectivity(conjunct)
-                singleton = frozenset([item])
-                for cls in info.classes_within(singleton):
-                    base *= self.estimator.class_factor(cls, {item: base})
-                item_rows[item] = max(base, 0.0)
+        item_rows: Dict[int, float] = {}
+        mask = 0
+        for _, item_mask in ordered:
+            if item_mask == agg_mask:
+                value = agg_group.est_rows if agg_group is not None else 1.0
             else:
-                group = self._agg_item_group(item, info)
-                item_rows[item] = group.est_rows if group is not None else 1.0
-            rows *= max(item_rows[item], 1e-9)
+                value = info.base_rows[item_mask]
+            item_rows[item_mask] = value
+            rows *= max(value, 1e-9)
+            mask |= item_mask
 
-        tables = items_tables(items)
-        # Cross-item equivalence-class factors.
-        for cls in self._cross_item_classes(items, info):
-            rows *= self.estimator.class_factor_for_join(cls, item_rows, items)
+        # Cross-item equivalence-class factors: each item touching a class
+        # contributes its members' smallest NDV, capped by its rows.
+        for class_mask, members in info.class_bits:
+            touched = class_mask & mask
+            if not touched & (touched - 1):
+                continue  # inside one table: already in its base rows
+            ndvs: Dict[int, float] = {}
+            for _, bit, ndv in members:
+                if bit & mask:
+                    owner = agg_mask if bit & agg_mask else bit
+                    capped = min(ndv, max(item_rows[owner], 1.0))
+                    ndvs[owner] = min(ndvs.get(owner, capped), capped)
+            if len(ndvs) >= 2:
+                rows *= self.estimator.class_factor_for_join(ndvs.values())
         # Non-equality conjuncts spanning at least two items.
-        for conjunct in info.noneq:
-            conj_tables = conjunct.tables()
-            if not conj_tables <= tables:
+        for _, conj_mask, selectivity in info.noneq_bits:
+            if conj_mask & ~mask:
                 continue
-            touching = [
-                item for item in items if item_tables(item) & conj_tables
-            ]
-            if len(touching) >= 2:
-                rows *= self.estimator.selectivity(conjunct)
+            touching = bin(conj_mask & ~agg_mask).count("1")
+            if conj_mask & agg_mask:
+                touching += 1
+            if touching >= 2:
+                rows *= selectivity
         return max(rows, 1.0)
-
-    def _cross_item_classes(
-        self, items: Sequence[JoinItem], info: BlockInfo
-    ) -> List[FrozenSet[ColumnRef]]:
-        tables = items_tables(items)
-        result = []
-        for cls in info.classes_within(tables):
-            touched_items = set()
-            for member in cls:
-                for item in items:
-                    if member.table_ref in item_tables(item):
-                        touched_items.add(item)
-            if len(touched_items) >= 2:
-                result.append(cls)
-        return result
 
     # -- the batch root ---------------------------------------------------------
 
     def build_root(self, tops: Sequence[Group]) -> Group:
         """Create the dummy batch-root group over the query tops."""
-        root = self._new_group(("root",), "root", None, "__root__", frozenset())
+        root = self._new_group(
+            ("root",), "root", None, "__root__", frozenset(), frozenset()
+        )
         root.add_expr(RootExpr(tuple(tops)))
         root.est_rows = float(sum(g.est_rows for g in tops))
         self.root = root
@@ -874,11 +819,7 @@ class Memo:
 
     def descendants(self, group: Group) -> Set[int]:
         """gids of all groups reachable below ``group`` (excluding itself)."""
-        cache: Dict[int, Set[int]] = getattr(self, "_desc_cache", None) or {}
-        self._desc_cache = cache
-        return self._descendants_inner(group, cache)
-
-    def _descendants_inner(self, group: Group, cache: Dict[int, Set[int]]) -> Set[int]:
+        cache = self._desc_cache
         if group.gid in cache:
             return cache[group.gid]
         cache[group.gid] = set()  # placeholder guards against cycles
@@ -886,14 +827,9 @@ class Memo:
         for expr in group.exprs:
             for child in expr.input_groups():
                 result.add(child.gid)
-                result.update(self._descendants_inner(child, cache))
+                result.update(self.descendants(child))
         cache[group.gid] = result
         return result
-
-    def invalidate_dag_cache(self) -> None:
-        """Drop cached descendant sets (and footprints) after adding groups."""
-        self._desc_cache = {}
-        self._footprint_cache = None
 
     def candidate_footprints(
         self, consumers: Dict[str, Set[int]]
@@ -911,13 +847,13 @@ class Memo:
         Computed bottom-up over the memo DAG in one memoized DFS (children
         can carry *higher* gids than parents — pre-aggregation exploration
         appends join groups after the final agg group — so a gid-ordered
-        scan would be wrong). The result is cached per consumer map and
-        dropped by :meth:`invalidate_dag_cache`.
+        scan would be wrong). The result is cached per consumer map until
+        the next group is added.
         """
         cache_key = tuple(
             (cid, tuple(sorted(gids))) for cid, gids in sorted(consumers.items())
         )
-        cached = getattr(self, "_footprint_cache", None)
+        cached = self._footprint_cache
         if cached is not None and cached[0] == cache_key:
             return cached[1]
         rooted: Dict[int, Set[str]] = {}

@@ -125,7 +125,6 @@ def generate(
     cost_model = search.cost_model
     for definition in definitions:
         memo.build_block(definition.block, part_id=f"cse:{definition.cse_id}")
-        memo.invalidate_dag_cache()
         body_top = memo.block_tops[definition.block.name]
         body_choice = search.optimize_group(body_top, BASE_PASS)[EMPTY_PROFILE]
         project_cost = cost_model.project(
@@ -155,7 +154,6 @@ def generate(
         _find_stacked_consumers(run, candidates)
 
     # LCA per candidate (Definition 5.1; dynamic narrowing per §5.2).
-    memo.invalidate_dag_cache()
     for candidate in candidates:
         gids = [spec.group.gid for spec in run.specs[candidate.cse_id]]
         run.consumer_gids[candidate.cse_id] = set(gids) | {

@@ -97,7 +97,7 @@ def reference_construct(consumers, infos, allocate, estimator):
     )
     if not _connected(block, joint):
         raise OptimizerError("not join compatible")
-    info = BlockInfo(block)
+    info = BlockInfo(block, estimator)
     # §4.3.3: base rows × class factors × covering selectivity, then Cardenas.
     rows, item_rows = 1.0, {}
     for table in block.tables:
@@ -107,7 +107,11 @@ def reference_construct(consumers, infos, allocate, estimator):
         item_rows[table] = max(base, 1.0)
         rows *= item_rows[table]
     for cls in info.classes_within(block.table_set):
-        rows *= estimator.class_factor_for_join(cls, item_rows, block.table_set)
+        ndvs = {}  # per table: its smallest member NDV, capped by its rows
+        for member in cls:
+            ndv = min(estimator.column_ndv(member), item_rows[member.table_ref])
+            ndvs[member.table_ref] = min(ndvs.get(member.table_ref, ndv), ndv)
+        rows *= estimator.class_factor_for_join(ndvs.values())
     for conjunct in info.noneq:
         if len(conjunct.tables()) >= 2:
             rows *= estimator.selectivity(conjunct)

@@ -110,13 +110,8 @@ class TestJoinFactors:
     def test_class_factor_for_join_two_way(self, estimator):
         c = cust("c_custkey")
         o = orders("o_custkey")
-        cls = frozenset([c, o])
-        rows = {
-            TableRef("customer", 1): estimator.table_rows(TableRef("customer", 1)),
-            TableRef("orders", 2): estimator.table_rows(TableRef("orders", 2)),
-        }
         factor = estimator.class_factor_for_join(
-            cls, rows, frozenset(rows.keys())
+            [estimator.column_ndv(c), estimator.column_ndv(o)]
         )
         # 1/max(ndv): the classic equijoin selectivity.
         assert factor == pytest.approx(
@@ -124,21 +119,17 @@ class TestJoinFactors:
         )
 
     def test_ndv_capped_by_rows(self, estimator):
+        # An item's NDV is capped by its rows before the factor is taken.
         c = cust("c_custkey")
         o = orders("o_custkey")
-        rows = {TableRef("customer", 1): 5.0, TableRef("orders", 2): 5.0}
         factor = estimator.class_factor_for_join(
-            frozenset([c, o]), rows, frozenset(rows.keys())
+            [min(estimator.column_ndv(c), 5.0), min(estimator.column_ndv(o), 5.0)]
         )
         assert factor == pytest.approx(1.0 / 5.0)
 
     def test_single_item_class_neutral(self, estimator):
-        c = cust("c_custkey")
-        factor = estimator.class_factor_for_join(
-            frozenset([c]), {TableRef("customer", 1): 10.0},
-            frozenset([TableRef("customer", 1)]),
-        )
-        assert factor == 1.0
+        assert estimator.class_factor_for_join([10.0]) == 1.0
+        assert estimator.class_factor_for_join([]) == 1.0
 
 
 class TestGroupRows:

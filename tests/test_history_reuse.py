@@ -23,6 +23,7 @@ from repro.obs import DecisionJournal, MetricsRegistry
 from repro.optimizer.engine import Optimizer
 from repro.optimizer.search import relevant_ids, relevant_ids_slow
 from repro.optimizer.step2 import build_pass_context
+from repro.sql.binder import bind_sql
 from repro.workloads import scaleup_batch
 
 DB = build_tpch_database(scale_factor=0.002)
@@ -71,15 +72,18 @@ class TestFootprints:
                 assert group.gid not in consumer_gids
 
     def test_memo_footprint_cache_invalidates(self):
+        """Footprints are cached per consumer map until a group is added."""
         run, _ = _optimize(True)
         memo = run.memo
         consumers = run.consumer_gids
         first = memo.candidate_footprints(consumers)
         assert memo.candidate_footprints(consumers) is first  # cached
-        memo.invalidate_dag_cache()
+        extra = bind_sql(DB.catalog, "select n_name from nation", name="extra")
+        memo.build_block(extra.block, "extra")
         second = memo.candidate_footprints(consumers)
         assert second is not first
-        assert second == first
+        assert second[: len(first)] == first
+        assert len(second) == len(memo.groups)
 
 
 class TestReuseBehaviour:

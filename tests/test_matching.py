@@ -158,7 +158,6 @@ class TestRejection:
         # Build the wide body into the memo; its own pre-aggregation group
         # over orders⋈lineitem should match the narrow candidate.
         memo.build_block(wide.block, "cse:W")
-        memo.invalidate_dag_cache()
         body_info = memo.block_infos[wide.block.name]
         body_groups = [
             g for g in memo.groups

@@ -208,6 +208,23 @@ class TestDagAndLca:
         assert memo.least_common_ancestor([tops[0].gid]) is tops[0]
 
 
+    def test_dag_caches_see_groups_added_later(self, tiny_db):
+        """Adding a group drops the cached footprints and descendant sets:
+        a block built after a footprint query gets footprints too."""
+        memo = Memo(CardinalityEstimator(tiny_db), OptimizerOptions())
+        first = bind_sql(tiny_db.catalog, JOIN3, name="A")
+        second = bind_sql(
+            tiny_db.catalog, JOIN3.replace("c_nationkey", "c_mktsegment"), name="B"
+        )
+        top_a = memo.build_block(first.block, "A")
+        assert len(memo.candidate_footprints({})) == len(memo.groups)
+        assert memo.descendants(top_a)
+        memo.build_block(second.block, "B")
+        assert len(memo.candidate_footprints({})) == len(memo.groups)
+        memo.build_root([top_a, memo.block_tops["B"]])
+        assert len(memo.descendants(memo.root)) == len(memo.groups) - 1
+
+
 class TestCardinalityWiring:
     def test_join_rows_monotone(self, memo_for):
         memo, _ = memo_for(JOIN3)

@@ -108,7 +108,7 @@ def test_module_imports_in_a_fresh_interpreter(module):
     assert done.returncode == 0, done.stderr
 
 
-@pytest.mark.parametrize("module", SPLIT)
+@pytest.mark.parametrize("module", SPLIT + ("memo", "cardinality"))
 def test_no_function_local_imports(module):
     local = [
         f"{function.name}:{node.lineno}"
