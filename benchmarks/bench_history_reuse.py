@@ -2,7 +2,7 @@
 
 Measures exactly the quantity the history cache targets — time spent in
 the Step-3 enumeration loop (``stats.step3_time``) — with
-``reuse_history`` on and off, over the Fig-8 scale-up workload and the
+``engine.REUSE_HISTORY`` on and off, over the Fig-8 scale-up workload and the
 adapted TPC-H suite. Both modes must choose byte-identical plan bundles
 at equal cost; only the work to find them may differ.
 
@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import os
 from typing import Dict, Tuple
+from unittest.mock import patch
 
 from repro.api import Session
-from repro.optimizer.options import OptimizerOptions
+from repro.optimizer import engine
 from repro.workloads import scaleup_batch
 from repro.workloads.tpch_queries import adapted_batch
 
@@ -41,10 +42,8 @@ def _measure(database, sql: str, reuse: bool) -> Tuple[Dict, object]:
     best = None
     result = None
     for _ in range(REPEATS):
-        session = Session(
-            database, OptimizerOptions(reuse_history=reuse)
-        )
-        result = session.optimize(sql)
+        with patch.object(engine, "REUSE_HISTORY", reuse):
+            result = Session(database).optimize(sql)
         stats = result.stats
         if best is None or stats.step3_time < best["step3_seconds"]:
             best = {
@@ -117,9 +116,7 @@ def test_scaleup_step3(benchmark, bench_db):
         f"history reuse missed its budget: {total_on:.4f}s vs "
         f"{BUDGET:.2f} x {total_off:.4f}s"
     )
-    benchmark(lambda: Session(
-        bench_db, OptimizerOptions()
-    ).optimize(scaleup_batch(8)))
+    benchmark(lambda: Session(bench_db).optimize(scaleup_batch(8)))
 
 
 def test_tpch_step3(benchmark, bench_db):
@@ -143,6 +140,4 @@ def test_tpch_step3(benchmark, bench_db):
             assert on["step3_seconds"] <= max(
                 1.0, BUDGET + 0.3
             ) * off["step3_seconds"] + 1e-3
-    benchmark(lambda: Session(
-        bench_db, OptimizerOptions()
-    ).optimize(TPCH_BATCHES["Q3+Q10"]))
+    benchmark(lambda: Session(bench_db).optimize(TPCH_BATCHES["Q3+Q10"]))

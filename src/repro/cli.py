@@ -52,14 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--no-cse", action="store_true")
     query.add_argument("--no-heuristics", action="store_true")
     query.add_argument(
-        "--no-history-reuse", action="store_true",
-        help=(
-            "disable §5.4 optimization-history reuse: every Step-3 pass "
-            "re-optimizes all memo groups from scratch (plans are "
-            "identical; only optimization time differs)"
-        ),
-    )
-    query.add_argument(
         "--compare", action="store_true",
         help="run no-CSE / CSE / no-heuristics side by side",
     )
@@ -135,10 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("sql")
     explain.add_argument("--no-cse", action="store_true")
     explain.add_argument("--no-heuristics", action="store_true")
-    explain.add_argument(
-        "--no-history-reuse", action="store_true",
-        help="disable §5.4 optimization-history reuse (see `query`)",
-    )
     explain.add_argument(
         "--costs", action="store_true",
         help="annotate every operator with estimated costs",
@@ -236,8 +224,6 @@ def _options(args: argparse.Namespace) -> OptimizerOptions:
         )
     else:
         options = OptimizerOptions()
-    if getattr(args, "no_history_reuse", False):
-        options = dataclasses.replace(options, reuse_history=False)
     if getattr(args, "cse_strategy", None):
         options = dataclasses.replace(
             options, cse_strategy=args.cse_strategy

@@ -98,7 +98,9 @@ def generate_candidates(
     """Generate candidate CSEs for one join-compatible consumer set.
 
     Only the candidates returned are materialised (body instances, a
-    ``QueryBlock``); every merge probe works on slot-space states."""
+    ``QueryBlock``); every merge probe works on slot-space states.
+    ``alpha`` is Heuristic 1's threshold, :data:`heuristics.ALPHA` as
+    Step 2 read it for this optimization."""
     journal = active_journal()
     registry = active_registry()
     consumers = sorted(compatible_set, key=lambda g: g.gid)

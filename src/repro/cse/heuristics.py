@@ -26,6 +26,17 @@ from ..optimizer.cost import CostModel
 from ..optimizer.memo import Group, Memo
 from .construct import CoveringState, CseDefinition
 
+#: Heuristic 1's α: candidates whose consumers' summed lower cost bounds
+#: are below ``ALPHA`` × the batch cost are discarded (§4.3, 10%). Step 2
+#: reads it at call time (``heuristics.ALPHA``), so the ablation bench can
+#: sweep it.
+ALPHA = 0.10
+
+#: Heuristic 4's β: a contained candidate is discarded when its estimated
+#: result size exceeds ``BETA`` × the containing candidate's (§4.3, 90%).
+#: Read at call time like :data:`ALPHA`.
+BETA = 0.90
+
 #: What §4.3.3 prices: a constructed candidate, or the slot-space state of
 #: one Algorithm 1 is still probing (consumers + estimated size suffice).
 SizedCse = Union[CseDefinition, CoveringState]

@@ -1,19 +1,20 @@
 """Execution of optimized plan bundles: one task runner for every caller.
 
 A bundle is executed as its task DAG (:mod:`repro.executor.schedule`): one
-task per shared-scan prewarm, per root spool and per query, with an edge
-from every producer to its readers. Def 5.1's contract — a spool's initial
-cost ``C_E + C_W`` is paid once, its usage cost ``C_R`` once per consumer —
-is the DAG's contract: a spool task runs before, and only before, its
-readers. Inside a query task the order is scalar subqueries first, then
+task per root spool and per query, with an edge from every producer to its
+readers. Def 5.1's contract — a spool's initial cost ``C_E + C_W`` is paid
+once, its usage cost ``C_R`` once per consumer — is the DAG's contract: a
+spool task runs before, and only before, its readers. Shared scans need no
+task: the batch's :class:`ScanManager` makes the first consumer's fetch of
+a (table, columns) group its one physical scan. Inside a query task the order is scalar subqueries first, then
 the main plan with their results bound as constants.
 
 The same :meth:`Executor.execute` serves three callers, which differ only
 in which tasks they select and whose token governs them:
 
 * a session running a whole bundle (every task, the call's token);
-* the cross-session leader's producer phase (``spools_only``: the scan and
-  spool tasks, ungoverned, into a :class:`BatchState` it keeps);
+* the cross-session leader's producer phase (``spools_only``: the spool
+  tasks, ungoverned, into a :class:`BatchState` it keeps);
 * a cross-session consumer (``queries=``: its own query tasks, plus any
   spool they need that the passed-in state does not hold, its own token).
 
@@ -27,8 +28,8 @@ Correctness model:
   op-stat maps are local to the task) over the batch's *shared*
   :class:`BatchState`, whose docstring states the happens-before edge
   that makes the sharing safe without locks.
-* Per-task metrics are merged in schedule order (scans, spools, then
-  queries in batch order) whatever order the tasks finished in, so
+* Per-task metrics are merged in schedule order (spools, then queries
+  in batch order) whatever order the tasks finished in, so
   deterministic counters (rows, spool accounting) are identical at every
   worker count and float totals agree to rounding.
 * Worker exceptions are captured and re-raised in the calling thread after
@@ -198,7 +199,7 @@ class Executor:
         queries: Optional[Collection[str]] = None,
         spools_only: bool = False,
     ) -> BatchResult:
-        """Run a bundle's tasks: scans, spools, then queries.
+        """Run a bundle's tasks: spools, then queries.
 
         With ``collect_op_stats=True`` the result carries per-operator
         actuals (rows, wall time) for EXPLAIN ANALYZE rendering. ``token``
@@ -216,13 +217,7 @@ class Executor:
         if state is None:
             state = self.batch_state()
         pooled = self.workers > 1
-        # Prewarm tasks move a shared group's single physical fetch off
-        # its consumers' critical path; inline there is no such path — the
-        # first consumer's fetch *is* that one physical scan.
-        schedule = build_schedule(
-            bundle, include_scans=pooled and state.scans is not None
-        )
-        tasks = schedule.select(queries, state.spools, spools_only)
+        tasks = build_schedule(bundle).select(queries, state.spools, spools_only)
         # One dict build for the whole batch: a per-task lookup would
         # rebuild dict(bundle.root_spools) inside every spool task, an
         # O(spools²) rescan of the bundle under a wide DAG.
@@ -249,24 +244,13 @@ class Executor:
             )
             if task.kind == "query":
                 return ctx, self._execute_query(query_plans[task.label], ctx)
-            if task.kind == "scan":
-                # Prewarm one shared (table, columns) group; consumers
-                # (which depend on this task) alias the cached arrays.
-                # The fetch charge lands in this task's metrics — totals
-                # still merge deterministically because the manager's
-                # locks make the charge exactly-once batch-wide.
-                assert ctx.scans is not None and task.scan is not None
-                physical, names = task.scan
-                ctx.scans.prewarm(physical, frozenset(names), ctx)
-            else:
-                # Publishing the finished table is the consumers' latch:
-                # their tasks only start after this one completes — and
-                # it happens only after every budget charge passed, so a
-                # cancelled task never leaves a partial spool in the
-                # shared map.
-                state.spools[task.label] = materialize_spool(
-                    task.label, spool_bodies[task.label], ctx
-                )
+            # Publishing the finished table is the consumers' latch: their
+            # tasks only start after this one completes — and it happens
+            # only after every budget charge passed, so a cancelled task
+            # never leaves a partial spool in the shared map.
+            state.spools[task.label] = materialize_spool(
+                task.label, spool_bodies[task.label], ctx
+            )
             return ctx, None
 
         selected_queries = sum(task.kind == "query" for task in tasks)

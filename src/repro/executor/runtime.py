@@ -79,9 +79,8 @@ class ScanStats:
     The scan-leaf analogue of :class:`SpoolStats`: Def 5.1 with
     ``C_W = 0`` (nothing is written — consumers alias the same arrays)
     and ``C_R ≈ 0``, so the saving is ``(n - 1) · C_E``. The fields are
-    formulated so merged totals are identical whether the physical fetch
-    happened in a dedicated prewarm task (parallel) or at the first
-    consumer (serial)."""
+    formulated so merged totals are identical whichever consumer task
+    performed the physical fetch."""
 
     #: consumer-side resolutions of this group (one per scan execution).
     reads: int = 0

@@ -129,11 +129,6 @@ class ScanManager:
 
     # -- physical fetch ----------------------------------------------------
 
-    def prewarm(self, physical: str, names: frozenset, ctx: ExecutionContext) -> None:
-        """Fetch a group's raw columns ahead of its consumers (used by the
-        parallel scheduler's scan tasks)."""
-        self._raw_entry((physical, names), ctx)
-
     def _raw_entry(self, key: RawKey, ctx: ExecutionContext) -> _RawEntry:
         entry = self._raw.get(key)
         if entry is not None:

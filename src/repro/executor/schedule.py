@@ -23,23 +23,20 @@ from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from ..obs import SpanContext
 from ..optimizer.physical import (
-    PhysScan,
     PhysicalPlan,
     PhysSpoolRead,
     PlanBundle,
     QueryPlan,
 )
-from .scans import RawKey, scan_group_key, stats_key_for
 
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One schedulable unit: prewarm a shared scan, materialize a spool,
-    or run a query."""
+    """One schedulable unit: materialize a spool, or run a query."""
 
     index: int
-    kind: str  # "scan" | "spool" | "query"
-    label: str  # scan group key, cse id, or query name
+    kind: str  # "spool" | "query"
+    label: str  # cse id, or query name
     #: indices of tasks that must complete before this one starts.
     deps: Tuple[int, ...] = ()
     #: the trace context the task should run under — the scheduling
@@ -47,9 +44,6 @@ class TaskSpec:
     #: parent under the batch root instead of being orphaned (the
     #: cross-thread half lives in :meth:`repro.obs.Tracer.attach`).
     span_context: Optional[SpanContext] = None
-    #: for kind == "scan": the (physical table, sorted column names)
-    #: group this task prewarms in the batch's shared ScanManager.
-    scan: Optional[Tuple[str, Tuple[str, ...]]] = None
 
 
 @dataclass
@@ -84,9 +78,9 @@ class Schedule:
         ``queries`` names the query tasks wanted (``None``: the whole
         bundle, which also materializes every root spool, read or not).
         A spool in ``present`` is already materialized: it is neither run
-        nor chased for its own dependencies. Of the remaining spool and
-        scan tasks, only those a selected task transitively depends on
-        are kept. ``spools_only`` then drops the query tasks themselves —
+        nor chased for its own dependencies. Of the remaining spool
+        tasks, only those a selected task transitively depends on are
+        kept. ``spools_only`` then drops the query tasks themselves —
         the producer phase of a batch whose queries run elsewhere."""
         demanded: Set[int] = set()
         chosen: List[TaskSpec] = []
@@ -96,12 +90,10 @@ class Schedule:
         for task in reversed(self.tasks):
             if task.kind == "query":
                 run = queries is None or task.label in queries
-            elif task.kind == "spool":
+            else:
                 run = task.label not in present and (
                     queries is None or task.index in demanded
                 )
-            else:
-                run = task.index in demanded
             if run:
                 demanded.update(task.deps)
                 if not (spools_only and task.kind == "query"):
@@ -155,70 +147,15 @@ def query_spool_read_counts(
     return counts
 
 
-def _scan_groups(plan: PhysicalPlan) -> List[RawKey]:
-    """Every scan's (table, needed-columns) group, with multiplicity."""
-    return [
-        key
-        for node in plan.walk()
-        if isinstance(node, PhysScan)
-        for key in [scan_group_key(node)]
-        if key is not None
-    ]
-
-
-def build_schedule(bundle: PlanBundle, include_scans: bool = False) -> Schedule:
+def build_schedule(bundle: PlanBundle) -> Schedule:
     """The producer→consumer task DAG for one bundle.
 
     Tasks are emitted spools-first in the bundle's (already topological)
     spool order, then queries in batch order, so executing the schedule
-    serially in task order is exactly the serial executor's order. With
-    ``include_scans`` a prewarm task is emitted (first) for every shared
-    (table, column-set) scan group — one with two or more consuming scan
-    nodes — and every spool/query task touching the group depends on it,
-    so the single physical fetch happens off the consumers' critical
-    path."""
+    serially in task order is exactly the serial executor's order."""
     tasks: List[TaskSpec] = []
-    # The bundle's root_spools may only be iterated once per schedule
-    # build (the hoisting regression test counts iterations).
-    spool_items = list(bundle.root_spools)
-    scan_index: Dict[RawKey, int] = {}
-    spool_scan_groups: List[Set[RawKey]] = []
-    query_scan_groups: List[Set[RawKey]] = []
-    if include_scans:
-        counts: Dict[RawKey, int] = {}
-        ordered: List[RawKey] = []
-        for _, body in spool_items:
-            groups = _scan_groups(body)
-            spool_scan_groups.append(set(groups))
-            for key in groups:
-                if key not in counts:
-                    ordered.append(key)
-                counts[key] = counts.get(key, 0) + 1
-        for query in bundle.queries:
-            groups: List[RawKey] = []
-            for plan in [query.plan, *query.subquery_plans.values()]:
-                groups.extend(_scan_groups(plan))
-            query_scan_groups.append(set(groups))
-            for key in groups:
-                if key not in counts:
-                    ordered.append(key)
-                counts[key] = counts.get(key, 0) + 1
-        for key in ordered:
-            if counts[key] < 2:
-                continue
-            index = len(tasks)
-            physical, names = key
-            tasks.append(
-                TaskSpec(
-                    index=index,
-                    kind="scan",
-                    label=stats_key_for(key),
-                    scan=(physical, tuple(sorted(names))),
-                )
-            )
-            scan_index[key] = index
     spool_index: Dict[str, int] = {}
-    for position, (cse_id, body) in enumerate(spool_items):
+    for cse_id, body in bundle.root_spools:
         # Reads of ids outside spool_index are either inline PhysSpoolDef
         # definitions (private to this task) or planner bugs the executor's
         # "read before materialization" error will surface; the bundle's
@@ -229,12 +166,6 @@ def build_schedule(bundle: PlanBundle, include_scans: bool = False) -> Schedule:
             for dep in _spool_reads(body)
             if dep in spool_index
         }
-        if include_scans:
-            deps.update(
-                scan_index[key]
-                for key in spool_scan_groups[position]
-                if key in scan_index
-            )
         index = len(tasks)
         tasks.append(
             TaskSpec(
@@ -245,18 +176,12 @@ def build_schedule(bundle: PlanBundle, include_scans: bool = False) -> Schedule:
             )
         )
         spool_index[cse_id] = index
-    for position, query in enumerate(bundle.queries):
+    for query in bundle.queries:
         deps = {
             spool_index[dep]
             for dep in _query_reads(query)
             if dep in spool_index
         }
-        if include_scans:
-            deps.update(
-                scan_index[key]
-                for key in query_scan_groups[position]
-                if key in scan_index
-            )
         tasks.append(
             TaskSpec(
                 index=len(tasks),

@@ -14,6 +14,7 @@ import itertools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..errors import OptimizerError
+from . import search as search_module
 from .memo import Group
 from .physical import (
     PhysProject,
@@ -106,7 +107,7 @@ def assemble(search: Search, ctx: PassContext) -> Tuple[float, PlanBundle]:
     if best is None:
         raise OptimizerError("root assembly produced no valid plan")
     total_cost, plans, spools = best
-    if search.options.cost_mode == "naive_split":
+    if search_module.NAIVE_COST_SPLIT:
         # Naive-split plans reference spools without settling them at any
         # LCA; attach the bodies at the root so execution works (this is
         # exactly the ablation's pathology: split accounting, no

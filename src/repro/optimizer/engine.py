@@ -58,6 +58,16 @@ from .state import BASE_PASS, History, OptimizerRun, OptimizerStats
 #: with a positive estimated cost.
 CSE_COST_THRESHOLD = 0.0
 
+#: §5.4 optimization-history reuse: keep per-group plan sets (keyed by the
+#: group's candidate footprint ∩ the enabled set), finalized per-query plan
+#: sets, and folded assembly prefixes alive across Step-3 passes, so each
+#: pass re-optimizes only the groups whose relevant enabled candidates
+#: changed. False reproduces the naive scheme the paper improves on —
+#: every pass re-optimizes the whole batch from scratch. Plans are
+#: identical either way; only the work to find them differs. Read at call
+#: time.
+REUSE_HISTORY = True
+
 
 @dataclass
 class OptimizationResult:
@@ -154,7 +164,7 @@ class Optimizer:
     def _build_run(self, batch: BoundBatch, stats: OptimizerStats) -> OptimizerRun:
         """Step 1: simplify the batch, build every block into a fresh memo
         under one root, and register the groups' table signatures."""
-        memo = Memo(self.estimator, self.options)
+        memo = Memo(self.estimator)
         tops: List[Tuple[str, object, Group]] = []
         ext_tops: Dict[str, List[Tuple[JoinExtension, Group]]] = {}
         root_children: List[Group] = []
@@ -320,7 +330,7 @@ class Optimizer:
         ctx = step2.build_pass_context(run, enabled)
         stats.cse_optimizations += 1
         run.history.begin_pass(stats.cse_optimizations)
-        if not self.options.reuse_history:
+        if not REUSE_HISTORY:
             run.history.wipe()
         pass_start = time.perf_counter()
         with self.tracer.span("cse_pass", subset=sorted(subset)) as span:

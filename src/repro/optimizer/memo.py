@@ -51,7 +51,11 @@ from ..logical.blocks import QueryBlock
 from ..cse.signature import TableSignature
 from .aggs import AggCompute, combine_computes, decomposable_over, direct_computes, partial_computes
 from .cardinality import CardinalityEstimator
-from .options import OptimizerOptions
+
+#: Explore eager pre-aggregation (group-by pushdown below joins). This is
+#: what generates aggregated sharing opportunities such as the paper's
+#: E4/E5 (Figure 6); the ablation bench turns it off. Read at call time.
+PREAGG = True
 
 #: Pre-aggregation is explored for connected table subsets of at most this
 #: size (a search-space guard for very large joins).
@@ -389,11 +393,8 @@ class BlockInfo:
 class Memo:
     """Holds all groups for a batch plus the group DAG."""
 
-    def __init__(
-        self, estimator: CardinalityEstimator, options: OptimizerOptions
-    ) -> None:
+    def __init__(self, estimator: CardinalityEstimator) -> None:
         self.estimator = estimator
-        self.options = options
         self._groups_by_key: Dict[object, Group] = {}
         self.groups: List[Group] = []
         self.block_infos: Dict[str, BlockInfo] = {}
@@ -477,7 +478,7 @@ class Memo:
         group.signature = self._agg_signature(block.table_set)
         self.signature_log.append(group)
 
-        if self.options.enable_preagg:
+        if PREAGG:
             self._explore_preaggregation(info, part_id, group)
         return group
 

@@ -53,6 +53,14 @@ from .state import (
     _profile_without,
 )
 
+#: Cost accounting for shared spools. False is the paper's correct scheme
+#: (§5.2: usage cost per consumer, initial cost once at the LCA,
+#: single-consumer plans discarded). True reproduces the broken scheme the
+#: paper argues against: the initial cost split evenly among potential
+#: consumers at substitution time. Read at call time, here and by
+#: :mod:`repro.optimizer.assembly` (as ``search.NAIVE_COST_SPLIT``).
+NAIVE_COST_SPLIT = False
+
 #: profile -> (cost, plan): one top's plan set after per-query finalization.
 FinalizedSet = Dict[Profile, Tuple[float, PhysicalPlan]]
 
@@ -153,7 +161,7 @@ class Search:
         # Consumer substitution (§5.1): spool read + compensation.
         for candidate, spec in ctx.substitutions.get(group.gid, ()):
             cost, plan = self._substitute_plan(candidate, spec, group)
-            if self.options.cost_mode == "naive_split":
+            if NAIVE_COST_SPLIT:
                 consumer_count = max(
                     1, len(self.run.specs[candidate.cse_id])
                     + len(self.run.body_specs[candidate.cse_id])

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Tuple
 
+from ..cse import heuristics
 from ..cse.candidates import CandidateCse, CandidateIdAllocator, generate_candidates
 from ..cse.compatibility import ConsumerProfiles, compatibility_groups
 from ..cse.heuristics import PruneTrace, heuristic1_keep, heuristic4_filter
@@ -22,6 +23,19 @@ from ..cse.matching import ConsumerSpec, build_consumer_specs, try_match_consume
 from ..obs import DecisionJournal
 from .search import Search
 from .state import BASE_PASS, EMPTY_PROFILE, OptimizerRun, PassContext
+
+#: §5.2's dynamic LCA: compute the least common ancestor over the consumers
+#: that can actually substitute (matched), not the full constructed set.
+#: The paper's runtime narrowing ("after a consumer's subtree resolves
+#: without the CSE, move the LCA down") exists to prune a single-best-plan
+#: optimizer's wasted work; the usage-profile search here keeps both
+#: alternatives per group, so that effect is subsumed — see DESIGN.md.
+#: Static placement (False, the ablation) is always correct too.
+DYNAMIC_LCA = True
+
+#: §5.5 stacked CSEs: let candidate bodies consume other candidates. False
+#: is the ablation.
+STACKED = True
 
 #: Minimum number of referenced tables for a sharable signature bucket.
 #: Single-table covering subexpressions save no join work and the paper's
@@ -42,7 +56,8 @@ def generate(
     run = search.run
     memo = run.memo
     stats = run.stats
-    options = search.options
+    use_heuristics = search.options.enable_heuristics
+    alpha = heuristics.ALPHA
     trace = stats.prune_trace = PruneTrace()
     max_instance = max(
         (t.instance for g in memo.groups for t in g.tables), default=0
@@ -58,8 +73,8 @@ def generate(
         search.check_deadline()
         if signature.table_count < MIN_CSE_TABLES:
             continue
-        if options.enable_heuristics:
-            keep = heuristic1_keep(groups, base_cost, options.alpha)
+        if use_heuristics:
+            keep = heuristic1_keep(groups, base_cost, alpha)
             if journal.enabled:
                 journal.event(
                     "h1",
@@ -67,8 +82,8 @@ def generate(
                     lower_bound_sum=sum(
                         g.lower_bound or 0.0 for g in groups
                     ),
-                    threshold=options.alpha * base_cost,
-                    alpha=options.alpha,
+                    threshold=alpha * base_cost,
+                    alpha=alpha,
                     passed=keep,
                 )
             if not keep:
@@ -82,8 +97,8 @@ def generate(
                     search.estimator,
                     search.cost_model,
                     base_cost,
-                    options.alpha,
-                    options.enable_heuristics,
+                    alpha,
+                    use_heuristics,
                     instance_allocator,
                     id_allocator,
                     trace,
@@ -95,9 +110,11 @@ def generate(
         consumer_profiles=len(profiles),
         constructions=len(definitions),
     )
-    if options.enable_heuristics:
+    if use_heuristics:
         before_ids = {d.cse_id for d in definitions}
-        definitions = heuristic4_filter(definitions, memo, options.beta, trace)
+        definitions = heuristic4_filter(
+            definitions, memo, heuristics.BETA, trace
+        )
         for cid in sorted(before_ids - {d.cse_id for d in definitions}):
             journal.event(
                 "verdict",
@@ -150,7 +167,7 @@ def generate(
             candidate.definition, memo.block_infos
         )
         run.body_specs[candidate.cse_id] = []
-    if options.enable_stacked:
+    if STACKED:
         _find_stacked_consumers(run, candidates)
 
     # LCA per candidate (Definition 5.1; dynamic narrowing per §5.2).
@@ -161,7 +178,7 @@ def generate(
         }
         if candidate.lifted_to_root or not gids:
             candidate.lca_gid = run.root.gid
-        elif options.dynamic_lca:
+        elif DYNAMIC_LCA:
             candidate.lca_gid = memo.least_common_ancestor(gids).gid
         else:
             all_gids = list(candidate.definition.consumer_gids)

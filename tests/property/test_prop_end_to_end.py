@@ -6,6 +6,8 @@ subexpressions — with any combination of heuristics, stacking, cost modes —
 must never change query results.
 """
 
+from unittest.mock import patch
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from repro import OptimizerOptions, Session
 from repro.catalog.tpch import build_tpch_database
 from repro.executor.reference import evaluate_batch
+from repro.optimizer import search
 
 DB = build_tpch_database(scale_factor=0.0005)
 
@@ -90,11 +93,12 @@ def random_batch(draw):
     return ";".join(draw(random_query()) for _ in range(count))
 
 
+#: (options, naive initial-cost split) per configuration.
 OPTION_SETS = [
-    OptimizerOptions(),
-    OptimizerOptions(enable_cse=False),
-    OptimizerOptions(enable_heuristics=False, max_cse_optimizations=8),
-    OptimizerOptions(cost_mode="naive_split"),
+    (OptimizerOptions(), False),
+    (OptimizerOptions(enable_cse=False), False),
+    (OptimizerOptions(enable_heuristics=False, max_cse_optimizations=8), False),
+    (OptimizerOptions(), True),
 ]
 
 
@@ -117,17 +121,19 @@ class TestRandomBatches:
     )
     def test_all_modes_match_oracle(self, sql):
         reference = None
-        for options in OPTION_SETS:
+        for options, naive in OPTION_SETS:
             session = Session(DB, options)
             batch = session.bind(sql)
-            outcome = session.execute(batch)
+            with patch.object(search, "NAIVE_COST_SPLIT", naive):
+                outcome = session.execute(batch)
             if reference is None:
                 reference = evaluate_batch(session.database, batch)
             for query in batch.queries:
                 got = normalize(outcome.execution.query(query.name).rows)
                 want = normalize(reference[query.name])
                 assert got == want, (
-                    f"{query.name} mismatch under {options} for:\n{sql}"
+                    f"{query.name} mismatch under {options} "
+                    f"(naive split {naive}) for:\n{sql}"
                 )
 
     @given(random_query())

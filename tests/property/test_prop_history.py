@@ -18,11 +18,14 @@ cache hit returns a result the off mode would recompute identically.
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import pytest
 
-from repro import OptimizerOptions, Session
+from repro import Session
 from repro.catalog.tpch import build_tpch_database
 from repro.executor.reference import evaluate_batch
+from repro.optimizer import engine
 from repro.workloads import random_spjg_batch
 
 #: read-only database shared by all seeds.
@@ -35,8 +38,10 @@ SEEDS = range(200)
 EXECUTION_SEEDS = range(0, 200, 5)
 
 
-def _session(reuse: bool) -> Session:
-    return Session(DB, OptimizerOptions(reuse_history=reuse))
+def _reuse(reuse: bool):
+    """Run the enclosed optimizations with history reuse on or off (a
+    fresh session per call: the switch is not part of the plan-cache key)."""
+    return patch.object(engine, "REUSE_HISTORY", reuse)
 
 
 def _normalize(rows):
@@ -52,8 +57,9 @@ def _normalize(rows):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_history_reuse_plans_identical(seed):
     sql = random_spjg_batch(seed)
-    on = _session(True).optimize(sql)
-    off = _session(False).optimize(sql)
+    on = Session(DB).optimize(sql)
+    with _reuse(False):
+        off = Session(DB).optimize(sql)
     assert on.stats.est_cost_final == off.stats.est_cost_final
     assert on.stats.used_cses == off.stats.used_cses
     assert on.bundle.fingerprint() == off.bundle.fingerprint()
@@ -67,15 +73,16 @@ def test_history_reuse_rows_match_oracle(seed):
     sql = random_spjg_batch(seed)
     results = {}
     for reuse in (True, False):
-        session = _session(reuse)
+        session = Session(DB)
         batch = session.bind(sql)
-        outcome = session.execute(batch)
+        with _reuse(reuse):
+            outcome = session.execute(batch)
         results[reuse] = {
             query.name: _normalize(outcome.execution.query(query.name).rows)
             for query in batch.queries
         }
     assert results[True] == results[False]
-    session = _session(True)
+    session = Session(DB)
     batch = session.bind(sql)
     oracle = evaluate_batch(session.database, batch)
     for name, rows in results[True].items():

@@ -17,7 +17,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro import OptimizerOptions
 from repro.catalog.tpch import build_tpch_database
 from repro.expr.expressions import (
     AggExpr,
@@ -210,7 +209,7 @@ def test_join_group_partitions_match_reference(block):
     with pytest.MonkeyPatch.context() as patch:
         # Explore every decomposable pre-aggregation, compressing or not.
         patch.setattr(memo_module, "PREAGG_MIN_COMPRESSION", float("inf"))
-        memo = Memo(ESTIMATOR, OptimizerOptions())
+        memo = Memo(ESTIMATOR)
         memo.build_block(block, "B")
     edges = reference_edges(block)
     join_groups = {g.items: g for g in memo.groups if g.kind == "join"}

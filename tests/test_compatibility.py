@@ -19,7 +19,6 @@ from repro.expr.expressions import ColumnRef, TableRef, eq
 from repro.expr.predicates import EquivalenceClasses
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.memo import Memo
-from repro.optimizer.options import OptimizerOptions
 from repro.sql.binder import bind_batch
 from repro.types import DataType
 
@@ -141,7 +140,7 @@ class TestOnRealBlocks:
             "where c_custkey = o_custkey and o_orderkey = l_orderkey "
             "group by c_mktsegment"
         )
-        memo = Memo(CardinalityEstimator(tiny_db), OptimizerOptions())
+        memo = Memo(CardinalityEstimator(tiny_db))
         batch = bind_batch(tiny_db.catalog, sql)
         tops = [memo.build_block(q.block, q.name) for q in batch.queries]
         memo.build_root(tops)

@@ -24,13 +24,12 @@ from repro.expr.expressions import (
 )
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.memo import Memo
-from repro.optimizer.options import OptimizerOptions
 from repro.sql.binder import bind_batch
 from repro.types import DataType
 
 
 def build_memo(db, sql):
-    memo = Memo(CardinalityEstimator(db), OptimizerOptions())
+    memo = Memo(CardinalityEstimator(db))
     batch = bind_batch(db.catalog, sql)
     tops = [memo.build_block(q.block, q.name) for q in batch.queries]
     memo.build_root(tops)

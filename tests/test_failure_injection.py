@@ -240,14 +240,6 @@ class TestDataIntegrityFailures:
 
 
 class TestOptimizerGuards:
-    def test_bad_cost_mode(self):
-        with pytest.raises(ValueError):
-            OptimizerOptions(cost_mode="wrong")
-
-    def test_bad_alpha(self):
-        with pytest.raises(ValueError):
-            OptimizerOptions(alpha=2.0)
-
     def test_negative_max_cse_optimizations(self):
         with pytest.raises(ValueError):
             OptimizerOptions(max_cse_optimizations=-1)

@@ -84,7 +84,7 @@ class TestMergeBenefit:
 
     @pytest.fixture()
     def example1_memo(self, small_db):
-        memo = Memo(CardinalityEstimator(small_db), OptimizerOptions())
+        memo = Memo(CardinalityEstimator(small_db))
         batch = bind_batch(small_db.catalog, example1_batch())
         tops = [memo.build_block(q.block, q.name) for q in batch.queries]
         memo.build_root(tops)

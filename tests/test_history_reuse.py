@@ -12,6 +12,7 @@ report it, and the governor's deadline stays live with reuse enabled.
 from __future__ import annotations
 
 import time
+from unittest.mock import patch
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.catalog.tpch import build_tpch_database
 from repro.cli import _options, build_parser
 from repro.errors import OptimizerTimeoutError
 from repro.obs import DecisionJournal, MetricsRegistry
+from repro.optimizer import engine
 from repro.optimizer.engine import Optimizer
 from repro.optimizer.search import relevant_ids, relevant_ids_slow
 from repro.optimizer.step2 import build_pass_context
@@ -38,12 +40,13 @@ def _optimize(reuse: bool, registry=None, journal=None, deadline=None):
     batch = session.bind(MULTI_SQL)
     optimizer = Optimizer(
         DB,
-        OptimizerOptions(reuse_history=reuse),
+        OptimizerOptions(),
         registry=registry,
         journal=journal,
         deadline=deadline,
     )
-    result, run = optimizer.optimize_with_run(batch)
+    with patch.object(engine, "REUSE_HISTORY", reuse):
+        result, run = optimizer.optimize_with_run(batch)
     return run, result
 
 
@@ -121,12 +124,10 @@ class TestReuseBehaviour:
         when most group lookups come from history."""
         session = Session(DB, OptimizerOptions())
         batch = session.bind(MULTI_SQL)
-        probe = Optimizer(DB, OptimizerOptions(reuse_history=True))
+        probe = Optimizer(DB, OptimizerOptions())
         normal = probe.optimize(batch).stats.normal_time
         deadline = time.monotonic() + normal * 1.05
-        optimizer = Optimizer(
-            DB, OptimizerOptions(reuse_history=True), deadline=deadline
-        )
+        optimizer = Optimizer(DB, OptimizerOptions(), deadline=deadline)
         try:
             optimizer.optimize(batch)
         except OptimizerTimeoutError:
@@ -173,20 +174,12 @@ class TestInstrumentation:
 
 
 class TestCliFlag:
-    def test_no_history_reuse_flag(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["explain", "--no-history-reuse", "select r_name from region"]
-        )
-        assert _options(args).reuse_history is False
-        args = parser.parse_args(["explain", "select r_name from region"])
-        assert _options(args).reuse_history is True
-
     def test_flag_composes_with_mode_flags(self):
         parser = build_parser()
         args = parser.parse_args(
-            ["query", "--no-heuristics", "--no-history-reuse", "select 1"]
+            ["query", "--no-heuristics", "--cse-strategy", "greedy", "select 1"]
         )
         options = _options(args)
         assert options.enable_heuristics is False
-        assert options.reuse_history is False
+        assert options.max_cse_optimizations == 16
+        assert options.cse_strategy == "greedy"

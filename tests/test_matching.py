@@ -8,12 +8,11 @@ from repro.cse.construct import construct_cse
 from repro.cse.matching import build_consumer_specs, try_match_consumer
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.memo import Memo
-from repro.optimizer.options import OptimizerOptions
 from repro.sql.binder import bind_batch
 
 
 def build_memo(db, sql):
-    memo = Memo(CardinalityEstimator(db), OptimizerOptions())
+    memo = Memo(CardinalityEstimator(db))
     batch = bind_batch(db.catalog, sql)
     tops = [memo.build_block(q.block, q.name) for q in batch.queries]
     memo.build_root(tops)

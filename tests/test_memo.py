@@ -32,8 +32,8 @@ from repro.workloads import (
 
 @pytest.fixture()
 def memo_for(tiny_db):
-    def build(sql, options=None):
-        memo = Memo(CardinalityEstimator(tiny_db), options or OptimizerOptions())
+    def build(sql):
+        memo = Memo(CardinalityEstimator(tiny_db))
         batch = bind_batch(tiny_db.catalog, sql)
         tops = [memo.build_block(q.block, q.name) for q in batch.queries]
         memo.build_root(tops)
@@ -107,8 +107,9 @@ class TestBlockExploration:
         sigs = {g.signature for g in preaggs}
         assert TableSignature(True, ("lineitem", "orders")) in sigs
 
-    def test_preagg_disabled(self, memo_for):
-        memo, tops = memo_for(JOIN3, OptimizerOptions(enable_preagg=False))
+    def test_preagg_disabled(self, memo_for, monkeypatch):
+        monkeypatch.setattr(memo_module, "PREAGG", False)
+        memo, tops = memo_for(JOIN3)
         aggs = [g for g in memo.groups if g.kind == "agg"]
         assert len(aggs) == 1  # only the final aggregation
 
@@ -211,7 +212,7 @@ class TestDagAndLca:
     def test_dag_caches_see_groups_added_later(self, tiny_db):
         """Adding a group drops the cached footprints and descendant sets:
         a block built after a footprint query gets footprints too."""
-        memo = Memo(CardinalityEstimator(tiny_db), OptimizerOptions())
+        memo = Memo(CardinalityEstimator(tiny_db))
         first = bind_sql(tiny_db.catalog, JOIN3, name="A")
         second = bind_sql(
             tiny_db.catalog, JOIN3.replace("c_nationkey", "c_mktsegment"), name="B"
@@ -234,7 +235,7 @@ class TestCardinalityWiring:
 
     def test_filter_reduces_estimate(self, memo_for, tiny_db):
         memo1, _ = memo_for(JOIN3)
-        memo2 = Memo(CardinalityEstimator(tiny_db), OptimizerOptions())
+        memo2 = Memo(CardinalityEstimator(tiny_db))
         filtered = bind_sql(
             tiny_db.catalog,
             JOIN3.replace(

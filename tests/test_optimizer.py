@@ -3,6 +3,7 @@
 import pytest
 
 from repro import OptimizerOptions, Session
+from repro.optimizer import search
 from repro.optimizer.engine import Optimizer
 from repro.optimizer.physical import (
     PhysFilter,
@@ -165,11 +166,10 @@ class TestCseDecisions:
         result = session.optimize(example1_batch())
         assert result.stats.cse_optimizations == 0
 
-    def test_naive_split_mode_differs(self, small_db):
+    def test_naive_split_mode_differs(self, small_db, monkeypatch):
         correct = Session(small_db, OptimizerOptions()).optimize(example1_batch())
-        naive = Session(
-            small_db, OptimizerOptions(cost_mode="naive_split")
-        ).optimize(example1_batch())
+        monkeypatch.setattr(search, "NAIVE_COST_SPLIT", True)
+        naive = Session(small_db, OptimizerOptions()).optimize(example1_batch())
         # Both run; the naive mode mis-accounts shared costs so its estimate
         # need not match the profile mode's.
         assert naive.bundle is not None

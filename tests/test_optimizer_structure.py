@@ -1,19 +1,29 @@
 """The shape of ``repro.optimizer``: the Figure-1 driver (``engine.py``) over
 three modules — search, Step-2 orchestration, root assembly — that share one
 explicit run state, with Step 3 behind ``selection.select``. AST and
-line-count checks, so the split cannot quietly grow back together."""
+line-count checks, so the split cannot quietly grow back together; and the
+configuration surface — four ``OptimizerOptions`` fields, every ablation
+switch a module constant read at call time."""
 
 from __future__ import annotations
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
 
 import repro.optimizer
+from repro import OptimizerOptions, Session
+from repro.cse import heuristics
+from repro.optimizer import engine, memo, search, step2
+from repro.optimizer.engine import Optimizer
+from repro.optimizer.memo import AggItem, Memo
+from repro.workloads import example1_batch, example1_with_q4, scaleup_batch
 
 PACKAGE = Path(repro.optimizer.__file__).parent
 SRC = PACKAGE.parent.parent
@@ -120,3 +130,129 @@ def test_no_function_local_imports(module):
     assert local == []
     if module == "search":
         assert "aggs" in _sibling_imports("search")
+
+
+# -- the configuration surface ------------------------------------------------
+
+#: ablation switches and paper constants: module constants in the one module
+#: that decides with them, read at call time (never copied by import).
+CONSTANTS = {
+    "PREAGG": "optimizer/memo.py",
+    "DYNAMIC_LCA": "optimizer/step2.py",
+    "STACKED": "optimizer/step2.py",
+    "REUSE_HISTORY": "optimizer/engine.py",
+    "NAIVE_COST_SPLIT": "optimizer/search.py",
+    "ALPHA": "cse/heuristics.py",
+    "BETA": "cse/heuristics.py",
+}
+
+
+def test_optimizer_options_fields():
+    assert {f.name for f in fields(OptimizerOptions)} == {
+        "enable_cse", "enable_heuristics", "max_cse_optimizations", "cse_strategy",
+    }
+
+
+def test_optimizer_options_frozen():
+    with pytest.raises(FrozenInstanceError):
+        OptimizerOptions().enable_cse = False
+
+
+def test_memo_takes_no_options():
+    assert list(inspect.signature(Memo.__init__).parameters) == ["self", "estimator"]
+
+
+def test_constants_are_never_imported_by_name():
+    """``from .memo import PREAGG`` would freeze a copy that a monkeypatch
+    of the owning module cannot reach."""
+    root = SRC / "repro"
+    for name, owner in CONSTANTS.items():
+        assert f"\n{name} = " in (root / owner).read_text()
+    copies = [
+        f"{path.relative_to(SRC)}:{node.lineno} {alias.name}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in CONSTANTS
+    ]
+    assert copies == []
+
+
+def _optimize(db, sql):
+    return Optimizer(db).optimize_with_run(Session(db).bind(sql))
+
+
+class TestConstantsReadAtCallTime:
+    """Flipping each constant after import changes an observable result."""
+
+    def test_preagg(self, small_db, monkeypatch):
+        def preaggregated_items():
+            _, run = _optimize(small_db, example1_batch())
+            return [
+                item for group in run.memo.groups for item in group.items
+                if isinstance(item, AggItem)
+            ]
+
+        assert preaggregated_items()
+        monkeypatch.setattr(memo, "PREAGG", False)
+        assert preaggregated_items() == []
+
+    def test_dynamic_lca(self, small_db, monkeypatch):
+        # Refuse every match but a candidate's first: only then does the
+        # matched consumer set differ from the constructed one.
+        build = step2.build_consumer_specs
+        monkeypatch.setattr(
+            step2, "build_consumer_specs", lambda d, infos: build(d, infos)[:1]
+        )
+
+        def settles_at_root():
+            result, run = _optimize(small_db, example1_batch())
+            return {c.lca_gid == run.root.gid for c in result.candidates}
+
+        assert settles_at_root() == {False}
+        monkeypatch.setattr(step2, "DYNAMIC_LCA", False)
+        assert settles_at_root() == {True}
+
+    def test_stacked(self, small_db, monkeypatch):
+        def body_consumers():
+            _, run = _optimize(small_db, example1_with_q4())
+            return sum(len(specs) for specs in run.body_specs.values())
+
+        assert body_consumers() > 0
+        monkeypatch.setattr(step2, "STACKED", False)
+        assert body_consumers() == 0
+
+    def test_reuse_history(self, small_db, monkeypatch):
+        def groups_reused():
+            result, _ = _optimize(small_db, scaleup_batch(8))
+            return result.stats.history_groups_reused
+
+        assert groups_reused() > 0
+        monkeypatch.setattr(engine, "REUSE_HISTORY", False)
+        assert groups_reused() == 0
+
+    def test_naive_cost_split(self, small_db, monkeypatch):
+        correct = _optimize(small_db, example1_with_q4())[0].est_cost
+        monkeypatch.setattr(search, "NAIVE_COST_SPLIT", True)
+        naive = _optimize(small_db, example1_with_q4())[0].est_cost
+        # Splitting C_E + C_W over potential consumers under-prices sharing.
+        assert naive < correct
+
+    def test_alpha(self, small_db, monkeypatch):
+        def before_pruning():
+            result, _ = _optimize(small_db, example1_batch())
+            return result.stats.candidates_before_pruning
+
+        assert before_pruning() == 5
+        monkeypatch.setattr(heuristics, "ALPHA", 1.0)
+        assert before_pruning() == 1
+
+    def test_beta(self, small_db, monkeypatch):
+        def generated():
+            result, _ = _optimize(small_db, example1_batch())
+            return result.stats.candidates_generated
+
+        assert generated() == 1
+        monkeypatch.setattr(heuristics, "BETA", 1e12)
+        assert generated() == 5

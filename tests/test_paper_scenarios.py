@@ -9,6 +9,7 @@ import pytest
 
 from repro import OptimizerOptions, Session
 from repro.executor.reference import evaluate_batch
+from repro.optimizer import search, step2
 from repro.optimizer.physical import PhysSpoolRead
 from repro.workloads import (
     complex_join_batch,
@@ -95,19 +96,22 @@ class TestTable1Figure6:
         )
         assert ratio > 2.0
 
-    def test_rows_correct_all_modes(self, small_db):
-        for options in (
-            OptimizerOptions(),
-            OptimizerOptions(enable_cse=False),
-            OptimizerOptions(enable_heuristics=False),
-            OptimizerOptions(cost_mode="naive_split"),
-            OptimizerOptions(dynamic_lca=False),
-            OptimizerOptions(enable_stacked=False),
+    def test_rows_correct_all_modes(self, small_db, monkeypatch):
+        for options, ablation in (
+            (OptimizerOptions(), None),
+            (OptimizerOptions(enable_cse=False), None),
+            (OptimizerOptions(enable_heuristics=False), None),
+            (OptimizerOptions(), (search, "NAIVE_COST_SPLIT", True)),
+            (OptimizerOptions(), (step2, "DYNAMIC_LCA", False)),
+            (OptimizerOptions(), (step2, "STACKED", False)),
         ):
-            session = Session(small_db, options)
-            batch = session.bind(example1_batch())
-            outcome = session.execute(batch)
-            assert_matches_oracle(session, batch, outcome)
+            with monkeypatch.context() as patch:
+                if ablation is not None:
+                    patch.setattr(*ablation)
+                session = Session(small_db, options)
+                batch = session.bind(example1_batch())
+                outcome = session.execute(batch)
+                assert_matches_oracle(session, batch, outcome)
 
 
 class TestTable2Stacked:
@@ -320,9 +324,8 @@ class TestStackedActivation:
         outcome = session.execute(batch)
         assert_matches_oracle(session, batch, outcome)
 
-    def test_disabling_stacking_costs_more(self, small_db):
+    def test_disabling_stacking_costs_more(self, small_db, monkeypatch):
         stacked = Session(small_db).optimize(self.SQL)
-        flat = Session(
-            small_db, OptimizerOptions(enable_stacked=False)
-        ).optimize(self.SQL)
+        monkeypatch.setattr(step2, "STACKED", False)
+        flat = Session(small_db).optimize(self.SQL)
         assert stacked.est_cost <= flat.est_cost

@@ -303,17 +303,15 @@ class TestSchedule:
         from repro.workloads import independent_pairs_batch
 
         result = small_session.optimize(independent_pairs_batch())
-        schedule = build_schedule(result.bundle, include_scans=True)
+        schedule = build_schedule(result.bundle)
         spool_of = {
             t.index: t.label for t in schedule.tasks if t.kind == "spool"
         }
         assert len(spool_of) >= 2
         assert schedule.select() == schedule.tasks
         producers = schedule.select(spools_only=True)
-        assert {t.kind for t in producers} == {"scan", "spool"}
-        assert [t for t in producers if t.kind == "spool"] == [
-            t for t in schedule.tasks if t.kind == "spool"
-        ]
+        assert {t.kind for t in producers} == {"spool"}
+        assert producers == [t for t in schedule.tasks if t.kind == "spool"]
         reader = next(
             t for t in schedule.tasks
             if t.kind == "query" and set(t.deps) & set(spool_of)
@@ -327,7 +325,7 @@ class TestSchedule:
         assert all(set(t.deps) <= indices for t in mine)
         # Pre-published spools are neither run nor chased.
         attached = schedule.select(queries={reader.label}, present=needed)
-        assert [t.kind for t in attached if t.kind != "scan"] == ["query"]
+        assert [t.kind for t in attached] == ["query"]
 
 
 class TestParallelExecutorConstruction:

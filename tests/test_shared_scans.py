@@ -8,7 +8,7 @@ consumer past the first rides the one physical fetch. These tests pin
   matter how many consumers read it, with a ``scan.shared`` assertion;
 * cost accounting — single-consumer totals identical with sharing on or
   off, and serial totals identical to parallel totals;
-* the scheduler's scan-prewarm tasks and their dependency edges;
+* the schedule carries no scan tasks — sharing lives in the manager;
 * the ledger/EXPLAIN/Prometheus surfaces derived from the stats.
 """
 
@@ -123,34 +123,15 @@ class TestCostAccounting:
 
 
 class TestSchedule:
-    def test_scan_tasks_emitted_first_with_edges(self, small_db):
-        from repro.executor.schedule import build_schedule
-
-        result = _no_cse(small_db).optimize(SHARED_SQL)
-        schedule = build_schedule(result.bundle, include_scans=True)
-        scans = [t for t in schedule.tasks if t.kind == "scan"]
-        queries = [t for t in schedule.tasks if t.kind == "query"]
-        assert scans, "shared groups must get prewarm tasks"
-        # Only groups with >= 2 consumers are worth a task.
-        labels = {t.label for t in scans}
-        assert "customer[c_custkey+c_nationkey]" in labels
-        assert "orders[o_custkey+o_orderkey]" in labels
-        assert not any("lineitem" in label for label in labels)
-        # Scan tasks come first and carry no dependencies; every query
-        # reading a shared group depends on its prewarm task.
-        for task in scans:
-            assert task.deps == ()
-            assert task.index < min(q.index for q in queries)
-        scan_indices = {t.index for t in scans}
-        for query in queries:
-            assert scan_indices <= set(query.deps)
-
     def test_default_schedule_has_no_scan_tasks(self, small_db):
         from repro.executor.schedule import build_schedule
 
         result = _no_cse(small_db).optimize(SHARED_SQL)
         schedule = build_schedule(result.bundle)
-        assert all(t.kind != "scan" for t in schedule.tasks)
+        # Scan sharing needs no task of its own: the ScanManager's per-key
+        # locks make the first consumer's fetch the group's one physical
+        # scan, at every worker count.
+        assert {t.kind for t in schedule.tasks} == {"query"}
 
 
 class TestSurfaces:

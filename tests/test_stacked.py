@@ -4,6 +4,7 @@ import pytest
 
 from repro import OptimizerOptions, Session
 from repro.executor.reference import evaluate_batch
+from repro.optimizer import step2
 from repro.optimizer.engine import Optimizer
 from repro.optimizer.physical import PhysSpoolRead
 from repro.sql.binder import bind_batch
@@ -101,10 +102,9 @@ class TestStackedExecution:
                 if dep in spool_ids:
                     assert spool_ids.index(dep) < position
 
-    def test_disable_stacking_drops_body_specs(self, small_db):
-        optimizer = Optimizer(
-            small_db, OptimizerOptions(enable_stacked=False)
-        )
+    def test_disable_stacking_drops_body_specs(self, small_db, monkeypatch):
+        monkeypatch.setattr(step2, "STACKED", False)
+        optimizer = Optimizer(small_db, OptimizerOptions())
         batch = bind_batch(small_db.catalog, STACKED_SQL)
         result, run = optimizer.optimize_with_run(batch)
         for candidate in result.candidates:
