@@ -111,7 +111,7 @@ class Session:
 
     Telemetry sinks (all optional, all no-ops by default):
 
-    * ``registry`` — counters/timers/histograms; hand the same registry to
+    * ``registry`` — counters/gauges/histograms; hand the same registry to
       a :class:`~repro.obs.TelemetryServer` to expose it at ``/metrics`` in
       Prometheus text format.
     * ``tracer`` — spans and events; one built with ``Tracer(path=…)``
@@ -381,23 +381,21 @@ class Session:
         )
 
     def _publish_ledger(self, ledger: Optional[SharingLedger]) -> None:
-        """Mirror a batch ledger into metrics, journal, and trace."""
+        """Mirror a batch ledger into metrics and trace."""
         if ledger is None or not (ledger.spools or ledger.scans):
             return
         ledger.publish(self.registry)
         for cse_id in ledger.negative_spools:
             entry = ledger.spool(cse_id)
-            payload = {
-                "spool": cse_id,
-                "est_savings": round(entry.est_savings, 4),
-                "measured_savings": round(entry.measured_savings, 4),
-                "consumers": entry.consumers,
-            }
             # Sharing that lost money is the input adaptive
-            # re-optimization needs — make it loud on every channel.
-            if self.journal.enabled:
-                self.journal.event("negative_spool_benefit", **payload)
-            self.tracer.event("negative_spool_benefit", **payload)
+            # re-optimization needs.
+            self.tracer.event(
+                "negative_spool_benefit",
+                spool=cse_id,
+                est_savings=round(entry.est_savings, 4),
+                measured_savings=round(entry.measured_savings, 4),
+                consumers=entry.consumers,
+            )
 
     def _optimize_governed(
         self,
@@ -449,13 +447,8 @@ class Session:
         """Re-optimize with CSEs disabled (the paper's baseline plan)."""
         self.registry.counter("governor.fallbacks")
         self.registry.counter(f"governor.fallback.{reason}")
-        if self.journal.enabled:
-            self.journal.event(
-                "fallback", stage="optimizer", reason=reason,
-                detail=str(cause),
-            )
         self.tracer.event("governor_fallback", stage="optimizer",
-                          reason=reason)
+                          reason=reason, detail=str(cause))
         optimizer = Optimizer(
             self.database,
             replace(self.options, enable_cse=False),
@@ -507,13 +500,8 @@ class Session:
             cause = error
         self.registry.counter("governor.fallbacks")
         self.registry.counter("governor.fallback.spool_budget")
-        if self.journal.enabled:
-            self.journal.event(
-                "fallback", stage="execution", reason="spool_budget",
-                detail=str(cause),
-            )
         self.tracer.event("governor_fallback", stage="execution",
-                          reason="spool_budget")
+                          reason="spool_budget", detail=str(cause))
         start = perf_counter()
         execution = self.execute_bundle(
             result,

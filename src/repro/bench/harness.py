@@ -12,10 +12,10 @@ same rows its tables do:
 * ``Execution time`` — wall-clock seconds in the executor.
 
 Every number comes from a :class:`~repro.obs.MetricsRegistry` snapshot:
-:func:`run_mode` runs each phase under a ``bench.*`` timer and reads the
-``optimizer.*``/``executor.*`` counters the instrumented layers publish,
-plus the estimate-vs-actual cardinality error (q-error) computed from
-per-operator actuals.
+:func:`run_mode` times each phase into a ``bench.*_seconds`` histogram and
+reads the ``optimizer.*``/``executor.*`` counters the instrumented layers
+publish, plus the estimate-vs-actual cardinality error (q-error) computed
+from per-operator actuals.
 """
 
 from __future__ import annotations
@@ -65,9 +65,10 @@ class ScenarioResult:
     exec_time: float
     used_cses: List[str] = field(default_factory=list)
     candidate_ids: List[str] = field(default_factory=list)
-    #: the full registry snapshot the run produced (counters/gauges/timers).
+    #: the full registry snapshot the run produced
+    #: (counters/gauges/histograms).
     snapshot: Dict = field(default_factory=dict)
-    #: per-phase wall seconds from the ``bench.*`` timers.
+    #: per-phase wall seconds from the ``bench.*_seconds`` histograms.
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: estimate-vs-actual cardinality error over all executed operators;
     #: 1.0 means every estimate was exact.
@@ -114,21 +115,25 @@ def run_mode(
     """Optimize + execute one workload in one mode.
 
     All reported numbers are read back from the registry snapshot (phase
-    timers ``bench.optimize``/``bench.execute``/``bench.total``, optimizer
-    and executor counters) rather than from ad-hoc clocks."""
+    histograms ``bench.optimize_seconds``/``bench.execute_seconds``/
+    ``bench.total_seconds``, optimizer and executor counters) rather than
+    from ad-hoc clocks."""
     registry = registry if registry is not None else MetricsRegistry()
     session = Session(database, options_for(mode), registry=registry)
-    with registry.timer("bench.total"):
-        with registry.timer("bench.optimize"):
+    with registry.timer("bench.total_seconds"):
+        with registry.timer("bench.optimize_seconds"):
             result = session.optimize(sql)
-        with registry.timer("bench.execute"):
+        with registry.timer("bench.execute_seconds"):
             execution = session.execute_bundle(result, collect_op_stats=True)
     snapshot = registry.snapshot()
-    timers = snapshot.get("timers", {})
+    histograms = snapshot["histograms"]
     phases = {
-        name: timers[name]["total"]
-        for name in ("bench.total", "bench.optimize", "bench.execute")
-        if name in timers
+        name: histograms[name]["sum"]
+        for name in (
+            "bench.total_seconds", "bench.optimize_seconds",
+            "bench.execute_seconds",
+        )
+        if name in histograms
     }
     errors = cardinality_errors(execution, result.bundle)
     stats = result.stats
@@ -142,13 +147,13 @@ def run_mode(
             "optimizer.cse_passes", stats.cse_optimizations
         )),
         optimization_time=phases.get(
-            "bench.optimize", stats.optimization_time
+            "bench.optimize_seconds", stats.optimization_time
         ),
         est_cost=result.est_cost,
         exec_cost=counters.get(
             "executor.cost_units", execution.metrics.cost_units
         ),
-        exec_time=phases.get("bench.execute", execution.wall_time),
+        exec_time=phases.get("bench.execute_seconds", execution.wall_time),
         used_cses=list(stats.used_cses),
         candidate_ids=list(stats.candidate_ids),
         snapshot=snapshot,

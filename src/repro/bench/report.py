@@ -7,9 +7,7 @@ the machine-generated companion to EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import io
-import time
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -23,14 +21,7 @@ from ..workloads import (
     nested_query,
     scaleup_batch,
 )
-from .harness import (
-    MODE_CSE,
-    MODE_NO_CSE,
-    MODE_NO_HEURISTICS,
-    format_table,
-    run_scenario,
-    speedup,
-)
+from .harness import run_scenario, speedup
 
 
 def _markdown_table(results) -> List[str]:
@@ -94,31 +85,39 @@ def generate_report(
         out.append(f"execution-cost reduction: **{speedup(results):.2f}x**")
         out.append("")
 
-    # Figure 8 series.
     out.append("## Figure 8 — scale-up")
     out.append("")
-    out.append("| queries | est cost no CSE | est cost CSE | benefit | opt time |")
-    out.append("|---|---|---|---|---|")
-    for n in (2, 4, 6, 8, 10):
-        sql = scaleup_batch(n)
-        base = Session(database, OptimizerOptions(enable_cse=False)).optimize(sql)
-        shared = Session(database, OptimizerOptions()).optimize(sql)
-        out.append(
-            f"| {n} | {base.est_cost:.1f} | {shared.est_cost:.1f} | "
-            f"{base.est_cost - shared.est_cost:.1f} | "
-            f"{shared.stats.optimization_time:.3f}s |"
-        )
+    out.append(figure8_section(database))
     out.append("")
 
     if include_maintenance:
         out.append("## View maintenance (§6.4)")
         out.append("")
-        out.append(_maintenance_section(scale_factor))
+        out.append(maintenance_section(scale_factor))
         out.append("")
     return "\n".join(out)
 
 
-def _maintenance_section(scale_factor: float) -> str:
+def figure8_section(database: Database) -> str:
+    """Figure 8's scale-up series as a markdown table (``bench fig8``)."""
+    lines = [
+        "| queries | est cost no CSE | est cost CSE | benefit | opt time |",
+        "|---|---|---|---|---|",
+    ]
+    for n in (2, 4, 6, 8, 10):
+        sql = scaleup_batch(n)
+        base = Session(database, OptimizerOptions(enable_cse=False)).optimize(sql)
+        shared = Session(database, OptimizerOptions()).optimize(sql)
+        lines.append(
+            f"| {n} | {base.est_cost:.1f} | {shared.est_cost:.1f} | "
+            f"{base.est_cost - shared.est_cost:.1f} | "
+            f"{shared.stats.optimization_time:.3f}s |"
+        )
+    return "\n".join(lines)
+
+
+def maintenance_section(scale_factor: float) -> str:
+    """The §6.4 view-maintenance comparison (``bench maintenance``)."""
     from ..catalog.tpch import build_tpch_database
     from ..views.maintenance import MaintenancePlanner
     from ..workloads.example1 import example1_views

@@ -161,8 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help=(
             "analyze a JSONL trace file (critical path, per-task slack, "
-            "operator attribution) or export it for chrome://tracing; "
-            "`repro trace export FILE --format chrome` also works"
+            "operator attribution) or export it for chrome://tracing"
         ),
     )
     trace.add_argument(
@@ -309,11 +308,11 @@ def _cmd_query(args: argparse.Namespace, out) -> int:
         snapshot = registry.snapshot()
         for name in sorted(snapshot["counters"]):
             print(f"  {name} = {snapshot['counters'][name]:g}", file=out)
-        for name in sorted(snapshot["timers"]):
-            timer = snapshot["timers"][name]
+        for name in sorted(snapshot["histograms"]):
+            histogram = snapshot["histograms"][name]
             print(
-                f"  {name} = {timer['total']:.4f}s over "
-                f"{timer['count']} span(s)",
+                f"  {name} = {histogram['sum']:.4g} over "
+                f"{histogram['count']} observation(s)",
                 file=out,
             )
     if tracer is not None:
@@ -373,22 +372,19 @@ def _cmd_serve_metrics(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace, out) -> int:
+    from .bench import report
     from .bench.harness import format_table, run_scenario
     from .workloads import (
         complex_join_batch,
         example1_batch,
         example1_with_q4,
         nested_query,
-        scaleup_batch,
     )
 
     database = Session.tpch(scale_factor=args.sf, seed=args.seed).database
     if args.experiment == "all":
-        from .bench.report import generate_report
-
-        print(generate_report(database, args.sf), file=out)
-        return 0
-    if args.experiment == "table1":
+        print(report.generate_report(database, args.sf), file=out)
+    elif args.experiment == "table1":
         print(format_table(
             "Table 1: query batch (Q1, Q2, Q3)",
             run_scenario(database, example1_batch()),
@@ -409,49 +405,9 @@ def _cmd_bench(args: argparse.Namespace, out) -> int:
             run_scenario(database, complex_join_batch()),
         ), file=out)
     elif args.experiment == "fig8":
-        from .bench.harness import MODE_CSE, MODE_NO_CSE, options_for
-
-        print("n | est cost no CSE | est cost CSE | opt time", file=out)
-        for n in range(2, 11, 2):
-            sql = scaleup_batch(n)
-            no = Session(database, options_for(MODE_NO_CSE)).optimize(sql)
-            yes = Session(database, options_for(MODE_CSE)).optimize(sql)
-            print(
-                f"{n} | {no.est_cost:15.1f} | {yes.est_cost:12.1f} | "
-                f"{yes.stats.optimization_time:.3f}s",
-                file=out,
-            )
+        print(report.figure8_section(database), file=out)
     elif args.experiment == "maintenance":
-        import numpy as np
-
-        from .views.maintenance import MaintenancePlanner
-        from .workloads.example1 import example1_views
-
-        def setup(options):
-            db = Session.tpch(scale_factor=args.sf, seed=args.seed).database
-            return MaintenancePlanner(db, example1_views(db), options)
-
-        rng = np.random.default_rng(7)
-        rows = [
-            (
-                80_000_000 + i,
-                f"Customer#{80_000_000 + i}",
-                int(rng.integers(0, 25)),
-                "BUILDING",
-                100.0,
-            )
-            for i in range(100)
-        ]
-        with_cse = setup(OptimizerOptions()).apply_insert("customer", rows)
-        without = setup(OptimizerOptions(enable_cse=False)).apply_insert(
-            "customer", rows
-        )
-        print(
-            f"maintenance cost: {without.measured_cost:.1f} without CSEs, "
-            f"{with_cse.measured_cost:.1f} with "
-            f"({without.measured_cost / with_cse.measured_cost:.2f}x)",
-            file=out,
-        )
+        print(report.maintenance_section(args.sf), file=out)
     return 0
 
 
@@ -489,40 +445,10 @@ def _cmd_trace(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _rewrite_trace_export(argv: List[str]) -> List[str]:
-    """``trace export FILE --format chrome`` → ``trace FILE --export chrome``.
-
-    The spelled-out form reads naturally but argparse subcommands do not
-    nest; rewriting keeps one parser for both spellings."""
-    try:
-        index = argv.index("trace")
-    except ValueError:
-        return argv
-    if argv[index + 1 : index + 2] != ["export"]:
-        return argv
-    rest = argv[index + 2 :]
-    fmt = "chrome"
-    kept: List[str] = []
-    skip = False
-    for pos, token in enumerate(rest):
-        if skip:
-            skip = False
-            continue
-        if token == "--format":
-            if pos + 1 < len(rest):
-                fmt = rest[pos + 1]
-                skip = True
-            continue
-        kept.append(token)
-    return [*argv[: index + 1], *kept, "--export", fmt]
-
-
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     """CLI entry point; returns a process exit code."""
     out = out if out is not None else sys.stdout
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(_rewrite_trace_export(argv))
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "query":
             return _cmd_query(args, out)

@@ -278,7 +278,7 @@ class Executor:
                 executed_plans[task.label] = answer[1]
         wall = time.perf_counter() - start
         metrics.publish(self.registry)
-        self.registry.timer_add("executor.wall", wall)
+        self.registry.observe("executor.wall_seconds", wall)
         if pooled:
             self.registry.counter("executor.parallel_batches")
             self.registry.gauge("executor.parallel_workers", self.workers)
@@ -489,7 +489,6 @@ class Executor:
                 stats.invocations += 1
                 stats.rows_out += rows
                 stats.wall_time += elapsed
-                stats.add_timer("finalize", elapsed)
         return names, columns
 
 

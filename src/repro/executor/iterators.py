@@ -628,7 +628,6 @@ def _materialize_spool(
         stats.invocations += 1
         stats.rows_out += worktable.row_count
         stats.wall_time += elapsed
-        stats.add_timer("materialize", elapsed)
     return worktable
 
 

@@ -23,7 +23,6 @@ from .metrics import (
     NULL_REGISTRY,
     MetricsRegistry,
     OperatorStats,
-    TimerStats,
     active_registry,
     use_registry,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "OperatorStats",
-    "TimerStats",
     "active_registry",
     "use_registry",
     "Histogram",

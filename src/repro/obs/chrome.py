@@ -1,6 +1,6 @@
 """Chrome trace-event (Perfetto-compatible) export of JSONL traces.
 
-``repro trace export --format chrome`` converts a trace written by
+``repro trace FILE --export chrome`` converts a trace written by
 :class:`~repro.obs.trace.Tracer` into the Trace Event Format that
 ``chrome://tracing`` and https://ui.perfetto.dev load directly:
 

@@ -5,7 +5,6 @@ into Prometheus text exposition format 0.0.4:
 
 * counters → ``repro_<name>_total`` (``# TYPE … counter``),
 * gauges → ``repro_<name>`` (``# TYPE … gauge``),
-* timers → ``repro_<name>_seconds`` summaries (``_count`` / ``_sum``),
 * histograms → classic cumulative ``_bucket{le="…"}`` series plus
   ``_sum`` / ``_count``; empty leading/trailing buckets are elided (any
   subset of ``le`` edges is valid exposition as long as ``+Inf`` is
@@ -13,7 +12,8 @@ into Prometheus text exposition format 0.0.4:
 
 :func:`parse_prometheus_text` is the matching checker: a small, strict
 parser used by the tests and the CI smoke job to assert the exposition is
-well-formed (line grammar, TYPE declarations, histogram invariants).
+well-formed (line grammar, one TYPE declaration per family, histogram
+invariants).
 
 :class:`TelemetryServer` serves ``/metrics`` and ``/healthz`` from a
 ``http.server.ThreadingHTTPServer`` on a daemon thread — no third-party
@@ -76,10 +76,6 @@ def render_prometheus(registry: MetricsRegistry) -> str:
     with registry._lock:
         counters = dict(registry._counters)
         gauges = dict(registry._gauges)
-        timers = {
-            name: (stats.count, stats.total)
-            for name, stats in registry._timers.items()
-        }
         histograms = dict(registry._histograms)
 
     for name in sorted(counters):
@@ -99,13 +95,6 @@ def render_prometheus(registry: MetricsRegistry) -> str:
         for label_text, value in gauge_families[base]:
             suffix = "{" + label_text + "}" if label_text else ""
             lines.append(f"{metric}{suffix} {_fmt(value)}")
-
-    for name in sorted(timers):
-        metric = sanitize_metric_name(name) + "_seconds"
-        count, total = timers[name]
-        family(metric, "summary", f"repro timer {name}")
-        lines.append(f"{metric}_count {count}")
-        lines.append(f"{metric}_sum {_fmt(total)}")
 
     # Group labeled series (stored as ``name{k="v",…}`` keys) under their
     # family so each family gets exactly one HELP/TYPE header.
@@ -168,9 +157,10 @@ def parse_prometheus_text(
     """Parse (and validate) Prometheus text exposition.
 
     Returns ``{metric name: [(labels, value), …]}``. Raises ``ValueError``
-    with the offending line on any grammar violation, unknown TYPE,
-    samples not matching their declared family, or a histogram whose
-    cumulative buckets decrease / lack ``+Inf`` / disagree with ``_count``.
+    with the offending line on any grammar violation, unknown TYPE, a
+    family declared twice, samples not matching their declared family, or
+    a histogram whose cumulative buckets decrease / lack ``+Inf`` /
+    disagree with ``_count``.
     """
     samples: Dict[str, List[Tuple[Dict[str, str], float]]] = {}
     types: Dict[str, str] = {}
@@ -186,6 +176,8 @@ def parse_prometheus_text(
                     raise ValueError(f"line {lineno}: bad TYPE name {name!r}")
                 if kind not in _VALID_TYPES:
                     raise ValueError(f"line {lineno}: bad TYPE kind {kind!r}")
+                if name in types:
+                    raise ValueError(f"line {lineno}: {name} declared twice")
                 types[name] = kind
             elif len(parts) >= 2 and parts[1] == "HELP":
                 if len(parts) < 3 or not _NAME_RE.match(parts[2]):

@@ -14,8 +14,8 @@ spool and per query.
 A spool with **negative measured savings** is sharing that lost money —
 the exact feedback a future adaptive re-optimizer (ROADMAP item 4) or a
 benefit-driven global selection needs; the ledger flags them, and the
-session mirrors the flags into the decision journal, the query log, and
-``ledger.*`` Prometheus gauges.
+session mirrors the flags into a ``negative_spool_benefit`` trace event,
+the query log, and ``ledger.*`` Prometheus gauges.
 
 All numbers are rounded to 4 decimals once, in :meth:`SharingLedger
 .to_payload`, so the values shown in EXPLAIN ANALYZE, the query log,

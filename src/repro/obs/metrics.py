@@ -1,4 +1,4 @@
-"""Metrics: counters, gauges, and timers for optimizer and executor.
+"""Metrics: counters, gauges, and histograms for optimizer and executor.
 
 A :class:`MetricsRegistry` is the single sink for everything the paper's
 experiment tables count — candidate CSEs surviving each heuristic, spool
@@ -6,9 +6,9 @@ materializations vs. reads, optimization passes — measured at runtime
 instead of re-derived from planner estimates. Design goals:
 
 * **Near-zero overhead when disabled.** Every mutator checks ``enabled``
-  first and returns immediately; disabled timers hand out a shared no-op
-  context manager. The default registry (:data:`NULL_REGISTRY`) is disabled,
-  so uninstrumented callers pay one attribute load and one branch.
+  first and returns immediately. The default registry
+  (:data:`NULL_REGISTRY`) is disabled, so uninstrumented callers pay one
+  attribute load and one branch.
 * **Thread-safe when enabled.** A single lock guards the maps; increments
   are coarse (per operator / per optimization phase, never per row), so
   contention is negligible.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Dict, Iterator, Optional
 
@@ -50,19 +50,6 @@ def split_series_key(key: str) -> "tuple[str, str]":
 
 
 @dataclass
-class TimerStats:
-    """Aggregated observations of one named timer."""
-
-    count: int = 0
-    total: float = 0.0
-
-    @property
-    def mean(self) -> float:
-        """Mean seconds per observation (0 when never fired)."""
-        return self.total / self.count if self.count else 0.0
-
-
-@dataclass
 class OperatorStats:
     """Actuals for one physical operator instance (EXPLAIN ANALYZE).
 
@@ -74,78 +61,33 @@ class OperatorStats:
     invocations: int = 0
     rows_out: int = 0
     wall_time: float = 0.0
-    #: named wall-time components (e.g. ``materialize`` for spool bodies,
-    #: ``finalize`` for the project/sort chain) — a breakdown of
-    #: ``wall_time``, keyed by phase name.
-    timers: Dict[str, float] = field(default_factory=dict)
-
-    def add_timer(self, name: str, seconds: float) -> None:
-        """Accumulate one named wall-time component."""
-        self.timers[name] = self.timers.get(name, 0.0) + seconds
 
     def merge(self, other: "OperatorStats") -> None:
         """Accumulate another slot for the same operator (a plan node
         shared between concurrently executed queries gets one stats slot
-        per worker; merging reproduces the serial single-slot totals,
-        including the per-phase timer map)."""
+        per worker; merging reproduces the serial single-slot totals)."""
         self.invocations += other.invocations
         self.rows_out += other.rows_out
         self.wall_time += other.wall_time
-        for name, seconds in other.timers.items():
-            self.timers[name] = self.timers.get(name, 0.0) + seconds
-
-
-class _NullTimer:
-    """Shared no-op context manager for disabled registries."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        return None
-
-
-_NULL_TIMER = _NullTimer()
-
-
-class _Timer:
-    """Context manager recording one observation into a registry."""
-
-    __slots__ = ("_registry", "_name", "_start")
-
-    def __init__(self, registry: "MetricsRegistry", name: str) -> None:
-        self._registry = registry
-        self._name = name
-
-    def __enter__(self) -> "_Timer":
-        self._start = perf_counter()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self._registry.timer_add(self._name, perf_counter() - self._start)
 
 
 class MetricsRegistry:
-    """Thread-safe counters, gauges, and timers, keyed by dotted names.
+    """Thread-safe counters, gauges, and histograms, keyed by dotted names.
 
     Conventions: counters are monotonic event counts
     (``optimizer.candidates_generated``), gauges are last-write-wins
-    observations (``optimizer.memo_groups``), timers aggregate wall-clock
-    spans (``bench.optimize``).
+    observations (``optimizer.memo_groups``), histograms are
+    distributions — durations are histograms named ``*_seconds``
+    (``bench.optimize_seconds``).
     """
 
-    __slots__ = (
-        "enabled", "_lock", "_counters", "_gauges", "_timers", "_histograms"
-    )
+    __slots__ = ("enabled", "_lock", "_counters", "_gauges", "_histograms")
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._lock = threading.Lock()
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
-        self._timers: Dict[str, TimerStats] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     # -- mutators ----------------------------------------------------------
@@ -174,22 +116,14 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[key] = value
 
-    def timer(self, name: str):
-        """A context manager timing one observation of ``name``."""
-        if not self.enabled:
-            return _NULL_TIMER
-        return _Timer(self, name)
-
-    def timer_add(self, name: str, seconds: float) -> None:
-        """Record one pre-measured observation of timer ``name``."""
-        if not self.enabled:
-            return
-        with self._lock:
-            stats = self._timers.get(name)
-            if stats is None:
-                stats = self._timers[name] = TimerStats()
-            stats.count += 1
-            stats.total += seconds
+    @contextmanager
+    def timer(self, name: str) -> Iterator[None]:
+        """Time the block and observe its seconds into histogram ``name``."""
+        start = perf_counter()
+        try:
+            yield
+        finally:
+            self.observe(name, perf_counter() - start)
 
     def observe(
         self,
@@ -218,7 +152,6 @@ class MetricsRegistry:
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
-            self._timers.clear()
             self._histograms.clear()
 
     # -- readers -----------------------------------------------------------
@@ -236,12 +169,6 @@ class MetricsRegistry:
                 return self._counters[key]
             return self._gauges.get(key, default)
 
-    def timer_total(self, name: str) -> float:
-        """Total seconds recorded for timer ``name`` (0 when absent)."""
-        with self._lock:
-            stats = self._timers.get(name)
-            return stats.total if stats else 0.0
-
     def histogram(
         self, name: str, labels: Optional[Dict[str, str]] = None
     ) -> Optional[Histogram]:
@@ -250,18 +177,14 @@ class MetricsRegistry:
             return self._histograms.get(series_key(name, labels))
 
     def snapshot(self) -> Dict[str, Any]:
-        """A point-in-time copy:
-        ``{"counters", "gauges", "timers", "histograms"}``. Histogram
-        entries carry count/sum/min/max and p50/p95/p99 estimates."""
+        """A point-in-time copy: ``{"counters", "gauges", "histograms"}``.
+        Histogram entries carry count/sum/min/max and p50/p95/p99
+        estimates."""
         with self._lock:
             histograms = dict(self._histograms)
             payload = {
                 "counters": dict(self._counters),
                 "gauges": dict(self._gauges),
-                "timers": {
-                    name: {"count": s.count, "total": s.total}
-                    for name, s in self._timers.items()
-                },
             }
         # Histogram snapshots take each histogram's own lock; never while
         # holding the registry lock.
@@ -287,12 +210,6 @@ class MetricsRegistry:
             for name, value in incoming["counters"].items():
                 self._counters[name] = self._counters.get(name, 0) + value
             self._gauges.update(incoming["gauges"])
-            for name, timer in incoming["timers"].items():
-                stats = self._timers.get(name)
-                if stats is None:
-                    stats = self._timers[name] = TimerStats()
-                stats.count += timer["count"]
-                stats.total += timer["total"]
             for name, histogram in incoming_histograms.items():
                 mine = self._histograms.get(name)
                 if mine is None:

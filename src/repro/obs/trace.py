@@ -221,27 +221,16 @@ class Tracer:
 
     @contextmanager
     def span(
-        self,
-        name: str,
-        /,
-        *,
-        parent: Optional[SpanContext] = None,
-        **attrs: Any,
+        self, name: str, /, **attrs: Any
     ) -> Iterator[Optional[TraceEvent]]:
-        """Open a nested span; its duration is set when the block exits.
-
-        ``parent`` overrides the thread's implicit nesting for this span
-        only (children opened inside still nest under it normally)."""
+        """Open a nested span; its duration is set when the block exits."""
         if not self.enabled:
             yield None
             return
-        parent_id = (
-            parent.span_id if parent is not None else self._current_parent()
-        )
         event = TraceEvent(
             name=name,
             span_id=self._allocate_id(),
-            parent_id=parent_id,
+            parent_id=self._current_parent(),
             start=self._now(),
             attrs=dict(attrs),
             thread=threading.current_thread().name,

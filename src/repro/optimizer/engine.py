@@ -78,9 +78,6 @@ class OptimizationResult:
     stats: OptimizerStats
     candidates: List[CandidateCse] = field(default_factory=list)
     base_bundle: Optional[PlanBundle] = None
-    #: The decision journal active during the run (NULL_JOURNAL when the
-    #: caller did not ask for one) — the source for ``explain --why``.
-    journal: DecisionJournal = NULL_JOURNAL
 
     @property
     def est_cost(self) -> float:
@@ -138,7 +135,6 @@ class Optimizer:
         with use_registry(self.registry), use_journal(self.journal):
             with self.tracer.span("optimize", queries=len(batch.queries)):
                 result, run = self._optimize(batch)
-        result.journal = self.journal
         self._publish_stats(result.stats)
         return result, run
 
@@ -150,15 +146,12 @@ class Optimizer:
         for name, value in stats.counter_summary().items():
             registry.counter(name, value)
         registry.counter("optimizer.batches")
-        registry.timer_add("optimizer.normal", stats.normal_time)
-        registry.timer_add("optimizer.cse", stats.cse_time)
-        registry.timer_add("optimizer.step3", stats.step3_time)
-        registry.timer_add("optimizer.total", stats.optimization_time)
         # Phase latency distributions (p50/p95/p99 via the exporter). The
         # per-pass Step-3 histogram (optimizer.history.pass_seconds) is
         # observed live inside the enumeration loop.
         registry.observe("optimizer.normal_seconds", stats.normal_time)
         registry.observe("optimizer.cse_seconds", stats.cse_time)
+        registry.observe("optimizer.step3_seconds", stats.step3_time)
         registry.observe("optimizer.total_seconds", stats.optimization_time)
 
     def _build_run(self, batch: BoundBatch, stats: OptimizerStats) -> OptimizerRun:

@@ -275,14 +275,9 @@ class SharedBatchCoordinator:
             group.error = error
             self.registry.counter("coordinator.fallbacks")
             self.registry.counter("coordinator.fallback.shared_phase")
-            if session.journal.enabled:
-                session.journal.event(
-                    "shared_fallback", stage="shared_phase",
-                    detail=str(error),
-                )
             session.tracer.event(
                 "shared_fallback", stage="shared_phase",
-                consumers=len(group.consumers),
+                consumers=len(group.consumers), detail=str(error),
             )
 
     # -- shared phase (leader) ---------------------------------------------
@@ -332,19 +327,11 @@ class SharedBatchCoordinator:
             session.tracer.event(
                 "shared_merge",
                 consumers=len(group.consumers),
+                queries=len(names),
                 spools=run.pool.published,
                 cache_hit=cache_hit,
                 strategy=run.strategy,
             )
-            if session.journal.enabled:
-                session.journal.event(
-                    "shared_merge",
-                    consumers=len(group.consumers),
-                    queries=len(names),
-                    spools=run.pool.published,
-                    cache_hit=cache_hit,
-                    strategy=run.strategy,
-                )
             return run
 
     def _plan_cache_for(self, database) -> Optional[PlanCache]:
@@ -448,13 +435,9 @@ class SharedBatchCoordinator:
             # charges are discarded with this token).
             self.registry.counter("coordinator.fallbacks")
             self.registry.counter("coordinator.fallback.consumer")
-            if session.journal.enabled:
-                session.journal.event(
-                    "shared_fallback", stage="consumer",
-                    slot=consumer.slot, detail=str(error),
-                )
             session.tracer.event(
-                "shared_fallback", stage="consumer", slot=consumer.slot
+                "shared_fallback", stage="consumer", slot=consumer.slot,
+                detail=str(error),
             )
             return None
         finally:

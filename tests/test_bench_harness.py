@@ -64,25 +64,30 @@ class TestRunners:
 
 class TestPhaseTimers:
     def test_phases_sum_to_total(self, tiny_db):
-        """bench.optimize + bench.execute account for bench.total up to a
-        small tolerance (timer entry/exit and snapshot overhead)."""
+        """bench.optimize_seconds + bench.execute_seconds account for
+        bench.total_seconds up to a small tolerance (timer entry/exit and
+        snapshot overhead)."""
         result = run_mode(tiny_db, example1_batch(), MODE_CSE)
         phases = result.phase_seconds
         assert set(phases) == {
-            "bench.total", "bench.optimize", "bench.execute",
+            "bench.total_seconds", "bench.optimize_seconds",
+            "bench.execute_seconds",
         }
-        total = phases["bench.total"]
-        parts = phases["bench.optimize"] + phases["bench.execute"]
+        total = phases["bench.total_seconds"]
+        parts = (
+            phases["bench.optimize_seconds"] + phases["bench.execute_seconds"]
+        )
         assert parts <= total
         # Tolerance: 10% of total plus 5ms of fixed overhead.
         assert total - parts <= 0.10 * total + 0.005, phases
 
     def test_reported_times_come_from_registry(self, tiny_db):
         result = run_mode(tiny_db, example1_batch(), MODE_CSE)
-        assert result.optimization_time == result.phase_seconds["bench.optimize"]
-        assert result.exec_time == result.phase_seconds["bench.execute"]
-        timers = result.snapshot["timers"]
-        assert timers["bench.total"]["count"] == 1
+        phases = result.phase_seconds
+        assert result.optimization_time == phases["bench.optimize_seconds"]
+        assert result.exec_time == phases["bench.execute_seconds"]
+        histograms = result.snapshot["histograms"]
+        assert histograms["bench.total_seconds"]["count"] == 1
 
     def test_snapshot_counters_and_q_error(self, tiny_db):
         result = run_mode(tiny_db, example1_batch(), MODE_CSE)

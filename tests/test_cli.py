@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import json
 
 import pytest
 
@@ -116,6 +117,38 @@ class TestBenchAll:
         assert "# Experiment report" in output
         assert "Table 1" in output and "Figure 8" in output
         assert "View maintenance" in output
+
+    def test_maintenance_matches_report_section(self):
+        code, line = run_cli("--sf", SF, "bench", "maintenance")
+        assert code == 0
+        _, report = run_cli("--sf", SF, "bench", "all")
+        section = report.split("## View maintenance")[1].splitlines()
+        assert line.strip() in section
+
+
+class TestTraceCommand:
+    @pytest.fixture
+    def trace_file(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        code, _ = run_cli(
+            "--sf", SF, "query", "--trace", str(path),
+            "select r_name from region",
+        )
+        assert code == 0
+        return path
+
+    def test_export_chrome(self, trace_file, tmp_path):
+        out = tmp_path / "trace.json"
+        code, output = run_cli(
+            "trace", str(trace_file), "--export", "chrome", "--out", str(out)
+        )
+        assert code == 0
+        assert "wrote chrome trace" in output
+        assert json.loads(out.read_text())["traceEvents"]
+
+    def test_export_subcommand_spelling_is_rejected(self, trace_file):
+        with pytest.raises(SystemExit):
+            run_cli("trace", "export", str(trace_file), "--format", "chrome")
 
 
 class TestParallelFlag:

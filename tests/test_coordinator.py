@@ -13,7 +13,7 @@ from repro import OptimizerOptions, Session
 from repro.catalog.tpch import build_tpch_database
 from repro.errors import BudgetExceededError, ExecutionError
 from repro.executor.runtime import SharedSpoolPool
-from repro.obs import DecisionJournal, MetricsRegistry
+from repro.obs import DecisionJournal, MetricsRegistry, Tracer
 from repro.serve import QueryBudget, SharedBatchCoordinator
 from repro.storage.worktable import WorkTable
 
@@ -494,29 +494,54 @@ class TestCoordinatorStrategy:
             iso.execution.results[0].rows
         )
 
-    def test_journal_names_shared_merge_and_strategy(self):
+    def test_trace_names_shared_merge_and_strategy(self):
         registry = MetricsRegistry()
         coordinator = SharedBatchCoordinator(
             window_ms=5000.0, max_group=2, registry=registry
         )
-        journal = DecisionJournal()
+        # One tracer for both sessions: whichever leads the window emits
+        # the merge event.
+        tracer = Tracer()
         s1 = Session(
-            DB, coordinator=coordinator, registry=registry, journal=journal
+            DB, coordinator=coordinator, registry=registry, tracer=tracer
         )
-        s2 = Session(DB, coordinator=coordinator, registry=registry)
+        s2 = Session(
+            DB, coordinator=coordinator, registry=registry, tracer=tracer
+        )
         _run_concurrent(
             [
                 ("a", lambda: s1.execute(Q_PRIORITY)),
                 ("b", lambda: s2.execute(Q_STATUS)),
             ]
         )
-        merges = journal.events("shared_merge")
-        # The journal entry exists only when this session led the window;
-        # either way the window must have merged both consumers.
+        merges = [e.attrs for e in tracer.events if e.name == "shared_merge"]
         assert _counters(registry).get("coordinator.merged_consumers") == 2
-        if merges:
-            assert merges[0]["consumers"] == 2
-            assert merges[0]["strategy"] in ("paper", "greedy")
+        assert len(merges) == 1
+        assert merges[0]["consumers"] == 2
+        assert merges[0]["queries"] == 2
+        assert merges[0]["strategy"] in ("paper", "greedy")
+
+    def test_merged_plan_carries_no_session_journal(self):
+        """Every session in a window receives the same (cached) merged
+        optimization result, so it must not hold one session's journal."""
+        registry = MetricsRegistry()
+        coordinator = SharedBatchCoordinator(
+            window_ms=5000.0, max_group=2, registry=registry
+        )
+        s1 = Session(
+            DB, coordinator=coordinator, registry=registry,
+            journal=DecisionJournal(),
+        )
+        s2 = Session(DB, coordinator=coordinator, registry=registry)
+        results = _run_concurrent(
+            [
+                ("a", lambda: s1.execute(Q_PRIORITY)),
+                ("b", lambda: s2.execute(Q_STATUS)),
+            ]
+        )
+        assert _counters(registry).get("coordinator.merged_batches") == 1
+        for outcome in results.values():
+            assert not hasattr(outcome.optimization, "journal")
 
 
 class TestCoordinatorStress:

@@ -26,7 +26,7 @@ from repro.errors import (
     QueryTimeoutError,
 )
 from repro.executor import Executor
-from repro.obs import DecisionJournal, MetricsRegistry
+from repro.obs import MetricsRegistry, Tracer
 from repro.serve import QueryBudget, ResourceGovernor
 from repro.serve.governor import CancellationToken
 from repro.workloads import example1_batch, scaleup_batch
@@ -519,8 +519,15 @@ class TestFallback:
 
     def _governed_session(self, db, **kwargs):
         kwargs.setdefault("registry", MetricsRegistry())
-        kwargs.setdefault("journal", DecisionJournal())
+        kwargs.setdefault("tracer", Tracer())
         return Session(db, OptimizerOptions(), **kwargs)
+
+    @staticmethod
+    def _fallback_events(session):
+        return [
+            event.attrs for event in session.tracer.events
+            if event.name == "governor_fallback"
+        ]
 
     def test_spool_budget_falls_back_to_baseline(self, small_db):
         session = self._governed_session(small_db)
@@ -542,10 +549,11 @@ class TestFallback:
         counters = session.registry.snapshot()["counters"]
         assert counters["governor.fallbacks"] == 1
         assert counters["governor.fallback.spool_budget"] == 1
-        events = session.journal.events("fallback")
+        events = self._fallback_events(session)
         assert len(events) == 1
         assert events[0]["stage"] == "execution"
         assert events[0]["reason"] == "spool_budget"
+        assert "spool budget exceeded" in events[0]["detail"]
         assert (
             session.registry.histogram(
                 "governor.fallback_retry_seconds"
@@ -575,8 +583,10 @@ class TestFallback:
         assert out.execution.metrics.spools_materialized == 0
         counters = session.registry.snapshot()["counters"]
         assert counters["governor.fallback.optimizer_deadline"] == 1
-        events = session.journal.events("fallback")
+        events = self._fallback_events(session)
         assert events and events[0]["stage"] == "optimizer"
+        assert events[0]["reason"] == "optimizer_deadline"
+        assert "deadline" in events[0]["detail"]
 
     def test_optimizer_error_falls_back(self, small_db, monkeypatch):
         session = self._governed_session(small_db, plan_cache_size=0)
@@ -596,7 +606,8 @@ class TestFallback:
         assert out.degraded and out.fallback_reason == "optimizer_error"
         assert calls["n"] == 2  # failed once, retried without CSEs
         assert sum(r.row_count for r in out.execution.results) > 0
-        events = session.journal.events("fallback")
+        events = self._fallback_events(session)
+        assert events[0]["reason"] == "optimizer_error"
         assert "injected sharing-machinery failure" in events[0]["detail"]
 
     def test_optimizer_error_without_budget_propagates(

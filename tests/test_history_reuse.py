@@ -150,7 +150,7 @@ class TestInstrumentation:
         assert snapshot["histograms"]["optimizer.history.pass_seconds"][
             "count"
         ] == passes
-        assert "optimizer.step3" in snapshot["timers"]
+        assert "optimizer.step3_seconds" in snapshot["histograms"]
 
     def test_journal_history_event_per_pass(self):
         for reuse in (True, False):

@@ -25,16 +25,17 @@ class TestMetricsRegistry:
         registry.counter("a", 2)
         registry.gauge("g", 7)
         registry.gauge("g", 9)
-        with registry.timer("t"):
+        with registry.timer("t_seconds"):
             pass
-        registry.timer_add("t", 0.5)
+        registry.observe("t_seconds", 0.5)
         snapshot = registry.snapshot()
+        assert set(snapshot) == {"counters", "gauges", "histograms"}
         assert snapshot["counters"]["a"] == 3
         assert snapshot["gauges"]["g"] == 9
-        assert snapshot["timers"]["t"]["count"] == 2
+        assert snapshot["histograms"]["t_seconds"]["count"] == 2
         assert registry.get("a") == 3
         assert registry.get("missing", -1) == -1
-        assert registry.timer_total("t") >= 0.5
+        assert registry.histogram("t_seconds").total >= 0.5
 
     def test_disabled_registry_records_nothing(self):
         registry = MetricsRegistry(enabled=False)
@@ -44,12 +45,7 @@ class TestMetricsRegistry:
         with registry.timer("t"):
             pass
         snapshot = registry.snapshot()
-        assert snapshot == {
-            "counters": {},
-            "gauges": {},
-            "timers": {},
-            "histograms": {},
-        }
+        assert snapshot == {"counters": {}, "gauges": {}, "histograms": {}}
 
     def test_reset_and_merge(self):
         registry = MetricsRegistry()
@@ -58,11 +54,11 @@ class TestMetricsRegistry:
         assert registry.get("a") == 0
         other = MetricsRegistry()
         other.counter("a", 2)
-        other.timer_add("t", 1.0)
+        other.observe("t_seconds", 1.0)
         registry.merge(other)
         registry.merge(other)
         assert registry.get("a") == 4
-        assert registry.snapshot()["timers"]["t"]["count"] == 2
+        assert registry.snapshot()["histograms"]["t_seconds"]["count"] == 2
 
     def test_thread_safety(self):
         registry = MetricsRegistry()
@@ -152,7 +148,7 @@ class TestSessionWiring:
         assert counters["cse.merge_benefit_evaluations"] >= 1
         assert counters["executor.spools_materialized"] >= 1
         assert counters["executor.spool_reads"] >= 2
-        assert registry.timer_total("optimizer.total") > 0
+        assert registry.histogram("optimizer.total_seconds").total > 0
 
     @pytest.mark.parametrize("batch", ["example1", "fig8_6"])
     def test_candidate_generation_work_counts(self, tiny_db, batch):

@@ -31,6 +31,7 @@ from repro.obs import (
     render_prometheus,
     sanitize_metric_name,
 )
+from repro.serve import QueryBudget
 from repro.workloads.example1 import EXAMPLE1_BATCH_SQL
 
 
@@ -98,7 +99,7 @@ class TestExporter:
         registry = MetricsRegistry()
         registry.counter("optimizer.batches", 3)
         registry.gauge("executor.parallel_workers", 4)
-        with registry.timer("bench.optimize"):
+        with registry.timer("bench.optimize_seconds"):
             pass
         for v in (0.001, 0.05, 2.0):
             registry.observe("serve.query_seconds", v)
@@ -114,6 +115,42 @@ class TestExporter:
     def test_parser_rejects_malformed_text(self):
         with pytest.raises(ValueError):
             parse_prometheus_text("not a metric line!!!\n")
+
+    def test_parser_rejects_family_declared_twice(self):
+        text = (
+            "# TYPE repro_x_seconds summary\n"
+            "repro_x_seconds_count 1\n"
+            "repro_x_seconds_sum 0.5\n"
+            "# TYPE repro_x_seconds histogram\n"
+            'repro_x_seconds_bucket{le="+Inf"} 1\n'
+            "repro_x_seconds_sum 0.5\n"
+            "repro_x_seconds_count 1\n"
+        )
+        with pytest.raises(ValueError, match="declared twice"):
+            parse_prometheus_text(text)
+
+    def test_session_exposition_declares_each_family_once(self):
+        """Plain, governor-fallback and pooled executes of Example 1 render
+        text the strict checker accepts; every duration is a histogram."""
+        registry = MetricsRegistry()
+        session = Session.tpch(0.005, registry=registry)
+        session.execute(EXAMPLE1_BATCH_SQL)
+        degraded = session.execute(
+            EXAMPLE1_BATCH_SQL, budget=QueryBudget(max_spool_rows=0)
+        )
+        assert degraded.fallback_reason == "spool_budget"
+        session.execute(EXAMPLE1_BATCH_SQL, workers=4)
+        text = render_prometheus(registry)
+        declared = [
+            line.split()[2] for line in text.splitlines()
+            if line.startswith("# TYPE ")
+        ]
+        assert len(declared) == len(set(declared))
+        assert " summary" not in text
+        families = parse_prometheus_text(text)
+        for name in ("optimizer_total", "optimizer_step3", "executor_wall"):
+            assert f"repro_{name}_seconds_bucket" in families
+        assert families["repro_executor_wall_seconds_count"][0][1] == 3.0
 
     def test_labelled_histogram_series_round_trip(self):
         """Label sets on one histogram family render as independent
@@ -266,7 +303,6 @@ class TestDecisionJournal:
         journal = DecisionJournal()
         session = Session(small_db, journal=journal)
         result = session.optimize(EXAMPLE1_BATCH_SQL)
-        assert result.journal is journal
         kinds = {entry["kind"] for entry in journal.events()}
         assert {"bucket", "h1", "h2", "h3", "candidate", "lca",
                 "verdict"} <= kinds
@@ -416,39 +452,8 @@ class TestEquivalenceJournal:
 
 
 # ---------------------------------------------------------------------------
-# Satellites: parallel op-stat timer reconciliation, tracer concurrency
+# Tracer concurrency
 # ---------------------------------------------------------------------------
-
-
-class TestParallelTimerReconciliation:
-    def test_worker_slots_merge_timer_maps(self, small_db):
-        """Per-worker OperatorStats slots merged after a parallel run must
-        reconcile per-phase timer maps, matching the serial totals."""
-        serial = Session(small_db, plan_cache_size=0)
-        parallel = Session(small_db, workers=4, plan_cache_size=0)
-        ser = serial.execute(EXAMPLE1_BATCH_SQL, collect_op_stats=True)
-        par = parallel.execute(
-            EXAMPLE1_BATCH_SQL, collect_op_stats=True, workers=4
-        )
-
-        def timer_profile(execution):
-            profile = {}
-            for stats in execution.execution.op_stats.values():
-                for name, seconds in stats.timers.items():
-                    profile[name] = profile.get(name, 0) + 1
-                    assert seconds > 0.0
-            return profile
-
-        ser_profile = timer_profile(ser)
-        par_profile = timer_profile(par)
-        # Same phases appear with the same multiplicity: merged worker
-        # slots did not lose (or double) any timer components.
-        assert ser_profile == par_profile
-        assert "materialize" in par_profile  # spool bodies were timed
-        assert "finalize" in par_profile
-        # And the results themselves are identical.
-        for s, p in zip(ser.execution.results, par.execution.results):
-            assert s.sorted_rows() == p.sorted_rows()
 
 
 class TestTracerConcurrency:
