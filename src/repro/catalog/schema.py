@@ -123,6 +123,9 @@ class Catalog:
 
     def __init__(self) -> None:
         self._tables: Dict[str, TableSchema] = {}
+        #: counts add_table and drop_table: the name-resolution state a
+        #: bound batch depends on (the binder's memo keys on it).
+        self.version = 0
 
     def add_table(self, schema: TableSchema) -> None:
         """Register a table schema (names are case-insensitive)."""
@@ -130,6 +133,7 @@ class Catalog:
         if key in self._tables:
             raise CatalogError(f"table {schema.name!r} already exists")
         self._tables[key] = schema
+        self.version += 1
 
     def drop_table(self, name: str) -> None:
         """Remove a table schema."""
@@ -137,6 +141,7 @@ class Catalog:
         if key not in self._tables:
             raise CatalogError(f"table {name!r} does not exist")
         del self._tables[key]
+        self.version += 1
 
     def has_table(self, name: str) -> bool:
         """Whether a table of this name is registered."""

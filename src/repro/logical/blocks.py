@@ -196,9 +196,20 @@ class BoundQuery:
 
 @dataclass
 class BoundBatch:
-    """A batch of queries optimized together under a dummy root (§2 fn. 1)."""
+    """A batch of queries optimized together under a dummy root (§2 fn. 1).
+
+    Bound batches are shared (the binder memoizes them per parsed text), so
+    they are never mutated after binding."""
 
     queries: List[BoundQuery]
+    #: the :class:`~repro.sql.parser.ParsedBatch` this was bound from, held
+    #: strongly so its parse memo lives exactly as long as this batch.
+    source: Optional[object] = field(default=None, repr=False, compare=False)
+    #: the batch's fingerprint, filled in by the first
+    #: :func:`~repro.serve.fingerprint.batch_fingerprint` call.
+    fingerprint: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         names = [q.name for q in self.queries]

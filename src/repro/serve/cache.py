@@ -40,6 +40,11 @@ class CacheEntry:
 
     result: OptimizationResult
     tables: FrozenSet[str]
+    #: the batch the result was optimized from. Its only job is to keep
+    #: that batch's statement memo (parse, bind, fingerprint) alive for
+    #: exactly as long as this entry: a repeat of the text is then served
+    #: without re-parsing, and eviction or invalidation frees the memo.
+    batch: Optional[BoundBatch] = None
 
 
 class PlanCache:
@@ -92,8 +97,12 @@ class PlanCache:
         key: CacheKey,
         result: OptimizationResult,
         tables: FrozenSet[str],
+        batch: Optional[BoundBatch] = None,
     ) -> None:
-        """Insert (or refresh) an entry, evicting the LRU tail if full."""
+        """Insert (or refresh) an entry, evicting the LRU tail if full.
+
+        ``batch`` is the bound batch ``result`` was optimized from; the
+        entry keeps it (and so its statement memo) alive."""
         evicted = 0
         # Invalidation matches on lowercased table names; normalize here so
         # a batch bound against mixed-case DDL still invalidates.
@@ -101,7 +110,7 @@ class PlanCache:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-            self._entries[key] = CacheEntry(result=result, tables=tables)
+            self._entries[key] = CacheEntry(result, tables, batch)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 evicted += 1
@@ -184,5 +193,5 @@ def cached_optimize(
         session.tracer.event(hit_event, fingerprint=key[0][:12])
         return cached, True
     result = session.optimize(batch, deadline=deadline)
-    cache.put(key, result, batch_tables(batch))
+    cache.put(key, result, batch_tables(batch), batch)
     return result, False

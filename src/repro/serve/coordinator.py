@@ -44,6 +44,7 @@ session's ordinary governed path (``submit`` returns ``None``).
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
@@ -61,6 +62,7 @@ if TYPE_CHECKING:  # avoid the serve → api → serve import cycle
     from ..api import Session
     from ..logical.blocks import BoundBatch
     from ..optimizer.engine import OptimizationResult
+    from ..storage.database import Database
     from .governor import QueryBudget
 
 
@@ -168,10 +170,15 @@ class SharedBatchCoordinator:
         self.registry = registry or NULL_REGISTRY
         self.plan_cache_size = plan_cache_size
         self._lock = threading.Lock()
-        #: (id(database), config key) -> open groups, newest last.
+        #: (id(database), config key) -> open groups, newest last; a bucket
+        #: is dropped with its last group, so it never outlives a window.
         self._open: Dict[Tuple[int, str], List[_Group]] = {}
-        #: id(database) -> plan cache for merged batches over it.
-        self._caches: Dict[int, PlanCache] = {}
+        #: database -> plan cache for merged batches over it, dropped with
+        #: the database (an id key would serve a dead database's plans to
+        #: a new one that reuses its id).
+        self._caches: "weakref.WeakKeyDictionary[Database, PlanCache]" = (
+            weakref.WeakKeyDictionary()
+        )
 
     @property
     def enabled(self) -> bool:
@@ -232,13 +239,21 @@ class SharedBatchCoordinator:
                     group.tables |= tables
                     if len(group.consumers) >= self.max_group:
                         group.closed = True
-                        groups.remove(group)
+                        self._close_locked(bucket, group)
                         group.full.set()
                     return group, False
             group = _Group(tables)
             group.consumers.append(consumer)
             groups.append(group)
             return group, True
+
+    def _close_locked(self, bucket: Tuple[int, str], group: _Group) -> None:
+        """Take a closing group out of its bucket (caller holds the lock)."""
+        groups = self._open.get(bucket)
+        if groups and group in groups:
+            groups.remove(group)
+            if not groups:
+                del self._open[bucket]
 
     def _run_window(
         self, bucket: Tuple[int, str], group: _Group, session: "Session"
@@ -248,9 +263,7 @@ class SharedBatchCoordinator:
         group.full.wait(self.window_ms / 1000.0)
         with self._lock:
             group.closed = True
-            groups = self._open.get(bucket)
-            if groups and group in groups:
-                groups.remove(group)
+            self._close_locked(bucket, group)
         self.registry.counter("coordinator.windows")
         self.registry.observe(
             "coordinator.window_wait_seconds", perf_counter() - wait_start
@@ -338,10 +351,10 @@ class SharedBatchCoordinator:
         if self.plan_cache_size <= 0:
             return None
         with self._lock:
-            cache = self._caches.get(id(database))
+            cache = self._caches.get(database)
             if cache is None:
                 cache = PlanCache(self.plan_cache_size, registry=self.registry)
-                self._caches[id(database)] = cache
+                self._caches[database] = cache
                 register_invalidation(database, cache)
             return cache
 

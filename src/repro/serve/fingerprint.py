@@ -113,9 +113,12 @@ def _query_text(query: BoundQuery) -> str:
 
 
 def batch_fingerprint(batch: BoundBatch) -> str:
-    """The normalized SHA-256 fingerprint of a bound batch."""
-    text = "\n--\n".join(_query_text(q) for q in batch.queries)
-    return hashlib.sha256(text.encode()).hexdigest()
+    """The normalized SHA-256 fingerprint of a bound batch (computed once
+    per batch: bound batches are immutable)."""
+    if batch.fingerprint is None:
+        text = "\n--\n".join(_query_text(q) for q in batch.queries)
+        batch.fingerprint = hashlib.sha256(text.encode()).hexdigest()
+    return batch.fingerprint
 
 
 def config_key(options: OptimizerOptions, cost_model: CostModel) -> str:

@@ -43,7 +43,7 @@ from ..logical.blocks import (
 )
 from ..types import DataType, comparable, date_to_int
 from . import ast as sql_ast
-from .parser import parse_batch as _parse_batch
+from .parser import ParsedBatch, parse_batch as _parse_batch
 
 _COMPARISON_OPS = {
     "=": ComparisonOp.EQ,
@@ -214,6 +214,28 @@ class Binder:
         self,
         statements: Sequence[sql_ast.SelectStatement],
         names: Optional[Sequence[str]] = None,
+    ) -> BoundBatch:
+        """Bind a batch (queries named ``names``, default ``Q1``, ``Q2``, …).
+
+        A :class:`~repro.sql.parser.ParsedBatch` is bound as a fresh binder
+        would bind it, once per (catalog, catalog version, names) while the
+        result lives: a repeat returns the same shared :class:`BoundBatch`.
+        The version is read *before* binding, so DDL that lands mid-bind
+        re-keys the next call."""
+        if not isinstance(statements, ParsedBatch):
+            return self._bind_queries(statements, names)
+        key = (self.catalog, self.catalog.version, tuple(names or ()))
+        batch = statements.bound(key)
+        if batch is None:
+            batch = Binder(self.catalog)._bind_queries(statements, names)
+            batch.source = statements
+            batch = statements.remember(key, batch)
+        return batch
+
+    def _bind_queries(
+        self,
+        statements: Sequence[sql_ast.SelectStatement],
+        names: Optional[Sequence[str]],
     ) -> BoundBatch:
         queries: List[BoundQuery] = []
         for index, statement in enumerate(statements):

@@ -18,11 +18,20 @@ Grammar (informally)::
     mult       := primary (('*'|'/') primary)*
     primary    := literal | DATE string | aggregate | column | '(' expr ')'
                 | '(' select ')'
+
+:func:`parse_batch` is memoized by text, and a :class:`ParsedBatch`
+memoizes its own bindings (see :meth:`repro.sql.binder.Binder.bind_batch`).
+Both memos hold their values weakly: a parse lives exactly as long as
+something references it — in practice the bound batch a plan-cache entry
+keeps — so a session without a plan cache retains nothing. The parsed AST
+is therefore shared by every caller and must never be mutated.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import threading
+import weakref
+from typing import Hashable, List, Optional
 
 from ..errors import ParseError
 from .ast import (
@@ -379,6 +388,50 @@ def parse_statement(sql: str) -> SelectStatement:
     return statement
 
 
-def parse_batch(sql: str) -> List[SelectStatement]:
-    """Parse a semicolon-separated batch of statements."""
-    return _Parser(tokenize(sql)).parse_batch()
+#: guards both statement memos: :data:`_parsed` and every
+#: :attr:`ParsedBatch._bound` (weakref callbacks never take it).
+_memo_lock = threading.Lock()
+
+
+class ParsedBatch(list):
+    """The statements of one batch text, shared by every caller parsing it.
+
+    It remembers what it was bound to, per (catalog, catalog version,
+    query names), in a dictionary holding those bound batches weakly; each
+    bound batch holds its ``ParsedBatch`` strongly. References run one way
+    only, so there is no cycle and plain reference counting frees both."""
+
+    def __init__(self, statements: List[SelectStatement]) -> None:
+        super().__init__(statements)
+        self._bound: "weakref.WeakValueDictionary[Hashable, object]" = (
+            weakref.WeakValueDictionary()
+        )
+
+    def bound(self, key: Hashable):
+        """The live bound batch remembered under ``key``, or None."""
+        with _memo_lock:
+            return self._bound.get(key)
+
+    def remember(self, key: Hashable, batch):
+        """Remember ``batch`` under ``key``; returns the one kept (a batch
+        another thread remembered first wins)."""
+        with _memo_lock:
+            return self._bound.setdefault(key, batch)
+
+
+#: batch text -> its live parse.
+_parsed: "weakref.WeakValueDictionary[str, ParsedBatch]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def parse_batch(sql: str) -> ParsedBatch:
+    """Parse a semicolon-separated batch of statements (memoized by text
+    while the previous parse is still referenced)."""
+    with _memo_lock:
+        parsed = _parsed.get(sql)
+    if parsed is None:
+        parsed = ParsedBatch(_Parser(tokenize(sql)).parse_batch())
+        with _memo_lock:
+            parsed = _parsed.setdefault(sql, parsed)
+    return parsed

@@ -3,6 +3,7 @@ budget accounting, and plan-cache invalidation."""
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 
@@ -466,6 +467,26 @@ class TestMergedPlanCache:
         assert _norm(outcomes["a"].execution.results[0].rows) == _norm(
             iso.execution.results[0].rows
         )
+
+    def test_merged_plan_cache_dies_with_its_database(self):
+        # A cache keyed by id(database) outlived it: its plans stayed
+        # alive, and a later database reusing the id could be served them.
+        database = build_tpch_database(scale_factor=0.002)
+        registry = MetricsRegistry()
+        coordinator = SharedBatchCoordinator(
+            window_ms=5000.0, max_group=2, registry=registry
+        )
+        sessions = [
+            Session(database, coordinator=coordinator, registry=registry)
+            for _ in range(2)
+        ]
+        self._merge_round(coordinator, registry, sessions)
+        assert _counters(registry).get("coordinator.merged_batches") == 1
+        assert len(coordinator._caches) == 1
+        assert coordinator._open == {}
+        del database, sessions
+        gc.collect()
+        assert len(coordinator._caches) == 0
 
 
 class TestCoordinatorStrategy:
