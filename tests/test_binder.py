@@ -283,3 +283,220 @@ class TestOrderBy:
     def test_order_by_non_output_rejected(self, catalog):
         with pytest.raises(UnsupportedFeatureError):
             bind_sql(catalog, "select c_custkey from customer order by c_name")
+
+
+#: every decorrelation / outer-join rejection path: (sql, error, message)
+REJECTED = {
+    "right_join_over_two_tables": (
+        "select c_custkey from customer, nation "
+        "right join orders on o_custkey = c_custkey",
+        UnsupportedFeatureError,
+        "RIGHT JOIN is supported only directly over a single plain FROM table",
+    ),
+    "cte_under_outer_join": (
+        "with co as (select o_custkey from orders) "
+        "select c_custkey from customer left join co on c_custkey = co.o_custkey",
+        UnsupportedFeatureError,
+        "common table expressions on either side of an outer join",
+    ),
+    "non_equi_on": (
+        "select c_custkey from customer left join orders on o_custkey < c_custkey",
+        UnsupportedFeatureError,
+        "outer join ON conditions must be equijoin keys plus filters on the "
+        "null-extended side",
+    ),
+    "on_without_key": (
+        "select c_custkey from customer left join orders on o_totalprice > 5",
+        UnsupportedFeatureError,
+        "outer joins require at least one equijoin key",
+    ),
+    "key_on_nullable_column": (
+        "select c_custkey from customer "
+        "left join orders on o_custkey = c_custkey "
+        "left join lineitem on l_orderkey = o_orderkey",
+        UnsupportedFeatureError,
+        "outer join keyed on a nullable (outer-joined) column",
+    ),
+    "exists_with_group_by": (
+        "select c_custkey from customer where exists (select o_custkey "
+        "from orders where o_custkey = c_custkey group by o_custkey)",
+        UnsupportedFeatureError,
+        "EXISTS/IN subqueries must be plain select-project-join",
+    ),
+    "non_equality_correlation": (
+        "select c_custkey from customer where exists "
+        "(select 1 from orders where o_custkey < c_custkey)",
+        UnsupportedFeatureError,
+        "EXISTS/IN correlation must be column-equality conjuncts",
+    ),
+    "uncorrelated_exists": (
+        "select c_custkey from customer where exists "
+        "(select 1 from orders where o_totalprice > 5)",
+        UnsupportedFeatureError,
+        "uncorrelated EXISTS/IN subqueries",
+    ),
+    "in_selecting_two_columns": (
+        "select c_custkey from customer where c_custkey in "
+        "(select o_custkey, o_orderkey from orders)",
+        BindError,
+        "IN subqueries must select exactly one column",
+    ),
+    "in_over_expression": (
+        "select c_custkey from customer where c_custkey in "
+        "(select o_custkey + 1 from orders)",
+        UnsupportedFeatureError,
+        "IN subqueries support plain column membership only",
+    ),
+    "exists_under_or": (
+        "select c_custkey from customer where c_nationkey = 1 or exists "
+        "(select 1 from orders where o_custkey = c_custkey)",
+        UnsupportedFeatureError,
+        "EXISTS/IN subqueries are supported only as top-level WHERE conjuncts",
+    ),
+    "scalar_subquery_inside_exists": (
+        "select c_custkey from customer where exists (select 1 from orders "
+        "where o_custkey = c_custkey "
+        "and o_totalprice > (select sum(l_quantity) from lineitem))",
+        UnsupportedFeatureError,
+        "scalar subqueries inside EXISTS/IN subqueries",
+    ),
+    "count_over_nullable_column": (
+        "select count(o_orderkey) as n from customer "
+        "left join orders on o_custkey = c_custkey",
+        UnsupportedFeatureError,
+        "COUNT over a nullable (outer-joined) column",
+    ),
+    "group_by_nullable_column": (
+        "select o_orderstatus, count(*) as n from customer "
+        "left join orders on o_custkey = c_custkey group by o_orderstatus",
+        UnsupportedFeatureError,
+        "GROUP BY over a nullable (outer-joined) column",
+    ),
+    "exists_correlated_on_nullable_column": (
+        "select c_custkey from customer "
+        "left join orders on o_custkey = c_custkey "
+        "where exists (select 1 from lineitem where l_orderkey = o_orderkey)",
+        UnsupportedFeatureError,
+        "EXISTS/IN correlated on a nullable (outer-joined) column",
+    ),
+}
+
+#: bound form of one query per extension kind: (sql, repr of the BoundQuery)
+PINNED = {
+    "left": (
+        "select c_custkey, o_orderkey from customer left join orders "
+        "on c_custkey = o_custkey and o_totalprice > 100 "
+        "where c_nationkey = 3 and o_orderstatus <> 'F'",
+        "BoundQuery(name='Q1', block=QueryBlock(name='Q1', "
+        "tables=(customer#1,), conjuncts=((customer#1.c_nationkey = 3),), "
+        "output=(customer#1.c_custkey AS c_custkey,), group_keys=(), "
+        "aggregates=(), having=()), subqueries={}, order_by=(), "
+        "extensions=(JoinExtension(ext_id='x1', kind='left_outer', "
+        "block=QueryBlock(name='Q1.x1', tables=(orders#2,), "
+        "conjuncts=((orders#2.o_totalprice > 100),), "
+        "output=(orders#2.o_custkey AS o_custkey, orders#2.o_orderkey AS "
+        "o_orderkey, orders#2.o_orderstatus AS o_orderstatus), "
+        "group_keys=(), aggregates=(), having=()), "
+        "keys=((customer#1.c_custkey, orders#2.o_custkey),)),), "
+        "post=QueryShape(group_keys=(), aggregates=(), having=(), "
+        "output=(customer#1.c_custkey AS c_custkey, orders#2.o_orderkey AS "
+        "o_orderkey), filters=((orders#2.o_orderstatus <> 'F'),)))",
+    ),
+    "right": (
+        "select c_custkey, o_orderkey from orders right join customer "
+        "on o_custkey = c_custkey",
+        "BoundQuery(name='Q1', block=QueryBlock(name='Q1', "
+        "tables=(customer#2,), conjuncts=(), "
+        "output=(customer#2.c_custkey AS c_custkey,), group_keys=(), "
+        "aggregates=(), having=()), subqueries={}, order_by=(), "
+        "extensions=(JoinExtension(ext_id='x1', kind='left_outer', "
+        "block=QueryBlock(name='Q1.x1', tables=(orders#1,), conjuncts=(), "
+        "output=(orders#1.o_custkey AS o_custkey, orders#1.o_orderkey AS "
+        "o_orderkey), group_keys=(), aggregates=(), having=()), "
+        "keys=((customer#2.c_custkey, orders#1.o_custkey),)),), "
+        "post=QueryShape(group_keys=(), aggregates=(), having=(), "
+        "output=(customer#2.c_custkey AS c_custkey, orders#1.o_orderkey AS "
+        "o_orderkey), filters=()))",
+    ),
+    "exists": (
+        "select c_name from customer where exists (select 1 from orders "
+        "where o_custkey = c_custkey and o_totalprice > 100)",
+        "BoundQuery(name='Q1', block=QueryBlock(name='Q1', "
+        "tables=(customer#1,), conjuncts=(), "
+        "output=(customer#1.c_custkey AS c_custkey, customer#1.c_name AS "
+        "c_name), group_keys=(), aggregates=(), having=()), subqueries={}, "
+        "order_by=(), extensions=(JoinExtension(ext_id='x1', kind='semi', "
+        "block=QueryBlock(name='Q1.x1', tables=(orders#2,), "
+        "conjuncts=((orders#2.o_totalprice > 100),), "
+        "output=(orders#2.o_custkey AS o_custkey,), group_keys=(), "
+        "aggregates=(), having=()), keys=((customer#1.c_custkey, "
+        "orders#2.o_custkey),)),), post=QueryShape(group_keys=(), "
+        "aggregates=(), having=(), output=(customer#1.c_name AS c_name,), "
+        "filters=()))",
+    ),
+    "not_exists": (
+        "select c_name from customer where not exists "
+        "(select 1 from orders where o_custkey = c_custkey)",
+        "BoundQuery(name='Q1', block=QueryBlock(name='Q1', "
+        "tables=(customer#1,), conjuncts=(), "
+        "output=(customer#1.c_custkey AS c_custkey, customer#1.c_name AS "
+        "c_name), group_keys=(), aggregates=(), having=()), subqueries={}, "
+        "order_by=(), extensions=(JoinExtension(ext_id='x1', kind='anti', "
+        "block=QueryBlock(name='Q1.x1', tables=(orders#2,), conjuncts=(), "
+        "output=(orders#2.o_custkey AS o_custkey,), group_keys=(), "
+        "aggregates=(), having=()), keys=((customer#1.c_custkey, "
+        "orders#2.o_custkey),)),), post=QueryShape(group_keys=(), "
+        "aggregates=(), having=(), output=(customer#1.c_name AS c_name,), "
+        "filters=()))",
+    ),
+    "in": (
+        "select c_name from customer where c_custkey in "
+        "(select o_custkey from orders where o_orderstatus = 'F')",
+        "BoundQuery(name='Q1', block=QueryBlock(name='Q1', "
+        "tables=(customer#1,), conjuncts=(), "
+        "output=(customer#1.c_custkey AS c_custkey, customer#1.c_name AS "
+        "c_name), group_keys=(), aggregates=(), having=()), subqueries={}, "
+        "order_by=(), extensions=(JoinExtension(ext_id='x1', kind='semi', "
+        "block=QueryBlock(name='Q1.x1', tables=(orders#2,), "
+        "conjuncts=((orders#2.o_orderstatus = 'F'),), "
+        "output=(orders#2.o_custkey AS o_custkey,), group_keys=(), "
+        "aggregates=(), having=()), keys=((customer#1.c_custkey, "
+        "orders#2.o_custkey),)),), post=QueryShape(group_keys=(), "
+        "aggregates=(), having=(), output=(customer#1.c_name AS c_name,), "
+        "filters=()))",
+    ),
+    "not_in": (
+        "select c_nationkey, count(*) as n from customer where c_custkey "
+        "not in (select o_custkey from orders) group by c_nationkey",
+        "BoundQuery(name='Q1', block=QueryBlock(name='Q1', "
+        "tables=(customer#1,), conjuncts=(), "
+        "output=(customer#1.c_custkey AS c_custkey, customer#1.c_nationkey "
+        "AS c_nationkey), group_keys=(), aggregates=(), having=()), "
+        "subqueries={}, order_by=(), extensions=(JoinExtension(ext_id='x1', "
+        "kind='anti', block=QueryBlock(name='Q1.x1', tables=(orders#2,), "
+        "conjuncts=(), output=(orders#2.o_custkey AS o_custkey,), "
+        "group_keys=(), aggregates=(), having=()), "
+        "keys=((customer#1.c_custkey, orders#2.o_custkey),)),), "
+        "post=QueryShape(group_keys=(customer#1.c_nationkey,), "
+        "aggregates=(count(*),), having=(), output=(customer#1.c_nationkey "
+        "AS c_nationkey, count(*) AS n), filters=()))",
+    ),
+}
+
+
+class TestExtendedQueries:
+    """OUTER JOIN, EXISTS and IN: the extended-query form and every path
+    that refuses to decorrelate."""
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_rejected(self, catalog, case):
+        sql, error, message = REJECTED[case]
+        with pytest.raises(error) as raised:
+            bind_sql(catalog, sql)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_bound_form(self, catalog, case):
+        sql, expected = PINNED[case]
+        assert repr(bind_sql(catalog, sql)) == expected
