@@ -3,7 +3,7 @@ of covering subexpressions (CSEs), after Zhou, Larson, Freytag & Lehner,
 "Efficient Exploitation of Similar Subexpressions for Query Processing"
 (SIGMOD 2007)."""
 
-from .signature import TableSignature, signature_of_tree
+from .signature import TableSignature
 from .manager import CseManager
 from .compatibility import (
     ConsumerProfile,
@@ -26,7 +26,6 @@ from .matching import ConsumerSpec, build_consumer_specs, try_match_consumer
 
 __all__ = [
     "TableSignature",
-    "signature_of_tree",
     "CseManager",
     "ConsumerProfile",
     "ConsumerProfiles",

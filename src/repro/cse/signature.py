@@ -16,36 +16,35 @@ Two implementation notes:
   ``delta(<base>)``, exactly matching the paper's "we treat the delta table
   as a special table when generating table signatures".
 
-Figure 2's rules, implemented by :func:`signature_of_tree` (and applied
-incrementally, group-by-group, by the optimizer's memo):
+Figure 2's rules are applied group by group as the optimizer's memo is built
+(:mod:`repro.optimizer.memo`): a join group over plain tables is signed when
+it is created, an aggregation group when its γ is placed over one.
 
 =============== ================================================
 Operator        Table signature
 =============== ================================================
 Table/View t    ``[F; {t}]``
 Select σ(e)     ``S_e``                       if ``G_e = F``
-Project π(e)    ``S_e``   (transparent; see §3 example)
+Project π(e)    ``S_e``   (transparent; see below)
 Join e1 ⋈ e2    ``[F; T_e1 ∪ T_e2]``          if ``G_e1 = G_e2 = F``
 GroupBy γ(e)    ``[T; T_e]``                  if ``G_e = F``
 (other cases)   no signature (``None``)
 =============== ================================================
+
+Figure 2 lists the Project rule with a ``G_e = F`` guard, but §3's own
+example assigns ``π γ(σ(A) ⋈ σ(B))`` the signature ``[T; {A, B}]``: a
+projection cannot change what a covering subexpression could compute, so it
+is signature-transparent. A memo group carries no projection, so the rule
+never needs applying. A join group with a pre-aggregated input is one of
+the "other cases" and stays unsigned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 from ..expr.expressions import TableRef
-from ..logical.operators import (
-    Get,
-    GroupBy,
-    Join,
-    LogicalOperator,
-    Project,
-    Select,
-    Spool,
-)
 
 
 @dataclass(frozen=True, order=True)
@@ -73,18 +72,6 @@ class TableSignature:
         """Number of table references (multiset size)."""
         return len(self.tables)
 
-    def joined_with(self, other: "TableSignature") -> Optional["TableSignature"]:
-        """Figure 2's join rule: defined only when neither side has a γ."""
-        if self.has_groupby or other.has_groupby:
-            return None
-        return TableSignature(False, self.tables + other.tables)
-
-    def grouped(self) -> Optional["TableSignature"]:
-        """Figure 2's group-by rule: defined only when there is no γ yet."""
-        if self.has_groupby:
-            return None
-        return TableSignature(True, self.tables)
-
     def covers_tables_of(self, other: "TableSignature") -> bool:
         """Multiset inclusion of ``other``'s tables in ours (containment
         checking, Def 4.2, first condition)."""
@@ -100,35 +87,3 @@ class TableSignature:
         flag = "T" if self.has_groupby else "F"
         return f"[{flag}; {{{', '.join(self.tables)}}}]"
 
-
-def signature_of_tree(tree: LogicalOperator) -> Optional[TableSignature]:
-    """Compute the table signature of a logical operator tree by applying
-    Figure 2's rules in post order. Returns ``None`` where Figure 2 says the
-    signature does not exist."""
-    if isinstance(tree, Get):
-        return TableSignature(False, (tree.table_ref.signature_name,))
-    if isinstance(tree, Select):
-        child = signature_of_tree(tree.children()[0])
-        if child is None or child.has_groupby:
-            return None
-        return child
-    if isinstance(tree, Project):
-        # Figure 2 lists the Project rule with a G_e = F guard, but §3's own
-        # example assigns π γ(σ(A) ⋈ σ(B)) the signature [T; {A, B}]; a
-        # projection cannot change what a covering subexpression could
-        # compute, so it is signature-transparent.
-        return signature_of_tree(tree.children()[0])
-    if isinstance(tree, Join):
-        left = signature_of_tree(tree.left)
-        right = signature_of_tree(tree.right)
-        if left is None or right is None:
-            return None
-        return left.joined_with(right)
-    if isinstance(tree, GroupBy):
-        child = signature_of_tree(tree.child)
-        if child is None:
-            return None
-        return child.grouped()
-    if isinstance(tree, Spool):
-        return signature_of_tree(tree.child)
-    return None

@@ -1,28 +1,17 @@
-"""Logical algebra: operator trees and normalized SPJG query blocks."""
+"""The logical form: SPJG query blocks (§4.1) and the extended queries
+built around them.
 
-from .operators import (
-    Get,
-    GroupBy,
-    Join,
-    LogicalOperator,
-    Project,
-    Select,
-    Spool,
-)
+``blocks`` holds the bound form; ``decorrelate`` splits outer joins and
+EXISTS / IN subqueries into keys and local filters and assembles an
+extended query; ``simplify`` folds provably reducible outer joins back into
+the core block through the same assembler.
+"""
+
 from .blocks import OutputColumn, QueryBlock, BoundQuery, BoundBatch
-from .normalize import normalize_tree
 
 __all__ = [
-    "Get",
-    "GroupBy",
-    "Join",
-    "LogicalOperator",
-    "Project",
-    "Select",
-    "Spool",
     "OutputColumn",
     "QueryBlock",
     "BoundQuery",
     "BoundBatch",
-    "normalize_tree",
 ]

@@ -144,7 +144,8 @@ class JoinExtension:
     and ``keys`` are the ``(core column, extension column)`` equality pairs
     that tie it to the core. Semi/anti extensions come from decorrelated
     EXISTS / IN subqueries; left_outer ones from LEFT OUTER JOIN clauses
-    the normalizer could not prove reducible to inner joins.
+    the outer-join reduction could not prove reducible to inner joins.
+    Built only by :func:`repro.logical.decorrelate.assemble_query`.
     """
 
     ext_id: str

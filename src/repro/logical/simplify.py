@@ -11,17 +11,12 @@ applies unchanged.
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import List, Tuple
 
 from ..equiv import Verdict, outer_join_reducible
-from ..expr.expressions import ColumnRef, Comparison, ComparisonOp, Expr, TableRef
-from .blocks import (
-    BoundQuery,
-    JoinExtension,
-    OutputColumn,
-    QueryBlock,
-    QueryShape,
-)
+from ..expr.expressions import Comparison, ComparisonOp, Expr, TableRef
+from .blocks import BoundQuery, JoinExtension
+from .decorrelate import Correlation, assemble_query
 
 
 def simplify_query(query: BoundQuery) -> Tuple[BoundQuery, List[Tuple[str, Verdict]]]:
@@ -50,103 +45,29 @@ def simplify_query(query: BoundQuery) -> Tuple[BoundQuery, List[Tuple[str, Verdi
     if not folded:
         return query, verdicts
 
-    core = query.block
-    tables: List[TableRef] = list(core.tables)
-    conjuncts: List[Expr] = list(core.conjuncts)
+    tables: List[TableRef] = list(query.block.tables)
+    conjuncts: List[Expr] = list(query.block.conjuncts)
     for ext in folded:
         tables.extend(ext.block.tables)
         conjuncts.extend(ext.block.conjuncts)
         for core_col, inner_col in ext.keys:
             conjuncts.append(Comparison(ComparisonOp.EQ, core_col, inner_col))
-
-    # Filters over now-inner tables move into the block (ordinary WHERE
-    # conjuncts, eligible for pushdown and sharing); filters touching a
-    # surviving nullable extension stay post-join under 3VL.
-    nullable: Set[TableRef] = {
-        t for ext in remaining if ext.kind == "left_outer" for t in ext.block.tables
-    }
-    moved: List[Expr] = []
-    kept_filters: List[Expr] = []
-    for predicate in post.filters:
-        if any(c.table_ref in nullable for c in predicate.columns()):
-            kept_filters.append(predicate)
-        else:
-            moved.append(predicate)
-    conjuncts.extend(moved)
-
-    if not remaining:
-        # Fully reduced: rebuild a plain SPJG block — the whole query
-        # re-enters the ordinary sharing pipeline, aggregation included.
-        block = QueryBlock(
-            name=core.name,
-            tables=tuple(tables),
-            conjuncts=tuple(conjuncts),
-            output=post.output,
-            group_keys=post.group_keys,
-            aggregates=post.aggregates,
-            having=post.having,
-        )
-        return (
-            BoundQuery(
-                name=query.name,
-                block=block,
-                subqueries=query.subqueries,
-                order_by=query.order_by,
-            ),
-            verdicts,
-        )
-
-    # Partially reduced: widen the core block, keep surviving extensions.
-    needed: Set[ColumnRef] = set()
-    for out in post.output:
-        needed.update(out.expr.columns())
-    for predicate in list(kept_filters) + list(post.having):
-        needed.update(predicate.columns())
-    needed.update(post.group_keys)
-    for agg in post.aggregates:
-        needed.update(agg.columns())
-    for ext in remaining:
-        needed.update(core_col for core_col, _ in ext.keys)
-    core_set = set(tables)
-    outputs = _named_columns({c for c in needed if c.table_ref in core_set})
-    block = QueryBlock(
-        name=core.name,
-        tables=tuple(tables),
-        conjuncts=tuple(conjuncts),
-        output=outputs,
+    # Post-join filters re-enter with the WHERE conjuncts: the assembler
+    # keeps post-join only those touching a surviving outer extension, and
+    # with none left the whole query is a plain SPJG block again.
+    simplified = assemble_query(
+        query.name,
+        tables,
+        conjuncts + list(post.filters),
+        post.output,
+        post.group_keys,
+        post.aggregates,
+        post.having,
+        [
+            Correlation(e.ext_id, e.kind, e.block.tables, e.block.conjuncts, e.keys)
+            for e in remaining
+        ],
+        query.subqueries,
+        query.order_by,
     )
-    return (
-        BoundQuery(
-            name=query.name,
-            block=block,
-            subqueries=query.subqueries,
-            order_by=query.order_by,
-            extensions=tuple(remaining),
-            post=QueryShape(
-                group_keys=post.group_keys,
-                aggregates=post.aggregates,
-                having=post.having,
-                output=post.output,
-                filters=tuple(kept_filters),
-            ),
-        ),
-        verdicts,
-    )
-
-
-def _named_columns(columns: Set[ColumnRef]) -> Tuple[OutputColumn, ...]:
-    ordered = sorted(columns, key=repr)
-    names: List[str] = []
-    used: Set[str] = set()
-    for col in ordered:
-        name = col.column
-        suffix = 1
-        while name in used:
-            name = f"{col.column}_{suffix}"
-            suffix += 1
-        used.add(name)
-        names.append(name)
-    return tuple(
-        OutputColumn(name=name, expr=col)
-        for name, col in zip(names, ordered)
-    )
+    return simplified, verdicts

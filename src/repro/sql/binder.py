@@ -6,6 +6,10 @@ compared to DATE columns become day numbers), aggregate normalization
 engine has no NULLs), ``WITH`` expansion (SPJ common table expressions are
 inlined per reference — re-detecting the sharing is precisely the
 optimizer's job, §1), and scalar subquery extraction.
+
+OUTER JOIN clauses and top-level EXISTS / IN predicates are bound here, in
+a scope that sees both sides; :mod:`repro.logical.decorrelate` splits them
+into keys and local filters and assembles the extended query.
 """
 
 from __future__ import annotations
@@ -35,11 +39,15 @@ from ..expr.predicates import split_conjuncts
 from ..logical.blocks import (
     BoundBatch,
     BoundQuery,
-    JoinExtension,
     OutputColumn,
     QueryBlock,
-    QueryShape,
     ScalarSubquery,
+)
+from ..logical.decorrelate import (
+    Correlation,
+    assemble_query,
+    output_columns,
+    split_correlation,
 )
 from ..types import DataType, comparable, date_to_int
 from . import ast as sql_ast
@@ -81,13 +89,23 @@ class _CteExpansion:
 
 @dataclass
 class _Scope:
-    """Name-resolution scope for one SELECT."""
+    """Name-resolution scope for one SELECT, plus what every expression
+    bound in it shares: the query name, the WITH definitions, and the map
+    that collects scalar subquery blocks."""
 
+    name: str
+    cte_defs: Dict[str, sql_ast.SelectStatement]
+    subqueries: Dict[str, QueryBlock] = field(default_factory=dict)
     tables: List[Tuple[str, TableRef]] = field(default_factory=list)
     ctes: List[Tuple[str, _CteExpansion]] = field(default_factory=list)
     #: tables on the null-extended side of a LEFT/RIGHT OUTER JOIN; their
     #: columns are nullable and several constructs are gated on that.
     nullable: Set[TableRef] = field(default_factory=set)
+
+    def fresh(self) -> "_Scope":
+        """An empty scope for a nested FROM list of the same query, with
+        its own subquery map."""
+        return _Scope(self.name, self.cte_defs)
 
     def all_tables(self) -> List[TableRef]:
         result = [t for _, t in self.tables]
@@ -145,61 +163,6 @@ def _split_where_ast(
     return remaining, subpredicates
 
 
-def _named_columns(columns: Set[ColumnRef]) -> Tuple[OutputColumn, ...]:
-    """Deterministically named passthrough outputs for a column set."""
-    result: List[OutputColumn] = []
-    used: Dict[str, int] = {}
-    for col in sorted(columns, key=repr):
-        out_name = col.column
-        if out_name in used:
-            used[out_name] += 1
-            out_name = f"{out_name}_{used[col.column]}"
-        else:
-            used[out_name] = 0
-        result.append(OutputColumn(name=out_name, expr=col))
-    return tuple(result)
-
-
-def _equality_key(
-    conjunct: Expr, ext_ref: TableRef
-) -> Optional[Tuple[ColumnRef, ColumnRef]]:
-    """Decompose ``core_col = ext_col`` (either order) or return None."""
-    if not (
-        isinstance(conjunct, Comparison)
-        and conjunct.op is ComparisonOp.EQ
-        and isinstance(conjunct.left, ColumnRef)
-        and isinstance(conjunct.right, ColumnRef)
-    ):
-        return None
-    left, right = conjunct.left, conjunct.right
-    if left.table_ref == ext_ref and right.table_ref != ext_ref:
-        return right, left
-    if right.table_ref == ext_ref and left.table_ref != ext_ref:
-        return left, right
-    return None
-
-
-def _correlation_key(
-    conjunct: Expr, inner_tables: Set[TableRef]
-) -> Optional[Tuple[ColumnRef, ColumnRef]]:
-    """Decompose ``outer_col = inner_col`` (either order) or return None."""
-    if not (
-        isinstance(conjunct, Comparison)
-        and conjunct.op is ComparisonOp.EQ
-        and isinstance(conjunct.left, ColumnRef)
-        and isinstance(conjunct.right, ColumnRef)
-    ):
-        return None
-    left, right = conjunct.left, conjunct.right
-    left_inner = left.table_ref in inner_tables
-    right_inner = right.table_ref in inner_tables
-    if left_inner and not right_inner:
-        return right, left
-    if right_inner and not left_inner:
-        return left, right
-    return None
-
-
 class Binder:
     """Binds parsed statements against a catalog."""
 
@@ -247,78 +210,48 @@ class Binder:
         self, statement: sql_ast.SelectStatement, name: str
     ) -> BoundQuery:
         cte_defs = {cte.name: cte.select for cte in statement.ctes}
-        subqueries: Dict[str, QueryBlock] = {}
-        block, order_by, extensions, post = self._bind_select(
-            statement, name, cte_defs, subqueries, allow_order=True
-        )
-        return BoundQuery(
-            name=name,
-            block=block,
-            subqueries=subqueries,
-            order_by=order_by,
-            extensions=extensions,
-            post=post,
-        )
+        return self._bind_select(statement, _Scope(name, cte_defs), allow_order=True)
 
     # ------------------------------------------------------------------
 
     def _bind_select(
-        self,
-        select: sql_ast.SelectStatement,
-        name: str,
-        cte_defs: Dict[str, sql_ast.SelectStatement],
-        subqueries: Dict[str, QueryBlock],
-        allow_order: bool,
-    ) -> Tuple[
-        QueryBlock,
-        Tuple[Tuple[Expr, bool], ...],
-        Tuple[JoinExtension, ...],
-        Optional[QueryShape],
-    ]:
-        scope = self._build_scope(select.from_items, cte_defs, name)
+        self, select: sql_ast.SelectStatement, scope: _Scope, allow_order: bool
+    ) -> BoundQuery:
+        for item in select.from_items:
+            self._add_table(item, scope)
 
-        ext_ids = itertools.count(1)
         join_conjuncts: List[Expr] = []
-        #: (ext_id, null-extended table, ON-local conjuncts, key pairs)
-        pending_left: List[
-            Tuple[str, TableRef, List[Expr], List[Tuple[ColumnRef, ColumnRef]]]
-        ] = []
+        correlations: List[Correlation] = []
         for join in select.joins:
             if join.kind == "inner":
-                self._bind_inner_join(
-                    join, scope, cte_defs, subqueries, name, join_conjuncts
-                )
+                self._add_table(join.table, scope)
+                join_conjuncts.extend(self._bind_on(join, scope))
             else:
-                pending_left.append(
-                    self._bind_outer_join(
-                        join, scope, cte_defs, subqueries, name,
-                        join_conjuncts, pending_left, ext_ids,
-                    )
+                correlations.append(
+                    self._bind_outer_join(join, scope, f"x{len(correlations) + 1}")
                 )
 
         where_ast, sub_predicates = _split_where_ast(select.where)
-        where_expr = (
-            self._bind_expr(where_ast, scope, cte_defs, subqueries, name)
+        where_conjuncts = (
+            split_conjuncts(self._bind_expr(where_ast, scope))
             if where_ast is not None
-            else None
+            else []
         )
-        where_conjuncts = split_conjuncts(where_expr) + scope.extra_conjuncts()
-        where_conjuncts.extend(join_conjuncts)
+        where_conjuncts += scope.extra_conjuncts() + join_conjuncts
         for conjunct in where_conjuncts:
             if conjunct.contains_aggregate():
                 raise BindError("aggregates are not allowed in WHERE")
 
-        semi_exts: List[JoinExtension] = []
         for kind, node in sub_predicates:
-            semi_exts.append(
+            correlations.append(
                 self._bind_subquery_extension(
-                    kind, node, scope, cte_defs, name, f"x{next(ext_ids)}"
+                    kind, node, scope, f"x{len(correlations) + 1}"
                 )
             )
 
         group_keys: List[ColumnRef] = []
         for expr in select.group_by:
-            bound = self._bind_expr(expr, scope, cte_defs, subqueries, name)
+            bound = self._bind_expr(expr, scope)
             if not isinstance(bound, ColumnRef):
                 raise UnsupportedFeatureError(
                     "GROUP BY supports plain columns only"
@@ -330,26 +263,19 @@ class Binder:
             if bound not in group_keys:
                 group_keys.append(bound)
 
-        outputs: List[OutputColumn] = []
-        used_names: Dict[str, int] = {}
-        for item in select.select_items:
-            for out_name, expr in self._bind_select_item(
-                item, scope, cte_defs, subqueries, name
-            ):
-                final = out_name
-                if final in used_names:
-                    used_names[final] += 1
-                    final = f"{final}_{used_names[out_name]}"
-                else:
-                    used_names[final] = 0
-                outputs.append(OutputColumn(name=final, expr=expr))
+        outputs = output_columns(
+            [
+                named
+                for item in select.select_items
+                for named in self._bind_select_item(item, scope)
+            ]
+        )
 
         having_conjuncts: List[Expr] = []
         if select.having is not None:
-            having = self._bind_expr(
-                select.having, scope, cte_defs, subqueries, name
+            having_conjuncts = split_conjuncts(
+                self._bind_expr(select.having, scope)
             )
-            having_conjuncts = split_conjuncts(having)
 
         aggregates: List[AggExpr] = []
         for out in outputs:
@@ -357,8 +283,7 @@ class Binder:
         for conjunct in having_conjuncts:
             self._collect_aggregates(conjunct, aggregates)
 
-        has_groupby = bool(group_keys) or bool(aggregates)
-        if has_groupby:
+        if group_keys or aggregates:
             key_set = set(group_keys)
             for out in outputs:
                 self._check_grouped_expr(out.expr, key_set, out.name)
@@ -372,256 +297,88 @@ class Binder:
             if not allow_order:
                 raise UnsupportedFeatureError("ORDER BY not allowed here")
             for item in select.order_by:
-                expr = self._bind_order_item(
-                    item.expr, outputs, scope, cte_defs, subqueries, name
-                )
+                expr = self._bind_order_item(item.expr, outputs, scope)
                 # Nullable (outer-joined) columns are allowed: the engine
                 # and the reference oracle rank NULL largest (last asc,
                 # first desc) with stable per-key sorts on both dtypes.
                 order_by.append((expr, item.descending))
 
-        if not pending_left and not semi_exts:
-            block = QueryBlock(
-                name=name,
-                tables=tuple(scope.all_tables()),
-                conjuncts=tuple(where_conjuncts),
-                output=tuple(outputs),
-                group_keys=tuple(group_keys),
-                aggregates=tuple(aggregates),
-                having=tuple(having_conjuncts),
-            )
-            return block, tuple(order_by), (), None
-
-        return self._assemble_extended(
-            name,
-            scope,
+        return assemble_query(
+            scope.name,
+            scope.all_tables(),
             where_conjuncts,
             outputs,
             group_keys,
             aggregates,
             having_conjuncts,
-            pending_left,
-            semi_exts,
+            correlations,
+            scope.subqueries,
             tuple(order_by),
         )
 
-    def _assemble_extended(
-        self,
-        name: str,
-        scope: _Scope,
-        where_conjuncts: List[Expr],
-        outputs: List[OutputColumn],
-        group_keys: List[ColumnRef],
-        aggregates: List[AggExpr],
-        having_conjuncts: List[Expr],
-        pending_left: List[
-            Tuple[str, TableRef, List[Expr], List[Tuple[ColumnRef, ColumnRef]]]
-        ],
-        semi_exts: List[JoinExtension],
-        order_by: Tuple[Tuple[Expr, bool], ...],
-    ) -> Tuple[
-        QueryBlock,
-        Tuple[Tuple[Expr, bool], ...],
-        Tuple[JoinExtension, ...],
-        QueryShape,
-    ]:
-        """Split an extended query into an SPJ core block, join extensions,
-        and the post-extension shape (grouping/HAVING/projection applied
-        above the extension joins, per SQL semantics)."""
-        left_refs = {ref for _, ref, _, _ in pending_left}
-        core_tables = [t for t in scope.all_tables() if t not in left_refs]
-        core_set = set(core_tables)
+    # -- FROM items, joins and subquery predicates -------------------------
 
-        # WHERE conjuncts referencing null-extended columns must run after
-        # the outer join, under three-valued logic.
-        core_conjuncts: List[Expr] = []
-        post_filters: List[Expr] = []
-        for conjunct in where_conjuncts:
-            touched = {col.table_ref for col in conjunct.columns()}
-            if touched <= core_set:
-                core_conjuncts.append(conjunct)
-            else:
-                post_filters.append(conjunct)
-
-        needed: Set[ColumnRef] = set()
-        for out in outputs:
-            needed |= out.expr.columns()
-        for conjunct in post_filters:
-            needed |= conjunct.columns()
-        needed |= set(group_keys)
-        for agg in aggregates:
-            needed |= agg.columns()
-        for conjunct in having_conjuncts:
-            needed |= conjunct.columns()
-        for ext in semi_exts:
-            needed |= {core_col for core_col, _ in ext.keys}
-        for _, _, _, keys in pending_left:
-            needed |= {core_col for core_col, _ in keys}
-
-        core_block = QueryBlock(
-            name=name,
-            tables=tuple(core_tables),
-            conjuncts=tuple(core_conjuncts),
-            output=_named_columns(
-                {c for c in needed if c.table_ref in core_set}
-            ),
-        )
-        extensions: List[JoinExtension] = []
-        for ext_id, ext_ref, local, keys in pending_left:
-            ext_needed = {c for c in needed if c.table_ref == ext_ref}
-            ext_needed |= {ext_col for _, ext_col in keys}
-            extensions.append(
-                JoinExtension(
-                    ext_id=ext_id,
-                    kind="left_outer",
-                    block=QueryBlock(
-                        name=f"{name}.{ext_id}",
-                        tables=(ext_ref,),
-                        conjuncts=tuple(local),
-                        output=_named_columns(ext_needed),
-                    ),
-                    keys=tuple(keys),
-                )
-            )
-        extensions.extend(semi_exts)
-        post = QueryShape(
-            group_keys=tuple(group_keys),
-            aggregates=tuple(aggregates),
-            having=tuple(having_conjuncts),
-            output=tuple(outputs),
-            filters=tuple(post_filters),
-        )
-        return core_block, order_by, tuple(extensions), post
-
-    # -- joins and subquery predicates -------------------------------------
-
-    def _scope_binding(
+    def _add_table(
         self, item: sql_ast.TableItem, scope: _Scope
-    ) -> Tuple[str, TableRef]:
-        """Allocate a fresh table instance for a JOIN clause's table."""
+    ) -> Optional[TableRef]:
+        """Bind one FROM or JOIN item into ``scope``: a fresh table
+        instance, or (returning None) an inlined WITH reference."""
         binding_name = (item.alias or item.name).lower()
-        taken = {b for b, _ in scope.tables} | {b for b, _ in scope.ctes}
-        if binding_name in taken:
+        if binding_name in {b for b, _ in scope.tables} | {b for b, _ in scope.ctes}:
             raise BindError(f"duplicate FROM alias {binding_name!r}")
+        if item.name in scope.cte_defs:
+            expansion = self._expand_cte(scope.cte_defs[item.name], scope)
+            scope.ctes.append((binding_name, expansion))
+            return None
         if not self.catalog.has_table(item.name):
             raise BindError(f"unknown table {item.name!r}")
-        return binding_name, TableRef(
+        table_ref = TableRef(
             table=self.catalog.table(item.name).name,
             instance=next(self._instances),
             alias=binding_name,
         )
+        scope.tables.append((binding_name, table_ref))
+        return table_ref
 
-    def _bind_inner_join(
-        self,
-        join: sql_ast.SqlJoin,
-        scope: _Scope,
-        cte_defs: Dict[str, sql_ast.SelectStatement],
-        subqueries: Dict[str, QueryBlock],
-        name: str,
-        out_conjuncts: List[Expr],
-    ) -> None:
-        item = join.table
-        if item.name in cte_defs:
-            binding_name = (item.alias or item.name).lower()
-            taken = {b for b, _ in scope.tables} | {b for b, _ in scope.ctes}
-            if binding_name in taken:
-                raise BindError(f"duplicate FROM alias {binding_name!r}")
-            expansion = self._expand_cte(cte_defs[item.name], cte_defs, name)
-            scope.ctes.append((binding_name, expansion))
-            out_conjuncts.extend(expansion.conjuncts)
-        else:
-            binding_name, table_ref = self._scope_binding(item, scope)
-            scope.tables.append((binding_name, table_ref))
-        on = self._bind_expr(join.on, scope, cte_defs, subqueries, name)
+    def _bind_on(self, join: sql_ast.SqlJoin, scope: _Scope) -> List[Expr]:
+        on = self._bind_expr(join.on, scope)
         if on.contains_aggregate():
             raise BindError("aggregates are not allowed in ON conditions")
-        out_conjuncts.extend(split_conjuncts(on))
+        return split_conjuncts(on)
 
     def _bind_outer_join(
-        self,
-        join: sql_ast.SqlJoin,
-        scope: _Scope,
-        cte_defs: Dict[str, sql_ast.SelectStatement],
-        subqueries: Dict[str, QueryBlock],
-        name: str,
-        join_conjuncts: List[Expr],
-        pending_left: List,
-        ext_ids,
-    ) -> Tuple[str, TableRef, List[Expr], List[Tuple[ColumnRef, ColumnRef]]]:
-        item = join.table
-        if item.name in cte_defs:
+        self, join: sql_ast.SqlJoin, scope: _Scope, ext_id: str
+    ) -> Correlation:
+        if join.table.name in scope.cte_defs:
             raise UnsupportedFeatureError(
                 "common table expressions on either side of an outer join"
             )
-        binding_name, new_ref = self._scope_binding(item, scope)
+        ext_ref = self._add_table(join.table, scope)
         if join.kind == "right":
             # a RIGHT JOIN b ON p == b LEFT JOIN a ON p; supported only when
-            # the accumulated FROM is a single plain table, so the swap is
+            # the FROM so far is a single plain table, so the swap is
             # unambiguous.
-            if (
-                scope.ctes
-                or len(scope.tables) != 1
-                or join_conjuncts
-                or pending_left
-                or scope.nullable
-            ):
+            if scope.ctes or len(scope.tables) != 2:
                 raise UnsupportedFeatureError(
                     "RIGHT JOIN is supported only directly over a single "
                     "plain FROM table"
                 )
-            old_binding, old_ref = scope.tables[0]
-            scope.tables = [(binding_name, new_ref), (old_binding, old_ref)]
-            ext_ref = old_ref
-        else:
-            scope.tables.append((binding_name, new_ref))
-            ext_ref = new_ref
-        on = self._bind_expr(join.on, scope, cte_defs, subqueries, name)
-        if on.contains_aggregate():
-            raise BindError("aggregates are not allowed in ON conditions")
-        keys: List[Tuple[ColumnRef, ColumnRef]] = []
-        local: List[Expr] = []
-        for conjunct in split_conjuncts(on):
-            touched = {col.table_ref for col in conjunct.columns()}
-            if touched <= {ext_ref}:
-                local.append(conjunct)
-                continue
-            pair = _equality_key(conjunct, ext_ref)
-            if pair is None:
-                raise UnsupportedFeatureError(
-                    "outer join ON conditions must be equijoin keys plus "
-                    "filters on the null-extended side"
-                )
-            core_col, ext_col = pair
-            if core_col.table_ref in scope.nullable:
-                raise UnsupportedFeatureError(
-                    "outer join keyed on a nullable (outer-joined) column"
-                )
-            keys.append((core_col, ext_col))
-        if not keys:
-            raise UnsupportedFeatureError(
-                "outer joins require at least one equijoin key"
-            )
+            scope.tables.reverse()
+            ext_ref = scope.tables[1][1]
+        assert ext_ref is not None
+        local, keys = split_correlation(
+            self._bind_on(join, scope), {ext_ref}, scope.nullable, "left_outer"
+        )
         scope.nullable.add(ext_ref)
-        return f"x{next(ext_ids)}", ext_ref, local, keys
+        return Correlation(ext_id, "left_outer", (ext_ref,), tuple(local), tuple(keys))
 
     def _bind_subquery_extension(
-        self,
-        kind: str,
-        node: sql_ast.SqlExpr,
-        scope: _Scope,
-        cte_defs: Dict[str, sql_ast.SelectStatement],
-        name: str,
-        ext_id: str,
-    ) -> JoinExtension:
-        """Decorrelate one EXISTS / IN subquery predicate into a semi/anti
-        join extension whose build side is a plain SPJ block."""
-        if isinstance(node, sql_ast.SqlExists):
-            sub_select = node.select
-            subject_ast: Optional[sql_ast.SqlExpr] = None
-        else:
-            assert isinstance(node, sql_ast.SqlInSubquery)
-            sub_select = node.select
-            subject_ast = node.subject
+        self, kind: str, node: sql_ast.SqlExpr, scope: _Scope, ext_id: str
+    ) -> Correlation:
+        """Bind one EXISTS / IN subquery predicate: a plain SPJ subquery
+        in a scope that also sees the enclosing query's tables."""
+        assert isinstance(node, (sql_ast.SqlExists, sql_ast.SqlInSubquery))
+        sub_select = node.select
         if (
             sub_select.joins
             or sub_select.group_by
@@ -632,63 +389,42 @@ class Binder:
             raise UnsupportedFeatureError(
                 "EXISTS/IN subqueries must be plain select-project-join"
             )
-        inner_scope = self._build_scope(sub_select.from_items, cte_defs, name)
-        if inner_scope.ctes:
+        inner = scope.fresh()
+        for item in sub_select.from_items:
+            self._add_table(item, inner)
+        if inner.ctes:
             raise UnsupportedFeatureError(
                 "common table expressions inside EXISTS/IN subqueries"
             )
-        inner_tables = {t for _, t in inner_scope.tables}
         combined = _Scope(
-            tables=inner_scope.tables + scope.tables,
+            scope.name,
+            scope.cte_defs,
+            inner.subqueries,
+            tables=inner.tables + scope.tables,
             ctes=list(scope.ctes),
             nullable=set(scope.nullable),
         )
-        local_subqueries: Dict[str, QueryBlock] = {}
         conjuncts: List[Expr] = []
         if sub_select.where is not None:
-            where = self._bind_expr(
-                sub_select.where, combined, cte_defs, local_subqueries, name
-            )
-            conjuncts = split_conjuncts(where)
-        if local_subqueries:
+            conjuncts = split_conjuncts(self._bind_expr(sub_select.where, combined))
+        if inner.subqueries:
             raise UnsupportedFeatureError(
                 "scalar subqueries inside EXISTS/IN subqueries"
             )
-        keys: List[Tuple[ColumnRef, ColumnRef]] = []
-        local: List[Expr] = []
-        for conjunct in conjuncts:
-            if conjunct.contains_aggregate():
-                raise BindError("aggregates are not allowed in WHERE")
-            touched = {col.table_ref for col in conjunct.columns()}
-            if touched <= inner_tables:
-                local.append(conjunct)
-                continue
-            pair = _correlation_key(conjunct, inner_tables)
-            if pair is None:
-                raise UnsupportedFeatureError(
-                    "EXISTS/IN correlation must be column-equality conjuncts"
-                )
-            outer_col, inner_col = pair
-            if outer_col.table_ref in scope.nullable:
-                raise UnsupportedFeatureError(
-                    "EXISTS/IN correlated on a nullable (outer-joined) column"
-                )
-            keys.append((outer_col, inner_col))
-        if subject_ast is not None:
-            if len(sub_select.select_items) != 1 or isinstance(
-                sub_select.select_items[0].expr, sql_ast.SqlStar
-            ):
+        if any(conjunct.contains_aggregate() for conjunct in conjuncts):
+            raise BindError("aggregates are not allowed in WHERE")
+        inner_tables = tuple(t for _, t in inner.tables)
+        local, keys = split_correlation(
+            conjuncts, set(inner_tables), scope.nullable, kind
+        )
+        if isinstance(node, sql_ast.SqlInSubquery):
+            items = sub_select.select_items
+            if len(items) != 1 or isinstance(items[0].expr, sql_ast.SqlStar):
                 raise BindError(
                     "IN subqueries must select exactly one column"
                 )
-            inner_only = _Scope(tables=list(inner_scope.tables))
-            inner_expr = self._bind_expr(
-                sub_select.select_items[0].expr,
-                inner_only, cte_defs, local_subqueries, name,
-            )
-            subject = self._bind_expr(
-                subject_ast, scope, cte_defs, local_subqueries, name
-            )
+            inner_expr = self._bind_expr(items[0].expr, inner)
+            subject = self._bind_expr(node.subject, scope)
             if not (
                 isinstance(inner_expr, ColumnRef)
                 and isinstance(subject, ColumnRef)
@@ -701,56 +437,10 @@ class Binder:
                     "IN subject over a nullable (outer-joined) column"
                 )
             keys.append((subject, inner_expr))
-        if not keys:
-            raise UnsupportedFeatureError(
-                "uncorrelated EXISTS/IN subqueries"
-            )
-        block = QueryBlock(
-            name=f"{name}.{ext_id}",
-            tables=tuple(t for _, t in inner_scope.tables),
-            conjuncts=tuple(local),
-            output=_named_columns({inner_col for _, inner_col in keys}),
-        )
-        return JoinExtension(
-            ext_id=ext_id, kind=kind, block=block, keys=tuple(keys)
-        )
-
-    # -- scope ------------------------------------------------------------
-
-    def _build_scope(
-        self,
-        from_items: Sequence[sql_ast.TableItem],
-        cte_defs: Dict[str, sql_ast.SelectStatement],
-        name: str,
-    ) -> _Scope:
-        scope = _Scope()
-        seen: set = set()
-        for item in from_items:
-            binding_name = (item.alias or item.name).lower()
-            if binding_name in seen:
-                raise BindError(f"duplicate FROM alias {binding_name!r}")
-            seen.add(binding_name)
-            if item.name in cte_defs:
-                expansion = self._expand_cte(
-                    cte_defs[item.name], cte_defs, name
-                )
-                scope.ctes.append((binding_name, expansion))
-                continue
-            if not self.catalog.has_table(item.name):
-                raise BindError(f"unknown table {item.name!r}")
-            table_ref = TableRef(
-                table=self.catalog.table(item.name).name,
-                instance=next(self._instances),
-                alias=binding_name,
-            )
-            scope.tables.append((binding_name, table_ref))
-        return scope
+        return Correlation(ext_id, kind, inner_tables, tuple(local), tuple(keys))
 
     def _expand_cte(
-        self,
-        select: sql_ast.SelectStatement,
-        cte_defs: Dict[str, sql_ast.SelectStatement],
-        name: str,
+        self, select: sql_ast.SelectStatement, scope: _Scope
     ) -> _CteExpansion:
         if select.group_by or any(
             isinstance(i.expr, sql_ast.SqlCall) for i in select.select_items
@@ -763,28 +453,22 @@ class Binder:
             raise UnsupportedFeatureError(
                 "ORDER BY/HAVING/nested WITH inside a WITH clause"
             )
-        inner_scope = self._build_scope(select.from_items, cte_defs, name)
-        subqueries: Dict[str, QueryBlock] = {}
-        conjuncts: List[Expr] = list(inner_scope.extra_conjuncts())
+        inner = scope.fresh()
+        for item in select.from_items:
+            self._add_table(item, inner)
+        conjuncts: List[Expr] = list(inner.extra_conjuncts())
         if select.where is not None:
-            where = self._bind_expr(
-                select.where, inner_scope, cte_defs, subqueries, name
-            )
-            conjuncts.extend(split_conjuncts(where))
-        if subqueries:
+            conjuncts.extend(split_conjuncts(self._bind_expr(select.where, inner)))
+        if inner.subqueries:
             raise UnsupportedFeatureError("subqueries inside WITH clauses")
         columns: Dict[str, Expr] = {}
         for item in select.select_items:
             if isinstance(item.expr, sql_ast.SqlStar):
-                for col_name, expr in self._star_columns(
-                    item.expr, inner_scope
-                ):
+                for col_name, expr in self._star_columns(item.expr, inner):
                     columns.setdefault(col_name, expr)
                 continue
-            bound = self._bind_expr(
-                item.expr, inner_scope, cte_defs, subqueries, name
-            )
-            out_name = item.alias or self._default_name(item.expr, None)
+            bound = self._bind_expr(item.expr, inner)
+            out_name = item.alias or self._default_name(item.expr)
             if out_name is None:
                 raise BindError(
                     "WITH clause select items need aliases"
@@ -792,7 +476,7 @@ class Binder:
             columns[out_name] = bound
         return _CteExpansion(
             columns=columns,
-            tables=inner_scope.all_tables(),
+            tables=inner.all_tables(),
             conjuncts=conjuncts,
         )
 
@@ -823,23 +507,16 @@ class Binder:
         return result
 
     def _bind_select_item(
-        self,
-        item: sql_ast.SelectItem,
-        scope: _Scope,
-        cte_defs,
-        subqueries,
-        name: str,
+        self, item: sql_ast.SelectItem, scope: _Scope
     ) -> List[Tuple[str, Expr]]:
         if isinstance(item.expr, sql_ast.SqlStar):
             return self._star_columns(item.expr, scope)
-        bound = self._bind_expr(item.expr, scope, cte_defs, subqueries, name)
-        out_name = item.alias or self._default_name(item.expr, bound) or "col"
+        bound = self._bind_expr(item.expr, scope)
+        out_name = item.alias or self._default_name(item.expr) or "col"
         return [(out_name, bound)]
 
     @staticmethod
-    def _default_name(
-        expr: sql_ast.SqlExpr, bound: Optional[Expr]
-    ) -> Optional[str]:
+    def _default_name(expr: sql_ast.SqlExpr) -> Optional[str]:
         if isinstance(expr, sql_ast.SqlColumn):
             return expr.name
         if isinstance(expr, sql_ast.SqlCall):
@@ -868,17 +545,14 @@ class Binder:
     def _bind_order_item(
         self,
         expr: sql_ast.SqlExpr,
-        outputs: List[OutputColumn],
+        outputs: Sequence[OutputColumn],
         scope: _Scope,
-        cte_defs,
-        subqueries,
-        name: str,
     ) -> Expr:
         if isinstance(expr, sql_ast.SqlColumn) and expr.qualifier is None:
             for out in outputs:
                 if out.name == expr.name:
                     return out.expr
-        bound = self._bind_expr(expr, scope, cte_defs, subqueries, name)
+        bound = self._bind_expr(expr, scope)
         if not any(out.expr == bound for out in outputs):
             raise UnsupportedFeatureError(
                 "ORDER BY must reference an output column"
@@ -887,14 +561,7 @@ class Binder:
 
     # -- expressions --------------------------------------------------------
 
-    def _bind_expr(
-        self,
-        expr: sql_ast.SqlExpr,
-        scope: _Scope,
-        cte_defs: Dict[str, sql_ast.SelectStatement],
-        subqueries: Dict[str, QueryBlock],
-        name: str,
-    ) -> Expr:
+    def _bind_expr(self, expr: sql_ast.SqlExpr, scope: _Scope) -> Expr:
         if isinstance(expr, sql_ast.SqlLiteral):
             if expr.is_date:
                 return Literal(date_to_int(expr.value), DataType.DATE)
@@ -902,39 +569,33 @@ class Binder:
         if isinstance(expr, sql_ast.SqlColumn):
             return self._resolve_column(expr, scope)
         if isinstance(expr, sql_ast.SqlCall):
-            return self._bind_call(expr, scope, cte_defs, subqueries, name)
+            return self._bind_call(expr, scope)
         if isinstance(expr, sql_ast.SqlBinary):
-            return self._bind_binary(expr, scope, cte_defs, subqueries, name)
+            return self._bind_binary(expr, scope)
         if isinstance(expr, sql_ast.SqlNot):
-            return Not(
-                self._bind_expr(expr.term, scope, cte_defs, subqueries, name)
-            )
+            return Not(self._bind_expr(expr.term, scope))
         if isinstance(expr, sql_ast.SqlBetween):
-            subject = self._bind_expr(
-                expr.subject, scope, cte_defs, subqueries, name
-            )
-            low = self._bind_expr(expr.low, scope, cte_defs, subqueries, name)
-            high = self._bind_expr(expr.high, scope, cte_defs, subqueries, name)
+            subject = self._bind_expr(expr.subject, scope)
+            low = self._bind_expr(expr.low, scope)
+            high = self._bind_expr(expr.high, scope)
             low_cmp = self._make_comparison(ComparisonOp.GE, subject, low)
             high_cmp = self._make_comparison(ComparisonOp.LE, subject, high)
             between = And((low_cmp, high_cmp))
             return Not(between) if expr.negated else between
         if isinstance(expr, sql_ast.SqlInList):
-            subject = self._bind_expr(
-                expr.subject, scope, cte_defs, subqueries, name
-            )
+            subject = self._bind_expr(expr.subject, scope)
             options = [
                 self._make_comparison(
                     ComparisonOp.EQ,
                     subject,
-                    self._bind_expr(o, scope, cte_defs, subqueries, name),
+                    self._bind_expr(o, scope),
                 )
                 for o in expr.options
             ]
             membership: Expr = options[0] if len(options) == 1 else Or(tuple(options))
             return Not(membership) if expr.negated else membership
         if isinstance(expr, sql_ast.SqlSubquery):
-            return self._bind_subquery(expr, cte_defs, subqueries, name)
+            return self._bind_subquery(expr, scope)
         if isinstance(expr, (sql_ast.SqlExists, sql_ast.SqlInSubquery)):
             raise UnsupportedFeatureError(
                 "EXISTS/IN subqueries are supported only as top-level "
@@ -974,14 +635,14 @@ class Binder:
         return matches[0]
 
     def _bind_call(
-        self, call: sql_ast.SqlCall, scope, cte_defs, subqueries, name
+        self, call: sql_ast.SqlCall, scope: _Scope
     ) -> Expr:
         if call.distinct:
             raise UnsupportedFeatureError("DISTINCT aggregates")
         func = _AGG_FUNCS[call.func]
         if func is AggFunc.COUNT:
             if call.arg is not None:
-                arg = self._bind_expr(call.arg, scope, cte_defs, subqueries, name)
+                arg = self._bind_expr(call.arg, scope)
                 if any(
                     col.table_ref in scope.nullable for col in arg.columns()
                 ):
@@ -993,7 +654,7 @@ class Binder:
             return AggExpr(AggFunc.COUNT, None)
         if call.arg is None:
             raise BindError(f"{call.func} requires an argument")
-        arg = self._bind_expr(call.arg, scope, cte_defs, subqueries, name)
+        arg = self._bind_expr(call.arg, scope)
         if arg.contains_aggregate():
             raise BindError("nested aggregates are not allowed")
         if func is AggFunc.AVG:
@@ -1009,24 +670,18 @@ class Binder:
         return AggExpr(func, arg)
 
     def _bind_binary(
-        self, binary: sql_ast.SqlBinary, scope, cte_defs, subqueries, name
+        self, binary: sql_ast.SqlBinary, scope: _Scope
     ) -> Expr:
         if binary.op == "AND":
             return And(
-                (
-                    self._bind_expr(binary.left, scope, cte_defs, subqueries, name),
-                    self._bind_expr(binary.right, scope, cte_defs, subqueries, name),
-                )
+                (self._bind_expr(binary.left, scope), self._bind_expr(binary.right, scope))
             )
         if binary.op == "OR":
             return Or(
-                (
-                    self._bind_expr(binary.left, scope, cte_defs, subqueries, name),
-                    self._bind_expr(binary.right, scope, cte_defs, subqueries, name),
-                )
+                (self._bind_expr(binary.left, scope), self._bind_expr(binary.right, scope))
             )
-        left = self._bind_expr(binary.left, scope, cte_defs, subqueries, name)
-        right = self._bind_expr(binary.right, scope, cte_defs, subqueries, name)
+        left = self._bind_expr(binary.left, scope)
+        right = self._bind_expr(binary.right, scope)
         if binary.op in _COMPARISON_OPS:
             return self._make_comparison(_COMPARISON_OPS[binary.op], left, right)
         if binary.op in _ARITHMETIC_OPS:
@@ -1067,20 +722,16 @@ class Binder:
         return coerce(left, right), coerce(right, left)
 
     def _bind_subquery(
-        self,
-        subquery: sql_ast.SqlSubquery,
-        cte_defs: Dict[str, sql_ast.SelectStatement],
-        subqueries: Dict[str, QueryBlock],
-        name: str,
+        self, subquery: sql_ast.SqlSubquery, scope: _Scope
     ) -> Expr:
         select = subquery.select
         if select.order_by:
             raise UnsupportedFeatureError("ORDER BY inside a scalar subquery")
         sid = f"sq{next(self._subquery_counter)}"
-        block, _, extensions, _post = self._bind_select(
-            select, f"{name}.{sid}", cte_defs, subqueries, allow_order=False
-        )
-        if extensions:
+        nested = _Scope(f"{scope.name}.{sid}", scope.cte_defs, scope.subqueries)
+        query = self._bind_select(select, nested, allow_order=False)
+        block = query.block
+        if query.extensions:
             raise UnsupportedFeatureError(
                 "outer/semi joins inside scalar subqueries"
             )
@@ -1094,7 +745,7 @@ class Binder:
             raise UnsupportedFeatureError(
                 "scalar subqueries must aggregate to a single row"
             )
-        subqueries[sid] = block
+        scope.subqueries[sid] = block
         return ScalarSubquery(sid, block.output[0].expr.data_type)
 
 

@@ -500,3 +500,53 @@ class TestExtendedQueries:
     def test_bound_form(self, catalog, case):
         sql, expected = PINNED[case]
         assert repr(bind_sql(catalog, sql)) == expected
+
+
+class TestOutputNames:
+    @pytest.mark.parametrize(
+        "sql, names",
+        [
+            (
+                "select c_nationkey as k, c_custkey as k, c_name as k_1 "
+                "from customer",
+                ["k", "k_2", "k_1"],
+            ),
+            (
+                "select c_custkey, c_custkey, c_custkey as c_custkey_1 "
+                "from customer",
+                ["c_custkey", "c_custkey_2", "c_custkey_1"],
+            ),
+            (
+                "select sum(c_acctbal), sum(c_custkey), count(*) from customer",
+                ["sum", "sum_1", "count"],
+            ),
+        ],
+    )
+    def test_generated_names_never_shadow_explicit_ones(self, catalog, sql, names):
+        assert bind_sql(catalog, sql).block.output_names() == names
+
+    def test_order_by_reaches_the_explicit_alias(self, catalog):
+        query = bind_sql(
+            catalog,
+            "select c_nationkey as k, c_custkey as k, c_name as k_1 "
+            "from customer order by k_1",
+        )
+        assert query.order_by[0][0] == query.block.output[2].expr
+
+
+def test_cte_in_a_join_clause_filters_once(catalog):
+    """A WITH reference in a JOIN clause contributes its WHERE once, as in
+    a comma-separated FROM list."""
+    on_join = bind_sql(
+        catalog,
+        "with big as (select o_custkey from orders where o_totalprice > 1000) "
+        "select c_name from customer join big on c_custkey = big.o_custkey",
+    )
+    in_from = bind_sql(
+        catalog,
+        "with big as (select o_custkey from orders where o_totalprice > 1000) "
+        "select c_name from customer, big where c_custkey = big.o_custkey",
+    )
+    assert sorted(map(repr, on_join.block.conjuncts)) == sorted(
+        map(repr, in_from.block.conjuncts)
+    )

@@ -1,4 +1,4 @@
-"""Tests for logical operators, query blocks, and tree normalization."""
+"""Tests for query blocks and bound batches."""
 
 import pytest
 
@@ -7,14 +7,10 @@ from repro.expr.expressions import (
     AggExpr,
     AggFunc,
     ColumnRef,
-    Literal,
     TableRef,
     eq,
-    gt,
 )
 from repro.logical.blocks import BoundBatch, BoundQuery, OutputColumn, QueryBlock
-from repro.logical.normalize import normalize_tree
-from repro.logical.operators import Get, GroupBy, Join, Project, Select, Spool
 from repro.types import DataType
 
 A = TableRef("A", 1)
@@ -24,75 +20,6 @@ C = TableRef("C", 3)
 
 def col(table, name):
     return ColumnRef(table, name, DataType.INT)
-
-
-class TestOperators:
-    def test_tables_in_tree_order(self):
-        tree = Join(None, Get(B), Join(None, Get(A), Get(C)))
-        assert tree.tables() == (B, A, C)
-
-    def test_walk(self):
-        inner = Get(A)
-        tree = Select(gt(col(A, "x"), Literal(1)), inner)
-        assert list(tree.walk()) == [tree, inner]
-
-    def test_groupby_rejects_expressions_as_keys(self):
-        with pytest.raises(OptimizerError):
-            GroupBy((Literal(1),), (), Get(A))  # type: ignore[arg-type]
-
-
-class TestNormalize:
-    def test_spj_flattening(self):
-        tree = Select(
-            gt(col(A, "x"), Literal(5)),
-            Join(
-                eq(col(A, "k"), col(B, "k")),
-                Get(A),
-                Select(gt(col(B, "y"), Literal(0)), Get(B)),
-            ),
-        )
-        block = normalize_tree(tree, "q")
-        assert set(block.tables) == {A, B}
-        assert len(block.conjuncts) == 3
-        assert not block.has_groupby
-
-    def test_groupby_normalization(self):
-        agg = AggExpr(AggFunc.SUM, col(B, "v"))
-        tree = GroupBy(
-            (col(A, "k"),),
-            (agg,),
-            Join(eq(col(A, "k"), col(B, "k")), Get(A), Get(B)),
-        )
-        block = normalize_tree(tree, "q")
-        assert block.group_keys == (col(A, "k"),)
-        assert block.aggregates == (agg,)
-        # Default output: keys then aggregates.
-        assert [o.expr for o in block.output] == [col(A, "k"), agg]
-
-    def test_having_extraction(self):
-        agg = AggExpr(AggFunc.SUM, col(A, "v"))
-        tree = Select(
-            gt(agg, Literal(10)),
-            GroupBy((col(A, "k"),), (agg,), Get(A)),
-        )
-        block = normalize_tree(tree, "q")
-        assert block.having == (gt(agg, Literal(10)),)
-        assert block.conjuncts == ()
-
-    def test_projection_defines_output(self):
-        tree = Project((col(A, "x"),), Get(A))
-        block = normalize_tree(tree, "q")
-        assert len(block.output) == 1
-        assert block.output[0].expr == col(A, "x")
-
-    def test_spool_transparent(self):
-        block = normalize_tree(Spool(Get(A)), "q")
-        assert block.tables == (A,)
-
-    def test_rejects_join_above_groupby(self):
-        grouped = GroupBy((col(A, "x"),), (), Get(A))
-        with pytest.raises(OptimizerError):
-            normalize_tree(Join(None, grouped, Get(B)), "q")
 
 
 class TestQueryBlock:

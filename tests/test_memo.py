@@ -169,6 +169,32 @@ class TestSignaturesInMemo:
             ):
                 assert group.signature is None
 
+    def test_self_join_signs_a_multiset(self, memo_for):
+        memo, tops = memo_for(
+            "select c1.c_name from customer c1, customer c2 "
+            "where c1.c_nationkey = c2.c_nationkey"
+        )
+        assert tops[0].signature == TableSignature(False, ("customer", "customer"))
+        assert tops[0].signature != TableSignature(False, ("customer",))
+
+    def test_paper_example_blocks_share_a_signature(self, memo_for):
+        """§3: π γ(σ(A) ⋈ σ(B)) blocks with different predicates, grouping
+        and projected columns sign alike, [T; {A, B}] — unlike a γ over
+        other tables."""
+        memo, tops = memo_for(
+            "select c_nationkey, sum(o_totalprice) as s from customer, orders "
+            "where c_custkey = o_custkey and c_acctbal > 0 "
+            "and o_totalprice > 5 group by c_nationkey;"
+            "select min(o_totalprice) as m from customer, orders "
+            "where c_custkey = o_custkey and c_acctbal < 100 "
+            "group by c_mktsegment;"
+            "select sum(l_quantity) as q from lineitem, part "
+            "where l_partkey = p_partkey group by p_type"
+        )
+        first, second, third = (top.signature for top in tops)
+        assert first == second == TableSignature(True, ("customer", "orders"))
+        assert third != first
+
     def test_signature_log_covers_signed_groups(self, memo_for):
         memo, _ = memo_for(JOIN3)
         logged = {g.gid for g in memo.signature_log}

@@ -256,3 +256,52 @@ class TestConstantsReadAtCallTime:
         assert generated() == 1
         monkeypatch.setattr(heuristics, "BETA", 1e12)
         assert generated() == 5
+
+
+# -- the binder and the logical layer -----------------------------------------
+
+REPRO = SRC / "repro"
+
+
+def _absolute_imports(path: Path, package: str):
+    """Every module ``path`` (inside ``package``) imports, as a dotted name."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            parts = package.split(".")
+            base = ".".join(parts[: len(parts) - node.level + 1]) if node.level else ""
+            module = ".".join(p for p in (base, node.module or "") if p)
+            if node.module:
+                yield module
+            else:
+                yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_binder_size():
+    assert len((REPRO / "sql" / "binder.py").read_text().splitlines()) <= 900
+
+
+def test_logical_does_not_import_sql():
+    """Only bound expressions and table instances cross into ``logical/``."""
+    offenders = [
+        f"{path.name}: {name}"
+        for path in sorted((REPRO / "logical").glob("*.py"))
+        for name in _absolute_imports(path, "repro.logical")
+        if name == "repro.sql" or name.startswith("repro.sql.")
+    ]
+    assert offenders == []
+
+
+def test_extended_queries_are_assembled_only_in_logical():
+    sites = []
+    for path in sorted(REPRO.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = getattr(func, "id", None) or getattr(func, "attr", None)
+            if called in ("JoinExtension", "QueryShape"):
+                sites.append(f"{path.relative_to(REPRO).as_posix()}:{node.lineno}")
+    assert sites
+    assert [site for site in sites if not site.startswith("logical/")] == []

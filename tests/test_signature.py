@@ -1,28 +1,9 @@
 """Unit tests for table signatures (paper §3, Definition 3.1, Figure 2)."""
 
-import pytest
-
-from repro.cse.signature import TableSignature, signature_of_tree
-from repro.expr.expressions import (
-    AggExpr,
-    AggFunc,
-    ColumnRef,
-    Literal,
-    TableRef,
-    eq,
-    gt,
-)
-from repro.logical.operators import Get, GroupBy, Join, Project, Select, Spool
-from repro.types import DataType
+from repro.cse.signature import TableSignature
+from repro.expr.expressions import TableRef
 
 A = TableRef("A", 1)
-B = TableRef("B", 2)
-C = TableRef("C", 3)
-D = TableRef("D", 4)
-
-
-def col(table, name):
-    return ColumnRef(table, name, DataType.INT)
 
 
 class TestTableSignature:
@@ -38,23 +19,6 @@ class TestTableSignature:
         """Self-join A ⋈ A is distinct from a single reference to A."""
         assert TableSignature(False, ("A", "A")) != TableSignature(False, ("A",))
 
-    def test_join_rule(self):
-        left = TableSignature(False, ("A",))
-        right = TableSignature(False, ("B",))
-        assert left.joined_with(right) == TableSignature(False, ("A", "B"))
-
-    def test_join_rule_undefined_over_groupby(self):
-        """Figure 2: the join signature exists only when G = F on both sides."""
-        grouped = TableSignature(True, ("A",))
-        plain = TableSignature(False, ("B",))
-        assert grouped.joined_with(plain) is None
-        assert plain.joined_with(grouped) is None
-
-    def test_groupby_rule(self):
-        sig = TableSignature(False, ("A", "B"))
-        assert sig.grouped() == TableSignature(True, ("A", "B"))
-        assert sig.grouped().grouped() is None  # only one γ allowed
-
     def test_covers_tables_of(self):
         wide = TableSignature(False, ("A", "B", "C"))
         narrow = TableSignature(True, ("A", "B"))
@@ -69,100 +33,3 @@ class TestTableSignature:
         delta = TableRef("customer", 5, is_delta=True)
         sig = TableSignature.of_tables([delta, A])
         assert sig.tables == ("A", "delta(customer)")
-
-
-class TestSignatureOfTree:
-    """The rules of Figure 2 applied to operator trees."""
-
-    def test_get(self):
-        assert signature_of_tree(Get(A)) == TableSignature(False, ("A",))
-
-    def test_select_preserves(self):
-        tree = Select(gt(col(A, "x"), Literal(1)), Get(A))
-        assert signature_of_tree(tree) == TableSignature(False, ("A",))
-
-    def test_project_preserves(self):
-        tree = Project((col(A, "x"),), Get(A))
-        assert signature_of_tree(tree) == TableSignature(False, ("A",))
-
-    def test_join(self):
-        tree = Join(eq(col(A, "x"), col(B, "y")), Get(A), Get(B))
-        assert signature_of_tree(tree) == TableSignature(False, ("A", "B"))
-
-    def test_groupby(self):
-        join = Join(eq(col(A, "x"), col(B, "y")), Get(A), Get(B))
-        tree = GroupBy((col(A, "x"),), (AggExpr(AggFunc.SUM, col(B, "z")),), join)
-        assert signature_of_tree(tree) == TableSignature(True, ("A", "B"))
-
-    def test_paper_example_same_signature(self):
-        """π γ (σ(A) ⋈ σ(B)) and π min (σ'(A) ⋈ σ'(B)) share [T; {A,B}]
-        despite different predicates and column lists (§3)."""
-        first = Project(
-            (col(A, "c1"),),
-            GroupBy(
-                (col(A, "c1"), col(A, "c2")),
-                (AggExpr(AggFunc.SUM, col(B, "c5")),),
-                Join(
-                    eq(col(A, "k"), col(B, "k")),
-                    Select(gt(col(A, "p"), Literal(0)), Get(A)),
-                    Select(gt(col(B, "q"), Literal(5)), Get(B)),
-                ),
-            ),
-        )
-        second = Project(
-            (col(A, "c3"),),
-            GroupBy(
-                (col(A, "c3"),),
-                (AggExpr(AggFunc.MIN, col(B, "c6")),),
-                Join(
-                    eq(col(A, "k"), col(B, "k")),
-                    Select(gt(col(A, "r"), Literal(9)), Get(A)),
-                    Get(B),
-                ),
-            ),
-        )
-        sig1 = signature_of_tree(first)
-        sig2 = signature_of_tree(second)
-        assert sig1 == sig2 == TableSignature(True, ("A", "B"))
-        # ...but not with γ(σ(C) ⋈ σ(D)).
-        third = GroupBy(
-            (col(C, "x"),),
-            (AggExpr(AggFunc.SUM, col(D, "y")),),
-            Join(eq(col(C, "k"), col(D, "k")), Get(C), Get(D)),
-        )
-        assert signature_of_tree(third) != sig1
-
-    def test_select_above_groupby_has_no_signature(self):
-        """Figure 2's 'other cases': σ above γ yields no signature."""
-        grouped = GroupBy((col(A, "x"),), (AggExpr(AggFunc.COUNT, None),), Get(A))
-        tree = Select(gt(col(A, "x"), Literal(1)), grouped)
-        assert signature_of_tree(tree) is None
-
-    def test_join_above_groupby_has_no_signature(self):
-        grouped = GroupBy((col(A, "x"),), (AggExpr(AggFunc.COUNT, None),), Get(A))
-        tree = Join(None, grouped, Get(B))
-        assert signature_of_tree(tree) is None
-
-    def test_double_groupby_has_no_signature(self):
-        grouped = GroupBy((col(A, "x"),), (AggExpr(AggFunc.COUNT, None),), Get(A))
-        assert signature_of_tree(GroupBy((), (), grouped)) is None
-
-    def test_spool_transparent(self):
-        assert signature_of_tree(Spool(Get(A))) == TableSignature(False, ("A",))
-
-    def test_self_join_multiset(self):
-        a2 = TableRef("A", 99)
-        tree = Join(eq(col(A, "x"), col(a2, "x")), Get(A), Get(a2))
-        assert signature_of_tree(tree) == TableSignature(False, ("A", "A"))
-
-    def test_incremental_matches_whole_tree(self):
-        """Composing Figure 2's rules bottom-up equals computing the
-        signature of the whole tree (the incremental property §3 relies on)."""
-        left = Select(gt(col(A, "x"), Literal(1)), Get(A))
-        right = Get(B)
-        join = Join(eq(col(A, "k"), col(B, "k")), left, right)
-        composed = signature_of_tree(left).joined_with(signature_of_tree(right))
-        assert composed == signature_of_tree(join)
-        assert composed.grouped() == signature_of_tree(
-            GroupBy((col(A, "x"),), (AggExpr(AggFunc.COUNT, None),), join)
-        )
