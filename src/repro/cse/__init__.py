@@ -9,7 +9,6 @@ from .compatibility import (
     ConsumerProfile,
     ConsumerProfiles,
     compatibility_groups,
-    derive_compatibility_from_parts,
     join_compatible,
 )
 from .construct import CoveringState, CseDefinition, construct_cse
@@ -30,7 +29,6 @@ __all__ = [
     "ConsumerProfile",
     "ConsumerProfiles",
     "compatibility_groups",
-    "derive_compatibility_from_parts",
     "join_compatible",
     "CseDefinition",
     "construct_cse",

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 from ..obs import active_journal, active_registry
-from ..optimizer.cardinality import CardinalityEstimator
 from ..optimizer.cost import CostModel
 from ..optimizer.memo import Group
 from .compatibility import ConsumerProfiles
@@ -86,7 +85,6 @@ class CandidateIdAllocator:
 def generate_candidates(
     compatible_set: Sequence[Group],
     profiles: ConsumerProfiles,
-    estimator: CardinalityEstimator,
     cost_model: CostModel,
     batch_cost: float,
     alpha: float,
@@ -122,100 +120,73 @@ def generate_candidates(
             )
         return definition
 
-    def journal_h1(members: Sequence[Group], passed: bool) -> None:
-        if journal.enabled:
-            journal.event(
-                "h1",
-                signature="set:" + ",".join(f"g{g.gid}" for g in members),
-                lower_bound_sum=sum(
-                    consumer_lower_bound(g) for g in members
-                ),
-                threshold=alpha * batch_cost,
-                alpha=alpha,
-                passed=passed,
-            )
-
     if not use_heuristics:
         # One candidate covering all consumers of the compatible set.
-        return [emit(covering_state([profiles(g) for g in consumers], estimator))]
+        return [emit(covering_state([profiles(g) for g in consumers]))]
 
     # Heuristic 1 (second application; the engine applied it per signature
-    # bucket before compatibility analysis).
-    if not heuristic1_keep(consumers, batch_cost, alpha):
-        journal_h1(consumers, passed=False)
+    # bucket before compatibility analysis), then Heuristic 2 — exclude
+    # consumers whose results are too large to share — and Heuristic 1
+    # again over the consumers that remain.
+    passed = heuristic1_keep(consumers, batch_cost, alpha)
+    if passed:
+        consumers = heuristic2_filter(consumers, cost_model, trace)
+        if len(consumers) < 2:
+            return []
+        passed = heuristic1_keep(consumers, batch_cost, alpha)
+    members = "set:" + ",".join(f"g{g.gid}" for g in consumers)
+    if journal.enabled:
+        journal.event(
+            "h1",
+            signature=members,
+            lower_bound_sum=sum(consumer_lower_bound(g) for g in consumers),
+            threshold=alpha * batch_cost,
+            alpha=alpha,
+            passed=passed,
+        )
+    if not passed:
         if trace is not None:
-            trace.heuristic1.append(
-                "set:" + ",".join(f"g{g.gid}" for g in consumers)
-            )
+            trace.heuristic1.append(members)
         return []
-
-    # Heuristic 2: exclude consumers whose results are too large to share.
-    consumers = heuristic2_filter(consumers, cost_model, trace)
-    if len(consumers) < 2:
-        return []
-    if not heuristic1_keep(consumers, batch_cost, alpha):
-        journal_h1(consumers, passed=False)
-        if trace is not None:
-            trace.heuristic1.append(
-                "set:" + ",".join(f"g{g.gid}" for g in consumers)
-            )
-        return []
-    journal_h1(consumers, passed=True)
 
     # Algorithm 1: greedy merging driven by the benefit Δ (Heuristic 3),
     # starting from one trivial CSE per consumer.
     candidates: List[CseDefinition] = []
     remaining: List[CoveringState] = [
-        CoveringState.trivial(profiles(g), estimator) for g in consumers
+        CoveringState.trivial(profiles(g)) for g in consumers
     ]
     while len(remaining) > 1:
         current = remaining.pop(0)
         merged_any = False
         while remaining:
-            best_delta = 0.0
-            top_delta = float("-inf")
-            best_index = -1
+            best_delta, top_delta, best_index = 0.0, float("-inf"), -1
             best_merged: Optional[CoveringState] = None
             probed = len(remaining)
             registry.counter("cse.merge_probes", probed)
             for index, other in enumerate(remaining):
-                merged = current.merged_with(other.members[0], estimator)
+                merged = current.merged_with(other.members[0])
                 if merged is None:
                     continue
                 delta = merge_benefit(merged, [current, other], cost_model)
-                if delta > top_delta:
-                    top_delta = delta
+                top_delta = max(top_delta, delta)
                 if delta > best_delta:
-                    best_delta = delta
-                    best_index = index
-                    best_merged = merged
-            if best_merged is None:
-                if trace is not None:
-                    trace.heuristic3.append(
-                        f"stop@{len(current.members)} members"
-                    )
-                if journal.enabled:
-                    journal.event(
-                        "h3",
-                        members=labels(current),
-                        delta=(
-                            top_delta if top_delta > float("-inf") else 0.0
-                        ),
-                        merged=False,
-                        probed=probed,
-                    )
-                break
-            del remaining[best_index]
-            current = best_merged
-            merged_any = True
+                    best_delta, best_index, best_merged = delta, index, merged
+            if best_merged is not None:
+                del remaining[best_index]
+                current, merged_any = best_merged, True
+            elif trace is not None:
+                trace.heuristic3.append(f"stop@{len(current.members)} members")
             if journal.enabled:
                 journal.event(
                     "h3",
                     members=labels(current),
-                    delta=best_delta,
-                    merged=True,
+                    # The best Δ probed (the chosen one, on a merge).
+                    delta=top_delta if top_delta > float("-inf") else 0.0,
+                    merged=best_merged is not None,
                     probed=probed,
                 )
+            if best_merged is None:
+                break
         if merged_any:
             candidates.append(emit(current))
         # Un-merged seeds are dropped (a trivial CSE with one consumer is

@@ -27,7 +27,7 @@ c_nationkey < 25``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import OptimizerError
 from ..expr.expressions import (
@@ -40,15 +40,14 @@ from ..expr.expressions import (
     TableRef,
     canon_sorted,
 )
-from ..expr.predicates import EquivalenceClasses, non_equality_conjuncts
+from ..expr.predicates import EquivalenceClasses
 from ..logical.blocks import OutputColumn, QueryBlock
 from ..obs import active_registry
 from ..optimizer.cardinality import CardinalityEstimator, cardenas
 from ..optimizer.memo import BlockInfo, Group
+from ..types import DataType
 from .compatibility import (
-    ConsumerProfile,
-    consumer_profile,
-    graph_connected,
+    ConsumerProfile, ConsumerProfiles, bit_positions, classes_connect, meet, range_part,
     remap_expr,
 )
 from .signature import TableSignature
@@ -105,30 +104,24 @@ class CseDefinition:
 # Covering-predicate weakening
 # ---------------------------------------------------------------------------
 
+#: A covering range bound, ``column op value``, before it is an ``Expr``.
+Bound = Tuple[Hashable, ComparisonOp, float]
+#: Decomposes a conjunct handle into ``(column, op, value)``, or None.
+PartOf = Callable[[Hashable], Optional[Tuple[Hashable, ComparisonOp, Any]]]
+
 
 def _range_bounds(
-    conjuncts: Sequence[Expr],
-) -> Dict[ColumnRef, Tuple[Optional[float], bool, Optional[float], bool]]:
+    conjuncts: Sequence[Hashable], part_of: PartOf
+) -> Dict[Hashable, Tuple[Optional[float], bool, Optional[float], bool]]:
     """Per-column (low, low_inclusive, high, high_inclusive) implied by
-    ``conjuncts``; only numeric/date literals participate."""
-    bounds: Dict[ColumnRef, Tuple[Optional[float], bool, Optional[float], bool]] = {}
+    ``conjuncts``; only those ``part_of`` decomposes participate."""
+    bounds: Dict[Hashable, Tuple[Optional[float], bool, Optional[float], bool]] = {}
     for conjunct in conjuncts:
-        if not isinstance(conjunct, Comparison):
+        part = part_of(conjunct)
+        if part is None:
             continue
-        normalized = conjunct.normalized()
-        if not (
-            isinstance(normalized.left, ColumnRef)
-            and isinstance(normalized.right, Literal)
-        ):
-            continue
-        value = normalized.right.value
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        column = normalized.left
-        low, low_inc, high, high_inc = bounds.get(
-            column, (None, True, None, True)
-        )
-        op = normalized.op
+        column, op, value = part
+        low, low_inc, high, high_inc = bounds.get(column, (None, True, None, True))
         if op in (ComparisonOp.GT, ComparisonOp.GE):
             inclusive = op is ComparisonOp.GE
             if low is None or value > low or (value == low and not inclusive):
@@ -146,6 +139,50 @@ def _range_bounds(
     return bounds
 
 
+def _weaken(
+    residual_sets: Sequence[Sequence[Hashable]],
+    part_of: PartOf,
+    order: Callable[[Iterable[Hashable]], List[Hashable]],
+) -> Tuple[List[Hashable], List[Bound], List[List[Hashable]]]:
+    """Step 3 over conjunct handles (expressions, or conjunct ids):
+    ``(commons, hulls, residuals)``; ``order`` sorts columns canonically."""
+    if not residual_sets:
+        return [], [], []
+    # (a) conjuncts present in every consumer's simplified predicate.
+    others = [set(conjuncts) for conjuncts in residual_sets[1:]]
+    commons = [
+        conjunct for conjunct in dict.fromkeys(residual_sets[0])
+        if all(conjunct in other for other in others)
+    ]
+    shared = set(commons)
+    residuals = [[c for c in conjuncts if c not in shared] for conjuncts in residual_sets]
+    hulls: List[Bound] = []
+    # (b) per-column range hulls across the remaining disjuncts.
+    if all(residuals):
+        per_consumer_bounds = [_range_bounds(r, part_of) for r in residuals]
+        shared_columns = set(per_consumer_bounds[0])
+        for bounds in per_consumer_bounds[1:]:
+            shared_columns &= set(bounds)
+        for column in order(shared_columns):
+            lows = [b[column][0] for b in per_consumer_bounds]
+            highs = [b[column][2] for b in per_consumer_bounds]
+            if all(l is not None for l in lows):
+                hull_low = min(lows)
+                inclusive = any(
+                    b[column][1] for b in per_consumer_bounds if b[column][0] == hull_low
+                )
+                op = ComparisonOp.GE if inclusive else ComparisonOp.GT
+                hulls.append((column, op, hull_low))
+            if all(h is not None for h in highs):
+                hull_high = max(highs)
+                inclusive = any(
+                    b[column][3] for b in per_consumer_bounds if b[column][2] == hull_high
+                )
+                op = ComparisonOp.LE if inclusive else ComparisonOp.LT
+                hulls.append((column, op, hull_high))
+    return commons, hulls, residuals
+
+
 def weakened_covering(
     residual_sets: Sequence[Sequence[Expr]],
 ) -> Tuple[List[Expr], List[List[Expr]]]:
@@ -156,58 +193,14 @@ def weakened_covering(
     every consumer). Soundness: each consumer's predicate implies the
     covering conjuncts, so the CSE contains every row any consumer needs.
     """
-    if not residual_sets:
-        return [], []
-    # (a) conjuncts present in every consumer's simplified predicate.
-    others = [set(conjuncts) for conjuncts in residual_sets[1:]]
-    commons = [
-        conjunct for conjunct in dict.fromkeys(residual_sets[0])
-        if all(conjunct in other for other in others)
-    ]
-    shared = set(commons)
-    residuals = [
-        [c for c in conjuncts if c not in shared] for conjuncts in residual_sets
-    ]
-    covering: List[Expr] = list(commons)
-    # (b) per-column range hulls across the remaining disjuncts.
-    if all(residuals):
-        per_consumer_bounds = [_range_bounds(r) for r in residuals]
-        shared_columns = set(per_consumer_bounds[0])
-        for bounds in per_consumer_bounds[1:]:
-            shared_columns &= set(bounds)
-        for column in canon_sorted(shared_columns):
-            lows = [b[column][0] for b in per_consumer_bounds]
-            highs = [b[column][2] for b in per_consumer_bounds]
-            if all(l is not None for l in lows):
-                hull_low = min(lows)
-                inclusive = any(
-                    b[column][1] for b in per_consumer_bounds
-                    if b[column][0] == hull_low
-                )
-                op = ComparisonOp.GE if inclusive else ComparisonOp.GT
-                covering.append(
-                    Comparison(op, column, _hull_literal(hull_low, column))
-                )
-            if all(h is not None for h in highs):
-                hull_high = max(highs)
-                inclusive = any(
-                    b[column][3] for b in per_consumer_bounds
-                    if b[column][2] == hull_high
-                )
-                op = ComparisonOp.LE if inclusive else ComparisonOp.LT
-                covering.append(
-                    Comparison(op, column, _hull_literal(hull_high, column))
-                )
-    return covering, residuals
+    commons, hulls, residuals = _weaken(residual_sets, range_part, canon_sorted)
+    return commons + [_hull_comparison(*bound) for bound in hulls], residuals
 
 
-def _hull_literal(value: float, column: ColumnRef) -> Literal:
-    from ..types import DataType
-
-    if column.data_type in (DataType.INT, DataType.DATE):
-        if float(value).is_integer():
-            return Literal(int(value), column.data_type)
-    return Literal(float(value), DataType.FLOAT)
+def _hull_comparison(column: ColumnRef, op: ComparisonOp, value: float) -> Comparison:
+    if column.data_type in (DataType.INT, DataType.DATE) and value.is_integer():
+        return Comparison(op, column, Literal(int(value), column.data_type))
+    return Comparison(op, column, Literal(value, DataType.FLOAT))
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +213,25 @@ class CoveringState:
     """The covering subexpression of a member set, in slot space — what
     Algorithm 1 carries from one merge probe to the next.
 
-    Holds §4.2 steps 1-5 over the slot templates plus the §4.3.3 size
-    estimate, so a probe costs one class intersection and a re-derivation
-    over the members' profiles; no body instances, ``QueryBlock`` or
-    ``BlockInfo`` exist until :meth:`materialise`.
+    Holds §4.2 steps 1-5 over the members' :class:`IdSpace` ids plus the
+    §4.3.3 size estimate, so a probe is integer work: one partition meet, a
+    slot flood, and set and float arithmetic over the members' cached ids.
+    No ``Expr``, body instance, ``QueryBlock`` or ``BlockInfo`` exists until
+    :meth:`materialise`.
     """
 
     members: Tuple[ConsumerProfile, ...]
-    #: Step 1: the intersection of the members' equivalence classes.
-    joint: EquivalenceClasses
-    #: Step 3: the (weakened) covering predicate.
-    covering: Tuple[Expr, ...]
-    #: Steps 4-5: grouping keys and aggregates, or the SPJ output columns.
-    group_keys: Tuple[ColumnRef, ...]
-    aggregates: Tuple[AggExpr, ...]
-    columns: Tuple[ColumnRef, ...]
+    #: Step 1: the meet of the members' classes (column-id masks).
+    joint: Tuple[int, ...]
+    #: Step 3: the (weakened) covering predicate — conjuncts every member
+    #: holds (ids), then range hulls ``(column id, op, value)``.
+    commons: Tuple[int, ...]
+    hulls: Tuple[Bound, ...]
+    #: Steps 4-5: grouping keys (column ids, canonical order) and aggregate
+    #: ids, or the SPJ output columns.
+    group_keys: Tuple[int, ...]
+    aggregates: Tuple[int, ...]
+    columns: Tuple[int, ...]
     est_rows: float
     row_width: int
 
@@ -244,32 +241,27 @@ class CoveringState:
         return [member.group for member in self.members]
 
     @classmethod
-    def trivial(
-        cls, profile: ConsumerProfile, estimator: Optional[CardinalityEstimator]
-    ) -> Optional["CoveringState"]:
+    def trivial(cls, profile: ConsumerProfile) -> Optional["CoveringState"]:
         """The trivial CSE of one consumer: "exactly the same as its only
         consumer" (§4.3)."""
-        return _derive((profile,), profile.classes, estimator)
+        return _derive((profile,), profile.classes)
 
-    def merged_with(
-        self, profile: ConsumerProfile, estimator: Optional[CardinalityEstimator]
-    ) -> Optional["CoveringState"]:
+    def merged_with(self, profile: ConsumerProfile) -> Optional["CoveringState"]:
         """This state widened to cover ``profile`` too, or None when the
         members would no longer be join compatible (Def 4.1)."""
         if profile.group.signature != self.members[0].group.signature:
             raise OptimizerError("consumers have mismatched signatures")
-        return _derive(
-            self.members + (profile,),
-            self.joint.intersect(profile.classes),
-            estimator,
-        )
+        return _derive(self.members + (profile,), meet(self.joint, profile.classes))
 
     def materialise(
         self, cse_id: str, instance_allocator: Callable[[], int]
     ) -> CseDefinition:
         """Step 6: the state as a spoolable ``QueryBlock`` over fresh body
-        instances, one per slot, allocated in slot order."""
+        instances, one per slot, allocated in slot order — the one place ids
+        become expressions again."""
         active_registry().counter("cse.constructions")
+        space = self.members[0].space
+        columns = space.columns
         body = {
             template: TableRef(
                 table=template.table,
@@ -281,17 +273,26 @@ class CoveringState:
             for template in self.members[0].tables
         }
 
-        def to_body(exprs: Sequence[Expr]) -> tuple:
+        def to_body(exprs: Iterable[Expr]) -> tuple:
             return tuple(remap_expr(expr, body) for expr in exprs)
 
-        joint_equalities = to_body(self.joint.equality_conjuncts())
-        covering = to_body(self.covering)
-        group_keys = to_body(self.group_keys)
-        aggregates = to_body(self.aggregates)
+        joint_equalities = to_body(
+            Comparison(ComparisonOp.EQ, columns[first], columns[cid])
+            for first, *rest in (space.canonical(bit_positions(c)) for c in self.joint)
+            for cid in rest
+        )
+        covering = to_body(
+            [space.conjuncts[fid] for fid in self.commons]
+            + [_hull_comparison(columns[cid], op, v) for cid, op, v in self.hulls]
+        )
+        group_keys = to_body(columns[cid] for cid in self.group_keys)
+        aggregates = to_body(space.aggregates[aid] for aid in self.aggregates)
         outputs = tuple(
             OutputColumn(name=f"{prefix}{i}", expr=expr)
             for prefix, exprs in (
-                ("k", group_keys), ("a", aggregates), ("c", to_body(self.columns))
+                ("k", group_keys),
+                ("a", aggregates),
+                ("c", to_body(columns[cid] for cid in self.columns)),
             )
             for i, expr in enumerate(exprs)
         )
@@ -309,7 +310,7 @@ class CoveringState:
             outputs=outputs,
             consumer_groups=self.consumer_groups,
             joint_equalities=joint_equalities,
-            joint_classes=self.joint.mapped(lambda col: remap_expr(col, body)),
+            joint_classes=EquivalenceClasses.from_conjuncts(joint_equalities),
             covering_conjuncts=covering,
             est_rows=self.est_rows,
             row_width=self.row_width,
@@ -317,110 +318,112 @@ class CoveringState:
 
 
 def _derive(
-    members: Tuple[ConsumerProfile, ...],
-    joint: EquivalenceClasses,
-    estimator: Optional[CardinalityEstimator],
+    members: Tuple[ConsumerProfile, ...], joint: Tuple[int, ...]
 ) -> Optional[CoveringState]:
     """§4.2 steps 2-5 and the §4.3.3 estimate for ``members``, given their
     joint classes (step 1); None unless those connect the slots (Def 4.1)."""
-    tables = members[0].tables
-    if not graph_connected(tables, joint):
+    first = members[0]
+    space = first.space
+    if not classes_connect(joint, space, len(first.tables)):
         return None
-    # Step 2: each member's predicate minus what the joint classes imply.
+    # Step 2: each member's predicate minus the equalities the joint classes
+    # imply (an equality's two columns lie inside one class).
+    columns_of = space.conjunct_columns
     simplified = [
-        [e for e in m.equalities if not joint.same_class(e.left, e.right)]
+        [e for e in m.equalities if not any(c & columns_of[e] == columns_of[e] for c in joint)]
         + list(m.filters)
         for m in members
     ]
     # Step 3: the (weakened) covering predicate.
-    covering, residuals = weakened_covering(simplified)
-    # Columns the residuals reference — needed in the output (and in the
-    # grouping keys for aggregated CSEs) so compensation can run.
-    needed: Set[ColumnRef] = set().union(
-        *(conjunct.columns() for residual in residuals for conjunct in residual)
+    commons, hulls, residuals = _weaken(
+        simplified, space.ranges.__getitem__, space.canonical
     )
-    group_keys: Tuple[ColumnRef, ...] = ()
-    columns: Tuple[ColumnRef, ...] = ()
-    has_groupby = members[0].group.signature.has_groupby
-    # Step 4: keys = union of member keys + residual columns, and the
-    # members' aggregates without repeats.
+    # Columns the residuals reference — needed in the output (and in the
+    # grouping keys for aggregated CSEs) so compensation can run. Step 4:
+    # keys = union of member keys + residual columns, and the members'
+    # aggregates without repeats; step 5 (SPJ case): the union of columns
+    # any member requires.
+    needed = 0
+    for conjunct in (c for residual in residuals for c in residual):
+        needed |= columns_of[conjunct]
+    has_groupby = first.group.signature.has_groupby
+    for m in members:
+        needed |= m.group_keys if has_groupby else m.required
+    needed_ids = tuple(space.canonical(bit_positions(needed)))
+    group_keys, columns = (needed_ids, ()) if has_groupby else ((), needed_ids)
     aggregates = tuple(dict.fromkeys(a for m in members for a in m.aggregates))
-    if has_groupby:
-        group_keys = tuple(
-            canon_sorted(needed.union(*(m.group_keys for m in members)))
-        )
-    else:
-        # Step 5 (SPJ case): union of columns any member requires.
-        columns = tuple(
-            canon_sorted(needed.union(*(m.required for m in members)))
-        )
     est_rows, row_width = 0.0, 0
-    if estimator is not None:
-        est_rows = _estimate_rows(
-            tables, joint, covering, group_keys, has_groupby, estimator
+    if space.estimator is not None:
+        est_rows = _estimate_rows(first, joint, commons, hulls, group_keys, has_groupby)
+        row_width = sum(space.columns[c].data_type.byte_width for c in needed_ids) + sum(
+            space.aggregates[a].data_type.byte_width for a in aggregates
         )
-        row_width = estimator.width_of(group_keys + aggregates + columns)
     return CoveringState(
-        members, joint, tuple(covering), group_keys, aggregates, columns,
-        est_rows, row_width,
+        members, joint, tuple(commons), tuple(hulls), group_keys, aggregates,
+        columns, est_rows, row_width,
     )
 
 
 def _estimate_rows(
-    tables: Tuple[TableRef, ...],
-    joint: EquivalenceClasses,
-    covering: Tuple[Expr, ...],
-    group_keys: Tuple[ColumnRef, ...],
+    first: ConsumerProfile,
+    joint: Tuple[int, ...],
+    commons: Sequence[int],
+    hulls: Sequence[Bound],
+    group_keys: Tuple[int, ...],
     has_groupby: bool,
-    estimator: CardinalityEstimator,
 ) -> float:
     """Estimate the CSE result cardinality without optimizing its body:
     base rows × class factors × covering selectivity, then Cardenas over the
-    grouping keys for aggregated CSEs."""
-    filters = [(c, c.tables()) for c in non_equality_conjuncts(covering)]
+    grouping keys for aggregated CSEs. Same float operations in the same
+    order as over the covering expressions, so the estimate is bit-equal."""
+    space = first.space
+    column_slot, column_ndv = space.column_slot, space.column_ndv
+    # (touched-slot mask, selectivity) per covering conjunct, in order.
+    filters = [(space.conjunct_slots[f], space.selectivity[f]) for f in commons] + [
+        (column_slot[cid], space.hull_selectivity(cid, op, value))
+        for cid, op, value in hulls
+    ]
     rows = 1.0
-    item_rows: Dict[TableRef, float] = {}
-    for table in tables:
-        base = estimator.table_rows(table)
-        for conjunct, touched in filters:
-            if touched == {table}:
-                base *= estimator.selectivity(conjunct)
-        item_rows[table] = max(base, 1.0)
-        rows *= item_rows[table]
-    for cls in joint.classes():
-        ndvs: Dict[TableRef, float] = {}
-        for member in cls:
-            ndv = min(estimator.column_ndv(member), item_rows[member.table_ref])
-            ndvs[member.table_ref] = min(ndvs.get(member.table_ref, ndv), ndv)
-        rows *= estimator.class_factor_for_join(ndvs.values())
-    for conjunct, touched in filters:
-        if len(touched) >= 2:
-            rows *= estimator.selectivity(conjunct)
+    item_rows: Dict[int, float] = {}
+    for index, base in enumerate(first.table_rows):
+        bit = 1 << index
+        for touched, selectivity in filters:
+            if touched == bit:
+                base *= selectivity
+        item_rows[bit] = max(base, 1.0)
+        rows *= item_rows[bit]
+    for cls in joint:
+        ndvs: Dict[int, float] = {}  # per slot: its smallest member NDV
+        for cid in bit_positions(cls):
+            slot = column_slot[cid]
+            ndv = min(column_ndv[cid], item_rows[slot])
+            ndvs[slot] = min(ndvs.get(slot, ndv), ndv)
+        rows *= CardinalityEstimator.class_factor_for_join(ndvs.values())
+    for touched, selectivity in filters:
+        if touched & (touched - 1):
+            rows *= selectivity
     rows = max(rows, 1.0)
     if not has_groupby:
         return rows
-    domain = 1.0
-    representatives: List[ColumnRef] = []
+    # One key per joint class: the first in canonical order represents it.
+    domain, represented = 1.0, 0
     for key in group_keys:
-        if any(joint.same_class(key, kept) for kept in representatives):
-            continue
-        representatives.append(key)
-        domain *= max(min(estimator.column_ndv(key), rows), 1.0)
+        key_class = next((cls for cls in joint if cls >> key & 1), 0)
+        if not key_class & represented:
+            represented |= key_class
+            domain *= max(min(column_ndv[key], rows), 1.0)
     return cardenas(domain, rows)
 
 
-def covering_state(
-    profiles: Sequence[ConsumerProfile],
-    estimator: Optional[CardinalityEstimator],
-) -> CoveringState:
+def covering_state(profiles: Sequence[ConsumerProfile]) -> CoveringState:
     """Fold ``profiles`` into one covering state (§4.2 steps 1-5)."""
     if not profiles:
         raise OptimizerError("cannot construct a CSE with no consumers")
-    state = CoveringState.trivial(profiles[0], estimator)
+    state = CoveringState.trivial(profiles[0])
     for profile in profiles[1:]:
         if state is None:
             break
-        state = state.merged_with(profile, estimator)
+        state = state.merged_with(profile)
     if state is None:
         raise OptimizerError(
             "consumers "
@@ -438,7 +441,7 @@ def construct_cse(
     estimator: Optional[CardinalityEstimator] = None,
 ) -> CseDefinition:
     """Build a CSE covering ``consumers`` (paper §4.2 steps 1-6)."""
-    profiles = [consumer_profile(g, infos[g.block.name]) for g in consumers]
-    return covering_state(profiles, estimator).materialise(
+    profiles = ConsumerProfiles(infos, estimator)
+    return covering_state([profiles(g) for g in consumers]).materialise(
         cse_id, instance_allocator
     )

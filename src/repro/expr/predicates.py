@@ -6,8 +6,7 @@ conjuncts of a normalized SPJ expression, following Goldstein & Larson's view
 matching framework ([5] in the paper). This module implements:
 
 * conjunct splitting / conjoining,
-* :class:`EquivalenceClasses`: union-find over column references, with the
-  intersection operation of Def 4.1,
+* :class:`EquivalenceClasses`: union-find over column references,
 * simple implication tests between range conjuncts (used to simplify
   compensation predicates in view matching).
 """
@@ -191,24 +190,6 @@ class EquivalenceClasses:
                 result.add_equality(first, key(member))
         return result
 
-    def intersect(self, other: "EquivalenceClasses") -> "EquivalenceClasses":
-        """Class-wise intersection (Def 4.1's natural definition).
-
-        For every pair of classes, one from each side, the intersection of
-        the member sets becomes a class of the result (if it has >= 2
-        members).
-        """
-        result = EquivalenceClasses()
-        other_classes = other.classes()
-        for mine in self.classes():
-            for theirs in other_classes:
-                common = mine & theirs
-                if len(common) >= 2:
-                    members = canon_sorted(common)
-                    for member in members[1:]:
-                        result.add_equality(members[0], member)
-        return result
-
     def equality_conjuncts(self) -> List[Comparison]:
         """A minimal set of ``a = b`` conjuncts regenerating the classes.
 
@@ -253,7 +234,7 @@ def simplify_conjuncts(
 # -- range reasoning -----------------------------------------------------------
 
 
-def _range_parts(conjunct: Expr) -> Optional[Tuple[ColumnRef, ComparisonOp, object]]:
+def range_parts(conjunct: Expr) -> Optional[Tuple[ColumnRef, ComparisonOp, object]]:
     """Decompose ``col op literal`` (either operand order) or return None."""
     if not isinstance(conjunct, Comparison):
         return None
@@ -269,8 +250,8 @@ def range_implies(specific: Expr, general: Expr) -> bool:
     Returns ``True`` only when ``specific`` provably implies ``general``.
     Both must be ``col op literal`` conjuncts over the same column.
     """
-    spec = _range_parts(specific)
-    gen = _range_parts(general)
+    spec = range_parts(specific)
+    gen = range_parts(general)
     if spec is None or gen is None:
         return False
     spec_col, spec_op, spec_val = spec

@@ -10,7 +10,7 @@ deterministic given the database statistics, which keeps optimizer decisions
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from ..catalog.statistics import ColumnStats
 from ..expr.expressions import (
@@ -90,7 +90,7 @@ class CardinalityEstimator:
         normalized = predicate.normalized()
         left, right = normalized.left, normalized.right
         if isinstance(left, ColumnRef) and isinstance(right, Literal):
-            return self._column_literal_selectivity(left, normalized.op, right)
+            return self.column_literal_selectivity(left, normalized.op, right.value)
         if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
             if normalized.op is ComparisonOp.EQ:
                 return 1.0 / max(
@@ -103,14 +103,16 @@ class CardinalityEstimator:
             return 1.0 / 3.0
         return DEFAULT_SELECTIVITY
 
-    def _column_literal_selectivity(
-        self, column: ColumnRef, op: ComparisonOp, literal: Literal
+    def column_literal_selectivity(
+        self, column: ColumnRef, op: ComparisonOp, literal: Any
     ) -> float:
+        """Selectivity of ``column op literal`` for a literal value in
+        engine form."""
         stats = self._column_stats(column)
         ndv = self.column_ndv(column)
         if op is ComparisonOp.EQ:
             if stats is not None and stats.mcv:
-                known = stats.mcv.get(literal.value)
+                known = stats.mcv.get(literal)
                 if known is not None:
                     return _clamp(known)
                 if len(stats.mcv) >= stats.ndv:
@@ -118,14 +120,14 @@ class CardinalityEstimator:
             return 1.0 / max(ndv, 1.0)
         if op is ComparisonOp.NE:
             if stats is not None and stats.mcv:
-                known = stats.mcv.get(literal.value)
+                known = stats.mcv.get(literal)
                 if known is not None:
                     return _clamp(1.0 - known)
             return 1.0 - 1.0 / max(ndv, 1.0)
         if stats is None or stats.min_value is None or stats.max_value is None:
             return 1.0 / 3.0
         try:
-            value = float(literal.value)
+            value = float(literal)
         except (TypeError, ValueError):
             return 1.0 / 3.0
         if stats.histogram is not None and stats.histogram.total > 0:
@@ -201,8 +203,8 @@ class CardinalityEstimator:
             and isinstance(normalized.right, Literal)
             and normalized.op is not ComparisonOp.NE
         ):
-            return self._column_literal_selectivity(
-                column, normalized.op, normalized.right
+            return self.column_literal_selectivity(
+                column, normalized.op, normalized.right.value
             )
         return None
 

@@ -67,7 +67,7 @@ def generate(
     # merges Algorithm 1 probed.
     instance_allocator = itertools.count(max_instance + 1).__next__
     id_allocator = CandidateIdAllocator()
-    profiles = ConsumerProfiles(memo.block_infos)
+    profiles = ConsumerProfiles(memo.block_infos, search.estimator)
     definitions = []
     for signature, groups in buckets:
         search.check_deadline()
@@ -94,7 +94,6 @@ def generate(
                 generate_candidates(
                     compatible_set,
                     profiles,
-                    search.estimator,
                     search.cost_model,
                     base_cost,
                     alpha,

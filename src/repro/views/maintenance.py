@@ -32,6 +32,7 @@ from ..logical.blocks import BoundBatch, BoundQuery, OutputColumn, QueryBlock
 from ..optimizer.engine import OptimizationResult
 from ..optimizer.options import OptimizerOptions
 from ..storage.database import Database
+from ..storage.table import Table
 from .materialized import MaterializedView, ViewManager
 
 
@@ -167,6 +168,10 @@ class MaintenancePlanner:
                 raise CatalogError(
                     f"view {view.name!r} must be refreshed before maintenance"
                 )
+        # Validate ``rows`` before anything changes: a rejected write stops
+        # here, before the catalog, any view or the base table moved.
+        columns = _columns_of(schema, rows)
+        Table(schema, columns)
         if not self.database.has_table(delta_name):
             self.database.create_table(
                 TableSchema(
@@ -177,9 +182,7 @@ class MaintenancePlanner:
                     ],
                 )
             )
-        # A table-scoped mutation, and the only validation of ``rows``: a
-        # rejected write stops here, before any view or the base table moved.
-        self.database.load(delta_name, _columns_of(schema, rows))
+        self.database.load(delta_name, columns)
 
         outcome = self.session.execute(batch)
         applied: Dict[str, int] = {}

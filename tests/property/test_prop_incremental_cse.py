@@ -2,20 +2,32 @@
 from-scratch reference.
 
 Algorithm 1 probes merges on :class:`CoveringState` objects and materialises
-only the candidates it emits. The invariant checked here: **every emitted
+only the candidates it emits. The invariants checked here: **every emitted
 ``CseDefinition`` equals the one §4.2 steps 1-6 build from scratch for the
-same consumers, field by field modulo body-instance renaming, and Algorithm
-1 takes the same merge decisions with the same Δ values.** The reference
-below is the pre-incremental ``construct_cse``/Algorithm 1 (body instances
-allocated up front, every consumer re-mapped per call, size estimated through
-a throw-away ``QueryBlock`` + ``BlockInfo``), kept only here.
+same consumers, field by field modulo body-instance renaming, Algorithm 1
+takes the same merge decisions with the same Δ values, and
+``compatibility_groups`` returns the clusters of the expression-space
+Definition 4.1.** The reference below is the pre-incremental
+``construct_cse``/Algorithm 1 (body instances allocated up front, every
+consumer re-mapped per call, classes intersected over ``ColumnRef``, size
+estimated through a throw-away ``QueryBlock`` + ``BlockInfo``), kept only
+here and in ``tests/cse_reference.py``.
+
+The corpus covers the shapes the random SPJG batches never produce: outer,
+semi and anti joins (``random_sql_batch``) and :data:`HAND_BATCH`, whose
+consumers hold a self-join pair, string equalities, an OR filter and a
+two-table ``<`` conjunct.
 """
 
 import itertools
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
+import repro.cse.candidates as candidates
+import repro.cse.compatibility as compatibility
+import repro.cse.construct as construct
 import repro.optimizer.step2 as step2
 from repro import OptimizerOptions, Session
 from repro.catalog.tpch import build_tpch_database
@@ -32,10 +44,10 @@ from repro.cse.heuristics import (
     merge_benefit,
 )
 from repro.errors import OptimizerError
-from repro.expr.expressions import TableRef
+from repro.expr.expressions import Comparison, TableRef
 from repro.expr.predicates import EquivalenceClasses, implied_by_equalities
 from repro.logical.blocks import QueryBlock
-from repro.obs import DecisionJournal, use_journal
+from repro.obs import DecisionJournal, MetricsRegistry, use_journal
 from repro.optimizer.cardinality import cardenas
 from repro.optimizer.memo import BlockInfo
 from repro.workloads import (
@@ -44,8 +56,33 @@ from repro.workloads import (
     random_spjg_batch,
     scaleup_batch,
 )
+from repro.workloads.generator import random_sql_batch
+
+from .. import cse_reference
 
 DB = build_tpch_database(scale_factor=0.0005)
+
+
+def _hand_query(region, grouping, segment):
+    return (
+        f"select {grouping}, sum(o_totalprice) as v "
+        "from customer, orders, nation n1, nation n2 "
+        "where c_custkey = o_custkey and c_nationkey = n1.n_nationkey "
+        "and n1.n_regionkey = n2.n_regionkey "
+        f"and n2.n_name = '{region}' "
+        f"and (c_mktsegment = '{segment}' or c_acctbal > 5000) "
+        "and c_acctbal < o_totalprice "
+        f"group by {grouping}"
+    )
+
+
+#: Consumers with a self-join pair (``nation n1, nation n2``), a string
+#: equality, an OR filter and a two-table ``<`` conjunct.
+HAND_BATCH = ";".join([
+    _hand_query("FRANCE", "c_mktsegment", "BUILDING"),
+    _hand_query("GERMANY", "n1.n_name", "MACHINERY"),
+    _hand_query("FRANCE", "c_nationkey", "BUILDING"),
+])
 
 
 # -- the from-scratch reference (§4.2 steps 1-6, §4.3.3, Algorithm 1) ---------
@@ -70,7 +107,7 @@ def reference_construct(consumers, infos, allocate, estimator):
     classes = [EquivalenceClasses.from_conjuncts(c) for c in conjuncts]
     joint = classes[0]
     for other in classes[1:]:
-        joint = joint.intersect(other)  # step 1
+        joint = cse_reference.intersect(joint, other)  # step 1
     joins = joint.equality_conjuncts()
     simplified = [  # step 2
         [c for c in cs if not implied_by_equalities(c, joint)] for cs in conjuncts
@@ -95,7 +132,7 @@ def reference_construct(consumers, infos, allocate, estimator):
         "__ref", tuple(body.values()), tuple(joins) + tuple(covering), (),
         keys, tuple(aggs),
     )
-    if not _connected(block, joint):
+    if not cse_reference.graph_connected(block.tables, joint):
         raise OptimizerError("not join compatible")
     info = BlockInfo(block, estimator)
     # §4.3.3: base rows × class factors × covering selectivity, then Cardenas.
@@ -130,19 +167,6 @@ def reference_construct(consumers, infos, allocate, estimator):
         aggregates=tuple(aggs), outputs=outputs, est_rows=rows,
         row_width=estimator.width_of(outputs),
     )
-
-
-def _connected(block, joint):
-    """Def 4.1: the equijoin graph of the joint classes spans the tables."""
-    reached, frontier = {block.tables[0]}, [block.tables[0]]
-    while frontier:
-        current = frontier.pop()
-        for cls in joint.classes():
-            touched = {m.table_ref for m in cls}
-            if current in touched:
-                frontier += touched - reached
-                reached |= touched
-    return reached == set(block.tables)
 
 
 def reference_algorithm1(
@@ -228,10 +252,11 @@ def assert_same_definition(definition, reference):
     assert definition.row_width == reference.row_width
 
 
-def check_batch(sql, monkeypatch, **options):
-    """Optimize ``sql``; replay every Algorithm 1 invocation through the
-    reference and compare emitted definitions and H3 events."""
-    calls = []
+def check_batch(sql, monkeypatch, registry=None, **options):
+    """Optimize ``sql``; replay every ``compatibility_groups`` and Algorithm
+    1 invocation through the reference and compare the clusters, the
+    emitted definitions and the H3 events."""
+    calls, clusterings = [], []
 
     def recording(compatible_set, profiles, *args, **kwargs):
         journal = DecisionJournal()
@@ -239,17 +264,28 @@ def check_batch(sql, monkeypatch, **options):
             definitions = generate_candidates(
                 compatible_set, profiles, *args, **kwargs
             )
-        calls.append((compatible_set, profiles.infos, args, definitions, journal))
+        calls.append((compatible_set, profiles, args, definitions, journal))
         return definitions
 
+    def clustering(groups, profiles):
+        clusters = compatibility.compatibility_groups(groups, profiles)
+        clusterings.append((list(groups), profiles.infos, clusters))
+        return clusters
+
     monkeypatch.setattr(step2, "generate_candidates", recording)
-    result = Session(DB, OptimizerOptions(**options)).optimize(sql)
+    monkeypatch.setattr(step2, "compatibility_groups", clustering)
+    result = Session(DB, OptimizerOptions(**options), registry=registry).optimize(sql)
+    for groups, infos, clusters in clusterings:
+        reference = cse_reference.compatibility_groups(groups, infos)
+        assert [[g.gid for g in c] for c in clusters] == [
+            [g.gid for g in c] for c in reference
+        ]
     body_instances = []
-    for compatible_set, infos, args, definitions, journal in calls:
-        estimator, cost_model, batch_cost, alpha, use_heuristics = args[:5]
+    for compatible_set, profiles, args, definitions, journal in calls:
+        cost_model, batch_cost, alpha, use_heuristics = args[:4]
         references, events = reference_algorithm1(
-            compatible_set, infos, estimator, cost_model, batch_cost, alpha,
-            use_heuristics,
+            compatible_set, profiles.infos, profiles.space.estimator,
+            cost_model, batch_cost, alpha, use_heuristics,
         )
         assert len(definitions) == len(references)
         for definition, reference in zip(definitions, references):
@@ -263,7 +299,8 @@ def check_batch(sql, monkeypatch, **options):
     if body_instances:
         first = 1 + max(
             table.instance
-            for name, info in calls[0][1].items() if not name.startswith("__cse_")
+            for name, info in calls[0][1].infos.items()
+            if not name.startswith("__cse_")
             for table in info.block.tables
         )
         assert body_instances == list(range(first, first + len(body_instances)))
@@ -280,6 +317,17 @@ def test_random_batches_match_reference(chunk, monkeypatch):
     assert emitted > 0  # the chunk exercised construction at all
 
 
+@pytest.mark.parametrize("chunk", range(10))
+def test_random_sql_batches_match_reference(chunk, monkeypatch):
+    """Outer, semi and anti joins mixed with plain SPJG queries."""
+    compatible_sets = 0
+    for seed in range(chunk * 20, chunk * 20 + 20):
+        options = {} if seed % 4 else {"enable_heuristics": False}
+        _, calls = check_batch(random_sql_batch(seed), monkeypatch, **options)
+        compatible_sets += len(calls)
+    assert compatible_sets > 0  # the chunk reached Algorithm 1 at all
+
+
 @pytest.mark.parametrize("heuristics", [True, False])
 @pytest.mark.parametrize(
     "sql",
@@ -291,3 +339,76 @@ def test_paper_shapes_match_reference(sql, heuristics, monkeypatch):
     assert result.stats.candidates_before_pruning == sum(
         len(call[3]) for call in calls
     )
+
+
+@pytest.mark.parametrize("heuristics", [True, False])
+def test_hand_batch_matches_reference(heuristics, monkeypatch):
+    """Self-joins, string equalities, OR and two-table ``<`` conjuncts reach
+    Algorithm 1 and the covering predicate."""
+    registry = MetricsRegistry()
+    result, calls = check_batch(
+        HAND_BATCH, monkeypatch, registry=registry,
+        enable_heuristics=heuristics,
+    )
+    definitions = [d for call in calls for d in call[3]]
+    assert any(
+        [t.table for t in d.block.tables].count("nation") == 2
+        for d in definitions
+    )
+    assert any(
+        len(c.tables()) == 2 for d in definitions for c in d.covering_conjuncts
+    )
+    if heuristics:
+        # Algorithm 1 merges the two FRANCE/BUILDING consumers first, so
+        # their OR filter and string equality survive into the covering.
+        assert registry.snapshot()["counters"]["cse.merge_probes"] > 0
+        covering = " ".join(
+            repr(c) for d in definitions for c in d.covering_conjuncts
+        )
+        assert " OR " in covering and "'FRANCE'" in covering
+
+
+def test_probe_loop_does_no_expression_work(monkeypatch):
+    """Algorithm 1's probes are integer work: while a merge is probed and
+    priced, no ``EquivalenceClasses`` or ``Comparison`` is built and no
+    expression is remapped."""
+    counts, probing = Counter(), [0]
+
+    def probe_region(function):
+        def wrapped(*args, **kwargs):
+            probing[0] += 1
+            try:
+                return function(*args, **kwargs)
+            finally:
+                probing[0] -= 1
+        return wrapped
+
+    def counted(name, function):
+        def wrapped(*args, **kwargs):
+            if probing[0]:
+                counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(
+        construct.CoveringState, "merged_with",
+        probe_region(construct.CoveringState.merged_with),
+    )
+    monkeypatch.setattr(
+        candidates, "merge_benefit", probe_region(candidates.merge_benefit)
+    )
+    for cls in (EquivalenceClasses, Comparison):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    for module in (construct, compatibility):
+        monkeypatch.setattr(
+            module, "remap_expr", counted("remap_expr", module.remap_expr)
+        )
+    registry = MetricsRegistry()
+    Session(DB, OptimizerOptions(), registry=registry).optimize(scaleup_batch(6))
+    counters = registry.snapshot()["counters"]
+    assert (
+        counters["cse.consumer_profiles"],
+        counters["cse.merge_probes"],
+        counters["cse.constructions"],
+    ) == (34, 77, 7)
+    assert counts == Counter()

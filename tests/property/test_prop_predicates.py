@@ -1,9 +1,12 @@
 """Property-based tests for the predicate/equivalence-class algebra that
-join compatibility and CSE construction build on."""
+join compatibility and CSE construction build on: the expression-space
+class intersection of Def 4.1 (the oracle in ``tests/cse_reference.py``)
+and the column-id partition meet the optimizer runs."""
 
 import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
+from repro.cse.compatibility import meet
 from repro.cse.construct import weakened_covering
 from repro.expr.expressions import (
     ColumnRef,
@@ -14,6 +17,8 @@ from repro.expr.expressions import (
 )
 from repro.expr.predicates import EquivalenceClasses, range_implies
 from repro.types import DataType
+
+from ..cse_reference import intersect
 
 T = TableRef("t", 1)
 COLUMNS = [ColumnRef(T, name, DataType.INT) for name in "abcdef"]
@@ -28,6 +33,14 @@ def classes_from(pair_list):
     for left, right in pair_list:
         classes.add_equality(left, right)
     return classes
+
+
+def partition_of(classes):
+    """The classes as column-id masks (column id = index in COLUMNS)."""
+    return tuple(
+        sum(1 << COLUMNS.index(member) for member in cls)
+        for cls in classes.classes()
+    )
 
 
 class TestEquivalenceClassProperties:
@@ -53,7 +66,7 @@ class TestEquivalenceClassProperties:
         """Members equal in the intersection are equal in both inputs."""
         c1 = classes_from(first)
         c2 = classes_from(second)
-        inter = c1.intersect(c2)
+        inter = intersect(c1, c2)
         for cls in inter.classes():
             members = sorted(cls, key=repr)
             for a, b in zip(members, members[1:]):
@@ -65,15 +78,26 @@ class TestEquivalenceClassProperties:
     def test_intersection_commutative(self, first, second):
         c1 = classes_from(first)
         c2 = classes_from(second)
-        left = {frozenset(c) for c in c1.intersect(c2).classes()}
-        right = {frozenset(c) for c in c2.intersect(c1).classes()}
+        left = {frozenset(c) for c in intersect(c1, c2).classes()}
+        right = {frozenset(c) for c in intersect(c2, c1).classes()}
         assert left == right
+
+    @given(st.lists(pairs, max_size=6), st.lists(pairs, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_meet_is_the_intersection(self, first, second):
+        """The id-space meet yields the intersection's classes, in the
+        intersection's class order."""
+        c1 = classes_from(first)
+        c2 = classes_from(second)
+        assert meet(partition_of(c1), partition_of(c2)) == partition_of(
+            intersect(c1, c2)
+        )
 
     @given(st.lists(pairs, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_intersection_idempotent(self, pair_list):
         classes = classes_from(pair_list)
-        self_inter = classes.intersect(classes)
+        self_inter = intersect(classes, classes)
         assert {frozenset(c) for c in self_inter.classes()} == {
             frozenset(c) for c in classes.classes()
         }

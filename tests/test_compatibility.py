@@ -1,6 +1,6 @@
 """Unit tests for join compatibility (paper §4.1, Definition 4.1).
 
-Uses hand-built memos over TPC-H blocks plus the paper's Examples 2 and 3.
+Uses hand-built memos over TPC-H blocks plus the paper's Example 2.
 """
 
 import pytest
@@ -8,8 +8,6 @@ import pytest
 from repro.cse.compatibility import (
     ConsumerProfiles,
     compatibility_groups,
-    derive_compatibility_from_parts,
-    graph_connected,
     join_compatible,
     remap_expr,
     slot_assignment,
@@ -21,6 +19,8 @@ from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.memo import Memo
 from repro.sql.binder import bind_batch
 from repro.types import DataType
+
+from .cse_reference import graph_connected, intersect
 
 R1 = TableRef("R", 1)
 S1 = TableRef("S", 2)
@@ -81,7 +81,7 @@ class TestExample2:
         # R ⋈(R.a=S.d ∧ R.b=S.e) S  vs  R ⋈(R.a=S.d ∧ R.c=S.f) S
         slots, expr1 = self._slot_classes(R1, S1, ("a", "d"), ("b", "e"))
         _, expr2 = self._slot_classes(R2, S2, ("a", "d"), ("c", "f"))
-        intersection = expr1.intersect(expr2)
+        intersection = intersect(expr1, expr2)
         assert graph_connected(slots, intersection)
         # Intersection is exactly {{R.a, S.d}}.
         assert len(intersection.classes()) == 1
@@ -89,42 +89,9 @@ class TestExample2:
     def test_incompatible_pair(self):
         slots, expr1 = self._slot_classes(R1, S1, ("a", "d"), ("b", "e"))
         _, expr3 = self._slot_classes(R2, S2, ("c", "f"))  # c=f only
-        intersection = expr1.intersect(expr3)
+        intersection = intersect(expr1, expr3)
         assert not graph_connected(slots, intersection)
         assert len(intersection.classes()) == 0
-
-
-class TestDerivation:
-    """Paper Example 3: deriving compatibility from subexpressions."""
-
-    def test_connected_parts_prove_compatibility(self):
-        all_slots = {("R", 0), ("S", 0), ("T", 0)}
-        parts = [
-            ({("R", 0), ("S", 0)}, True),
-            ({("S", 0), ("T", 0)}, True),
-        ]
-        assert derive_compatibility_from_parts(parts, all_slots)
-
-    def test_disconnected_parts_are_inconclusive(self):
-        all_slots = {("R", 0), ("S", 0), ("T", 0), ("U", 0)}
-        parts = [
-            ({("R", 0), ("S", 0)}, True),
-            ({("T", 0), ("U", 0)}, True),
-        ]
-        assert not derive_compatibility_from_parts(parts, all_slots)
-
-    def test_incompatible_part_ignored(self):
-        all_slots = {("R", 0), ("S", 0), ("T", 0)}
-        parts = [
-            ({("R", 0), ("S", 0)}, True),
-            ({("S", 0), ("T", 0)}, False),
-        ]
-        assert not derive_compatibility_from_parts(parts, all_slots)
-
-    def test_uncovered_slots_inconclusive(self):
-        all_slots = {("R", 0), ("S", 0), ("T", 0)}
-        parts = [({("R", 0), ("S", 0)}, True)]
-        assert not derive_compatibility_from_parts(parts, all_slots)
 
 
 class TestOnRealBlocks:

@@ -143,6 +143,20 @@ class TestMaintenance:
             planner.apply_insert("customer", rows)
         assert db.table("customer").row_count == before
 
+    def test_rejected_first_write_leaves_the_catalog_alone(self, manager, db):
+        """A write rejected by row validation creates no delta table and
+        bumps no version, so no cached plan or statement memo is re-keyed."""
+        planner = MaintenancePlanner(db, manager)
+        versions = (db.catalog_version, db.catalog.version)
+        names = db.catalog.table_names()
+        with pytest.raises(StorageError, match="expected int, got 'notanint'"):
+            planner.apply_insert(
+                "customer", [(1, "x", "notanint", "BUILDING", 1.0)]
+            )
+        assert not db.has_table("__delta_customer")
+        assert db.catalog.table_names() == names
+        assert (db.catalog_version, db.catalog.version) == versions
+
     def test_maintenance_result_equals_recompute(self, manager, db):
         planner = MaintenancePlanner(db, manager)
         planner.apply_insert("customer", _new_customers(db))
