@@ -120,34 +120,45 @@ def generate_candidates(
             )
         return definition
 
+    def journal_h1(members: Sequence[Group], passed: bool) -> None:
+        if journal.enabled:
+            journal.event(
+                "h1",
+                signature="set:" + ",".join(f"g{g.gid}" for g in members),
+                lower_bound_sum=sum(
+                    consumer_lower_bound(g) for g in members
+                ),
+                threshold=alpha * batch_cost,
+                alpha=alpha,
+                passed=passed,
+            )
+
     if not use_heuristics:
         # One candidate covering all consumers of the compatible set.
         return [emit(covering_state([profiles(g) for g in consumers]))]
 
     # Heuristic 1 (second application; the engine applied it per signature
-    # bucket before compatibility analysis), then Heuristic 2 — exclude
-    # consumers whose results are too large to share — and Heuristic 1
-    # again over the consumers that remain.
-    passed = heuristic1_keep(consumers, batch_cost, alpha)
-    if passed:
-        consumers = heuristic2_filter(consumers, cost_model, trace)
-        if len(consumers) < 2:
-            return []
-        passed = heuristic1_keep(consumers, batch_cost, alpha)
-    members = "set:" + ",".join(f"g{g.gid}" for g in consumers)
-    if journal.enabled:
-        journal.event(
-            "h1",
-            signature=members,
-            lower_bound_sum=sum(consumer_lower_bound(g) for g in consumers),
-            threshold=alpha * batch_cost,
-            alpha=alpha,
-            passed=passed,
-        )
-    if not passed:
+    # bucket before compatibility analysis).
+    if not heuristic1_keep(consumers, batch_cost, alpha):
+        journal_h1(consumers, passed=False)
         if trace is not None:
-            trace.heuristic1.append(members)
+            trace.heuristic1.append(
+                "set:" + ",".join(f"g{g.gid}" for g in consumers)
+            )
         return []
+
+    # Heuristic 2: exclude consumers whose results are too large to share.
+    consumers = heuristic2_filter(consumers, cost_model, trace)
+    if len(consumers) < 2:
+        return []
+    if not heuristic1_keep(consumers, batch_cost, alpha):
+        journal_h1(consumers, passed=False)
+        if trace is not None:
+            trace.heuristic1.append(
+                "set:" + ",".join(f"g{g.gid}" for g in consumers)
+            )
+        return []
+    journal_h1(consumers, passed=True)
 
     # Algorithm 1: greedy merging driven by the benefit Δ (Heuristic 3),
     # starting from one trivial CSE per consumer.
@@ -159,7 +170,9 @@ def generate_candidates(
         current = remaining.pop(0)
         merged_any = False
         while remaining:
-            best_delta, top_delta, best_index = 0.0, float("-inf"), -1
+            best_delta = 0.0
+            top_delta = float("-inf")
+            best_index = -1
             best_merged: Optional[CoveringState] = None
             probed = len(remaining)
             registry.counter("cse.merge_probes", probed)
@@ -168,25 +181,39 @@ def generate_candidates(
                 if merged is None:
                     continue
                 delta = merge_benefit(merged, [current, other], cost_model)
-                top_delta = max(top_delta, delta)
+                if delta > top_delta:
+                    top_delta = delta
                 if delta > best_delta:
-                    best_delta, best_index, best_merged = delta, index, merged
-            if best_merged is not None:
-                del remaining[best_index]
-                current, merged_any = best_merged, True
-            elif trace is not None:
-                trace.heuristic3.append(f"stop@{len(current.members)} members")
+                    best_delta = delta
+                    best_index = index
+                    best_merged = merged
+            if best_merged is None:
+                if trace is not None:
+                    trace.heuristic3.append(
+                        f"stop@{len(current.members)} members"
+                    )
+                if journal.enabled:
+                    journal.event(
+                        "h3",
+                        members=labels(current),
+                        delta=(
+                            top_delta if top_delta > float("-inf") else 0.0
+                        ),
+                        merged=False,
+                        probed=probed,
+                    )
+                break
+            del remaining[best_index]
+            current = best_merged
+            merged_any = True
             if journal.enabled:
                 journal.event(
                     "h3",
                     members=labels(current),
-                    # The best Δ probed (the chosen one, on a merge).
-                    delta=top_delta if top_delta > float("-inf") else 0.0,
-                    merged=best_merged is not None,
+                    delta=best_delta,
+                    merged=True,
                     probed=probed,
                 )
-            if best_merged is None:
-                break
         if merged_any:
             candidates.append(emit(current))
         # Un-merged seeds are dropped (a trivial CSE with one consumer is

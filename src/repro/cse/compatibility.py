@@ -360,24 +360,34 @@ def compatibility_groups(
 
     Members of a set are mutually join compatible and reference pairwise
     disjoint table instances (so they can all appear in one final plan).
-    Two pre-aggregations of the same block never share a set: the memo
-    joins at most one pre-aggregated input, so they cannot share a spool.
     Greedy clique cover, deterministic by group id.
     """
     clusters: List[List[Group]] = []
     for group in sorted(groups, key=lambda g: g.gid):
+        placed = False
         for cluster in clusters:
-            if all(
-                not member.tables & group.tables
-                and not (
-                    member.kind == group.kind == "agg"
+            ok = True
+            for member in cluster:
+                if member.tables & group.tables:
+                    ok = False
+                    break
+                if (
+                    member.kind == "agg"
+                    and group.kind == "agg"
                     and member.block is group.block
-                )
-                and join_compatible(profiles(member), profiles(group))
-                for member in cluster
-            ):
+                ):
+                    # Two pre-aggregations of the same block can never appear
+                    # in one plan (the memo joins at most one pre-aggregated
+                    # input), so they cannot share a spool.
+                    ok = False
+                    break
+                if not join_compatible(profiles(member), profiles(group)):
+                    ok = False
+                    break
+            if ok:
                 cluster.append(group)
+                placed = True
                 break
-        else:
+        if not placed:
             clusters.append([group])
     return [c for c in clusters if len(c) >= 2]

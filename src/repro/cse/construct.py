@@ -27,7 +27,7 @@ c_nationkey < 25``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import OptimizerError
 from ..expr.expressions import (
@@ -38,7 +38,6 @@ from ..expr.expressions import (
     Expr,
     Literal,
     TableRef,
-    canon_sorted,
 )
 from ..expr.predicates import EquivalenceClasses
 from ..logical.blocks import OutputColumn, QueryBlock
@@ -47,7 +46,7 @@ from ..optimizer.cardinality import CardinalityEstimator, cardenas
 from ..optimizer.memo import BlockInfo, Group
 from ..types import DataType
 from .compatibility import (
-    ConsumerProfile, ConsumerProfiles, bit_positions, classes_connect, meet, range_part,
+    ConsumerProfile, ConsumerProfiles, IdSpace, bit_positions, classes_connect, meet,
     remap_expr,
 )
 from .signature import TableSignature
@@ -104,20 +103,18 @@ class CseDefinition:
 # Covering-predicate weakening
 # ---------------------------------------------------------------------------
 
-#: A covering range bound, ``column op value``, before it is an ``Expr``.
-Bound = Tuple[Hashable, ComparisonOp, float]
-#: Decomposes a conjunct handle into ``(column, op, value)``, or None.
-PartOf = Callable[[Hashable], Optional[Tuple[Hashable, ComparisonOp, Any]]]
+#: A covering range bound ``(column id, op, value)``, before it is an ``Expr``.
+Bound = Tuple[int, ComparisonOp, float]
 
 
 def _range_bounds(
-    conjuncts: Sequence[Hashable], part_of: PartOf
-) -> Dict[Hashable, Tuple[Optional[float], bool, Optional[float], bool]]:
-    """Per-column (low, low_inclusive, high, high_inclusive) implied by
-    ``conjuncts``; only those ``part_of`` decomposes participate."""
-    bounds: Dict[Hashable, Tuple[Optional[float], bool, Optional[float], bool]] = {}
+    conjuncts: Sequence[int], space: IdSpace
+) -> Dict[int, Tuple[Optional[float], bool, Optional[float], bool]]:
+    """Per-column (low, low_inclusive, high, high_inclusive) implied by the
+    conjunct ids; only ``column op number`` conjuncts participate."""
+    bounds: Dict[int, Tuple[Optional[float], bool, Optional[float], bool]] = {}
     for conjunct in conjuncts:
-        part = part_of(conjunct)
+        part = space.ranges[conjunct]
         if part is None:
             continue
         column, op, value = part
@@ -140,12 +137,16 @@ def _range_bounds(
 
 
 def _weaken(
-    residual_sets: Sequence[Sequence[Hashable]],
-    part_of: PartOf,
-    order: Callable[[Iterable[Hashable]], List[Hashable]],
-) -> Tuple[List[Hashable], List[Bound], List[List[Hashable]]]:
-    """Step 3 over conjunct handles (expressions, or conjunct ids):
-    ``(commons, hulls, residuals)``; ``order`` sorts columns canonically."""
+    residual_sets: Sequence[Sequence[int]], space: IdSpace
+) -> Tuple[List[int], List[Bound], List[List[int]]]:
+    """Weaken ``OR(AND(residual_i))`` (conjunct ids) into covering conjuncts.
+
+    Returns ``(commons, hulls, residuals)``: the conjuncts every consumer
+    holds, per-column range hulls across the rest, and ``residuals[i]``,
+    consumer i's compensation predicate (its conjuncts minus the commons).
+    Soundness: each consumer's predicate implies the covering conjuncts, so
+    the CSE contains every row any consumer needs.
+    """
     if not residual_sets:
         return [], [], []
     # (a) conjuncts present in every consumer's simplified predicate.
@@ -159,11 +160,11 @@ def _weaken(
     hulls: List[Bound] = []
     # (b) per-column range hulls across the remaining disjuncts.
     if all(residuals):
-        per_consumer_bounds = [_range_bounds(r, part_of) for r in residuals]
+        per_consumer_bounds = [_range_bounds(r, space) for r in residuals]
         shared_columns = set(per_consumer_bounds[0])
         for bounds in per_consumer_bounds[1:]:
             shared_columns &= set(bounds)
-        for column in order(shared_columns):
+        for column in space.canonical(shared_columns):
             lows = [b[column][0] for b in per_consumer_bounds]
             highs = [b[column][2] for b in per_consumer_bounds]
             if all(l is not None for l in lows):
@@ -183,21 +184,10 @@ def _weaken(
     return commons, hulls, residuals
 
 
-def weakened_covering(
-    residual_sets: Sequence[Sequence[Expr]],
-) -> Tuple[List[Expr], List[List[Expr]]]:
-    """Weaken ``OR(AND(residual_i))`` into a list of covering conjuncts.
-
-    Returns ``(covering_conjuncts, residuals)`` where ``residuals[i]`` is
-    consumer i's compensation predicate (its conjuncts minus those common to
-    every consumer). Soundness: each consumer's predicate implies the
-    covering conjuncts, so the CSE contains every row any consumer needs.
-    """
-    commons, hulls, residuals = _weaken(residual_sets, range_part, canon_sorted)
-    return commons + [_hull_comparison(*bound) for bound in hulls], residuals
-
-
 def _hull_comparison(column: ColumnRef, op: ComparisonOp, value: float) -> Comparison:
+    """A range hull bound as an ``Expr``: an integer literal on INT and DATE
+    columns when the bound is whole, else a FLOAT literal."""
+    value = float(value)
     if column.data_type in (DataType.INT, DataType.DATE) and value.is_integer():
         return Comparison(op, column, Literal(int(value), column.data_type))
     return Comparison(op, column, Literal(value, DataType.FLOAT))
@@ -335,9 +325,7 @@ def _derive(
         for m in members
     ]
     # Step 3: the (weakened) covering predicate.
-    commons, hulls, residuals = _weaken(
-        simplified, space.ranges.__getitem__, space.canonical
-    )
+    commons, hulls, residuals = _weaken(simplified, space)
     # Columns the residuals reference — needed in the output (and in the
     # grouping keys for aggregated CSEs) so compensation can run. Step 4:
     # keys = union of member keys + residual columns, and the members'

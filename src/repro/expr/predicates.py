@@ -14,7 +14,6 @@ matching framework ([5] in the paper). This module implements:
 from __future__ import annotations
 
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -36,7 +35,6 @@ from .expressions import (
     Or,
     TRUE,
     canon_key,
-    canon_sorted,
 )
 
 
@@ -176,33 +174,6 @@ class EquivalenceClasses:
     def representative(self, item: Hashable) -> Hashable:
         """A canonical member of ``item``'s class (smallest by sort order)."""
         return min(self.class_of(item), key=canon_key)
-
-    # -- operations ---------------------------------------------------------
-
-    def mapped(self, key: Callable[[Hashable], Hashable]) -> "EquivalenceClasses":
-        """A new structure whose members are ``key(member)``."""
-        result = EquivalenceClasses()
-        for cls_members in self.classes():
-            members = canon_sorted(cls_members)
-            first = key(members[0])
-            result.add(first)
-            for member in members[1:]:
-                result.add_equality(first, key(member))
-        return result
-
-    def equality_conjuncts(self) -> List[Comparison]:
-        """A minimal set of ``a = b`` conjuncts regenerating the classes.
-
-        Members must be :class:`ColumnRef` for this to be meaningful.
-        """
-        conjuncts: List[Comparison] = []
-        for cls_members in self.classes():
-            members = canon_sorted(cls_members)
-            first = members[0]
-            for member in members[1:]:
-                assert isinstance(first, ColumnRef) and isinstance(member, ColumnRef)
-                conjuncts.append(Comparison(ComparisonOp.EQ, first, member))
-        return conjuncts
 
     def __len__(self) -> int:
         return len(self.classes())

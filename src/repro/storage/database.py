@@ -70,10 +70,11 @@ class Database:
     def create_table(
         self, schema: TableSchema, data: Optional[Mapping[str, Any]] = None
     ) -> Table:
-        """Register a schema and create its (optionally pre-loaded) table."""
+        """Register a schema and create its (optionally pre-loaded) table.
+        ``data`` is validated first: rejected data registers nothing."""
         with self._mutation_lock:
-            self.catalog.add_table(schema)
             table = Table(schema, data)
+            self.catalog.add_table(schema)
             self._tables[schema.name.lower()] = table
             for index_schema in schema.indexes:
                 self._register_index(index_schema, table)

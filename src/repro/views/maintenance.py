@@ -32,7 +32,6 @@ from ..logical.blocks import BoundBatch, BoundQuery, OutputColumn, QueryBlock
 from ..optimizer.engine import OptimizationResult
 from ..optimizer.options import OptimizerOptions
 from ..storage.database import Database
-from ..storage.table import Table
 from .materialized import MaterializedView, ViewManager
 
 
@@ -168,11 +167,14 @@ class MaintenancePlanner:
                 raise CatalogError(
                     f"view {view.name!r} must be refreshed before maintenance"
                 )
-        # Validate ``rows`` before anything changes: a rejected write stops
-        # here, before the catalog, any view or the base table moved.
+        # The delta table is created with, or loaded from, ``rows``; both
+        # convert and validate them before anything is registered or
+        # replaced, so a rejected write stops here, before the catalog, any
+        # view or the base table moved.
         columns = _columns_of(schema, rows)
-        Table(schema, columns)
-        if not self.database.has_table(delta_name):
+        if self.database.has_table(delta_name):
+            self.database.load(delta_name, columns)
+        else:
             self.database.create_table(
                 TableSchema(
                     name=delta_name,
@@ -180,9 +182,9 @@ class MaintenancePlanner:
                         ColumnSchema(c.name, c.data_type, c.ndv_hint)
                         for c in schema.columns
                     ],
-                )
+                ),
+                columns,
             )
-        self.database.load(delta_name, columns)
 
         outcome = self.session.execute(batch)
         applied: Dict[str, int] = {}

@@ -37,7 +37,6 @@ from repro.cse.compatibility import (
     remap_expr,
     slot_assignment,
 )
-from repro.cse.construct import weakened_covering
 from repro.cse.heuristics import (
     heuristic1_keep,
     heuristic2_filter,
@@ -108,11 +107,11 @@ def reference_construct(consumers, infos, allocate, estimator):
     joint = classes[0]
     for other in classes[1:]:
         joint = cse_reference.intersect(joint, other)  # step 1
-    joins = joint.equality_conjuncts()
+    joins = cse_reference.equality_conjuncts(joint)
     simplified = [  # step 2
         [c for c in cs if not implied_by_equalities(c, joint)] for cs in conjuncts
     ]
-    covering, residuals = weakened_covering(simplified)  # step 3
+    covering, residuals = cse_reference.weakened_covering(simplified)  # step 3
     needed = {col for r in residuals for c in r for col in c.columns()}
     keys, aggs = (), []
     if signature.has_groupby:  # step 4

@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
 from repro.cse.compatibility import meet
-from repro.cse.construct import weakened_covering
 from repro.expr.expressions import (
     ColumnRef,
     Comparison,
@@ -18,7 +17,7 @@ from repro.expr.expressions import (
 from repro.expr.predicates import EquivalenceClasses, range_implies
 from repro.types import DataType
 
-from ..cse_reference import intersect
+from ..cse_reference import intersect, weaken_by_ids, weakened_covering
 
 T = TableRef("t", 1)
 COLUMNS = [ColumnRef(T, name, DataType.INT) for name in "abcdef"]
@@ -166,7 +165,8 @@ class TestCoveringSoundness:
             ]
             for low, high in ranges
         ]
-        covering, residuals = weakened_covering(consumer_conjuncts)
+        covering, residuals = weaken_by_ids(consumer_conjuncts)
+        assert (covering, residuals) == weakened_covering(consumer_conjuncts)
         for conjuncts in consumer_conjuncts:
             row_satisfies = all(
                 satisfies(value, c.op, c.right.value) for c in conjuncts
@@ -195,7 +195,7 @@ class TestCoveringSoundness:
             ]
             for low, high in ranges
         ]
-        covering, residuals = weakened_covering(consumer_conjuncts)
+        covering, residuals = weaken_by_ids(consumer_conjuncts)
         for original, residual in zip(consumer_conjuncts, residuals):
             for value in range(-25, 26):
                 orig = all(

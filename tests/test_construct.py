@@ -4,10 +4,7 @@ import itertools
 
 import pytest
 
-from repro.cse.construct import (
-    construct_cse,
-    weakened_covering,
-)
+from repro.cse.construct import _hull_comparison, construct_cse
 from repro.cse.manager import CseManager
 from repro.cse.compatibility import compatibility_groups
 from repro.cse.signature import TableSignature
@@ -26,6 +23,9 @@ from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.memo import Memo
 from repro.sql.binder import bind_batch
 from repro.types import DataType
+
+from .cse_reference import weaken_by_ids
+from .cse_reference import weakened_covering as reference_covering
 
 
 def build_memo(db, sql):
@@ -53,6 +53,27 @@ EXAMPLE1_LIKE = (
     "  and o_orderdate < '1996-07-01' and c_nationkey > 5 and c_nationkey < 25 "
     "group by c_nationkey"
 )
+
+
+def literal_kinds(conjuncts):
+    """``(value type, data type)`` of each comparison's literal operand —
+    what ``Literal`` equality ignores."""
+    return [
+        (type(c.right.value), c.right.data_type)
+        for c in conjuncts
+        if isinstance(c, Comparison) and isinstance(c.right, Literal)
+    ]
+
+
+def weakened_covering(residual_sets):
+    """§4.2 step 3 as the optimizer runs it (over conjunct ids), checked
+    against the expression-space oracle, literal types included."""
+    covering, residuals = weaken_by_ids(residual_sets)
+    expected, expected_residuals = reference_covering(residual_sets)
+    assert (covering, residuals) == (expected, expected_residuals)
+    assert [repr(c) for c in covering] == [repr(c) for c in expected]
+    assert literal_kinds(covering) == literal_kinds(expected)
+    return covering, residuals
 
 
 class TestWeakenedCovering:
@@ -114,6 +135,27 @@ class TestWeakenedCovering:
         covering, residuals = weakened_covering([c1, c2])
         assert covering == []  # weakening: superset is sound
         assert residuals == [c1, c2]
+
+    def test_int_bounds_stay_int_literals(self):
+        n = self._col("n")
+        covering, _ = weakened_covering(
+            [[gt(n, Literal(0)), lt(n, Literal(20))], [gt(n, Literal(5)), lt(n, Literal(25))]]
+        )
+        assert literal_kinds(covering) == [(int, DataType.INT)] * 2
+        # An int bound (as a lexer or a DATE literal makes it) is accepted too.
+        assert literal_kinds([_hull_comparison(n, ComparisonOp.GT, 0)]) == [
+            (int, DataType.INT)
+        ]
+
+    def test_float_column_int_bounds_print_as_float(self):
+        p = self._col("p", DataType.FLOAT)
+        covering, _ = weakened_covering(
+            [[gt(p, Literal(1000)), lt(p, Literal(5000))],
+             [gt(p, Literal(2000)), lt(p, Literal(9000))]]
+        )
+        assert [repr(c) for c in covering] == ["(t#1.p > 1000.0)", "(t#1.p < 9000.0)"]
+        assert literal_kinds(covering) == [(float, DataType.FLOAT)] * 2
+        assert repr(_hull_comparison(p, ComparisonOp.LT, 9000)) == "(t#1.p < 9000.0)"
 
 
 class TestConstruction:
@@ -207,3 +249,22 @@ class TestConstruction:
         ]
         join_def = construct_cse("J", joins, memo.block_infos, allocator(), estimator)
         assert agg_def.est_rows < join_def.est_rows
+
+    def test_float_range_hull_prints_float_literals(self, tiny_db):
+        """A merged range on a FLOAT column with integer literals prints
+        float bounds in the covering predicate."""
+        query = (
+            "select c_nationkey, sum(o_totalprice) as v from customer, orders "
+            "where c_custkey = o_custkey and o_totalprice > {} and o_totalprice < {} "
+            "group by c_nationkey"
+        )
+        memo, tops = build_memo(
+            tiny_db, query.format(1000, 5000) + ";" + query.format(2000, 9000)
+        )
+        definition = construct_cse(
+            "F", tops, memo.block_infos, allocator(), CardinalityEstimator(tiny_db)
+        )
+        texts = [repr(c) for c in definition.covering_conjuncts]
+        assert [t.split(".", 1)[1] for t in texts] == [
+            "o_totalprice > 1000.0)", "o_totalprice < 9000.0)"
+        ]

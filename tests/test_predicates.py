@@ -36,7 +36,7 @@ from repro.expr.predicates import (
 )
 from repro.types import DataType
 
-from .cse_reference import intersect
+from .cse_reference import equality_conjuncts, intersect, mapped
 
 R = TableRef("R", 1)
 S = TableRef("S", 2)
@@ -156,15 +156,15 @@ class TestEquivalenceClasses:
         classes.add_equality(rcol("a"), scol("d"))
         classes.add_equality(scol("d"), scol("e"))
         regenerated = EquivalenceClasses.from_conjuncts(
-            classes.equality_conjuncts()
+            equality_conjuncts(classes)
         )
         assert regenerated.same_class(rcol("a"), scol("e"))
 
     def test_mapped(self):
         classes = EquivalenceClasses()
         classes.add_equality(rcol("a"), scol("d"))
-        mapped = classes.mapped(lambda c: (c.table_ref.table, c.column))
-        assert mapped.same_class(("R", "a"), ("S", "d"))
+        mapped_classes = mapped(classes, lambda c: (c.table_ref.table, c.column))
+        assert mapped_classes.same_class(("R", "a"), ("S", "d"))
 
     def test_representative_deterministic(self):
         classes = EquivalenceClasses()

@@ -252,6 +252,17 @@ class TestDatabase:
         with pytest.raises(CatalogError):
             db.create_table(_schema())
 
+    def test_rejected_data_registers_no_table(self):
+        db = Database()
+        data = dict(_data(), k=["notanint"] * 5)
+        with pytest.raises(StorageError, match="expected int, got 'notanint'"):
+            db.create_table(_schema(), data)
+        assert not db.has_table("t")
+        assert db.catalog.table_names() == []
+        assert (db.catalog_version, db.catalog.version) == (0, 0)
+        db.create_table(_schema(), _data())  # the name is still free
+        assert db.table("t").row_count == 5
+
     def test_insert_refreshes_indexes_and_stats(self):
         db = Database()
         db.create_table(_schema(), _data())
