@@ -8,13 +8,15 @@ Statistics are collected by scanning stored tables (see
 * per-column NDV (number of distinct values),
 * per-column min/max for range-selectivity under a uniformity assumption,
 * an optional equi-depth histogram for numeric columns, which sharpens range
-  estimates on skewed columns.
+  estimates on skewed columns;
+* the declared primary key, once verified on the stored rows (the
+  optimizer's key facts, :mod:`repro.optimizer.keys`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -147,12 +149,49 @@ def _mcv_from_counts(counts: Dict[object, int], total: int) -> Dict[object, floa
     return {value: count / total for value, count in top}
 
 
+def is_unique(columns: Sequence[np.ndarray]) -> bool:
+    """Whether no two rows agree on all of ``columns`` (stored form).
+
+    Direct-addressed: each column is coded ``value - min`` while its span
+    stays within a small multiple of the row count (``np.unique`` codes
+    floats and sparse integers), the codes are mixed by radix, and one
+    ``bincount`` counts each key. A mixed domain that outgrows the bound is
+    re-coded first, so no table is larger than the rows."""
+    count = len(columns[0])
+    if count == 0:
+        return True
+    bound = 4 * count + 1024
+    codes, domain = np.zeros(count, dtype=np.int64), 1
+    for column in columns:
+        column_codes, radix = _dense_codes(column, bound)
+        codes, domain = codes * radix + column_codes, domain * radix
+        if domain > bound:
+            codes, domain = _dense_codes(codes, bound)
+    return int(np.bincount(codes, minlength=domain).max()) <= 1
+
+
+def _dense_codes(values: np.ndarray, bound: int) -> Tuple[np.ndarray, int]:
+    """``(int64 codes, domain)``, equal codes iff equal values."""
+    if values.dtype.kind in "biu":
+        ints = values.astype(np.int64, copy=False)
+        low = int(ints.min())
+        span = int(ints.max()) - low + 1
+        if span <= bound:
+            return ints - low, span
+    uniques, inverse = np.unique(values, return_inverse=True)
+    return inverse.astype(np.int64, copy=False).reshape(-1), len(uniques)
+
+
 @dataclass
 class TableStats:
     """Statistics for one table."""
 
     row_count: int
     columns: Dict[str, ColumnStats] = field(default_factory=dict)
+    #: The declared primary key, when ``analyze`` found it holds on the
+    #: stored rows (declared keys are not enforced); else empty. A write
+    #: drops it with the rest of the statistics.
+    primary_key: Tuple[str, ...] = ()
 
     def column(self, name: str) -> Optional[ColumnStats]:
         """Stats for one column, if collected."""

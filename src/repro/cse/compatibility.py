@@ -243,10 +243,12 @@ class ConsumerProfile:
 
     group: Group
     space: IdSpace
-    #: The signature's slot templates, in slot order (slot i is bit i), and
-    #: the stored rows of each.
+    #: The signature's slot templates, in slot order (slot i is bit i), the
+    #: stored rows of each, and each one's verified key (column-id mask, 0
+    #: for none; :meth:`CardinalityEstimator.key_columns`).
     tables: Tuple[TableRef, ...]
     table_rows: Tuple[float, ...]
+    table_keys: Tuple[int, ...]
     #: The equivalence classes: one column-id mask per class.
     classes: Tuple[int, ...]
     #: The predicate as conjunct ids: ``col = col`` conjuncts regenerated
@@ -315,8 +317,8 @@ class ConsumerProfiles:
         )
 
     def _predicate(self, group: Group) -> tuple:
-        """``(template map, (tables, table rows, classes, equalities,
-        filters))`` of ``group``, cached per block and instance set."""
+        """``(template map, (tables, table rows, table keys, classes,
+        equalities, filters))`` of ``group``, cached per block and instance set."""
         key = (group.block.name, group.tables)
         if key not in self._predicates:
             space = self.space
@@ -338,6 +340,10 @@ class ConsumerProfiles:
             self._predicates[key] = (table_map, (
                 tables,
                 tuple(map(estimator.table_rows, tables)) if estimator is not None else (),
+                tuple(
+                    sum(1 << space.column_id(c) for c in estimator.key_columns(t))
+                    for t in tables
+                ) if estimator is not None else (),
                 tuple(classes.values()),
                 tuple(map(space.conjunct_id, equalities)),
                 tuple(map(space.conjunct_id, non_equality_conjuncts(conjuncts))),

@@ -42,7 +42,9 @@ from ..expr.expressions import (
 from ..expr.predicates import EquivalenceClasses
 from ..logical.blocks import OutputColumn, QueryBlock
 from ..obs import active_registry
-from ..optimizer.cardinality import CardinalityEstimator, cardenas
+from ..optimizer import memo
+from ..optimizer.cardinality import CardinalityEstimator, group_count
+from ..optimizer.keys import bound_items, close, determined
 from ..optimizer.memo import BlockInfo, Group
 from ..types import DataType
 from .compatibility import (
@@ -342,7 +344,17 @@ def _derive(
     aggregates = tuple(dict.fromkeys(a for m in members for a in m.aggregates))
     est_rows, row_width = 0.0, 0
     if space.estimator is not None:
-        est_rows = _estimate_rows(first, joint, commons, hulls, group_keys, has_groupby)
+        est_rows, item_rows = _join_rows(first, joint, commons, hulls)
+        if has_groupby:
+            facts = _slot_facts(first, joint, group_keys)
+            groups = _group_count(first, joint, facts, group_keys, est_rows, item_rows)
+            added = _identity_key(first, joint, facts, group_keys, item_rows, groups)
+            if added:
+                group_keys = needed_ids = tuple(
+                    space.canonical(bit_positions(needed | added))
+                )
+                groups = _group_count(first, joint, facts, group_keys, est_rows, item_rows)
+            est_rows = groups
         row_width = sum(space.columns[c].data_type.byte_width for c in needed_ids) + sum(
             space.aggregates[a].data_type.byte_width for a in aggregates
         )
@@ -352,18 +364,16 @@ def _derive(
     )
 
 
-def _estimate_rows(
+def _join_rows(
     first: ConsumerProfile,
     joint: Tuple[int, ...],
     commons: Sequence[int],
     hulls: Sequence[Bound],
-    group_keys: Tuple[int, ...],
-    has_groupby: bool,
-) -> float:
-    """Estimate the CSE result cardinality without optimizing its body:
-    base rows × class factors × covering selectivity, then Cardenas over the
-    grouping keys for aggregated CSEs. Same float operations in the same
-    order as over the covering expressions, so the estimate is bit-equal."""
+) -> Tuple[float, List[float]]:
+    """Estimate the covering join's cardinality without optimizing its body
+    (§4.3.3): base rows × class factors × covering selectivity. Returns it
+    with each slot's filtered rows. Same float operations in the same order
+    as over the covering expressions, so the estimate is bit-equal."""
     space = first.space
     column_slot, column_ndv = space.column_slot, space.column_ndv
     # (touched-slot mask, selectivity) per covering conjunct, in order.
@@ -372,35 +382,94 @@ def _estimate_rows(
         for cid, op, value in hulls
     ]
     rows = 1.0
-    item_rows: Dict[int, float] = {}
+    item_rows: List[float] = []
     for index, base in enumerate(first.table_rows):
         bit = 1 << index
         for touched, selectivity in filters:
             if touched == bit:
                 base *= selectivity
-        item_rows[bit] = max(base, 1.0)
-        rows *= item_rows[bit]
+        item_rows.append(max(base, 1.0))
+        rows *= item_rows[index]
     for cls in joint:
         ndvs: Dict[int, float] = {}  # per slot: its smallest member NDV
         for cid in bit_positions(cls):
             slot = column_slot[cid]
-            ndv = min(column_ndv[cid], item_rows[slot])
+            ndv = min(column_ndv[cid], item_rows[slot.bit_length() - 1])
             ndvs[slot] = min(ndvs.get(slot, ndv), ndv)
         rows *= CardinalityEstimator.class_factor_for_join(ndvs.values())
     for touched, selectivity in filters:
         if touched & (touched - 1):
             rows *= selectivity
-    rows = max(rows, 1.0)
-    if not has_groupby:
-        return rows
-    # One key per joint class: the first in canonical order represents it.
-    domain, represented = 1.0, 0
+    return max(rows, 1.0), item_rows
+
+
+def _slot_facts(
+    first: ConsumerProfile, joint: Tuple[int, ...], group_keys: Tuple[int, ...]
+) -> Tuple[List[int], List[int]]:
+    """Each slot's verified key and its columns — key, class member and
+    grouping columns — closed under the joint classes, as column-id masks
+    (:mod:`repro.optimizer.keys`)."""
+    column_slot = first.space.column_slot
+    owns = list(first.table_keys)
+    for cid in group_keys + tuple(c for cls in joint for c in bit_positions(cls)):
+        owns[column_slot[cid].bit_length() - 1] |= 1 << cid
+    return list(first.table_keys), [close(own, joint) for own in owns]
+
+
+def _group_count(
+    first: ConsumerProfile,
+    joint: Tuple[int, ...],
+    facts: Tuple[List[int], List[int]],
+    group_keys: Tuple[int, ...],
+    rows: float,
+    item_rows: Sequence[float],
+) -> float:
+    """The covering aggregate's group count: the memo's bound
+    (:func:`group_count`) over one key per joint class — the first in
+    canonical order represents it — and the slots whose rows fix the keys
+    (the join rows when the keys fix every slot)."""
+    column_ndv = first.space.column_ndv
+    ndvs, represented = [], 0
     for key in group_keys:
         key_class = next((cls for cls in joint if cls >> key & 1), 0)
         if not key_class & represented:
             represented |= key_class
-            domain *= max(min(column_ndv[key], rows), 1.0)
-    return cardenas(domain, rows)
+            ndvs.append(column_ndv[key])
+    keys, reach = facts
+    columns = sum(1 << k for k in group_keys)
+    order = sorted(range(len(item_rows)), key=lambda i: -item_rows[i])
+    kept = bound_items(columns, order, keys, reach)
+    fixed, _ = determined(close(columns, joint), keys, reach)
+    return group_count(rows, ndvs, [item_rows[i] for i in kept], fixed == (1 << len(keys)) - 1)
+
+
+def _identity_key(
+    first: ConsumerProfile,
+    joint: Tuple[int, ...],
+    facts: Tuple[List[int], List[int]],
+    group_keys: Tuple[int, ...],
+    item_rows: Sequence[float],
+    groups: float,
+) -> int:
+    """The key columns (mask) a grouped covering adds so that its top
+    aggregate becomes an identity, or 0. Of the slots whose key fixes every
+    slot a grouping key comes from, take the one with the fewest filtered
+    rows, I; when the estimate groups at most ``PREAGG_MIN_COMPRESSION`` of
+    σ(I)'s rows away, grouping by I's key as well costs no compression.
+    Consumers re-aggregate either way; the body's memo plans the aggregate
+    as an identity once its input is unique on the keys."""
+    keys, reach = facts
+    contributing = 0
+    for cid in group_keys:
+        contributing |= first.space.column_slot[cid]
+    best = None
+    for slot, key in enumerate(keys):
+        if key and (best is None or item_rows[slot] < item_rows[best]):
+            if not contributing & ~determined(close(key, joint), keys, reach)[0]:
+                best = slot
+    if best is None or groups < memo.PREAGG_MIN_COMPRESSION * item_rows[best]:
+        return 0
+    return keys[best] & ~sum(1 << k for k in group_keys)
 
 
 def covering_state(profiles: Sequence[ConsumerProfile]) -> CoveringState:

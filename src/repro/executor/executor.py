@@ -560,7 +560,7 @@ def bind_scalars(plan: PhysicalPlan, mapping: Dict[Expr, Expr]) -> PhysicalPlan:
             )
             for c in plan.computes
         )
-        return PhysHashAgg(
+        return type(plan)(  # a hash or an identity aggregation
             child=bind_scalars(plan.child, mapping),
             keys=plan.keys,
             computes=computes,

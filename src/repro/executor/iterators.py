@@ -34,6 +34,7 @@ from ..optimizer.physical import (
     PhysFilter,
     PhysHashAgg,
     PhysHashJoin,
+    PhysIdentityAgg,
     PhysIndexScan,
     PhysProject,
     PhysScan,
@@ -425,14 +426,23 @@ def _group_ids(
 def _hash_agg(plan: PhysHashAgg, ctx: ExecutionContext) -> Frame:
     frame = execute_node(plan.child, ctx)
     n = frame_length(frame)
-    gids, count, out = _group_ids(plan.keys, frame)
-    ctx.metrics.key_factorizations += len(plan.keys)
+    if isinstance(plan, PhysIdentityAgg):
+        # The input is unique on the keys: row i is group i, in row order
+        # (first appearance), and the charge is the projection priced.
+        gids, count = np.arange(n, dtype=np.int64), n
+        out: Frame = {
+            key: np.asarray(evaluate(key, frame), dtype=key.data_type.numpy_dtype)
+            for key in plan.keys
+        }
+        cost = ctx.cost_model.project(n, len(plan.outputs))
+    else:
+        gids, count, out = _group_ids(plan.keys, frame)
+        ctx.metrics.key_factorizations += len(plan.keys)
+        cost = ctx.cost_model.aggregate(n, count, len(plan.computes))
     for compute in plan.computes:
         out[compute.out] = _aggregate_column(compute, gids, count, frame, n)
     ctx.metrics.rows_aggregated += n
-    ctx.metrics.cost_units += ctx.cost_model.aggregate(
-        n, count, len(plan.computes)
-    )
+    ctx.metrics.cost_units += cost
     return out
 
 
@@ -470,16 +480,15 @@ def _aggregate_column(
         fill = np.inf if func is AggFunc.MIN else -np.inf
         result = np.full(count, fill, dtype=np.float64)
         operation = np.minimum if func is AggFunc.MIN else np.maximum
-        if nulls is None:
-            operation.at(result, gids, values.astype(np.float64))
-            if compute.out.data_type is DataType.INT:
-                return result.astype(np.int64)
-            return result
-        live = ~nulls
-        operation.at(result, gids[live], values.astype(np.float64)[live])
+        live_gids, live_values = gids, values.astype(np.float64)
+        if nulls is not None:
+            live_gids, live_values = gids[~nulls], live_values[~nulls]
+        operation.at(result, live_gids, live_values)
         seen = np.zeros(count, dtype=bool)
-        seen[gids[live]] = True
-        result[~seen] = np.nan  # all-NULL group aggregates to NULL
+        seen[live_gids] = True
+        # A group with no live row (all NULL, or a scalar aggregate over no
+        # rows) aggregates to NULL.
+        result[~seen] = np.nan
         if compute.out.data_type is DataType.INT and bool(seen.all()):
             return result.astype(np.int64)
         return result

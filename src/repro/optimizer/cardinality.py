@@ -10,7 +10,7 @@ deterministic given the database statistics, which keeps optimizer decisions
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence, Tuple
 
 from ..catalog.statistics import ColumnStats
 from ..expr.expressions import (
@@ -178,14 +178,24 @@ class CardinalityEstimator:
     # -- aggregation --------------------------------------------------------------
 
     def group_rows(self, input_rows: float, keys: Sequence[ColumnRef]) -> float:
-        """Cardenas estimate of the number of groups."""
-        input_rows = max(input_rows, 1.0)
-        if not keys:
-            return 1.0
-        domain = 1.0
-        for key in keys:
-            domain *= max(min(self.column_ndv(key), input_rows), 1.0)
-        return cardenas(domain, input_rows)
+        """Estimated groups of ``keys`` over ``input_rows`` rows, knowing
+        nothing of the input's join items (:func:`group_count`)."""
+        return group_count(input_rows, [self.column_ndv(k) for k in keys])
+
+    # -- key facts ------------------------------------------------------------------
+
+    def key_columns(self, table_ref: TableRef) -> Tuple[ColumnRef, ...]:
+        """The table's primary key while ``analyze`` has verified it on the
+        stored rows; empty for a table without one, with dropped statistics,
+        or a delta table."""
+        if table_ref.is_delta:
+            return ()
+        name = table_ref.physical_name
+        schema = self._database.catalog.table(name)
+        return tuple(
+            ColumnRef(table_ref, column, schema.column_type(column))
+            for column in self._database.statistics(name).primary_key
+        )
 
     # -- index support -------------------------------------------------------------
 
@@ -207,6 +217,35 @@ class CardinalityEstimator:
                 column, normalized.op, normalized.right.value
             )
         return None
+
+
+def group_count(
+    input_rows: float,
+    key_ndvs: Iterable[float],
+    item_rows: Optional[Iterable[float]] = None,
+    unique: bool = False,
+) -> float:
+    """The one group-count estimate, for the memo and for §4.2 construction.
+
+    Cardenas over the keys' NDVs (each capped by the input), never above the
+    input rows, and — given ``item_rows``, the filtered rows of join items
+    whose rows fix every key (:func:`repro.optimizer.keys.bound_items`) —
+    never above their product: each group holds at least one combination of
+    those items' rows. ``unique``: the keys fix every input row (a key fact,
+    :mod:`repro.optimizer.keys`), so each row is a group of its own."""
+    rows = max(input_rows, 1.0)
+    if unique:
+        return rows
+    domain = 1.0
+    for ndv in key_ndvs:
+        domain *= max(min(ndv, rows), 1.0)
+    groups = min(cardenas(domain, rows), rows)
+    if item_rows is not None:
+        product = 1.0
+        for item in item_rows:
+            product *= max(item, 1.0)
+        groups = min(groups, product)
+    return groups
 
 
 def cardenas(domain: float, rows: float) -> float:

@@ -26,6 +26,7 @@ from .physical import (
     PhysFilter,
     PhysHashAgg,
     PhysHashJoin,
+    PhysIdentityAgg,
     PhysIndexScan,
     PhysProject,
     PhysScan,
@@ -129,6 +130,8 @@ class PlanAnnotator:
                     len(plan.residual),
                 )
             return model.cross_join(left_rows, right_rows, plan.est_rows)
+        if isinstance(plan, PhysIdentityAgg):
+            return model.project(plan.child.est_rows, len(plan.outputs))
         if isinstance(plan, PhysHashAgg):
             return model.aggregate(
                 plan.child.est_rows, plan.est_rows, len(plan.computes)

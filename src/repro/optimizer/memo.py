@@ -50,7 +50,8 @@ from ..expr.predicates import EquivalenceClasses, non_equality_conjuncts
 from ..logical.blocks import QueryBlock
 from ..cse.signature import TableSignature
 from .aggs import AggCompute, combine_computes, decomposable_over, direct_computes, partial_computes
-from .cardinality import CardinalityEstimator
+from .cardinality import CardinalityEstimator, group_count
+from .keys import BlockKeys
 
 #: Explore eager pre-aggregation (group-by pushdown below joins). This is
 #: what generates aggregated sharing opportunities such as the paper's
@@ -138,11 +139,14 @@ class AggImplExpr(GroupExpression):
 
     Used for final aggregations (direct computes), combine steps above a
     pre-aggregated join, and the pre-aggregations themselves (partials).
+    ``identity`` when the keys fix every row of the input (a key fact,
+    :mod:`.keys`): each row is its own group, so nothing is grouped.
     """
 
     input_group: "Group"
     keys: Tuple[ColumnRef, ...]
     computes: Tuple[AggCompute, ...]
+    identity: bool = False
 
     def input_groups(self) -> Tuple["Group", ...]:
         return (self.input_group,)
@@ -259,6 +263,8 @@ class BlockInfo:
         self._unions: Dict[Tuple[int, ...], List[int]] = {}
         self._classes_cache: Dict[int, List[Tuple[ColumnRef, ...]]] = {}
         self._preagg_keys: Dict[int, Tuple[ColumnRef, ...]] = {}
+        #: Group-count estimates per table mask (Memo._group_rows).
+        self.group_counts: Dict[int, float] = {}
         #: Filtered rows of each table (local conjuncts, single-table classes).
         self.base_rows: Dict[int, float] = {}
         for table, bit in zip(self.tables, self.bits):
@@ -269,6 +275,11 @@ class BlockInfo:
             for members in self.classes_within((table,)):
                 rows *= estimator.class_factor(members)
             self.base_rows[bit] = max(rows, 0.0)
+        self.keys = BlockKeys(
+            (column for column, _ in self.required),
+            (tuple(m for m, _, _ in members) for _, members in self.class_bits),
+            {table: estimator.key_columns(table) for table in self.tables},
+        )
 
     # -- masks and the join graph -------------------------------------------
 
@@ -466,12 +477,11 @@ class Memo:
         group.agg_keys = block.group_keys
         group.agg_outs = tuple(block.aggregates)
         full_join = self._groups_by_key[("join", block.name, info.full, 0)]
-        group.add_expr(
-            AggImplExpr(full_join, block.group_keys, direct_computes(block.aggregates))
+        self._add_agg(
+            info, group, full_join, block.group_keys, direct_computes(block.aggregates)
         )
-        group.est_rows = self.estimator.group_rows(
-            full_join.est_rows,
-            self._key_representatives(info, block.group_keys),
+        group.est_rows = self._group_rows(
+            info, full_join.est_rows, block.group_keys, info.full
         )
         group.required_outputs = tuple(block.group_keys) + tuple(block.aggregates)
         group.row_width = self.estimator.width_of(group.required_outputs)
@@ -505,10 +515,7 @@ class Memo:
                 continue
             keys = info.preagg_keys(subset)
             input_join = self._groups_by_key[("join", block.name, subset, 0)]
-            group_count = self.estimator.group_rows(
-                input_join.est_rows,
-                self._key_representatives(info, keys),
-                )
+            group_count = self._group_rows(info, input_join.est_rows, keys, subset)
             if group_count > PREAGG_MIN_COMPRESSION * max(
                 input_join.est_rows, 1.0
             ):
@@ -518,27 +525,48 @@ class Memo:
             mixed_top = self._build_mixed_joins(info, part_id, agg_item, subset)
             if mixed_top is None:
                 continue
-            final_group.add_expr(
-                AggImplExpr(
-                    mixed_top,
-                    block.group_keys,
-                    combine_computes(block.aggregates, source),
-                )
+            self._add_agg(
+                info, final_group, mixed_top, block.group_keys,
+                combine_computes(block.aggregates, source),
             )
 
     @staticmethod
-    def _key_representatives(
-        info: BlockInfo, keys: Sequence[ColumnRef]
-    ) -> Tuple[ColumnRef, ...]:
-        """One key per equivalence class: keys known equal (e.g. both sides
-        of an equijoin kept as pre-aggregation keys) must not multiply the
-        group-count domain."""
-        chosen: List[ColumnRef] = []
-        for key in canon_sorted(keys):
-            if any(info.classes.same_class(key, kept) for kept in chosen):
-                continue
-            chosen.append(key)
-        return tuple(chosen)
+    def _add_agg(
+        info: BlockInfo,
+        group: Group,
+        input_group: Group,
+        keys: Tuple[ColumnRef, ...],
+        computes: Tuple[AggCompute, ...],
+    ) -> None:
+        """Add ``γ_keys;computes(input_group)`` to ``group``, an identity when
+        the keys fix every row of the input."""
+        identity = info.keys.determines(keys, input_group.items)
+        group.add_expr(AggImplExpr(input_group, keys, computes, identity))
+
+    def _group_rows(
+        self, info: BlockInfo, input_rows: float, keys: Tuple[ColumnRef, ...], mask: int
+    ) -> float:
+        """Estimated groups of ``keys`` over the join of ``mask``'s tables,
+        bounded by the filtered rows of the tables that fix the keys (all
+        input rows when the keys fix every table). Cached per mask — the
+        keys are the block's group keys over all its tables and
+        ``preagg_keys(mask)`` otherwise — so the pre-aggregation gate and its
+        group share one estimate."""
+        cached = info.group_counts.get(mask)
+        if cached is None:
+            tables = [table for table, bit in info.canon_tables if bit & mask]
+            rows = [info.base_rows[info.bit[table]] for table in tables]
+            if info.keys.determines(keys, tables):
+                cached = group_count(input_rows, (), unique=True)
+            else:
+                ndvs = [self.estimator.column_ndv(k) for k in info.keys.representatives(keys)]
+                cached = group_count(input_rows, ndvs)
+                # A product of table rows is at least the smallest of them.
+                if cached > min(max(r, 1.0) for r in rows):
+                    kept = info.keys.bound_items(keys, tables, rows)
+                    cached = group_count(input_rows, ndvs, [rows[i] for i in kept])
+            info.group_counts[mask] = cached
+        return cached
 
     @staticmethod
     def _agg_key(info: BlockInfo, item: AggItem, mask: int) -> tuple:
@@ -561,11 +589,8 @@ class Memo:
         group.agg_keys = item.keys
         group.agg_outs = key[4]
         input_join = self._groups_by_key[("join", block.name, mask, 0)]
-        group.add_expr(AggImplExpr(input_join, item.keys, item.partials))
-        group.est_rows = self.estimator.group_rows(
-            input_join.est_rows,
-            self._key_representatives(info, item.keys),
-        )
+        self._add_agg(info, group, input_join, item.keys, item.partials)
+        group.est_rows = self._group_rows(info, input_join.est_rows, item.keys, mask)
         group.required_outputs = tuple(item.keys) + tuple(p.out for p in item.partials)
         group.row_width = self.estimator.width_of(group.required_outputs)
         group.signature = self._agg_signature(item.source)
@@ -612,7 +637,7 @@ class Memo:
                 computes = combine_computes(outer_aggs, inner_source)
             except OptimizerError:
                 continue
-            group.add_expr(AggImplExpr(mixed_join, item.keys, computes))
+            self._add_agg(info, group, mixed_join, item.keys, computes)
 
     def _build_mixed_joins(
         self, info: BlockInfo, part_id: str, item: AggItem, mask: int

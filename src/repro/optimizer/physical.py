@@ -152,6 +152,20 @@ class PhysHashAgg(PhysicalPlan):
 
 
 @dataclass
+class PhysIdentityAgg(PhysHashAgg):
+    """An aggregation whose input is unique on ``keys`` (a key fact): every
+    row is its own group, so the aggregates are evaluated row by row and
+    nothing is hashed. Priced, and charged, as a projection of its
+    outputs over the input rows."""
+
+    def _describe_line(self) -> str:
+        return (
+            f"IdentityAgg keys={len(self.keys)} aggs={len(self.computes)}"
+            f" (~{self.est_rows:.0f} rows)"
+        )
+
+
+@dataclass
 class PhysFilter(PhysicalPlan):
     """Apply residual/compensation conjuncts."""
 

@@ -31,6 +31,7 @@ from .physical import (
     PhysFilter,
     PhysHashAgg,
     PhysHashJoin,
+    PhysIdentityAgg,
     PhysIndexScan,
     PhysProject,
     PhysScan,
@@ -351,11 +352,19 @@ class Search:
 
     def _agg_alternatives(self, group: Group, expr: AggImplExpr, ctx, offer) -> None:
         child_set = self.optimize_group(expr.input_group, ctx)
-        local = self.cost_model.aggregate(
-            expr.input_group.est_rows, group.est_rows, len(expr.computes)
-        )
+        input_rows = expr.input_group.est_rows
+        if expr.identity:
+            node = PhysIdentityAgg
+            local = self.cost_model.project(
+                input_rows, len(expr.keys) + len(expr.computes)
+            )
+        else:
+            node = PhysHashAgg
+            local = self.cost_model.aggregate(
+                input_rows, group.est_rows, len(expr.computes)
+            )
         for profile, choice in child_set.items():
-            plan = PhysHashAgg(
+            plan = node(
                 child=choice.plan,
                 keys=expr.keys,
                 computes=expr.computes,

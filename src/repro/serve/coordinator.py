@@ -384,6 +384,10 @@ class SharedBatchCoordinator:
         for cse_id, table in state.spools.items():
             pool.publish(cse_id, table, len(consumers_of.get(cse_id, ())))
         self.registry.counter("coordinator.spools_published", pool.published)
+        if pool.freed:
+            # Spools no query reads (only other spools' bodies did, in the
+            # producer phase) are dropped at publication, never detached.
+            self.registry.counter("coordinator.spools_freed", pool.freed)
         return _SharedRun(
             result=result,
             cache_hit=False,

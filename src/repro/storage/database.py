@@ -11,7 +11,7 @@ import threading
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..catalog.schema import Catalog, IndexSchema, TableSchema
-from ..catalog.statistics import ColumnStats, TableStats
+from ..catalog.statistics import ColumnStats, TableStats, is_unique
 from ..errors import CatalogError, StorageError
 from .index import RangeIndex
 from .table import Table
@@ -180,8 +180,11 @@ class Database:
                     column_stats[col.name] = ColumnStats.collect(
                         table.stored_column(col.name), col.data_type, histogram_buckets
                     )
+                key = table.schema.primary_key
+                if key and not is_unique([table.stored_column(c) for c in key]):
+                    key = ()
                 self._stats[name.lower()] = TableStats(
-                    row_count=table.row_count, columns=column_stats
+                    row_count=table.row_count, columns=column_stats, primary_key=key
                 )
                 # Fresh statistics change plan choice just like DDL does.
                 self._mutated(name, ddl=True)

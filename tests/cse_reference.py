@@ -1,5 +1,5 @@
-"""Expression-space oracles for join compatibility and covering predicates
-(paper §4.1 Def 4.1, §4.2 steps 1 and 3).
+"""Expression-space oracles for join compatibility, covering predicates and
+key facts (paper §4.1 Def 4.1, §4.2 steps 1, 3 and 4).
 
 The optimizer tests Definition 4.1 on integer column ids (partitions of
 slot-template columns, slot bitmasks) and weakens covering predicates over
@@ -7,7 +7,9 @@ conjunct ids. These are the direct readings over :class:`EquivalenceClasses`
 of ``ColumnRef`` and over ``Expr`` conjuncts that the tests hold it to:
 class-wise intersection, connectivity of the equijoin graph, the greedy
 clique cover of :func:`repro.cse.compatibility.compatibility_groups`, and
-the weakened covering predicate with its range hulls.
+the weakened covering predicate with its range hulls, and what a set of
+columns determines through verified keys and equivalence classes (the
+optimizer's :mod:`repro.optimizer.keys` works on column bitmasks).
 """
 
 from repro.cse import construct
@@ -204,3 +206,37 @@ def weaken_by_ids(residual_sets):
         for cid, op, value in hulls
     ]
     return covering, [[space.conjuncts[fid] for fid in r] for r in residuals]
+
+
+# -- key facts ---------------------------------------------------------------------
+
+
+def fixed_tables(known, tables, keys, owns, classes):
+    """``(tables, columns)``: the tables whose rows the columns ``known`` fix
+    through ``classes`` (equal columns are known together) and each table's
+    key (``keys[t]``, a frozenset, empty for none); a fixed table makes all
+    of ``owns[t]`` known."""
+    known = {m for column in known for m in classes.class_of(column)}
+    fixed = set()
+    grown = True
+    while grown:
+        grown = False
+        for table in tables:
+            if table not in fixed and keys[table] and keys[table] <= known:
+                fixed.add(table)
+                known |= {m for column in owns[table] for m in classes.class_of(column)}
+                grown = True
+    return fixed, known
+
+
+def bounding_tables(columns, tables, rows, keys, owns, classes):
+    """The tables whose rows together fix ``columns``: all at first, then,
+    largest rows first (ties in ``tables`` order), each dropped when the
+    rest still fix them; returned in ``tables`` order."""
+    kept = list(tables)
+    for table in sorted(tables, key=lambda t: (-rows[t], tables.index(t))):
+        rest = [t for t in kept if t != table]
+        known = {c for t in rest for c in owns[t]}
+        if set(columns) <= fixed_tables(known, tables, keys, owns, classes)[1]:
+            kept = rest
+    return kept

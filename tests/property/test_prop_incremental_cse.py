@@ -10,8 +10,9 @@ takes the same merge decisions with the same Δ values, and
 Definition 4.1.** The reference below is the pre-incremental
 ``construct_cse``/Algorithm 1 (body instances allocated up front, every
 consumer re-mapped per call, classes intersected over ``ColumnRef``, size
-estimated through a throw-away ``QueryBlock`` + ``BlockInfo``), kept only
-here and in ``tests/cse_reference.py``.
+estimated through a throw-away ``QueryBlock`` + ``BlockInfo``, the group
+count bounded and the identity key added through expression-space key
+facts), kept only here and in ``tests/cse_reference.py``.
 
 The corpus covers the shapes the random SPJG batches never produce: outer,
 semi and anti joins (``random_sql_batch``) and :data:`HAND_BATCH`, whose
@@ -48,6 +49,7 @@ from repro.expr.predicates import EquivalenceClasses, implied_by_equalities
 from repro.logical.blocks import QueryBlock
 from repro.obs import DecisionJournal, MetricsRegistry, use_journal
 from repro.optimizer.cardinality import cardenas
+from repro.optimizer import memo
 from repro.optimizer.memo import BlockInfo
 from repro.workloads import (
     complex_join_batch,
@@ -153,12 +155,51 @@ def reference_construct(consumers, infos, allocate, estimator):
             rows *= estimator.selectivity(conjunct)
     rows = max(rows, 1.0)
     if signature.has_groupby:
-        domain, kept = 1.0, []
-        for key in keys:
-            if not any(joint.same_class(key, k) for k in kept):
-                kept.append(key)
-                domain *= max(min(estimator.column_ndv(key), rows), 1.0)
-        rows = cardenas(domain, rows)
+        # Key facts: each table's verified key; its key, class member and
+        # grouping columns are what a fixed table makes known.
+        table_keys = {t: frozenset(estimator.key_columns(t)) for t in block.tables}
+        members = {m for cls in joint.classes() for m in cls}
+        owns = {
+            t: table_keys[t] | {c for c in members | set(keys) if c.table_ref == t}
+            for t in block.tables
+        }
+
+        def groups(keys):
+            domain, kept = 1.0, []
+            for key in keys:
+                if not any(joint.same_class(key, k) for k in kept):
+                    kept.append(key)
+                    domain *= max(min(estimator.column_ndv(key), rows), 1.0)
+            fixed, _ = cse_reference.fixed_tables(
+                keys, block.tables, table_keys, owns, joint
+            )
+            if fixed == set(block.tables):
+                return rows  # unique on the keys: a group per row
+            product = 1.0
+            for t in cse_reference.bounding_tables(
+                keys, list(block.tables), item_rows, table_keys, owns, joint
+            ):
+                product *= item_rows[t]
+            return min(cardenas(domain, rows), rows, product)
+
+        est = groups(keys)
+        # §4.2 step 4's key rule: the fewest-rows table whose key fixes every
+        # table a grouping key comes from; add its key when grouping by it
+        # compresses no more than the pre-aggregation threshold.
+        contributing = {k.table_ref for k in keys}
+        candidates = [
+            t for t in block.tables
+            if table_keys[t] and contributing <= cse_reference.fixed_tables(
+                table_keys[t], block.tables, table_keys, owns, joint
+            )[0]
+        ]
+        if candidates:
+            best = min(candidates, key=lambda t: item_rows[t])
+            if est >= memo.PREAGG_MIN_COMPRESSION * item_rows[best]:
+                keys = tuple(sorted(set(keys) | table_keys[best], key=repr))
+                outputs = keys + tuple(aggs)
+                est = groups(keys)
+        rows = est
     return SimpleNamespace(  # the reference construction, in body space
         consumer_groups=list(consumers), signature=signature,
         tables=block.tables, joint_equalities=tuple(joins),

@@ -178,9 +178,12 @@ class TestConstruction:
         assert any("o_orderdate" in t for t in texts)
         assert any("c_nationkey > 0" in t for t in texts)
         assert any("c_nationkey < 25" in t for t in texts)
-        # Step 4: keys = union of consumer keys (+ residual columns).
+        # Step 4: keys = union of consumer keys (+ residual columns), plus
+        # customer's key: at this scale σ(customer) has ~114 rows, fewer
+        # than 1/0.7 × the 125 (nation, segment) groups, so grouping by
+        # c_custkey too costs no compression (see test_identity_key below).
         key_names = {k.column for k in block.group_keys}
-        assert key_names == {"c_nationkey", "c_mktsegment"}
+        assert key_names == {"c_nationkey", "c_mktsegment", "c_custkey"}
         # Aggregates unioned and de-duplicated.
         agg_args = {repr(a) for a in block.aggregates}
         assert len(block.aggregates) == 2  # sum(extendedprice), sum(quantity)
@@ -195,6 +198,24 @@ class TestConstruction:
         )
         assert definition.est_rows > 0
         assert definition.row_width > 0
+
+    def test_identity_key(self, consumers, tiny_db, small_db):
+        """A grouped covering whose estimate is at least
+        ``PREAGG_MIN_COMPRESSION`` × the rows of the fewest-rows slot whose
+        key fixes every key's slot adds that key: customer at SF 0.001, not
+        at SF 0.002, where (nation, segment) compresses σ(customer)."""
+        for db, added in ((tiny_db, True), (small_db, False)):
+            memo, tops = build_memo(db, EXAMPLE1_LIKE)
+            definition = construct_cse(
+                "E1", tops, memo.block_infos, allocator(), CardinalityEstimator(db)
+            )
+            keys = {k.column for k in definition.group_keys}
+            assert keys - {"c_nationkey", "c_mktsegment"} == (
+                {"c_custkey"} if added else set()
+            )
+            # The estimate never exceeds σ(customer), which fixes every key.
+            (customer,) = [t for t in definition.block.tables if t.table == "customer"]
+            assert definition.est_rows <= CardinalityEstimator(db).table_rows(customer)
 
     def test_spj_cse(self, consumers, tiny_db):
         memo, tops = consumers

@@ -175,6 +175,21 @@ class TestCoordinatorMerging:
         # The merged optimization actually shared work across sessions.
         assert a.optimization.stats.used_cses
 
+    def test_spools_no_query_reads_count_as_freed(self):
+        """A root spool that only other spools' bodies read (a stacked CSE)
+        is dropped when it is published; the registry must count it as
+        freed, or every such merge reads as a leak."""
+        registry = MetricsRegistry()
+        coordinator = SharedBatchCoordinator(window_ms=5000.0, registry=registry)
+        session = Session(DB, registry=registry)
+        result = session.optimize(Q_PRIORITY + ";" + Q_STATUS)
+        assert result.bundle.root_spools
+        run = coordinator._materialize(session, result, reads={})
+        counters = _counters(registry)
+        assert run.pool.live == 0
+        assert counters["coordinator.spools_published"] == len(result.bundle.root_spools)
+        assert counters.get("coordinator.spools_freed") == len(result.bundle.root_spools)
+
     def test_full_group_closes_before_window_expires(self):
         registry = MetricsRegistry()
         coordinator = SharedBatchCoordinator(

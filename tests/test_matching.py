@@ -74,13 +74,12 @@ class TestConstructedConsumers:
         assert [k.column for k in q2.reagg_keys] == ["c_nationkey"]
         assert q2.reagg_computes
 
-    def test_exact_keys_no_reagg(self, tiny_db):
-        sql = BATCH.replace(
-            "select c_nationkey, sum(l_extendedprice) as le \n",
-            "",
-        )
+    def test_exact_keys_no_reagg(self, small_db):
+        # At SF 0.002 the (nation, segment) grouping compresses σ(customer),
+        # so construction adds no key (at SF 0.001 it adds c_custkey and
+        # both consumers re-aggregate).
         memo, tops = build_memo(
-            tiny_db,
+            small_db,
             BATCH.split(";")[0] + ";" + BATCH.split(";")[0].replace(
                 "c_nationkey > 0 and c_nationkey < 20",
                 "c_nationkey > 3 and c_nationkey < 22",
@@ -89,7 +88,7 @@ class TestConstructedConsumers:
         counter = itertools.count(9500)
         definition = construct_cse(
             "E2", tops, memo.block_infos, lambda: next(counter),
-            CardinalityEstimator(tiny_db),
+            CardinalityEstimator(small_db),
         )
         specs = build_consumer_specs(definition, memo.block_infos)
         # Both consumers group by exactly the CSE keys: no re-aggregation.

@@ -89,6 +89,7 @@ def test_module_sizes():
     }
     assert set(SPLIT) <= set(lines)
     assert lines["engine"] <= 600
+    assert lines["memo"] <= 960
     oversized = {
         module: count for module, count in lines.items()
         if module != "memo" and count > 700
@@ -103,6 +104,18 @@ def test_layering():
     assert not _sibling_imports("search") & {"engine", "selection", "assembly", "step2"}
     assert not _sibling_imports("state") & set(SPLIT)
     assert "engine" not in _sibling_imports("step2") | _sibling_imports("assembly")
+
+
+def test_key_facts_module():
+    """Key facts are one small bitmask module: it reads expressions only, so
+    the memo, the estimator's callers and §4.2 construction can share it
+    without the executor."""
+    assert len((PACKAGE / "keys.py").read_text().splitlines()) <= 170
+    imported = set(_absolute_imports(PACKAGE / "keys.py", "repro.optimizer"))
+    assert {name for name in imported if name.startswith("repro.")} == {
+        "repro.expr.expressions"
+    }
+    assert "keys" in _sibling_imports("memo")
 
 
 @pytest.mark.parametrize("module", MODULES)

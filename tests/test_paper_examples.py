@@ -25,16 +25,22 @@ def normalize(rows):
 class TestExample7IndexedConsumer:
     """Example 7: Q6 touches one day of orders via the o_orderdate index;
     Q7 needs everything after that day. Merging them into one CSE would
-    force Q6 to wade through Q7's huge result — merging must not happen."""
+    force Q6 to wade through Q7's huge result — merging must not happen.
+
+    The joined table is ``customer``: Q6 alone is then an index lookup plus
+    a small scan. Joined to ``lineitem`` instead, Q6 alone must scan all of
+    lineitem (joins have no index path here), and a covering γ(σ(orders) ⋈
+    lineitem), correctly sized at σ(orders)'s rows, is cheaper to read than
+    that scan — sharing then wins on measured cost too."""
 
     SQL = (
-        "select o_orderkey, sum(l_extendedprice) as v "
-        "from orders, lineitem "
-        "where o_orderkey = l_orderkey and o_orderdate = '1995-01-17' "
+        "select o_orderkey, sum(c_acctbal) as v "
+        "from orders, customer "
+        "where o_custkey = c_custkey and o_orderdate = '1995-01-17' "
         "group by o_orderkey;"
-        "select o_orderpriority, sum(l_extendedprice) as v "
-        "from orders, lineitem "
-        "where o_orderkey = l_orderkey and o_orderdate > '1995-01-17' "
+        "select o_orderpriority, sum(c_acctbal) as v "
+        "from orders, customer "
+        "where o_custkey = c_custkey and o_orderdate > '1995-01-17' "
         "group by o_orderpriority"
     )
 
