@@ -454,8 +454,9 @@ def _identity_key(
     """The key columns (mask) a grouped covering adds so that its top
     aggregate becomes an identity, or 0. Of the slots whose key fixes every
     slot a grouping key comes from, take the one with the fewest filtered
-    rows, I; when the estimate groups at most ``PREAGG_MIN_COMPRESSION`` of
-    σ(I)'s rows away, grouping by I's key as well costs no compression.
+    rows, I. When the estimate is at least ``PREAGG_MIN_COMPRESSION`` ×
+    σ(I)'s rows — the aggregate compresses less than the memo requires of
+    a pre-aggregation — grouping by I's key as well adds few groups.
     Consumers re-aggregate either way; the body's memo plans the aggregate
     as an identity once its input is unique on the keys."""
     keys, reach = facts
