@@ -34,7 +34,7 @@ from ..expr.expressions import (
 from ..expr.predicates import (
     column_equalities,
     non_equality_conjuncts,
-    range_parts,
+    range_part,
 )
 from ..obs import active_registry
 from ..optimizer.cardinality import CardinalityEstimator
@@ -118,15 +118,6 @@ def bit_positions(mask: int) -> List[int]:
     return positions
 
 
-def range_part(conjunct: Expr) -> Optional[Tuple[ColumnRef, ComparisonOp, Any]]:
-    """``(column, op, value)`` of a ``column op number`` conjunct (either
-    operand order; dates are numbers in engine form), else None."""
-    part = range_parts(conjunct)
-    if part is None or isinstance(part[2], bool) or not isinstance(part[2], (int, float)):
-        return None
-    return part
-
-
 class IdSpace:
     """Dense ids for one optimization's slot-template columns, conjuncts and
     aggregates, minted in first-seen order — consumers of one signature that
@@ -182,7 +173,7 @@ class IdSpace:
                 sum({self.column_slot[cid] for cid in bit_positions(columns)})
             )
             if self.estimator is not None:
-                self.selectivity.append(self.estimator.selectivity(conjunct))
+                self.selectivity.append(self.estimator.conjunct_selectivity(conjunct))
             part = range_part(conjunct)
             self.ranges.append(part and (self.column_id(part[0]), part[1], part[2]))
         return fid

@@ -36,17 +36,17 @@ from ..expr.expressions import (
     Comparison,
     ComparisonOp,
     Expr,
-    Literal,
     TableRef,
 )
-from ..expr.predicates import EquivalenceClasses
+from ..expr.predicates import (
+    EquivalenceClasses, hull_comparison, range_bounds, range_hulls,
+)
 from ..logical.blocks import OutputColumn, QueryBlock
 from ..obs import active_registry
 from ..optimizer import memo
 from ..optimizer.cardinality import CardinalityEstimator, group_count
 from ..optimizer.keys import bound_items, close, determined
 from ..optimizer.memo import BlockInfo, Group
-from ..types import DataType
 from .compatibility import (
     ConsumerProfile, ConsumerProfiles, IdSpace, bit_positions, classes_connect, meet,
     remap_expr,
@@ -109,35 +109,6 @@ class CseDefinition:
 Bound = Tuple[int, ComparisonOp, float]
 
 
-def _range_bounds(
-    conjuncts: Sequence[int], space: IdSpace
-) -> Dict[int, Tuple[Optional[float], bool, Optional[float], bool]]:
-    """Per-column (low, low_inclusive, high, high_inclusive) implied by the
-    conjunct ids; only ``column op number`` conjuncts participate."""
-    bounds: Dict[int, Tuple[Optional[float], bool, Optional[float], bool]] = {}
-    for conjunct in conjuncts:
-        part = space.ranges[conjunct]
-        if part is None:
-            continue
-        column, op, value = part
-        low, low_inc, high, high_inc = bounds.get(column, (None, True, None, True))
-        if op in (ComparisonOp.GT, ComparisonOp.GE):
-            inclusive = op is ComparisonOp.GE
-            if low is None or value > low or (value == low and not inclusive):
-                low, low_inc = float(value), inclusive
-        elif op in (ComparisonOp.LT, ComparisonOp.LE):
-            inclusive = op is ComparisonOp.LE
-            if high is None or value < high or (value == high and not inclusive):
-                high, high_inc = float(value), inclusive
-        elif op is ComparisonOp.EQ:
-            if low is None or value > low:
-                low, low_inc = float(value), True
-            if high is None or value < high:
-                high, high_inc = float(value), True
-        bounds[column] = (low, low_inc, high, high_inc)
-    return bounds
-
-
 def _weaken(
     residual_sets: Sequence[Sequence[int]], space: IdSpace
 ) -> Tuple[List[int], List[Bound], List[List[int]]]:
@@ -162,37 +133,11 @@ def _weaken(
     hulls: List[Bound] = []
     # (b) per-column range hulls across the remaining disjuncts.
     if all(residuals):
-        per_consumer_bounds = [_range_bounds(r, space) for r in residuals]
-        shared_columns = set(per_consumer_bounds[0])
-        for bounds in per_consumer_bounds[1:]:
-            shared_columns &= set(bounds)
-        for column in space.canonical(shared_columns):
-            lows = [b[column][0] for b in per_consumer_bounds]
-            highs = [b[column][2] for b in per_consumer_bounds]
-            if all(l is not None for l in lows):
-                hull_low = min(lows)
-                inclusive = any(
-                    b[column][1] for b in per_consumer_bounds if b[column][0] == hull_low
-                )
-                op = ComparisonOp.GE if inclusive else ComparisonOp.GT
-                hulls.append((column, op, hull_low))
-            if all(h is not None for h in highs):
-                hull_high = max(highs)
-                inclusive = any(
-                    b[column][3] for b in per_consumer_bounds if b[column][2] == hull_high
-                )
-                op = ComparisonOp.LE if inclusive else ComparisonOp.LT
-                hulls.append((column, op, hull_high))
+        per_consumer_bounds = [
+            range_bounds(filter(None, (space.ranges[c] for c in r))) for r in residuals
+        ]
+        hulls = range_hulls(per_consumer_bounds, space.canonical(per_consumer_bounds[0]))
     return commons, hulls, residuals
-
-
-def _hull_comparison(column: ColumnRef, op: ComparisonOp, value: float) -> Comparison:
-    """A range hull bound as an ``Expr``: an integer literal on INT and DATE
-    columns when the bound is whole, else a FLOAT literal."""
-    value = float(value)
-    if column.data_type in (DataType.INT, DataType.DATE) and value.is_integer():
-        return Comparison(op, column, Literal(int(value), column.data_type))
-    return Comparison(op, column, Literal(value, DataType.FLOAT))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +220,7 @@ class CoveringState:
         )
         covering = to_body(
             [space.conjuncts[fid] for fid in self.commons]
-            + [_hull_comparison(columns[cid], op, v) for cid, op, v in self.hulls]
+            + [hull_comparison(columns[cid], op, v) for cid, op, v in self.hulls]
         )
         group_keys = to_body(columns[cid] for cid in self.group_keys)
         aggregates = to_body(space.aggregates[aid] for aid in self.aggregates)

@@ -26,6 +26,7 @@ from ..expr.evaluator import (
     evaluate,
     evaluate_predicate,
     frame_length,
+    placeholder,
     string_ranks,
 )
 from ..expr.expressions import AggExpr, AggFunc, ColumnRef, Expr
@@ -135,9 +136,7 @@ def _dispatch(plan: PhysicalPlan, ctx: ExecutionContext) -> Frame:
 
 
 def _scan_frame(
-    plan_outputs: Tuple[Expr, ...],
-    conjuncts: Tuple[Expr, ...],
-    table_columns,
+    plan_outputs: Tuple[Expr, ...], conjuncts: Tuple[Expr, ...], table
 ) -> Frame:
     needed: Dict[Expr, np.ndarray] = {}
     wanted = set(plan_outputs)
@@ -146,8 +145,8 @@ def _scan_frame(
     for expr in wanted:
         if not isinstance(expr, ColumnRef):
             raise ExecutionError(f"scan cannot produce {expr!r}")
-        needed[expr] = table_columns(expr.column)
-    return needed
+        needed[expr] = table.stored_column(expr.column)
+    return needed or placeholder(table.row_count)
 
 
 def _scan(plan: PhysScan, ctx: ExecutionContext) -> Frame:
@@ -156,7 +155,7 @@ def _scan(plan: PhysScan, ctx: ExecutionContext) -> Frame:
         # per batch; the manager does the Def 5.1-split charging.
         return _restrict(ctx.scans.scan_frame(plan, ctx), plan.outputs)
     table = ctx.database.table(plan.table_ref.physical_name)
-    frame = _scan_frame(plan.outputs, plan.conjuncts, table.stored_column)
+    frame = _scan_frame(plan.outputs, plan.conjuncts, table)
     rows = table.row_count
     ctx.metrics.rows_scanned += rows
     width = table.row_width()
@@ -178,9 +177,7 @@ def _index_scan(plan: PhysIndexScan, ctx: ExecutionContext) -> Frame:
         plan.low, plan.high, plan.low_inclusive, plan.high_inclusive
     )
     table = ctx.database.table(plan.table_ref.physical_name)
-    frame = _take(
-        _scan_frame(plan.outputs, plan.residual, table.stored_column), positions
-    )
+    frame = _take(_scan_frame(plan.outputs, plan.residual, table), positions)
     ctx.metrics.rows_scanned += len(positions)
     ctx.metrics.cost_units += ctx.cost_model.index_scan(
         len(positions), table.row_width(), len(plan.residual)
@@ -191,6 +188,8 @@ def _index_scan(plan: PhysIndexScan, ctx: ExecutionContext) -> Frame:
 
 
 def _restrict(frame: Frame, outputs: Tuple[Expr, ...]) -> Frame:
+    if not outputs:
+        return placeholder(frame_length(frame))
     wanted = set(outputs)
     restricted = {k: v for k, v in frame.items() if k in wanted}
     for expr in outputs:

@@ -122,7 +122,9 @@ def _table_rows(database: Database, block: QueryBlock, table_ref) -> List[Row]:
     return rows
 
 
-def _join_all(database: Database, block: QueryBlock) -> List[Row]:
+def _join_all(
+    database: Database, block: QueryBlock, scalars: Optional[Dict[str, Any]] = None
+) -> List[Row]:
     """Join the block's tables in order with applicable conjuncts."""
     pending = list(block.conjuncts)
     current: List[Row] = [dict()]
@@ -192,7 +194,7 @@ def _join_all(database: Database, block: QueryBlock) -> List[Row]:
                 # Already enforced when used as a join key; re-check anyway.
                 pass
             current = [
-                row for row in current if _eval_scalar(conjunct, row)
+                row for row in current if _eval_scalar(conjunct, row, None, scalars)
             ]
     if pending:
         raise ExecutionError(f"unapplied conjuncts remain: {pending!r}")
@@ -253,7 +255,7 @@ def evaluate_block(
     scalars: Optional[Dict[str, Any]] = None,
 ) -> List[Tuple[Any, ...]]:
     """Evaluate one block to output rows (before ORDER BY)."""
-    joined = _join_all(database, block)
+    joined = _join_all(database, block, scalars)
     if block.has_groupby:
         grouped = _aggregate(block, joined)
         results: List[Tuple[Any, ...]] = []
@@ -292,9 +294,9 @@ def _evaluate_extended(
     under three-valued logic."""
     post = query.post
     assert post is not None
-    rows = _join_all(database, query.block)
+    rows = _join_all(database, query.block, scalars)
     for ext in query.extensions:
-        inner_rows = _join_all(database, ext.block)
+        inner_rows = _join_all(database, ext.block, scalars)
         index: Dict[tuple, List[Row]] = {}
         for inner in inner_rows:
             key = tuple(inner[icol] for _, icol in ext.keys)

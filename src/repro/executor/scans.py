@@ -30,7 +30,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..errors import ExecutionError
-from ..expr.evaluator import Frame, evaluate_predicate
+from ..expr.evaluator import Frame, evaluate_predicate, placeholder
 from ..expr.expressions import ColumnRef, Expr, TableRef
 from ..optimizer.physical import PhysScan
 from .runtime import ExecutionContext
@@ -172,9 +172,10 @@ class ScanManager:
         exprs = set(plan.outputs)
         for conjunct in plan.conjuncts:
             exprs.update(conjunct.columns())
-        if not plan.conjuncts:
-            return {expr: entry.columns[expr.column] for expr in exprs}
         frame = {expr: entry.columns[expr.column] for expr in exprs}
+        frame = frame or placeholder(entry.rows)
+        if not plan.conjuncts:
+            return frame
         filtered = self._filtered_entry(key, plan, frame, entry, ctx, stats)
         out: Frame = {}
         for expr in exprs:
@@ -187,7 +188,7 @@ class ScanManager:
                     expr.column, entry.columns[expr.column][filtered.rows]
                 )
             out[expr] = column
-        return out
+        return out or placeholder(len(filtered.rows))
 
     def _filtered_entry(
         self,

@@ -3,7 +3,15 @@
 A *frame* maps :class:`ColumnRef` objects (or arbitrary expression keys, for
 computed columns like partial aggregates flowing out of a spool) to numpy
 arrays of equal length. Evaluation is fully vectorized: predicates yield
-boolean masks, arithmetic yields value arrays.
+boolean masks, arithmetic yields value arrays. A frame that holds no column
+keeps its row count under :data:`ROWS` (see :func:`placeholder`).
+
+Predicate work is proportional to the columns it reads: a literal operand of
+a comparison or of arithmetic is a numpy scalar of its type's dtype (numpy
+promotes it exactly as it would a column of that dtype), so ``column op
+constant`` allocates only its result. Only :func:`evaluate`'s caller-facing
+result is broadcast to a column, when the whole expression is constant (a
+bare literal output, or a literal compared with a literal).
 
 STRING columns are ``int64`` codes into ``repro.types.string_pool`` (NaN in a
 float-widened column is a NULL string, as for every other type): a STRING
@@ -13,7 +21,7 @@ operators compare the pool's sort ranks of the codes.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -34,6 +42,30 @@ from .expressions import (
 )
 
 Frame = Dict[Expr, np.ndarray]
+#: A column, or a numpy scalar standing for a constant one.
+Values = Union[np.ndarray, np.generic]
+#: Kleene truth: ``(true mask, null mask or None)``.
+Truth = Tuple[Values, Optional[Values]]
+
+
+class _Rows:
+    """The key of a column-less frame's row placeholder."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "ROWS"
+
+
+#: An operator whose output has no column (``count(*)`` over a scan, a
+#: cross join of such scans) keeps its row count under this key: a bool
+#: placeholder column that gathers, joins and concatenates like any other.
+ROWS = _Rows()
+
+
+def placeholder(rows: int) -> Frame:
+    """A frame of ``rows`` rows and no column."""
+    return {ROWS: np.zeros(rows, dtype=bool)}
 
 
 def frame_length(frame: Frame) -> int:
@@ -42,35 +74,48 @@ def frame_length(frame: Frame) -> int:
     return 0 if first is None else len(first)
 
 
+def constant_column(value: np.generic, rows: int) -> np.ndarray:
+    """A constant broadcast to ``rows`` rows, keeping its dtype — the one
+    place evaluation allocates a column for a constant."""
+    return np.full(rows, value)
+
+
 def evaluate(expr: Expr, frame: Frame) -> np.ndarray:
     """Evaluate ``expr`` against ``frame``, returning a column."""
+    values = _values(expr, frame)
+    if isinstance(values, np.ndarray):
+        return values
+    return constant_column(values, frame_length(frame))
+
+
+def _values(expr: Expr, frame: Frame) -> Values:
+    """``expr``'s column, or a numpy scalar when it is constant."""
     # Computed columns (e.g. spool outputs keyed by the original aggregate
     # expression) take precedence over structural evaluation.
     if expr in frame:
         return frame[expr]
     if isinstance(expr, Literal):
-        n = frame_length(frame)
         value = expr.value
         if expr.data_type is DataType.STRING:
             # -1 (never stored) equals no stored code; ordering goes by rank.
             value = string_pool.code(value)
-        return np.full(n, value, dtype=expr.data_type.numpy_dtype)
+        return expr.data_type.numpy_dtype.type(value)
     if isinstance(expr, ColumnRef):
         raise ExecutionError(f"column {expr!r} not present in frame")
     if isinstance(expr, Comparison):
         return _raw_comparison(expr.op, *_comparison_operands(expr, frame))
     if isinstance(expr, And):
-        result = evaluate(expr.terms[0], frame).astype(bool)
+        result = _values(expr.terms[0], frame).astype(bool)
         for term in expr.terms[1:]:
-            result = result & evaluate(term, frame).astype(bool)
+            result = result & _values(term, frame).astype(bool)
         return result
     if isinstance(expr, Or):
-        result = evaluate(expr.terms[0], frame).astype(bool)
+        result = _values(expr.terms[0], frame).astype(bool)
         for term in expr.terms[1:]:
-            result = result | evaluate(term, frame).astype(bool)
+            result = result | _values(term, frame).astype(bool)
         return result
     if isinstance(expr, Not):
-        return ~evaluate(expr.term, frame).astype(bool)
+        return ~_values(expr.term, frame).astype(bool)
     if isinstance(expr, Arithmetic):
         return _evaluate_arithmetic(expr, frame)
     if isinstance(expr, AggExpr):
@@ -86,43 +131,48 @@ _ORDERING_OPS = (
 )
 
 
-def _comparison_operands(
-    expr: Comparison, frame: Frame
-) -> "tuple[np.ndarray, np.ndarray]":
+def _comparison_operands(expr: Comparison, frame: Frame) -> Tuple[Values, Values]:
     """Both sides of a comparison, ready for the raw numpy operator: STRING
     operands of an ordering operator are mapped from codes to sort ranks."""
     left, right = expr.left, expr.right
-    left_values, right_values = evaluate(left, frame), evaluate(right, frame)
-    if DataType.STRING not in (left.data_type, right.data_type):
-        return left_values, right_values
-    if isinstance(left, Literal) and isinstance(right, Literal):
-        # Two constants have no pool position to compare (both may be absent
-        # from it, sharing code -1): compare the values themselves.
-        sign = (left.value > right.value) - (left.value < right.value)
-        return np.full(len(left_values), sign), np.zeros_like(left_values)
-    if expr.op not in _ORDERING_OPS:
-        return left_values, right_values
-    # One snapshot for both sides, taken after both were evaluated so it
-    # covers every code they hold.
-    order = string_pool.order()
-    return (
-        string_ranks(left, left_values, order),
-        string_ranks(right, right_values, order),
-    )
+    if DataType.STRING in (left.data_type, right.data_type):
+        if isinstance(left, Literal) and isinstance(right, Literal):
+            # Two constants have no pool position to compare (both may be
+            # absent from it, sharing code -1): compare the values themselves.
+            sign = (left.value > right.value) - (left.value < right.value)
+            return np.int64(sign), np.int64(0)
+        if expr.op in _ORDERING_OPS:
+            left_values, right_values = _values(left, frame), _values(right, frame)
+            # One snapshot for both sides, taken after both were evaluated
+            # so it covers every code they hold.
+            order = string_pool.order()
+            return (
+                _ranks(left, left_values, order),
+                _ranks(right, right_values, order),
+            )
+    return _values(left, frame), _values(right, frame)
 
 
-def string_ranks(expr: Expr, codes: np.ndarray, order: StringOrder) -> np.ndarray:
-    """Sort ranks for a STRING expression's evaluated ``codes``: NaN (NULL)
-    stays NaN, and a literal — possibly absent from the pool — takes its
-    position among the snapshot's sorted strings."""
+def _ranks(expr: Expr, codes: Values, order: StringOrder) -> Values:
+    """Sort ranks of a STRING operand: a literal — possibly absent from the
+    pool — takes its position among the snapshot's sorted strings."""
     if isinstance(expr, Literal):
-        return np.full(len(codes), order.rank_of(expr.value))
+        return np.float64(order.rank_of(expr.value))
     return order.ranks_of(codes)
 
 
-def _evaluate_arithmetic(expr: Arithmetic, frame: Frame) -> np.ndarray:
-    left = evaluate(expr.left, frame)
-    right = evaluate(expr.right, frame)
+def string_ranks(expr: Expr, codes: np.ndarray, order: StringOrder) -> np.ndarray:
+    """Sort ranks for a STRING expression's evaluated ``codes`` (a column):
+    NaN (NULL) stays NaN."""
+    ranks = _ranks(expr, codes, order)
+    if isinstance(ranks, np.ndarray):
+        return ranks
+    return constant_column(ranks, len(codes))
+
+
+def _evaluate_arithmetic(expr: Arithmetic, frame: Frame) -> Values:
+    left = _values(expr.left, frame)
+    right = _values(expr.right, frame)
     op = expr.op
     if op is ArithmeticOp.ADD:
         return left + right
@@ -143,18 +193,19 @@ def evaluate_predicate(predicate: Optional[Expr], frame: Frame) -> np.ndarray:
 
     SQL three-valued logic: a row passes only when the predicate is TRUE.
     NULLs (NaN in float-widened columns) appear only downstream of outer
-    joins; frames without NULLs take the original
-    two-valued fast path unchanged.
+    joins; frames without NULLs take the two-valued path.
     """
     n = frame_length(frame)
     if predicate is None:
         return np.ones(n, dtype=bool)
-    true_mask, _ = evaluate3(predicate, frame)
+    true_mask, _ = _truth(predicate, frame)
     if true_mask.dtype != np.bool_:
         if predicate.data_type is not DataType.BOOL:
             raise ExecutionError(f"predicate {predicate!r} is not boolean")
         true_mask = true_mask.astype(bool)
-    return true_mask
+    if isinstance(true_mask, np.ndarray):
+        return true_mask
+    return constant_column(true_mask, n)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +213,7 @@ def evaluate_predicate(predicate: Optional[Expr], frame: Frame) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def null_mask(values: np.ndarray) -> Optional[np.ndarray]:
+def null_mask(values: Values) -> Optional[Values]:
     """Boolean mask of NULL entries, or None when the column has none.
 
     NULLs are NaN: outer-join null extension casts every column — string
@@ -178,8 +229,20 @@ def evaluate3(expr: Expr, frame: Frame) -> "tuple[np.ndarray, Optional[np.ndarra
     """Evaluate a boolean expression under Kleene logic.
 
     Returns ``(true_mask, null_mask)`` where ``null_mask`` is None when no
-    row evaluates to NULL (the common, NULL-free case — zero overhead
-    beyond the plain evaluator)."""
+    row evaluates to NULL (the common, NULL-free case: connectives whose
+    terms carry no NULL mask combine their true masks directly, and the
+    Kleene bookkeeping runs only when some term has NULLs)."""
+    true, nulls = _truth(expr, frame)
+    n = frame_length(frame)
+    if not isinstance(true, np.ndarray):
+        true = constant_column(true, n)
+    if nulls is not None and not isinstance(nulls, np.ndarray):
+        nulls = constant_column(nulls, n)
+    return true, nulls
+
+
+def _truth(expr: Expr, frame: Frame) -> Truth:
+    """:func:`evaluate3` over operands that may still be scalars."""
     if expr in frame:
         values = frame[expr]
         return (
@@ -192,41 +255,40 @@ def evaluate3(expr: Expr, frame: Frame) -> "tuple[np.ndarray, Optional[np.ndarra
         if nulls is None:
             return raw, None
         return raw & ~nulls, nulls
-    if isinstance(expr, And):
-        true = None
-        false = None
-        for term in expr.terms:
-            t, n = evaluate3(term, frame)
-            f = ~t if n is None else ~t & ~n
-            true = t if true is None else true & t
-            false = f if false is None else false | f
-        assert true is not None and false is not None
-        nulls = ~true & ~false
-        return true, nulls if nulls.any() else None
-    if isinstance(expr, Or):
-        true = None
-        false = None
-        for term in expr.terms:
-            t, n = evaluate3(term, frame)
-            f = ~t if n is None else ~t & ~n
-            true = t if true is None else true | t
-            false = f if false is None else false & f
-        assert true is not None and false is not None
-        nulls = ~true & ~false
-        return true, nulls if nulls.any() else None
+    if isinstance(expr, (And, Or)):
+        return _connective(expr, frame)
     if isinstance(expr, Not):
-        t, n = evaluate3(expr.term, frame)
+        t, n = _truth(expr.term, frame)
         if n is None:
-            return ~t.astype(bool), None
+            return ~t, None
         return ~t & ~n, n
     # Anything else (literals, frame-resident boolean columns).
-    values = evaluate(expr, frame)
+    values = _values(expr, frame)
     return values.astype(bool) if values.dtype != np.bool_ else values, None
 
 
-def _combine_nulls(
-    a: Optional[np.ndarray], b: Optional[np.ndarray]
-) -> Optional[np.ndarray]:
+def _connective(expr: Expr, frame: Frame) -> Truth:
+    """An AND or OR: NULL-free terms combine their true masks; otherwise
+    Kleene — AND is FALSE where some term is, OR where every term is."""
+    conjunction = isinstance(expr, And)
+    terms = [_truth(term, frame) for term in expr.terms]
+    true = terms[0][0]
+    for t, _ in terms[1:]:
+        true = true & t if conjunction else true | t
+    if all(n is None for _, n in terms):
+        return true, None
+    false = None
+    for t, n in terms:
+        f = ~t if n is None else ~t & ~n
+        if false is None:
+            false = f
+        else:
+            false = false | f if conjunction else false & f
+    nulls = ~true & ~false
+    return true, nulls if nulls.any() else None
+
+
+def _combine_nulls(a: Optional[Values], b: Optional[Values]) -> Optional[Values]:
     if a is None:
         return b
     if b is None:
@@ -234,9 +296,7 @@ def _combine_nulls(
     return a | b
 
 
-def _raw_comparison(
-    op: ComparisonOp, left: np.ndarray, right: np.ndarray
-) -> np.ndarray:
+def _raw_comparison(op: ComparisonOp, left: Values, right: Values) -> Values:
     if op is ComparisonOp.EQ:
         return left == right
     if op is ComparisonOp.NE:

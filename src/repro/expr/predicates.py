@@ -8,12 +8,15 @@ matching framework ([5] in the paper). This module implements:
 * conjunct splitting / conjoining,
 * :class:`EquivalenceClasses`: union-find over column references,
 * simple implication tests between range conjuncts (used to simplify
-  compensation predicates in view matching).
+  compensation predicates in view matching),
+* per-column range hulls of a disjunction (§4.2 step 3's weakening, also
+  applied to one query's cross-table ``OR``).
 """
 
 from __future__ import annotations
 
 from typing import (
+    Any,
     Dict,
     FrozenSet,
     Hashable,
@@ -23,9 +26,12 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TypeVar,
 )
 
+from .evaluator import evaluate_predicate, placeholder
 from .expressions import (
+    FALSE,
     And,
     ColumnRef,
     Comparison,
@@ -35,7 +41,9 @@ from .expressions import (
     Or,
     TRUE,
     canon_key,
+    canon_sorted,
 )
+from ..types import DataType
 
 
 def split_conjuncts(predicate: Optional[Expr]) -> List[Expr]:
@@ -76,6 +84,16 @@ def disjoin(disjuncts: Sequence[Optional[Expr]]) -> Optional[Expr]:
     if len(unique) == 1:
         return unique[0]
     return Or(tuple(unique))
+
+
+def folded(conjunct: Expr) -> Optional[Expr]:
+    """A table-less conjunct as its block applies it: None when it is TRUE,
+    FALSE when it is FALSE or NULL (the block is empty), and the conjunct
+    itself when a leaf is no literal — a scalar subquery, whose value only
+    execution knows."""
+    if any(not (isinstance(node, Literal) or node.children()) for node in conjunct.walk()):
+        return conjunct
+    return None if evaluate_predicate(conjunct, placeholder(1))[0] else FALSE
 
 
 def column_equalities(conjuncts: Iterable[Expr]) -> List[Comparison]:
@@ -213,6 +231,95 @@ def range_parts(conjunct: Expr) -> Optional[Tuple[ColumnRef, ComparisonOp, objec
     if isinstance(normalized.left, ColumnRef) and isinstance(normalized.right, Literal):
         return (normalized.left, normalized.op, normalized.right.value)
     return None
+
+
+def range_part(conjunct: Expr) -> Optional[Tuple[ColumnRef, ComparisonOp, Any]]:
+    """``(column, op, value)`` of a ``column op number`` conjunct (either
+    operand order; dates are numbers in engine form), else None."""
+    part = range_parts(conjunct)
+    if part is None or isinstance(part[2], bool) or not isinstance(part[2], (int, float)):
+        return None
+    return part
+
+
+K = TypeVar("K")
+#: A key's ``(low, low inclusive, high, high inclusive)``; None is unbounded.
+Range = Tuple[Optional[float], bool, Optional[float], bool]
+
+
+def range_bounds(parts: Iterable[Tuple[K, ComparisonOp, Any]]) -> Dict[K, Range]:
+    """Per key, the tightest range the ``(key, op, number)`` bounds imply
+    together (EQ bounds both sides)."""
+    bounds: Dict[K, Range] = {}
+    for key, op, value in parts:
+        low, low_inc, high, high_inc = bounds.get(key, (None, True, None, True))
+        if op in (ComparisonOp.GT, ComparisonOp.GE):
+            inclusive = op is ComparisonOp.GE
+            if low is None or value > low or (value == low and not inclusive):
+                low, low_inc = float(value), inclusive
+        elif op in (ComparisonOp.LT, ComparisonOp.LE):
+            inclusive = op is ComparisonOp.LE
+            if high is None or value < high or (value == high and not inclusive):
+                high, high_inc = float(value), inclusive
+        elif op is ComparisonOp.EQ:
+            if low is None or value > low:
+                low, low_inc = float(value), True
+            if high is None or value < high:
+                high, high_inc = float(value), True
+        bounds[key] = (low, low_inc, high, high_inc)
+    return bounds
+
+
+def range_hulls(
+    alternatives: Sequence[Dict[K, Range]], keys: Iterable[K]
+) -> List[Tuple[K, ComparisonOp, float]]:
+    """The range hull of each of ``keys`` over ``alternatives`` (each a
+    :func:`range_bounds` result): a low bound only when every alternative
+    has one — the loosest, inclusive when any alternative at it is — and
+    likewise a high bound. Every row some alternative admits passes the
+    hull. Keys an alternative leaves unbounded get no hull."""
+    hulls: List[Tuple[K, ComparisonOp, float]] = []
+    for key in keys:
+        ranges = [alternative.get(key) for alternative in alternatives]
+        if any(r is None for r in ranges):
+            continue
+        lows = [r[0] for r in ranges]
+        if all(low is not None for low in lows):
+            low = min(lows)
+            inclusive = any(r[1] for r in ranges if r[0] == low)
+            hulls.append((key, ComparisonOp.GE if inclusive else ComparisonOp.GT, low))
+        highs = [r[2] for r in ranges]
+        if all(high is not None for high in highs):
+            high = max(highs)
+            inclusive = any(r[3] for r in ranges if r[2] == high)
+            hulls.append((key, ComparisonOp.LE if inclusive else ComparisonOp.LT, high))
+    return hulls
+
+
+def hull_comparison(column: ColumnRef, op: ComparisonOp, value: float) -> Comparison:
+    """A range hull bound as an ``Expr``: an integer literal on INT and DATE
+    columns when the bound is whole, else a FLOAT literal."""
+    value = float(value)
+    if column.data_type in (DataType.INT, DataType.DATE) and value.is_integer():
+        return Comparison(op, column, Literal(int(value), column.data_type))
+    return Comparison(op, column, Literal(value, DataType.FLOAT))
+
+
+def disjunction_hulls(conjunct: Expr) -> List[Tuple[ColumnRef, ComparisonOp, float]]:
+    """The range hulls an ``OR`` over two or more tables implies, as
+    ``(column, op, value)`` in canonical column order: one per bounded side
+    of each column that every disjunct bounds by ``column op number``
+    conjuncts. Each hull holds for every row the disjunction is TRUE for,
+    so it filters that column's table ahead of the join the disjunction
+    must wait for; other conjuncts yield none."""
+    if not isinstance(conjunct, Or) or len(conjunct.tables()) < 2:
+        return []
+    alternatives = [
+        range_bounds(filter(None, map(range_part, split_conjuncts(term))))
+        for term in conjunct.terms
+    ]
+    columns = set(alternatives[0]).intersection(*alternatives[1:])
+    return range_hulls(alternatives, canon_sorted(columns))
 
 
 def range_implies(specific: Expr, general: Expr) -> bool:

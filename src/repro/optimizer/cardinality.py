@@ -10,7 +10,7 @@ deterministic given the database statistics, which keeps optimizer decisions
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..catalog.statistics import ColumnStats
 from ..expr.expressions import (
@@ -23,6 +23,12 @@ from ..expr.expressions import (
     Not,
     Or,
     TableRef,
+)
+from ..expr.predicates import (
+    disjunction_hulls,
+    folded,
+    hull_comparison,
+    non_equality_conjuncts,
 )
 from ..storage.database import Database
 
@@ -85,6 +91,49 @@ class CardinalityEstimator:
         if isinstance(predicate, Comparison):
             return self._comparison_selectivity(predicate)
         return DEFAULT_SELECTIVITY
+
+    def filters(self, conjuncts: Iterable[Expr]) -> List[Tuple[Expr, float]]:
+        """A block's non-equality conjuncts as the block filters by them,
+        each with its :meth:`conjunct_selectivity` — the one place they are
+        derived. Table-less conjuncts are :func:`folded` (TRUE drops one);
+        the :meth:`hulls` of each cross-table disjunction follow, unless
+        the block holds them already: single-table filters its scans
+        apply, while the disjunction stays the residual of the join
+        (§4.2 step 3's weakening, within one query)."""
+        filters: List[Tuple[Expr, float]] = []
+        hulls: Dict[Expr, None] = {}
+        for conjunct in non_equality_conjuncts(conjuncts):
+            if not conjunct.columns():
+                conjunct = folded(conjunct)
+                if conjunct is None:
+                    continue
+            filters.append((conjunct, self.conjunct_selectivity(conjunct)))
+            hulls.update(dict.fromkeys(self.hulls(conjunct)))
+        present = {conjunct for conjunct, _ in filters}
+        filters.extend((h, self.selectivity(h)) for h in hulls if h not in present)
+        return filters
+
+    def hulls(self, conjunct: Expr) -> Tuple[Comparison, ...]:
+        """The single-table range conjuncts a cross-table disjunction
+        implies (:func:`~repro.expr.predicates.disjunction_hulls`), less
+        every bound its column's min/max statistics already imply."""
+        hulls = []
+        for column, op, value in disjunction_hulls(conjunct):
+            stats = self._column_stats(column)
+            if stats is None or not _stats_imply(stats, op, value):
+                hulls.append(hull_comparison(column, op, value))
+        return tuple(hulls)
+
+    def conjunct_selectivity(self, conjunct: Expr) -> float:
+        """Selectivity of one block conjunct among the others: a cross-table
+        disjunction is conditioned on its :meth:`hulls`, which the block
+        applies first, so its scans and the join it filters multiply back to
+        the unconditioned estimate."""
+        selectivity = self.selectivity(conjunct)
+        applied = 1.0
+        for hull in self.hulls(conjunct):
+            applied *= self.selectivity(hull)
+        return min(1.0, selectivity / applied) if applied > 0 else selectivity
 
     def _comparison_selectivity(self, predicate: Comparison) -> float:
         normalized = predicate.normalized()
@@ -260,6 +309,16 @@ def cardenas(domain: float, rows: float) -> float:
     if ratio > 50:
         return domain
     return domain * -math.expm1(rows * math.log1p(-1.0 / domain)) if domain > 1 else 1.0
+
+
+def _stats_imply(stats: ColumnStats, op: ComparisonOp, value: float) -> bool:
+    """Whether the column's min/max statistics put every stored value
+    inside ``column op value``."""
+    if op in (ComparisonOp.GE, ComparisonOp.GT):
+        low = stats.min_value
+        return low is not None and (low > value or (low == value and op is ComparisonOp.GE))
+    high = stats.max_value
+    return high is not None and (high < value or (high == value and op is ComparisonOp.LE))
 
 
 def _clamp(value: float) -> float:

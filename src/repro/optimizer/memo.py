@@ -46,7 +46,7 @@ from ..expr.expressions import (
     canon_key,
     canon_sorted,
 )
-from ..expr.predicates import EquivalenceClasses, non_equality_conjuncts
+from ..expr.predicates import EquivalenceClasses
 from ..logical.blocks import QueryBlock
 from ..cse.signature import TableSignature
 from .aggs import AggCompute, combine_computes, decomposable_over, direct_computes, partial_computes
@@ -229,7 +229,6 @@ class BlockInfo:
     def __init__(self, block: QueryBlock, estimator: CardinalityEstimator) -> None:
         self.block = block
         self.classes: EquivalenceClasses = block.equivalence_classes()
-        self.noneq: List[Expr] = non_equality_conjuncts(block.conjuncts)
         self.tables: Tuple[TableRef, ...] = tuple(sorted(block.tables))
         self.bits: Tuple[int, ...] = tuple(1 << i for i in range(len(self.tables)))
         self.bit: Dict[TableRef, int] = dict(zip(self.tables, self.bits))
@@ -245,10 +244,16 @@ class BlockInfo:
             )
             for cls in self.classes.classes()
         ]
-        #: (conjunct, table mask, selectivity) per non-equality conjunct.
+        #: (conjunct, table mask, selectivity) per non-equality conjunct the
+        #: block filters by (``CardinalityEstimator.filters``): the one list
+        #: the memo, the consumer profiles and the equivalence gate read. A
+        #: table-less one (FALSE, or a scalar subquery's test) filters the
+        #: first table.
         self.noneq_bits: List[Tuple[Expr, int, float]] = [
-            (c, self.mask_of(c.tables()), estimator.selectivity(c)) for c in self.noneq
+            (c, self.mask_of(c.tables()) or self.bits[0], selectivity)
+            for c, selectivity in estimator.filters(block.conjuncts)
         ]
+        self.noneq: List[Expr] = [c for c, _, _ in self.noneq_bits]
         #: Block-required columns in canonical order, with their table bit.
         self.required: Tuple[Tuple[ColumnRef, int], ...] = tuple(
             (c, self.bit[c.table_ref]) for c in canon_sorted(block.required_columns())

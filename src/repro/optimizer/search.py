@@ -382,7 +382,7 @@ class Search:
         cost += self.cost_model.filter(rows, len(conjuncts))
         selectivity = 1.0
         for conjunct in conjuncts:
-            selectivity *= self.estimator.selectivity(conjunct)
+            selectivity *= self.estimator.conjunct_selectivity(conjunct)
         rows = max(rows * selectivity, 1.0)
         return cost, PhysFilter(plan, tuple(conjuncts), est_rows=rows), rows
 

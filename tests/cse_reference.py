@@ -21,7 +21,7 @@ from repro.expr.expressions import (
     Literal,
     canon_sorted,
 )
-from repro.expr.predicates import EquivalenceClasses
+from repro.expr.predicates import EquivalenceClasses, hull_comparison
 from repro.types import DataType
 
 
@@ -202,7 +202,7 @@ def weaken_by_ids(residual_sets):
     ids = [[space.conjunct_id(c) for c in conjuncts] for conjuncts in residual_sets]
     commons, hulls, residuals = construct._weaken(ids, space)
     covering = [space.conjuncts[fid] for fid in commons] + [
-        construct._hull_comparison(space.columns[cid], op, value)
+        hull_comparison(space.columns[cid], op, value)
         for cid, op, value in hulls
     ]
     return covering, [[space.conjuncts[fid] for fid in r] for r in residuals]

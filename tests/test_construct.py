@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from repro.cse.construct import _hull_comparison, construct_cse
+from repro.cse.construct import construct_cse
 from repro.cse.manager import CseManager
 from repro.cse.compatibility import compatibility_groups
 from repro.cse.signature import TableSignature
@@ -19,6 +19,7 @@ from repro.expr.expressions import (
     gt,
     lt,
 )
+from repro.expr.predicates import hull_comparison
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.memo import Memo
 from repro.sql.binder import bind_batch
@@ -143,7 +144,7 @@ class TestWeakenedCovering:
         )
         assert literal_kinds(covering) == [(int, DataType.INT)] * 2
         # An int bound (as a lexer or a DATE literal makes it) is accepted too.
-        assert literal_kinds([_hull_comparison(n, ComparisonOp.GT, 0)]) == [
+        assert literal_kinds([hull_comparison(n, ComparisonOp.GT, 0)]) == [
             (int, DataType.INT)
         ]
 
@@ -155,7 +156,7 @@ class TestWeakenedCovering:
         )
         assert [repr(c) for c in covering] == ["(t#1.p > 1000.0)", "(t#1.p < 9000.0)"]
         assert literal_kinds(covering) == [(float, DataType.FLOAT)] * 2
-        assert repr(_hull_comparison(p, ComparisonOp.LT, 9000)) == "(t#1.p < 9000.0)"
+        assert repr(hull_comparison(p, ComparisonOp.LT, 9000)) == "(t#1.p < 9000.0)"
 
 
 class TestConstruction:
