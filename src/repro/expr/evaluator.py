@@ -9,9 +9,10 @@ keeps its row count under :data:`ROWS` (see :func:`placeholder`).
 Predicate work is proportional to the columns it reads: a literal operand of
 a comparison or of arithmetic is a numpy scalar of its type's dtype (numpy
 promotes it exactly as it would a column of that dtype), so ``column op
-constant`` allocates only its result. Only :func:`evaluate`'s caller-facing
-result is broadcast to a column, when the whole expression is constant (a
-bare literal output, or a literal compared with a literal).
+constant`` allocates only its result. A result is broadcast to a column
+(``_column``) only when the public functions hand a whole constant
+expression to their caller: a bare literal output, or a literal compared
+with a literal.
 
 STRING columns are ``int64`` codes into ``repro.types.string_pool`` (NaN in a
 float-widened column is a NULL string, as for every other type): a STRING
@@ -74,18 +75,16 @@ def frame_length(frame: Frame) -> int:
     return 0 if first is None else len(first)
 
 
-def constant_column(value: np.generic, rows: int) -> np.ndarray:
-    """A constant broadcast to ``rows`` rows, keeping its dtype — the one
-    place evaluation allocates a column for a constant."""
-    return np.full(rows, value)
+def _column(values: Values, rows: int) -> np.ndarray:
+    """``values`` as a column: a constant is broadcast to ``rows`` rows,
+    keeping its dtype — the one place evaluation allocates a column for a
+    constant."""
+    return values if isinstance(values, np.ndarray) else np.full(rows, values)
 
 
 def evaluate(expr: Expr, frame: Frame) -> np.ndarray:
     """Evaluate ``expr`` against ``frame``, returning a column."""
-    values = _values(expr, frame)
-    if isinstance(values, np.ndarray):
-        return values
-    return constant_column(values, frame_length(frame))
+    return _column(_values(expr, frame), frame_length(frame))
 
 
 def _values(expr: Expr, frame: Frame) -> Values:
@@ -164,10 +163,7 @@ def _ranks(expr: Expr, codes: Values, order: StringOrder) -> Values:
 def string_ranks(expr: Expr, codes: np.ndarray, order: StringOrder) -> np.ndarray:
     """Sort ranks for a STRING expression's evaluated ``codes`` (a column):
     NaN (NULL) stays NaN."""
-    ranks = _ranks(expr, codes, order)
-    if isinstance(ranks, np.ndarray):
-        return ranks
-    return constant_column(ranks, len(codes))
+    return _column(_ranks(expr, codes, order), len(codes))
 
 
 def _evaluate_arithmetic(expr: Arithmetic, frame: Frame) -> Values:
@@ -203,9 +199,7 @@ def evaluate_predicate(predicate: Optional[Expr], frame: Frame) -> np.ndarray:
         if predicate.data_type is not DataType.BOOL:
             raise ExecutionError(f"predicate {predicate!r} is not boolean")
         true_mask = true_mask.astype(bool)
-    if isinstance(true_mask, np.ndarray):
-        return true_mask
-    return constant_column(true_mask, n)
+    return _column(true_mask, n)
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +228,7 @@ def evaluate3(expr: Expr, frame: Frame) -> "tuple[np.ndarray, Optional[np.ndarra
     Kleene bookkeeping runs only when some term has NULLs)."""
     true, nulls = _truth(expr, frame)
     n = frame_length(frame)
-    if not isinstance(true, np.ndarray):
-        true = constant_column(true, n)
-    if nulls is not None and not isinstance(nulls, np.ndarray):
-        nulls = constant_column(nulls, n)
-    return true, nulls
+    return _column(true, n), None if nulls is None else _column(nulls, n)
 
 
 def _truth(expr: Expr, frame: Frame) -> Truth:
