@@ -21,7 +21,7 @@ from .heuristics import (
     is_contained,
     merge_benefit,
 )
-from .matching import ConsumerSpec, build_consumer_specs, try_match_consumer
+from .matching import ConsumerSpec, build_consumer_specs, match_consumer
 
 __all__ = [
     "TableSignature",
@@ -44,5 +44,5 @@ __all__ = [
     "merge_benefit",
     "ConsumerSpec",
     "build_consumer_specs",
-    "try_match_consumer",
+    "match_consumer",
 ]

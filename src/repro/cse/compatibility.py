@@ -34,9 +34,8 @@ from ..expr.expressions import (
 from ..expr.predicates import (
     column_equalities,
     non_equality_conjuncts,
-    range_part,
+    range_parts,
 )
-from ..obs import active_registry
 from ..optimizer.cardinality import CardinalityEstimator
 from ..optimizer.memo import BlockInfo, Group
 
@@ -99,15 +98,6 @@ def consumer_conjuncts(group: Group, info: BlockInfo) -> List[Expr]:
     return conjuncts
 
 
-def consumer_table_map(
-    group: Group, body_by_slot: Dict[Slot, TableRef]
-) -> Dict[TableRef, TableRef]:
-    """Map a consumer's table instances onto the CSE body's instances via
-    the shared slot assignment."""
-    assignment = slot_assignment(group.tables)
-    return {tref: body_by_slot[slot] for tref, slot in assignment.items()}
-
-
 def bit_positions(mask: int) -> List[int]:
     """The set bits of ``mask`` as positions, lowest first."""
     positions = []
@@ -138,7 +128,7 @@ class IdSpace:
         self.column_rank: List[str] = []
         self.column_ndv: List[float] = []
         #: Per conjunct id: column-id mask, touched-slot mask, selectivity,
-        #: and ``(column id, op, value)`` when it is ``column op number``.
+        #: and ``(column id, op, value)`` when it is ``column op literal``.
         self.conjunct_columns: List[int] = []
         self.conjunct_slots: List[int] = []
         self.selectivity: List[float] = []
@@ -174,7 +164,7 @@ class IdSpace:
             )
             if self.estimator is not None:
                 self.selectivity.append(self.estimator.conjunct_selectivity(conjunct))
-            part = range_part(conjunct)
+            part = range_parts(conjunct)
             self.ranges.append(part and (self.column_id(part[0]), part[1], part[2]))
         return fid
 
@@ -234,6 +224,8 @@ class ConsumerProfile:
 
     group: Group
     space: IdSpace
+    #: Each of the group's table instances -> its slot's template.
+    template_map: Dict[TableRef, TableRef]
     #: The signature's slot templates, in slot order (slot i is bit i), the
     #: stored rows of each, and each one's verified key (column-id mask, 0
     #: for none; :meth:`CardinalityEstimator.key_columns`).
@@ -246,6 +238,9 @@ class ConsumerProfile:
     #: from the classes, then everything else (local filters, non-equi joins).
     equalities: Tuple[int, ...]
     filters: Tuple[int, ...]
+    #: The consumer's own conjuncts behind ``equalities + filters``, in its
+    #: column space (what a match's residual is made of).
+    conjuncts: Tuple[Expr, ...]
     #: Grouping columns (mask) and aggregate ids (aggregated signatures), or
     #: the columns the consumer's ancestors read (mask; SPJ signatures).
     group_keys: int
@@ -256,7 +251,8 @@ class ConsumerProfile:
 class ConsumerProfiles:
     """The per-optimization profile cache: one :class:`ConsumerProfile` per
     consumer group over one :class:`IdSpace`, shared by
-    :func:`compatibility_groups`, Algorithm 1 and construction."""
+    :func:`compatibility_groups`, Algorithm 1, construction and §5.1
+    matching (which also profiles the candidate-body groups it probes)."""
 
     def __init__(
         self, infos: Dict[str, BlockInfo], estimator: Optional[CardinalityEstimator] = None
@@ -281,9 +277,9 @@ class ConsumerProfiles:
         """Express ``group`` over its signature's slot templates."""
         if group.signature is None:
             raise OptimizerError("consumer group has no table signature")
-        active_registry().counter("cse.consumer_profiles")
         space = self.space
-        table_map, predicate = self._predicate(group)
+        predicate = self._predicate(group)
+        table_map = predicate[0]
 
         def mask(exprs: Iterable[Expr]) -> int:
             columns = 0
@@ -308,16 +304,17 @@ class ConsumerProfiles:
         )
 
     def _predicate(self, group: Group) -> tuple:
-        """``(template map, (tables, table rows, table keys, classes,
-        equalities, filters))`` of ``group``, cached per block and instance set."""
+        """``(template map, tables, table rows, table keys, classes,
+        equalities, filters, conjuncts)`` of ``group``, cached per block and
+        instance set."""
         key = (group.block.name, group.tables)
         if key not in self._predicates:
             space = self.space
             table_map = slot_tables(group.tables)
-            conjuncts = [
-                remap_expr(c, table_map)
-                for c in consumer_conjuncts(group, self.infos[group.block.name])
-            ]
+            # Equalities come first, so the consumer's conjunct order is
+            # that of ``equalities + filters``.
+            own = consumer_conjuncts(group, self.infos[group.block.name])
+            conjuncts = [remap_expr(c, table_map) for c in own]
             equalities = column_equalities(conjuncts)
             # Each class's first member is equated with the rest, so the
             # left side names the class.
@@ -328,7 +325,8 @@ class ConsumerProfiles:
                 ) | space.columns_mask(equality.right)
             tables = tuple(sorted(table_map.values(), key=lambda t: t.instance))
             estimator = space.estimator
-            self._predicates[key] = (table_map, (
+            self._predicates[key] = (
+                table_map,
                 tables,
                 tuple(map(estimator.table_rows, tables)) if estimator is not None else (),
                 tuple(
@@ -338,7 +336,8 @@ class ConsumerProfiles:
                 tuple(classes.values()),
                 tuple(map(space.conjunct_id, equalities)),
                 tuple(map(space.conjunct_id, non_equality_conjuncts(conjuncts))),
-            ))
+                tuple(own),
+            )
         return self._predicates[key]
 
 

@@ -38,9 +38,7 @@ from ..expr.expressions import (
     Expr,
     TableRef,
 )
-from ..expr.predicates import (
-    EquivalenceClasses, hull_comparison, range_bounds, range_hulls,
-)
+from ..expr.predicates import hull_comparison, is_number, range_bounds, range_hulls
 from ..logical.blocks import OutputColumn, QueryBlock
 from ..obs import active_registry
 from ..optimizer import memo
@@ -66,9 +64,13 @@ class CseDefinition:
     consumer_groups: List[Group]
     #: Equality conjuncts of the intersected equivalence classes (step 1).
     joint_equalities: Tuple[Expr, ...]
-    joint_classes: EquivalenceClasses
     #: Conjuncts of the (weakened) covering predicate (step 3), body space.
     covering_conjuncts: Tuple[Expr, ...]
+    #: The slot-space state this definition was materialised from, until
+    #: Step 2 has matched its consumers; ``block.tables`` are the body
+    #: instances in slot order. §5.1 matching reads the state's ids, never
+    #: the expressions above.
+    state: Optional["CoveringState"]
     est_rows: float = 0.0
     row_width: int = 0
 
@@ -134,7 +136,10 @@ def _weaken(
     # (b) per-column range hulls across the remaining disjuncts.
     if all(residuals):
         per_consumer_bounds = [
-            range_bounds(filter(None, (space.ranges[c] for c in r))) for r in residuals
+            range_bounds(
+                part for part in (space.ranges[c] for c in r) if part and is_number(part[2])
+            )
+            for r in residuals
         ]
         hulls = range_hulls(per_consumer_bounds, space.canonical(per_consumer_bounds[0]))
     return commons, hulls, residuals
@@ -247,8 +252,8 @@ class CoveringState:
             outputs=outputs,
             consumer_groups=self.consumer_groups,
             joint_equalities=joint_equalities,
-            joint_classes=EquivalenceClasses.from_conjuncts(joint_equalities),
             covering_conjuncts=covering,
+            state=self,
             est_rows=self.est_rows,
             row_width=self.row_width,
         )

@@ -8,30 +8,26 @@ than the consumer's).
 
 The same matcher serves both the CSE's *constructed* consumers (where it
 always succeeds, by §4.2's construction) and **stacked** consumers found
-inside other candidates' bodies (§5.5).
+inside other candidates' bodies (§5.5). It proves the containment
+obligations once, as integer tests on the ids Algorithm 1 already minted:
+the consumer's :class:`ConsumerProfile` against the :class:`CoveringState`
+the CSE was materialised from, both over one :class:`IdSpace`. Expressions
+are built only for a match that succeeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..equiv import check_consumer_match
-from ..expr.expressions import AggExpr, ColumnRef, Expr, TableRef
-from ..expr.predicates import (
-    EquivalenceClasses,
-    implied_by_equalities,
-    range_implies,
-)
+from ..equiv import GAVE_UP, PROVED, REFUTED, Verdict
+from ..errors import OptimizerError
+from ..expr.expressions import ColumnRef, Expr, TableRef
+from ..expr.predicates import bound_implies
 from ..obs import active_journal
 from ..optimizer.aggs import AggCompute, reaggregate_computes
-from ..optimizer.memo import BlockInfo, Group
-from .compatibility import (
-    consumer_conjuncts,
-    consumer_table_map,
-    remap_expr,
-    slot_assignment,
-)
+from ..optimizer.memo import Group
+from .compatibility import ConsumerProfile, IdSpace, bit_positions, remap_expr
 from .construct import CseDefinition
 
 
@@ -58,108 +54,141 @@ class ConsumerSpec:
         return self.reagg_keys is not None
 
 
-def try_match_consumer(
-    definition: CseDefinition,
-    group: Group,
-    info: BlockInfo,
-) -> Optional[ConsumerSpec]:
-    """Attempt to match ``group`` against ``definition``; returns the
-    compensation recipe or None.
+def match_consumer(
+    definition: CseDefinition, profile: ConsumerProfile
+) -> Tuple[Verdict, Optional[ConsumerSpec]]:
+    """Match ``profile``'s group against ``definition``: the verdict, and the
+    compensation recipe when it is ``proved``.
 
-    Checks, in body column space:
+    The obligations, in slot-template space:
 
-    1. identical table signature (slot sets);
-    2. the consumer's predicate implies the CSE's joint equalities;
-    3. the consumer's predicate implies every covering conjunct
-       (so the CSE contains all the consumer's rows);
-    4. the residual (consumer conjuncts the CSE does not guarantee) references
-       only columns the CSE outputs — grouping keys, for aggregated CSEs;
-    5. for aggregated CSEs: consumer keys ⊆ CSE keys and consumer aggregates
-       ⊆ CSE aggregates.
+    1. identical table signature and slot templates;
+    2. each joint class (the CSE's equalities) lies inside one of the
+       consumer's classes;
+    3. every covering conjunct is one of the consumer's conjuncts or is
+       range-implied by one, and every covering hull by a consumer bound on
+       its column — so the CSE contains all the consumer's rows;
+    4. the residual (consumer conjuncts neither the joint classes nor the
+       covering imply) references only columns the CSE outputs — grouping
+       keys, for aggregated CSEs;
+    5. for aggregated CSEs: consumer keys (columns only) ⊆ CSE keys and
+       consumer aggregates ⊆ CSE aggregates; otherwise the columns the
+       consumer's ancestors read ⊆ the CSE's columns.
     """
-    if group.signature != definition.signature:
-        return None
-    body_by_slot: Dict[Tuple[str, int], TableRef] = {}
-    assignment = slot_assignment(definition.block.tables)
-    for tref, slot in assignment.items():
-        body_by_slot[slot] = tref
-    consumer_slots = set(slot_assignment(group.tables).values())
-    if consumer_slots != set(body_by_slot):
-        return None
-    table_map = consumer_table_map(group, body_by_slot)
+    state = definition.state
+    space = profile.space
+    if space is not state.members[0].space:
+        raise OptimizerError("consumer profile and CSE state use different id spaces")
+    if profile.group.signature != definition.signature:
+        return Verdict(REFUTED, "table signature mismatch"), None
+    if profile.tables != state.members[0].tables:
+        return Verdict(REFUTED, "slot multiset mismatch"), None
 
-    mapped_conjuncts = [
-        remap_expr(c, table_map) for c in consumer_conjuncts(group, info)
-    ]
-    consumer_classes = EquivalenceClasses.from_conjuncts(mapped_conjuncts)
+    for joint in state.joint:
+        if not any(joint & mine == joint for mine in profile.classes):
+            return _gave_up(f"joint class {_names(space, joint)} not implied by consumer")
 
-    # 2. Joint equalities must hold in the consumer.
-    for equality in definition.joint_equalities:
-        if not implied_by_equalities(equality, consumer_classes):
-            return None
+    ranges = space.ranges
+    held = set(profile.equalities) | set(profile.filters)
+    bounds = [ranges[f] for f in profile.filters if ranges[f] is not None]
+    for fid in state.commons:
+        if fid not in held and not _implied(ranges[fid], bounds):
+            return _gave_up(
+                f"covering conjunct {space.conjuncts[fid]!r} not implied by consumer"
+            )
+    for hull in state.hulls:
+        if not _implied(hull, bounds):
+            cid, op, value = hull
+            return _gave_up(
+                f"covering bound {space.columns[cid]!r} {op.value} {value!r} "
+                "not implied by consumer"
+            )
 
-    # 3. Every covering conjunct must be implied by the consumer's predicate.
-    for covering in definition.covering_conjuncts:
-        if not _implied_by_any(covering, mapped_conjuncts):
-            return None
-
-    # Residual: consumer conjuncts the CSE does not already guarantee.
-    residual_body: List[Expr] = []
-    for conjunct in mapped_conjuncts:
-        if implied_by_equalities(conjunct, definition.joint_classes):
+    # The residual: consumer conjuncts the CSE does not already guarantee.
+    commons = set(state.commons)
+    guaranteed = [ranges[f] for f in state.commons if ranges[f] is not None]
+    guaranteed += state.hulls
+    available = sum(1 << cid for cid in state.group_keys + state.columns)
+    equality_count = len(profile.equalities)
+    residual: List[int] = []
+    for index, fid in enumerate(profile.equalities + profile.filters):
+        columns = space.conjunct_columns[fid]
+        if index < equality_count and any(c & columns == columns for c in state.joint):
             continue
-        if any(
-            guaranteed == conjunct or range_implies(guaranteed, conjunct)
-            for guaranteed in definition.covering_conjuncts
-        ):
+        if fid in commons or _implied(ranges[fid], guaranteed):
             continue
-        residual_body.append(conjunct)
+        if columns & ~available:
+            return _gave_up(
+                f"residual {space.conjuncts[fid]!r} references unavailable columns"
+            )
+        residual.append(index)
 
-    # 4. Residual columns must be available in the CSE output.
-    output_exprs = {o.expr for o in definition.outputs}
-    available_columns = {
-        e for e in output_exprs if isinstance(e, ColumnRef)
-    }
-    for conjunct in residual_body:
-        if not conjunct.columns() <= available_columns:
-            return None
-
+    group = profile.group
     reagg_keys: Optional[Tuple[ColumnRef, ...]] = None
     reagg_computes: Optional[Tuple[AggCompute, ...]] = None
     if definition.has_groupby:
-        mapped_keys = set()
-        for key in group.agg_keys:
-            mapped_key = remap_expr(key, table_map)
-            if not isinstance(mapped_key, ColumnRef):
-                return None
-            mapped_keys.add(mapped_key)
-        cse_keys = set(definition.group_keys)
-        if not mapped_keys <= cse_keys:
-            return None
-        agg_outs: List[AggExpr] = []
-        for out in group.agg_outs:
-            if not isinstance(out, AggExpr):
-                return None
-            mapped_out = remap_expr(out, table_map)
-            if mapped_out not in set(definition.aggregates):
-                return None
-            agg_outs.append(out)
-        if mapped_keys != cse_keys:
+        if not all(isinstance(key, ColumnRef) for key in group.agg_keys):
+            return _gave_up("consumer grouping key is not a column")
+        keys = sum(1 << cid for cid in state.group_keys)
+        if profile.group_keys & ~keys:
+            return _gave_up("consumer keys not contained in CSE keys")
+        computed = set(state.aggregates)
+        for aid in profile.aggregates:
+            if aid not in computed:
+                return _gave_up(
+                    f"aggregate {space.aggregates[aid]!r} not computed by the CSE"
+                )
+        if profile.group_keys != keys:
             reagg_keys = tuple(group.agg_keys)
-            reagg_computes = reaggregate_computes(agg_outs)
-    else:
-        # 5'. SPJ case: consumer's required columns must be in the output.
-        for expr in group.required_outputs:
-            mapped = remap_expr(expr, table_map)
-            if not mapped.columns() <= available_columns:
-                return None
+            reagg_computes = reaggregate_computes(list(group.agg_outs))
+    elif profile.required & ~available:
+        return _gave_up(
+            f"required columns {_names(space, profile.required & ~available)} "
+            "not in CSE output"
+        )
 
-    # Final admission gate: the independent bag-semantics checker
-    # (repro.equiv) must *prove* the containment obligations this matcher
-    # just derived. Anything short of a proof falls back to no sharing for
-    # this consumer — the gate is what makes widened-surface matches
-    # (semi/anti build sides, reduced outer joins) safe to admit.
-    verdict = check_consumer_match(definition, group, info)
+    # Proved: read the ids back as the consumer's expressions. The body
+    # tables are in slot order, and template ``k`` stands for slot ``k``.
+    body = definition.block.tables
+    inverse = {template: table for table, template in profile.template_map.items()}
+    exprs = (
+        [space.columns[cid] for cid in state.group_keys]
+        + [space.aggregates[aid] for aid in state.aggregates]
+        + [space.columns[cid] for cid in state.columns]
+    )
+    return Verdict(PROVED, "containment obligations all proved"), ConsumerSpec(
+        group=group,
+        cse_id=definition.cse_id,
+        table_map={
+            table: body[template.instance]
+            for table, template in profile.template_map.items()
+        },
+        residual=tuple(profile.conjuncts[index] for index in residual),
+        column_map=tuple(
+            (out.name, remap_expr(expr, inverse))
+            for out, expr in zip(definition.outputs, exprs)
+        ),
+        reagg_keys=reagg_keys,
+        reagg_computes=reagg_computes,
+    )
+
+
+def _implied(want, bounds) -> bool:
+    """Whether one of the ``(column id, op, value)`` ``bounds`` implies the
+    bound ``want`` (None — no bound — is never implied)."""
+    return want is not None and any(bound_implies(have, want) for have in bounds)
+
+
+def _gave_up(reason: str) -> Tuple[Verdict, None]:
+    return Verdict(GAVE_UP, reason), None
+
+
+def _names(space: IdSpace, mask: int) -> str:
+    return "{" + ", ".join(repr(space.columns[c]) for c in bit_positions(mask)) + "}"
+
+
+def journal_verdict(definition: CseDefinition, group: Group, verdict: Verdict) -> None:
+    """The ``equiv`` journal event of one consumer match."""
     active_journal().event(
         "equiv",
         cse_id=definition.cse_id,
@@ -167,42 +196,17 @@ def try_match_consumer(
         outcome=verdict.outcome,
         reason=verdict.reason,
     )
-    if not verdict.proved:
-        return None
-
-    inverse = {v: k for k, v in table_map.items()}
-    residual = tuple(remap_expr(c, inverse) for c in residual_body)
-    column_map = tuple(
-        (out.name, remap_expr(out.expr, inverse)) for out in definition.outputs
-    )
-    return ConsumerSpec(
-        group=group,
-        cse_id=definition.cse_id,
-        table_map=table_map,
-        residual=residual,
-        column_map=column_map,
-        reagg_keys=reagg_keys,
-        reagg_computes=reagg_computes,
-    )
 
 
-def _implied_by_any(covering: Expr, conjuncts: Sequence[Expr]) -> bool:
-    return any(
-        have == covering or range_implies(have, covering) for have in conjuncts
-    )
-
-
-def build_consumer_specs(
-    definition: CseDefinition,
-    infos: Dict[str, BlockInfo],
-) -> List[ConsumerSpec]:
+def build_consumer_specs(definition: CseDefinition) -> List[ConsumerSpec]:
     """Matching recipes for the CSE's constructed consumers. Construction
-    guarantees success; a failed match indicates an internal inconsistency
-    and the consumer is silently dropped (conservative)."""
+    guarantees the match, so a refusal is an internal inconsistency: its
+    verdict is journaled like every other and the consumer is left
+    unshared."""
     specs: List[ConsumerSpec] = []
-    for group in definition.consumer_groups:
-        info = infos[group.block.name]
-        spec = try_match_consumer(definition, group, info)
+    for profile in definition.state.members:
+        verdict, spec = match_consumer(definition, profile)
+        journal_verdict(definition, profile.group, verdict)
         if spec is not None:
             specs.append(spec)
     return specs

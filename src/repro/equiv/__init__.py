@@ -1,13 +1,13 @@
-"""Conservative bag-semantics equivalence checking (the proof gate for
-sharing over outer/semi/anti joins)."""
+"""Conservative bag-semantics proofs: null rejection, the proof behind the
+outer-join reduction of :mod:`repro.logical.simplify`, and the
+:class:`Verdict` every proof attempt returns (§5.1 consumer matching
+returns one too)."""
 
 from .checker import (
     GAVE_UP,
     PROVED,
     REFUTED,
     Verdict,
-    blocks_equivalent,
-    check_consumer_match,
     null_rejecting,
     outer_join_reducible,
 )
@@ -17,8 +17,6 @@ __all__ = [
     "PROVED",
     "REFUTED",
     "Verdict",
-    "blocks_equivalent",
-    "check_consumer_match",
     "null_rejecting",
     "outer_join_reducible",
 ]

@@ -237,9 +237,13 @@ def range_part(conjunct: Expr) -> Optional[Tuple[ColumnRef, ComparisonOp, Any]]:
     """``(column, op, value)`` of a ``column op number`` conjunct (either
     operand order; dates are numbers in engine form), else None."""
     part = range_parts(conjunct)
-    if part is None or isinstance(part[2], bool) or not isinstance(part[2], (int, float)):
-        return None
-    return part
+    return part if part is not None and is_number(part[2]) else None
+
+
+def is_number(value: Any) -> bool:
+    """Whether a literal value is a number (dates are numbers in engine
+    form; a boolean is not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 K = TypeVar("K")
@@ -330,8 +334,15 @@ def range_implies(specific: Expr, general: Expr) -> bool:
     """
     spec = range_parts(specific)
     gen = range_parts(general)
-    if spec is None or gen is None:
-        return False
+    return spec is not None and gen is not None and bound_implies(spec, gen)
+
+
+def bound_implies(
+    spec: Tuple[Hashable, ComparisonOp, Any], gen: Tuple[Hashable, ComparisonOp, Any]
+) -> bool:
+    """:func:`range_implies` on ``(key, op, value)`` bounds: whether
+    ``key spec_op spec_value`` provably implies ``key gen_op gen_value``
+    (keys are columns, or the ids the optimizer gives them)."""
     spec_col, spec_op, spec_val = spec
     gen_col, gen_op, gen_val = gen
     if spec_col != gen_col:

@@ -44,11 +44,15 @@ kind                      meaning / key fields
                           ``write_cost``, ``read_cost``, ``lca_gid``,
                           ``lifted_to_root``
 ``single_consumer``       §5.1 LCA discard tally: ``cse_id``, ``discards``
-``equiv``                 bag-semantics equivalence checker verdict
-                          (``repro.equiv``): ``outcome`` (``proved`` /
+``equiv``                 a proof's verdict: ``outcome`` (``proved`` /
                           ``refuted`` / ``gave_up``), ``reason``, plus either
-                          ``query``+``extension`` (outer-join reduction) or
-                          ``cse_id``+``consumer`` (consumer-match gate)
+                          ``query``+``extension`` — one per outer-join
+                          extension the simplifier tried to reduce
+                          (``repro.equiv`` null rejection) — or
+                          ``cse_id``+``consumer`` — one per §5.1 match of a
+                          constructed consumer, refused or not, and one per
+                          match a stacked probe (§5.5) found; Step 2 emits
+                          them after the candidate bodies are optimized
 ``history``               §5.4 per-pass reuse accounting: ``pass_index``,
                           ``subset``, ``groups_reused``,
                           ``groups_recomputed``, ``planset_hits``,

@@ -163,8 +163,8 @@ class Optimizer:
         root_children: List[Group] = []
         for original in batch.queries:
             # Logical simplification: fold provably-reducible outer joins
-            # into their core blocks (the equivalence checker's verdicts go
-            # to the decision journal either way).
+            # into their core blocks (the null-rejection verdicts go to the
+            # decision journal either way).
             query, verdicts = simplify_query(original)
             for ext_id, verdict in verdicts:
                 self.journal.event(
@@ -364,10 +364,9 @@ class Optimizer:
                 journal.event(
                     "single_consumer", cse_id=cid, discards=discards
                 )
-            # The equivalence checker's outcomes over this candidate's
-            # attempted consumer matches, e.g. "proved=2, gave_up=1" —
-            # lets `explain --why` say a match was *refused*, not merely
-            # unprofitable.
+            # The §5.1 verdicts over this candidate's consumer matches,
+            # e.g. "proved=2, gave_up=1" — lets `explain --why` say a
+            # match was *refused*, not merely unprofitable.
             equiv = ", ".join(
                 f"{outcome}={count}"
                 for outcome, count in sorted(equiv_tallies.get(cid, {}).items())

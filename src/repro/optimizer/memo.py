@@ -246,7 +246,7 @@ class BlockInfo:
         ]
         #: (conjunct, table mask, selectivity) per non-equality conjunct the
         #: block filters by (``CardinalityEstimator.filters``): the one list
-        #: the memo, the consumer profiles and the equivalence gate read. A
+        #: the memo and the consumer profiles (so §5.1 matching) read. A
         #: table-less one (FALSE, or a scalar subquery's test) filters the
         #: first table.
         self.noneq_bits: List[Tuple[Expr, int, float]] = [

@@ -19,8 +19,10 @@ from ..cse import heuristics
 from ..cse.candidates import CandidateCse, CandidateIdAllocator, generate_candidates
 from ..cse.compatibility import ConsumerProfiles, compatibility_groups
 from ..cse.heuristics import PruneTrace, heuristic1_keep, heuristic4_filter
-from ..cse.matching import ConsumerSpec, build_consumer_specs, try_match_consumer
-from ..obs import DecisionJournal
+from ..cse.matching import (
+    ConsumerSpec, build_consumer_specs, journal_verdict, match_consumer,
+)
+from ..obs import DecisionJournal, active_registry
 from .search import Search
 from .state import BASE_PASS, EMPTY_PROFILE, OptimizerRun, PassContext
 
@@ -104,6 +106,8 @@ def generate(
                 )
             )
     stats.candidates_before_pruning = len(definitions)
+    if len(profiles):
+        active_registry().counter("cse.consumer_profiles", len(profiles))
     journal.event(
         "generation",
         consumer_profiles=len(profiles),
@@ -162,12 +166,14 @@ def generate(
     run.candidates_by_id = {c.cse_id: c for c in candidates}
     # Consumer specs (query-side), then stacked consumers (§5.5).
     for candidate in candidates:
-        run.specs[candidate.cse_id] = build_consumer_specs(
-            candidate.definition, memo.block_infos
-        )
+        run.specs[candidate.cse_id] = build_consumer_specs(candidate.definition)
         run.body_specs[candidate.cse_id] = []
     if STACKED:
-        _find_stacked_consumers(run, candidates)
+        _find_stacked_consumers(run, candidates, profiles)
+    # Matching is done. Definitions outlive the optimization in cached
+    # plans; its id space (and the database its estimator reads) must not.
+    for candidate in candidates:
+        candidate.definition.state = None
 
     # LCA per candidate (Definition 5.1; dynamic narrowing per §5.2).
     for candidate in candidates:
@@ -202,12 +208,16 @@ def generate(
 
 
 def _find_stacked_consumers(
-    run: OptimizerRun, candidates: List[CandidateCse]
+    run: OptimizerRun, candidates: List[CandidateCse], profiles: ConsumerProfiles
 ) -> None:
     """Let candidates be consumed inside other candidates' bodies.
 
     Restricted to strictly narrower candidates consuming inside wider
-    ones, which keeps the stacking relation acyclic (DESIGN.md)."""
+    ones, which keeps the stacking relation acyclic (DESIGN.md). A body
+    group of the inner candidate's signature is profiled into the same id
+    space Algorithm 1 used (slot templates are instance-free), so it is
+    matched like a constructed consumer. This is a search, so only the
+    matches it finds are journaled."""
     memo = run.memo
     for inner in candidates:
         for outer in candidates:
@@ -216,16 +226,16 @@ def _find_stacked_consumers(
             if not outer.signature_wider_than(inner):
                 continue
             body_name = outer.definition.block.name
-            info = memo.block_infos.get(body_name)
-            if info is None:
+            if body_name not in memo.block_infos:
                 continue
             for group in memo.groups:
                 if group.block is None or group.block.name != body_name:
                     continue
                 if group.signature != inner.definition.signature:
                     continue
-                spec = try_match_consumer(inner.definition, group, info)
+                verdict, spec = match_consumer(inner.definition, profiles(group))
                 if spec is not None:
+                    journal_verdict(inner.definition, group, verdict)
                     run.body_specs[inner.cse_id].append(spec)
                     inner.lifted_to_root = True
 

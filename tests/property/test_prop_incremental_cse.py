@@ -59,7 +59,7 @@ from repro.workloads import (
 )
 from repro.workloads.generator import random_sql_batch
 
-from .. import cse_reference
+from .. import cse_reference, match_reference
 
 DB = build_tpch_database(scale_factor=0.0005)
 
@@ -282,11 +282,6 @@ def assert_same_definition(definition, reference):
     assert definition.aggregates == renamed(reference.aggregates)
     assert tuple(o.expr for o in definition.outputs) == renamed(reference.outputs)
     assert definition.block.output == definition.outputs
-    for equality in definition.joint_equalities:
-        assert definition.joint_classes.same_class(equality.left, equality.right)
-    assert len(definition.joint_classes) == len(
-        EquivalenceClasses.from_conjuncts(reference.joint_equalities)
-    )
     # Same float operations in the same order: bit-equal, not approximately.
     assert definition.est_rows == reference.est_rows
     assert definition.row_width == reference.row_width
@@ -295,8 +290,10 @@ def assert_same_definition(definition, reference):
 def check_batch(sql, monkeypatch, registry=None, **options):
     """Optimize ``sql``; replay every ``compatibility_groups`` and Algorithm
     1 invocation through the reference and compare the clusters, the
-    emitted definitions and the H3 events."""
+    emitted definitions and the H3 events; then every §5.1 consumer match,
+    constructed and stacked, against the expression-space matcher."""
     calls, clusterings = [], []
+    matches = match_reference.recording_matches(monkeypatch)
 
     def recording(compatible_set, profiles, *args, **kwargs):
         journal = DecisionJournal()
@@ -344,6 +341,7 @@ def check_batch(sql, monkeypatch, registry=None, **options):
             for table in info.block.tables
         )
         assert body_instances == list(range(first, first + len(body_instances)))
+    match_reference.assert_matches_oracle(matches)
     return result, calls
 
 
@@ -406,6 +404,16 @@ def test_hand_batch_matches_reference(heuristics, monkeypatch):
             repr(c) for d in definitions for c in d.covering_conjuncts
         )
         assert " OR " in covering and "'FRANCE'" in covering
+
+
+def test_match_differential_catches_a_mutation(monkeypatch):
+    """The id derivation with range implication switched off refuses
+    consumers the oracle proves, and the differential says so."""
+    import repro.cse.matching as matching
+
+    monkeypatch.setattr(matching, "bound_implies", lambda have, want: False)
+    with pytest.raises(AssertionError, match="constructed|vs oracle"):
+        check_batch(example1_batch(), monkeypatch)
 
 
 def test_probe_loop_does_no_expression_work(monkeypatch):

@@ -22,6 +22,7 @@ from repro import OptimizerOptions, Session
 from repro.executor.reference import evaluate_batch
 from repro.workloads.generator import random_sql_batch
 
+from .. import match_reference
 from .test_prop_end_to_end import DB
 
 SEEDS = 200
@@ -71,7 +72,11 @@ def _chunk_seeds(chunk):
 
 class TestWidenedDifferential:
     @pytest.mark.parametrize("chunk", range(SEEDS // CHUNK))
-    def test_all_modes_match_oracle(self, chunk):
+    def test_all_modes_match_oracle(self, chunk, monkeypatch):
+        """Rows equal the oracle's under every configuration, and every
+        §5.1 consumer match the runs make equals the expression-space
+        matcher's (``tests/match_reference.py``)."""
+        matches = match_reference.recording_matches(monkeypatch)
         for seed in _chunk_seeds(chunk):
             sql = random_sql_batch(seed)
             session = Session(DB, OPTION_SETS[0])
@@ -91,6 +96,7 @@ class TestWidenedDifferential:
                         raise AssertionError(
                             f"seed {seed}: {detail}\nfor:\n{sql}"
                         )
+        match_reference.assert_matches_oracle(matches)
 
 
 class TestWidenedSharingInvariants:

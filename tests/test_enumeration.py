@@ -47,8 +47,8 @@ def _candidate(cse_id, lca_gid):
         outputs=(),
         consumer_groups=[],
         joint_equalities=(),
-        joint_classes=None,  # type: ignore[arg-type]
         covering_conjuncts=(),
+        state=None,  # type: ignore[arg-type]
     )
     candidate = CandidateCse(definition=definition)
     candidate.lca_gid = lca_gid

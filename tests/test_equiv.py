@@ -1,10 +1,11 @@
-"""Adversarial corpus for the bag-semantics equivalence checker.
+"""Adversarial corpus for the bag-semantics equivalence proofs.
 
-The checker (``repro.equiv``) is the admission gate for every widened-surface
-rewrite, so its one inviolable property is *soundness*: it must never return
-``proved`` for a pair that is not equivalent under bag semantics. This corpus
-pins that property on known-equivalent pairs (which should be proved) and on
-the classical traps — NULL-extension (a bare outer join is not an inner
+Null rejection (``repro.equiv``) admits every outer-join reduction, and the
+block-equivalence oracle (``tests/match_reference.py``) reads §5.1's
+obligations over whole blocks, so their one inviolable property is
+*soundness*: neither may return ``proved`` for a pair that is not
+equivalent under bag semantics. This corpus pins that property on
+known-equivalent pairs (which should be proved) and on the classical traps — NULL-extension (a bare outer join is not an inner
 join), duplicate sensitivity (a semi join is not a join), near-miss
 predicates — every one of which must come back ``refuted`` or ``gave_up``,
 never ``proved``.
@@ -16,12 +17,13 @@ from repro.equiv import (
     GAVE_UP,
     PROVED,
     REFUTED,
-    blocks_equivalent,
     null_rejecting,
     outer_join_reducible,
 )
 from repro.logical.simplify import simplify_query
 from repro.sql.binder import bind_sql
+
+from .match_reference import blocks_equivalent
 
 
 @pytest.fixture()

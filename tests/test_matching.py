@@ -4,8 +4,9 @@ import itertools
 
 import pytest
 
-from repro.cse.construct import construct_cse
-from repro.cse.matching import build_consumer_specs, try_match_consumer
+from repro.cse.compatibility import ConsumerProfiles
+from repro.cse.construct import covering_state
+from repro.cse.matching import build_consumer_specs, match_consumer
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.memo import Memo
 from repro.sql.binder import bind_batch
@@ -17,6 +18,13 @@ def build_memo(db, sql):
     tops = [memo.build_block(q.block, q.name) for q in batch.queries]
     memo.build_root(tops)
     return memo, tops
+
+
+def construct(cse_id, groups, profiles, counter):
+    """A CSE over ``groups``, matched later on ids of the same ``profiles``."""
+    return covering_state([profiles(g) for g in groups]).materialise(
+        cse_id, lambda: next(counter)
+    )
 
 
 BATCH = (
@@ -36,23 +44,20 @@ BATCH = (
 @pytest.fixture()
 def setting(tiny_db):
     memo, tops = build_memo(tiny_db, BATCH)
-    counter = itertools.count(9000)
-    definition = construct_cse(
-        "E1", tops, memo.block_infos, lambda: next(counter),
-        CardinalityEstimator(tiny_db),
-    )
-    return memo, tops, definition
+    profiles = ConsumerProfiles(memo.block_infos, CardinalityEstimator(tiny_db))
+    definition = construct("E1", tops, profiles, itertools.count(9000))
+    return memo, tops, definition, profiles
 
 
 class TestConstructedConsumers:
     def test_all_consumers_match(self, setting):
-        memo, tops, definition = setting
-        specs = build_consumer_specs(definition, memo.block_infos)
+        memo, tops, definition, _ = setting
+        specs = build_consumer_specs(definition)
         assert len(specs) == 2
 
     def test_residual_is_consumer_specific(self, setting):
-        memo, tops, definition = setting
-        specs = build_consumer_specs(definition, memo.block_infos)
+        memo, tops, definition, _ = setting
+        specs = build_consumer_specs(definition)
         q1 = next(s for s in specs if s.group is tops[0])
         # Q1's residual: its own nationkey range (the date conjunct was
         # factored into the covering predicate).
@@ -65,8 +70,8 @@ class TestConstructedConsumers:
                 assert column.table_ref in tops[0].tables
 
     def test_reaggregation_for_coarser_consumer(self, setting):
-        memo, tops, definition = setting
-        specs = build_consumer_specs(definition, memo.block_infos)
+        memo, tops, definition, _ = setting
+        specs = build_consumer_specs(definition)
         q2 = next(s for s in specs if s.group is tops[1])
         # The CSE groups by {nationkey, mktsegment}; Q2 groups by nationkey
         # only — it must re-aggregate.
@@ -85,18 +90,15 @@ class TestConstructedConsumers:
                 "c_nationkey > 3 and c_nationkey < 22",
             ),
         )
-        counter = itertools.count(9500)
-        definition = construct_cse(
-            "E2", tops, memo.block_infos, lambda: next(counter),
-            CardinalityEstimator(small_db),
-        )
-        specs = build_consumer_specs(definition, memo.block_infos)
+        profiles = ConsumerProfiles(memo.block_infos, CardinalityEstimator(small_db))
+        definition = construct("E2", tops, profiles, itertools.count(9500))
+        specs = build_consumer_specs(definition)
         # Both consumers group by exactly the CSE keys: no re-aggregation.
         assert all(not s.needs_reagg for s in specs)
 
     def test_column_map_covers_outputs(self, setting):
-        memo, tops, definition = setting
-        specs = build_consumer_specs(definition, memo.block_infos)
+        memo, tops, definition, _ = setting
+        specs = build_consumer_specs(definition)
         for spec in specs:
             assert len(spec.column_map) == len(definition.outputs)
             names = [n for n, _ in spec.column_map]
@@ -105,13 +107,13 @@ class TestConstructedConsumers:
 
 class TestRejection:
     def test_wrong_signature_rejected(self, setting):
-        memo, tops, definition = setting
+        memo, tops, definition, profiles = setting
         join2 = next(
             g for g in memo.groups
             if g.kind == "join" and len(g.items) == 2 and g.signature
         )
-        info = memo.block_infos[join2.block.name]
-        assert try_match_consumer(definition, join2, info) is None
+        verdict, spec = match_consumer(definition, profiles(join2))
+        assert spec is None and verdict.outcome == "refuted"
 
     def test_uncovered_predicate_rejected(self, tiny_db):
         """A consumer whose rows the CSE does not contain must not match."""
@@ -124,24 +126,21 @@ class TestRejection:
                 "c_nationkey > 2 and c_nationkey < 22",
             ),
         )
-        counter = itertools.count(9600)
-        definition = construct_cse(
-            "E3", [tops[0]], memo.block_infos, lambda: next(counter),
-            CardinalityEstimator(tiny_db),
-        )
+        profiles = ConsumerProfiles(memo.block_infos, CardinalityEstimator(tiny_db))
+        definition = construct("E3", [tops[0]], profiles, itertools.count(9600))
         # tops[1] wants nationkey in (2, 22) but the trivial CSE covers
         # (0, 20) only — matching must fail on the upper bound.
-        info = memo.block_infos[tops[1].block.name]
-        assert try_match_consumer(definition, tops[1], info) is None
+        verdict, spec = match_consumer(definition, profiles(tops[1]))
+        assert spec is None and verdict.outcome == "gave_up"
+        assert "c_nationkey" in verdict.reason
 
     def test_stacked_consumer_within_other_body(self, tiny_db):
         """A narrower candidate matches the pre-aggregation group inside a
         wider candidate's body (§5.5 stacked CSEs)."""
         memo, tops = build_memo(tiny_db, BATCH)
         counter = itertools.count(9700)
-        alloc = lambda: next(counter)
-        estimator = CardinalityEstimator(tiny_db)
-        wide = construct_cse("W", tops, memo.block_infos, alloc, estimator)
+        profiles = ConsumerProfiles(memo.block_infos, CardinalityEstimator(tiny_db))
+        wide = construct("W", tops, profiles, counter)
         # Narrow candidate over the orders⋈lineitem pre-aggregations.
         preaggs = [
             g for g in memo.groups
@@ -150,19 +149,16 @@ class TestRejection:
             and g.signature.tables == ("lineitem", "orders")
         ]
         assert len(preaggs) >= 2
-        narrow = construct_cse(
-            "N", preaggs, memo.block_infos, alloc, estimator
-        )
+        narrow = construct("N", preaggs, profiles, counter)
         # Build the wide body into the memo; its own pre-aggregation group
         # over orders⋈lineitem should match the narrow candidate.
         memo.build_block(wide.block, "cse:W")
-        body_info = memo.block_infos[wide.block.name]
         body_groups = [
             g for g in memo.groups
             if g.block is not None and g.block.name == wide.block.name
             and g.signature == narrow.signature
         ]
         assert body_groups
-        spec = try_match_consumer(narrow, body_groups[0], body_info)
-        assert spec is not None
+        verdict, spec = match_consumer(narrow, profiles(body_groups[0]))
+        assert verdict.proved and spec is not None
         assert spec.needs_reagg or spec.residual == ()

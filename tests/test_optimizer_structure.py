@@ -216,7 +216,7 @@ class TestConstantsReadAtCallTime:
         # matched consumer set differ from the constructed one.
         build = step2.build_consumer_specs
         monkeypatch.setattr(
-            step2, "build_consumer_specs", lambda d, infos: build(d, infos)[:1]
+            step2, "build_consumer_specs", lambda d: build(d)[:1]
         )
 
         def settles_at_root():

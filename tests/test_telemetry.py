@@ -415,6 +415,24 @@ class TestEquivalenceJournal:
             trail = journal.for_candidate(cse_id)
             assert any(e["kind"] == "equiv" for e in trail)
 
+    def test_refused_constructed_consumer_is_journaled(self, small_db, monkeypatch):
+        """A constructed consumer the §5.1 derivation refuses is not dropped
+        silently: its verdict is an equiv event with the reason, and the
+        candidate's verdict tallies it."""
+        import repro.cse.matching as matching
+
+        # Range implication off: no consumer implies a covering range hull.
+        monkeypatch.setattr(matching, "bound_implies", lambda have, want: False)
+        journal = DecisionJournal()
+        Session(small_db, journal=journal).optimize(EXAMPLE1_BATCH_SQL)
+        refused = [
+            e for e in journal.events("equiv")
+            if e.get("cse_id") is not None and e["outcome"] == "gave_up"
+        ]
+        assert refused
+        assert all("not implied by consumer" in e["reason"] for e in refused)
+        assert any("gave_up=" in v.get("equiv", "") for v in journal.verdicts().values())
+
     def test_why_reports_rejected_outer_join_reduction(self, small_db):
         report = Session(small_db).explain(_BARE_LEFT_SQL, why=True)
         assert "equivalence checker (outer-join simplification):" in report
