@@ -12,7 +12,6 @@ frames alike.
 from __future__ import annotations
 
 import itertools
-import uuid
 
 import numpy as np
 import pytest
@@ -41,7 +40,9 @@ D = ColumnRef(T, "d", DataType.DATE)
 S = ColumnRef(T, "s", DataType.STRING)
 W = ColumnRef(T, "w", DataType.STRING)  # NULL-widened string codes
 
-_SUFFIX = uuid.uuid4().hex
+#: A fixed random hex, so no other test interns these strings and the
+#: parametrised test ids stay the same from run to run.
+_SUFFIX = "12a73a77172f4b74b33c1040dc99d8cb"
 _STORED = [f"b-{_SUFFIX}", f"d-{_SUFFIX}", f"f-{_SUFFIX}", f"h-{_SUFFIX}"]
 _CODES = string_pool.intern(_STORED)
 _ABSENT = f"e-{_SUFFIX}-absent"
