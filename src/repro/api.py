@@ -548,11 +548,7 @@ class Session:
             record["ledger"] = outcome.ledger.to_payload()
         if self.query_log.is_slow(wall_ms):
             record["explain_analyze"] = render_analyzed_bundle(
-                self.database,
-                outcome.optimization,
-                outcome.execution,
-                self.cost_model,
-                ledger=outcome.ledger,
+                outcome.optimization, outcome.execution, ledger=outcome.ledger
             )
         self.query_log.record(record)
 
@@ -608,9 +604,11 @@ class Session:
         """The optimized plan as text, including any shared spools.
 
         With ``costs=True`` every operator is annotated with its local and
-        cumulative estimated cost. With ``analyze=True`` the bundle is
-        *executed* and each operator additionally reports actual rows and
-        wall time, plus spool cost attribution and optimizer counters.
+        cumulative estimated cost, as the search charged them. With
+        ``analyze=True`` the bundle is *executed* and each operator
+        additionally reports actual rows and wall time, followed by the
+        sharing ledger (Definition 5.1's split per spool) and the
+        optimizer's counters.
         With ``why=True`` the report instead explains the optimizer's
         decisions: every candidate CSE's lifecycle from signature bucket
         through the H1–H4 heuristics to its keep/reject verdict.
@@ -642,10 +640,8 @@ class Session:
                 result, collect_op_stats=True, workers=workers
             )
             return render_analyzed_bundle(
-                self.database,
                 result,
                 execution,
-                self.cost_model,
                 ledger=self._build_ledger(result, execution, None),
             )
         header = [
@@ -655,9 +651,7 @@ class Session:
             f" used: {result.stats.used_cses}",
         ]
         if costs:
-            body = explain_with_costs(
-                self.database, result.bundle, self.cost_model
-            )
+            body = explain_with_costs(result.bundle)
         else:
             body = result.bundle.describe()
         return "\n".join(header) + "\n" + body

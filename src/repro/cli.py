@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--analyze", action="store_true",
         help=(
             "execute the plan and annotate operators with actual rows and "
-            "time, spool cost attribution, and optimizer counters"
+            "time, the sharing ledger (Def 5.1), and optimizer counters"
         ),
     )
     explain.add_argument(

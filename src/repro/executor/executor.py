@@ -74,7 +74,6 @@ from ..optimizer.physical import (
     PlanBundle,
     QueryPlan,
 )
-from ..optimizer.aggs import AggCompute
 from ..storage.database import Database
 from ..storage.worktable import WorkTable
 from ..types import DataType, literal_type, string_pool
@@ -511,94 +510,53 @@ def _finalizer_chain(
 # ---------------------------------------------------------------------------
 
 
-def _sub(expr: Expr, mapping: Dict[Expr, Expr]) -> Expr:
-    return expr.substitute(mapping)
+def _sub_all(exprs, mapping: Dict[Expr, Expr]) -> Tuple[Expr, ...]:
+    return tuple(e.substitute(mapping) for e in exprs)
 
 
-def _sub_all(exprs, mapping):
-    return tuple(_sub(e, mapping) for e in exprs)
+def _bound_expressions(plan: PhysicalPlan, mapping: Dict[Expr, Expr]) -> Dict:
+    """The expression fields of ``plan`` with ``mapping`` substituted."""
+    if isinstance(plan, (PhysScan, PhysFilter)):
+        return {"conjuncts": _sub_all(plan.conjuncts, mapping)}
+    if isinstance(plan, (PhysIndexScan, PhysHashJoin)):
+        return {"residual": _sub_all(plan.residual, mapping)}
+    if isinstance(plan, PhysHashAgg):  # a hash or an identity aggregation
+        return {
+            "computes": tuple(
+                c if c.arg is None else replace(c, arg=c.arg.substitute(mapping))
+                for c in plan.computes
+            )
+        }
+    if isinstance(plan, PhysProject):
+        return {
+            "outputs": tuple(
+                replace(o, expr=o.expr.substitute(mapping)) for o in plan.outputs
+            )
+        }
+    if isinstance(plan, PhysSort):
+        return {
+            "sort_items": tuple(
+                (e.substitute(mapping), d) for e, d in plan.sort_items
+            )
+        }
+    if isinstance(plan, PhysSpoolDef):
+        return {
+            "spools": tuple(
+                (cid, bind_scalars(body, mapping)) for cid, body in plan.spools
+            )
+        }
+    raise ExecutionError(f"cannot bind scalars in {type(plan).__name__}")
 
 
 def bind_scalars(plan: PhysicalPlan, mapping: Dict[Expr, Expr]) -> PhysicalPlan:
     """A copy of ``plan`` with every :class:`ScalarSubquery` replaced by its
-    computed constant."""
-    if isinstance(plan, PhysScan):
-        return PhysScan(
-            table_ref=plan.table_ref,
-            conjuncts=_sub_all(plan.conjuncts, mapping),
-            outputs=plan.outputs,
-            est_rows=plan.est_rows,
-        )
-    if isinstance(plan, PhysIndexScan):
-        return PhysIndexScan(
-            table_ref=plan.table_ref,
-            column=plan.column,
-            low=plan.low,
-            high=plan.high,
-            low_inclusive=plan.low_inclusive,
-            high_inclusive=plan.high_inclusive,
-            residual=_sub_all(plan.residual, mapping),
-            outputs=plan.outputs,
-            est_rows=plan.est_rows,
-        )
-    if isinstance(plan, PhysHashJoin):
-        return PhysHashJoin(
-            left=bind_scalars(plan.left, mapping),
-            right=bind_scalars(plan.right, mapping),
-            keys=plan.keys,
-            residual=_sub_all(plan.residual, mapping),
-            outputs=plan.outputs,
-            est_rows=plan.est_rows,
-            join_type=plan.join_type,
-        )
-    if isinstance(plan, PhysHashAgg):
-        computes = tuple(
-            AggCompute(
-                out=c.out,
-                func=c.func,
-                arg=None if c.arg is None else _sub(c.arg, mapping),
-            )
-            for c in plan.computes
-        )
-        return type(plan)(  # a hash or an identity aggregation
-            child=bind_scalars(plan.child, mapping),
-            keys=plan.keys,
-            computes=computes,
-            est_rows=plan.est_rows,
-        )
-    if isinstance(plan, PhysFilter):
-        return PhysFilter(
-            child=bind_scalars(plan.child, mapping),
-            conjuncts=_sub_all(plan.conjuncts, mapping),
-            est_rows=plan.est_rows,
-        )
-    if isinstance(plan, PhysProject):
-        from ..logical.blocks import OutputColumn
-
-        outputs = tuple(
-            OutputColumn(name=o.name, expr=_sub(o.expr, mapping))
-            for o in plan.outputs
-        )
-        return PhysProject(
-            child=bind_scalars(plan.child, mapping),
-            outputs=outputs,
-            est_rows=plan.est_rows,
-        )
-    if isinstance(plan, PhysSort):
-        items = tuple((_sub(e, mapping), d) for e, d in plan.sort_items)
-        return PhysSort(
-            child=bind_scalars(plan.child, mapping),
-            sort_items=items,
-            est_rows=plan.est_rows,
-        )
+    computed constant. Only expression fields and children are rebuilt;
+    every other field (estimates, outputs, join type) carries over."""
     if isinstance(plan, PhysSpoolRead):
         return plan
-    if isinstance(plan, PhysSpoolDef):
-        return PhysSpoolDef(
-            spools=tuple(
-                (cid, bind_scalars(body, mapping)) for cid, body in plan.spools
-            ),
-            child=bind_scalars(plan.child, mapping),
-            est_rows=plan.est_rows,
-        )
-    raise ExecutionError(f"cannot bind scalars in {type(plan).__name__}")
+    changes = _bound_expressions(plan, mapping)
+    for name in ("child", "left", "right"):
+        child = getattr(plan, name, None)
+        if child is not None:
+            changes[name] = bind_scalars(child, mapping)
+    return replace(plan, **changes)

@@ -13,11 +13,7 @@ from .expressions import (
     Or,
     TableRef,
 )
-from .predicates import (
-    EquivalenceClasses,
-    conjoin,
-    split_conjuncts,
-)
+from .predicates import EquivalenceClasses, split_conjuncts
 
 __all__ = [
     "AggExpr",
@@ -32,6 +28,5 @@ __all__ = [
     "Or",
     "TableRef",
     "EquivalenceClasses",
-    "conjoin",
     "split_conjuncts",
 ]

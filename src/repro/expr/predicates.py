@@ -5,10 +5,10 @@ operate on *column equivalence classes* derived from the column-equality
 conjuncts of a normalized SPJ expression, following Goldstein & Larson's view
 matching framework ([5] in the paper). This module implements:
 
-* conjunct splitting / conjoining,
+* conjunct splitting,
 * :class:`EquivalenceClasses`: union-find over column references,
-* simple implication tests between range conjuncts (used to simplify
-  compensation predicates in view matching),
+* conservative implication between range bounds (used to drop compensation
+  predicates in view matching),
 * per-column range hulls of a disjunction (§4.2 step 3's weakening, also
   applied to one query's cross-table ``OR``).
 """
@@ -39,7 +39,6 @@ from .expressions import (
     Expr,
     Literal,
     Or,
-    TRUE,
     canon_key,
     canon_sorted,
 )
@@ -58,32 +57,6 @@ def split_conjuncts(predicate: Optional[Expr]) -> List[Expr]:
             result.extend(split_conjuncts(term))
         return result
     return [predicate]
-
-
-def conjoin(conjuncts: Sequence[Expr]) -> Optional[Expr]:
-    """Combine conjuncts back into a single predicate (None when empty)."""
-    terms = [c for c in conjuncts if not (isinstance(c, Literal) and c.value is True)]
-    if not terms:
-        return None
-    if len(terms) == 1:
-        return terms[0]
-    return And(tuple(terms))
-
-
-def disjoin(disjuncts: Sequence[Optional[Expr]]) -> Optional[Expr]:
-    """OR together predicates; a ``None`` member (always-true) absorbs all."""
-    if any(d is None for d in disjuncts):
-        return None
-    unique: List[Expr] = []
-    for term in disjuncts:
-        assert term is not None
-        if term not in unique:
-            unique.append(term)
-    if not unique:
-        return None
-    if len(unique) == 1:
-        return unique[0]
-    return Or(tuple(unique))
 
 
 def folded(conjunct: Expr) -> Optional[Expr]:
@@ -204,22 +177,6 @@ class EquivalenceClasses:
         return "EquivalenceClasses(" + ", ".join(sorted(parts)) + ")"
 
 
-def implied_by_equalities(
-    conjunct: Expr, classes: EquivalenceClasses
-) -> bool:
-    """Whether a column-equality conjunct is already implied by ``classes``."""
-    if isinstance(conjunct, Comparison) and conjunct.is_column_equality:
-        return classes.same_class(conjunct.left, conjunct.right)
-    return False
-
-
-def simplify_conjuncts(
-    conjuncts: Sequence[Expr], classes: EquivalenceClasses
-) -> List[Expr]:
-    """Drop conjuncts implied by the equivalence classes (§4.2 step 2)."""
-    return [c for c in conjuncts if not implied_by_equalities(c, classes)]
-
-
 # -- range reasoning -----------------------------------------------------------
 
 
@@ -326,21 +283,10 @@ def disjunction_hulls(conjunct: Expr) -> List[Tuple[ColumnRef, ComparisonOp, flo
     return range_hulls(alternatives, canon_sorted(columns))
 
 
-def range_implies(specific: Expr, general: Expr) -> bool:
-    """Conservative implication test between two range conjuncts.
-
-    Returns ``True`` only when ``specific`` provably implies ``general``.
-    Both must be ``col op literal`` conjuncts over the same column.
-    """
-    spec = range_parts(specific)
-    gen = range_parts(general)
-    return spec is not None and gen is not None and bound_implies(spec, gen)
-
-
 def bound_implies(
     spec: Tuple[Hashable, ComparisonOp, Any], gen: Tuple[Hashable, ComparisonOp, Any]
 ) -> bool:
-    """:func:`range_implies` on ``(key, op, value)`` bounds: whether
+    """Conservative implication between ``(key, op, value)`` bounds: whether
     ``key spec_op spec_value`` provably implies ``key gen_op gen_value``
     (keys are columns, or the ids the optimizer gives them)."""
     spec_col, spec_op, spec_val = spec
@@ -383,27 +329,3 @@ def bound_implies(
         if gen_op is ComparisonOp.NE:
             return not equal
     return False
-
-
-def conjuncts_imply(
-    specific: Sequence[Expr], general: Sequence[Expr],
-    classes: Optional[EquivalenceClasses] = None,
-) -> bool:
-    """Whether the conjunct set ``specific`` implies every conjunct of
-    ``general`` (conservative: syntactic match, equivalence-class match, or
-    range implication)."""
-    for needed in general:
-        if classes is not None and implied_by_equalities(needed, classes):
-            continue
-        if any(
-            have == needed or range_implies(have, needed)
-            for have in specific
-        ):
-            continue
-        return False
-    return True
-
-
-def always_true(predicate: Optional[Expr]) -> bool:
-    """Whether the predicate is absent or the TRUE literal."""
-    return predicate is None or predicate == TRUE

@@ -17,7 +17,6 @@ from ..errors import OptimizerError
 from . import search as search_module
 from .memo import Group
 from .physical import (
-    PhysProject,
     PhysSpoolDef,
     PhysSpoolRead,
     PhysicalPlan,
@@ -64,9 +63,9 @@ def assemble(search: Search, ctx: PassContext) -> Tuple[float, PlanBundle]:
             continue
         folded: Dict[Profile, Tuple[float, Tuple[PhysicalPlan, ...]]] = {}
         for profile0, (cost0, plans0) in combined.items():
-            for profile1, (cost1, plan) in finalized.items():
+            for profile1, plan in finalized.items():
                 profile = _profile_merge(profile0, profile1)
-                cost = cost0 + cost1
+                cost = cost0 + plan.est_cost
                 entry = folded.get(profile)
                 if entry is None or cost < entry[0]:
                     folded[profile] = (cost, plans0 + (plan,))
@@ -142,24 +141,10 @@ def _root_body_options(search: Search, ctx: PassContext) -> _BodyOptions:
     options: _BodyOptions = {}
     for candidate in ctx.root_cses:
         body_top = search.run.memo.groups[candidate.body_top_gid]
-        body_set = search.optimize_group(body_top, ctx)
-        project_cost = search.cost_model.project(
-            body_top.est_rows, len(candidate.definition.outputs)
-        )
         entries: List[Tuple[Profile, float, PhysicalPlan]] = []
-        for profile, choice in body_set.items():
-            plan = PhysProject(
-                choice.plan,
-                candidate.definition.outputs,
-                est_rows=body_top.est_rows,
-            )
-            entries.append(
-                (
-                    profile,
-                    choice.cost + project_cost + candidate.write_cost,
-                    plan,
-                )
-            )
+        for profile, plan in search.optimize_group(body_top, ctx).items():
+            body = search.spool_body(plan, body_top, candidate.definition.outputs)
+            entries.append((profile, body.est_cost + candidate.write_cost, body))
         options[candidate.cse_id] = entries
     return options
 

@@ -4,8 +4,9 @@ A physical plan is an operator tree whose leaves scan base tables or read
 spooled work tables. Intermediate results flow as *frames*: mappings from
 expression keys (column references, aggregate expressions, partial-aggregate
 outputs) to numpy column arrays. Each node records the expression keys it
-outputs plus its estimated cardinality, so explain output and the executor's
-metric accounting line up with the optimizer's estimates.
+outputs plus its estimated cardinality and ``est_cost``, the cost the search
+charged for the node's whole subtree, set where the node is built. EXPLAIN
+reads those numbers; it never prices a node again.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ class PhysicalPlan:
     history cache hands the same node objects out to every Step-3 pass
     whose relevant candidate set matches, and `_assemble`'s folded plan
     tuples alias them freely. Nothing may mutate a node after
-    construction."""
+    construction, so a node carries exactly one ``est_cost``."""
 
     est_rows: float = 0.0
+    est_cost: float = 0.0
 
     def children(self) -> Tuple["PhysicalPlan", ...]:
         return ()
@@ -65,6 +67,7 @@ class PhysScan(PhysicalPlan):
     conjuncts: Tuple[Expr, ...]
     outputs: Tuple[Expr, ...]
     est_rows: float = 0.0
+    est_cost: float = 0.0
 
     def _describe_line(self) -> str:
         return (
@@ -86,6 +89,7 @@ class PhysIndexScan(PhysicalPlan):
     residual: Tuple[Expr, ...]
     outputs: Tuple[Expr, ...]
     est_rows: float = 0.0
+    est_cost: float = 0.0
 
     def _describe_line(self) -> str:
         return (
@@ -111,6 +115,7 @@ class PhysHashJoin(PhysicalPlan):
     outputs: Tuple[Expr, ...]
     est_rows: float = 0.0
     join_type: str = "inner"
+    est_cost: float = 0.0
 
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
@@ -136,6 +141,7 @@ class PhysHashAgg(PhysicalPlan):
     keys: Tuple[Expr, ...]
     computes: Tuple[AggCompute, ...]
     est_rows: float = 0.0
+    est_cost: float = 0.0
 
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
@@ -172,6 +178,7 @@ class PhysFilter(PhysicalPlan):
     child: PhysicalPlan
     conjuncts: Tuple[Expr, ...]
     est_rows: float = 0.0
+    est_cost: float = 0.0
 
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
@@ -187,6 +194,7 @@ class PhysProject(PhysicalPlan):
     child: PhysicalPlan
     outputs: Tuple[OutputColumn, ...]
     est_rows: float = 0.0
+    est_cost: float = 0.0
 
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
@@ -203,6 +211,7 @@ class PhysSort(PhysicalPlan):
     child: PhysicalPlan
     sort_items: Tuple[Tuple[Expr, bool], ...]
     est_rows: float = 0.0
+    est_cost: float = 0.0
 
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
@@ -219,6 +228,7 @@ class PhysSpoolRead(PhysicalPlan):
     cse_id: str
     column_map: Tuple[Tuple[str, Expr], ...]  # (work-table column, consumer key)
     est_rows: float = 0.0
+    est_cost: float = 0.0
 
     @property
     def outputs(self) -> Tuple[Expr, ...]:
@@ -239,6 +249,7 @@ class PhysSpoolDef(PhysicalPlan):
     spools: Tuple[Tuple[str, PhysicalPlan], ...]  # (cse_id, body plan)
     child: PhysicalPlan
     est_rows: float = 0.0
+    est_cost: float = 0.0
 
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return tuple(body for _, body in self.spools) + (self.child,)

@@ -13,14 +13,14 @@ dimension is collapsed at its LCA. Every result lands in the run's §5.4
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..cse.candidates import CandidateCse
 from ..cse.matching import ConsumerSpec
 from ..errors import OptimizerError
 from ..expr.expressions import ColumnRef, Comparison, ComparisonOp, Expr, Literal
-from ..logical.blocks import BoundQuery, JoinExtension
+from ..logical.blocks import BoundQuery, JoinExtension, OutputColumn
 from ..storage.database import Database
 from .aggs import direct_computes
 from .cardinality import CardinalityEstimator
@@ -45,7 +45,6 @@ from .state import (
     EMPTY_PROFILE,
     OptimizerRun,
     PassContext,
-    PlanChoice,
     PlanSet,
     Profile,
     _profile_add,
@@ -62,9 +61,6 @@ from .state import (
 #: :mod:`repro.optimizer.assembly` (as ``search.NAIVE_COST_SPLIT``).
 NAIVE_COST_SPLIT = False
 
-#: profile -> (cost, plan): one top's plan set after per-query finalization.
-FinalizedSet = Dict[Profile, Tuple[float, PhysicalPlan]]
-
 
 def _ext_join_rows(kind: str, core_rows: float) -> float:
     """Cardinality of an extension join. The core side is preserved:
@@ -79,7 +75,7 @@ def _cap_planset(plans: PlanSet, limit: int) -> PlanSet:
     """Bound a group's profile dictionary, always keeping the base plan."""
     if len(plans) <= limit:
         return plans
-    kept = dict(sorted(plans.items(), key=lambda kv: kv[1].cost)[: limit - 1])
+    kept = dict(sorted(plans.items(), key=lambda kv: kv[1].est_cost)[: limit - 1])
     if EMPTY_PROFILE in plans:
         kept[EMPTY_PROFILE] = plans[EMPTY_PROFILE]
     return kept
@@ -95,20 +91,6 @@ def relevant_ids(
     if not ctx.enabled:
         return frozenset()
     return run.footprints[group.gid] & ctx.enabled_ids
-
-
-def relevant_ids_slow(
-    run: OptimizerRun, group: Group, ctx: PassContext
-) -> FrozenSet[str]:
-    """Footprint-free cross-check oracle for :func:`relevant_ids` (the
-    tests use it): intersect each candidate's consumer gids with the
-    group's descendant set, recomputed per call."""
-    covered = run.memo.descendants(group) | {group.gid}
-    relevant = set()
-    for candidate in ctx.enabled:
-        if run.consumer_gids.get(candidate.cse_id, set()) & covered:
-            relevant.add(candidate.cse_id)
-    return frozenset(relevant)
 
 
 @dataclass
@@ -143,15 +125,15 @@ class Search:
 
         plans: PlanSet = {}
 
-        def offer(profile: Profile, cost: float, plan: PhysicalPlan) -> None:
+        def offer(profile: Profile, plan: PhysicalPlan) -> None:
             existing = plans.get(profile)
-            if existing is None or cost < existing.cost:
-                plans[profile] = PlanChoice(cost, plan)
+            if existing is None or plan.est_cost < existing.est_cost:
+                plans[profile] = plan
 
         for expr in group.exprs:
             if isinstance(expr, ScanExpr):
-                for cost, plan in self._scan_alternatives(group, expr):
-                    offer(EMPTY_PROFILE, cost, plan)
+                for plan in self._scan_alternatives(group, expr):
+                    offer(EMPTY_PROFILE, plan)
             elif isinstance(expr, JoinExpr):
                 self._join_alternatives(group, expr, ctx, offer)
             elif isinstance(expr, AggImplExpr):
@@ -161,16 +143,16 @@ class Search:
 
         # Consumer substitution (§5.1): spool read + compensation.
         for candidate, spec in ctx.substitutions.get(group.gid, ()):
-            cost, plan = self._substitute_plan(candidate, spec, group)
+            plan = self._substitute_plan(candidate, spec, group)
             if NAIVE_COST_SPLIT:
                 consumer_count = max(
                     1, len(self.run.specs[candidate.cse_id])
                     + len(self.run.body_specs[candidate.cse_id])
                 )
-                cost += candidate.initial_cost / consumer_count
-                offer(EMPTY_PROFILE, cost, plan)
+                share = candidate.initial_cost / consumer_count
+                offer(EMPTY_PROFILE, replace(plan, est_cost=plan.est_cost + share))
             else:
-                offer(_profile_add(EMPTY_PROFILE, candidate.cse_id), cost, plan)
+                offer(_profile_add(EMPTY_PROFILE, candidate.cse_id), plan)
 
         # LCA settlement (§5.2): discard single-consumer plans, charge the
         # initial cost once for plans with >= 2 consumers.
@@ -197,33 +179,46 @@ class Search:
     def _close_candidate(self, plans: PlanSet, candidate: CandidateCse) -> PlanSet:
         closed: PlanSet = {}
         body_plan = self.body_plan_standalone(candidate)
-        for profile, choice in plans.items():
+        for profile, plan in plans.items():
             uses = _profile_get(profile, candidate.cse_id)
             if uses == 1:
                 self.tally_single_consumer((candidate.cse_id,))
                 continue
             new_profile = _profile_without(profile, candidate.cse_id)
-            cost = choice.cost
-            plan = choice.plan
             if uses >= 2:
-                cost += candidate.initial_cost
                 plan = PhysSpoolDef(
                     spools=((candidate.cse_id, body_plan),),
                     child=plan,
                     est_rows=plan.est_rows,
+                    est_cost=plan.est_cost + candidate.initial_cost,
                 )
             existing = closed.get(new_profile)
-            if existing is None or cost < existing.cost:
-                closed[new_profile] = PlanChoice(cost, plan)
+            if existing is None or plan.est_cost < existing.est_cost:
+                closed[new_profile] = plan
         return closed
 
-    def body_plan_standalone(self, candidate: CandidateCse) -> PhysicalPlan:
+    def spool_body(
+        self,
+        plan: PhysicalPlan,
+        body_top: Group,
+        outputs: Tuple[OutputColumn, ...],
+    ) -> PhysProject:
+        """A candidate body plan under the projection onto its work-table
+        columns, costed as the body plus the projection (``C_E``); the
+        write cost ``C_W`` is charged where the spool is settled."""
+        return PhysProject(
+            plan,
+            outputs,
+            est_rows=body_top.est_rows,
+            est_cost=plan.est_cost
+            + self.cost_model.project(body_top.est_rows, len(outputs)),
+        )
+
+    def body_plan_standalone(self, candidate: CandidateCse) -> PhysProject:
         body_top = self.run.memo.groups[candidate.body_top_gid]
         body_set = self.optimize_group(body_top, BASE_PASS)
-        return PhysProject(
-            body_set[EMPTY_PROFILE].plan,
-            candidate.definition.outputs,
-            est_rows=body_top.est_rows,
+        return self.spool_body(
+            body_set[EMPTY_PROFILE], body_top, candidate.definition.outputs
         )
 
     def record_bounds(self) -> None:
@@ -234,7 +229,7 @@ class Search:
                 continue
             cached = plan_cache.get((group.gid, frozenset()))
             if cached and EMPTY_PROFILE in cached:
-                cost = cached[EMPTY_PROFILE].cost
+                cost = cached[EMPTY_PROFILE].est_cost
                 group.lower_bound = cost
                 group.upper_bound = cost
 
@@ -242,32 +237,30 @@ class Search:
 
     def _scan_alternatives(
         self, group: Group, expr: ScanExpr
-    ) -> List[Tuple[float, PhysicalPlan]]:
+    ) -> List[PhysicalPlan]:
         table_ref = expr.table_ref
         table_rows = self.estimator.table_rows(table_ref)
         width = self.database.catalog.table(table_ref.physical_name).row_width()
-        alternatives: List[Tuple[float, PhysicalPlan]] = []
-        seq_cost = self.cost_model.scan(table_rows, width, len(expr.conjuncts))
-        alternatives.append(
-            (
-                seq_cost,
-                PhysScan(
-                    table_ref=table_ref,
-                    conjuncts=expr.conjuncts,
-                    outputs=group.required_outputs,
-                    est_rows=group.est_rows,
+        alternatives: List[PhysicalPlan] = [
+            PhysScan(
+                table_ref=table_ref,
+                conjuncts=expr.conjuncts,
+                outputs=group.required_outputs,
+                est_rows=group.est_rows,
+                est_cost=self.cost_model.scan(
+                    table_rows, width, len(expr.conjuncts)
                 ),
             )
-        )
+        ]
         for conjunct in expr.conjuncts:
-            plan_cost = self._index_alternative(group, expr, conjunct, width)
-            if plan_cost is not None:
-                alternatives.append(plan_cost)
+            plan = self._index_alternative(group, expr, conjunct, width)
+            if plan is not None:
+                alternatives.append(plan)
         return alternatives
 
     def _index_alternative(
         self, group: Group, expr: ScanExpr, conjunct: Expr, width: int
-    ) -> Optional[Tuple[float, PhysicalPlan]]:
+    ) -> Optional[PhysIndexScan]:
         if not isinstance(conjunct, Comparison):
             return None
         normalized = conjunct.normalized()
@@ -286,7 +279,6 @@ class Search:
         table_rows = self.estimator.table_rows(expr.table_ref)
         matching = fraction * table_rows
         residual = tuple(c for c in expr.conjuncts if c is not conjunct)
-        cost = self.cost_model.index_scan(matching, width, len(residual))
         low = high = None
         low_inc = high_inc = True
         value = float(normalized.right.value)
@@ -303,7 +295,7 @@ class Search:
             low = value
         else:
             return None
-        plan = PhysIndexScan(
+        return PhysIndexScan(
             table_ref=expr.table_ref,
             column=column,
             low=low,
@@ -313,42 +305,45 @@ class Search:
             residual=residual,
             outputs=group.required_outputs,
             est_rows=group.est_rows,
+            est_cost=self.cost_model.index_scan(matching, width, len(residual)),
         )
-        return cost, plan
 
     def _join_alternatives(self, group: Group, expr: JoinExpr, ctx, offer) -> None:
         left_set = self.optimize_group(expr.left, ctx)
         right_set = self.optimize_group(expr.right, ctx)
         out_rows = group.est_rows
-        for left_profile, left_choice in left_set.items():
-            for right_profile, right_choice in right_set.items():
-                profile = _profile_merge(left_profile, right_profile)
-                build_rows = min(expr.left.est_rows, expr.right.est_rows)
-                probe_rows = max(expr.left.est_rows, expr.right.est_rows)
-                if expr.hash_keys:
-                    local = self.cost_model.hash_join(
-                        build_rows, probe_rows, out_rows, len(expr.residual)
-                    )
-                else:
-                    local = self.cost_model.cross_join(
-                        expr.left.est_rows, expr.right.est_rows, out_rows
-                    )
-                # Build on the smaller side: put it on the left.
-                if expr.left.est_rows <= expr.right.est_rows:
-                    left_plan, right_plan = left_choice.plan, right_choice.plan
-                    keys = expr.hash_keys
-                else:
-                    left_plan, right_plan = right_choice.plan, left_choice.plan
-                    keys = tuple((r, l) for l, r in expr.hash_keys)
-                plan = PhysHashJoin(
-                    left=left_plan,
-                    right=right_plan,
-                    keys=keys,
-                    residual=expr.residual,
-                    outputs=group.required_outputs,
-                    est_rows=out_rows,
+        left_rows, right_rows = expr.left.est_rows, expr.right.est_rows
+        if expr.hash_keys:
+            local = self.cost_model.hash_join(
+                min(left_rows, right_rows),
+                max(left_rows, right_rows),
+                out_rows,
+                len(expr.residual),
+            )
+        else:
+            local = self.cost_model.cross_join(left_rows, right_rows, out_rows)
+        # Build on the smaller side: put it on the left.
+        swap = left_rows > right_rows
+        keys = (
+            tuple((r, l) for l, r in expr.hash_keys) if swap else expr.hash_keys
+        )
+        for left_profile, left_plan in left_set.items():
+            for right_profile, right_plan in right_set.items():
+                build, probe = (
+                    (right_plan, left_plan) if swap else (left_plan, right_plan)
                 )
-                offer(profile, left_choice.cost + right_choice.cost + local, plan)
+                offer(
+                    _profile_merge(left_profile, right_profile),
+                    PhysHashJoin(
+                        left=build,
+                        right=probe,
+                        keys=keys,
+                        residual=expr.residual,
+                        outputs=group.required_outputs,
+                        est_rows=out_rows,
+                        est_cost=left_plan.est_cost + right_plan.est_cost + local,
+                    ),
+                )
 
     def _agg_alternatives(self, group: Group, expr: AggImplExpr, ctx, offer) -> None:
         child_set = self.optimize_group(expr.input_group, ctx)
@@ -363,74 +358,86 @@ class Search:
             local = self.cost_model.aggregate(
                 input_rows, group.est_rows, len(expr.computes)
             )
-        for profile, choice in child_set.items():
-            plan = node(
-                child=choice.plan,
-                keys=expr.keys,
-                computes=expr.computes,
-                est_rows=group.est_rows,
+        for profile, plan in child_set.items():
+            offer(
+                profile,
+                node(
+                    child=plan,
+                    keys=expr.keys,
+                    computes=expr.computes,
+                    est_rows=group.est_rows,
+                    est_cost=plan.est_cost + local,
+                ),
             )
-            offer(profile, choice.cost + local, plan)
 
     def _filter(
-        self, cost: float, plan: PhysicalPlan, rows: float, conjuncts: Sequence[Expr]
-    ) -> Tuple[float, PhysicalPlan, float]:
-        """``(cost, plan, rows)`` with a filter on ``conjuncts`` stacked on
-        top; unchanged when there are none."""
+        self, plan: PhysicalPlan, rows: float, conjuncts: Sequence[Expr]
+    ) -> Tuple[PhysicalPlan, float]:
+        """``(plan, rows)`` with a filter on ``conjuncts`` stacked on top of
+        ``plan``, whose output is priced as ``rows``; unchanged when there
+        are none."""
         if not conjuncts:
-            return cost, plan, rows
-        cost += self.cost_model.filter(rows, len(conjuncts))
+            return plan, rows
+        cost = plan.est_cost + self.cost_model.filter(rows, len(conjuncts))
         selectivity = 1.0
         for conjunct in conjuncts:
             selectivity *= self.estimator.conjunct_selectivity(conjunct)
         rows = max(rows * selectivity, 1.0)
-        return cost, PhysFilter(plan, tuple(conjuncts), est_rows=rows), rows
+        return PhysFilter(plan, tuple(conjuncts), est_rows=rows, est_cost=cost), rows
 
     def _substitute_plan(
         self, candidate: CandidateCse, spec: ConsumerSpec, group: Group
-    ) -> Tuple[float, PhysicalPlan]:
+    ) -> PhysicalPlan:
         rows = candidate.definition.est_rows
         plan: PhysicalPlan = PhysSpoolRead(
             cse_id=candidate.cse_id,
             column_map=spec.column_map,
             est_rows=rows,
+            est_cost=candidate.read_cost,
         )
-        cost, plan, rows = self._filter(
-            candidate.read_cost, plan, rows, spec.residual
-        )
+        plan, rows = self._filter(plan, rows, spec.residual)
         if spec.needs_reagg:
-            cost += self.cost_model.aggregate(
-                rows, group.est_rows, len(spec.reagg_computes or ())
-            )
             plan = PhysHashAgg(
                 child=plan,
                 keys=spec.reagg_keys or (),
                 computes=spec.reagg_computes or (),
                 est_rows=group.est_rows,
+                est_cost=plan.est_cost + self.cost_model.aggregate(
+                    rows, group.est_rows, len(spec.reagg_computes or ())
+                ),
             )
-        return cost, plan
+        return plan
 
     # ------------------------------------------------------------------
     # Per-top finalization
     # ------------------------------------------------------------------
 
     def _finish(
-        self, cost: float, plan: PhysicalPlan, rows: float, having, output, order_by
-    ) -> Tuple[float, PhysicalPlan]:
-        """The shape every top ends in: HAVING, final projection, ORDER BY."""
-        cost, plan, rows = self._filter(cost, plan, rows, having)
-        cost += self.cost_model.project(rows, len(output))
-        plan = PhysProject(plan, output, est_rows=rows)
+        self, plan: PhysicalPlan, rows: float, having, output, order_by
+    ) -> PhysicalPlan:
+        """The shape every top ends in: HAVING, final projection, ORDER BY,
+        each priced on ``rows``, the estimate for what ``plan`` emits."""
+        plan, rows = self._filter(plan, rows, having)
+        plan = PhysProject(
+            plan,
+            output,
+            est_rows=rows,
+            est_cost=plan.est_cost + self.cost_model.project(rows, len(output)),
+        )
         if order_by:
-            cost += self.cost_model.sort(rows)
-            plan = PhysSort(plan, tuple(order_by), est_rows=rows)
-        return cost, plan
+            plan = PhysSort(
+                plan,
+                tuple(order_by),
+                est_rows=rows,
+                est_cost=plan.est_cost + self.cost_model.sort(rows),
+            )
+        return plan
 
     def finalized_top(
         self, idx: int, tag: str, payload, top: Group, ctx: PassContext
-    ) -> Tuple[FrozenSet[str], FinalizedSet]:
+    ) -> Tuple[FrozenSet[str], PlanSet]:
         """One top's plan set with per-query finalization (HAVING, final
-        projection, ORDER BY) already applied, as profile -> (cost, plan).
+        projection, ORDER BY) already applied.
 
         Cached by (top index, relevant ids): finalization depends only on
         the query block and the top's plan set, and the relevant-ids key
@@ -465,10 +472,9 @@ class Search:
                 block, having, order_by = query.subqueries[sid], (), ()
             finalized = {
                 profile: self._finish(
-                    choice.cost, choice.plan, top.est_rows,
-                    having, block.output, order_by,
+                    plan, top.est_rows, having, block.output, order_by
                 )
-                for profile, choice in self.optimize_group(top, ctx).items()
+                for profile, plan in self.optimize_group(top, ctx).items()
             }
         run.history.finalize_cache[key] = finalized
         return relevant, finalized
@@ -479,7 +485,7 @@ class Search:
         top: Group,
         ext_entries: Sequence[Tuple[JoinExtension, Group]],
         ctx: PassContext,
-    ) -> FinalizedSet:
+    ) -> PlanSet:
         """Plan set for a query with surviving join extensions.
 
         The core and each extension block were optimized as independent
@@ -487,10 +493,10 @@ class Search:
         cross-merged profile-wise, the extension joins stitched on top of
         the core in binder order, and the post-join shape (3VL filters,
         aggregation, HAVING, projection, ORDER BY) applied above."""
-        core_set = self.optimize_group(top, ctx)
-        combined: Dict[Profile, Tuple[float, PhysicalPlan, float]] = {
-            profile: (choice.cost, choice.plan, top.est_rows)
-            for profile, choice in core_set.items()
+        # profile -> (plan, the rows its output is priced on)
+        combined: Dict[Profile, Tuple[PhysicalPlan, float]] = {
+            profile: (plan, top.est_rows)
+            for profile, plan in self.optimize_group(top, ctx).items()
         }
         # Columns flowing up the stitched join chain: the core's outputs
         # plus every preceding left_outer extension's (null-extended)
@@ -501,49 +507,51 @@ class Search:
             if ext.kind == "left_outer":
                 outputs = outputs + tuple(ext_top.required_outputs)
             ext_set = self.optimize_group(ext_top, ctx)
-            folded: Dict[Profile, Tuple[float, PhysicalPlan, float]] = {}
-            for profile0, (cost0, plan0, rows0) in combined.items():
-                for profile1, choice in ext_set.items():
+            folded: Dict[Profile, Tuple[PhysicalPlan, float]] = {}
+            for profile0, (plan0, rows0) in combined.items():
+                out_rows = _ext_join_rows(ext.kind, rows0)
+                local = self.cost_model.hash_join(
+                    min(rows0, ext_top.est_rows),
+                    max(rows0, ext_top.est_rows),
+                    out_rows,
+                    0,
+                )
+                for profile1, plan1 in ext_set.items():
                     profile = _profile_merge(profile0, profile1)
-                    out_rows = _ext_join_rows(ext.kind, rows0)
-                    cost = cost0 + choice.cost + self.cost_model.hash_join(
-                        min(rows0, ext_top.est_rows),
-                        max(rows0, ext_top.est_rows),
-                        out_rows,
-                        0,
-                    )
                     plan = PhysHashJoin(
                         left=plan0,
-                        right=choice.plan,
+                        right=plan1,
                         keys=tuple(ext.keys),
                         residual=(),
                         outputs=outputs,
                         est_rows=out_rows,
                         join_type=ext.kind,
+                        est_cost=plan0.est_cost + plan1.est_cost + local,
                     )
                     entry = folded.get(profile)
-                    if entry is None or cost < entry[0]:
-                        folded[profile] = (cost, plan, out_rows)
+                    if entry is None or plan.est_cost < entry[0].est_cost:
+                        folded[profile] = (plan, out_rows)
             combined = folded
             running_outputs = outputs
 
         post = query.post
         assert post is not None
-        finalized: FinalizedSet = {}
-        for profile, (cost, plan, rows) in combined.items():
-            cost, plan, rows = self._filter(cost, plan, rows, post.filters)
+        finalized: PlanSet = {}
+        for profile, (plan, rows) in combined.items():
+            plan, rows = self._filter(plan, rows, post.filters)
             if post.has_groupby:
                 computes = direct_computes(post.aggregates)
                 groups = self.estimator.group_rows(rows, post.group_keys)
-                cost += self.cost_model.aggregate(rows, groups, len(computes))
                 plan = PhysHashAgg(
                     child=plan,
                     keys=tuple(post.group_keys),
                     computes=computes,
                     est_rows=groups,
+                    est_cost=plan.est_cost
+                    + self.cost_model.aggregate(rows, groups, len(computes)),
                 )
                 rows = groups
             finalized[profile] = self._finish(
-                cost, plan, rows, post.having, post.output, query.order_by
+                plan, rows, post.having, post.output, query.order_by
             )
         return finalized

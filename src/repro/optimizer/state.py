@@ -59,15 +59,8 @@ def _profile_support(profile: Profile) -> FrozenSet[str]:
     return frozenset(cid for cid, _ in profile)
 
 
-@dataclass
-class PlanChoice:
-    """One group's best plan for one usage profile, with its cost."""
-
-    cost: float
-    plan: PhysicalPlan
-
-
-PlanSet = Dict[Profile, PlanChoice]
+#: one group's best plan per usage profile; its cost is ``plan.est_cost``.
+PlanSet = Dict[Profile, PhysicalPlan]
 
 
 @dataclass

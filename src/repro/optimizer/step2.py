@@ -146,13 +146,14 @@ def generate(
     for definition in definitions:
         memo.build_block(definition.block, part_id=f"cse:{definition.cse_id}")
         body_top = memo.block_tops[definition.block.name]
-        body_choice = search.optimize_group(body_top, BASE_PASS)[EMPTY_PROFILE]
-        project_cost = cost_model.project(
-            body_top.est_rows, len(definition.outputs)
+        body = search.spool_body(
+            search.optimize_group(body_top, BASE_PASS)[EMPTY_PROFILE],
+            body_top,
+            definition.outputs,
         )
         candidate = CandidateCse(
             definition=definition,
-            body_cost=body_choice.cost + project_cost,
+            body_cost=body.est_cost,
             write_cost=cost_model.spool_write(
                 definition.est_rows, definition.row_width
             ),

@@ -22,16 +22,40 @@ compare each verdict and spec with the oracle's.
 from repro.cse import matching
 from repro.cse.compatibility import consumer_conjuncts, remap_expr, slot_assignment
 from repro.equiv import GAVE_UP, PROVED, REFUTED, Verdict
-from repro.expr.expressions import AggExpr, ColumnRef
-from repro.expr.predicates import (
-    EquivalenceClasses,
-    conjuncts_imply,
-    implied_by_equalities,
-    range_implies,
-)
+from repro.expr.expressions import AggExpr, ColumnRef, Comparison
+from repro.expr.predicates import EquivalenceClasses, bound_implies, range_parts
 from repro.optimizer import step2
 from repro.optimizer.aggs import reaggregate_computes
 from repro.optimizer.memo import BlockInfo
+
+
+def implied_by_equalities(conjunct, classes):
+    """Whether a column-equality conjunct is already implied by ``classes``."""
+    if isinstance(conjunct, Comparison) and conjunct.is_column_equality:
+        return classes.same_class(conjunct.left, conjunct.right)
+    return False
+
+
+def range_implies(specific, general):
+    """Conservative implication test between two range conjuncts: ``True``
+    only when ``specific`` provably implies ``general``. Both must be
+    ``col op literal`` conjuncts over the same column."""
+    spec = range_parts(specific)
+    gen = range_parts(general)
+    return spec is not None and gen is not None and bound_implies(spec, gen)
+
+
+def conjuncts_imply(specific, general, classes=None):
+    """Whether the conjunct set ``specific`` implies every conjunct of
+    ``general`` (conservative: syntactic match, equivalence-class match, or
+    range implication)."""
+    for needed in general:
+        if classes is not None and implied_by_equalities(needed, classes):
+            continue
+        if any(have == needed or range_implies(have, needed) for have in specific):
+            continue
+        return False
+    return True
 
 
 def _body_space(definition, group, info):

@@ -45,7 +45,7 @@ from repro.cse.heuristics import (
 )
 from repro.errors import OptimizerError
 from repro.expr.expressions import Comparison, TableRef
-from repro.expr.predicates import EquivalenceClasses, implied_by_equalities
+from repro.expr.predicates import EquivalenceClasses
 from repro.logical.blocks import QueryBlock
 from repro.obs import DecisionJournal, MetricsRegistry, use_journal
 from repro.optimizer.cardinality import cardenas
@@ -60,6 +60,7 @@ from repro.workloads import (
 from repro.workloads.generator import random_sql_batch
 
 from .. import cse_reference, match_reference
+from ..match_reference import implied_by_equalities
 
 DB = build_tpch_database(scale_factor=0.0005)
 

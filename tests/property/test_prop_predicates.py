@@ -14,10 +14,11 @@ from repro.expr.expressions import (
     Literal,
     TableRef,
 )
-from repro.expr.predicates import EquivalenceClasses, range_implies
+from repro.expr.predicates import EquivalenceClasses
 from repro.types import DataType
 
 from ..cse_reference import intersect, weaken_by_ids, weakened_covering
+from ..match_reference import range_implies
 
 T = TableRef("t", 1)
 COLUMNS = [ColumnRef(T, name, DataType.INT) for name in "abcdef"]

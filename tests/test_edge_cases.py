@@ -36,6 +36,7 @@ from repro.optimizer.physical import (
 )
 from repro.storage.database import Database
 from repro.types import DataType
+from repro.workloads import nested_query
 
 
 class TestSameTableEquality:
@@ -161,6 +162,23 @@ class TestBindScalarsCoverage:
             for c in bound.residual
             for n in c.walk()
         )
+
+
+    def test_executed_plan_keeps_estimates(self, small_session):
+        """Binding carries every estimate over: each node of the executed
+        plan has its unbound node's ``est_cost`` and ``est_rows``."""
+        outcome = small_session.execute(nested_query())
+        (query,) = outcome.optimization.bundle.queries
+        assert query.subquery_plans
+        executed = outcome.execution.executed_plans[query.name]
+        assert executed is not query.plan
+        planned = list(query.plan.walk())
+        bound = list(executed.walk())
+        assert len(bound) == len(planned)
+        assert [(n.est_cost, n.est_rows) for n in bound] == [
+            (n.est_cost, n.est_rows) for n in planned
+        ]
+        assert all(n.est_cost > 0 for n in bound)
 
 
 class TestDegenerateStatistics:

@@ -9,7 +9,6 @@ from repro.optimizer.assembly import _toposort_spools
 from repro.optimizer.search import _cap_planset
 from repro.optimizer.state import (
     EMPTY_PROFILE,
-    PlanChoice,
     _profile_add,
     _profile_get,
     _profile_merge,
@@ -71,11 +70,12 @@ class TestProfiles:
 
 class TestCapPlanset:
     def _plans(self, count):
+        region = TableRef("region", 1)
         plans = {}
         for i in range(count):
             profile = _profile_add(EMPTY_PROFILE, f"E{i}")
-            plans[profile] = PlanChoice(float(i), PhysicalPlan())
-        plans[EMPTY_PROFILE] = PlanChoice(999.0, PhysicalPlan())
+            plans[profile] = PhysScan(region, (), (), est_cost=float(i))
+        plans[EMPTY_PROFILE] = PhysScan(region, (), (), est_cost=999.0)
         return plans
 
     def test_under_limit_unchanged(self):

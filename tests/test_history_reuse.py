@@ -23,7 +23,7 @@ from repro.errors import OptimizerTimeoutError
 from repro.obs import DecisionJournal, MetricsRegistry
 from repro.optimizer import engine
 from repro.optimizer.engine import Optimizer
-from repro.optimizer.search import relevant_ids, relevant_ids_slow
+from repro.optimizer.search import relevant_ids
 from repro.optimizer.step2 import build_pass_context
 from repro.sql.binder import bind_sql
 from repro.workloads import scaleup_batch
@@ -48,6 +48,18 @@ def _optimize(reuse: bool, registry=None, journal=None, deadline=None):
     with patch.object(engine, "REUSE_HISTORY", reuse):
         result, run = optimizer.optimize_with_run(batch)
     return run, result
+
+
+def relevant_ids_slow(run, group, ctx):
+    """Footprint-free cross-check oracle for ``relevant_ids``: intersect
+    each enabled candidate's consumer gids with the group's descendant
+    set, recomputed per call."""
+    covered = run.memo.descendants(group) | {group.gid}
+    return frozenset(
+        candidate.cse_id
+        for candidate in ctx.enabled
+        if run.consumer_gids.get(candidate.cse_id, set()) & covered
+    )
 
 
 class TestFootprints:

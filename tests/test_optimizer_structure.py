@@ -106,6 +106,13 @@ def test_layering():
     assert "engine" not in _sibling_imports("step2") | _sibling_imports("assembly")
 
 
+def test_explain_reads_recorded_costs():
+    """EXPLAIN renders the ``est_cost`` the search recorded on each node; it
+    has no cost model to re-derive a price with."""
+    assert "cost" not in _sibling_imports("explain")
+    assert len((PACKAGE / "explain.py").read_text().splitlines()) <= 230
+
+
 def test_key_facts_module():
     """Key facts are one small bitmask module: it reads expressions only, so
     the memo, the estimator's callers and §4.2 construction can share it

@@ -143,19 +143,20 @@ class TestExample8IntraQuery:
 
 class TestIntraQuerySharingActivates:
     """An intra-query workload where the shared spool genuinely wins: the
-    same *filtered* expensive join appears twice, and the downstream work is
-    small. The spool settles at the LCA inside the query (PhysSpoolDef in
-    the query plan, not at the batch root)."""
+    same *filtered* expensive join (orders ⋈ lineitem) appears twice in one
+    query block, and the work above it is small. The spool settles at the
+    LCA inside the query (a PhysSpoolDef in the query plan, not at the
+    batch root), and EXPLAIN prices that SpoolDef at the spool's C_W."""
 
     SQL = (
-        "select c1.c_mktsegment, sum(c1.c_acctbal) as v1, "
-        "       sum(c2.c_acctbal) as v2 "
-        "from customer c1, nation n1, customer c2, nation n2 "
-        "where c1.c_nationkey = n1.n_nationkey "
-        "  and c2.c_nationkey = n2.n_nationkey "
-        "  and n1.n_regionkey = n2.n_regionkey "
-        "  and c1.c_acctbal > 0 and c2.c_acctbal > 0 "
-        "group by c1.c_mktsegment"
+        "select o1.o_custkey, sum(l1.l_quantity) as q1, "
+        "       sum(l2.l_quantity) as q2 "
+        "from orders o1, lineitem l1, orders o2, lineitem l2 "
+        "where o1.o_orderkey = l1.l_orderkey "
+        "  and o2.o_orderkey = l2.l_orderkey "
+        "  and o1.o_custkey = o2.o_custkey "
+        "  and l1.l_quantity > 45 and l2.l_quantity > 45 "
+        "group by o1.o_custkey"
     )
 
     def test_rows_correct(self, small_db):
@@ -166,6 +167,29 @@ class TestIntraQuerySharingActivates:
         assert normalize(outcome.execution.query("Q1").rows) == (
             normalize(oracle["Q1"])
         )
+
+    def test_spool_settles_inside_the_query(self, small_db):
+        result = Session(small_db).optimize(self.SQL)
+        assert result.stats.used_cses == ["E1"]
+        assert result.est_cost < result.stats.est_cost_no_cse
+        assert result.bundle.root_spools == ()
+        (query,) = result.bundle.queries
+        (spool_def,) = [
+            node for node in query.plan.walk() if isinstance(node, PhysSpoolDef)
+        ]
+        assert [cid for cid, _ in spool_def.spools] == ["E1"]
+        reads = [
+            node for node in spool_def.child.walk()
+            if isinstance(node, PhysSpoolRead)
+        ]
+        assert len(reads) == 2
+
+    def test_explain_prices_the_spool_def_at_its_write_cost(self, small_db):
+        session = Session(small_db)
+        (candidate,) = session.optimize(self.SQL).candidates
+        lines = session.explain(self.SQL, costs=True).splitlines()
+        (line,) = [line for line in lines if "SpoolDef [E1]" in line]
+        assert f"[local {candidate.write_cost:.2f}," in line
 
 
 class TestExample11MutuallyExclusiveCandidates:

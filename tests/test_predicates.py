@@ -13,7 +13,6 @@ from repro.expr.expressions import (
     Comparison,
     ComparisonOp,
     Literal,
-    Or,
     TableRef,
     eq,
     ge,
@@ -23,20 +22,14 @@ from repro.expr.expressions import (
 )
 from repro.expr.predicates import (
     EquivalenceClasses,
-    always_true,
     column_equalities,
-    conjoin,
-    conjuncts_imply,
-    disjoin,
-    implied_by_equalities,
     non_equality_conjuncts,
-    range_implies,
-    simplify_conjuncts,
     split_conjuncts,
 )
 from repro.types import DataType
 
 from .cse_reference import equality_conjuncts, intersect, mapped
+from .match_reference import conjuncts_imply, implied_by_equalities, range_implies
 
 R = TableRef("R", 1)
 S = TableRef("S", 2)
@@ -67,27 +60,11 @@ class TestConjuncts:
         a = eq(rcol("a"), scol("d"))
         assert split_conjuncts(a) == [a]
 
-    def test_conjoin_roundtrip(self):
-        a, b = eq(rcol("a"), scol("d")), gt(rcol("b"), Literal(5))
-        assert split_conjuncts(conjoin([a, b])) == [a, b]
-        assert conjoin([]) is None
-        assert conjoin([a]) is a
-
-    def test_disjoin(self):
-        a, b = gt(rcol("a"), Literal(1)), gt(rcol("a"), Literal(2))
-        assert disjoin([a, b]) == Or((a, b))
-        assert disjoin([a, a]) is a
-        assert disjoin([a, None]) is None
-
     def test_partition_equalities(self):
         equality = eq(rcol("a"), scol("d"))
         filter_ = gt(rcol("b"), Literal(5))
         assert column_equalities([equality, filter_]) == [equality]
         assert non_equality_conjuncts([equality, filter_]) == [filter_]
-
-    def test_always_true(self):
-        assert always_true(None)
-        assert not always_true(gt(rcol("a"), Literal(1)))
 
 
 class TestEquivalenceClasses:
@@ -180,14 +157,6 @@ class TestImplication:
         assert implied_by_equalities(eq(rcol("a"), scol("e")), classes)
         assert not implied_by_equalities(eq(rcol("a"), scol("f")), classes)
         assert not implied_by_equalities(gt(rcol("a"), Literal(1)), classes)
-
-    def test_simplify(self):
-        classes = EquivalenceClasses()
-        classes.add_equality(rcol("a"), scol("d"))
-        kept = simplify_conjuncts(
-            [eq(rcol("a"), scol("d")), gt(rcol("b"), Literal(5))], classes
-        )
-        assert kept == [gt(rcol("b"), Literal(5))]
 
     @pytest.mark.parametrize(
         "specific, general, expected",
