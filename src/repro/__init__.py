@@ -22,8 +22,9 @@ Public entry points:
   Prometheus text format.
 * :class:`QueryLog` — one structured JSONL record per executed batch,
   with slow queries carrying their full EXPLAIN ANALYZE tree.
-* :class:`DecisionJournal` — the optimizer's per-candidate decision
-  journal (``Session.explain(why=True)``, ``repro explain --why``).
+* ``Session.explain(why=True)`` / ``repro explain --why`` — the decision
+  journal: every candidate's lifecycle, rendered from the optimizer's
+  trace events (:func:`repro.obs.render_why`).
 * :class:`PlanCache` — the serving layer: signature-keyed plan caching;
   dependency-aware parallel batch execution is ``Session(workers=N)``
   or ``execute(workers=N)``.
@@ -35,7 +36,6 @@ Public entry points:
 
 from .api import ExecutionOutcome, Session
 from .obs import (
-    DecisionJournal,
     Histogram,
     MetricsRegistry,
     QueryLog,
@@ -90,7 +90,6 @@ __all__ = [
     "Histogram",
     "TelemetryServer",
     "QueryLog",
-    "DecisionJournal",
     "render_prometheus",
     "PlanCache",
     "ResourceGovernor",

@@ -39,17 +39,16 @@ from .executor.executor import BatchResult, Executor
 from .executor.schedule import query_spool_read_counts
 from .logical.blocks import BoundBatch, BoundQuery
 from .obs import (
-    NULL_JOURNAL,
     NULL_QUERY_LOG,
     NULL_REGISTRY,
     NULL_TRACER,
-    DecisionJournal,
     MetricsRegistry,
     QueryLog,
     SharingLedger,
     Tracer,
     build_ledger,
     estimated_ledger,
+    render_why,
 )
 from .optimizer.cost import CostModel
 from .optimizer.engine import OptimizationResult, Optimizer
@@ -114,15 +113,14 @@ class Session:
     * ``registry`` — counters/gauges/histograms; hand the same registry to
       a :class:`~repro.obs.TelemetryServer` to expose it at ``/metrics`` in
       Prometheus text format.
-    * ``tracer`` — spans and events; one built with ``Tracer(path=…)``
-      streams to a JSONL file that :meth:`close` (or the context manager)
-      settles.
+    * ``tracer`` — spans and events, the optimizer's decisions among them
+      (every candidate's lifecycle from signature bucket to keep/reject
+      verdict, which ``explain(..., why=True)`` renders); one built with
+      ``Tracer(path=…)`` streams to a JSONL file that :meth:`close` (or
+      the context manager) settles.
     * ``query_log`` — one structured JSONL record per :meth:`execute`;
       records over the log's ``slow_ms`` threshold carry the full EXPLAIN
       ANALYZE tree of the run that was measured (no re-execution).
-    * ``journal`` — the optimizer's decision journal: every candidate's
-      lifecycle from signature bucket to keep/reject verdict. Also
-      available per-call via ``explain(..., why=True)``.
     """
 
     def __init__(
@@ -134,7 +132,6 @@ class Session:
         tracer: Optional[Tracer] = None,
         workers: int = 1,
         plan_cache_size: int = 64,
-        journal: Optional[DecisionJournal] = None,
         query_log: Optional[QueryLog] = None,
         governor: Optional[ResourceGovernor] = None,
         default_budget: Optional[QueryBudget] = None,
@@ -152,9 +149,8 @@ class Session:
         #: session; the null defaults make instrumentation a no-op.
         self.registry = registry or NULL_REGISTRY
         self.tracer = tracer or NULL_TRACER
-        # Explicit None checks: journals and query logs are sized containers,
-        # so a fresh (empty) one is falsy and `or` would drop it.
-        self.journal = journal if journal is not None else NULL_JOURNAL
+        # Explicit None check: a query log is a sized container, so a
+        # fresh (empty) one is falsy and `or` would drop it.
         self.query_log = (
             query_log if query_log is not None else NULL_QUERY_LOG
         )
@@ -233,13 +229,10 @@ class Session:
     def optimize(
         self,
         target: Union[str, BoundBatch, BoundQuery],
-        journal: Optional[DecisionJournal] = None,
         deadline: Optional[float] = None,
     ) -> OptimizationResult:
         """Optimize a batch (CSE detection/exploitation per session options).
 
-        ``journal`` overrides the session's decision journal for this call
-        (``explain(why=True)`` uses this to scope the report to one batch).
         ``deadline`` is an absolute :func:`time.monotonic` instant after
         which the optimizer raises
         :class:`~repro.errors.OptimizerTimeoutError` at its next phase
@@ -251,7 +244,6 @@ class Session:
             self.cost_model,
             registry=self.registry,
             tracer=self.tracer,
-            journal=journal if journal is not None else self.journal,
             deadline=deadline,
         )
         return optimizer.optimize(batch)
@@ -455,7 +447,6 @@ class Session:
             self.cost_model,
             registry=self.registry,
             tracer=self.tracer,
-            journal=self.journal,
             # The retry still honours the overall deadline (not the spent
             # optimizer allowance): without CSE enumeration it is cheap.
             deadline=token.deadline if token is not None else None,
@@ -614,10 +605,17 @@ class Session:
         through the H1–H4 heuristics to its keep/reject verdict.
         """
         if why:
-            # A fresh journal scopes the report to this batch even when the
-            # session carries a long-lived one.
-            journal = DecisionJournal()
-            result = self.optimize(target, journal=journal)
+            # A private recording tracer scopes the report to this
+            # optimization's decision events, whatever the session's own
+            # tracer holds (that tracer does not see this optimization).
+            tracer = Tracer()
+            result = Optimizer(
+                self.database,
+                self.options,
+                self.cost_model,
+                registry=self.registry,
+                tracer=tracer,
+            ).optimize(self._as_batch(target))
             header = [
                 f"estimated cost: {result.est_cost:.2f} "
                 f"(without CSEs: {result.stats.est_cost_no_cse:.2f})",
@@ -625,7 +623,7 @@ class Session:
                 f" used: {result.stats.used_cses}",
                 "",
             ]
-            report = "\n".join(header) + journal.render_why()
+            report = "\n".join(header) + render_why(tracer.events)
             ledger = estimated_ledger(
                 result.candidates, query_spool_read_counts(result.bundle)
             )

@@ -141,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--why", action="store_true",
         help=(
-            "print the optimizer decision journal: every candidate CSE's "
+            "print the decision journal, a report over the optimizer's "
+            "decision trace events: every candidate CSE's "
             "lifecycle (signature bucket, H1-H4 verdicts with the numbers "
             "used, LCA placement, keep/reject reason), and which Step-3 "
             "strategy ran and why"

@@ -21,7 +21,7 @@ from .heuristics import (
     is_contained,
     merge_benefit,
 )
-from .matching import ConsumerSpec, build_consumer_specs, match_consumer
+from .matching import ConsumerSpec, match_constructed, match_consumer
 
 __all__ = [
     "TableSignature",
@@ -43,6 +43,6 @@ __all__ = [
     "is_contained",
     "merge_benefit",
     "ConsumerSpec",
-    "build_consumer_specs",
+    "match_constructed",
     "match_consumer",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-from ..obs import active_journal, active_registry
+from ..obs import active_registry, active_tracer
 from ..optimizer.cost import CostModel
 from ..optimizer.memo import Group
 from .compatibility import ConsumerProfiles
@@ -99,7 +99,7 @@ def generate_candidates(
     ``QueryBlock``); every merge probe works on slot-space states.
     ``alpha`` is Heuristic 1's threshold, :data:`heuristics.ALPHA` as
     Step 2 read it for this optimization."""
-    journal = active_journal()
+    tracer = active_tracer()
     registry = active_registry()
     consumers = sorted(compatible_set, key=lambda g: g.gid)
     if len(consumers) < 2:
@@ -110,8 +110,8 @@ def generate_candidates(
 
     def emit(state: CoveringState) -> CseDefinition:
         definition = state.materialise(id_allocator(), instance_allocator)
-        if journal.enabled:
-            journal.event(
+        if tracer.enabled:
+            tracer.event(
                 "candidate",
                 cse_id=definition.cse_id,
                 signature=repr(definition.signature),
@@ -120,9 +120,9 @@ def generate_candidates(
             )
         return definition
 
-    def journal_h1(members: Sequence[Group], passed: bool) -> None:
-        if journal.enabled:
-            journal.event(
+    def trace_h1(members: Sequence[Group], passed: bool) -> None:
+        if tracer.enabled:
+            tracer.event(
                 "h1",
                 signature="set:" + ",".join(f"g{g.gid}" for g in members),
                 lower_bound_sum=sum(
@@ -140,7 +140,7 @@ def generate_candidates(
     # Heuristic 1 (second application; the engine applied it per signature
     # bucket before compatibility analysis).
     if not heuristic1_keep(consumers, batch_cost, alpha):
-        journal_h1(consumers, passed=False)
+        trace_h1(consumers, passed=False)
         if trace is not None:
             trace.heuristic1.append(
                 "set:" + ",".join(f"g{g.gid}" for g in consumers)
@@ -152,13 +152,13 @@ def generate_candidates(
     if len(consumers) < 2:
         return []
     if not heuristic1_keep(consumers, batch_cost, alpha):
-        journal_h1(consumers, passed=False)
+        trace_h1(consumers, passed=False)
         if trace is not None:
             trace.heuristic1.append(
                 "set:" + ",".join(f"g{g.gid}" for g in consumers)
             )
         return []
-    journal_h1(consumers, passed=True)
+    trace_h1(consumers, passed=True)
 
     # Algorithm 1: greedy merging driven by the benefit Δ (Heuristic 3),
     # starting from one trivial CSE per consumer.
@@ -192,8 +192,8 @@ def generate_candidates(
                     trace.heuristic3.append(
                         f"stop@{len(current.members)} members"
                     )
-                if journal.enabled:
-                    journal.event(
+                if tracer.enabled:
+                    tracer.event(
                         "h3",
                         members=labels(current),
                         delta=(
@@ -206,8 +206,8 @@ def generate_candidates(
             del remaining[best_index]
             current = best_merged
             merged_any = True
-            if journal.enabled:
-                journal.event(
+            if tracer.enabled:
+                tracer.event(
                     "h3",
                     members=labels(current),
                     delta=best_delta,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..obs import active_journal, active_registry
+from ..obs import active_registry, active_tracer
 from ..optimizer.cost import CostModel
 from ..optimizer.memo import Group, Memo
 from .construct import CoveringState, CseDefinition
@@ -92,7 +92,7 @@ def heuristic2_filter(
     n = len(consumers)
     if n == 0:
         return []
-    journal = active_journal()
+    tracer = active_tracer()
     kept: List[Group] = []
     for group in consumers:
         upper = consumer_upper_bound(group)
@@ -102,8 +102,8 @@ def heuristic2_filter(
         c_r = cost_model.spool_read(rows, width)
         keep_cost = c_r + (upper + c_w) / n
         dropped = upper < keep_cost
-        if journal.enabled:
-            journal.event(
+        if tracer.enabled:
+            tracer.event(
                 "h2",
                 consumer=f"g{group.gid}",
                 upper=upper,
@@ -184,7 +184,7 @@ def heuristic4_filter(
     exceeds β × the containing candidate's (S_c > β × S_p): the wider
     candidate shares more computation *and* is not meaningfully larger."""
     registry = active_registry()
-    journal = active_journal()
+    tracer = active_tracer()
     kept: List[CseDefinition] = []
     for inner in candidates:
         pruned = False
@@ -194,8 +194,8 @@ def heuristic4_filter(
             registry.counter("cse.containment_checks")
             if is_contained(inner, outer, memo):
                 contained_prunes = inner.est_bytes > beta * outer.est_bytes
-                if journal.enabled:
-                    journal.event(
+                if tracer.enabled:
+                    tracer.event(
                         "h4",
                         inner=inner.cse_id,
                         outer=outer.cse_id,

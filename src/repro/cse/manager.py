@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
-from ..obs import active_journal
+from ..obs import active_tracer
 from ..optimizer.memo import Group
 from .signature import TableSignature
 
@@ -44,7 +44,7 @@ class CseManager:
         """Signature buckets referencing at least two distinct groups with
         pairwise-disjoint table instances — only such groups can co-occur in
         one final plan and therefore share a computed result."""
-        journal = active_journal()
+        tracer = active_tracer()
         result: List[Tuple[TableSignature, List[Group]]] = []
         for signature, groups in sorted(
             self._buckets.items(), key=lambda kv: kv[0]
@@ -52,7 +52,7 @@ class CseManager:
             if len(groups) < 2:
                 continue
             sharable = self._has_disjoint_pair(groups)
-            journal.event(
+            tracer.event(
                 "bucket",
                 signature=repr(signature),
                 groups=len(groups),

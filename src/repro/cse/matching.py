@@ -24,7 +24,6 @@ from ..equiv import GAVE_UP, PROVED, REFUTED, Verdict
 from ..errors import OptimizerError
 from ..expr.expressions import ColumnRef, Expr, TableRef
 from ..expr.predicates import bound_implies
-from ..obs import active_journal
 from ..optimizer.aggs import AggCompute, reaggregate_computes
 from ..optimizer.memo import Group
 from .compatibility import ConsumerProfile, IdSpace, bit_positions, remap_expr
@@ -187,26 +186,14 @@ def _names(space: IdSpace, mask: int) -> str:
     return "{" + ", ".join(repr(space.columns[c]) for c in bit_positions(mask)) + "}"
 
 
-def journal_verdict(definition: CseDefinition, group: Group, verdict: Verdict) -> None:
-    """The ``equiv`` journal event of one consumer match."""
-    active_journal().event(
-        "equiv",
-        cse_id=definition.cse_id,
-        consumer=f"g{group.gid}",
-        outcome=verdict.outcome,
-        reason=verdict.reason,
-    )
-
-
-def build_consumer_specs(definition: CseDefinition) -> List[ConsumerSpec]:
-    """Matching recipes for the CSE's constructed consumers. Construction
-    guarantees the match, so a refusal is an internal inconsistency: its
-    verdict is journaled like every other and the consumer is left
-    unshared."""
-    specs: List[ConsumerSpec] = []
-    for profile in definition.state.members:
-        verdict, spec = match_consumer(definition, profile)
-        journal_verdict(definition, profile.group, verdict)
-        if spec is not None:
-            specs.append(spec)
-    return specs
+def match_constructed(
+    definition: CseDefinition,
+) -> List[Tuple[Group, Verdict, Optional[ConsumerSpec]]]:
+    """``(group, verdict, spec)`` for each of the CSE's constructed
+    consumers, in member order. Construction guarantees the match, so a
+    refusal is an internal inconsistency: its verdict is recorded like
+    every other and the consumer is left unshared (``spec`` None)."""
+    return [
+        (profile.group, *match_consumer(definition, profile))
+        for profile in definition.state.members
+    ]

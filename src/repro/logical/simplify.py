@@ -23,7 +23,7 @@ def simplify_query(query: BoundQuery) -> Tuple[BoundQuery, List[Tuple[str, Verdi
     """Fold provably-reducible LEFT OUTER extensions into the core block.
 
     Returns the (possibly) simplified query plus one ``(ext_id, verdict)``
-    pair per left_outer extension, for the optimizer's decision journal.
+    pair per left_outer extension, for the optimizer's ``equiv`` trace events.
     Semi/anti extensions are never folded (they change cardinality);
     a left_outer extension folds only when :func:`outer_join_reducible`
     *proves* some post-join filter null-rejecting on its tables.

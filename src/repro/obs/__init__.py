@@ -1,8 +1,9 @@
 """Observability: metrics, histograms, tracing, export, and audit logs.
 
 This package is dependency-free within :mod:`repro` (nothing here imports
-the optimizer or executor) so any layer can emit metrics, trace events,
-journal entries, or query-log records without import cycles. See
+the optimizer or executor) so any layer can emit metrics, trace events
+(the optimizer's decisions among them) or query-log records without
+import cycles. See
 README.md § Observability and § Telemetry for the schemas.
 """
 
@@ -13,12 +14,7 @@ from .exporter import (
     sanitize_metric_name,
 )
 from .histogram import DEFAULT_BOUNDS, Histogram
-from .journal import (
-    NULL_JOURNAL,
-    DecisionJournal,
-    active_journal,
-    use_journal,
-)
+from .journal import render_why
 from .metrics import (
     NULL_REGISTRY,
     MetricsRegistry,
@@ -51,6 +47,8 @@ from .trace import (
     SpanContext,
     TraceEvent,
     Tracer,
+    active_tracer,
+    use_tracer,
 )
 
 __all__ = [
@@ -67,13 +65,12 @@ __all__ = [
     "TelemetryServer",
     "QueryLog",
     "NULL_QUERY_LOG",
-    "DecisionJournal",
-    "NULL_JOURNAL",
-    "active_journal",
-    "use_journal",
+    "render_why",
     "Tracer",
     "TraceEvent",
     "NULL_TRACER",
+    "active_tracer",
+    "use_tracer",
     "SpanContext",
     "NULL_CONTEXT",
     "TRACE_HEADER_TYPE",

@@ -29,7 +29,10 @@ appends the not-yet-written events, ``close()`` flushes and settles the
 file, and a ``weakref.finalize`` hook flushes at interpreter exit so the
 trace is never truncated when the owner forgets to close. A disabled
 tracer (:data:`NULL_TRACER`) is a no-op, same contract as the metrics
-registry.
+registry. Like the registry, the optimizer's tracer is also reached
+ambiently (:func:`active_tracer` / :func:`use_tracer`): the free functions
+in ``cse/`` that make the paper's sharing decisions emit them as point
+events on it (the kinds are listed in :mod:`repro.obs.journal`).
 """
 
 from __future__ import annotations
@@ -319,3 +322,27 @@ class Tracer:
 
 #: The default, disabled tracer.
 NULL_TRACER = Tracer(enabled=False)
+
+
+# ---------------------------------------------------------------------------
+# Ambient tracer (for free functions deep in the cse/ layer)
+# ---------------------------------------------------------------------------
+
+_ambient = threading.local()
+
+
+def active_tracer() -> Tracer:
+    """The tracer installed by the innermost :func:`use_tracer`."""
+    return getattr(_ambient, "tracer", NULL_TRACER)
+
+
+@contextmanager
+def use_tracer(tracer: Optional[Tracer]) -> Iterator[Tracer]:
+    """Install ``tracer`` as the thread's ambient tracer."""
+    tracer = tracer or NULL_TRACER
+    previous = getattr(_ambient, "tracer", NULL_TRACER)
+    _ambient.tracer = tracer
+    try:
+        yield tracer
+    finally:
+        _ambient.tracer = previous

@@ -32,14 +32,12 @@ from ..errors import OptimizerTimeoutError
 from ..logical.blocks import BoundBatch, JoinExtension
 from ..logical.simplify import simplify_query
 from ..obs import (
-    NULL_JOURNAL,
     NULL_REGISTRY,
     NULL_TRACER,
-    DecisionJournal,
     MetricsRegistry,
     Tracer,
-    use_journal,
     use_registry,
+    use_tracer,
 )
 from ..storage.database import Database
 from . import step2
@@ -95,7 +93,6 @@ class Optimizer:
         cost_model: Optional[CostModel] = None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        journal: Optional[DecisionJournal] = None,
         deadline: Optional[float] = None,
     ) -> None:
         self.database = database
@@ -103,9 +100,10 @@ class Optimizer:
         self.cost_model = cost_model or CostModel()
         self.estimator = CardinalityEstimator(database)
         self.registry = registry or NULL_REGISTRY
+        #: spans, and the decision events of the paper's §4-§5 (see
+        #: :mod:`repro.obs.journal`) — installed as the ambient tracer
+        #: for the ``cse/`` free functions while an optimization runs.
         self.tracer = tracer or NULL_TRACER
-        # `is not None`: an empty journal is falsy (it has a length).
-        self.journal = journal if journal is not None else NULL_JOURNAL
         #: absolute :func:`time.monotonic` deadline for this optimization,
         #: or None. Checked at phase boundaries (never mid-assembly): expiry
         #: raises :class:`~repro.errors.OptimizerTimeoutError`, which the
@@ -132,7 +130,7 @@ class Optimizer:
         """:meth:`optimize`, also handing back the run state (memo, consumer
         specs, §5.4 history) for callers that inspect how the plan was
         found rather than the plan."""
-        with use_registry(self.registry), use_journal(self.journal):
+        with use_registry(self.registry), use_tracer(self.tracer):
             with self.tracer.span("optimize", queries=len(batch.queries)):
                 result, run = self._optimize(batch)
         self._publish_stats(result.stats)
@@ -163,11 +161,11 @@ class Optimizer:
         root_children: List[Group] = []
         for original in batch.queries:
             # Logical simplification: fold provably-reducible outer joins
-            # into their core blocks (the null-rejection verdicts go to the
-            # decision journal either way).
+            # into their core blocks (the null-rejection verdicts are
+            # trace events either way).
             query, verdicts = simplify_query(original)
             for ext_id, verdict in verdicts:
-                self.journal.event(
+                self.tracer.event(
                     "equiv",
                     query=original.name,
                     extension=ext_id,
@@ -203,7 +201,7 @@ class Optimizer:
             root=root,
             manager=manager,
             stats=stats,
-            history=History(self.registry, self.journal),
+            history=History(self.registry),
         )
 
     def _optimize(
@@ -255,7 +253,7 @@ class Optimizer:
                 stats.memo_groups = len(memo.groups)
                 return finish_base()
 
-            candidates = step2.generate(search, self.journal, buckets, base_cost)
+            candidates = step2.generate(search, buckets, base_cost)
             stats.memo_groups = len(memo.groups)
             if not candidates:
                 return finish_base()
@@ -272,13 +270,12 @@ class Optimizer:
         )
         stats.strategy = strategy
         stats.strategy_reason = reason
-        self.journal.event(
-            "strategy",
+        self.tracer.event(
+            "cse_strategy",
             strategy=strategy,
             reason=reason,
             candidates=len(candidates),
         )
-        self.tracer.event("cse_strategy", strategy=strategy, reason=reason)
         self.registry.counter(f"strategy.{strategy}.runs")
         with self.tracer.span("cse_optimization", strategy=strategy):
             step3_start = time.perf_counter()
@@ -291,7 +288,6 @@ class Optimizer:
                 memo,
                 max_evaluations=self.options.max_cse_optimizations,
                 check_deadline=self._check_deadline,
-                journal=self.journal,
                 registry=self.registry,
             )
             stats.step3_time = time.perf_counter() - step3_start
@@ -300,7 +296,7 @@ class Optimizer:
         stats.used_cses = best_bundle.used_cses()
         stats.cse_time = time.perf_counter() - start - stats.normal_time
         stats.optimization_time = time.perf_counter() - start
-        self._journal_verdicts(candidates, run)
+        self._emit_verdicts(candidates, run)
         result = OptimizationResult(
             bundle=best_bundle,
             stats=stats,
@@ -316,7 +312,7 @@ class Optimizer:
         :func:`~repro.optimizer.selection.select` calls back into, whatever
         the strategy: builds the pass context, keeps the §5.4 history
         accounting honest (or wipes the history when reuse is off), and
-        reports the pass to tracer and journal."""
+        reports the pass to the tracer."""
         run = search.run
         stats = run.stats
         enabled = tuple(c for c in candidates if c.cse_id in subset)
@@ -337,7 +333,7 @@ class Optimizer:
         )
         return cost, bundle, used
 
-    def _journal_verdicts(
+    def _emit_verdicts(
         self, candidates: List[CandidateCse], run: OptimizerRun
     ) -> None:
         """Emit the per-candidate §5.1 discard tallies and final verdicts.
@@ -345,23 +341,15 @@ class Optimizer:
         Candidates pruned before costing (Heuristic 4, candidate cap) got
         their verdicts inside :func:`step2.generate`; this covers
         everything that survived into Step 3 enumeration."""
-        journal = self.journal
-        if not journal.enabled:
+        tracer = self.tracer
+        if not tracer.enabled:
             return
         used = set(run.stats.used_cses)
-        equiv_tallies: Dict[str, Dict[str, int]] = {}
-        for entry in journal.events("equiv"):
-            cid = entry.get("cse_id")
-            if cid is None:
-                continue
-            tally = equiv_tallies.setdefault(cid, {})
-            outcome = entry.get("outcome", "?")
-            tally[outcome] = tally.get(outcome, 0) + 1
         for candidate in candidates:
             cid = candidate.cse_id
             discards = run.sc_discards.get(cid, 0)
             if discards:
-                journal.event(
+                tracer.event(
                     "single_consumer", cse_id=cid, discards=discards
                 )
             # The §5.1 verdicts over this candidate's consumer matches,
@@ -369,7 +357,7 @@ class Optimizer:
             # match was *refused*, not merely unprofitable.
             equiv = ", ".join(
                 f"{outcome}={count}"
-                for outcome, count in sorted(equiv_tallies.get(cid, {}).items())
+                for outcome, count in sorted(run.match_outcomes[cid].items())
             )
             if cid in used:
                 kept, reason = True, "materialized in best plan"
@@ -379,6 +367,6 @@ class Optimizer:
                 kept, reason = False, (
                     "sharing never beat recomputation in any enumerated subset"
                 )
-            journal.event(
+            tracer.event(
                 "verdict", cse_id=cid, kept=kept, reason=reason, equiv=equiv
             )

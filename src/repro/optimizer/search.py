@@ -169,8 +169,8 @@ class Search:
     def tally_single_consumer(self, cse_ids: Sequence[str]) -> None:
         """Count one plan discarded by §5.2's rule — a spool with fewer than
         two consumers can never beat recomputation — against the candidates
-        in ``cse_ids`` that fell short, so EXPLAIN ANALYZE and the decision
-        journal can report how often the rule fired, and against whom."""
+        in ``cse_ids`` that fell short, so EXPLAIN ANALYZE and ``explain
+        --why`` can report how often the rule fired, and against whom."""
         self.run.stats.single_consumer_discards += 1
         tallies = self.run.sc_discards
         for cid in cse_ids:

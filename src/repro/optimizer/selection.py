@@ -55,7 +55,7 @@ import itertools
 from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..cse.candidates import CandidateCse
-from ..obs import NULL_JOURNAL, NULL_REGISTRY, DecisionJournal, MetricsRegistry
+from ..obs import NULL_REGISTRY, MetricsRegistry, active_tracer
 from .memo import Memo
 
 #: one optimization pass: enabled ids -> (cost, bundle, used ids).
@@ -70,7 +70,7 @@ def select_strategy(configured: str, candidate_count: int) -> Tuple[str, str]:
     """Resolve the configured ``cse_strategy`` to a concrete strategy.
 
     Returns ``(strategy, reason)`` where ``reason`` is the human-readable
-    sentence the journal/EXPLAIN ``--why`` report carries."""
+    sentence the ``cse_strategy`` trace event and ``explain --why`` carry."""
     if configured == "paper":
         return "paper", "cse_strategy='paper' (configured)"
     if configured == "greedy":
@@ -95,7 +95,6 @@ def select(
     memo: Memo,
     max_evaluations: int,
     check_deadline: Callable[[], None],
-    journal: DecisionJournal = NULL_JOURNAL,
     registry: MetricsRegistry = NULL_REGISTRY,
 ) -> Tuple[float, object]:
     """Run Step 3 with ``strategy`` (``"paper"`` or ``"greedy"``).
@@ -106,7 +105,7 @@ def select(
     if strategy == "greedy":
         return greedy_select(
             candidates, base_cost, base_bundle, run_pass,
-            max_evaluations, check_deadline, journal, registry,
+            max_evaluations, check_deadline, registry,
         )
     enumerator = SubsetEnumerator(candidates, memo, max_evaluations)
     best_cost, best_bundle = base_cost, base_bundle
@@ -272,7 +271,6 @@ def greedy_select(
     run_pass: PassRunner,
     max_evaluations: int,
     check_deadline: Callable[[], None],
-    journal: DecisionJournal = NULL_JOURNAL,
     registry: MetricsRegistry = NULL_REGISTRY,
 ) -> Tuple[float, object]:
     """Greedy benefit-ordered candidate selection.
@@ -280,7 +278,8 @@ def greedy_select(
     ``run_pass`` performs one optimization with the given candidate ids
     enabled and returns ``(cost, bundle, used_ids)``; it is called at most
     ``max_evaluations`` times. Deterministic: heap ties break on candidate
-    id, so equal-benefit candidates are accepted in id order."""
+    id, so equal-benefit candidates are accepted in id order. Each
+    acceptance is a ``greedy_pick`` event on the ambient tracer."""
     best_cost, best_bundle = base_cost, base_bundle
     selected: FrozenSet[str] = frozenset()
     #: optimization passes spent (the quantity greedy minimizes).
@@ -310,7 +309,7 @@ def greedy_select(
             selected = selected | {cse_id}
             best_cost, best_bundle = latest[cse_id]
             generation += 1
-            journal.event(
+            active_tracer().event(
                 "greedy_pick",
                 cse_id=cse_id,
                 benefit=round(benefit, 4),

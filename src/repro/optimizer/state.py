@@ -9,6 +9,7 @@ context, and the §5.4 optimization history.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -17,7 +18,7 @@ from ..cse.heuristics import PruneTrace
 from ..cse.manager import CseManager
 from ..cse.matching import ConsumerSpec
 from ..logical.blocks import JoinExtension
-from ..obs import DecisionJournal, MetricsRegistry
+from ..obs import MetricsRegistry, active_tracer
 from .memo import Group, Memo
 from .physical import PhysicalPlan
 
@@ -93,9 +94,8 @@ class History:
     what its enabled candidates actually changed; the per-pass counters say
     how much that was."""
 
-    def __init__(self, registry: MetricsRegistry, journal: DecisionJournal) -> None:
+    def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        self.journal = journal
         self.plan_cache: Dict[Tuple[int, FrozenSet[str]], PlanSet] = {}
         #: which pass created each plan-cache entry (0 = base pass).
         self.cache_pass: Dict[Tuple[int, FrozenSet[str]], int] = {}
@@ -126,7 +126,7 @@ class History:
         self, stats: OptimizerStats, subset: FrozenSet[str], seconds: float
     ) -> None:
         """Publish one Step-3 pass's reuse accounting: run stats, the
-        per-pass latency histogram, and a journal ``history`` event."""
+        per-pass latency histogram, and a ``history`` trace event."""
         reused = len(self.reused_gids)
         stats.history_hits += self.hits
         stats.history_misses += self.misses
@@ -134,7 +134,7 @@ class History:
         stats.history_tops_folded += self.fold_hits
         self.registry.observe("optimizer.history.pass_seconds", seconds)
         total = self.hits + self.misses
-        self.journal.event(
+        active_tracer().event(
             "history",
             pass_index=self.pass_index,
             subset=sorted(subset),
@@ -178,8 +178,8 @@ class OptimizerStats:
     #: ``"greedy"`` (Roy et al. benefit-ordered selection), or ``""`` when
     #: Step 3 never ran (no candidates / CSE disabled).
     strategy: str = ""
-    #: why that strategy was chosen (mirrors the journal's ``strategy``
-    #: event, so EXPLAIN surfaces carry the same sentence).
+    #: why that strategy was chosen (the ``cse_strategy`` trace event
+    #: carries the same sentence).
     strategy_reason: str = ""
     used_cses: List[str] = field(default_factory=list)
     candidate_ids: List[str] = field(default_factory=list)
@@ -234,8 +234,13 @@ class OptimizerRun:
     stats: OptimizerStats
     history: History
     #: per-candidate tally of §5.1 single-consumer discards, feeding the
-    #: journal's ``single_consumer`` events and rejection verdicts.
+    #: ``single_consumer`` trace events and rejection verdicts.
     sc_discards: Dict[str, int] = field(default_factory=dict)
+    #: candidate id -> §5.1 consumer-match outcome -> count, tallied as
+    #: Step 2 emits each ``equiv`` event; the ``verdict`` events report it.
+    match_outcomes: Dict[str, Counter] = field(
+        default_factory=lambda: defaultdict(Counter)
+    )
     candidates_by_id: Dict[str, CandidateCse] = field(default_factory=dict)
     #: candidate id -> query-side / body-side (stacked, §5.5) consumer specs.
     specs: Dict[str, List[ConsumerSpec]] = field(default_factory=dict)

@@ -19,10 +19,10 @@ from ..cse import heuristics
 from ..cse.candidates import CandidateCse, CandidateIdAllocator, generate_candidates
 from ..cse.compatibility import ConsumerProfiles, compatibility_groups
 from ..cse.heuristics import PruneTrace, heuristic1_keep, heuristic4_filter
-from ..cse.matching import (
-    ConsumerSpec, build_consumer_specs, journal_verdict, match_consumer,
-)
-from ..obs import DecisionJournal, active_registry
+from ..cse.matching import ConsumerSpec, match_constructed, match_consumer
+from ..equiv import Verdict
+from ..obs import active_registry, active_tracer
+from .memo import Group
 from .search import Search
 from .state import BASE_PASS, EMPTY_PROFILE, OptimizerRun, PassContext
 
@@ -50,11 +50,11 @@ MIN_CSE_TABLES = 2
 MAX_CANDIDATES = 64
 
 
-def generate(
-    search: Search, journal: DecisionJournal, buckets, base_cost: float
-) -> List[CandidateCse]:
+def generate(search: Search, buckets, base_cost: float) -> List[CandidateCse]:
     """Candidate generation over the sharable ``buckets``; fills the
-    candidate-side fields of ``search.run`` and returns the candidates."""
+    candidate-side fields of ``search.run`` and returns the candidates.
+    Its decisions are point events on the ambient tracer."""
+    tracer = active_tracer()
     run = search.run
     memo = run.memo
     stats = run.stats
@@ -77,8 +77,8 @@ def generate(
             continue
         if use_heuristics:
             keep = heuristic1_keep(groups, base_cost, alpha)
-            if journal.enabled:
-                journal.event(
+            if tracer.enabled:
+                tracer.event(
                     "h1",
                     signature=repr(signature),
                     lower_bound_sum=sum(
@@ -108,7 +108,7 @@ def generate(
     stats.candidates_before_pruning = len(definitions)
     if len(profiles):
         active_registry().counter("cse.consumer_profiles", len(profiles))
-    journal.event(
+    tracer.event(
         "generation",
         consumer_profiles=len(profiles),
         constructions=len(definitions),
@@ -119,7 +119,7 @@ def generate(
             definitions, memo, heuristics.BETA, trace
         )
         for cid in sorted(before_ids - {d.cse_id for d in definitions}):
-            journal.event(
+            tracer.event(
                 "verdict",
                 cse_id=cid,
                 kept=False,
@@ -132,7 +132,7 @@ def generate(
             )
         )
         for definition in definitions[MAX_CANDIDATES:]:
-            journal.event(
+            tracer.event(
                 "verdict",
                 cse_id=definition.cse_id,
                 kept=False,
@@ -167,7 +167,11 @@ def generate(
     run.candidates_by_id = {c.cse_id: c for c in candidates}
     # Consumer specs (query-side), then stacked consumers (§5.5).
     for candidate in candidates:
-        run.specs[candidate.cse_id] = build_consumer_specs(candidate.definition)
+        specs = run.specs[candidate.cse_id] = []
+        for group, verdict, spec in match_constructed(candidate.definition):
+            _record_match(run, candidate.cse_id, group, verdict)
+            if spec is not None:
+                specs.append(spec)
         run.body_specs[candidate.cse_id] = []
     if STACKED:
         _find_stacked_consumers(run, candidates, profiles)
@@ -189,7 +193,7 @@ def generate(
         else:
             all_gids = list(candidate.definition.consumer_gids)
             candidate.lca_gid = memo.least_common_ancestor(all_gids).gid
-        journal.event(
+        tracer.event(
             "lca",
             cse_id=candidate.cse_id,
             body_cost=candidate.body_cost,
@@ -208,6 +212,21 @@ def generate(
     return candidates
 
 
+def _record_match(
+    run: OptimizerRun, cse_id: str, group: Group, verdict: Verdict
+) -> None:
+    """Tally one §5.1 consumer match on the run (the candidate's
+    ``verdict`` event reports the tally) and emit its ``equiv`` event."""
+    run.match_outcomes[cse_id][verdict.outcome] += 1
+    active_tracer().event(
+        "equiv",
+        cse_id=cse_id,
+        consumer=f"g{group.gid}",
+        outcome=verdict.outcome,
+        reason=verdict.reason,
+    )
+
+
 def _find_stacked_consumers(
     run: OptimizerRun, candidates: List[CandidateCse], profiles: ConsumerProfiles
 ) -> None:
@@ -218,7 +237,7 @@ def _find_stacked_consumers(
     group of the inner candidate's signature is profiled into the same id
     space Algorithm 1 used (slot templates are instance-free), so it is
     matched like a constructed consumer. This is a search, so only the
-    matches it finds are journaled."""
+    matches it finds are recorded."""
     memo = run.memo
     for inner in candidates:
         for outer in candidates:
@@ -236,7 +255,7 @@ def _find_stacked_consumers(
                     continue
                 verdict, spec = match_consumer(inner.definition, profiles(group))
                 if spec is not None:
-                    journal_verdict(inner.definition, group, verdict)
+                    _record_match(run, inner.cse_id, group, verdict)
                     run.body_specs[inner.cse_id].append(spec)
                     inner.lifted_to_root = True
 

@@ -24,7 +24,8 @@ heavy traffic:
 All governor activity is observable through the session's
 :class:`~repro.obs.MetricsRegistry` (``governor.*`` counters, gauges, and
 histograms — exported via the existing Prometheus path) and, for
-fallbacks, the :class:`~repro.obs.DecisionJournal`.
+fallbacks, a ``governor_fallback`` event on the session's
+:class:`~repro.obs.Tracer`.
 """
 
 from __future__ import annotations

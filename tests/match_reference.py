@@ -191,7 +191,7 @@ def check_consumer_match(definition, group, info):
 
 def recording_matches(monkeypatch):
     """Record every ``match_consumer`` call the optimizer makes, constructed
-    (:func:`build_consumer_specs`) and stacked (Step 2's §5.5 search):
+    (:func:`match_constructed`) and stacked (Step 2's §5.5 search):
     returns the list ``(definition, profile, verdict, spec, stacked)`` is
     appended to."""
     records = []

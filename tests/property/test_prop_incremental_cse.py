@@ -47,7 +47,7 @@ from repro.errors import OptimizerError
 from repro.expr.expressions import Comparison, TableRef
 from repro.expr.predicates import EquivalenceClasses
 from repro.logical.blocks import QueryBlock
-from repro.obs import DecisionJournal, MetricsRegistry, use_journal
+from repro.obs import MetricsRegistry, Tracer, use_tracer
 from repro.optimizer.cardinality import cardenas
 from repro.optimizer import memo
 from repro.optimizer.memo import BlockInfo
@@ -297,12 +297,12 @@ def check_batch(sql, monkeypatch, registry=None, **options):
     matches = match_reference.recording_matches(monkeypatch)
 
     def recording(compatible_set, profiles, *args, **kwargs):
-        journal = DecisionJournal()
-        with use_journal(journal):
+        tracer = Tracer()
+        with use_tracer(tracer):
             definitions = generate_candidates(
                 compatible_set, profiles, *args, **kwargs
             )
-        calls.append((compatible_set, profiles, args, definitions, journal))
+        calls.append((compatible_set, profiles, args, definitions, tracer))
         return definitions
 
     def clustering(groups, profiles):
@@ -319,7 +319,7 @@ def check_batch(sql, monkeypatch, registry=None, **options):
             [g.gid for g in c] for c in reference
         ]
     body_instances = []
-    for compatible_set, profiles, args, definitions, journal in calls:
+    for compatible_set, profiles, args, definitions, tracer in calls:
         cost_model, batch_cost, alpha, use_heuristics = args[:4]
         references, events = reference_algorithm1(
             compatible_set, profiles.infos, profiles.space.estimator,
@@ -330,7 +330,8 @@ def check_batch(sql, monkeypatch, registry=None, **options):
             assert_same_definition(definition, reference)
             body_instances += [t.instance for t in definition.block.tables]
         assert [
-            (e["members"], e["delta"], e["merged"]) for e in journal.events("h3")
+            (e.attrs["members"], e.attrs["delta"], e.attrs["merged"])
+            for e in tracer.events if e.name == "h3"
         ] == events
     # Body instances go to emitted candidates only: consecutive after the
     # batch's own instances, in candidate-id order, whatever was probed.

@@ -14,7 +14,7 @@ from repro import OptimizerOptions, Session
 from repro.catalog.tpch import build_tpch_database
 from repro.errors import BudgetExceededError, ExecutionError
 from repro.executor.runtime import SharedSpoolPool
-from repro.obs import DecisionJournal, MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Tracer
 from repro.serve import QueryBudget, SharedBatchCoordinator
 from repro.storage.worktable import WorkTable
 
@@ -559,14 +559,14 @@ class TestCoordinatorStrategy:
 
     def test_merged_plan_carries_no_session_journal(self):
         """Every session in a window receives the same (cached) merged
-        optimization result, so it must not hold one session's journal."""
+        optimization result, so it must not hold one session's decision
+        trace."""
         registry = MetricsRegistry()
         coordinator = SharedBatchCoordinator(
             window_ms=5000.0, max_group=2, registry=registry
         )
         s1 = Session(
-            DB, coordinator=coordinator, registry=registry,
-            journal=DecisionJournal(),
+            DB, coordinator=coordinator, registry=registry, tracer=Tracer(),
         )
         s2 = Session(DB, coordinator=coordinator, registry=registry)
         results = _run_concurrent(
@@ -578,6 +578,7 @@ class TestCoordinatorStrategy:
         assert _counters(registry).get("coordinator.merged_batches") == 1
         for outcome in results.values():
             assert not hasattr(outcome.optimization, "journal")
+            assert not hasattr(outcome.optimization, "tracer")
 
 
 class TestCoordinatorStress:

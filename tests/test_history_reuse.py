@@ -5,7 +5,7 @@ The cross-pass history cache must be invisible in every observable plan
 property (covered property-wise in ``tests/property/test_prop_history.py``)
 while actually skipping work — these tests pin down the mechanism: the
 footprint computation agrees with the descendant-walk oracle, reused
-passes carry group results forward, the counters/journal/EXPLAIN surfaces
+passes carry group results forward, the counters/trace-event/EXPLAIN surfaces
 report it, and the governor's deadline stays live with reuse enabled.
 """
 
@@ -20,7 +20,7 @@ from repro import OptimizerOptions, Session
 from repro.catalog.tpch import build_tpch_database
 from repro.cli import _options, build_parser
 from repro.errors import OptimizerTimeoutError
-from repro.obs import DecisionJournal, MetricsRegistry
+from repro.obs import MetricsRegistry, Tracer
 from repro.optimizer import engine
 from repro.optimizer.engine import Optimizer
 from repro.optimizer.search import relevant_ids
@@ -35,14 +35,14 @@ DB = build_tpch_database(scale_factor=0.002)
 MULTI_SQL = scaleup_batch(8)
 
 
-def _optimize(reuse: bool, registry=None, journal=None, deadline=None):
+def _optimize(reuse: bool, registry=None, tracer=None, deadline=None):
     session = Session(DB, OptimizerOptions())
     batch = session.bind(MULTI_SQL)
     optimizer = Optimizer(
         DB,
         OptimizerOptions(),
         registry=registry,
-        journal=journal,
+        tracer=tracer,
         deadline=deadline,
     )
     with patch.object(engine, "REUSE_HISTORY", reuse):
@@ -166,9 +166,9 @@ class TestInstrumentation:
 
     def test_journal_history_event_per_pass(self):
         for reuse in (True, False):
-            journal = DecisionJournal()
-            _, result = _optimize(reuse, journal=journal)
-            events = journal.events("history")
+            tracer = Tracer()
+            _, result = _optimize(reuse, tracer=tracer)
+            events = [e.attrs for e in tracer.events if e.name == "history"]
             assert len(events) == result.stats.cse_optimizations
             for index, event in enumerate(events, start=1):
                 assert event["pass_index"] == index

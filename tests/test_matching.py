@@ -6,7 +6,7 @@ import pytest
 
 from repro.cse.compatibility import ConsumerProfiles
 from repro.cse.construct import covering_state
-from repro.cse.matching import build_consumer_specs, match_consumer
+from repro.cse.matching import match_constructed, match_consumer
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.memo import Memo
 from repro.sql.binder import bind_batch
@@ -41,6 +41,11 @@ BATCH = (
 )
 
 
+def _specs(definition):
+    """The matching recipes of the CSE's constructed consumers."""
+    return [spec for _, _, spec in match_constructed(definition) if spec]
+
+
 @pytest.fixture()
 def setting(tiny_db):
     memo, tops = build_memo(tiny_db, BATCH)
@@ -52,12 +57,12 @@ def setting(tiny_db):
 class TestConstructedConsumers:
     def test_all_consumers_match(self, setting):
         memo, tops, definition, _ = setting
-        specs = build_consumer_specs(definition)
+        specs = _specs(definition)
         assert len(specs) == 2
 
     def test_residual_is_consumer_specific(self, setting):
         memo, tops, definition, _ = setting
-        specs = build_consumer_specs(definition)
+        specs = _specs(definition)
         q1 = next(s for s in specs if s.group is tops[0])
         # Q1's residual: its own nationkey range (the date conjunct was
         # factored into the covering predicate).
@@ -71,7 +76,7 @@ class TestConstructedConsumers:
 
     def test_reaggregation_for_coarser_consumer(self, setting):
         memo, tops, definition, _ = setting
-        specs = build_consumer_specs(definition)
+        specs = _specs(definition)
         q2 = next(s for s in specs if s.group is tops[1])
         # The CSE groups by {nationkey, mktsegment}; Q2 groups by nationkey
         # only — it must re-aggregate.
@@ -92,13 +97,13 @@ class TestConstructedConsumers:
         )
         profiles = ConsumerProfiles(memo.block_infos, CardinalityEstimator(small_db))
         definition = construct("E2", tops, profiles, itertools.count(9500))
-        specs = build_consumer_specs(definition)
+        specs = _specs(definition)
         # Both consumers group by exactly the CSE keys: no re-aggregation.
         assert all(not s.needs_reagg for s in specs)
 
     def test_column_map_covers_outputs(self, setting):
         memo, tops, definition, _ = setting
-        specs = build_consumer_specs(definition)
+        specs = _specs(definition)
         for spec in specs:
             assert len(spec.column_map) == len(definition.outputs)
             names = [n for n, _ in spec.column_map]

@@ -8,11 +8,11 @@ import pytest
 
 from repro import MetricsRegistry, Session, Tracer
 from repro.obs import (
-    DecisionJournal,
     NULL_REGISTRY,
     NULL_TRACER,
     TRACE_HEADER_TYPE,
     active_registry,
+    render_why,
     use_registry,
 )
 from repro.workloads import example1_batch, scaleup_batch
@@ -156,26 +156,30 @@ class TestSessionWiring:
         space once, probes never materialise, and a full construction
         happens only for a candidate Algorithm 1 emits."""
         sql = example1_batch() if batch == "example1" else scaleup_batch(6)
-        registry, journal = MetricsRegistry(), DecisionJournal()
-        session = Session(tiny_db, registry=registry)
-        stats = session.optimize(sql, journal=journal).stats
+        registry, tracer = MetricsRegistry(), Tracer()
+        session = Session(tiny_db, registry=registry, tracer=tracer)
+        stats = session.optimize(sql).stats
+
+        def events(kind):
+            return [e.attrs for e in tracer.events if e.name == kind]
+
         counters = registry.snapshot()["counters"]
         assert counters["cse.constructions"] == stats.candidates_before_pruning
         # Distinct consumer groups: every group of every signature bucket
         # that reached compatibility analysis (bucket-level H1 passed).
         analysed = {
-            e["signature"] for e in journal.events("h1")
+            e["signature"] for e in events("h1")
             if e["passed"] and not e["signature"].startswith("set:")
         }
         consumers = sum(
-            e["groups"] for e in journal.events("bucket")
+            e["groups"] for e in events("bucket")
             if e["sharable"] and e["signature"] in analysed
         )
         assert counters["cse.consumer_profiles"] == consumers
-        probes = sum(e["probed"] for e in journal.events("h3"))
+        probes = sum(e["probed"] for e in events("h3"))
         assert counters["cse.merge_probes"] == probes > 0
         assert counters["cse.merge_benefit_evaluations"] <= probes
-        why = journal.render_why()
+        why = render_why(tracer.events)
         assert (
             f"candidate generation: {consumers} consumer profile(s), "
             f"{probes} merge probe(s), "

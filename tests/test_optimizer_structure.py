@@ -221,9 +221,9 @@ class TestConstantsReadAtCallTime:
     def test_dynamic_lca(self, small_db, monkeypatch):
         # Refuse every match but a candidate's first: only then does the
         # matched consumer set differ from the constructed one.
-        build = step2.build_consumer_specs
+        match = step2.match_constructed
         monkeypatch.setattr(
-            step2, "build_consumer_specs", lambda d: build(d)[:1]
+            step2, "match_constructed", lambda d: match(d)[:1]
         )
 
         def settles_at_root():
@@ -325,3 +325,69 @@ def test_extended_queries_are_assembled_only_in_logical():
                 sites.append(f"{path.relative_to(REPRO).as_posix()}:{node.lineno}")
     assert sites
     assert [site for site in sites if not site.startswith("logical/")] == []
+
+
+# -- one event stream ---------------------------------------------------------
+
+
+def test_session_init_parameters():
+    """``Session.__init__`` only shrinks (13 parameters before the decision
+    journal became trace events)."""
+    parameters = list(inspect.signature(Session.__init__).parameters)
+    assert parameters[0] == "self" and len(parameters) - 1 <= 12
+
+
+def test_no_journal_parameter():
+    """Optimizer decisions are trace events: no function takes a journal."""
+    offenders = [
+        f"{path.relative_to(REPRO).as_posix()}:{node.lineno} {node.name}"
+        for path in sorted(REPRO.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "journal" in {
+            arg.arg
+            for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        }
+    ]
+    assert offenders == []
+
+
+#: builtins that walk their argument.
+_ITERATING = {
+    "list", "tuple", "set", "sorted", "reversed", "sum", "any", "all",
+    "enumerate", "filter", "map", "zip", "iter", "max", "min",
+}
+
+
+def _stream_reads(tree: ast.AST):
+    """Line numbers where ``tree`` iterates or indexes ``….tracer.events``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            read = [node.iter]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in _ITERATING:
+            read = node.args
+        elif isinstance(node, ast.Subscript):
+            read = [node.value]
+        else:
+            continue
+        for value in read:
+            if isinstance(value, ast.Attribute) and value.attr == "events":
+                owner = value.value
+                name = getattr(owner, "id", None) or getattr(owner, "attr", "")
+                if name.endswith("tracer"):
+                    yield getattr(node, "lineno", value.lineno)
+
+
+def test_only_obs_reads_the_trace_stream():
+    """Outside ``repro.obs`` the tracer's stream is only appended to and
+    handed to the pure functions there (``render_why``), so the engine can
+    never build a decision from its own telemetry."""
+    sample = "for e in self.tracer.events: pass\nn = sum(1 for e in tracer.events)"
+    assert list(_stream_reads(ast.parse(sample))) == [1, 2]
+    offenders = [
+        f"{path.relative_to(REPRO).as_posix()}:{line}"
+        for path in sorted(REPRO.rglob("*.py"))
+        if path.parent.name != "obs"
+        for line in _stream_reads(ast.parse(path.read_text()))
+    ]
+    assert offenders == []

@@ -11,6 +11,7 @@ every rejected candidate on the paper's Example 1 batch.
 from __future__ import annotations
 
 import json
+import re
 import threading
 import urllib.request
 
@@ -19,16 +20,17 @@ import pytest
 from repro import OptimizerOptions, Session
 from repro.cli import main as cli_main
 from repro.obs import (
-    NULL_JOURNAL,
     NULL_QUERY_LOG,
-    DecisionJournal,
+    NULL_TRACER,
     Histogram,
     MetricsRegistry,
     QueryLog,
     TelemetryServer,
     Tracer,
+    active_tracer,
     parse_prometheus_text,
     render_prometheus,
+    render_why,
     sanitize_metric_name,
 )
 from repro.serve import QueryBudget
@@ -298,23 +300,45 @@ _WHY_REASONS = (
 )
 
 
+def _decisions(tracer, kind):
+    """The fields of ``tracer``'s ``kind`` decision events, in order."""
+    return [e.attrs for e in tracer.events if e.name == kind]
+
+
+def _verdicts(tracer):
+    """The final ``verdict`` event per candidate id."""
+    return {v["cse_id"]: v for v in _decisions(tracer, "verdict")}
+
+
+def _trail(tracer, cse_id):
+    """Every decision event naming candidate ``cse_id``."""
+    return [
+        e for e in tracer.events
+        if cse_id in (e.attrs.get("cse_id"), e.attrs.get("inner"),
+                      e.attrs.get("outer"))
+    ]
+
+
+def _blank_seconds(report):
+    return re.sub(r"\(\d+\.\d+s\)", "(?s)", report)
+
+
 class TestDecisionJournal:
     def test_journal_records_full_lifecycle(self, small_db):
-        journal = DecisionJournal()
-        session = Session(small_db, journal=journal)
+        tracer = Tracer()
+        session = Session(small_db, tracer=tracer)
         result = session.optimize(EXAMPLE1_BATCH_SQL)
-        kinds = {entry["kind"] for entry in journal.events()}
+        kinds = {e.name for e in tracer.events}
         assert {"bucket", "h1", "h2", "h3", "candidate", "lca",
                 "verdict"} <= kinds
         # Every generated candidate gets exactly one verdict.
-        candidates = [e["cse_id"] for e in journal.events("candidate")]
-        verdicts = journal.verdicts()
+        candidates = [e["cse_id"] for e in _decisions(tracer, "candidate")]
+        verdicts = _verdicts(tracer)
         assert sorted(verdicts) == sorted(candidates)
         kept = [cid for cid, v in verdicts.items() if v["kept"]]
         assert kept == result.stats.used_cses
-        # for_candidate collects that candidate's trail.
-        trail = journal.for_candidate(kept[0])
-        assert any(e["kind"] == "lca" for e in trail)
+        # A candidate's trail holds its costing.
+        assert any(e.name == "lca" for e in _trail(tracer, kept[0]))
 
     @pytest.mark.parametrize("heuristics", [True, False])
     def test_every_rejected_candidate_names_its_heuristic(
@@ -326,11 +350,11 @@ class TestDecisionJournal:
         options = OptimizerOptions() if heuristics else OptimizerOptions(
             enable_heuristics=False, max_cse_optimizations=16
         )
-        journal = DecisionJournal()
-        session = Session(small_db, options)
-        session.optimize(EXAMPLE1_BATCH_SQL, journal=journal)
+        tracer = Tracer()
+        session = Session(small_db, options, tracer=tracer)
+        session.optimize(EXAMPLE1_BATCH_SQL)
         rejected = [
-            v for v in journal.verdicts().values() if not v["kept"]
+            v for v in _verdicts(tracer).values() if not v["kept"]
         ]
         assert rejected, "Example 1 must generate rejected candidates"
         for verdict in rejected:
@@ -345,22 +369,59 @@ class TestDecisionJournal:
         assert "candidate generation:" in report
         assert "H1" in report and "α" in report
         assert "KEPT" in report and "REJECTED" in report
-        # The session journal stays untouched (a fresh one is scoped).
-        assert session.journal is NULL_JOURNAL
+        # The report came from a private tracer, not the session's.
+        assert session.tracer is NULL_TRACER and not NULL_TRACER.events
 
     def test_journal_jsonl_round_trip(self, small_db):
-        journal = DecisionJournal()
-        session = Session(small_db, journal=journal)
+        tracer = Tracer()
+        session = Session(small_db, tracer=tracer)
         session.optimize(EXAMPLE1_BATCH_SQL)
-        lines = journal.to_jsonl().strip().splitlines()
-        assert len(lines) == len(journal)
+        lines = tracer.to_jsonl().strip().splitlines()
+        assert len(lines) == len(tracer.events)
         parsed = [json.loads(line) for line in lines]
-        assert all("kind" in entry for entry in parsed)
+        verdicts = [e["attrs"] for e in parsed if e["name"] == "verdict"]
+        assert sorted(v["cse_id"] for v in verdicts) == sorted(
+            _verdicts(tracer)
+        )
 
-    def test_disabled_journal_is_free(self):
-        assert not NULL_JOURNAL.enabled
-        NULL_JOURNAL.event("candidate", cse_id="E1")
-        assert len(NULL_JOURNAL) == 0
+    def test_disabled_journal_is_free(self, small_db):
+        NULL_TRACER.event("candidate", cse_id="E1")
+        Session(small_db).optimize(EXAMPLE1_BATCH_SQL)
+        assert not NULL_TRACER.events
+        assert active_tracer() is NULL_TRACER
+
+    def test_verdicts_are_this_optimizations_own(self, small_db):
+        """The ``verdict`` tallies come from the run, never from the
+        stream: on one long-lived tracer each optimization's verdicts
+        equal a fresh session's, however much the tracer already holds."""
+        fresh = Tracer()
+        Session(small_db, tracer=fresh).optimize(EXAMPLE1_BATCH_SQL)
+        want = _decisions(fresh, "verdict")
+        assert any("proved=" in v.get("equiv", "") for v in want)
+        tracer = Tracer()
+        session = Session(small_db, tracer=tracer)
+        for _ in range(3):
+            before = len(tracer.events)
+            session.optimize(EXAMPLE1_BATCH_SQL)
+            got = [
+                e.attrs for e in tracer.events[before:] if e.name == "verdict"
+            ]
+            assert got == want
+
+    def test_why_ignores_a_long_lived_tracer(self, small_db):
+        """``explain(why=True)`` renders exactly its own optimization's
+        events, also when the session's tracer is shared and already
+        holds other optimizations."""
+        tracer = Tracer()
+        session = Session(small_db, tracer=tracer)
+        session.optimize(EXAMPLE1_BATCH_SQL)
+        session.optimize(_EXISTS_PAIR_SQL)
+        want = _blank_seconds(
+            Session(small_db).explain(EXAMPLE1_BATCH_SQL, why=True)
+        )
+        for _ in range(2):
+            got = session.explain(EXAMPLE1_BATCH_SQL, why=True)
+            assert _blank_seconds(got) == want
 
 
 #: two EXISTS consumers sharing one decorrelated semi-join build side — every
@@ -389,11 +450,12 @@ _REDUCIBLE_LEFT_SQL = (
 
 class TestEquivalenceJournal:
     def test_consumer_matches_emit_equiv_events(self, small_db):
-        journal = DecisionJournal()
-        session = Session(small_db, journal=journal)
+        tracer = Tracer()
+        session = Session(small_db, tracer=tracer)
         session.optimize(_EXISTS_PAIR_SQL)
         checks = [
-            e for e in journal.events("equiv") if e.get("cse_id") is not None
+            e for e in _decisions(tracer, "equiv")
+            if e.get("cse_id") is not None
         ]
         assert checks, "consumer matching must consult the checker"
         for entry in checks:
@@ -405,15 +467,14 @@ class TestEquivalenceJournal:
         """Acceptance: every candidate verdict carries the equivalence-
         checker tally for its consumer checks, and the checks appear in
         the candidate's journal trail."""
-        journal = DecisionJournal()
-        session = Session(small_db, journal=journal)
+        tracer = Tracer()
+        session = Session(small_db, tracer=tracer)
         session.optimize(_EXISTS_PAIR_SQL)
-        verdicts = journal.verdicts()
+        verdicts = _verdicts(tracer)
         assert verdicts
         for cse_id, verdict in verdicts.items():
             assert "proved=" in verdict["equiv"], verdict
-            trail = journal.for_candidate(cse_id)
-            assert any(e["kind"] == "equiv" for e in trail)
+            assert any(e.name == "equiv" for e in _trail(tracer, cse_id))
 
     def test_refused_constructed_consumer_is_journaled(self, small_db, monkeypatch):
         """A constructed consumer the §5.1 derivation refuses is not dropped
@@ -423,15 +484,17 @@ class TestEquivalenceJournal:
 
         # Range implication off: no consumer implies a covering range hull.
         monkeypatch.setattr(matching, "bound_implies", lambda have, want: False)
-        journal = DecisionJournal()
-        Session(small_db, journal=journal).optimize(EXAMPLE1_BATCH_SQL)
+        tracer = Tracer()
+        Session(small_db, tracer=tracer).optimize(EXAMPLE1_BATCH_SQL)
         refused = [
-            e for e in journal.events("equiv")
+            e for e in _decisions(tracer, "equiv")
             if e.get("cse_id") is not None and e["outcome"] == "gave_up"
         ]
         assert refused
         assert all("not implied by consumer" in e["reason"] for e in refused)
-        assert any("gave_up=" in v.get("equiv", "") for v in journal.verdicts().values())
+        assert any(
+            "gave_up=" in v.get("equiv", "") for v in _verdicts(tracer).values()
+        )
 
     def test_why_reports_rejected_outer_join_reduction(self, small_db):
         report = Session(small_db).explain(_BARE_LEFT_SQL, why=True)
@@ -445,26 +508,24 @@ class TestEquivalenceJournal:
         assert "null-rejecting" in report
 
     def test_why_renders_consumer_checks_under_candidate(self, small_db):
-        journal = DecisionJournal()
-        session = Session(small_db, journal=journal)
+        tracer = Tracer()
+        session = Session(small_db, tracer=tracer)
         session.optimize(_EXISTS_PAIR_SQL)
-        report = journal.render_why()
+        report = render_why(tracer.events)
         assert "equivalence check for consumer" in report
         assert "[equivalence checker: proved=" in report
 
     def test_equiv_events_survive_jsonl(self, small_db):
-        journal = DecisionJournal()
-        session = Session(small_db, journal=journal)
+        tracer = Tracer()
+        session = Session(small_db, tracer=tracer)
         session.optimize(_EXISTS_PAIR_SQL + ";" + _BARE_LEFT_SQL)
         parsed = [
             json.loads(line)
-            for line in journal.to_jsonl().strip().splitlines()
+            for line in tracer.to_jsonl().strip().splitlines()
         ]
-        kinds = {entry["kind"] for entry in parsed}
-        assert "equiv" in kinds
         reduction = [
-            e for e in parsed
-            if e["kind"] == "equiv" and e.get("cse_id") is None
+            e["attrs"] for e in parsed
+            if e["name"] == "equiv" and e["attrs"].get("cse_id") is None
         ]
         assert any(e.get("extension") for e in reduction)
 
