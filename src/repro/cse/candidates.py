@@ -120,7 +120,7 @@ def generate_candidates(
             )
         return definition
 
-    def trace_h1(members: Sequence[Group], passed: bool) -> None:
+    def record_h1(members: Sequence[Group], passed: bool) -> None:
         if tracer.enabled:
             tracer.event(
                 "h1",
@@ -140,7 +140,7 @@ def generate_candidates(
     # Heuristic 1 (second application; the engine applied it per signature
     # bucket before compatibility analysis).
     if not heuristic1_keep(consumers, batch_cost, alpha):
-        trace_h1(consumers, passed=False)
+        record_h1(consumers, passed=False)
         if trace is not None:
             trace.heuristic1.append(
                 "set:" + ",".join(f"g{g.gid}" for g in consumers)
@@ -152,13 +152,13 @@ def generate_candidates(
     if len(consumers) < 2:
         return []
     if not heuristic1_keep(consumers, batch_cost, alpha):
-        trace_h1(consumers, passed=False)
+        record_h1(consumers, passed=False)
         if trace is not None:
             trace.heuristic1.append(
                 "set:" + ",".join(f"g{g.gid}" for g in consumers)
             )
         return []
-    trace_h1(consumers, passed=True)
+    record_h1(consumers, passed=True)
 
     # Algorithm 1: greedy merging driven by the benefit Δ (Heuristic 3),
     # starting from one trivial CSE per consumer.
