@@ -1,18 +1,24 @@
 """Root assembly: fold the per-top plan sets into one batch plan.
 
-Every query and scalar-subquery top is optimized under the pass's context,
-the plan sets are folded left to right, and the candidates that settle at
-the batch root — cross-query ones and those consumed inside other
-candidates' bodies (stacked CSEs, §5.5) — are resolved there: which of them
-to materialize, with which body plan, under §5.2's ≥ 2-consumers rule. The
-winner becomes a :class:`~repro.optimizer.physical.PlanBundle`.
+Every query and scalar-subquery top is optimized under the pass's context
+and the plan sets are folded left to right. The batch root is the least
+common ancestor of every candidate settled there — cross-query ones and
+those consumed inside other candidates' bodies (stacked CSEs, §5.5) — so
+the fold settles each with the rule every inner LCA uses (§5.2,
+:meth:`~repro.optimizer.search.Search.settle`): right after the last top
+that can read it, once every root candidate whose body can read it is
+settled. A plan that reads it once is discarded, one that reads it twice or
+more pays one of its body plans plus ``C_W``. After the last top only the
+plan with no open spool is valid; it becomes a
+:class:`~repro.optimizer.physical.PlanBundle`.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
+from ..cse.candidates import CandidateCse
 from ..errors import OptimizerError
 from . import search as search_module
 from .memo import Group
@@ -23,89 +29,80 @@ from .physical import (
     PlanBundle,
     QueryPlan,
 )
-from .search import Search
-from .state import (
-    EMPTY_PROFILE,
-    PassContext,
-    Profile,
-    _profile_merge,
-    _profile_support,
-)
+from .search import Search, relevant_ids
+from .state import EMPTY_PROFILE, PassContext, Profile, _profile_merge
 
 #: (total cost, per-top plans, root spools)
-_Assembly = Tuple[float, Tuple[PhysicalPlan, ...], Tuple]
-#: per root CSE: (profile, cost incl. C_W, body plan) body choices.
-_BodyOptions = Dict[str, List[Tuple[Profile, float, PhysicalPlan]]]
+_Assembly = Tuple[
+    float, Tuple[PhysicalPlan, ...], Tuple[Tuple[str, PhysicalPlan], ...]
+]
+#: a root CSE's body choices: (profile, cost incl. C_W, body plan).
+_BodyOptions = List[Tuple[Profile, float, PhysicalPlan]]
 
 
 def assemble(search: Search, ctx: PassContext) -> Tuple[float, PlanBundle]:
     """Optimize all tops under ``ctx`` and settle root-level CSEs."""
     run = search.run
     history = run.history
-    # Fold children plansets: profile -> (cost, plans tuple). The fold
-    # is a left-to-right reduction over the fixed top order, so a pass
-    # agreeing with an earlier one on every (top, relevant-ids) pair of
-    # a prefix can resume from that prefix's cached fold (§5.4). The
-    # cached dicts are never mutated downstream — later fold steps and
-    # the root settlement below only read them.
-    combined: Dict[Profile, Tuple[float, Tuple[PhysicalPlan, ...]]] = {
-        EMPTY_PROFILE: (0.0, ())
-    }
-    prefix_key: Tuple = ()
+    finalized_tops = []
     for idx, (tag, payload, top) in enumerate(run.tops):
         search.check_deadline()
-        relevant, finalized = search.finalized_top(idx, tag, payload, top, ctx)
-        prefix_key = prefix_key + ((top.gid, relevant),)
+        finalized_tops.append(search.finalized_top(idx, tag, payload, top, ctx))
+    body_options = {
+        c.cse_id: _root_body_options(search, c, ctx) for c in ctx.root_cses
+    }
+    body_relevant = {
+        c.cse_id: relevant_ids(run, run.memo.groups[c.body_top_gid], ctx)
+        for c in ctx.root_cses
+    }
+    closings = _closings(
+        ctx, [relevant for relevant, _ in finalized_tops], body_relevant
+    )
+    # Fold the finalized plan sets: profile -> (cost, plans, spools). The
+    # fold is a left-to-right reduction over the fixed top order, so a pass
+    # agreeing with an earlier one on every (top, relevant ids, candidates
+    # settled there with their bodies' relevant ids) step of a prefix can
+    # resume from that prefix's cached fold (§5.4). The cached dicts are
+    # never mutated downstream — later fold steps only read them.
+    combined: Dict[Profile, _Assembly] = {EMPTY_PROFILE: (0.0, (), ())}
+    prefix_key: Tuple = ()
+    for (_tag, _payload, top), (relevant, finalized), closing in zip(
+        run.tops, finalized_tops, closings
+    ):
+        prefix_key = prefix_key + ((
+            top.gid,
+            relevant,
+            tuple((c.cse_id, body_relevant[c.cse_id]) for c in closing),
+        ),)
         cached_fold = history.fold_cache.get(prefix_key)
         if cached_fold is not None:
             combined = cached_fold
             history.fold_hits += 1
             continue
-        folded: Dict[Profile, Tuple[float, Tuple[PhysicalPlan, ...]]] = {}
-        for profile0, (cost0, plans0) in combined.items():
+        folded: Dict[Profile, _Assembly] = {}
+        for profile0, (cost0, plans0, spools0) in combined.items():
             for profile1, plan in finalized.items():
                 profile = _profile_merge(profile0, profile1)
                 cost = cost0 + plan.est_cost
                 entry = folded.get(profile)
                 if entry is None or cost < entry[0]:
-                    folded[profile] = (cost, plans0 + (plan,))
-        if len(folded) > 512:
-            keep = sorted(folded.items(), key=lambda kv: kv[1][0])[:511]
-            if EMPTY_PROFILE not in dict(keep):
-                keep.append((EMPTY_PROFILE, folded[EMPTY_PROFILE]))
-            folded = dict(keep)
+                    folded[profile] = (cost, plans0 + (plan,), spools0)
+        for candidate in closing:
+            folded = search.settle(
+                folded,
+                candidate.cse_id,
+                itemgetter(0),
+                _charge(candidate.cse_id, body_options[candidate.cse_id]),
+            )
         combined = folded
         history.fold_cache[prefix_key] = combined
 
-    best: Optional[_Assembly] = None
-    if not ctx.root_cses:
-        for profile, (cost, plans) in combined.items():
-            if _profile_support(profile):
-                continue  # open CSEs with no settlement point: invalid
-            if best is None or cost < best[0]:
-                best = (cost, plans, ())
-    elif len(ctx.root_cses) <= 8:
-        body_options = _root_body_options(search, ctx)
-        root_ids = sorted(c.cse_id for c in ctx.root_cses)
-        for r in range(len(root_ids) + 1):
-            for active_ids in itertools.combinations(root_ids, r):
-                candidate_best = _resolve_root_subset(
-                    search, combined, frozenset(active_ids), body_options
-                )
-                if candidate_best is not None and (
-                    best is None or candidate_best[0] < best[0]
-                ):
-                    best = candidate_best
-    else:
-        # Very large enabled sets (no-heuristics ablations): greedy
-        # per-profile activation instead of the exponential search.
-        best = _resolve_root_greedy(
-            search, ctx, combined, _root_body_options(search, ctx)
-        )
-
+    best = combined.get(EMPTY_PROFILE)
     if best is None:
         raise OptimizerError("root assembly produced no valid plan")
     total_cost, plans, spools = best
+    order = {c.cse_id: i for i, c in enumerate(ctx.root_cses)}
+    spools = tuple(sorted(spools, key=lambda spool: order[spool[0]]))
     if search_module.NAIVE_COST_SPLIT:
         # Naive-split plans reference spools without settling them at any
         # LCA; attach the bodies at the root so execution works (this is
@@ -113,6 +110,49 @@ def assemble(search: Search, ctx: PassContext) -> Tuple[float, PlanBundle]:
         # single-consumer discard).
         spools = spools + _naive_missing_spools(search, plans, spools)
     return total_cost, _build_bundle(run.tops, total_cost, plans, spools)
+
+
+def _closings(
+    ctx: PassContext,
+    top_relevant: Sequence[FrozenSet[str]],
+    body_relevant: Dict[str, FrozenSet[str]],
+) -> List[List[CandidateCse]]:
+    """Per top, the root candidates settled right after it is folded: no
+    later top can read them, and every root candidate whose body can read
+    them — whose settlement adds uses — is settled already."""
+    last = {cid: idx for idx, relevant in enumerate(top_relevant) for cid in relevant}
+    unsettled = list(ctx.root_cses)
+    closings: List[List[CandidateCse]] = []
+    for idx in range(len(top_relevant)):
+        closing: List[CandidateCse] = []
+        while True:
+            ready = [
+                c for c in unsettled
+                if last.get(c.cse_id, 0) <= idx
+                and not any(c.cse_id in body_relevant[r.cse_id] for r in unsettled)
+            ]
+            if not ready:
+                break
+            closing += ready
+            unsettled = [c for c in unsettled if c not in ready]
+        closings.append(closing)
+    return closings
+
+
+def _charge(cse_id: str, options: _BodyOptions):
+    """Settle a root spool read twice or more: one entry per body choice,
+    paying the body and ``C_W`` and opening what the body reads."""
+
+    def charge(profile: Profile, entry: _Assembly):
+        cost, plans, spools = entry
+        for body_profile, body_cost, body in options:
+            yield _profile_merge(profile, body_profile), (
+                cost + body_cost,
+                plans,
+                spools + ((cse_id, body),),
+            )
+
+    return charge
 
 
 def _naive_missing_spools(
@@ -137,163 +177,15 @@ def _naive_missing_spools(
     )
 
 
-def _root_body_options(search: Search, ctx: PassContext) -> _BodyOptions:
-    options: _BodyOptions = {}
-    for candidate in ctx.root_cses:
-        body_top = search.run.memo.groups[candidate.body_top_gid]
-        entries: List[Tuple[Profile, float, PhysicalPlan]] = []
-        for profile, plan in search.optimize_group(body_top, ctx).items():
-            body = search.spool_body(plan, body_top, candidate.definition.outputs)
-            entries.append((profile, body.est_cost + candidate.write_cost, body))
-        options[candidate.cse_id] = entries
+def _root_body_options(
+    search: Search, candidate: CandidateCse, ctx: PassContext
+) -> _BodyOptions:
+    body_top = search.run.memo.groups[candidate.body_top_gid]
+    options: _BodyOptions = []
+    for profile, plan in search.optimize_group(body_top, ctx).items():
+        body = search.spool_body(plan, body_top, candidate.definition.outputs)
+        options.append((profile, body.est_cost + candidate.write_cost, body))
     return options
-
-
-def _settled(search: Search, counts: Dict[str, int], active: Iterable[str]) -> bool:
-    """The root-level instance of §5.2's rule: whether every spool in
-    ``active`` has at least two consumers under ``counts``. An activation
-    that fails is tallied against the candidates that fell short."""
-    short = [cid for cid in active if counts.get(cid, 0) < 2]
-    if short:
-        search.tally_single_consumer(short)
-    return not short
-
-
-def _resolve_root_greedy(
-    search: Search, ctx: PassContext, combined, body_options: _BodyOptions
-) -> Optional[_Assembly]:
-    """Per-profile greedy activation for very large root candidate sets.
-
-    For each folded query profile, activates exactly the CSEs the plan
-    reads (closing over stacked body dependencies with cheapest-first
-    body choices) and validates the ≥2-consumers rule. Profiles whose
-    activation cannot be validated are skipped; the no-CSE profile is
-    always valid, so a plan is always found.
-    """
-    root_ids = frozenset(c.cse_id for c in ctx.root_cses)
-    entries: Dict[str, List[Tuple[Profile, float, PhysicalPlan, FrozenSet[str]]]] = {}
-    for cid, options in body_options.items():
-        rows = [
-            (profile, cost, plan, _profile_support(profile))
-            for profile, cost, plan in options
-        ]
-        rows.sort(key=lambda r: r[1])
-        entries[cid] = rows
-
-    best: Optional[_Assembly] = None
-    for profile, (cost, plans) in combined.items():
-        support = _profile_support(profile)
-        if not support <= root_ids:
-            continue
-        active = set(support)
-        chosen: Dict[str, Tuple[Profile, float, PhysicalPlan, FrozenSet[str]]] = {}
-        for _ in range(4):  # bounded dependency-closure rounds
-            changed = False
-            for cid in sorted(active):
-                options = entries.get(cid)
-                if not options:
-                    chosen = {}
-                    active = None
-                    break
-                pick = next(
-                    (o for o in options if o[3] <= active), options[0]
-                )
-                if chosen.get(cid) is not pick:
-                    chosen[cid] = pick
-                    changed = True
-                for dep in pick[3]:
-                    if dep not in active:
-                        active.add(dep)
-                        changed = True
-            if active is None or not changed:
-                break
-        if active is None:
-            continue
-        counts: Dict[str, int] = {cid: n for cid, n in profile}
-        for cid, pick in chosen.items():
-            for inner, n in pick[0]:
-                counts[inner] = min(2, counts.get(inner, 0) + n)
-        if not _settled(search, counts, active):
-            continue
-        total = cost + sum(pick[1] for pick in chosen.values())
-        if best is None or total < best[0]:
-            spools = tuple(
-                (cid, pick[2]) for cid, pick in sorted(chosen.items())
-            )
-            best = (total, plans, spools)
-    return best
-
-
-def _resolve_root_subset(
-    search: Search,
-    combined,
-    active_ids: FrozenSet[str],
-    body_options: _BodyOptions,
-) -> Optional[_Assembly]:
-    """Best assembly using exactly the root candidates in ``active_ids``."""
-    best: Optional[_Assembly] = None
-    # Body choice options per active candidate, restricted to the active
-    # set and Pareto-pruned (an entry dominated in both cost and consumed
-    # set can never help).
-    per_body: List[List[Tuple[str, Profile, float, PhysicalPlan]]] = []
-    for cid, options in body_options.items():  # root_cses order
-        if cid not in active_ids:
-            continue
-        valid = [
-            (cid, profile, cost, plan)
-            for profile, cost, plan in options
-            if _profile_support(profile) <= active_ids
-        ]
-        if not valid:
-            return None
-        valid.sort(key=lambda entry: entry[2])
-        pareto: List[Tuple[str, Profile, float, PhysicalPlan]] = []
-        for entry in valid:
-            support = _profile_support(entry[1])
-            if any(
-                kept[2] <= entry[2]
-                and support <= _profile_support(kept[1])
-                for kept in pareto
-            ):
-                continue
-            pareto.append(entry)
-        per_body.append(pareto)
-
-    combo_space = 1
-    for options in per_body:
-        combo_space *= len(options)
-    if combo_space <= 512:
-        combo_list = list(itertools.product(*per_body)) if per_body else [()]
-    else:
-        # Safety valve for pathological stacking depth: cheapest bodies
-        # plus the maximal-consumption variant of each.
-        cheapest = tuple(options[0] for options in per_body)
-        greediest = tuple(
-            max(options, key=lambda e: len(_profile_support(e[1])))
-            for options in per_body
-        )
-        combo_list = [cheapest]
-        if greediest != cheapest:
-            combo_list.append(greediest)
-
-    for profile, (cost, plans) in combined.items():
-        if not _profile_support(profile) <= active_ids:
-            continue
-        for body_combo in combo_list:
-            counts: Dict[str, int] = {cid: n for cid, n in profile}
-            body_cost = 0.0
-            spools: List[Tuple[str, PhysicalPlan]] = []
-            for cid, body_profile, bcost, bplan in body_combo:
-                body_cost += bcost
-                spools.append((cid, bplan))
-                for inner_id, n in body_profile:
-                    counts[inner_id] = min(2, counts.get(inner_id, 0) + n)
-            if not _settled(search, counts, active_ids):
-                continue
-            total = cost + body_cost
-            if best is None or total < best[0]:
-                best = (total, plans, tuple(spools))
-    return best
 
 
 def _build_bundle(

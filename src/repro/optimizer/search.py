@@ -14,7 +14,18 @@ dimension is collapsed at its LCA. Every result lands in the run's §5.4
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from ..cse.candidates import CandidateCse
 from ..cse.matching import ConsumerSpec
@@ -60,6 +71,10 @@ from .state import (
 #: consumers at substitution time. Read at call time, here and by
 #: :mod:`repro.optimizer.assembly` (as ``search.NAIVE_COST_SPLIT``).
 NAIVE_COST_SPLIT = False
+
+#: what :meth:`Search.settle` keeps per usage profile: a plan inside the
+#: memo, a ``(cost, plans, spools)`` fold entry at the batch root.
+_Entry = TypeVar("_Entry")
 
 
 def _ext_join_rows(kind: str, core_rows: float) -> float:
@@ -166,36 +181,51 @@ class Search:
         history.cache_pass[cache_key] = history.pass_index
         return plans
 
-    def tally_single_consumer(self, cse_ids: Sequence[str]) -> None:
-        """Count one plan discarded by §5.2's rule — a spool with fewer than
-        two consumers can never beat recomputation — against the candidates
-        in ``cse_ids`` that fell short, so EXPLAIN ANALYZE and ``explain
-        --why`` can report how often the rule fired, and against whom."""
-        self.run.stats.single_consumer_discards += 1
-        tallies = self.run.sc_discards
-        for cid in cse_ids:
-            tallies[cid] = tallies.get(cid, 0) + 1
+    def settle(
+        self,
+        entries: Dict[Profile, _Entry],
+        cse_id: str,
+        cost: Callable[[_Entry], float],
+        charge: Callable[[Profile, _Entry], Iterable[Tuple[Profile, _Entry]]],
+    ) -> Dict[Profile, _Entry]:
+        """§5.2's rule at ``cse_id``'s least common ancestor, over one best
+        entry per usage profile. An entry that reads the spool once is
+        discarded — a spool with one consumer can never beat recomputation
+        — and tallied against the candidate, so EXPLAIN ANALYZE and
+        ``explain --why`` can report how often the rule fired. One that
+        never reads it passes through. One that reads it twice or more is
+        replaced by what ``charge`` makes of it under the profile without
+        ``cse_id``: the entry with the initial cost ``C_E + C_W`` paid
+        once. The cheapest entry per resulting profile is kept."""
+        settled: Dict[Profile, _Entry] = {}
+        for profile, entry in entries.items():
+            uses = _profile_get(profile, cse_id)
+            if uses == 1:
+                self.run.stats.single_consumer_discards += 1
+                tallies = self.run.sc_discards
+                tallies[cse_id] = tallies.get(cse_id, 0) + 1
+                continue
+            rest = _profile_without(profile, cse_id)
+            for new_profile, new_entry in (
+                charge(rest, entry) if uses else ((rest, entry),)
+            ):
+                existing = settled.get(new_profile)
+                if existing is None or cost(new_entry) < cost(existing):
+                    settled[new_profile] = new_entry
+        return settled
 
     def _close_candidate(self, plans: PlanSet, candidate: CandidateCse) -> PlanSet:
-        closed: PlanSet = {}
         body_plan = self.body_plan_standalone(candidate)
-        for profile, plan in plans.items():
-            uses = _profile_get(profile, candidate.cse_id)
-            if uses == 1:
-                self.tally_single_consumer((candidate.cse_id,))
-                continue
-            new_profile = _profile_without(profile, candidate.cse_id)
-            if uses >= 2:
-                plan = PhysSpoolDef(
-                    spools=((candidate.cse_id, body_plan),),
-                    child=plan,
-                    est_rows=plan.est_rows,
-                    est_cost=plan.est_cost + candidate.initial_cost,
-                )
-            existing = closed.get(new_profile)
-            if existing is None or plan.est_cost < existing.est_cost:
-                closed[new_profile] = plan
-        return closed
+
+        def charge(profile: Profile, plan: PhysicalPlan):
+            yield profile, PhysSpoolDef(
+                spools=((candidate.cse_id, body_plan),),
+                child=plan,
+                est_rows=plan.est_rows,
+                est_cost=plan.est_cost + candidate.initial_cost,
+            )
+
+        return self.settle(plans, candidate.cse_id, attrgetter("est_cost"), charge)
 
     def spool_body(
         self,

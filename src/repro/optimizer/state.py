@@ -56,10 +56,6 @@ def _profile_merge(left: Profile, right: Profile) -> Profile:
     return tuple(sorted(merged.items()))
 
 
-def _profile_support(profile: Profile) -> FrozenSet[str]:
-    return frozenset(cid for cid, _ in profile)
-
-
 #: one group's best plan per usage profile; its cost is ``plan.est_cost``.
 PlanSet = Dict[Profile, PhysicalPlan]
 

@@ -12,7 +12,6 @@ from repro.optimizer.state import (
     _profile_add,
     _profile_get,
     _profile_merge,
-    _profile_support,
     _profile_without,
 )
 from repro.optimizer.physical import (
@@ -22,6 +21,8 @@ from repro.optimizer.physical import (
     PhysicalPlan,
 )
 from repro.expr.expressions import TableRef
+
+from .assembly_reference import _profile_support
 
 
 class TestProfiles:

@@ -26,7 +26,9 @@ from repro.optimizer.engine import Optimizer
 from repro.optimizer.search import relevant_ids
 from repro.optimizer.step2 import build_pass_context
 from repro.sql.binder import bind_sql
-from repro.workloads import scaleup_batch
+from repro.workloads import adapted_batch, scaleup_batch
+
+from .test_stacked import STACKED_SQL
 
 DB = build_tpch_database(scale_factor=0.002)
 
@@ -35,12 +37,19 @@ DB = build_tpch_database(scale_factor=0.002)
 MULTI_SQL = scaleup_batch(8)
 
 
-def _optimize(reuse: bool, registry=None, tracer=None, deadline=None):
-    session = Session(DB, OptimizerOptions())
-    batch = session.bind(MULTI_SQL)
+def _optimize(
+    reuse: bool,
+    registry=None,
+    tracer=None,
+    deadline=None,
+    sql=MULTI_SQL,
+    options=OptimizerOptions(),
+):
+    session = Session(DB, options)
+    batch = session.bind(sql)
     optimizer = Optimizer(
         DB,
-        OptimizerOptions(),
+        options,
         registry=registry,
         tracer=tracer,
         deadline=deadline,
@@ -48,6 +57,15 @@ def _optimize(reuse: bool, registry=None, tracer=None, deadline=None):
     with patch.object(engine, "REUSE_HISTORY", reuse):
         result, run = optimizer.optimize_with_run(batch)
     return run, result
+
+
+def _assert_on_off_identical(**batch):
+    _, on = _optimize(True, **batch)
+    _, off = _optimize(False, **batch)
+    assert on.stats.est_cost_final == off.stats.est_cost_final
+    assert on.stats.used_cses == off.stats.used_cses
+    assert on.bundle.fingerprint() == off.bundle.fingerprint()
+    assert on.bundle.describe() == off.bundle.describe()
 
 
 def relevant_ids_slow(run, group, ctx):
@@ -115,12 +133,20 @@ class TestReuseBehaviour:
         assert off.stats.history_tops_folded == 0
 
     def test_on_off_bundles_identical(self):
-        _, on = _optimize(True)
-        _, off = _optimize(False)
-        assert on.stats.est_cost_final == off.stats.est_cost_final
-        assert on.stats.used_cses == off.stats.used_cses
-        assert on.bundle.fingerprint() == off.bundle.fingerprint()
-        assert on.bundle.describe() == off.bundle.describe()
+        _assert_on_off_identical()
+
+    @pytest.mark.parametrize(
+        "sql, heuristics",
+        [(STACKED_SQL, True), (adapted_batch(), False)],
+        ids=["stacked", "tpch_all_no_heuristics"],
+    )
+    def test_on_off_bundles_identical_at_the_root(self, sql, heuristics):
+        """Root candidates settle inside the fold, so a cached fold prefix
+        is keyed by what its steps settled too: reusing it must change
+        nothing, with stacked bodies and with ten root candidates."""
+        _assert_on_off_identical(
+            sql=sql, options=OptimizerOptions(enable_heuristics=heuristics)
+        )
 
     def test_off_mode_does_strictly_more_group_computes(self):
         _, on = _optimize(True)

@@ -113,6 +113,18 @@ def test_explain_reads_recorded_costs():
     assert len((PACKAGE / "explain.py").read_text().splitlines()) <= 230
 
 
+def test_root_settles_by_the_lca_rule():
+    """The batch root settles its candidates with §5.2's rule inside the
+    fold, like every inner LCA; no second mechanism (an activation-subset
+    search, a greedy fallback) grows back beside it."""
+    assert len((PACKAGE / "assembly.py").read_text().splitlines()) <= 260
+    defined = {
+        node.name for node in ast.walk(_tree("assembly"))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not defined & {"_resolve_root_subset", "_resolve_root_greedy", "_settled"}
+
+
 def test_key_facts_module():
     """Key facts are one small bitmask module: it reads expressions only, so
     the memo, the estimator's callers and §4.2 construction can share it
