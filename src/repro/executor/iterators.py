@@ -1,7 +1,13 @@
 """Vectorized physical-operator implementations.
 
 Each operator consumes/produces a *frame*: a mapping from expression keys to
-numpy column arrays of equal length. Join and group-by keys are coded to
+numpy column arrays of equal length. Filters, scan residuals, sorts and the
+inner, semi and anti joins select rows without copying columns: their
+output columns are deferred gathers (:class:`~repro.expr.evaluator.Gather`)
+whose row indices compose through later selections (``index[rows]``, once
+per distinct index), and a column is gathered when an operator first reads
+it — as a predicate, join or group key, aggregate argument, sort key, spool
+column or result column. Join and group-by keys are coded to
 dense integers without sorting (direct addressing; string columns arrive as
 ``string_pool`` codes, so they are integer keys too); equi joins then
 address a ``bincount`` table over the build side (emitting rows in classic
@@ -23,6 +29,7 @@ import numpy as np
 from ..errors import ExecutionError
 from ..expr.evaluator import (
     Frame,
+    Gather,
     evaluate,
     evaluate_predicate,
     frame_length,
@@ -122,11 +129,10 @@ def _dispatch(plan: PhysicalPlan, ctx: ExecutionContext) -> Frame:
         # Interior projection: keep the child frame restricted to the
         # expressions the projection computes (keyed by expression).
         frame = execute_node(plan.child, ctx)
-        return {out.expr: evaluate(out.expr, frame) for out in plan.outputs}
+        return _restrict(frame, tuple(out.expr for out in plan.outputs))
     if isinstance(plan, PhysSort):
         frame = execute_node(plan.child, ctx)
-        order = _sort_order(plan, frame, ctx)
-        return {key: col[order] for key, col in frame.items()}
+        return _take(frame, _sort_order(plan, frame, ctx))
     raise ExecutionError(f"cannot execute plan node {type(plan).__name__}")
 
 
@@ -188,10 +194,13 @@ def _index_scan(plan: PhysIndexScan, ctx: ExecutionContext) -> Frame:
 
 
 def _restrict(frame: Frame, outputs: Tuple[Expr, ...]) -> Frame:
+    """``frame``'s columns among ``outputs``, passed on as they are (a
+    deferred one stays deferred); an output that is no column of the frame
+    is computed from it."""
     if not outputs:
         return placeholder(frame_length(frame))
     wanted = set(outputs)
-    restricted = {k: v for k, v in frame.items() if k in wanted}
+    restricted = Frame((k, v) for k, v in dict.items(frame) if k in wanted)
     for expr in outputs:
         if expr not in restricted:
             # Computable output (e.g. a passthrough expression).
@@ -210,7 +219,33 @@ def _matching_rows(conjuncts: Tuple[Expr, ...], frame: Frame) -> np.ndarray:
 
 
 def _take(frame: Frame, rows: np.ndarray) -> Frame:
-    return {key: col[rows] for key, col in frame.items()}
+    """The rows ``rows`` of ``frame``, every column deferred: an array
+    becomes ``Gather(array, rows)``, and a deferred column keeps its source
+    under the composed index ``index[rows]``, computed once per distinct
+    index (a join's left columns all share one)."""
+    taken = Frame()
+    composed: Dict[int, np.ndarray] = {}
+    for key, column in dict.items(frame):
+        if type(column) is Gather:
+            index = composed.get(id(column.index))
+            if index is None:
+                index = composed[id(column.index)] = column.index[rows]
+            taken[key] = Gather(column.source, index)
+        else:
+            taken[key] = Gather(column, rows)
+    return taken
+
+
+def _pairs(
+    left: Frame, right: Frame, left_idx: np.ndarray, right_idx: np.ndarray
+) -> Frame:
+    """The joined rows ``(left[left_idx[i]], right[right_idx[i]])``, every
+    column deferred; a key both sides hold comes from the left."""
+    joined = _take(left, left_idx)
+    for key, column in dict.items(_take(right, right_idx)):
+        if key not in joined:
+            joined[key] = column
+    return joined
 
 
 # ---------------------------------------------------------------------------
@@ -229,33 +264,19 @@ def _hash_join(plan: PhysHashJoin, ctx: ExecutionContext) -> Frame:
     else:
         left_idx = np.repeat(np.arange(n_left), n_right)
         right_idx = np.tile(np.arange(n_right), n_left)
-    pair_frame: Optional[Frame] = None
     if plan.residual:
         # ON-clause semantics: the residual restricts the *matched pair*
         # set. For inner joins this equals post-filtering; for outer joins
         # a pair failing the residual is a non-match (the left row is then
         # null-extended), and for semi/anti it does not witness existence.
-        pair_frame = {}
-        for key, col in left.items():
-            pair_frame[key] = col[left_idx]
-        for key, col in right.items():
-            if key not in pair_frame:
-                pair_frame[key] = col[right_idx]
-        passing = _matching_rows(plan.residual, pair_frame)
+        passing = _matching_rows(
+            plan.residual, _pairs(left, right, left_idx, right_idx)
+        )
         left_idx = left_idx[passing]
         right_idx = right_idx[passing]
-        pair_frame = _take(pair_frame, passing)
     joined: Frame
     if plan.join_type == "inner":
-        if pair_frame is not None:
-            joined = pair_frame
-        else:
-            joined = {}
-            for key, col in left.items():
-                joined[key] = col[left_idx]
-            for key, col in right.items():
-                if key not in joined:
-                    joined[key] = col[right_idx]
+        joined = _pairs(left, right, left_idx, right_idx)
     elif plan.join_type in ("semi", "anti"):
         matched = np.zeros(n_left, dtype=bool)
         matched[left_idx] = True
@@ -265,12 +286,12 @@ def _hash_join(plan: PhysHashJoin, ctx: ExecutionContext) -> Frame:
         matched = np.zeros(n_left, dtype=bool)
         matched[left_idx] = True
         unmatched = np.flatnonzero(~matched)
-        joined = {}
-        for key, col in left.items():
-            joined[key] = np.concatenate([col[left_idx], col[unmatched]])
-        for key, col in right.items():
+        # Matched pairs, then the unmatched left rows with NULL right sides.
+        joined = _take(left, np.concatenate([left_idx, unmatched]))
+        matches = _take(right, right_idx)
+        for key in right:
             if key not in joined:
-                joined[key] = _null_extend(col[right_idx], len(unmatched))
+                joined[key] = _null_extend(matches[key], len(unmatched))
     else:
         raise ExecutionError(f"unknown join type {plan.join_type!r}")
     out_rows = frame_length(joined)
@@ -468,7 +489,7 @@ def _aggregate_column(
     if func is AggFunc.SUM:
         if n == 0:
             return np.zeros(count, dtype=np.float64)
-        weights = values.astype(np.float64)
+        weights = values.astype(np.float64, copy=False)
         if nulls is not None:
             weights = np.where(nulls, 0.0, weights)
         sums = np.bincount(gids, weights=weights, minlength=count)
@@ -479,7 +500,7 @@ def _aggregate_column(
         fill = np.inf if func is AggFunc.MIN else -np.inf
         result = np.full(count, fill, dtype=np.float64)
         operation = np.minimum if func is AggFunc.MIN else np.maximum
-        live_gids, live_values = gids, values.astype(np.float64)
+        live_gids, live_values = gids, values.astype(np.float64, copy=False)
         if nulls is not None:
             live_gids, live_values = gids[~nulls], live_values[~nulls]
         operation.at(result, live_gids, live_values)
@@ -492,20 +513,13 @@ def _aggregate_column(
             return result.astype(np.int64)
         return result
     if func is AggFunc.AVG:
-        if n == 0:
-            return np.zeros(count, dtype=np.float64)
-        if nulls is None:
-            sums = np.bincount(
-                gids, weights=values.astype(np.float64), minlength=count
-            )
-            counts = np.bincount(gids, minlength=count)
-            return sums / np.maximum(counts, 1)
-        live = ~nulls
-        sums = np.bincount(
-            gids[live], weights=values.astype(np.float64)[live], minlength=count
-        )
-        counts = np.bincount(gids[live], minlength=count)
+        live_gids, live_values = gids, values.astype(np.float64, copy=False)
+        if nulls is not None:
+            live_gids, live_values = gids[~nulls], live_values[~nulls]
+        sums = np.bincount(live_gids, weights=live_values, minlength=count)
+        counts = np.bincount(live_gids, minlength=count)
         result = sums / np.maximum(counts, 1)
+        # A group with no live row averages to NULL, as for MIN/MAX.
         result[counts == 0] = np.nan
         return result
     raise ExecutionError(f"unsupported aggregate function {func!r}")

@@ -88,6 +88,8 @@ def _eval_scalar(expr: Expr, row: Row, aggs: Optional[Dict[AggExpr, Any]] = None
             return left * right
         if expr.op is ArithmeticOp.DIV:
             return left / right
+        if expr.op is ArithmeticOp.AVG:
+            return None if right == 0 else left / right
     raise ExecutionError(f"oracle cannot evaluate {expr!r}")
 
 

@@ -6,6 +6,13 @@ arrays of equal length. Evaluation is fully vectorized: predicates yield
 boolean masks, arithmetic yields value arrays. A frame that holds no column
 keeps its row count under :data:`ROWS` (see :func:`placeholder`).
 
+Any dict of keys to arrays is a frame. A :class:`Frame` may also hold a
+column as a deferred :class:`Gather` ``(source, index)``: the rows ``index``
+of ``source``, not yet copied (late materialization). Reading the column
+(``frame[key]``, ``items``, ``values``) takes the gather once and
+keeps the array in its place; key membership and :func:`frame_length` never
+gather.
+
 Predicate work is proportional to the columns it reads: a literal operand of
 a comparison or of arithmetic is a numpy scalar of its type's dtype (numpy
 promotes it exactly as it would a column of that dtype), so ``column op
@@ -22,7 +29,7 @@ operators compare the pool's sort ranks of the codes.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -42,7 +49,46 @@ from .expressions import (
     Or,
 )
 
-Frame = Dict[Expr, np.ndarray]
+
+class Gather:
+    """A deferred column: the rows ``index`` of the array ``source``."""
+
+    __slots__ = ("source", "index")
+
+    def __init__(self, source: np.ndarray, index: np.ndarray):
+        self.source = source
+        self.index = index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
+class Frame(dict):
+    """A frame whose columns may be deferred :class:`Gather` s.
+
+    ``frame[key]``, ``items()`` and ``values()`` return arrays: a deferred
+    column is gathered the first time it is read and replaced by the
+    result, so it is gathered at most once per frame. Writes store what
+    they are given, and the other dict methods see a column as it is
+    stored. Code that passes columns on without reading them walks
+    ``dict.items(frame)``."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key: Expr) -> np.ndarray:
+        column = dict.__getitem__(self, key)
+        if type(column) is Gather:
+            column = column.source[column.index]
+            dict.__setitem__(self, key, column)
+        return column
+
+    def values(self):
+        return [self[key] for key in self]
+
+    def items(self):
+        return [(key, self[key]) for key in self]
+
+
 #: A column, or a numpy scalar standing for a constant one.
 Values = Union[np.ndarray, np.generic]
 #: Kleene truth: ``(true mask, null mask or None)``.
@@ -70,8 +116,8 @@ def placeholder(rows: int) -> Frame:
 
 
 def frame_length(frame: Frame) -> int:
-    """Row count of a frame (0 when empty)."""
-    first = next(iter(frame.values()), None)
+    """Row count of a frame (0 when empty); gathers nothing."""
+    first = next(iter(dict.values(frame)), None)
     return 0 if first is None else len(first)
 
 
@@ -181,6 +227,11 @@ def _evaluate_arithmetic(expr: Arithmetic, frame: Frame) -> Values:
         if np.any(divisor == 0):
             raise ExecutionError("division by zero during evaluation")
         return left / divisor
+    if op is ArithmeticOp.AVG:
+        # SUM / COUNT: a zero count is an empty input, whose average is NULL.
+        counts = right.astype(np.float64)
+        empty = counts == 0
+        return np.where(empty, np.nan, left / np.where(empty, 1.0, counts))
     raise ExecutionError(f"unknown arithmetic operator {op!r}")
 
 

@@ -342,6 +342,9 @@ class ArithmeticOp(enum.Enum):
     SUB = "-"
     MUL = "*"
     DIV = "/"
+    #: ``AVG(x)`` bound as ``SUM(x) /avg COUNT(*)``: a zero count (no
+    #: rows) averages to NULL, where a written division by zero raises.
+    AVG = "/avg"
 
 
 @_structure_cached
@@ -355,7 +358,7 @@ class Arithmetic(Expr):
     data_type: DataType = field(compare=False, hash=False, default=DataType.FLOAT)
 
     def __post_init__(self) -> None:
-        if self.op is ArithmeticOp.DIV:
+        if self.op in (ArithmeticOp.DIV, ArithmeticOp.AVG):
             object.__setattr__(self, "data_type", DataType.FLOAT)
         else:
             object.__setattr__(

@@ -89,6 +89,7 @@ def assemble(search: Search, ctx: PassContext) -> Tuple[float, PlanBundle]:
                     folded[profile] = (cost, plans0 + (plan,), spools0)
         for candidate in closing:
             folded = search.settle(
+                prefix_key,
                 folded,
                 candidate.cse_id,
                 itemgetter(0),

@@ -19,6 +19,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Hashable,
     Iterable,
     List,
     Optional,
@@ -172,7 +173,7 @@ class Search:
         # LCA settlement (§5.2): discard single-consumer plans, charge the
         # initial cost once for plans with >= 2 consumers.
         for candidate in ctx.closings.get(group.gid, ()):
-            plans = self._close_candidate(plans, candidate)
+            plans = self._close_candidate(cache_key, plans, candidate)
 
         if not plans:
             raise OptimizerError(f"group g{group.gid} produced no plan")
@@ -183,6 +184,7 @@ class Search:
 
     def settle(
         self,
+        key: Hashable,
         entries: Dict[Profile, _Entry],
         cse_id: str,
         cost: Callable[[_Entry], float],
@@ -196,14 +198,22 @@ class Search:
         never reads it passes through. One that reads it twice or more is
         replaced by what ``charge`` makes of it under the profile without
         ``cse_id``: the entry with the initial cost ``C_E + C_W`` paid
-        once. The cheapest entry per resulting profile is kept."""
+        once. The cheapest entry per resulting profile is kept.
+
+        ``key`` names the plan set or fold prefix settled (its §5.4 history
+        key). Settling it again — a pass that does not reuse history
+        recomputes it — discards the same entries, so the discards of each
+        ``(key, cse_id)`` are tallied once."""
+        first = (key, cse_id) not in self.run.settlements
+        self.run.settlements.add((key, cse_id))
         settled: Dict[Profile, _Entry] = {}
         for profile, entry in entries.items():
             uses = _profile_get(profile, cse_id)
             if uses == 1:
-                self.run.stats.single_consumer_discards += 1
-                tallies = self.run.sc_discards
-                tallies[cse_id] = tallies.get(cse_id, 0) + 1
+                if first:
+                    self.run.stats.single_consumer_discards += 1
+                    tallies = self.run.sc_discards
+                    tallies[cse_id] = tallies.get(cse_id, 0) + 1
                 continue
             rest = _profile_without(profile, cse_id)
             for new_profile, new_entry in (
@@ -214,7 +224,9 @@ class Search:
                     settled[new_profile] = new_entry
         return settled
 
-    def _close_candidate(self, plans: PlanSet, candidate: CandidateCse) -> PlanSet:
+    def _close_candidate(
+        self, key: Hashable, plans: PlanSet, candidate: CandidateCse
+    ) -> PlanSet:
         body_plan = self.body_plan_standalone(candidate)
 
         def charge(profile: Profile, plan: PhysicalPlan):
@@ -225,7 +237,9 @@ class Search:
                 est_cost=plan.est_cost + candidate.initial_cost,
             )
 
-        return self.settle(plans, candidate.cse_id, attrgetter("est_cost"), charge)
+        return self.settle(
+            key, plans, candidate.cse_id, attrgetter("est_cost"), charge
+        )
 
     def spool_body(
         self,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from ..cse.candidates import CandidateCse
 from ..cse.heuristics import PruneTrace
@@ -232,6 +232,9 @@ class OptimizerRun:
     #: per-candidate tally of §5.1 single-consumer discards, feeding the
     #: ``single_consumer`` trace events and rejection verdicts.
     sc_discards: Dict[str, int] = field(default_factory=dict)
+    #: ``(plan-set or fold-prefix key, candidate id)`` of every settlement
+    #: so far: a recomputed one is not tallied again.
+    settlements: Set[Tuple[Hashable, str]] = field(default_factory=set)
     #: candidate id -> §5.1 consumer-match outcome -> count, tallied as
     #: Step 2 emits each ``equiv`` event; the ``verdict`` events report it.
     match_outcomes: Dict[str, Counter] = field(

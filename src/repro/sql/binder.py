@@ -2,10 +2,11 @@
 
 Name resolution against the catalog, type checking/coercion (string literals
 compared to DATE columns become day numbers), aggregate normalization
-(``AVG(x)`` → ``SUM(x)/COUNT(*)``; ``COUNT(x)`` ≡ ``COUNT(*)`` since the
-engine has no NULLs), ``WITH`` expansion (SPJ common table expressions are
-inlined per reference — re-detecting the sharing is precisely the
-optimizer's job, §1), and scalar subquery extraction.
+(``AVG(x)`` → ``SUM(x) /avg COUNT(*)``, a division that is NULL over no
+rows; ``COUNT(x)`` ≡ ``COUNT(*)`` since the engine has no NULLs), ``WITH``
+expansion (SPJ common table expressions are inlined per reference —
+re-detecting the sharing is precisely the optimizer's job, §1), and scalar
+subquery extraction.
 
 OUTER JOIN clauses and top-level EXISTS / IN predicates are bound here, in
 a scope that sees both sides; :mod:`repro.logical.decorrelate` splits them
@@ -663,7 +664,7 @@ class Binder:
                     "AVG over a nullable (outer-joined) column"
                 )
             return Arithmetic(
-                ArithmeticOp.DIV,
+                ArithmeticOp.AVG,
                 AggExpr(AggFunc.SUM, arg),
                 AggExpr(AggFunc.COUNT, None),
             )

@@ -6,7 +6,8 @@ its own group, in row order = first-appearance order). On frames unique on
 their keys the two must agree column for column, value and dtype, for every
 key type and every compute the optimizer emits, NaN arguments from
 left-outer null extension included. Also here: a group with no live row
-aggregates MIN/MAX to NULL, scalar aggregates over no rows included.
+aggregates MIN/MAX (and AVG, bound as SUM / COUNT) to NULL, scalar
+aggregates over no rows included.
 """
 
 from __future__ import annotations
@@ -149,16 +150,31 @@ def test_scalar_min_max_over_no_rows_is_null(func, column, monkeypatch):
     assert np.isnan(out[compute.out]).all() and len(out[compute.out]) == 1
 
 
-def test_empty_min_max_query_matches_the_oracle(tiny_db):
-    """Every row is filtered out: MIN/MAX are NULL (the engine's NaN, the
-    oracle's None), not sentinels."""
-    sql = (
+#: scalar aggregates over inputs that every row is filtered out of, and the
+#: width of their one all-NULL row.
+EMPTY_AGGREGATES = [
+    (
         "select min(l_linenumber) as a, max(o_orderdate) as b from lineitem, orders "
-        "where l_orderkey = o_orderkey and l_quantity < 0"
-    )
-    session = Session(tiny_db)
-    batch = session.bind(sql)
-    with np.errstate(invalid="raise"):
-        rows = session.execute(batch).execution.results[0].rows
-    nulls = [tuple(None if v != v else v for v in row) for row in rows]
-    assert nulls == evaluate_query(tiny_db, batch.queries[0]) == [(None, None)]
+        "where l_orderkey = o_orderkey and l_quantity < 0",
+        2,
+    ),
+    # AVG binds as SUM / COUNT: over no rows that is 0 / 0, which is NULL.
+    ("select avg(l_quantity) as a from lineitem where l_quantity < 0", 1),
+    (
+        "select avg(l_quantity) as a from lineitem, orders "
+        "where l_orderkey = o_orderkey and o_totalprice < 0",
+        1,
+    ),
+]
+
+
+def test_empty_min_max_query_matches_the_oracle(tiny_db):
+    """Every row is filtered out: MIN/MAX and AVG are NULL (the engine's
+    NaN, the oracle's None), not sentinels or a division by zero."""
+    for sql, width in EMPTY_AGGREGATES:
+        session = Session(tiny_db)
+        batch = session.bind(sql)
+        with np.errstate(invalid="raise"):
+            rows = session.execute(batch).execution.results[0].rows
+        nulls = [tuple(None if v != v else v for v in row) for row in rows]
+        assert nulls == evaluate_query(tiny_db, batch.queries[0]) == [(None,) * width], sql

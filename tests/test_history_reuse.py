@@ -26,7 +26,7 @@ from repro.optimizer.engine import Optimizer
 from repro.optimizer.search import relevant_ids
 from repro.optimizer.step2 import build_pass_context
 from repro.sql.binder import bind_sql
-from repro.workloads import adapted_batch, scaleup_batch
+from repro.workloads import adapted_batch, independent_pairs_batch, scaleup_batch
 
 from .test_stacked import STACKED_SQL
 
@@ -60,12 +60,16 @@ def _optimize(
 
 
 def _assert_on_off_identical(**batch):
-    _, on = _optimize(True, **batch)
-    _, off = _optimize(False, **batch)
+    run_on, on = _optimize(True, **batch)
+    run_off, off = _optimize(False, **batch)
     assert on.stats.est_cost_final == off.stats.est_cost_final
     assert on.stats.used_cses == off.stats.used_cses
     assert on.bundle.fingerprint() == off.bundle.fingerprint()
     assert on.bundle.describe() == off.bundle.describe()
+    # A recomputed plan set or fold prefix discards what it discarded the
+    # first time: §5.2's tallies do not depend on reuse either.
+    assert on.stats.single_consumer_discards == off.stats.single_consumer_discards
+    assert run_on.sc_discards == run_off.sc_discards
 
 
 def relevant_ids_slow(run, group, ctx):
@@ -137,8 +141,12 @@ class TestReuseBehaviour:
 
     @pytest.mark.parametrize(
         "sql, heuristics",
-        [(STACKED_SQL, True), (adapted_batch(), False)],
-        ids=["stacked", "tpch_all_no_heuristics"],
+        [
+            (STACKED_SQL, True),
+            (adapted_batch(), False),
+            (independent_pairs_batch(), False),
+        ],
+        ids=["stacked", "tpch_all_no_heuristics", "independent_pairs_no_heuristics"],
     )
     def test_on_off_bundles_identical_at_the_root(self, sql, heuristics):
         """Root candidates settle inside the fold, so a cached fold prefix

@@ -71,16 +71,21 @@ def test_root_close_discards_only_the_single_use_profile():
     once and is the one plan discarded; a reads it never and passes
     through; c pays the body plus C_W and, cheaper than a, is the one
     entry left."""
-    run = SimpleNamespace(stats=OptimizerStats(), sc_discards={})
+    run = SimpleNamespace(stats=OptimizerStats(), sc_discards={}, settlements=set())
     search = Search(run, None, None, None, None, lambda: None)
     entries = {
         (): (10.0, ("a",), ()),
         (("E1", 1),): (1.0, ("b",), ()),
         (("E1", 2),): (4.0, ("c",), ()),
     }
-    settled = search.settle(
-        entries, "E1", itemgetter(0), _charge("E1", [((), 3.0, "body")])
-    )
+    charge = _charge("E1", [((), 3.0, "body")])
+    settled = search.settle("prefix", entries, "E1", itemgetter(0), charge)
     assert settled == {(): (7.0, ("c",), (("E1", "body"),))}
     assert run.stats.single_consumer_discards == 1
     assert run.sc_discards == {"E1": 1}
+    # The same settlement computed again (history reuse off) is not
+    # tallied again; another prefix's is.
+    assert search.settle("prefix", entries, "E1", itemgetter(0), charge) == settled
+    assert run.stats.single_consumer_discards == 1
+    search.settle("other prefix", entries, "E1", itemgetter(0), charge)
+    assert run.sc_discards == {"E1": 2}
