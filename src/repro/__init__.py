@@ -39,7 +39,6 @@ from .obs import (
     Histogram,
     MetricsRegistry,
     QueryLog,
-    SharingLedger,
     SpanContext,
     TelemetryServer,
     Tracer,
@@ -86,7 +85,6 @@ __all__ = [
     "MetricsRegistry",
     "Tracer",
     "SpanContext",
-    "SharingLedger",
     "Histogram",
     "TelemetryServer",
     "QueryLog",

@@ -25,7 +25,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Union
 
 from .errors import (
     BudgetExceededError,
@@ -44,10 +44,10 @@ from .obs import (
     NULL_TRACER,
     MetricsRegistry,
     QueryLog,
-    SharingLedger,
     Tracer,
     build_ledger,
-    estimated_ledger,
+    publish_ledger,
+    render_ledger,
     render_why,
 )
 from .optimizer.cost import CostModel
@@ -81,10 +81,11 @@ class ExecutionOutcome:
     #: ``"optimizer_deadline"``, or ``"spool_budget"`` (None when not
     #: degraded).
     fallback_reason: Optional[str] = None
-    #: the sharing-economics ledger for this batch (estimated vs measured
-    #: Def 5.1 savings per shared spool and per query); None only when the
+    #: the sharing-economics ledger record for this batch (estimated vs
+    #: measured Def 5.1 savings per shared spool, per query and per shared
+    #: scan, see :func:`~repro.obs.build_ledger`); None only when the
     #: batch was never executed.
-    ledger: Optional[SharingLedger] = None
+    ledger: Optional[Dict[str, Any]] = None
 
     @property
     def est_cost(self) -> float:
@@ -356,7 +357,7 @@ class Session:
         result: OptimizationResult,
         execution: BatchResult,
         fallback_reason: Optional[str],
-    ) -> SharingLedger:
+    ) -> Dict[str, Any]:
         """The batch's sharing ledger (estimated vs measured Def 5.1)."""
         # A spool-budget fallback executed the no-sharing baseline bundle,
         # so planned reads must come from the bundle that actually ran.
@@ -367,27 +368,27 @@ class Session:
         )
         return build_ledger(
             result.candidates,
-            execution.metrics.spool_stats,
             query_spool_read_counts(bundle),
-            scan_stats=execution.metrics.scan_stats,
+            execution.metrics.spool_stats,
+            execution.metrics.scan_stats,
         )
 
-    def _publish_ledger(self, ledger: Optional[SharingLedger]) -> None:
-        """Mirror a batch ledger into metrics and trace."""
-        if ledger is None or not (ledger.spools or ledger.scans):
+    def _publish_ledger(self, ledger: Optional[Dict[str, Any]]) -> None:
+        """Mirror a batch ledger record into metrics and trace."""
+        if ledger is None or not (ledger["spools"] or ledger["scans"]):
             return
-        ledger.publish(self.registry)
-        for cse_id in ledger.negative_spools:
-            entry = ledger.spool(cse_id)
-            # Sharing that lost money is the input adaptive
-            # re-optimization needs.
-            self.tracer.event(
-                "negative_spool_benefit",
-                spool=cse_id,
-                est_savings=round(entry.est_savings, 4),
-                measured_savings=round(entry.measured_savings, 4),
-                consumers=entry.consumers,
-            )
+        publish_ledger(ledger, self.registry)
+        for spool in ledger["spools"]:
+            if spool["negative"]:
+                # Sharing that lost money is the input adaptive
+                # re-optimization needs.
+                self.tracer.event(
+                    "negative_spool_benefit",
+                    spool=spool["spool"],
+                    est_savings=spool["est_savings"],
+                    measured_savings=spool["measured_savings"],
+                    consumers=spool["consumers"],
+                )
 
     def _optimize_governed(
         self,
@@ -532,11 +533,11 @@ class Session:
         if outcome.fallback_reason is not None:
             record["fallback_reason"] = outcome.fallback_reason
         if outcome.ledger is not None and (
-            outcome.ledger.spools or outcome.ledger.scans
+            outcome.ledger["spools"] or outcome.ledger["scans"]
         ):
-            # The same rounded payload the metrics gauges and EXPLAIN
+            # The same rounded record the metrics gauges and EXPLAIN
             # ANALYZE carry, so the three surfaces agree exactly.
-            record["ledger"] = outcome.ledger.to_payload()
+            record["ledger"] = outcome.ledger
         if self.query_log.is_slow(wall_ms):
             record["explain_analyze"] = render_analyzed_bundle(
                 outcome.optimization, outcome.execution, ledger=outcome.ledger
@@ -624,13 +625,13 @@ class Session:
                 "",
             ]
             report = "\n".join(header) + render_why(tracer.events)
-            ledger = estimated_ledger(
+            ledger = build_ledger(
                 result.candidates, query_spool_read_counts(result.bundle)
             )
-            if ledger.spools:
+            if ledger["spools"]:
                 # Plan-time economics only — the batch never ran here, so
                 # measured columns are zero by construction.
-                report += "\n\n" + ledger.render()
+                report += "\n\n" + render_ledger(ledger)
             return report
         result = self.optimize(target)
         if analyze:

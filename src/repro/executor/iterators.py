@@ -265,10 +265,11 @@ def _hash_join(plan: PhysHashJoin, ctx: ExecutionContext) -> Frame:
         left_idx = np.repeat(np.arange(n_left), n_right)
         right_idx = np.tile(np.arange(n_right), n_left)
     if plan.residual:
-        # ON-clause semantics: the residual restricts the *matched pair*
-        # set. For inner joins this equals post-filtering; for outer joins
-        # a pair failing the residual is a non-match (the left row is then
-        # null-extended), and for semi/anti it does not witness existence.
+        # Only inner joins carry a residual: decorrelation refuses outer
+        # ON and correlation conjuncts that are not keys or one-side
+        # filters, and the search builds every outer/semi/anti join with
+        # ``residual=()``. Restricting the matched pairs is then the same
+        # as filtering the joined rows.
         passing = _matching_rows(
             plan.residual, _pairs(left, right, left_idx, right_idx)
         )

@@ -32,13 +32,7 @@ from .critical import (
     render_critical_path,
     render_summary,
 )
-from .ledger import (
-    ScanLedgerEntry,
-    SharingLedger,
-    SpoolLedgerEntry,
-    build_ledger,
-    estimated_ledger,
-)
+from .ledger import build_ledger, publish_ledger, render_ledger
 from .querylog import NULL_QUERY_LOG, QueryLog
 from .trace import (
     NULL_CONTEXT,
@@ -74,11 +68,9 @@ __all__ = [
     "SpanContext",
     "NULL_CONTEXT",
     "TRACE_HEADER_TYPE",
-    "SharingLedger",
-    "ScanLedgerEntry",
-    "SpoolLedgerEntry",
     "build_ledger",
-    "estimated_ledger",
+    "publish_ledger",
+    "render_ledger",
     "CriticalPathReport",
     "analyze",
     "find_orphans",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, List, Tuple
 
+from ..obs import render_ledger
 from .physical import PhysicalPlan, PlanBundle, QueryPlan
 
 
@@ -139,11 +140,11 @@ def render_analyzed_bundle(result, execution, ledger=None) -> str:
     ):
         parts.append(title)
         parts.extend(_render(plan, annotate))
-    if ledger is not None and (ledger.spools or ledger.scans):
+    if ledger is not None and (ledger["spools"] or ledger["scans"]):
         # The sharing-economics ledger, rendered from the same rounded
-        # payload the query log and ledger.* gauges carry.
+        # record the query log and ledger.* gauges carry.
         parts.append("")
-        parts.append(ledger.render())
+        parts.append(render_ledger(ledger))
     parts.append("")
     parts.extend(_optimizer_counters(result))
     metrics = execution.metrics

@@ -47,13 +47,13 @@ import threading
 import weakref
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..errors import ReproError
 from ..executor.executor import BatchResult, BatchState
 from ..executor.runtime import ExecutionMetrics, SharedSpoolPool
 from ..executor.schedule import query_spool_read_counts
-from ..obs import NULL_REGISTRY, MetricsRegistry, SharingLedger, build_ledger
+from ..obs import NULL_REGISTRY, MetricsRegistry, build_ledger
 from ..storage.worktable import WorkTable
 from .cache import PlanCache, cached_optimize, register_invalidation
 from .fingerprint import batch_fingerprint, batch_tables, config_key
@@ -77,14 +77,12 @@ class SharedOutcome:
     execution: BatchResult
     #: True when the merged plan came from the coordinator's plan cache.
     plan_cache_hit: bool
-    #: how many consumers shared the window.
-    group_size: int
-    #: which Step-3 strategy optimized the merged batch.
-    strategy: str
-    #: this consumer's sharing ledger (its planned reads only; the
-    #: measured columns of the one consumer that claimed the producer
-    #: phase also carry its write-side costs).
-    ledger: Optional[SharingLedger]
+    #: this consumer's sharing ledger record: spools priced over every
+    #: consumer's planned reads, per-query parts for this consumer's
+    #: queries only, and measured columns from this consumer's run (the
+    #: one consumer that claimed the producer phase also carries the
+    #: write side).
+    ledger: Dict[str, Any]
 
 
 @dataclass
@@ -121,7 +119,6 @@ class _SharedRun:
     #: into its own result, so the completed outcomes still sum to an
     #: isolated execution whichever consumers fall back; None once claimed.
     producer_metrics: Optional[ExecutionMetrics]
-    strategy: str
 
 
 class _Group:
@@ -343,7 +340,7 @@ class SharedBatchCoordinator:
                 queries=len(names),
                 spools=run.pool.published,
                 cache_hit=cache_hit,
-                strategy=run.strategy,
+                strategy=result.stats.strategy or "paper",
             )
             return run
 
@@ -396,7 +393,6 @@ class SharedBatchCoordinator:
             reads=reads,
             state=replace(state, spools={}),
             producer_metrics=produced.metrics,
-            strategy=result.stats.strategy or "paper",
         )
 
     # -- consumer phase (every thread) -------------------------------------
@@ -477,21 +473,24 @@ class SharedBatchCoordinator:
             # of an isolated execution (spools, then queries).
             produced.merge(execution.metrics)
             execution.metrics = produced
-        my_reads = {
-            qp.name[len(prefix):]: dict(shared.reads.get(qp.name, {}))
-            for qp in my_plans
-        }
+        # Spools are priced over every consumer's planned reads (this
+        # consumer's names de-prefixed): a spool's n is the merged batch's.
         ledger = build_ledger(
             shared.result.candidates,
+            {
+                name[len(prefix):] if name.startswith(prefix) else name: reads
+                for name, reads in shared.reads.items()
+            },
             execution.metrics.spool_stats,
-            my_reads,
-            scan_stats=execution.metrics.scan_stats,
+            execution.metrics.scan_stats,
         )
+        mine = {qp.name[len(prefix):] for qp in my_plans}
+        ledger["queries"] = [
+            q for q in ledger["queries"] if q["query"] in mine
+        ]
         return SharedOutcome(
             optimization=shared.result,
             execution=execution,
             plan_cache_hit=shared.cache_hit,
-            group_size=len(group.consumers),
-            strategy=shared.strategy,
             ledger=ledger,
         )

@@ -175,6 +175,48 @@ class TestCoordinatorMerging:
         # The merged optimization actually shared work across sessions.
         assert a.optimization.stats.used_cses
 
+    def test_consumer_ledgers_price_spools_over_the_merged_reads(self):
+        """Each consumer reads a shared spool once, but the spool serves
+        both: every consumer's ledger prices it over the merged batch's
+        planned reads, as one session running both queries does, and no
+        consumer flags it as a loss on its own share of the reads."""
+        registry = MetricsRegistry()
+        tracer = Tracer()
+        coordinator = SharedBatchCoordinator(
+            window_ms=5000.0, max_group=2, registry=registry
+        )
+        s1, s2 = (
+            Session(DB, coordinator=coordinator, registry=registry,
+                    tracer=tracer)
+            for _ in range(2)
+        )
+        results = _run_concurrent(
+            [
+                ("a", lambda: s1.execute(Q_PRIORITY)),
+                ("b", lambda: s2.execute(Q_STATUS)),
+            ]
+        )
+        assert _counters(registry).get("coordinator.merged_batches") == 1
+        batch = Session(DB).execute(Q_PRIORITY + ";" + Q_STATUS).ledger
+        expected = {
+            s["spool"]: (s["planned_consumers"], s["est_savings"])
+            for s in batch["spools"]
+        }
+        assert expected and all(n == 2 for n, _ in expected.values())
+        for outcome in results.values():
+            ledger = outcome.ledger
+            assert {
+                s["spool"]: (s["planned_consumers"], s["est_savings"])
+                for s in ledger["spools"]
+            } == expected
+            assert ledger["negative_spools"] == []
+            # Per-query parts name this consumer's own queries only.
+            assert [q["query"] for q in ledger["queries"]] == ["Q1"]
+        assert not [
+            e for e in tracer.events if e.name == "negative_spool_benefit"
+        ]
+        assert registry.get("ledger.negative_spools") == 0
+
     def test_spools_no_query_reads_count_as_freed(self):
         """A root spool that only other spools' bodies read (a stacked CSE)
         is dropped when it is published; the registry must count it as
@@ -378,9 +420,9 @@ class TestCoordinatorBudgets:
         assert metrics.spools_materialized == counters.get(
             "coordinator.spools_published"
         )
-        assert survivor.ledger.spools
-        for entry in survivor.ledger.spools:
-            assert entry.rows_written > 0 and entry.consumers >= 1
+        assert survivor.ledger["spools"]
+        for entry in survivor.ledger["spools"]:
+            assert entry["rows_written"] > 0 and entry["consumers"] >= 1
 
     def test_generous_budget_stays_shared(self):
         registry = MetricsRegistry()

@@ -403,3 +403,20 @@ def test_only_obs_reads_the_trace_stream():
         for line in _stream_reads(ast.parse(path.read_text()))
     ]
     assert offenders == []
+
+
+def test_ledger_is_one_record():
+    """The sharing ledger is one plain record built by ``build_ledger``
+    and read by every surface: no entry class or second builder comes
+    back, and ``obs/ledger.py`` stays at most 300 lines."""
+    import repro.obs
+
+    source = (REPRO / "obs" / "ledger.py").read_text()
+    classes = [
+        node.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    ]
+    assert classes == []
+    assert len(source.splitlines()) <= 300
+    gone = {"SharingLedger", "SpoolLedgerEntry", "ScanLedgerEntry", "estimated_ledger"}
+    assert gone.isdisjoint(set(repro.obs.__all__) | set(vars(repro.obs)))
