@@ -20,9 +20,7 @@ eight string group-bys gained 1.6x and the shared arm 1.3x, so the ratio
 fell from 1.87-2.33x while both arms got faster; EXPERIMENTS.md has both
 arms' absolute times), and every shared-arm row
 set must equal the isolated rows (the repo's standard rounded
-comparison). A second panel optimizes the merged 8-query batch under the
-paper's Step-3 subset enumeration vs the greedy AND-OR DAG heuristic
-(cs/9910021) and reports both optimization times and costs.
+comparison).
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ import time
 
 from repro.api import Session
 from repro.obs import MetricsRegistry
-from repro.optimizer.options import OptimizerOptions
 from repro.serve import SharedBatchCoordinator
 
 SESSIONS = 8
@@ -165,45 +162,3 @@ def test_eight_session_shared_throughput(benchmark, bench_db):
     )
     benchmark(lambda: shared_sessions[0].execute(QUERIES[0]))
 
-
-def test_step3_strategy_panel(benchmark, bench_db):
-    """Merged 8-query batch: paper subset enumeration vs greedy DAG."""
-    sql = ";\n".join(QUERIES)
-    panel = {}
-    for strategy in ("paper", "greedy"):
-        session = Session(
-            bench_db,
-            OptimizerOptions(cse_strategy=strategy),
-            plan_cache_size=0,
-        )
-        start = time.perf_counter()
-        result = session.optimize(sql)
-        wall = time.perf_counter() - start
-        assert result.stats.strategy == strategy
-        panel[strategy] = {
-            "optimize_ms": round(wall * 1000, 2),
-            "est_cost": round(result.est_cost, 1),
-            "candidates": result.stats.candidates_generated,
-            "used_cses": list(result.stats.used_cses),
-        }
-    print(
-        f"\n== Step-3 strategy panel (merged {SESSIONS}-query batch) ==\n"
-        + "\n".join(
-            f"  {name:<6} {info['optimize_ms']:8.2f}ms  "
-            f"est_cost {info['est_cost']:10.1f}  "
-            f"cses {info['used_cses'] or 'none'}"
-            for name, info in panel.items()
-        )
-    )
-    benchmark.extra_info.update(panel)
-    # Both strategies must share: the merged batch is exactly the high
-    # candidate-count regime the greedy path exists for.
-    assert panel["paper"]["used_cses"]
-    assert panel["greedy"]["used_cses"]
-    benchmark(
-        lambda: Session(
-            bench_db,
-            OptimizerOptions(cse_strategy="greedy"),
-            plan_cache_size=0,
-        ).optimize(sql)
-    )

@@ -33,7 +33,7 @@ def _row(db, n):
     no_cse = Session(db, options_for(MODE_NO_CSE)).optimize(sql)
     with_cse = Session(db, options_for(MODE_CSE)).optimize(sql)
     no_pruning = Session(
-        db, OptimizerOptions(enable_heuristics=False, max_cse_optimizations=8)
+        db, OptimizerOptions(enable_heuristics=False)
     ).optimize(sql)
     return {
         "queries": n,

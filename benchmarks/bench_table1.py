@@ -52,7 +52,7 @@ def test_figure6_pruning_narrative(benchmark, bench_db):
     session_pruned = Session(bench_db, OptimizerOptions())
     session_full = Session(
         bench_db,
-        OptimizerOptions(enable_heuristics=False, max_cse_optimizations=16),
+        OptimizerOptions(enable_heuristics=False),
     )
     sql = example1_batch()
     pruned = session_pruned.optimize(sql)

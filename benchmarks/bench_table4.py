@@ -47,7 +47,7 @@ def test_candidate_explosion(benchmark, small_bench_db):
     the paper reports 51 — which the heuristics cut to a handful."""
     unpruned = Session(
         small_bench_db,
-        OptimizerOptions(enable_heuristics=False, max_cse_optimizations=2),
+        OptimizerOptions(enable_heuristics=False),
     ).optimize(complex_join_batch())
     pruned_session = Session(small_bench_db, OptimizerOptions())
     pruned = pruned_session.optimize(complex_join_batch())

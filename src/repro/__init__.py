@@ -7,7 +7,7 @@ storage engine, TPC-H data generator, SQL frontend, Cascades-style
 cost-based optimizer, and vectorized executor — with the paper's
 contribution at its core: detection (table signatures), construction
 (covering subexpressions with cost-based heuristics), and correct
-cost-based optimization (LCA spool costing, candidate-subset enumeration,
+cost-based optimization (LCA spool costing, usage-profile search,
 stacked CSEs) of similar subexpressions across query batches, nested
 queries, and materialized-view maintenance.
 
@@ -15,7 +15,7 @@ Public entry points:
 
 * :class:`Session` — bind/optimize/execute SQL batches.
 * :func:`build_tpch_database` — the synthetic TPC-H substrate.
-* :class:`OptimizerOptions` — CSE knobs (α, β, heuristics, stacking, …).
+* :class:`OptimizerOptions` — the CSE and heuristics switches.
 * :class:`MetricsRegistry` / :class:`Tracer` — opt-in observability sinks
   for optimizer/executor counters, latency histograms, and structured
   trace events; :class:`TelemetryServer` exposes a registry over HTTP in

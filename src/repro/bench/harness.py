@@ -46,9 +46,7 @@ def options_for(mode: str) -> OptimizerOptions:
     if mode == MODE_CSE:
         return OptimizerOptions()
     if mode == MODE_NO_HEURISTICS:
-        return OptimizerOptions(
-            enable_heuristics=False, max_cse_optimizations=16
-        )
+        return OptimizerOptions(enable_heuristics=False)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -16,7 +16,6 @@ against a synthetic TPC-H database; ``explain`` prints the chosen plan;
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import List, Optional
 
@@ -113,15 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
             "optimization (cross-session micro-batching; 0 = off)"
         ),
     )
-    query.add_argument(
-        "--cse-strategy", choices=("paper", "greedy", "auto"), default=None,
-        help=(
-            "Step-3 selection strategy: the paper's subset enumeration, "
-            "the greedy benefit-ordered AND-OR DAG heuristic "
-            "(cs/9910021), or auto (greedy above the candidate-count "
-            "threshold)"
-        ),
-    )
 
     explain = sub.add_parser("explain", help="print the optimized plan")
     explain.add_argument("sql")
@@ -144,13 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
             "print the decision journal, a report over the optimizer's "
             "decision trace events: every candidate CSE's "
             "lifecycle (signature bucket, H1-H4 verdicts with the numbers "
-            "used, LCA placement, keep/reject reason), and which Step-3 "
-            "strategy ran and why"
+            "used, LCA placement, keep/reject reason)"
         ),
-    )
-    explain.add_argument(
-        "--cse-strategy", choices=("paper", "greedy", "auto"), default=None,
-        help="Step-3 selection strategy (see `query --cse-strategy`)",
     )
 
     bench = sub.add_parser(
@@ -217,18 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _options(args: argparse.Namespace) -> OptimizerOptions:
     if getattr(args, "no_cse", False):
-        options = OptimizerOptions(enable_cse=False)
-    elif getattr(args, "no_heuristics", False):
-        options = OptimizerOptions(
-            enable_heuristics=False, max_cse_optimizations=16
-        )
-    else:
-        options = OptimizerOptions()
-    if getattr(args, "cse_strategy", None):
-        options = dataclasses.replace(
-            options, cse_strategy=args.cse_strategy
-        )
-    return options
+        return OptimizerOptions(enable_cse=False)
+    if getattr(args, "no_heuristics", False):
+        return OptimizerOptions(enable_heuristics=False)
+    return OptimizerOptions()
 
 
 def _cmd_query(args: argparse.Namespace, out) -> int:

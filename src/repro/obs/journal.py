@@ -50,16 +50,12 @@ kind                      meaning / key fields
                           constructed consumer, refused or not, and one per
                           match a stacked probe (§5.5) found; Step 2 emits
                           them after the candidate bodies are optimized
-``history``               §5.4 per-pass reuse accounting: ``pass_index``,
-                          ``subset``, ``groups_reused``,
-                          ``groups_recomputed``, ``planset_hits``,
-                          ``tops_folded``, ``reuse`` (hit ratio),
+``history``               §5.4 reuse in the Step-3 pass: ``pass_index``,
+                          ``subset`` (the enabled candidates),
+                          ``groups_reused`` (plan sets the base pass
+                          computed), ``groups_recomputed``,
+                          ``planset_hits``, ``reuse`` (hit ratio),
                           ``seconds``
-``cse_strategy``          which Step-3 strategy ran and why: ``strategy``
-                          (``paper`` / ``greedy``), ``reason``,
-                          ``candidates``
-``greedy_pick``           one greedy acceptance (cs/9910021): ``cse_id``,
-                          ``benefit``, ``cost``, ``rank``, ``evaluations``
 ``verdict``               final outcome: ``cse_id``, ``kept``, ``reason``,
                           ``equiv`` (the run's tally of this candidate's
                           §5.1 match verdicts, e.g. ``proved=2``)
@@ -143,23 +139,6 @@ def render_why(events: Iterable[TraceEvent]) -> str:
         lines.append("equivalence checker (outer-join simplification):")
         lines.extend(equiv_lines)
 
-    for entry in of("cse_strategy"):
-        lines.append(
-            f"step-3 strategy: {entry.get('strategy')} over "
-            f"{entry.get('candidates')} candidate(s) — "
-            f"{entry.get('reason')}"
-        )
-    picks = of("greedy_pick")
-    if picks:
-        lines.append("greedy selection (benefit-ordered, cs/9910021):")
-        for entry in picks:
-            lines.append(
-                f"  pick #{entry.get('rank')}: {entry.get('cse_id')} "
-                f"benefit {entry.get('benefit', 0.0):.1f} → plan cost "
-                f"{entry.get('cost', 0.0):.1f} "
-                f"({entry.get('evaluations')} pass(es) spent)"
-            )
-
     history = of("history")
     if history:
         lines.append("optimization-history reuse (§5.4):")
@@ -172,15 +151,14 @@ def render_why(events: Iterable[TraceEvent]) -> str:
             total_recomputed += recomputed
             lines.append(
                 f"  pass {entry.get('pass_index')} [{subset}]: "
-                f"{reused} group(s) reused, {recomputed} recomputed, "
-                f"{entry.get('tops_folded', 0)} top(s) folded from "
-                f"history ({entry.get('seconds', 0.0):.4f}s)"
+                f"{reused} group(s) reused, {recomputed} recomputed "
+                f"({entry.get('seconds', 0.0):.4f}s)"
             )
         visits = total_reused + total_recomputed
         ratio = total_reused / visits if visits else 0.0
         lines.append(
             f"  reuse ratio: {total_reused}/{visits} group results "
-            f"({ratio:.0%}) carried over from earlier passes"
+            f"({ratio:.0%}) carried over from the base pass"
         )
 
     verdicts = {entry["cse_id"]: entry for entry in of("verdict")}

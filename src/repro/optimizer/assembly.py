@@ -30,7 +30,7 @@ from .physical import (
     QueryPlan,
 )
 from .search import Search, relevant_ids
-from .state import EMPTY_PROFILE, PassContext, Profile, _profile_merge
+from .state import EMPTY_PROFILE, PassContext, Profile
 
 #: (total cost, per-top plans, root spools)
 _Assembly = Tuple[
@@ -43,11 +43,10 @@ _BodyOptions = List[Tuple[Profile, float, PhysicalPlan]]
 def assemble(search: Search, ctx: PassContext) -> Tuple[float, PlanBundle]:
     """Optimize all tops under ``ctx`` and settle root-level CSEs."""
     run = search.run
-    history = run.history
     finalized_tops = []
-    for idx, (tag, payload, top) in enumerate(run.tops):
+    for tag, payload, top in run.tops:
         search.check_deadline()
-        finalized_tops.append(search.finalized_top(idx, tag, payload, top, ctx))
+        finalized_tops.append(search.finalized_top(tag, payload, top, ctx))
     body_options = {
         c.cse_id: _root_body_options(search, c, ctx) for c in ctx.root_cses
     }
@@ -58,45 +57,29 @@ def assemble(search: Search, ctx: PassContext) -> Tuple[float, PlanBundle]:
     closings = _closings(
         ctx, [relevant for relevant, _ in finalized_tops], body_relevant
     )
-    # Fold the finalized plan sets: profile -> (cost, plans, spools). The
-    # fold is a left-to-right reduction over the fixed top order, so a pass
-    # agreeing with an earlier one on every (top, relevant ids, candidates
-    # settled there with their bodies' relevant ids) step of a prefix can
-    # resume from that prefix's cached fold (§5.4). The cached dicts are
-    # never mutated downstream — later fold steps only read them.
+    # Fold the finalized plan sets left to right in the fixed top order:
+    # profile -> (cost, plans, spools).
+    merge = run.profiles.merge
     combined: Dict[Profile, _Assembly] = {EMPTY_PROFILE: (0.0, (), ())}
-    prefix_key: Tuple = ()
-    for (_tag, _payload, top), (relevant, finalized), closing in zip(
-        run.tops, finalized_tops, closings
-    ):
-        prefix_key = prefix_key + ((
-            top.gid,
-            relevant,
-            tuple((c.cse_id, body_relevant[c.cse_id]) for c in closing),
-        ),)
-        cached_fold = history.fold_cache.get(prefix_key)
-        if cached_fold is not None:
-            combined = cached_fold
-            history.fold_hits += 1
-            continue
+    for (_relevant, finalized), closing in zip(finalized_tops, closings):
         folded: Dict[Profile, _Assembly] = {}
         for profile0, (cost0, plans0, spools0) in combined.items():
             for profile1, plan in finalized.items():
-                profile = _profile_merge(profile0, profile1)
+                profile = merge(profile0, profile1)
                 cost = cost0 + plan.est_cost
                 entry = folded.get(profile)
                 if entry is None or cost < entry[0]:
                     folded[profile] = (cost, plans0 + (plan,), spools0)
         for candidate in closing:
             folded = search.settle(
-                prefix_key,
                 folded,
                 candidate.cse_id,
                 itemgetter(0),
-                _charge(candidate.cse_id, body_options[candidate.cse_id]),
+                _charge(
+                    merge, candidate.cse_id, body_options[candidate.cse_id]
+                ),
             )
         combined = folded
-        history.fold_cache[prefix_key] = combined
 
     best = combined.get(EMPTY_PROFILE)
     if best is None:
@@ -140,14 +123,15 @@ def _closings(
     return closings
 
 
-def _charge(cse_id: str, options: _BodyOptions):
+def _charge(merge, cse_id: str, options: _BodyOptions):
     """Settle a root spool read twice or more: one entry per body choice,
-    paying the body and ``C_W`` and opening what the body reads."""
+    paying the body and ``C_W`` and opening what the body reads (``merge``
+    is the run's profile merge)."""
 
     def charge(profile: Profile, entry: _Assembly):
         cost, plans, spools = entry
         for body_profile, body_cost, body in options:
-            yield _profile_merge(profile, body_profile), (
+            yield merge(profile, body_profile), (
                 cost + body_cost,
                 plans,
                 spools + ((cse_id, body),),

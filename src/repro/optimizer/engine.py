@@ -10,10 +10,12 @@ memo (:mod:`repro.optimizer.memo`):
 * **Candidate generation** (Step 2, :mod:`repro.optimizer.step2`) — sharable
   signature buckets → join-compatible sets → Algorithm 1 with Heuristics 1-4
   (:mod:`repro.cse.candidates`).
-* **CSE optimization** (Step 3, :mod:`repro.optimizer.selection`) —
-  re-optimization with candidate subsets enabled (§5.3, Propositions
-  5.4-5.6), each pass being one root assembly
-  (:mod:`repro.optimizer.assembly`) over the search.
+* **CSE optimization** (Step 3) — one root assembly
+  (:mod:`repro.optimizer.assembly`) over the search with every candidate
+  enabled. The search keeps the best plan per usage profile, so this
+  full-set pass already finds the plan §5.3's re-optimization with
+  candidate subsets would (DESIGN decision 0); the no-CSE plan is kept
+  when it is not cheaper.
 
 The three modules share one explicit :class:`~repro.optimizer.state.OptimizerRun`
 built per :meth:`Optimizer.optimize` call; the optimizer itself holds only
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cse.candidates import CandidateCse
 from ..cse.manager import CseManager
@@ -48,23 +50,12 @@ from .memo import Group, Memo
 from .options import OptimizerOptions
 from .physical import PlanBundle
 from .search import Search
-from .selection import select, select_strategy
 from .state import BASE_PASS, History, OptimizerRun, OptimizerStats
 
 #: Enter the CSE phase only when the batch's estimated cost exceeds this
 #: value ("only if the query is expensive", §2.2). 0 admits every batch
 #: with a positive estimated cost.
 CSE_COST_THRESHOLD = 0.0
-
-#: §5.4 optimization-history reuse: keep per-group plan sets (keyed by the
-#: group's candidate footprint ∩ the enabled set), finalized per-query plan
-#: sets, and folded assembly prefixes alive across Step-3 passes, so each
-#: pass re-optimizes only the groups whose relevant enabled candidates
-#: changed. False reproduces the naive scheme the paper improves on —
-#: every pass re-optimizes the whole batch from scratch. Plans are
-#: identical either way; only the work to find them differs. Read at call
-#: time.
-REUSE_HISTORY = True
 
 
 @dataclass
@@ -145,8 +136,8 @@ class Optimizer:
             registry.counter(name, value)
         registry.counter("optimizer.batches")
         # Phase latency distributions (p50/p95/p99 via the exporter). The
-        # per-pass Step-3 histogram (optimizer.history.pass_seconds) is
-        # observed live inside the enumeration loop.
+        # Step-3 pass histogram (optimizer.history.pass_seconds) is
+        # observed as the pass ends.
         registry.observe("optimizer.normal_seconds", stats.normal_time)
         registry.observe("optimizer.cse_seconds", stats.cse_time)
         registry.observe("optimizer.step3_seconds", stats.step3_time)
@@ -264,32 +255,13 @@ class Optimizer:
                 before_pruning=stats.candidates_before_pruning,
             )
 
-        # --- Step 3: optimization with candidate subsets ----------------------
-        strategy, reason = select_strategy(
-            self.options.cse_strategy, len(candidates)
-        )
-        stats.strategy = strategy
-        stats.strategy_reason = reason
-        self.tracer.event(
-            "cse_strategy",
-            strategy=strategy,
-            reason=reason,
-            candidates=len(candidates),
-        )
-        self.registry.counter(f"strategy.{strategy}.runs")
-        with self.tracer.span("cse_optimization", strategy=strategy):
+        # --- Step 3: one pass with every candidate enabled ------------------
+        with self.tracer.span("cse_optimization"):
             step3_start = time.perf_counter()
-            best_cost, best_bundle = select(
-                strategy,
-                candidates,
-                lambda subset: self._run_pass(search, candidates, subset),
-                base_cost,
-                base_bundle,
-                memo,
-                max_evaluations=self.options.max_cse_optimizations,
-                check_deadline=self._check_deadline,
-                registry=self.registry,
-            )
+            self._check_deadline()
+            best_cost, best_bundle = self._run_pass(search, candidates)
+            if best_cost >= base_cost:
+                best_cost, best_bundle = base_cost, base_bundle
             stats.step3_time = time.perf_counter() - step3_start
 
         stats.est_cost_final = best_cost
@@ -306,32 +278,25 @@ class Optimizer:
         return result, run
 
     def _run_pass(
-        self, search: Search, candidates: List[CandidateCse], subset: FrozenSet[str]
-    ) -> Tuple[float, PlanBundle, FrozenSet[str]]:
-        """One Step-3 optimization pass with ``subset`` enabled — what
-        :func:`~repro.optimizer.selection.select` calls back into, whatever
-        the strategy: builds the pass context, keeps the §5.4 history
-        accounting honest (or wipes the history when reuse is off), and
-        reports the pass to the tracer."""
+        self, search: Search, candidates: List[CandidateCse]
+    ) -> Tuple[float, PlanBundle]:
+        """The Step-3 pass: assemble the batch with every candidate
+        enabled, and report the pass and its §5.4 reuse to the tracer."""
         run = search.run
         stats = run.stats
-        enabled = tuple(c for c in candidates if c.cse_id in subset)
-        ctx = step2.build_pass_context(run, enabled)
+        ctx = step2.build_pass_context(run, tuple(candidates))
         stats.cse_optimizations += 1
         run.history.begin_pass(stats.cse_optimizations)
-        if not REUSE_HISTORY:
-            run.history.wipe()
         pass_start = time.perf_counter()
-        with self.tracer.span("cse_pass", subset=sorted(subset)) as span:
+        with self.tracer.span("cse_pass") as span:
             cost, bundle = assemble(search, ctx)
-            used = frozenset(bundle.used_cses())
             if span is not None:
                 span.attrs["cost"] = round(cost, 2)
-                span.attrs["used"] = sorted(used)
+                span.attrs["used"] = sorted(bundle.used_cses())
         run.history.end_pass(
-            stats, frozenset(subset), time.perf_counter() - pass_start
+            stats, stats.candidate_ids, time.perf_counter() - pass_start
         )
-        return cost, bundle, used
+        return cost, bundle
 
     def _emit_verdicts(
         self, candidates: List[CandidateCse], run: OptimizerRun
@@ -340,7 +305,7 @@ class Optimizer:
 
         Candidates pruned before costing (Heuristic 4, candidate cap) got
         their verdicts inside :func:`step2.generate`; this covers
-        everything that survived into Step 3 enumeration."""
+        everything that survived into Step 3."""
         tracer = self.tracer
         if not tracer.enabled:
             return
@@ -365,7 +330,7 @@ class Optimizer:
                 kept, reason = False, "single-consumer LCA discard (§5.1)"
             else:
                 kept, reason = False, (
-                    "sharing never beat recomputation in any enumerated subset"
+                    "sharing never beat recomputation in the full-set pass"
                 )
             tracer.event(
                 "verdict", cse_id=cid, kept=kept, reason=reason, equiv=equiv

@@ -871,9 +871,8 @@ class Memo:
         candidate's view-matched consumer groups lies in the group's subtree
         (the group itself included). During CSE optimization the profile DP's
         result for a group can only depend on the enabled candidates inside
-        its subtree, so ``footprint ∩ enabled`` is a sound history-cache key:
-        passes whose enabled sets agree on that intersection reuse the
-        group's plans verbatim.
+        its subtree, so a group with an empty footprint keeps the plan set
+        of normal optimization verbatim.
 
         Computed bottom-up over the memo DAG in one memoized DFS (children
         can carry *higher* gids than parents — pre-aggregation exploration

@@ -8,7 +8,8 @@ least-common-ancestor group, where plans with a single consumer are
 discarded. The bookkeeping uses per-group *usage profiles*: the best plan is
 kept per (candidate → uses ∈ {0, 1, ≥2}) vector, and the candidate's
 dimension is collapsed at its LCA. Every result lands in the run's §5.4
-:class:`~repro.optimizer.state.History`, keyed so later passes reuse it.
+:class:`~repro.optimizer.state.History`, keyed so the Step-3 pass reuses
+the base pass's plan set of every group no candidate reaches.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Hashable,
     Iterable,
     List,
     Optional,
@@ -59,10 +59,6 @@ from .state import (
     PassContext,
     PlanSet,
     Profile,
-    _profile_add,
-    _profile_get,
-    _profile_merge,
-    _profile_without,
 )
 
 #: Cost accounting for shared spools. False is the paper's correct scheme
@@ -87,26 +83,18 @@ def _ext_join_rows(kind: str, core_rows: float) -> float:
     return max(core_rows * 0.5, 1.0)
 
 
-def _cap_planset(plans: PlanSet, limit: int) -> PlanSet:
-    """Bound a group's profile dictionary, always keeping the base plan."""
-    if len(plans) <= limit:
-        return plans
-    kept = dict(sorted(plans.items(), key=lambda kv: kv[1].est_cost)[: limit - 1])
-    if EMPTY_PROFILE in plans:
-        kept[EMPTY_PROFILE] = plans[EMPTY_PROFILE]
-    return kept
-
-
 def relevant_ids(
     run: OptimizerRun, group: Group, ctx: PassContext
 ) -> FrozenSet[str]:
-    """The enabled candidate ids that can affect ``group``'s plan set:
-    the group's §5.4 candidate footprint ∩ the pass's enabled set. Two
-    passes agreeing on this set get identical plan sets for the group,
-    which is what makes the history cache sound."""
+    """The enabled candidate ids that can affect ``group``'s plan set.
+
+    A pass enables no candidate (the base pass) or every one (Step 3), so
+    this is nothing or the group's §5.4 candidate footprint. A group whose
+    footprint is empty gets the same plan set in both passes, which is
+    what lets the history cache hand the Step-3 pass the base pass's."""
     if not ctx.enabled:
         return frozenset()
-    return run.footprints[group.gid] & ctx.enabled_ids
+    return run.footprints[group.gid]
 
 
 @dataclass
@@ -168,23 +156,21 @@ class Search:
                 share = candidate.initial_cost / consumer_count
                 offer(EMPTY_PROFILE, replace(plan, est_cost=plan.est_cost + share))
             else:
-                offer(_profile_add(EMPTY_PROFILE, candidate.cse_id), plan)
+                offer(self.run.profiles.bits(candidate.cse_id)[0], plan)
 
         # LCA settlement (§5.2): discard single-consumer plans, charge the
         # initial cost once for plans with >= 2 consumers.
         for candidate in ctx.closings.get(group.gid, ()):
-            plans = self._close_candidate(cache_key, plans, candidate)
+            plans = self._close_candidate(plans, candidate)
 
         if not plans:
             raise OptimizerError(f"group g{group.gid} produced no plan")
-        plans = _cap_planset(plans, 200)
         history.plan_cache[cache_key] = plans
         history.cache_pass[cache_key] = history.pass_index
         return plans
 
     def settle(
         self,
-        key: Hashable,
         entries: Dict[Profile, _Entry],
         cse_id: str,
         cost: Callable[[_Entry], float],
@@ -198,26 +184,19 @@ class Search:
         never reads it passes through. One that reads it twice or more is
         replaced by what ``charge`` makes of it under the profile without
         ``cse_id``: the entry with the initial cost ``C_E + C_W`` paid
-        once. The cheapest entry per resulting profile is kept.
-
-        ``key`` names the plan set or fold prefix settled (its §5.4 history
-        key). Settling it again — a pass that does not reuse history
-        recomputes it — discards the same entries, so the discards of each
-        ``(key, cse_id)`` are tallied once."""
-        first = (key, cse_id) not in self.run.settlements
-        self.run.settlements.add((key, cse_id))
+        once. The cheapest entry per resulting profile is kept."""
+        once, twice = self.run.profiles.bits(cse_id)
+        both = once | twice
         settled: Dict[Profile, _Entry] = {}
         for profile, entry in entries.items():
-            uses = _profile_get(profile, cse_id)
-            if uses == 1:
-                if first:
-                    self.run.stats.single_consumer_discards += 1
-                    tallies = self.run.sc_discards
-                    tallies[cse_id] = tallies.get(cse_id, 0) + 1
+            uses = profile & both
+            if uses == once:
+                self.run.stats.single_consumer_discards += 1
+                tallies = self.run.sc_discards
+                tallies[cse_id] = tallies.get(cse_id, 0) + 1
                 continue
-            rest = _profile_without(profile, cse_id)
             for new_profile, new_entry in (
-                charge(rest, entry) if uses else ((rest, entry),)
+                charge(profile ^ uses, entry) if uses else ((profile, entry),)
             ):
                 existing = settled.get(new_profile)
                 if existing is None or cost(new_entry) < cost(existing):
@@ -225,7 +204,7 @@ class Search:
         return settled
 
     def _close_candidate(
-        self, key: Hashable, plans: PlanSet, candidate: CandidateCse
+        self, plans: PlanSet, candidate: CandidateCse
     ) -> PlanSet:
         body_plan = self.body_plan_standalone(candidate)
 
@@ -238,7 +217,7 @@ class Search:
             )
 
         return self.settle(
-            key, plans, candidate.cse_id, attrgetter("est_cost"), charge
+            plans, candidate.cse_id, attrgetter("est_cost"), charge
         )
 
     def spool_body(
@@ -371,13 +350,14 @@ class Search:
         keys = (
             tuple((r, l) for l, r in expr.hash_keys) if swap else expr.hash_keys
         )
+        merge = self.run.profiles.merge
         for left_profile, left_plan in left_set.items():
             for right_profile, right_plan in right_set.items():
                 build, probe = (
                     (right_plan, left_plan) if swap else (left_plan, right_plan)
                 )
                 offer(
-                    _profile_merge(left_profile, right_profile),
+                    merge(left_profile, right_profile),
                     PhysHashJoin(
                         left=build,
                         right=probe,
@@ -478,20 +458,15 @@ class Search:
         return plan
 
     def finalized_top(
-        self, idx: int, tag: str, payload, top: Group, ctx: PassContext
+        self, tag: str, payload, top: Group, ctx: PassContext
     ) -> Tuple[FrozenSet[str], PlanSet]:
-        """One top's plan set with per-query finalization (HAVING, final
-        projection, ORDER BY) already applied.
-
-        Cached by (top index, relevant ids): finalization depends only on
-        the query block and the top's plan set, and the relevant-ids key
-        pins the latter down — so the result is reusable across Step-3
-        passes. Hoisting it here also removes the finalize work from the
-        |combined| × |child plan set| fold loop of root assembly.
+        """One top's relevant ids and plan set with per-query finalization
+        (HAVING, final projection, ORDER BY) already applied — once per
+        profile here, not per pair in root assembly's fold.
 
         Extended queries (surviving outer/semi/anti extensions) fold their
-        extension tops' plan sets into the core's here, so the relevant-ids
-        key is the union over the core and every extension top."""
+        extension tops' plan sets into the core's here, so the relevant ids
+        are the union over the core and every extension top."""
         run = self.run
         ext_entries: Sequence[Tuple[JoinExtension, Group]] = ()
         if tag == "query" and payload.extensions:
@@ -499,10 +474,6 @@ class Search:
         relevant = relevant_ids(run, top, ctx)
         for _ext, ext_top in ext_entries:
             relevant = relevant | relevant_ids(run, ext_top, ctx)
-        key = (idx, relevant)
-        cached = run.history.finalize_cache.get(key)
-        if cached is not None:
-            return relevant, cached
         if ext_entries:
             finalized = self._finalize_extended_query(
                 payload, top, ext_entries, ctx
@@ -520,7 +491,6 @@ class Search:
                 )
                 for profile, plan in self.optimize_group(top, ctx).items()
             }
-        run.history.finalize_cache[key] = finalized
         return relevant, finalized
 
     def _finalize_extended_query(
@@ -546,6 +516,7 @@ class Search:
         # plus every preceding left_outer extension's (null-extended)
         # outputs. Semi/anti joins pass the running set through unchanged.
         running_outputs = tuple(top.required_outputs)
+        merge = self.run.profiles.merge
         for ext, ext_top in ext_entries:
             outputs = running_outputs
             if ext.kind == "left_outer":
@@ -561,7 +532,7 @@ class Search:
                     0,
                 )
                 for profile1, plan1 in ext_set.items():
-                    profile = _profile_merge(profile0, profile1)
+                    profile = merge(profile0, profile1)
                     plan = PhysHashJoin(
                         left=plan0,
                         right=plan1,

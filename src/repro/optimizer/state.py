@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..cse.candidates import CandidateCse
 from ..cse.heuristics import PruneTrace
@@ -22,38 +22,34 @@ from ..obs import MetricsRegistry, active_tracer
 from .memo import Group, Memo
 from .physical import PhysicalPlan
 
-# A usage profile: sorted (cse_id, count) pairs with count in {1, 2};
-# absent means 0 and 2 means "two or more".
-Profile = Tuple[Tuple[str, int], ...]
-EMPTY_PROFILE: Profile = ()
+#: A usage profile: one int over the run's dense candidate indices
+#: (:class:`ProfileSpace`). Bit i means candidate i is read at least once,
+#: bit i + N (N candidates) that it is read at least twice; 0 reads nothing.
+Profile = int
+EMPTY_PROFILE: Profile = 0
 
 
-def _profile_get(profile: Profile, cse_id: str) -> int:
-    for cid, count in profile:
-        if cid == cse_id:
-            return count
-    return 0
+class ProfileSpace:
+    """The usage-profile encoding of one run, minted by Step 2 over its
+    candidates and never seen outside the optimization: plans, events and
+    EXPLAIN name candidates by ``cse_id``."""
 
+    def __init__(self, cse_ids: Sequence[str] = ()) -> None:
+        self.index = {cse_id: i for i, cse_id in enumerate(cse_ids)}
+        #: N: the shift from a candidate's "once" bit to its "twice" bit.
+        self.width = len(self.index)
+        #: every "once" bit.
+        self.low = (1 << self.width) - 1
 
-def _profile_without(profile: Profile, cse_id: str) -> Profile:
-    return tuple((cid, n) for cid, n in profile if cid != cse_id)
+    def bits(self, cse_id: str) -> Tuple[int, int]:
+        """``cse_id``'s "read ≥ 1" and "read ≥ 2" bits."""
+        once = 1 << self.index[cse_id]
+        return once, once << self.width
 
-
-def _profile_add(profile: Profile, cse_id: str, count: int = 1) -> Profile:
-    merged = dict(profile)
-    merged[cse_id] = min(2, merged.get(cse_id, 0) + count)
-    return tuple(sorted(merged.items()))
-
-
-def _profile_merge(left: Profile, right: Profile) -> Profile:
-    if not left:
-        return right
-    if not right:
-        return left
-    merged = dict(left)
-    for cid, count in right:
-        merged[cid] = min(2, merged.get(cid, 0) + count)
-    return tuple(sorted(merged.items()))
+    def merge(self, left: Profile, right: Profile) -> Profile:
+        """The profile of a plan made of ``left``'s and ``right``'s:
+        counts add, capped at two."""
+        return left | right | ((left & right & self.low) << self.width)
 
 
 #: one group's best plan per usage profile; its cost is ``plan.est_cost``.
@@ -71,9 +67,6 @@ class PassContext:
     closings: Dict[int, List[CandidateCse]]
     #: candidates settled at the batch root (cross-query or stacked).
     root_cses: Tuple[CandidateCse, ...]
-    #: ids of the enabled candidates, precomputed once per pass — the
-    #: history cache intersects it with a group footprint per group visit.
-    enabled_ids: FrozenSet[str] = frozenset()
 
 
 #: The pass with nothing enabled: normal optimization, and the standalone
@@ -82,23 +75,17 @@ BASE_PASS = PassContext((), {}, {}, ())
 
 
 class History:
-    """The §5.4 optimization history of one run.
-
-    Per-group plan sets (keyed by gid and the group's candidate footprint ∩
-    the enabled set), finalized per-top plan sets and folded assembly
-    prefixes stay alive across Step-3 passes, so each pass re-optimizes only
-    what its enabled candidates actually changed; the per-pass counters say
-    how much that was."""
+    """The §5.4 optimization history of one run: every group's plan set,
+    keyed by gid and the candidates that can reach the group
+    (:func:`~repro.optimizer.search.relevant_ids`). A group no candidate
+    reaches keeps the key of the base pass, so the Step-3 pass reuses its
+    plan set instead of re-optimizing it; the counters say how often."""
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
         self.plan_cache: Dict[Tuple[int, FrozenSet[str]], PlanSet] = {}
         #: which pass created each plan-cache entry (0 = base pass).
         self.cache_pass: Dict[Tuple[int, FrozenSet[str]], int] = {}
-        #: (top index, relevant ids) -> finalized per-top plan set.
-        self.finalize_cache: Dict[Tuple[int, FrozenSet[str]], Dict] = {}
-        #: assembly-prefix key -> folded combined plan set.
-        self.fold_cache: Dict[Tuple, Dict] = {}
         self.begin_pass(0)
 
     def begin_pass(self, index: int) -> None:
@@ -107,37 +94,25 @@ class History:
         self.hits = 0
         self.misses = 0
         self.reused_gids: Set[int] = set()
-        self.fold_hits = 0
-
-    def wipe(self) -> None:
-        """§5.4 off: forget everything, so the next pass re-optimizes every
-        group from scratch — the naive per-subset loop the paper improves
-        on."""
-        self.plan_cache.clear()
-        self.cache_pass.clear()
-        self.finalize_cache.clear()
-        self.fold_cache.clear()
 
     def end_pass(
-        self, stats: OptimizerStats, subset: FrozenSet[str], seconds: float
+        self, stats: OptimizerStats, enabled: Sequence[str], seconds: float
     ) -> None:
-        """Publish one Step-3 pass's reuse accounting: run stats, the
-        per-pass latency histogram, and a ``history`` trace event."""
+        """Publish the Step-3 pass's reuse accounting: run stats, the pass
+        latency histogram, and a ``history`` trace event."""
         reused = len(self.reused_gids)
         stats.history_hits += self.hits
         stats.history_misses += self.misses
         stats.history_groups_reused += reused
-        stats.history_tops_folded += self.fold_hits
         self.registry.observe("optimizer.history.pass_seconds", seconds)
         total = self.hits + self.misses
         active_tracer().event(
             "history",
             pass_index=self.pass_index,
-            subset=sorted(subset),
+            subset=sorted(enabled),
             groups_reused=reused,
             groups_recomputed=self.misses,
             planset_hits=self.hits,
-            tops_folded=self.fold_hits,
             reuse=round(self.hits / total, 4) if total else 0.0,
             seconds=round(seconds, 6),
         )
@@ -150,8 +125,8 @@ class OptimizerStats:
     optimization_time: float = 0.0
     normal_time: float = 0.0
     cse_time: float = 0.0
-    #: wall time inside the Step-3 enumeration loop proper (a subset of
-    #: ``cse_time``, which also covers Step-2 candidate generation).
+    #: wall time of the Step-3 pass (a part of ``cse_time``, which also
+    #: covers Step-2 candidate generation).
     step3_time: float = 0.0
     est_cost_no_cse: float = 0.0
     est_cost_final: float = 0.0
@@ -162,21 +137,12 @@ class OptimizerStats:
     signature_registrations: int = 0
     memo_groups: int = 0
     single_consumer_discards: int = 0
-    #: §5.4 optimization-history reuse, totalled over Step-3 passes:
-    #: plan-set cache hits / computes, distinct groups whose result was
-    #: created by an *earlier* pass, and query tops folded from a cached
-    #: assembly prefix.
+    #: §5.4 optimization-history reuse in the Step-3 pass: plan-set
+    #: cache hits / computes, and distinct groups whose plan set the base
+    #: pass computed.
     history_hits: int = 0
     history_misses: int = 0
     history_groups_reused: int = 0
-    history_tops_folded: int = 0
-    #: which Step-3 strategy ran: ``"paper"`` (subset enumeration),
-    #: ``"greedy"`` (Roy et al. benefit-ordered selection), or ``""`` when
-    #: Step 3 never ran (no candidates / CSE disabled).
-    strategy: str = ""
-    #: why that strategy was chosen (the ``cse_strategy`` trace event
-    #: carries the same sentence).
-    strategy_reason: str = ""
     used_cses: List[str] = field(default_factory=list)
     candidate_ids: List[str] = field(default_factory=list)
     prune_trace: Optional[PruneTrace] = None
@@ -207,7 +173,6 @@ class OptimizerStats:
             "optimizer.history.hits": self.history_hits,
             "optimizer.history.misses": self.history_misses,
             "optimizer.history.groups_reused": self.history_groups_reused,
-            "optimizer.history.tops_folded": self.history_tops_folded,
         }
         for key, count in self.pruned_per_heuristic().items():
             summary[f"optimizer.pruned_{key.lower()}"] = count
@@ -232,15 +197,14 @@ class OptimizerRun:
     #: per-candidate tally of §5.1 single-consumer discards, feeding the
     #: ``single_consumer`` trace events and rejection verdicts.
     sc_discards: Dict[str, int] = field(default_factory=dict)
-    #: ``(plan-set or fold-prefix key, candidate id)`` of every settlement
-    #: so far: a recomputed one is not tallied again.
-    settlements: Set[Tuple[Hashable, str]] = field(default_factory=set)
     #: candidate id -> §5.1 consumer-match outcome -> count, tallied as
     #: Step 2 emits each ``equiv`` event; the ``verdict`` events report it.
     match_outcomes: Dict[str, Counter] = field(
         default_factory=lambda: defaultdict(Counter)
     )
     candidates_by_id: Dict[str, CandidateCse] = field(default_factory=dict)
+    #: the usage-profile encoding over the candidates (none before Step 2).
+    profiles: ProfileSpace = field(default_factory=ProfileSpace)
     #: candidate id -> query-side / body-side (stacked, §5.5) consumer specs.
     specs: Dict[str, List[ConsumerSpec]] = field(default_factory=dict)
     body_specs: Dict[str, List[ConsumerSpec]] = field(default_factory=dict)

@@ -6,8 +6,8 @@ into the memo and optimized standalone, its consumers are view-matched
 (query-side, and inside other candidates' bodies — stacked CSEs, §5.5), its
 least common ancestor is placed (Definition 5.1, §5.2), and the per-group
 candidate footprints behind the §5.4 history keys are computed.
-:func:`build_pass_context` turns an enabled subset of the result into what one
-Step-3 pass of the search consumes.
+:func:`build_pass_context` turns the result into what the Step-3 pass of the
+search consumes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ from ..equiv import Verdict
 from ..obs import active_registry, active_tracer
 from .memo import Group
 from .search import Search
-from .state import BASE_PASS, EMPTY_PROFILE, OptimizerRun, PassContext
+from .state import (
+    BASE_PASS, EMPTY_PROFILE, OptimizerRun, PassContext, ProfileSpace,
+)
 
 #: §5.2's dynamic LCA: compute the least common ancestor over the consumers
 #: that can actually substitute (matched), not the full constructed set.
@@ -165,6 +167,7 @@ def generate(search: Search, buckets, base_cost: float) -> List[CandidateCse]:
         candidates.append(candidate)
 
     run.candidates_by_id = {c.cse_id: c for c in candidates}
+    run.profiles = ProfileSpace([c.cse_id for c in candidates])
     # Consumer specs (query-side), then stacked consumers (§5.5).
     for candidate in candidates:
         specs = run.specs[candidate.cse_id] = []
@@ -294,5 +297,4 @@ def build_pass_context(
         substitutions=substitutions,
         closings=closings,
         root_cses=tuple(root_cses),
-        enabled_ids=frozenset(c.cse_id for c in enabled),
     )

@@ -340,7 +340,6 @@ class SharedBatchCoordinator:
                 queries=len(names),
                 spools=run.pool.published,
                 cache_hit=cache_hit,
-                strategy=result.stats.strategy or "paper",
             )
             return run
 

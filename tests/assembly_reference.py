@@ -19,19 +19,24 @@ import math
 from typing import Dict, FrozenSet, List, Tuple
 
 from repro.optimizer.search import Search
-from repro.optimizer.state import EMPTY_PROFILE, PassContext, Profile, _profile_merge
+from repro.optimizer.state import EMPTY_PROFILE, PassContext, Profile, ProfileSpace
 
 
-def _profile_support(profile: Profile) -> FrozenSet[str]:
+def uses(space: ProfileSpace, profile: Profile, cse_id: str) -> int:
+    """How often ``profile`` reads ``cse_id``: 0, 1, or 2 (two or more)."""
+    once, twice = space.bits(cse_id)
+    return bool(profile & once) + bool(profile & twice)
+
+
+def support(space: ProfileSpace, profile: Profile) -> FrozenSet[str]:
     """The spools a plan with usage ``profile`` reads at least once."""
-    return frozenset(cid for cid, _ in profile)
+    return frozenset(cid for cid in space.index if uses(space, profile, cid))
 
 
 def _dominates(kept: Tuple[Profile, float], entry: Tuple[Profile, float]) -> bool:
-    kept_counts = dict(kept[0])
-    return kept[1] <= entry[1] and all(
-        kept_counts.get(cid, 0) >= n for cid, n in entry[0]
-    )
+    """``kept`` is no dearer and reads every spool at least as often (a
+    profile's "read ≥ 1" and "read ≥ 2" bits are counts in unary)."""
+    return kept[1] <= entry[1] and entry[0] & ~kept[0] == 0
 
 
 def reference_root_cost(search: Search, ctx: PassContext) -> float:
@@ -39,13 +44,14 @@ def reference_root_cost(search: Search, ctx: PassContext) -> float:
     search over which root candidates to materialize. Reads the search's
     plan sets; tallies nothing."""
     run = search.run
+    space = run.profiles
     combined: Dict[Profile, float] = {EMPTY_PROFILE: 0.0}
-    for idx, (tag, payload, top) in enumerate(run.tops):
-        _, finalized = search.finalized_top(idx, tag, payload, top, ctx)
+    for tag, payload, top in run.tops:
+        _, finalized = search.finalized_top(tag, payload, top, ctx)
         folded: Dict[Profile, float] = {}
         for profile0, cost0 in combined.items():
             for profile1, plan in finalized.items():
-                profile = _profile_merge(profile0, profile1)
+                profile = space.merge(profile0, profile1)
                 cost = cost0 + plan.est_cost
                 if cost < folded.get(profile, math.inf):
                     folded[profile] = cost
@@ -75,7 +81,7 @@ def reference_root_cost(search: Search, ctx: PassContext) -> float:
                 valid = sorted(
                     (
                         option for option in body_options[cid]
-                        if _profile_support(option[0]) <= active
+                        if support(space, option[0]) <= active
                     ),
                     key=lambda option: option[1],
                 )
@@ -85,13 +91,12 @@ def reference_root_cost(search: Search, ctx: PassContext) -> float:
                         kept.append(option)
                 per_body.append(kept)
             for profile, cost in combined.items():
-                if not _profile_support(profile) <= active:
+                if not support(space, profile) <= active:
                     continue
                 for combo in itertools.product(*per_body):
-                    counts = dict(profile)
+                    counts = profile
                     for body_profile, _ in combo:
-                        for cid, n in body_profile:
-                            counts[cid] = min(2, counts.get(cid, 0) + n)
-                    if all(counts.get(cid, 0) >= 2 for cid in active):
+                        counts = space.merge(counts, body_profile)
+                    if all(uses(space, counts, cid) == 2 for cid in active):
                         best = min(best, cost + sum(c for _, c in combo))
     return best

@@ -97,7 +97,7 @@ def random_batch(draw):
 OPTION_SETS = [
     (OptimizerOptions(), False),
     (OptimizerOptions(enable_cse=False), False),
-    (OptimizerOptions(enable_heuristics=False, max_cse_optimizations=8), False),
+    (OptimizerOptions(enable_heuristics=False), False),
     (OptimizerOptions(), True),
 ]
 

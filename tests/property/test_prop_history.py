@@ -1,23 +1,20 @@
-"""Property suite: §5.4 optimization-history reuse is invisible except
-for speed.
+"""Property suite: §5.4 reuse of the base pass's plan sets is invisible
+except for speed.
 
-For 200 seed-determined random SPJG batches (the same generator the plan
-cache suite uses), optimizing with history reuse on and off must agree on
-everything observable:
+The Step-3 pass finds the plan set of every group no candidate reaches in
+the history the base pass filled. For 200 seed-determined random SPJG
+batches, optimizing once that way and once with the Step-3 pass started
+on a fresh plan cache must agree on everything observable:
 
-* identical final estimated cost;
-* identical chosen candidate set (``used_cses``) and a byte-identical
-  plan bundle (same :meth:`PlanBundle.fingerprint`);
-* identical executed rows — and both match the reference-executor
-  oracle, so reuse cannot hide a shared wrong answer.
-
-The history cache may only change *how much work* Step 3 does, never
-*which plans* it finds: both modes run the same deterministic DP, and a
-cache hit returns a result the off mode would recompute identically.
+* identical final estimated cost, used CSEs and §5.2 discard tallies;
+* a byte-identical plan bundle (same :meth:`PlanBundle.fingerprint`);
+* identical executed rows, which also match the reference-executor
+  oracle on every 5th seed, so reuse cannot hide a shared wrong answer.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from unittest.mock import patch
 
 import pytest
@@ -27,6 +24,7 @@ from repro.catalog.tpch import build_tpch_database
 from repro.executor.reference import evaluate_batch
 from repro.optimizer import engine
 from repro.workloads import random_spjg_batch
+
 
 #: read-only database shared by all seeds.
 DB = build_tpch_database(scale_factor=0.0005)
@@ -38,10 +36,34 @@ SEEDS = range(200)
 EXECUTION_SEEDS = range(0, 200, 5)
 
 
-def _reuse(reuse: bool):
-    """Run the enclosed optimizations with history reuse on or off (a
-    fresh session per call: the switch is not part of the plan-cache key)."""
-    return patch.object(engine, "REUSE_HISTORY", reuse)
+@contextmanager
+def fresh_plan_cache():
+    """Optimizations inside start their Step-3 pass on an empty plan
+    cache, so every group is optimized again instead of reused."""
+    run_pass = engine.Optimizer._run_pass
+
+    def fresh(self, search, candidates):
+        search.run.history.plan_cache.clear()
+        search.run.history.cache_pass.clear()
+        return run_pass(self, search, candidates)
+
+    with patch.object(engine.Optimizer, "_run_pass", fresh):
+        yield
+
+
+def assert_reuse_invisible(reused, fresh, runs=None):
+    """Two optimizations of one batch, with and without reuse, agree."""
+    assert reused.stats.est_cost_final == fresh.stats.est_cost_final
+    assert reused.stats.used_cses == fresh.stats.used_cses
+    assert reused.bundle.fingerprint() == fresh.bundle.fingerprint()
+    assert reused.bundle.describe() == fresh.bundle.describe()
+    assert (
+        reused.stats.single_consumer_discards
+        == fresh.stats.single_consumer_discards
+    )
+    assert fresh.stats.history_groups_reused == 0
+    if runs is not None:
+        assert runs[0].sc_discards == runs[1].sc_discards
 
 
 def _normalize(rows):
@@ -57,35 +79,31 @@ def _normalize(rows):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_history_reuse_plans_identical(seed):
     sql = random_spjg_batch(seed)
-    on = Session(DB).optimize(sql)
-    with _reuse(False):
-        off = Session(DB).optimize(sql)
-    assert on.stats.est_cost_final == off.stats.est_cost_final
-    assert on.stats.used_cses == off.stats.used_cses
-    assert on.bundle.fingerprint() == off.bundle.fingerprint()
-    assert on.bundle.describe() == off.bundle.describe()
-    # Off mode never carries group results across passes, by construction.
-    assert off.stats.history_groups_reused == 0
+    reused = Session(DB).optimize(sql)
+    with fresh_plan_cache():
+        fresh = Session(DB).optimize(sql)
+    assert_reuse_invisible(reused, fresh)
 
 
 @pytest.mark.parametrize("seed", EXECUTION_SEEDS)
 def test_history_reuse_rows_match_oracle(seed):
     sql = random_spjg_batch(seed)
-    results = {}
+    results = []
     for reuse in (True, False):
         session = Session(DB)
         batch = session.bind(sql)
-        with _reuse(reuse):
+        if reuse:
             outcome = session.execute(batch)
-        results[reuse] = {
+        else:
+            with fresh_plan_cache():
+                outcome = session.execute(batch)
+        results.append({
             query.name: _normalize(outcome.execution.query(query.name).rows)
             for query in batch.queries
-        }
-    assert results[True] == results[False]
-    session = Session(DB)
-    batch = session.bind(sql)
-    oracle = evaluate_batch(session.database, batch)
-    for name, rows in results[True].items():
+        })
+    assert results[0] == results[1]
+    oracle = evaluate_batch(DB, batch)
+    for name, rows in results[0].items():
         assert rows == _normalize(oracle[name]), (
             f"{name} diverges from the reference executor for:\n{sql}"
         )

@@ -31,7 +31,7 @@ CHUNK = 20
 OPTION_SETS = [
     OptimizerOptions(),
     OptimizerOptions(enable_cse=False),
-    OptimizerOptions(enable_heuristics=False, max_cse_optimizations=8),
+    OptimizerOptions(enable_heuristics=False),
 ]
 
 

@@ -1,19 +1,13 @@
-"""Unit tests for optimizer-engine internals: usage profiles, planset caps,
+"""Unit tests for optimizer-engine internals: usage profiles, plan sets,
 spool topological ordering, bundle utilities."""
 
 import pytest
 
+from repro import OptimizerOptions, Session
 from repro.errors import OptimizerError
-from repro.logical.blocks import OutputColumn
 from repro.optimizer.assembly import _toposort_spools
-from repro.optimizer.search import _cap_planset
-from repro.optimizer.state import (
-    EMPTY_PROFILE,
-    _profile_add,
-    _profile_get,
-    _profile_merge,
-    _profile_without,
-)
+from repro.optimizer.engine import Optimizer
+from repro.optimizer.state import EMPTY_PROFILE, ProfileSpace
 from repro.optimizer.physical import (
     PhysProject,
     PhysScan,
@@ -21,79 +15,81 @@ from repro.optimizer.physical import (
     PhysicalPlan,
 )
 from repro.expr.expressions import TableRef
+from repro.workloads import complex_join_batch
 
-from .assembly_reference import _profile_support
+from .assembly_reference import support, uses
+
+SPACE = ProfileSpace(["E1", "E2", "E3"])
+
+
+def _read(profile, cse_id):
+    """``profile`` with one more read of ``cse_id``."""
+    return SPACE.merge(profile, SPACE.bits(cse_id)[0])
 
 
 class TestProfiles:
     def test_empty(self):
-        assert _profile_get(EMPTY_PROFILE, "E1") == 0
-        assert _profile_support(EMPTY_PROFILE) == frozenset()
+        assert EMPTY_PROFILE == 0
+        assert uses(SPACE, EMPTY_PROFILE, "E1") == 0
+        assert support(SPACE, EMPTY_PROFILE) == frozenset()
 
     def test_add_and_get(self):
-        profile = _profile_add(EMPTY_PROFILE, "E1")
-        assert _profile_get(profile, "E1") == 1
-        assert _profile_get(profile, "E2") == 0
+        profile = _read(EMPTY_PROFILE, "E2")
+        assert profile == 0b000010
+        assert uses(SPACE, profile, "E2") == 1
+        assert uses(SPACE, profile, "E1") == 0
 
     def test_add_caps_at_two(self):
         profile = EMPTY_PROFILE
         for _ in range(5):
-            profile = _profile_add(profile, "E1")
-        assert _profile_get(profile, "E1") == 2
+            profile = _read(profile, "E1")
+        assert profile == 0b001001  # "read >= 1" and "read >= 2"
+        assert uses(SPACE, profile, "E1") == 2
 
     def test_merge_sums_and_caps(self):
-        left = _profile_add(EMPTY_PROFILE, "E1")
-        right = _profile_add(_profile_add(EMPTY_PROFILE, "E1"), "E2")
-        merged = _profile_merge(left, right)
-        assert _profile_get(merged, "E1") == 2
-        assert _profile_get(merged, "E2") == 1
+        left = _read(EMPTY_PROFILE, "E1")
+        right = _read(_read(EMPTY_PROFILE, "E1"), "E2")
+        merged = SPACE.merge(left, right)
+        assert uses(SPACE, merged, "E1") == 2
+        assert uses(SPACE, merged, "E2") == 1
+        twice = _read(_read(EMPTY_PROFILE, "E3"), "E3")
+        assert SPACE.merge(twice, twice) == twice
 
     def test_merge_identity(self):
-        profile = _profile_add(EMPTY_PROFILE, "E1")
-        assert _profile_merge(profile, EMPTY_PROFILE) == profile
-        assert _profile_merge(EMPTY_PROFILE, profile) == profile
+        profile = _read(_read(EMPTY_PROFILE, "E1"), "E1")
+        assert SPACE.merge(profile, EMPTY_PROFILE) == profile
+        assert SPACE.merge(EMPTY_PROFILE, profile) == profile
 
     def test_without(self):
-        profile = _profile_add(_profile_add(EMPTY_PROFILE, "E1"), "E2")
-        stripped = _profile_without(profile, "E1")
-        assert _profile_get(stripped, "E1") == 0
-        assert _profile_get(stripped, "E2") == 1
+        profile = _read(_read(_read(EMPTY_PROFILE, "E1"), "E1"), "E2")
+        once, twice = SPACE.bits("E1")
+        stripped = profile & ~(once | twice)
+        assert uses(SPACE, stripped, "E1") == 0
+        assert uses(SPACE, stripped, "E2") == 1
 
     def test_canonical_ordering(self):
-        a = _profile_add(_profile_add(EMPTY_PROFILE, "E2"), "E1")
-        b = _profile_add(_profile_add(EMPTY_PROFILE, "E1"), "E2")
-        assert a == b  # sorted tuples: order of insertion irrelevant
+        a = _read(_read(EMPTY_PROFILE, "E2"), "E1")
+        b = _read(_read(EMPTY_PROFILE, "E1"), "E2")
+        assert a == b  # one int per count vector, whatever the read order
 
     def test_support(self):
-        profile = _profile_add(_profile_add(EMPTY_PROFILE, "E1"), "E2")
-        assert _profile_support(profile) == frozenset({"E1", "E2"})
+        profile = _read(_read(_read(EMPTY_PROFILE, "E1"), "E1"), "E3")
+        assert support(SPACE, profile) == frozenset({"E1", "E3"})
 
 
-class TestCapPlanset:
-    def _plans(self, count):
-        region = TableRef("region", 1)
-        plans = {}
-        for i in range(count):
-            profile = _profile_add(EMPTY_PROFILE, f"E{i}")
-            plans[profile] = PhysScan(region, (), (), est_cost=float(i))
-        plans[EMPTY_PROFILE] = PhysScan(region, (), (), est_cost=999.0)
-        return plans
-
-    def test_under_limit_unchanged(self):
-        plans = self._plans(5)
-        assert _cap_planset(plans, 100) is plans
-
-    def test_over_limit_keeps_cheapest(self):
-        plans = self._plans(50)
-        capped = _cap_planset(plans, 10)
-        assert len(capped) <= 10
-        cheapest = _profile_add(EMPTY_PROFILE, "E0")
-        assert cheapest in capped
-
-    def test_base_plan_always_survives(self):
-        plans = self._plans(50)  # EMPTY is the most expensive
-        capped = _cap_planset(plans, 10)
-        assert EMPTY_PROFILE in capped
+class TestPlanSets:
+    def test_large_plan_set_keeps_every_profile(self, small_db):
+        """Heuristics off, the 8-table joins' plan sets pass 200 profiles;
+        none is dropped for size (each plan set holds one plan per profile
+        the search offered)."""
+        options = OptimizerOptions(enable_heuristics=False)
+        optimizer = Optimizer(small_db, options)
+        batch = Session(small_db, options).bind(complex_join_batch())
+        _, run = optimizer.optimize_with_run(batch)
+        sizes = [len(plans) for plans in run.history.plan_cache.values()]
+        assert max(sizes) > 200
+        for plans in run.history.plan_cache.values():
+            assert EMPTY_PROFILE in plans
 
 
 class TestToposortSpools:

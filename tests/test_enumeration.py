@@ -1,15 +1,10 @@
-"""Unit tests for candidate-subset enumeration (paper §5.3, Props 5.4-5.6)."""
+"""Unit tests for the candidate-subset enumeration oracle (paper §5.3,
+Props 5.4-5.6)."""
 
-import pytest
+from repro.optimizer.memo import Group
 
-from repro.cse.candidates import CandidateCse
-from repro.cse.construct import CseDefinition
-from repro.optimizer.selection import SubsetEnumerator, competing
-from repro.cse.signature import TableSignature
-from repro.logical.blocks import QueryBlock
-from repro.optimizer.cardinality import CardinalityEstimator
-from repro.optimizer.memo import Group, Memo, RootExpr
-from repro.optimizer.options import OptimizerOptions
+from .selection_reference import SubsetEnumerator, competing
+from .selection_reference import synthetic_candidate as _candidate
 
 
 class _FakeMemo:
@@ -37,22 +32,6 @@ class _FakeMemo:
 
     def descendants(self, group):
         return self._desc[group.gid]
-
-
-def _candidate(cse_id, lca_gid):
-    definition = CseDefinition(
-        cse_id=cse_id,
-        signature=TableSignature(False, ("t",)),
-        block=None,  # type: ignore[arg-type]
-        outputs=(),
-        consumer_groups=[],
-        joint_equalities=(),
-        covering_conjuncts=(),
-        state=None,  # type: ignore[arg-type]
-    )
-    candidate = CandidateCse(definition=definition)
-    candidate.lca_gid = lca_gid
-    return candidate
 
 
 class TestCompeting:

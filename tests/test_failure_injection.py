@@ -1,6 +1,7 @@
 """Failure injection: the engine must fail loudly and precisely, never
 silently return wrong results."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -241,8 +242,10 @@ class TestDataIntegrityFailures:
 
 class TestOptimizerGuards:
     def test_negative_max_cse_optimizations(self):
-        with pytest.raises(ValueError):
-            OptimizerOptions(max_cse_optimizations=-1)
+        """Step 3 is one pass, so there is no pass cap left to set to a
+        bad value."""
+        fields = {f.name for f in dataclasses.fields(OptimizerOptions)}
+        assert "max_cse_optimizations" not in fields
 
     def test_empty_batch(self, tiny_session):
         from repro.errors import ParseError

@@ -1,4 +1,4 @@
-"""Unit tests for greedy Step-3 selection (Roy et al., cs/9910021) on
+"""Unit tests for the greedy Step-3 oracle (Roy et al., cs/9910021) on
 synthetic cost surfaces: ``greedy_select`` sees the engine only through
 ``run_pass``, so a dict from enabled subsets to plan costs stands in for
 the optimizer."""
@@ -7,33 +7,10 @@ from typing import Dict, FrozenSet, List
 
 import pytest
 
-from repro.cse.candidates import CandidateCse
-from repro.cse.construct import CseDefinition
-from repro.cse.signature import TableSignature
-from repro.obs import MetricsRegistry, Tracer, use_tracer
-from repro.optimizer.selection import definition_benefit, greedy_select
+from .selection_reference import definition_benefit, greedy_select
+from .selection_reference import synthetic_candidate as _candidate
 
 BASE = 1000.0
-
-
-def _candidate(
-    cse_id: str, consumers: int, body: float, write: float = 0.0,
-    read: float = 0.0,
-) -> CandidateCse:
-    definition = CseDefinition(
-        cse_id=cse_id,
-        signature=TableSignature(False, ("t",)),
-        block=None,  # type: ignore[arg-type]
-        outputs=(),
-        consumer_groups=[None] * consumers,  # type: ignore[list-item]
-        joint_equalities=(),
-        covering_conjuncts=(),
-        state=None,  # type: ignore[arg-type]
-    )
-    return CandidateCse(
-        definition=definition, body_cost=body, write_cost=write,
-        read_cost=read,
-    )
 
 
 class Surface:
@@ -52,10 +29,9 @@ def _ids(*names: str) -> FrozenSet[str]:
     return frozenset(names)
 
 
-def _select(candidates, surface, max_evaluations=64, registry=None):
+def _select(candidates, surface, max_evaluations=64, picks=None):
     return greedy_select(
-        candidates, BASE, frozenset(), surface, max_evaluations,
-        lambda: None, registry or MetricsRegistry(enabled=False),
+        candidates, BASE, frozenset(), surface, max_evaluations, picks
     )
 
 
@@ -89,14 +65,12 @@ def test_stale_entries_are_re_evaluated_against_the_selection():
         # B's marginal benefit shrinks to 30 once A is selected.
         _ids("A", "B"): BASE - 80.0,
     })
-    tracer = Tracer()
-    with use_tracer(tracer):
-        cost, bundle = _select([a, b], surface)
+    picks = []
+    cost, bundle = _select([a, b], surface, picks=picks)
     # B was evaluated alone before A's acceptance made that stale; it is
     # evaluated again with A enabled, never against the old selection.
     assert surface.calls == [_ids("A"), _ids("B"), _ids("A", "B")]
     assert (cost, bundle) == (BASE - 80.0, _ids("A", "B"))
-    picks = [e.attrs for e in tracer.events if e.name == "greedy_pick"]
     assert picks == [
         {"cse_id": "A", "benefit": 50.0, "cost": BASE - 50.0, "rank": 1,
          "evaluations": 2},
@@ -125,13 +99,10 @@ def test_ties_break_on_candidate_id():
         _ids("E2"): BASE - 20.0,
         _ids("E1", "E2"): BASE - 40.0,
     })
-    tracer = Tracer()
-    with use_tracer(tracer):
-        _select([e2, e1], surface)
+    picks = []
+    _select([e2, e1], surface, picks=picks)
     assert surface.calls[:2] == [_ids("E1"), _ids("E2")]
-    assert [
-        e.attrs["cse_id"] for e in tracer.events if e.name == "greedy_pick"
-    ] == ["E1", "E2"]
+    assert [pick["cse_id"] for pick in picks] == ["E1", "E2"]
 
 
 @pytest.mark.parametrize("max_evaluations", [0, 1, 2, 3])
@@ -146,16 +117,14 @@ def test_never_exceeds_max_evaluations(max_evaluations):
         subset = frozenset(f"E{i}" for i in range(5) if mask >> i & 1)
         costs[subset] = BASE - 10.0 * len(subset) + len(subset) ** 2
     surface = Surface(costs)
-    registry = MetricsRegistry()
-    cost, _ = _select(candidates, surface, max_evaluations, registry)
+    cost, _ = _select(candidates, surface, max_evaluations)
     assert len(surface.calls) <= max_evaluations
-    counters = registry.snapshot()["counters"]
-    assert counters.get("strategy.greedy.evaluations", 0) == len(surface.calls)
     if max_evaluations == 0:
         assert cost == BASE
 
 
 def test_one_greedy_pick_event_per_acceptance():
+    """One pick record per accepted candidate, and none otherwise."""
     candidates = [
         _candidate(f"E{i}", consumers=2, body=10.0 * (i + 1))
         for i in range(4)
@@ -168,13 +137,8 @@ def test_one_greedy_pick_event_per_acceptance():
             7.0 * len(subset & _ids("E2", "E3"))
         )
     surface = Surface(costs)
-    registry, tracer = MetricsRegistry(), Tracer()
-    with use_tracer(tracer):
-        cost, bundle = _select(candidates, surface, registry=registry)
-    picks = [e.attrs for e in tracer.events if e.name == "greedy_pick"]
+    picks = []
+    cost, bundle = _select(candidates, surface, picks=picks)
     assert sorted(p["cse_id"] for p in picks) == ["E0", "E1"] == sorted(bundle)
     assert [p["rank"] for p in picks] == [1, 2]
     assert picks[-1]["cost"] == cost == BASE - 10.0
-    counters = registry.snapshot()["counters"]
-    assert counters["strategy.greedy.selected"] == len(picks)
-    assert [e.name for e in tracer.events] == ["greedy_pick"] * len(picks)

@@ -1,18 +1,20 @@
-"""§5.4 optimization-history reuse: footprints, cache behaviour, and
+"""§5.4 optimization history: footprints, base-pass reuse, and
 instrumentation.
 
-The cross-pass history cache must be invisible in every observable plan
-property (covered property-wise in ``tests/property/test_prop_history.py``)
-while actually skipping work — these tests pin down the mechanism: the
-footprint computation agrees with the descendant-walk oracle, reused
-passes carry group results forward, the counters/trace-event/EXPLAIN surfaces
-report it, and the governor's deadline stays live with reuse enabled.
+The Step-3 pass reuses the base pass's plan set of every group no
+candidate reaches. That must be invisible in every observable plan
+property (``tests/property/test_prop_history.py`` checks it over random
+batches, against a Step-3 pass on a fresh plan cache) while actually
+skipping work. These tests pin down the mechanism: the footprints agree
+with a descendant-walk oracle, the pass carries group results forward,
+the counters, trace events and EXPLAIN report it, and the governor's
+deadline stays live.
 """
 
 from __future__ import annotations
 
 import time
-from unittest.mock import patch
+from contextlib import nullcontext
 
 import pytest
 
@@ -21,19 +23,18 @@ from repro.catalog.tpch import build_tpch_database
 from repro.cli import _options, build_parser
 from repro.errors import OptimizerTimeoutError
 from repro.obs import MetricsRegistry, Tracer
-from repro.optimizer import engine
 from repro.optimizer.engine import Optimizer
 from repro.optimizer.search import relevant_ids
 from repro.optimizer.step2 import build_pass_context
 from repro.sql.binder import bind_sql
 from repro.workloads import adapted_batch, independent_pairs_batch, scaleup_batch
 
+from .property.test_prop_history import assert_reuse_invisible, fresh_plan_cache
 from .test_stacked import STACKED_SQL
 
 DB = build_tpch_database(scale_factor=0.002)
 
-#: a workload with several interacting candidates (≥3) and multiple
-#: Step-3 passes — the regime §5.4 exists for.
+#: a workload with several interacting candidates (≥3).
 MULTI_SQL = scaleup_batch(8)
 
 
@@ -54,7 +55,7 @@ def _optimize(
         tracer=tracer,
         deadline=deadline,
     )
-    with patch.object(engine, "REUSE_HISTORY", reuse):
+    with nullcontext() if reuse else fresh_plan_cache():
         result, run = optimizer.optimize_with_run(batch)
     return run, result
 
@@ -62,14 +63,7 @@ def _optimize(
 def _assert_on_off_identical(**batch):
     run_on, on = _optimize(True, **batch)
     run_off, off = _optimize(False, **batch)
-    assert on.stats.est_cost_final == off.stats.est_cost_final
-    assert on.stats.used_cses == off.stats.used_cses
-    assert on.bundle.fingerprint() == off.bundle.fingerprint()
-    assert on.bundle.describe() == off.bundle.describe()
-    # A recomputed plan set or fold prefix discards what it discarded the
-    # first time: §5.2's tallies do not depend on reuse either.
-    assert on.stats.single_consumer_discards == off.stats.single_consumer_discards
-    assert run_on.sc_discards == run_off.sc_discards
+    assert_reuse_invisible(on, off, (run_on, run_off))
 
 
 def relevant_ids_slow(run, group, ctx):
@@ -97,8 +91,8 @@ class TestFootprints:
 
     def test_candidate_free_groups_have_empty_footprints(self):
         """A group whose subtree contains no consumer of any candidate
-        has an empty footprint — its base-pass plan set serves every
-        Step-3 pass (key (gid, frozenset()) never varies)."""
+        has an empty footprint — its base-pass plan set serves the Step-3
+        pass (key (gid, frozenset()) never varies)."""
         run, result = _optimize(True)
         consumer_gids = set()
         for gids in run.consumer_gids.values():
@@ -126,15 +120,15 @@ class TestFootprints:
 class TestReuseBehaviour:
     def test_multi_candidate_passes_reuse_groups(self):
         _, on = _optimize(True)
-        assert on.stats.cse_optimizations >= 2
+        assert len(on.candidates) >= 3
+        assert on.stats.cse_optimizations == 1
         assert on.stats.history_groups_reused > 0
         assert on.stats.history_hits > 0
 
     def test_off_mode_never_reuses_across_passes(self):
         _, off = _optimize(False)
-        assert off.stats.cse_optimizations >= 2
+        assert off.stats.cse_optimizations == 1
         assert off.stats.history_groups_reused == 0
-        assert off.stats.history_tops_folded == 0
 
     def test_on_off_bundles_identical(self):
         _assert_on_off_identical()
@@ -149,9 +143,9 @@ class TestReuseBehaviour:
         ids=["stacked", "tpch_all_no_heuristics", "independent_pairs_no_heuristics"],
     )
     def test_on_off_bundles_identical_at_the_root(self, sql, heuristics):
-        """Root candidates settle inside the fold, so a cached fold prefix
-        is keyed by what its steps settled too: reusing it must change
-        nothing, with stacked bodies and with ten root candidates."""
+        """Root candidates settle inside the fold over reused and
+        recomputed plan sets alike: reuse must change nothing, with
+        stacked bodies and with ten root candidates."""
         _assert_on_off_identical(
             sql=sql, options=OptimizerOptions(enable_heuristics=heuristics)
         )
@@ -162,12 +156,13 @@ class TestReuseBehaviour:
         assert off.stats.history_misses > on.stats.history_misses
 
     def test_deadline_still_enforced_with_reuse_on(self):
+        """An expired deadline stops the run before the Step-3 pass."""
         with pytest.raises(OptimizerTimeoutError):
             _optimize(True, deadline=time.monotonic() - 1.0)
 
     def test_deadline_enforced_mid_step3(self):
         """A deadline that expires during Step 3 must abort the run even
-        when most group lookups come from history."""
+        when most group lookups come from the base pass's plan sets."""
         session = Session(DB, OptimizerOptions())
         batch = session.bind(MULTI_SQL)
         probe = Optimizer(DB, OptimizerOptions())
@@ -203,13 +198,11 @@ class TestInstrumentation:
             tracer = Tracer()
             _, result = _optimize(reuse, tracer=tracer)
             events = [e.attrs for e in tracer.events if e.name == "history"]
-            assert len(events) == result.stats.cse_optimizations
-            for index, event in enumerate(events, start=1):
-                assert event["pass_index"] == index
-                assert event["subset"]
-                assert event["seconds"] >= 0.0
-                if not reuse:
-                    assert event["groups_reused"] == 0
+            assert len(events) == result.stats.cse_optimizations == 1
+            assert events[0]["pass_index"] == 1
+            assert events[0]["subset"] == sorted(result.stats.candidate_ids)
+            assert events[0]["seconds"] >= 0.0
+            assert (events[0]["groups_reused"] > 0) == reuse
 
     def test_explain_why_reports_reuse(self):
         session = Session(DB, OptimizerOptions())
@@ -221,11 +214,12 @@ class TestInstrumentation:
 
 class TestCliFlag:
     def test_flag_composes_with_mode_flags(self):
+        """No flag chooses how Step 3 runs: the mode flags alone set the
+        options, and the removed ``--cse-strategy`` is an argparse error."""
         parser = build_parser()
-        args = parser.parse_args(
-            ["query", "--no-heuristics", "--cse-strategy", "greedy", "select 1"]
-        )
-        options = _options(args)
-        assert options.enable_heuristics is False
-        assert options.max_cse_optimizations == 16
-        assert options.cse_strategy == "greedy"
+        args = parser.parse_args(["query", "--no-heuristics", "select 1"])
+        assert _options(args) == OptimizerOptions(enable_heuristics=False)
+        with pytest.raises(SystemExit):
+            parser.parse_args(
+                ["query", "--cse-strategy", "greedy", "select 1"]
+            )

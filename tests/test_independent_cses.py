@@ -11,10 +11,11 @@ query subtrees — genuinely independent per Definition 5.2.
 import pytest
 
 from repro import OptimizerOptions, Session
-from repro.optimizer.selection import SubsetEnumerator, competing
 from repro.executor.reference import evaluate_batch
 from repro.optimizer.engine import Optimizer
 from repro.sql.binder import bind_batch
+
+from .selection_reference import SubsetEnumerator, competing
 
 #: Query 1: the customer⋈orders join appears twice internally.
 #: Query 2: the nation⋈customer join appears twice internally.
@@ -36,7 +37,7 @@ SQL = (
 def optimized(small_db):
     optimizer = Optimizer(
         small_db,
-        OptimizerOptions(enable_heuristics=False, max_cse_optimizations=32),
+        OptimizerOptions(enable_heuristics=False),
     )
     batch = bind_batch(small_db.catalog, SQL)
     result, run = optimizer.optimize_with_run(batch)
@@ -83,7 +84,8 @@ class TestIndependence:
 
     def test_prop54_cuts_passes_for_independent_pair(self, optimized):
         """With two independent candidates, the enumerator stops after the
-        first pass when both decisions resolve (Prop 5.4)."""
+        first pass when both decisions resolve (Prop 5.4). The enumerator is
+        the §5.3 oracle of ``tests/selection_reference.py``."""
         run, result = optimized
         memo = run.memo
         independent = []

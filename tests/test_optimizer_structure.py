@@ -1,9 +1,10 @@
 """The shape of ``repro.optimizer``: the Figure-1 driver (``engine.py``) over
 three modules — search, Step-2 orchestration, root assembly — that share one
-explicit run state, with Step 3 behind ``selection.select``. AST and
-line-count checks, so the split cannot quietly grow back together; and the
-configuration surface — four ``OptimizerOptions`` fields, every ablation
-switch a module constant read at call time."""
+explicit run state; Step 3 is one full-set pass. AST and line-count checks,
+so the split cannot quietly grow back together, nor a second Step-3
+strategy back beside the pass; and the configuration surface — two
+``OptimizerOptions`` fields, every ablation switch a module constant read
+at call time."""
 
 from __future__ import annotations
 
@@ -20,15 +21,15 @@ import pytest
 import repro.optimizer
 from repro import OptimizerOptions, Session
 from repro.cse import heuristics
-from repro.optimizer import engine, memo, search, step2
+from repro.optimizer import memo, search, step2
 from repro.optimizer.engine import Optimizer
 from repro.optimizer.memo import AggItem, Memo
-from repro.workloads import example1_batch, example1_with_q4, scaleup_batch
+from repro.workloads import example1_batch, example1_with_q4
 
 PACKAGE = Path(repro.optimizer.__file__).parent
 SRC = PACKAGE.parent.parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
-SPLIT = ("engine", "search", "step2", "assembly", "selection", "state")
+SPLIT = ("engine", "search", "step2", "assembly", "state")
 
 
 def _tree(module: str) -> ast.Module:
@@ -98,10 +99,9 @@ def test_module_sizes():
 
 
 def test_layering():
-    """Selection knows nothing of how a pass is run; the search nothing of
-    who drives it or what is assembled from it."""
-    assert not _sibling_imports("selection") & {"engine", "search", "assembly", "step2"}
-    assert not _sibling_imports("search") & {"engine", "selection", "assembly", "step2"}
+    """The search knows nothing of who drives it or what is assembled from
+    it."""
+    assert not _sibling_imports("search") & {"engine", "assembly", "step2"}
     assert not _sibling_imports("state") & set(SPLIT)
     assert "engine" not in _sibling_imports("step2") | _sibling_imports("assembly")
 
@@ -172,7 +172,6 @@ CONSTANTS = {
     "PREAGG": "optimizer/memo.py",
     "DYNAMIC_LCA": "optimizer/step2.py",
     "STACKED": "optimizer/step2.py",
-    "REUSE_HISTORY": "optimizer/engine.py",
     "NAIVE_COST_SPLIT": "optimizer/search.py",
     "ALPHA": "cse/heuristics.py",
     "BETA": "cse/heuristics.py",
@@ -180,9 +179,47 @@ CONSTANTS = {
 
 
 def test_optimizer_options_fields():
-    assert {f.name for f in fields(OptimizerOptions)} == {
-        "enable_cse", "enable_heuristics", "max_cse_optimizations", "cse_strategy",
-    }
+    assert [f.name for f in fields(OptimizerOptions)] == [
+        "enable_cse", "enable_heuristics",
+    ]
+    assert len(CONSTANTS) == 6
+
+
+#: the Step-3 strategies, their knobs and the caches only a second pass
+#: read; none may come back under ``src/``.
+STEP3_REMOVED = (
+    "SubsetEnumerator", "competing", "greedy_select", "select_strategy",
+    "GREEDY_THRESHOLD", "cse_strategy", "max_cse_optimizations",
+    "REUSE_HISTORY", "fold_cache", "finalize_cache", "settlements",
+    "enabled_ids", "_cap_planset",
+)
+
+
+def test_one_step3_strategy():
+    assert not (PACKAGE / "selection.py").exists()
+    found = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for name in _identifiers(path) & set(STEP3_REMOVED)
+    ]
+    assert found == []
+
+
+def _identifiers(path: Path) -> set:
+    """Every name ``path`` defines, binds, reads or passes as a keyword."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
 
 
 def test_optimizer_options_frozen():
@@ -254,15 +291,6 @@ class TestConstantsReadAtCallTime:
         assert body_consumers() > 0
         monkeypatch.setattr(step2, "STACKED", False)
         assert body_consumers() == 0
-
-    def test_reuse_history(self, small_db, monkeypatch):
-        def groups_reused():
-            result, _ = _optimize(small_db, scaleup_batch(8))
-            return result.stats.history_groups_reused
-
-        assert groups_reused() > 0
-        monkeypatch.setattr(engine, "REUSE_HISTORY", False)
-        assert groups_reused() == 0
 
     def test_naive_cost_split(self, small_db, monkeypatch):
         correct = _optimize(small_db, example1_with_q4())[0].est_cost

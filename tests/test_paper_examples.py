@@ -95,8 +95,7 @@ class TestExample8IntraQuery:
 
     def test_intra_query_candidates_detected(self, small_db):
         session = Session(
-            small_db, OptimizerOptions(enable_heuristics=False,
-                                       max_cse_optimizations=8)
+            small_db, OptimizerOptions(enable_heuristics=False)
         )
         result = session.optimize(self.SQL)
         assert result.stats.sharable_buckets >= 1
@@ -112,7 +111,7 @@ class TestExample8IntraQuery:
 
         optimizer = Optimizer(
             small_db,
-            OptimizerOptions(enable_heuristics=False, max_cse_optimizations=4),
+            OptimizerOptions(enable_heuristics=False),
         )
         batch = bind_batch(small_db.catalog, self.SQL)
         result, run = optimizer.optimize_with_run(batch)
@@ -129,7 +128,7 @@ class TestExample8IntraQuery:
     def test_rows_correct_all_modes(self, small_db):
         for options in (
             OptimizerOptions(),
-            OptimizerOptions(enable_heuristics=False, max_cse_optimizations=4),
+            OptimizerOptions(enable_heuristics=False),
             OptimizerOptions(enable_cse=False),
         ):
             session = Session(small_db, options)
@@ -218,8 +217,7 @@ class TestExample11MutuallyExclusiveCandidates:
         from repro.optimizer import step2
 
         session = Session(
-            small_db, OptimizerOptions(enable_heuristics=False,
-                                       max_cse_optimizations=32)
+            small_db, OptimizerOptions(enable_heuristics=False)
         )
         full = session.optimize(self.SQL)
         # Restrict to each single candidate by pruning everything else.
@@ -227,8 +225,7 @@ class TestExample11MutuallyExclusiveCandidates:
         for candidate in full.candidates:
             restricted_session = Session(
                 small_db,
-                OptimizerOptions(enable_heuristics=False,
-                                 max_cse_optimizations=4),
+                OptimizerOptions(enable_heuristics=False),
             )
             restricted = restricted_session.optimize(self.SQL)
             assert full.est_cost <= restricted.est_cost + 1e-6

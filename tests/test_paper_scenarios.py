@@ -213,9 +213,7 @@ class TestTable4ComplexJoins:
         pruned = Session(tiny_db).optimize(complex_join_batch())
         unpruned = Session(
             tiny_db,
-            OptimizerOptions(
-                enable_heuristics=False, max_cse_optimizations=4
-            ),
+            OptimizerOptions(enable_heuristics=False),
         ).optimize(complex_join_batch())
         # The paper: 51 candidates without heuristics, 2 with. Shapes:
         assert unpruned.stats.candidates_generated >= 30

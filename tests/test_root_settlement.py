@@ -4,9 +4,11 @@
 §5.5) right after the last top that can read it, once every root candidate
 whose body can read it is settled: a plan that reads it once is discarded,
 one that reads it twice or more pays a body plan plus ``C_W``. The
-differential below checks, on every Step-3 pass with at most 8
-root-settled candidates, that this costs exactly what the exhaustive 2^k
-activation search of ``tests/assembly_reference.py`` finds."""
+differential below checks, on the engine's Step-3 pass and on every pass
+of the §5.3 enumeration oracle (``tests/selection_reference.py``) with at
+most 8 root-settled candidates, that this costs exactly what the
+exhaustive 2^k activation search of ``tests/assembly_reference.py``
+finds."""
 
 from __future__ import annotations
 
@@ -19,10 +21,11 @@ from repro import OptimizerOptions, Session
 from repro.optimizer import engine
 from repro.optimizer.assembly import _charge
 from repro.optimizer.search import Search
-from repro.optimizer.state import OptimizerStats
+from repro.optimizer.state import OptimizerStats, ProfileSpace
 from repro.workloads import adapted_batch, example1_with_q4, scaleup_batch
 
 from .assembly_reference import reference_root_cost
+from .selection_reference import reference_select
 from .test_stacked import STACKED_SQL
 
 BATCHES = {
@@ -35,9 +38,10 @@ BATCHES = {
 
 
 def checked_passes(db, monkeypatch, sql, heuristics=True):
-    """Optimize ``sql``, comparing every assembled pass with ≤ 8 root
-    candidates against the oracle; returns the number of root candidates
-    of each pass compared."""
+    """Optimize ``sql`` by the engine and by the enumeration oracle,
+    comparing every assembled pass with ≤ 8 root candidates against the
+    exhaustive root search; returns the number of root candidates of each
+    pass compared."""
     assemble = engine.assemble
     compared = []
 
@@ -52,7 +56,9 @@ def checked_passes(db, monkeypatch, sql, heuristics=True):
         return cost, bundle
 
     monkeypatch.setattr(engine, "assemble", checking)
-    Session(db, OptimizerOptions(enable_heuristics=heuristics)).optimize(sql)
+    options = OptimizerOptions(enable_heuristics=heuristics)
+    Session(db, options).optimize(sql)
+    reference_select(db, sql, options, ("paper",), assemble=checking)
     return compared
 
 
@@ -67,25 +73,21 @@ def test_fold_matches_exhaustive_root_search(small_db, monkeypatch, name):
 
 
 def test_root_close_discards_only_the_single_use_profile():
-    """Settling E1 over {(): a, (E1,1): b, (E1,2): c}: b reads the spool
+    """Settling E1 over {0: a, once: b, once|twice: c}: b reads the spool
     once and is the one plan discarded; a reads it never and passes
     through; c pays the body plus C_W and, cheaper than a, is the one
     entry left."""
-    run = SimpleNamespace(stats=OptimizerStats(), sc_discards={}, settlements=set())
+    space = ProfileSpace(["E1"])
+    run = SimpleNamespace(stats=OptimizerStats(), sc_discards={}, profiles=space)
     search = Search(run, None, None, None, None, lambda: None)
+    once, twice = space.bits("E1")
     entries = {
-        (): (10.0, ("a",), ()),
-        (("E1", 1),): (1.0, ("b",), ()),
-        (("E1", 2),): (4.0, ("c",), ()),
+        0: (10.0, ("a",), ()),
+        once: (1.0, ("b",), ()),
+        once | twice: (4.0, ("c",), ()),
     }
-    charge = _charge("E1", [((), 3.0, "body")])
-    settled = search.settle("prefix", entries, "E1", itemgetter(0), charge)
-    assert settled == {(): (7.0, ("c",), (("E1", "body"),))}
+    charge = _charge(space.merge, "E1", [(0, 3.0, "body")])
+    settled = search.settle(entries, "E1", itemgetter(0), charge)
+    assert settled == {0: (7.0, ("c",), (("E1", "body"),))}
     assert run.stats.single_consumer_discards == 1
     assert run.sc_discards == {"E1": 1}
-    # The same settlement computed again (history reuse off) is not
-    # tallied again; another prefix's is.
-    assert search.settle("prefix", entries, "E1", itemgetter(0), charge) == settled
-    assert run.stats.single_consumer_discards == 1
-    search.settle("other prefix", entries, "E1", itemgetter(0), charge)
-    assert run.sc_discards == {"E1": 2}

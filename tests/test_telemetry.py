@@ -347,9 +347,7 @@ class TestDecisionJournal:
         """Acceptance: ``--why`` on Example 1 names the heuristic (H1-H4,
         containment, or single-consumer LCA discard) for every
         generated-but-rejected candidate."""
-        options = OptimizerOptions() if heuristics else OptimizerOptions(
-            enable_heuristics=False, max_cse_optimizations=16
-        )
+        options = OptimizerOptions(enable_heuristics=heuristics)
         tracer = Tracer()
         session = Session(small_db, options, tracer=tracer)
         session.optimize(EXAMPLE1_BATCH_SQL)
@@ -635,7 +633,7 @@ class TestTelemetryCli:
 
 
 class TestHistoryReuseMetrics:
-    """§5.4 optimization-history counters and the per-pass histogram
+    """§5.4 optimization-history counters and the Step-3 pass histogram
     survive the Prometheus exporter's strict parse check."""
 
     def _registry_after_multi_pass_batch(self):
@@ -658,7 +656,6 @@ class TestHistoryReuseMetrics:
             "repro_optimizer_history_hits_total",
             "repro_optimizer_history_misses_total",
             "repro_optimizer_history_groups_reused_total",
-            "repro_optimizer_history_tops_folded_total",
         ):
             assert name in families, f"missing {name}"
         assert families["repro_optimizer_history_hits_total"][0][1] > 0
