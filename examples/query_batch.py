@@ -14,9 +14,7 @@ def compare(session_factory, sql: str, title: str) -> None:
     for label, options in (
         ("no CSE", OptimizerOptions(enable_cse=False)),
         ("CSEs + heuristics", OptimizerOptions()),
-        ("CSEs, no heuristics", OptimizerOptions(
-            enable_heuristics=False, max_cse_optimizations=16
-        )),
+        ("CSEs, no heuristics", OptimizerOptions(enable_heuristics=False)),
     ):
         session = session_factory(options)
         outcome = session.execute(sql)

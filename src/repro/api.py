@@ -98,6 +98,17 @@ class ExecutionOutcome:
         return self.execution.metrics.cost_units
 
 
+def _explain_header(result: OptimizationResult) -> str:
+    """EXPLAIN's first two lines: the estimated cost with and without
+    CSEs, then the candidates and the ones used."""
+    stats = result.stats
+    return (
+        f"estimated cost: {result.est_cost:.2f} "
+        f"(without CSEs: {stats.est_cost_no_cse:.2f})\n"
+        f"candidates: {stats.candidate_ids} used: {stats.used_cses}\n"
+    )
+
+
 class Session:
     """A connection-like facade over a database, optimizer, and executor.
 
@@ -617,14 +628,7 @@ class Session:
                 registry=self.registry,
                 tracer=tracer,
             ).optimize(self._as_batch(target))
-            header = [
-                f"estimated cost: {result.est_cost:.2f} "
-                f"(without CSEs: {result.stats.est_cost_no_cse:.2f})",
-                f"candidates: {result.stats.candidate_ids}"
-                f" used: {result.stats.used_cses}",
-                "",
-            ]
-            report = "\n".join(header) + render_why(tracer.events)
+            report = _explain_header(result) + render_why(tracer.events)
             ledger = build_ledger(
                 result.candidates, query_spool_read_counts(result.bundle)
             )
@@ -643,14 +647,8 @@ class Session:
                 execution,
                 ledger=self._build_ledger(result, execution, None),
             )
-        header = [
-            f"estimated cost: {result.est_cost:.2f} "
-            f"(without CSEs: {result.stats.est_cost_no_cse:.2f})",
-            f"candidates: {result.stats.candidate_ids}"
-            f" used: {result.stats.used_cses}",
-        ]
         if costs:
             body = explain_with_costs(result.bundle)
         else:
             body = result.bundle.describe()
-        return "\n".join(header) + "\n" + body
+        return _explain_header(result) + body

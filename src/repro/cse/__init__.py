@@ -14,7 +14,6 @@ from .compatibility import (
 from .construct import CoveringState, CseDefinition, construct_cse
 from .candidates import CandidateCse, CandidateIdAllocator, generate_candidates
 from .heuristics import (
-    PruneTrace,
     heuristic1_keep,
     heuristic2_filter,
     heuristic4_filter,
@@ -36,7 +35,6 @@ __all__ = [
     "CandidateCse",
     "CandidateIdAllocator",
     "generate_candidates",
-    "PruneTrace",
     "heuristic1_keep",
     "heuristic2_filter",
     "heuristic4_filter",

@@ -14,7 +14,8 @@ produced, reproducing the five candidates of Figure 6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from ..obs import active_registry, active_tracer
@@ -23,7 +24,6 @@ from ..optimizer.memo import Group
 from .compatibility import ConsumerProfiles
 from .construct import CoveringState, CseDefinition, covering_state
 from .heuristics import (
-    PruneTrace,
     consumer_lower_bound,
     heuristic1_keep,
     heuristic2_filter,
@@ -91,7 +91,7 @@ def generate_candidates(
     use_heuristics: bool,
     instance_allocator: Callable[[], int],
     id_allocator: Callable[[], str],
-    trace: Optional[PruneTrace] = None,
+    pruned: Optional[Counter] = None,
 ) -> List[CseDefinition]:
     """Generate candidate CSEs for one join-compatible consumer set.
 
@@ -141,22 +141,18 @@ def generate_candidates(
     # bucket before compatibility analysis).
     if not heuristic1_keep(consumers, batch_cost, alpha):
         record_h1(consumers, passed=False)
-        if trace is not None:
-            trace.heuristic1.append(
-                "set:" + ",".join(f"g{g.gid}" for g in consumers)
-            )
+        if pruned is not None:
+            pruned["H1"] += 1
         return []
 
     # Heuristic 2: exclude consumers whose results are too large to share.
-    consumers = heuristic2_filter(consumers, cost_model, trace)
+    consumers = heuristic2_filter(consumers, cost_model, pruned)
     if len(consumers) < 2:
         return []
     if not heuristic1_keep(consumers, batch_cost, alpha):
         record_h1(consumers, passed=False)
-        if trace is not None:
-            trace.heuristic1.append(
-                "set:" + ",".join(f"g{g.gid}" for g in consumers)
-            )
+        if pruned is not None:
+            pruned["H1"] += 1
         return []
     record_h1(consumers, passed=True)
 
@@ -188,10 +184,8 @@ def generate_candidates(
                     best_index = index
                     best_merged = merged
             if best_merged is None:
-                if trace is not None:
-                    trace.heuristic3.append(
-                        f"stop@{len(current.members)} members"
-                    )
+                if pruned is not None:
+                    pruned["H3"] += 1
                 if tracer.enabled:
                     tracer.event(
                         "h3",

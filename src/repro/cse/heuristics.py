@@ -18,8 +18,8 @@ normal optimization; none requires optimizing a candidate's body:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from collections import Counter
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..obs import active_registry, active_tracer
 from ..optimizer.cost import CostModel
@@ -40,23 +40,6 @@ BETA = 0.90
 #: What §4.3.3 prices: a constructed candidate, or the slot-space state of
 #: one Algorithm 1 is still probing (consumers + estimated size suffice).
 SizedCse = Union[CseDefinition, CoveringState]
-
-
-@dataclass
-class PruneTrace:
-    """Records which heuristic removed what — used by the benchmarks to
-    reproduce the paper's Figure 6/7 narratives and by the tests."""
-
-    heuristic1: List[str] = None
-    heuristic2: List[str] = None
-    heuristic3: List[str] = None
-    heuristic4: List[str] = None
-
-    def __post_init__(self) -> None:
-        self.heuristic1 = self.heuristic1 or []
-        self.heuristic2 = self.heuristic2 or []
-        self.heuristic3 = self.heuristic3 or []
-        self.heuristic4 = self.heuristic4 or []
 
 
 def consumer_lower_bound(group: Group) -> float:
@@ -81,7 +64,7 @@ def heuristic1_keep(
 def heuristic2_filter(
     consumers: Sequence[Group],
     cost_model: CostModel,
-    trace: Optional[PruneTrace] = None,
+    pruned: Optional[Counter] = None,
 ) -> List[Group]:
     """Heuristic 2: drop consumers for which even the best-case shared plan
     (evaluation and write cost split across all N consumers) loses to
@@ -111,8 +94,8 @@ def heuristic2_filter(
                 dropped=dropped,
             )
         if dropped:
-            if trace is not None:
-                trace.heuristic2.append(f"g{group.gid}")
+            if pruned is not None:
+                pruned["H2"] += 1
             active_registry().counter("cse.heuristic2_consumer_drops")
             continue
         kept.append(group)
@@ -178,7 +161,7 @@ def heuristic4_filter(
     candidates: Sequence[CseDefinition],
     memo: Memo,
     beta: float,
-    trace: Optional[PruneTrace] = None,
+    pruned: Optional[Counter] = None,
 ) -> List[CseDefinition]:
     """Heuristic 4: discard a contained candidate E_c when its result size
     exceeds β × the containing candidate's (S_c > β × S_p): the wider
@@ -187,7 +170,7 @@ def heuristic4_filter(
     tracer = active_tracer()
     kept: List[CseDefinition] = []
     for inner in candidates:
-        pruned = False
+        contained = False
         for outer in candidates:
             if outer is inner:
                 continue
@@ -205,11 +188,11 @@ def heuristic4_filter(
                         pruned=contained_prunes,
                     )
                 if contained_prunes:
-                    pruned = True
+                    contained = True
                     break
-        if pruned:
-            if trace is not None:
-                trace.heuristic4.append(inner.cse_id)
+        if contained:
+            if pruned is not None:
+                pruned["H4"] += 1
             registry.counter("cse.containment_prunes")
             continue
         kept.append(inner)

@@ -50,12 +50,10 @@ kind                      meaning / key fields
                           constructed consumer, refused or not, and one per
                           match a stacked probe (§5.5) found; Step 2 emits
                           them after the candidate bodies are optimized
-``history``               §5.4 reuse in the Step-3 pass: ``pass_index``,
-                          ``subset`` (the enabled candidates),
-                          ``groups_reused`` (plan sets the base pass
-                          computed), ``groups_recomputed``,
-                          ``planset_hits``, ``reuse`` (hit ratio),
-                          ``seconds``
+``history``               §5.4 reuse in the Step-3 pass: ``groups_reused``
+                          (plan sets the base pass computed),
+                          ``groups_recomputed``, ``planset_hits``, ``reuse``
+                          (hit ratio)
 ``verdict``               final outcome: ``cse_id``, ``kept``, ``reason``,
                           ``equiv`` (the run's tally of this candidate's
                           §5.1 match verdicts, e.g. ``proved=2``)
@@ -139,26 +137,15 @@ def render_why(events: Iterable[TraceEvent]) -> str:
         lines.append("equivalence checker (outer-join simplification):")
         lines.extend(equiv_lines)
 
-    history = of("history")
-    if history:
-        lines.append("optimization-history reuse (§5.4):")
-        total_reused = total_recomputed = 0
-        for entry in history:
-            subset = ", ".join(entry.get("subset") or ())
-            reused = entry.get("groups_reused", 0)
-            recomputed = entry.get("groups_recomputed", 0)
-            total_reused += reused
-            total_recomputed += recomputed
-            lines.append(
-                f"  pass {entry.get('pass_index')} [{subset}]: "
-                f"{reused} group(s) reused, {recomputed} recomputed "
-                f"({entry.get('seconds', 0.0):.4f}s)"
-            )
-        visits = total_reused + total_recomputed
-        ratio = total_reused / visits if visits else 0.0
+    for entry in of("history"):
+        reused = entry.get("groups_reused", 0)
+        recomputed = entry.get("groups_recomputed", 0)
+        visits = reused + recomputed
         lines.append(
-            f"  reuse ratio: {total_reused}/{visits} group results "
-            f"({ratio:.0%}) carried over from the base pass"
+            f"optimization-history reuse (§5.4): {reused} group(s) reused, "
+            f"{recomputed} recomputed; reuse ratio: {reused}/{visits} group "
+            f"results ({reused / visits if visits else 0.0:.0%}) carried over "
+            "from the base pass"
         )
 
     verdicts = {entry["cse_id"]: entry for entry in of("verdict")}

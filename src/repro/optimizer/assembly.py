@@ -16,7 +16,7 @@ plan with no open spool is valid; it becomes a
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..cse.candidates import CandidateCse
 from ..errors import OptimizerError
@@ -29,8 +29,8 @@ from .physical import (
     PlanBundle,
     QueryPlan,
 )
-from .search import Search, relevant_ids
-from .state import EMPTY_PROFILE, PassContext, Profile
+from .search import Search
+from .state import EMPTY_PROFILE, OptimizerRun, PassContext, Profile
 
 #: (total cost, per-top plans, root spools)
 _Assembly = Tuple[
@@ -50,18 +50,12 @@ def assemble(search: Search, ctx: PassContext) -> Tuple[float, PlanBundle]:
     body_options = {
         c.cse_id: _root_body_options(search, c, ctx) for c in ctx.root_cses
     }
-    body_relevant = {
-        c.cse_id: relevant_ids(run, run.memo.groups[c.body_top_gid], ctx)
-        for c in ctx.root_cses
-    }
-    closings = _closings(
-        ctx, [relevant for relevant, _ in finalized_tops], body_relevant
-    )
+    closings = _closings(run, ctx) if ctx.root_cses else [[]] * len(run.tops)
     # Fold the finalized plan sets left to right in the fixed top order:
     # profile -> (cost, plans, spools).
     merge = run.profiles.merge
     combined: Dict[Profile, _Assembly] = {EMPTY_PROFILE: (0.0, (), ())}
-    for (_relevant, finalized), closing in zip(finalized_tops, closings):
+    for finalized, closing in zip(finalized_tops, closings):
         folded: Dict[Profile, _Assembly] = {}
         for profile0, (cost0, plans0, spools0) in combined.items():
             for profile1, plan in finalized.items():
@@ -96,24 +90,28 @@ def assemble(search: Search, ctx: PassContext) -> Tuple[float, PlanBundle]:
     return total_cost, _build_bundle(run.tops, total_cost, plans, spools)
 
 
-def _closings(
-    ctx: PassContext,
-    top_relevant: Sequence[FrozenSet[str]],
-    body_relevant: Dict[str, FrozenSet[str]],
-) -> List[List[CandidateCse]]:
+def _closings(run: OptimizerRun, ctx: PassContext) -> List[List[CandidateCse]]:
     """Per top, the root candidates settled right after it is folded: no
     later top can read them, and every root candidate whose body can read
-    them — whose settlement adds uses — is settled already."""
-    last = {cid: idx for idx, relevant in enumerate(top_relevant) for cid in relevant}
+    them — whose settlement adds uses — is settled already. What a top (with
+    its extension tops) or a body can read is its §5.4 footprint."""
+    footprints = run.footprints
+    last: Dict[str, int] = {}
+    for idx, (tag, payload, top) in enumerate(run.tops):
+        exts = run.ext_tops.get(payload.name, ()) if tag == "query" else ()
+        for group in (top, *(ext_top for _ext, ext_top in exts)):
+            last.update(dict.fromkeys(footprints[group.gid], idx))
     unsettled = list(ctx.root_cses)
     closings: List[List[CandidateCse]] = []
-    for idx in range(len(top_relevant)):
+    for idx in range(len(run.tops)):
         closing: List[CandidateCse] = []
         while True:
             ready = [
                 c for c in unsettled
                 if last.get(c.cse_id, 0) <= idx
-                and not any(c.cse_id in body_relevant[r.cse_id] for r in unsettled)
+                and not any(
+                    c.cse_id in footprints[r.body_top_gid] for r in unsettled
+                )
             ]
             if not ready:
                 break

@@ -50,7 +50,7 @@ from .memo import Group, Memo
 from .options import OptimizerOptions
 from .physical import PlanBundle
 from .search import Search
-from .state import BASE_PASS, History, OptimizerRun, OptimizerStats
+from .state import BASE_PASS, OptimizerRun, OptimizerStats
 
 #: Enter the CSE phase only when the batch's estimated cost exceeds this
 #: value ("only if the query is expensive", §2.2). 0 admits every batch
@@ -119,8 +119,8 @@ class Optimizer:
         self, batch: BoundBatch
     ) -> Tuple[OptimizationResult, OptimizerRun]:
         """:meth:`optimize`, also handing back the run state (memo, consumer
-        specs, §5.4 history) for callers that inspect how the plan was
-        found rather than the plan."""
+        specs, §5.4 plan-set tables) for callers that inspect how the plan
+        was found rather than the plan."""
         with use_registry(self.registry), use_tracer(self.tracer):
             with self.tracer.span("optimize", queries=len(batch.queries)):
                 result, run = self._optimize(batch)
@@ -135,9 +135,7 @@ class Optimizer:
         for name, value in stats.counter_summary().items():
             registry.counter(name, value)
         registry.counter("optimizer.batches")
-        # Phase latency distributions (p50/p95/p99 via the exporter). The
-        # Step-3 pass histogram (optimizer.history.pass_seconds) is
-        # observed as the pass ends.
+        # Phase latency distributions (p50/p95/p99 via the exporter).
         registry.observe("optimizer.normal_seconds", stats.normal_time)
         registry.observe("optimizer.cse_seconds", stats.cse_time)
         registry.observe("optimizer.step3_seconds", stats.step3_time)
@@ -192,7 +190,6 @@ class Optimizer:
             root=root,
             manager=manager,
             stats=stats,
-            history=History(self.registry),
         )
 
     def _optimize(
@@ -286,15 +283,21 @@ class Optimizer:
         stats = run.stats
         ctx = step2.build_pass_context(run, tuple(candidates))
         stats.cse_optimizations += 1
-        run.history.begin_pass(stats.cse_optimizations)
-        pass_start = time.perf_counter()
+        computed = set(run.base_plans)
         with self.tracer.span("cse_pass") as span:
             cost, bundle = assemble(search, ctx)
             if span is not None:
                 span.attrs["cost"] = round(cost, 2)
                 span.attrs["used"] = sorted(bundle.used_cses())
-        run.history.end_pass(
-            stats, stats.candidate_ids, time.perf_counter() - pass_start
+        # Reused: base plan sets the pass read that it did not compute.
+        stats.history_groups_reused = len(run.base_hits & computed)
+        lookups = stats.history_hits + stats.history_misses
+        self.tracer.event(
+            "history",
+            groups_reused=stats.history_groups_reused,
+            groups_recomputed=stats.history_misses,
+            planset_hits=stats.history_hits,
+            reuse=round(stats.history_hits / lookups, 4) if lookups else 0.0,
         )
         return cost, bundle
 

@@ -419,10 +419,8 @@ class Memo:
         #: (group, part_id) registrations in creation order, consumed by the
         #: CSE manager (Step 1 of the paper's architecture).
         self.signature_log: List[Group] = []
-        #: DAG caches: descendant gids per gid, and the footprints of the last
-        #: consumer map. Adding a group drops both.
+        #: descendant gids per gid; adding a group drops it.
         self._desc_cache: Dict[int, Set[int]] = {}
-        self._footprint_cache: Optional[Tuple[object, List[FrozenSet[str]]]] = None
 
     # -- group creation -----------------------------------------------------
 
@@ -446,7 +444,6 @@ class Memo:
         self.groups.append(group)
         self._groups_by_key[key] = group
         self._desc_cache = {}
-        self._footprint_cache = None
         return group
 
     # -- block construction ---------------------------------------------------
@@ -877,15 +874,8 @@ class Memo:
         Computed bottom-up over the memo DAG in one memoized DFS (children
         can carry *higher* gids than parents — pre-aggregation exploration
         appends join groups after the final agg group — so a gid-ordered
-        scan would be wrong). The result is cached per consumer map until
-        the next group is added.
+        scan would be wrong).
         """
-        cache_key = tuple(
-            (cid, tuple(sorted(gids))) for cid, gids in sorted(consumers.items())
-        )
-        cached = self._footprint_cache
-        if cached is not None and cached[0] == cache_key:
-            return cached[1]
         rooted: Dict[int, Set[str]] = {}
         for cid, gids in consumers.items():
             for gid in gids:
@@ -907,9 +897,7 @@ class Memo:
 
         for group in self.groups:
             visit(group)
-        footprints = [memo[group.gid] for group in self.groups]
-        self._footprint_cache = (cache_key, footprints)
-        return footprints
+        return [memo[group.gid] for group in self.groups]
 
     def least_common_ancestor(self, consumer_gids: Sequence[int]) -> Group:
         """The lowest group whose descendants (plus itself) cover all

@@ -23,9 +23,9 @@ from .aggs import AggCompute
 class PhysicalPlan:
     """Base class for physical operators.
 
-    Plans are treated as immutable once built: the optimizer's §5.4
-    history cache hands the same node objects out to every Step-3 pass
-    whose relevant candidate set matches, and `_assemble`'s folded plan
+    Plans are treated as immutable once built: the Step-3 pass reuses the
+    base pass's plan sets of groups no candidate reaches (§5.4), so the
+    same node objects sit in both bundles, and `assemble`'s folded plan
     tuples alias them freely. Nothing may mutate a node after
     construction, so a node carries exactly one ``est_cost``."""
 

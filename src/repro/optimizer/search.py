@@ -7,9 +7,9 @@ substitution is charged the usage cost ``C_R`` (plus compensation); the
 least-common-ancestor group, where plans with a single consumer are
 discarded. The bookkeeping uses per-group *usage profiles*: the best plan is
 kept per (candidate → uses ∈ {0, 1, ≥2}) vector, and the candidate's
-dimension is collapsed at its LCA. Every result lands in the run's §5.4
-:class:`~repro.optimizer.state.History`, keyed so the Step-3 pass reuses
-the base pass's plan set of every group no candidate reaches.
+dimension is collapsed at its LCA. Plan sets are kept per gid, in one table
+for the base pass and one for the Step-3 pass; a group no candidate reaches
+keeps its base plan set in the Step-3 pass (§5.4).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from operator import attrgetter
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -83,20 +82,6 @@ def _ext_join_rows(kind: str, core_rows: float) -> float:
     return max(core_rows * 0.5, 1.0)
 
 
-def relevant_ids(
-    run: OptimizerRun, group: Group, ctx: PassContext
-) -> FrozenSet[str]:
-    """The enabled candidate ids that can affect ``group``'s plan set.
-
-    A pass enables no candidate (the base pass) or every one (Step 3), so
-    this is nothing or the group's §5.4 candidate footprint. A group whose
-    footprint is empty gets the same plan set in both passes, which is
-    what lets the history cache hand the Step-3 pass the base pass's."""
-    if not ctx.enabled:
-        return frozenset()
-    return run.footprints[group.gid]
-
-
 @dataclass
 class Search:
     """The profile DP over one run's memo, plus per-top finalization."""
@@ -114,15 +99,23 @@ class Search:
     # ------------------------------------------------------------------
 
     def optimize_group(self, group: Group, ctx: PassContext) -> PlanSet:
-        history = self.run.history
-        cache_key = (group.gid, relevant_ids(self.run, group, ctx))
-        cached = history.plan_cache.get(cache_key)
+        run = self.run
+        footprints = run.footprints
+        # §5.4: a group no enabled candidate reaches keeps its base plan set.
+        if ctx.enabled and footprints[group.gid]:
+            table = run.step3_plans
+        else:
+            table = run.base_plans
+        cached = table.get(group.gid)
+        if footprints is not None:
+            if cached is None:
+                run.stats.history_misses += 1
+            else:
+                run.stats.history_hits += 1
+                if table is run.base_plans:
+                    run.base_hits.add(group.gid)
         if cached is not None:
-            history.hits += 1
-            if history.cache_pass[cache_key] < history.pass_index:
-                history.reused_gids.add(group.gid)
             return cached
-        history.misses += 1
         # Reused paths return above without this check, so it must sit on
         # the compute path to keep the governor's deadline live per group.
         self.check_deadline()
@@ -165,8 +158,7 @@ class Search:
 
         if not plans:
             raise OptimizerError(f"group g{group.gid} produced no plan")
-        history.plan_cache[cache_key] = plans
-        history.cache_pass[cache_key] = history.pass_index
+        table[group.gid] = plans
         return plans
 
     def settle(
@@ -246,11 +238,11 @@ class Search:
 
     def record_bounds(self) -> None:
         """After the base pass, copy optimal costs into per-group bounds."""
-        plan_cache = self.run.history.plan_cache
+        base_plans = self.run.base_plans
         for group in self.run.memo.groups:
             if group.kind == "root":
                 continue
-            cached = plan_cache.get((group.gid, frozenset()))
+            cached = base_plans.get(group.gid)
             if cached and EMPTY_PROFILE in cached:
                 cost = cached[EMPTY_PROFILE].est_cost
                 group.lower_bound = cost
@@ -459,39 +451,29 @@ class Search:
 
     def finalized_top(
         self, tag: str, payload, top: Group, ctx: PassContext
-    ) -> Tuple[FrozenSet[str], PlanSet]:
-        """One top's relevant ids and plan set with per-query finalization
-        (HAVING, final projection, ORDER BY) already applied — once per
-        profile here, not per pair in root assembly's fold.
+    ) -> PlanSet:
+        """One top's plan set with per-query finalization (HAVING, final
+        projection, ORDER BY) already applied — once per profile here, not
+        per pair in root assembly's fold.
 
         Extended queries (surviving outer/semi/anti extensions) fold their
-        extension tops' plan sets into the core's here, so the relevant ids
-        are the union over the core and every extension top."""
-        run = self.run
-        ext_entries: Sequence[Tuple[JoinExtension, Group]] = ()
+        extension tops' plan sets into the core's here."""
         if tag == "query" and payload.extensions:
-            ext_entries = run.ext_tops[payload.name]
-        relevant = relevant_ids(run, top, ctx)
-        for _ext, ext_top in ext_entries:
-            relevant = relevant | relevant_ids(run, ext_top, ctx)
-        if ext_entries:
-            finalized = self._finalize_extended_query(
-                payload, top, ext_entries, ctx
+            return self._finalize_extended_query(
+                payload, top, self.run.ext_tops[payload.name], ctx
             )
-        else:
-            if tag == "query":
-                block, order_by = payload.block, payload.order_by
-                having = block.having
-            else:  # a scalar subquery: projection only
-                query, sid = payload
-                block, having, order_by = query.subqueries[sid], (), ()
-            finalized = {
-                profile: self._finish(
-                    plan, top.est_rows, having, block.output, order_by
-                )
-                for profile, plan in self.optimize_group(top, ctx).items()
-            }
-        return relevant, finalized
+        if tag == "query":
+            block, order_by = payload.block, payload.order_by
+            having = block.having
+        else:  # a scalar subquery: projection only
+            query, sid = payload
+            block, having, order_by = query.subqueries[sid], (), ()
+        return {
+            profile: self._finish(
+                plan, top.est_rows, having, block.output, order_by
+            )
+            for profile, plan in self.optimize_group(top, ctx).items()
+        }
 
     def _finalize_extended_query(
         self,

@@ -3,8 +3,8 @@
 :class:`OptimizerRun` is the explicit per-run state the three modules behind
 the Figure-1 driver share — the memo search (:mod:`.search`), Step-2
 orchestration (:mod:`.step2`) and root assembly (:mod:`.assembly`) — together
-with the vocabulary they exchange: usage profiles, plan sets, the per-pass
-context, and the §5.4 optimization history.
+with the vocabulary they exchange: usage profiles, plan sets and the per-pass
+context.
 """
 
 from __future__ import annotations
@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..cse.candidates import CandidateCse
-from ..cse.heuristics import PruneTrace
 from ..cse.manager import CseManager
 from ..cse.matching import ConsumerSpec
 from ..logical.blocks import JoinExtension
-from ..obs import MetricsRegistry, active_tracer
 from .memo import Group, Memo
 from .physical import PhysicalPlan
 
@@ -74,50 +72,6 @@ class PassContext:
 BASE_PASS = PassContext((), {}, {}, ())
 
 
-class History:
-    """The §5.4 optimization history of one run: every group's plan set,
-    keyed by gid and the candidates that can reach the group
-    (:func:`~repro.optimizer.search.relevant_ids`). A group no candidate
-    reaches keeps the key of the base pass, so the Step-3 pass reuses its
-    plan set instead of re-optimizing it; the counters say how often."""
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-        self.plan_cache: Dict[Tuple[int, FrozenSet[str]], PlanSet] = {}
-        #: which pass created each plan-cache entry (0 = base pass).
-        self.cache_pass: Dict[Tuple[int, FrozenSet[str]], int] = {}
-        self.begin_pass(0)
-
-    def begin_pass(self, index: int) -> None:
-        """Reset the per-pass reuse counters (index 0 = base pass)."""
-        self.pass_index = index
-        self.hits = 0
-        self.misses = 0
-        self.reused_gids: Set[int] = set()
-
-    def end_pass(
-        self, stats: OptimizerStats, enabled: Sequence[str], seconds: float
-    ) -> None:
-        """Publish the Step-3 pass's reuse accounting: run stats, the pass
-        latency histogram, and a ``history`` trace event."""
-        reused = len(self.reused_gids)
-        stats.history_hits += self.hits
-        stats.history_misses += self.misses
-        stats.history_groups_reused += reused
-        self.registry.observe("optimizer.history.pass_seconds", seconds)
-        total = self.hits + self.misses
-        active_tracer().event(
-            "history",
-            pass_index=self.pass_index,
-            subset=sorted(enabled),
-            groups_reused=reused,
-            groups_recomputed=self.misses,
-            planset_hits=self.hits,
-            reuse=round(self.hits / total, 4) if total else 0.0,
-            seconds=round(seconds, 6),
-        )
-
-
 @dataclass
 class OptimizerStats:
     """Everything the paper's experiment tables report."""
@@ -137,27 +91,20 @@ class OptimizerStats:
     signature_registrations: int = 0
     memo_groups: int = 0
     single_consumer_discards: int = 0
-    #: §5.4 optimization-history reuse in the Step-3 pass: plan-set
-    #: cache hits / computes, and distinct groups whose plan set the base
-    #: pass computed.
+    #: §5.4 reuse in the Step-3 pass: plan-set lookups answered / computed,
+    #: and distinct groups whose plan set the base pass computed.
     history_hits: int = 0
     history_misses: int = 0
     history_groups_reused: int = 0
     used_cses: List[str] = field(default_factory=list)
     candidate_ids: List[str] = field(default_factory=list)
-    prune_trace: Optional[PruneTrace] = None
+    #: "H1".."H4" -> buckets, consumer sets, consumers, merge stops or
+    #: candidates that heuristic removed.
+    pruned: Counter = field(default_factory=Counter)
 
     def pruned_per_heuristic(self) -> Dict[str, int]:
         """How many candidates/consumers each heuristic removed."""
-        trace = self.prune_trace
-        if trace is None:
-            return {"H1": 0, "H2": 0, "H3": 0, "H4": 0}
-        return {
-            "H1": len(trace.heuristic1),
-            "H2": len(trace.heuristic2),
-            "H3": len(trace.heuristic3),
-            "H4": len(trace.heuristic4),
-        }
+        return {key: self.pruned[key] for key in ("H1", "H2", "H3", "H4")}
 
     def counter_summary(self) -> Dict[str, float]:
         """The stats as flat ``optimizer.*`` counters (snapshot naming)."""
@@ -193,7 +140,15 @@ class OptimizerRun:
     root: Group
     manager: CseManager
     stats: OptimizerStats
-    history: History
+    #: §5.4: gid -> plan set computed under :data:`BASE_PASS` (normal
+    #: optimization and Step 2's standalone body costing). The Step-3 pass
+    #: reads it for every group whose footprint is empty.
+    base_plans: Dict[int, PlanSet] = field(default_factory=dict)
+    #: gid -> the Step-3 pass's plan set, for groups whose footprint is
+    #: not empty.
+    step3_plans: Dict[int, PlanSet] = field(default_factory=dict)
+    #: gids whose base plan set a Step-3 lookup returned.
+    base_hits: Set[int] = field(default_factory=set)
     #: per-candidate tally of §5.1 single-consumer discards, feeding the
     #: ``single_consumer`` trace events and rejection verdicts.
     sc_discards: Dict[str, int] = field(default_factory=dict)
@@ -211,6 +166,7 @@ class OptimizerRun:
     #: candidate id -> gids of every group it can substitute into (query-
     #: and body-side alike): the input of the §5.4 footprints.
     consumer_gids: Dict[str, Set[int]] = field(default_factory=dict)
-    #: per-gid candidate footprints (None until Step 2 computes them; the
-    #: base pass needs no footprints — nothing is enabled).
+    #: per-gid candidate footprints (None until Step 2 computes them: the
+    #: base pass needs none, and the lookups counted in the §5.4 stats are
+    #: those made once they exist — the Step-3 pass's).
     footprints: Optional[List[FrozenSet[str]]] = None

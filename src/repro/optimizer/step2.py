@@ -5,7 +5,7 @@ Sharable buckets → join-compatible sets → Algorithm 1 with Heuristics 1-4
 into the memo and optimized standalone, its consumers are view-matched
 (query-side, and inside other candidates' bodies — stacked CSEs, §5.5), its
 least common ancestor is placed (Definition 5.1, §5.2), and the per-group
-candidate footprints behind the §5.4 history keys are computed.
+candidate footprints that choose each group's §5.4 plan-set table are computed.
 :func:`build_pass_context` turns the result into what the Step-3 pass of the
 search consumes.
 """
@@ -18,8 +18,9 @@ from typing import Dict, List, Tuple
 from ..cse import heuristics
 from ..cse.candidates import CandidateCse, CandidateIdAllocator, generate_candidates
 from ..cse.compatibility import ConsumerProfiles, compatibility_groups
-from ..cse.heuristics import PruneTrace, heuristic1_keep, heuristic4_filter
+from ..cse.heuristics import heuristic1_keep, heuristic4_filter
 from ..cse.matching import ConsumerSpec, match_constructed, match_consumer
+from ..cse.signature import TableSignature
 from ..equiv import Verdict
 from ..obs import active_registry, active_tracer
 from .memo import Group
@@ -62,7 +63,6 @@ def generate(search: Search, buckets, base_cost: float) -> List[CandidateCse]:
     stats = run.stats
     use_heuristics = search.options.enable_heuristics
     alpha = heuristics.ALPHA
-    trace = stats.prune_trace = PruneTrace()
     max_instance = max(
         (t.instance for g in memo.groups for t in g.tables), default=0
     )
@@ -91,7 +91,7 @@ def generate(search: Search, buckets, base_cost: float) -> List[CandidateCse]:
                     passed=keep,
                 )
             if not keep:
-                trace.heuristic1.append(f"bucket:{signature!r}")
+                stats.pruned["H1"] += 1
                 continue
         for compatible_set in compatibility_groups(groups, profiles):
             definitions.extend(
@@ -104,7 +104,7 @@ def generate(search: Search, buckets, base_cost: float) -> List[CandidateCse]:
                     use_heuristics,
                     instance_allocator,
                     id_allocator,
-                    trace,
+                    stats.pruned,
                 )
             )
     stats.candidates_before_pruning = len(definitions)
@@ -118,7 +118,7 @@ def generate(search: Search, buckets, base_cost: float) -> List[CandidateCse]:
     if use_heuristics:
         before_ids = {d.cse_id for d in definitions}
         definitions = heuristic4_filter(
-            definitions, memo, heuristics.BETA, trace
+            definitions, memo, heuristics.BETA, stats.pruned
         )
         for cid in sorted(before_ids - {d.cse_id for d in definitions}):
             tracer.event(
@@ -210,7 +210,8 @@ def generate(search: Search, buckets, base_cost: float) -> List[CandidateCse]:
         )
     # §5.4: per-group candidate footprints — for each memo group, the
     # candidate ids whose substitutes can appear anywhere in its
-    # subtree. Every Step-3 cache key derives from footprint ∩ enabled.
+    # subtree. A group whose footprint is empty keeps its base plan set
+    # in the Step-3 pass.
     run.footprints = memo.candidate_footprints(run.consumer_gids)
     return candidates
 
@@ -240,22 +241,19 @@ def _find_stacked_consumers(
     group of the inner candidate's signature is profiled into the same id
     space Algorithm 1 used (slot templates are instance-free), so it is
     matched like a constructed consumer. This is a search, so only the
-    matches it finds are recorded."""
-    memo = run.memo
+    matches it finds are recorded. Body groups are looked up by (body
+    block name, signature), in gid order."""
+    by_block: Dict[Tuple[str, TableSignature], List[Group]] = {}
+    for group in run.memo.groups:
+        if group.block is not None:
+            key = (group.block.name, group.signature)
+            by_block.setdefault(key, []).append(group)
     for inner in candidates:
         for outer in candidates:
-            if inner is outer:
+            if inner is outer or not outer.signature_wider_than(inner):
                 continue
-            if not outer.signature_wider_than(inner):
-                continue
-            body_name = outer.definition.block.name
-            if body_name not in memo.block_infos:
-                continue
-            for group in memo.groups:
-                if group.block is None or group.block.name != body_name:
-                    continue
-                if group.signature != inner.definition.signature:
-                    continue
+            key = (outer.definition.block.name, inner.definition.signature)
+            for group in by_block.get(key, ()):
                 verdict, spec = match_consumer(inner.definition, profiles(group))
                 if spec is not None:
                     _record_match(run, inner.cse_id, group, verdict)

@@ -47,7 +47,7 @@ def reference_root_cost(search: Search, ctx: PassContext) -> float:
     space = run.profiles
     combined: Dict[Profile, float] = {EMPTY_PROFILE: 0.0}
     for tag, payload, top in run.tops:
-        _, finalized = search.finalized_top(tag, payload, top, ctx)
+        finalized = search.finalized_top(tag, payload, top, ctx)
         folded: Dict[Profile, float] = {}
         for profile0, cost0 in combined.items():
             for profile1, plan in finalized.items():

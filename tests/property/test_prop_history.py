@@ -2,9 +2,9 @@
 except for speed.
 
 The Step-3 pass finds the plan set of every group no candidate reaches in
-the history the base pass filled. For 200 seed-determined random SPJG
+the table the base pass filled. For 200 seed-determined random SPJG
 batches, optimizing once that way and once with the Step-3 pass started
-on a fresh plan cache must agree on everything observable:
+on empty plan-set tables must agree on everything observable:
 
 * identical final estimated cost, used CSEs and §5.2 discard tallies;
 * a byte-identical plan bundle (same :meth:`PlanBundle.fingerprint`);
@@ -38,13 +38,13 @@ EXECUTION_SEEDS = range(0, 200, 5)
 
 @contextmanager
 def fresh_plan_cache():
-    """Optimizations inside start their Step-3 pass on an empty plan
-    cache, so every group is optimized again instead of reused."""
+    """Optimizations inside start their Step-3 pass on empty plan-set
+    tables, so every group is optimized again instead of reused."""
     run_pass = engine.Optimizer._run_pass
 
     def fresh(self, search, candidates):
-        search.run.history.plan_cache.clear()
-        search.run.history.cache_pass.clear()
+        search.run.base_plans.clear()
+        search.run.step3_plans.clear()
         return run_pass(self, search, candidates)
 
     with patch.object(engine.Optimizer, "_run_pass", fresh):

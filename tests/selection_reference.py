@@ -27,11 +27,9 @@ from repro import OptimizerOptions, Session
 from repro.cse.candidates import CandidateCse
 from repro.cse.construct import CseDefinition
 from repro.cse.signature import TableSignature
-from repro.obs import NULL_REGISTRY
 from repro.optimizer import assembly
 from repro.optimizer.engine import Optimizer
 from repro.optimizer.search import Search
-from repro.optimizer.state import History
 from repro.optimizer.step2 import build_pass_context
 
 #: one optimization pass: enabled ids -> (cost, bundle, used ids).
@@ -249,10 +247,10 @@ def reference_select(
     pass])`` over the same run.
 
     Each oracle pass assembles the run's memo with its subset enabled,
-    through ``assemble``, on a §5.4 history holding only the plan sets of
-    groups no candidate reaches: the engine keys every other group's plan
-    set by its footprint alone, which is sound only for the two passes the
-    engine runs (nothing enabled, everything enabled)."""
+    through ``assemble``, on an empty Step-3 table: the engine keeps one
+    Step-3 plan set per group, which is sound only for the one pass the
+    engine runs with candidates enabled (all of them). Groups no candidate
+    reaches keep reading the base pass's plan sets."""
     optimizer = Optimizer(database, options)
     result, run = optimizer.optimize_with_run(
         Session(database, options).bind(sql)
@@ -262,18 +260,12 @@ def reference_select(
         run, database, optimizer.estimator, optimizer.cost_model, options,
         lambda: None,
     )
-    candidate_free = {
-        key: plans for key, plans in run.history.plan_cache.items()
-        if not key[1]
-    }
     base = (result.stats.est_cost_no_cse, result.base_bundle)
     for strategy in strategies:
         passes: List[Tuple[FrozenSet[str], float]] = []
 
         def run_pass(subset: FrozenSet[str]):
-            run.history = History(NULL_REGISTRY)
-            run.history.plan_cache.update(candidate_free)
-            run.history.cache_pass.update(dict.fromkeys(candidate_free, 0))
+            run.step3_plans = {}
             enabled = tuple(c for c in result.candidates if c.cse_id in subset)
             cost, bundle = assemble(search, build_pass_context(run, enabled))
             passes.append((subset, cost))

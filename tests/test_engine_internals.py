@@ -86,9 +86,9 @@ class TestPlanSets:
         optimizer = Optimizer(small_db, options)
         batch = Session(small_db, options).bind(complex_join_batch())
         _, run = optimizer.optimize_with_run(batch)
-        sizes = [len(plans) for plans in run.history.plan_cache.values()]
-        assert max(sizes) > 200
-        for plans in run.history.plan_cache.values():
+        plan_sets = [*run.base_plans.values(), *run.step3_plans.values()]
+        assert max(len(plans) for plans in plan_sets) > 200
+        for plans in plan_sets:
             assert EMPTY_PROFILE in plans
 
 

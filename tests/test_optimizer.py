@@ -206,7 +206,11 @@ class TestHistoryReuse:
         )
         batch = bind_batch(small_db.catalog, example1_batch())
         _, run = optimizer.optimize_with_run(batch)
-        # Groups relevant to no candidate were optimized exactly once: their
-        # cache key is (gid, empty set).
-        base_keys = [k for k in run.history.plan_cache if k[1] == frozenset()]
-        assert base_keys
+        # Groups no candidate reaches were optimized once, by the base
+        # pass: the Step-3 pass read their plan sets from its table.
+        reused = [
+            gid for gid in run.base_plans
+            if not run.footprints[gid] and gid not in run.step3_plans
+        ]
+        assert reused
+        assert set(run.step3_plans).isdisjoint(reused)

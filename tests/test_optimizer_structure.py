@@ -205,6 +205,37 @@ def test_one_step3_strategy():
     assert found == []
 
 
+#: what the multi-pass §5.4 history, the memo's footprint cache and the
+#: string-list prune record left behind.
+HISTORY_REMOVED = (
+    "History",
+    "cache_pass",
+    "pass_index",
+    "begin_pass",
+    "relevant_ids",
+    "_footprint_cache",
+    "PruneTrace",
+)
+
+
+def test_history_is_two_gid_tables():
+    """§5.4 reuse is the run's two gid-keyed plan-set tables: no history
+    object, per-pass bookkeeping, memo footprint cache, string-list prune
+    record or per-pass histogram comes back."""
+    sources = sorted((SRC / "repro").rglob("*.py"))
+    found = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sources
+        for name in _identifiers(path) & set(HISTORY_REMOVED)
+    ]
+    found += [
+        f"{path.relative_to(SRC)}: optimizer.history.pass_seconds"
+        for path in sources
+        if "optimizer.history.pass_seconds" in path.read_text()
+    ]
+    assert found == []
+
+
 def _identifiers(path: Path) -> set:
     """Every name ``path`` defines, binds, reads or passes as a keyword."""
     names = set()

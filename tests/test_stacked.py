@@ -3,11 +3,13 @@
 import pytest
 
 from repro import OptimizerOptions, Session
+from repro.cse.matching import match_consumer
 from repro.executor.reference import evaluate_batch
 from repro.optimizer import step2
 from repro.optimizer.engine import Optimizer
 from repro.optimizer.physical import PhysSpoolRead
 from repro.sql.binder import bind_batch
+from repro.workloads import adapted_batch, complex_join_batch, example1_batch
 
 STACKED_SQL = (
     "select c_nationkey, sum(l_extendedprice) as v "
@@ -127,3 +129,74 @@ class TestStackedExecution:
             got = [tuple(round(v, 3) if isinstance(v, float) else v for v in r) for r in got]
             want = [tuple(round(v, 3) if isinstance(v, float) else v for v in r) for r in want]
             assert got == want
+
+
+def find_stacked_consumers_scan(run, candidates, profiles):
+    """Oracle for ``step2._find_stacked_consumers``: the scan over every
+    memo group per ordered candidate pair that its (body block name,
+    signature) lookup replaced."""
+    memo = run.memo
+    for inner in candidates:
+        for outer in candidates:
+            if inner is outer:
+                continue
+            if not outer.signature_wider_than(inner):
+                continue
+            body_name = outer.definition.block.name
+            if body_name not in memo.block_infos:
+                continue
+            for group in memo.groups:
+                if group.block is None or group.block.name != body_name:
+                    continue
+                if group.signature != inner.definition.signature:
+                    continue
+                verdict, spec = match_consumer(inner.definition, profiles(group))
+                if spec is not None:
+                    step2._record_match(run, inner.cse_id, group, verdict)
+                    run.body_specs[inner.cse_id].append(spec)
+                    inner.lifted_to_root = True
+
+
+def _stacking(result, run):
+    """What stacked detection decides: body-side specs per candidate (in
+    order), which candidates it lifts to the root, and the match tallies."""
+    specs = {
+        cid: [
+            (
+                spec.group.gid, spec.table_map, spec.residual,
+                spec.column_map, spec.reagg_keys, spec.reagg_computes,
+            )
+            for spec in body_specs
+        ]
+        for cid, body_specs in run.body_specs.items()
+    }
+    lifted = {c.cse_id: c.lifted_to_root for c in result.candidates}
+    outcomes = {cid: dict(tally) for cid, tally in run.match_outcomes.items()}
+    return specs, lifted, outcomes
+
+
+STACKING_BATCHES = {
+    "example1": example1_batch(),
+    "stacked": STACKED_SQL,
+    "complex_join": complex_join_batch(),
+    "tpch_all": adapted_batch(),
+}
+
+
+@pytest.mark.parametrize("heuristics", [True, False], ids=["h_on", "h_off"])
+@pytest.mark.parametrize("name", sorted(STACKING_BATCHES))
+def test_stacked_lookup_matches_scan(small_db, monkeypatch, name, heuristics):
+    options = OptimizerOptions(enable_heuristics=heuristics)
+    sql = STACKING_BATCHES[name]
+    looked_up = Optimizer(small_db, options).optimize_with_run(
+        bind_batch(small_db.catalog, sql)
+    )
+    monkeypatch.setattr(
+        step2, "_find_stacked_consumers", find_stacked_consumers_scan
+    )
+    scanned = Optimizer(small_db, options).optimize_with_run(
+        bind_batch(small_db.catalog, sql)
+    )
+    assert _stacking(*looked_up) == _stacking(*scanned)
+    if name == "stacked":
+        assert any(_stacking(*looked_up)[0].values())

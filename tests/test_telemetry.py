@@ -633,7 +633,7 @@ class TestTelemetryCli:
 
 
 class TestHistoryReuseMetrics:
-    """§5.4 optimization-history counters and the Step-3 pass histogram
+    """§5.4 optimization-history counters and the Step-3 histogram
     survive the Prometheus exporter's strict parse check."""
 
     def _registry_after_multi_pass_batch(self):
@@ -665,9 +665,10 @@ class TestHistoryReuseMetrics:
         registry = self._registry_after_multi_pass_batch()
         text = render_prometheus(registry)
         families = parse_prometheus_text(text)
-        bucket = families["repro_optimizer_history_pass_seconds_bucket"]
+        bucket = families["repro_optimizer_step3_seconds_bucket"]
         inf = [v for labels, v in bucket if labels.get("le") == "+Inf"]
-        count = families["repro_optimizer_history_pass_seconds_count"][0][1]
+        count = families["repro_optimizer_step3_seconds_count"][0][1]
         assert inf == [count]
         passes = registry.snapshot()["counters"]["optimizer.cse_passes"]
         assert count == passes > 0
+        assert "repro_optimizer_history_pass_seconds_bucket" not in families
