@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from ..obs import active_registry, active_tracer
+from ..obs import active_tracer
 from ..optimizer.cost import CostModel
 from ..optimizer.memo import Group
 from .compatibility import ConsumerProfiles
@@ -92,15 +92,19 @@ def generate_candidates(
     instance_allocator: Callable[[], int],
     id_allocator: Callable[[], str],
     pruned: Optional[Counter] = None,
+    work: Optional[Counter] = None,
 ) -> List[CseDefinition]:
     """Generate candidate CSEs for one join-compatible consumer set.
 
     Only the candidates returned are materialised (body instances, a
     ``QueryBlock``); every merge probe works on slot-space states.
     ``alpha`` is Heuristic 1's threshold, :data:`heuristics.ALPHA` as
-    Step 2 read it for this optimization."""
+    Step 2 read it for this optimization. ``pruned`` tallies what each
+    heuristic removed, ``work`` the merge probes and Heuristic 3 benefit
+    evaluations (both :class:`~repro.optimizer.state.OptimizerStats`
+    counters)."""
     tracer = active_tracer()
-    registry = active_registry()
+    work = Counter() if work is None else work
     consumers = sorted(compatible_set, key=lambda g: g.gid)
     if len(consumers) < 2:
         return []
@@ -171,11 +175,12 @@ def generate_candidates(
             best_index = -1
             best_merged: Optional[CoveringState] = None
             probed = len(remaining)
-            registry.counter("cse.merge_probes", probed)
+            work["merge_probes"] += probed
             for index, other in enumerate(remaining):
                 merged = current.merged_with(other.members[0])
                 if merged is None:
                     continue
+                work["merge_benefit_evaluations"] += 1
                 delta = merge_benefit(merged, [current, other], cost_model)
                 if delta > top_delta:
                     top_delta = delta

@@ -40,7 +40,6 @@ from ..expr.expressions import (
 )
 from ..expr.predicates import hull_comparison, is_number, range_bounds, range_hulls
 from ..logical.blocks import OutputColumn, QueryBlock
-from ..obs import active_registry
 from ..optimizer import memo
 from ..optimizer.cardinality import CardinalityEstimator, group_count
 from ..optimizer.keys import bound_items, close, determined
@@ -201,7 +200,6 @@ class CoveringState:
         """Step 6: the state as a spoolable ``QueryBlock`` over fresh body
         instances, one per slot, allocated in slot order — the one place ids
         become expressions again."""
-        active_registry().counter("cse.constructions")
         space = self.members[0].space
         columns = space.columns
         body = {

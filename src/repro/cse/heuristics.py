@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import List, Optional, Sequence, Tuple, Union
 
-from ..obs import active_registry, active_tracer
+from ..obs import active_tracer
 from ..optimizer.cost import CostModel
 from ..optimizer.memo import Group, Memo
 from .construct import CoveringState, CseDefinition
@@ -96,7 +96,6 @@ def heuristic2_filter(
         if dropped:
             if pruned is not None:
                 pruned["H2"] += 1
-            active_registry().counter("cse.heuristic2_consumer_drops")
             continue
         kept.append(group)
     return kept
@@ -136,7 +135,6 @@ def merge_benefit(
 ) -> float:
     """Heuristic 3's Δ: cost of using the source CSEs separately minus the
     cost of using the merged CSE. Merge only when Δ > 0."""
-    active_registry().counter("cse.merge_benefit_evaluations")
     separate = sum(candidate_total_cost(s, cost_model) for s in sources)
     return separate - candidate_total_cost(merged, cost_model)
 
@@ -162,11 +160,13 @@ def heuristic4_filter(
     memo: Memo,
     beta: float,
     pruned: Optional[Counter] = None,
+    work: Optional[Counter] = None,
 ) -> List[CseDefinition]:
     """Heuristic 4: discard a contained candidate E_c when its result size
     exceeds β × the containing candidate's (S_c > β × S_p): the wider
-    candidate shares more computation *and* is not meaningfully larger."""
-    registry = active_registry()
+    candidate shares more computation *and* is not meaningfully larger.
+    ``work`` counts the containment checks."""
+    work = Counter() if work is None else work
     tracer = active_tracer()
     kept: List[CseDefinition] = []
     for inner in candidates:
@@ -174,7 +174,7 @@ def heuristic4_filter(
         for outer in candidates:
             if outer is inner:
                 continue
-            registry.counter("cse.containment_checks")
+            work["containment_checks"] += 1
             if is_contained(inner, outer, memo):
                 contained_prunes = inner.est_bytes > beta * outer.est_bytes
                 if tracer.enabled:
@@ -193,7 +193,6 @@ def heuristic4_filter(
         if contained:
             if pruned is not None:
                 pruned["H4"] += 1
-            registry.counter("cse.containment_prunes")
             continue
         kept.append(inner)
     return kept

@@ -19,8 +19,6 @@ from .metrics import (
     NULL_REGISTRY,
     MetricsRegistry,
     OperatorStats,
-    active_registry,
-    use_registry,
 )
 from .chrome import render_chrome_trace, to_chrome_trace
 from .critical import (
@@ -49,8 +47,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "OperatorStats",
-    "active_registry",
-    "use_registry",
     "Histogram",
     "DEFAULT_BOUNDS",
     "render_prometheus",

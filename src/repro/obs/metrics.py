@@ -11,12 +11,9 @@ instead of re-derived from planner estimates. Design goals:
   attribute load and one branch.
 * **Thread-safe when enabled.** A single lock guards the maps; increments
   are coarse (per operator / per optimization phase, never per row), so
-  contention is negligible.
-* **Ambient access for deep call sites.** Pruning heuristics are free
-  functions called far from the optimizer's entry point; they find the
-  current registry via :func:`active_registry` (a thread-local set by
-  :func:`use_registry`) instead of threading a parameter through every
-  signature.
+  contention is negligible. The optimizer counts its own work on
+  :class:`~repro.optimizer.state.OptimizerStats` and publishes it once
+  per optimization.
 """
 
 from __future__ import annotations
@@ -219,27 +216,3 @@ class MetricsRegistry:
 
 #: The default, disabled registry: every call is a cheap no-op.
 NULL_REGISTRY = MetricsRegistry(enabled=False)
-
-
-# ---------------------------------------------------------------------------
-# Ambient registry (for free functions deep in the cse/ layer)
-# ---------------------------------------------------------------------------
-
-_ambient = threading.local()
-
-
-def active_registry() -> MetricsRegistry:
-    """The registry installed by the innermost :func:`use_registry`."""
-    return getattr(_ambient, "registry", NULL_REGISTRY)
-
-
-@contextmanager
-def use_registry(registry: Optional[MetricsRegistry]) -> Iterator[MetricsRegistry]:
-    """Install ``registry`` as the thread's ambient registry."""
-    registry = registry or NULL_REGISTRY
-    previous = getattr(_ambient, "registry", NULL_REGISTRY)
-    _ambient.registry = registry
-    try:
-        yield registry
-    finally:
-        _ambient.registry = previous

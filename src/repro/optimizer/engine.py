@@ -38,7 +38,6 @@ from ..obs import (
     NULL_TRACER,
     MetricsRegistry,
     Tracer,
-    use_registry,
     use_tracer,
 )
 from ..storage.database import Database
@@ -121,7 +120,7 @@ class Optimizer:
         """:meth:`optimize`, also handing back the run state (memo, consumer
         specs, §5.4 plan-set tables) for callers that inspect how the plan
         was found rather than the plan."""
-        with use_registry(self.registry), use_tracer(self.tracer):
+        with use_tracer(self.tracer):
             with self.tracer.span("optimize", queries=len(batch.queries)):
                 result, run = self._optimize(batch)
         self._publish_stats(result.stats)
@@ -138,7 +137,8 @@ class Optimizer:
         # Phase latency distributions (p50/p95/p99 via the exporter).
         registry.observe("optimizer.normal_seconds", stats.normal_time)
         registry.observe("optimizer.cse_seconds", stats.cse_time)
-        registry.observe("optimizer.step3_seconds", stats.step3_time)
+        if stats.cse_optimizations:
+            registry.observe("optimizer.step3_seconds", stats.step3_time)
         registry.observe("optimizer.total_seconds", stats.optimization_time)
 
     def _build_run(self, batch: BoundBatch, stats: OptimizerStats) -> OptimizerRun:

@@ -101,13 +101,17 @@ class OptimizerStats:
     #: "H1".."H4" -> buckets, consumer sets, consumers, merge stops or
     #: candidates that heuristic removed.
     pruned: Counter = field(default_factory=Counter)
+    #: Step 2's work: "consumer_profiles" (consumers put into slot space),
+    #: "merge_probes", "merge_benefit_evaluations", "containment_checks".
+    work: Counter = field(default_factory=Counter)
 
     def pruned_per_heuristic(self) -> Dict[str, int]:
         """How many candidates/consumers each heuristic removed."""
         return {key: self.pruned[key] for key in ("H1", "H2", "H3", "H4")}
 
     def counter_summary(self) -> Dict[str, float]:
-        """The stats as flat ``optimizer.*`` counters (snapshot naming)."""
+        """The stats as flat ``optimizer.*`` and ``cse.*`` counters
+        (snapshot naming)."""
         summary: Dict[str, float] = {
             "optimizer.memo_groups": self.memo_groups,
             "optimizer.signature_registrations": self.signature_registrations,
@@ -120,6 +124,13 @@ class OptimizerStats:
             "optimizer.history.hits": self.history_hits,
             "optimizer.history.misses": self.history_misses,
             "optimizer.history.groups_reused": self.history_groups_reused,
+            "cse.consumer_profiles": self.work["consumer_profiles"],
+            "cse.merge_probes": self.work["merge_probes"],
+            "cse.merge_benefit_evaluations": self.work["merge_benefit_evaluations"],
+            "cse.containment_checks": self.work["containment_checks"],
+            "cse.constructions": self.candidates_before_pruning,
+            "cse.heuristic2_consumer_drops": self.pruned["H2"],
+            "cse.containment_prunes": self.pruned["H4"],
         }
         for key, count in self.pruned_per_heuristic().items():
             summary[f"optimizer.pruned_{key.lower()}"] = count

@@ -22,7 +22,7 @@ from ..cse.heuristics import heuristic1_keep, heuristic4_filter
 from ..cse.matching import ConsumerSpec, match_constructed, match_consumer
 from ..cse.signature import TableSignature
 from ..equiv import Verdict
-from ..obs import active_registry, active_tracer
+from ..obs import active_tracer
 from .memo import Group
 from .search import Search
 from .state import (
@@ -105,11 +105,11 @@ def generate(search: Search, buckets, base_cost: float) -> List[CandidateCse]:
                     instance_allocator,
                     id_allocator,
                     stats.pruned,
+                    stats.work,
                 )
             )
     stats.candidates_before_pruning = len(definitions)
-    if len(profiles):
-        active_registry().counter("cse.consumer_profiles", len(profiles))
+    stats.work["consumer_profiles"] += len(profiles)
     tracer.event(
         "generation",
         consumer_profiles=len(profiles),
@@ -118,7 +118,7 @@ def generate(search: Search, buckets, base_cost: float) -> List[CandidateCse]:
     if use_heuristics:
         before_ids = {d.cse_id for d in definitions}
         definitions = heuristic4_filter(
-            definitions, memo, heuristics.BETA, stats.pruned
+            definitions, memo, heuristics.BETA, stats.pruned, stats.work
         )
         for cid in sorted(before_ids - {d.cse_id for d in definitions}):
             tracer.event(

@@ -17,13 +17,27 @@ the candidate was materialised from
 :func:`recording_matches` and :func:`assert_matches_oracle` are the
 differential: record every call of ``match_consumer`` a run makes and
 compare each verdict and spec with the oracle's.
+
+:data:`MUTANTS` are seeded wrong matches, the error classes of the
+bag-semantics equivalence work (arXiv 2004.00481): a dropped compensation
+conjunct, a widened range bound, and swapped join sides. The differential
+matrix (``tests/matrix.py``; ``tests/property/test_prop_matrix.py``) must
+refute each one from result rows alone.
 """
+
+from dataclasses import replace
+
 
 from repro.cse import matching
 from repro.cse.compatibility import consumer_conjuncts, remap_expr, slot_assignment
 from repro.equiv import GAVE_UP, PROVED, REFUTED, Verdict
-from repro.expr.expressions import AggExpr, ColumnRef, Comparison
-from repro.expr.predicates import EquivalenceClasses, bound_implies, range_parts
+from repro.expr.expressions import AggExpr, ColumnRef, Comparison, ComparisonOp
+from repro.expr.predicates import (
+    EquivalenceClasses,
+    bound_implies,
+    range_part,
+    range_parts,
+)
 from repro.optimizer import step2
 from repro.optimizer.aggs import reaggregate_computes
 from repro.optimizer.memo import BlockInfo
@@ -234,6 +248,80 @@ def assert_matches_oracle(records):
         assert spec.column_map == want_spec.column_map, where
         assert spec.reagg_keys == want_spec.reagg_keys, where
         assert spec.reagg_computes == want_spec.reagg_computes, where
+
+
+# -- seeded wrong matches -------------------------------------------------------
+
+
+def _mutant(mutate):
+    """``match_consumer`` with ``mutate`` applied to every proved spec it
+    returns (``mutate`` returns the spec unchanged when it does not apply)."""
+    match = matching.match_consumer
+
+    def mutant(definition, profile):
+        verdict, spec = match(definition, profile)
+        return verdict, spec if spec is None else mutate(spec)
+    return mutant
+
+
+def _drop_conjunct(spec):
+    """The compensation forgets the consumer's first residual conjunct."""
+    return replace(spec, residual=spec.residual[1:])
+
+
+def _widen_range(spec):
+    """The first residual range bound moves outward by its own magnitude
+    (``x < 100`` becomes ``x < 200``): the spool's rows pass a weaker test
+    than the consumer asked for."""
+    for index, conjunct in enumerate(spec.residual):
+        part = range_part(conjunct)
+        if part is None or part[1] in (ComparisonOp.EQ, ComparisonOp.NE):
+            continue
+        comparison = conjunct.normalized()
+        step = max(abs(part[2]), 1)
+        upper = part[1] in (ComparisonOp.LT, ComparisonOp.LE)
+        literal = replace(
+            comparison.right, value=part[2] + step if upper else part[2] - step
+        )
+        widened = replace(comparison, right=literal)
+        return replace(
+            spec,
+            residual=spec.residual[:index] + (widened,) + spec.residual[index + 1:],
+        )
+    return spec
+
+
+def _swap_sides(spec):
+    """The two instances of a self-join exchange their spool columns: each
+    side reads the rows of the other. (An outer join never reaches a match:
+    an extension block is one table, and a reducible outer join is an inner
+    join by then; so the self-join is where a side swap can happen.)"""
+    by_table = {}
+    for table in spec.table_map:
+        by_table.setdefault(table.table, []).append(table)
+    pair = next((tables for tables in by_table.values() if len(tables) == 2), None)
+    if pair is None:
+        return spec
+    swap = {pair[0]: pair[1], pair[1]: pair[0]}
+    return replace(
+        spec,
+        table_map={swap.get(t, t): body for t, body in spec.table_map.items()},
+        column_map=tuple((name, remap_expr(e, swap)) for name, e in spec.column_map),
+    )
+
+
+#: name -> a wrong ``match_consumer``.
+MUTANTS = {
+    "dropped-conjunct": _mutant(_drop_conjunct),
+    "widened-range": _mutant(_widen_range),
+    "swapped-sides": _mutant(_swap_sides),
+}
+
+
+def install_mutant(monkeypatch, name):
+    """Make every consumer match of the optimizer go through ``name``."""
+    monkeypatch.setattr(matching, "match_consumer", MUTANTS[name])
+    monkeypatch.setattr(step2, "match_consumer", MUTANTS[name])
 
 
 # -- block-level bag equivalence -------------------------------------------------

@@ -1,69 +1,41 @@
 """Property: governor degradation never changes results.
 
-For random SPJG batches, an execute whose spool budget forces the
+For random join-chain batches, an execute whose spool budget forces the
 no-sharing fallback must return exactly the rows of an ``enable_cse=False``
-session (the same baseline plan, byte-identical) and — normalized — the
-rows of the reference oracle. This is the operational form of the paper's
-guarantee that the no-sharing plan is always a valid plan.
+session (the same baseline plan, byte-identical) and the rows of the
+reference oracle; an execute whose optimizer deadline expires degrades
+and still returns the oracle's rows. This is the operational form of the
+paper's guarantee that the no-sharing plan is always a valid plan. The
+checks are ``tests/matrix.py``'s, over its budget configurations.
 """
 
 from hypothesis import HealthCheck, given, settings
 
-from repro import OptimizerOptions, Session
-from repro.executor.reference import evaluate_batch
-from repro.serve import QueryBudget
-
-from .test_prop_end_to_end import DB, normalize, random_batch
+from ..matrix import (
+    DEADLINE,
+    DEFAULT,
+    NO_CSE,
+    SPOOL_BUDGET,
+    check_input,
+    hypothesis_batch,
+)
 
 
 class TestGovernorFallback:
-    @given(random_batch())
+    @given(hypothesis_batch())
     @settings(
         max_examples=10,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_forced_fallback_matches_baseline_and_oracle(self, sql):
-        session = Session(DB, OptimizerOptions())
-        batch = session.bind(sql)
-        outcome = session.execute(
-            batch, budget=QueryBudget(max_spool_rows=0)
-        )
-        # Whenever the plan would have materialized a spool, the zero
-        # budget forces the baseline; either way no sharing happened.
-        assert outcome.execution.metrics.spools_materialized == 0
-        baseline = Session(
-            DB, OptimizerOptions(enable_cse=False)
-        ).execute(batch)
-        for query in batch.queries:
-            got = outcome.execution.query(query.name)
-            want = baseline.execution.query(query.name)
-            # Byte-identical to the no-sharing plan's execution.
-            assert (got.columns, got.rows) == (want.columns, want.rows), (
-                f"{query.name} differs from the no-CSE baseline for:\n{sql}"
-            )
-        oracle = evaluate_batch(DB, batch)
-        for query in batch.queries:
-            got = normalize(outcome.execution.query(query.name).rows)
-            assert got == normalize(oracle[query.name]), (
-                f"{query.name} mismatch vs oracle for:\n{sql}"
-            )
+        check_input("spool_budget", sql, (DEFAULT, NO_CSE, SPOOL_BUDGET))
 
-    @given(random_batch())
+    @given(hypothesis_batch())
     @settings(
         max_examples=6,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_optimizer_deadline_fallback_matches_oracle(self, sql):
-        session = Session(DB, OptimizerOptions(), plan_cache_size=0)
-        batch = session.bind(sql)
-        outcome = session.execute(
-            batch, budget=QueryBudget(optimizer_deadline_ms=1e-6)
-        )
-        assert outcome.degraded
-        assert outcome.fallback_reason == "optimizer_deadline"
-        oracle = evaluate_batch(DB, batch)
-        for query in batch.queries:
-            got = normalize(outcome.execution.query(query.name).rows)
-            assert got == normalize(oracle[query.name])
+        check_input("deadline", sql, (DEADLINE,))

@@ -2,9 +2,9 @@
 plus metrics invariants over generated SPJG batches.
 
 For 200 seed-determined batches from :func:`repro.workloads.generator.
-random_spjg_batch`, executing with CSEs enabled must (a) return exactly
-the reference executor's rows and (b) produce spool/registry accounting
-consistent with the paper's sharing rules:
+random_spjg_batch`, every configuration of ``tests/matrix.py`` must
+(a) return exactly the reference oracle's rows and (b) produce
+spool/registry accounting consistent with the paper's sharing rules:
 
 * a spool is only ever materialized for a *kept* CSE — plans discarded by
   the single-consumer rule (§5.2) never execute a spool write;
@@ -13,99 +13,49 @@ consistent with the paper's sharing rules:
 * the producer's row count equals the rows delivered to *each* consumer
   read (spools never truncate or duplicate);
 * the registry's ``executor.*`` counters mirror the execution metrics.
+
+The configurations of one batch are also compared with each other
+(``check_across``), and every §5.1 consumer match the runs make is held
+to the expression-space matcher of ``tests/match_reference.py``.
 """
 
 import pytest
 
-from repro import MetricsRegistry, Session
-from repro.catalog.tpch import build_tpch_database
-from repro.executor.reference import evaluate_batch
 from repro.workloads.generator import random_spjg_batch
 
-DB = build_tpch_database(scale_factor=0.0005)
+from .. import match_reference
+from ..matrix import DEFAULT, check_input
 
 BATCH_COUNT = 200
 CHUNK = 10
 
-
-def normalize(rows):
-    return sorted(
-        [
-            tuple(round(v, 3) if isinstance(v, float) else v for v in row)
-            for row in rows
-        ],
-        key=repr,
-    )
+#: seed -> kept CSEs the default configuration executed.
+_KEPT = {}
 
 
 def check_batch(seed: int) -> int:
-    """Run one generated batch and assert every invariant; returns the
-    number of kept CSEs it exercised."""
-    sql = random_spjg_batch(seed)
-    registry = MetricsRegistry()
-    session = Session(DB, registry=registry)
-    batch = session.bind(sql)
-    outcome = session.execute(batch)
-
-    # Differential correctness: CSE-on execution equals the oracle.
-    reference = evaluate_batch(DB, batch)
-    for query in batch.queries:
-        got = normalize(outcome.execution.query(query.name).rows)
-        want = normalize(reference[query.name])
-        assert got == want, f"{query.name} mismatch for seed {seed}:\n{sql}"
-
-    metrics = outcome.execution.metrics
-    used = set(outcome.optimization.stats.used_cses)
-    materialized = {
-        cse_id for cse_id, s in metrics.spool_stats.items() if s.writes
-    }
-    # Discarded single-consumer plans never execute a spool write.
-    assert materialized <= used, (
-        f"seed {seed}: spools {materialized - used} materialized but "
-        f"not kept (used: {used})"
-    )
-
-    kept = 0
-    for cse_id, spool in metrics.spool_stats.items():
-        if spool.writes == 0:
-            continue
-        kept += 1
-        # A kept CSE must be consumed >= 2x per materialization.
-        assert spool.reads >= 2 * spool.writes, (
-            f"seed {seed}: {cse_id} read {spool.reads}x for "
-            f"{spool.writes} materialization(s)"
-        )
-        # Producer rows == rows delivered to each consumer read.
-        assert all(
-            rows == spool.rows_written for rows in spool.read_row_counts
-        ), (
-            f"seed {seed}: {cse_id} wrote {spool.rows_written} rows but "
-            f"reads returned {spool.read_row_counts}"
-        )
-        assert spool.rows_read == sum(spool.read_row_counts)
-
-    # The registry mirrors the execution metrics.
-    counters = registry.snapshot()["counters"]
-    assert (
-        counters.get("executor.spools_materialized", 0)
-        == metrics.spools_materialized
-    )
-    assert counters.get("executor.spool_reads", 0) == sum(
-        s.reads for s in metrics.spool_stats.values()
-    )
-    assert counters.get("executor.rows_output", 0) == metrics.rows_output
-    return kept
+    """Run one generated batch under every configuration and assert every
+    invariant; returns the number of kept CSEs the default configuration
+    exercised."""
+    if seed not in _KEPT:
+        kept = check_input(f"spjg_{seed}", random_spjg_batch(seed))
+        _KEPT[seed] = kept[DEFAULT.name]
+    return _KEPT[seed]
 
 
 @pytest.mark.parametrize("chunk", range(0, BATCH_COUNT, CHUNK))
-def test_observability_invariants(chunk):
+def test_observability_invariants(chunk, monkeypatch):
+    matches = match_reference.recording_matches(monkeypatch)
     for seed in range(chunk, chunk + CHUNK):
+        _KEPT.pop(seed, None)
         check_batch(seed)
+    match_reference.assert_matches_oracle(matches)
 
 
 def test_generator_exercises_sharing():
     """The seed range must actually cover the interesting case: a healthy
     number of batches keep at least one CSE (guards against a generator
-    regression quietly turning the suite into a no-op)."""
+    regression quietly turning the suite into a no-op). Seeds the sweep
+    above already checked are not run again."""
     kept = sum(check_batch(seed) for seed in range(0, 60))
     assert kept >= 5

@@ -2,94 +2,23 @@
 
 * CSE exploitation never *increases* the estimated cost (it may always fall
   back to the base plan).
-* Every mode returns exactly the oracle's rows (richer query shapes than
-  test_prop_end_to_end: OR/IN/BETWEEN predicates, min/max/count).
-* Executed cost of the chosen CSE plan is never worse than the no-CSE plan
-  by more than the estimation error allows (soft check via estimates).
+* The default configuration returns exactly the oracle's rows on OR / IN /
+  BETWEEN predicates and min / max / count aggregates.
+* Estimated and measured cost of the no-CSE plan stay within one units
+  band of each other.
+
+The checks are ``tests/matrix.py``'s.
 """
 
-import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro import OptimizerOptions, Session
-from repro.catalog.tpch import build_tpch_database
-from repro.executor.reference import evaluate_batch
 
-DB = build_tpch_database(scale_factor=0.0005)
-
-SEGMENTS = ["AUTOMOBILE", "BUILDING", "FURNITURE", "HOUSEHOLD", "MACHINERY"]
-
-
-@st.composite
-def predicate(draw, table):
-    kind = draw(st.integers(0, 3))
-    if table == "customer":
-        if kind == 0:
-            low = draw(st.integers(0, 20))
-            return f"c_nationkey between {low} and {low + draw(st.integers(0, 10))}"
-        if kind == 1:
-            seg1, seg2 = draw(st.sampled_from(SEGMENTS)), draw(st.sampled_from(SEGMENTS))
-            return f"c_mktsegment in ('{seg1}', '{seg2}')"
-        if kind == 2:
-            return (
-                f"(c_nationkey < {draw(st.integers(5, 15))} "
-                f"or c_nationkey > {draw(st.integers(16, 24))})"
-            )
-        return f"c_acctbal > {draw(st.integers(-500, 500))}"
-    if table == "orders":
-        if kind in (0, 1):
-            return f"o_totalprice < {draw(st.integers(50_000, 450_000))}"
-        return f"o_orderdate < '199{draw(st.integers(3, 8))}-06-01'"
-    # lineitem
-    if kind in (0, 1):
-        return f"l_quantity <= {draw(st.integers(5, 45))}"
-    return f"l_discount < 0.0{draw(st.integers(2, 9))}"
-
-
-@st.composite
-def rich_query(draw):
-    tables = ["customer", "orders", "lineitem"][: draw(st.integers(2, 3))]
-    joins = ["c_custkey = o_custkey", "o_orderkey = l_orderkey"][: len(tables) - 1]
-    conjuncts = list(joins)
-    for table in tables:
-        if draw(st.booleans()):
-            conjuncts.append(draw(predicate(table)))
-    group = draw(
-        st.sampled_from(
-            ["c_nationkey", "c_mktsegment"]
-            if "customer" in tables
-            else ["o_orderstatus", "o_orderpriority"]
-        )
-    )
-    agg = draw(
-        st.sampled_from(
-            [
-                "sum(o_totalprice)",
-                "count(*)",
-                "min(o_totalprice)",
-                "max(o_totalprice)",
-                "sum(l_extendedprice)" if "lineitem" in tables else "count(*)",
-            ]
-        )
-    )
-    return (
-        f"select {group}, {agg} as v from {', '.join(tables)} "
-        f"where {' and '.join(conjuncts)} group by {group}"
-    )
-
-
-def normalize(rows):
-    return sorted(
-        [
-            tuple(round(v, 3) if isinstance(v, float) else v for v in row)
-            for row in rows
-        ],
-        key=repr,
-    )
+from ..matrix import DB, DEFAULT, NO_CSE, chain_query, check_input
 
 
 class TestOptimizerInvariants:
-    @given(rich_query(), rich_query())
+    @given(chain_query(), chain_query())
     @settings(
         max_examples=15,
         deadline=None,
@@ -98,39 +27,25 @@ class TestOptimizerInvariants:
     def test_cse_never_increases_estimate(self, q1, q2):
         sql = q1 + ";" + q2
         base = Session(DB, OptimizerOptions(enable_cse=False)).optimize(sql)
-        shared = Session(DB, OptimizerOptions()).optimize(sql)
+        shared = Session(DB).optimize(sql)
         assert shared.est_cost <= base.est_cost + 1e-6
 
-    @given(rich_query(), rich_query())
+    @given(chain_query(), chain_query())
     @settings(
         max_examples=12,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_rich_predicates_match_oracle(self, q1, q2):
-        sql = q1 + ";" + q2
-        session = Session(DB, OptimizerOptions())
-        batch = session.bind(sql)
-        outcome = session.execute(batch)
-        oracle = evaluate_batch(session.database, batch)
-        for query in batch.queries:
-            got = normalize(outcome.execution.query(query.name).rows)
-            want = normalize(oracle[query.name])
-            assert got == want, sql
+        check_input("rich_predicates", q1 + ";" + q2, (DEFAULT,))
 
-    @given(rich_query())
+    @given(chain_query())
     @settings(
         max_examples=10,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_estimate_and_measurement_use_same_units(self, q):
-        """Estimated and measured cost of the same plan stay within a broad
-        band of each other (they share formulas; only cardinality estimation
-        separates them)."""
-        session = Session(DB, OptimizerOptions(enable_cse=False))
-        outcome = session.execute(q)
-        est = outcome.est_cost
-        measured = outcome.execution.metrics.cost_units
-        assert measured <= est * 50 + 100
-        assert est <= measured * 50 + 100
+        """The units band of ``check_across``: estimate and measurement
+        share formulas; only cardinality estimation separates them."""
+        check_input("units", q, (NO_CSE,))

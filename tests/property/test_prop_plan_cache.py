@@ -4,26 +4,32 @@ For 100 seed-determined random SPJG batches (the same generator the other
 property suites use), three invariants must hold on every workload:
 
 * a warm (cache-hit) ``execute`` returns exactly the rows of the cold
-  optimize-and-execute that populated the cache;
+  optimize-and-execute that populated the cache, and the cold rows equal
+  the oracle's (``tests/matrix.py``'s ``DEFAULT`` configuration);
 * every lookup lands in exactly one of ``plan_cache.hit`` /
   ``plan_cache.miss`` — the counters account for all lookups;
 * mutating a table the batch reads invalidates the entry, and the
-  re-optimized plan agrees with an uncached oracle session on the
-  mutated database.
+  re-optimized plan's rows equal the reference oracle's on the mutated
+  database.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import OptimizerOptions, Session
+from repro import MetricsRegistry, Session
 from repro.catalog.tpch import build_tpch_database
-from repro.obs import MetricsRegistry
+from repro.executor.reference import evaluate_batch
 from repro.serve import batch_tables
 from repro.workloads import random_spjg_batch
 
-#: read-only database shared by the hit/miss seeds.
-DB = build_tpch_database(scale_factor=0.0005)
+from ..matrix import (
+    DEFAULT,
+    check_input,
+    check_rows,
+    duplicate_first_row,
+    recorded,
+)
 
 SEEDS = range(100)
 #: every SPJG join chain includes orders, so inserting there always
@@ -32,35 +38,12 @@ MUTATED_TABLE = "orders"
 MUTATION_SEEDS = range(0, 100, 10)
 
 
-def _rows(execution):
-    return [(r.name, r.columns, r.rows) for r in execution.results]
-
-
-def _duplicate_first_row(database, table_name):
-    table = database.table(table_name)
-    names = [c.name for c in table.schema.columns]
-    row = tuple(
-        value.item() if hasattr(value, "item") else value
-        for value in (table.column(name)[0] for name in names)
-    )
-    database.insert(table_name, [row])
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cache_hit_rows_equal_cold_rows(seed):
-    sql = random_spjg_batch(seed)
-    registry = MetricsRegistry()
-    session = Session(DB, OptimizerOptions(), registry=registry)
-    cold = session.execute(sql)
-    warm = session.execute(sql)
-    assert not cold.plan_cache_hit
-    assert warm.plan_cache_hit
-    assert _rows(warm.execution) == _rows(cold.execution)
-    # Counters account for every lookup: two lookups, one each way.
-    counters = registry.snapshot()["counters"]
-    assert counters["plan_cache.miss"] == 1
-    assert counters["plan_cache.hit"] == 1
-    assert session.plan_cache.hits + session.plan_cache.misses == 2
+    # DEFAULT runs warm: a hit whose rows are the cold rows byte for
+    # byte, one miss and one hit on the session's cache, and the
+    # registry's counters.
+    check_input(f"spjg_{seed}", random_spjg_batch(seed), (DEFAULT,))
 
 
 @pytest.mark.parametrize("seed", MUTATION_SEEDS)
@@ -69,30 +52,29 @@ def test_mutation_invalidates_and_recomputes(seed):
     database = build_tpch_database(scale_factor=0.0005)
     sql = random_spjg_batch(seed)
     registry = MetricsRegistry()
-    session = Session(database, OptimizerOptions(), registry=registry)
+    session = Session(database, registry=registry)
     assert MUTATED_TABLE in batch_tables(session.bind(sql))
 
     session.execute(sql)
     assert session.execute(sql).plan_cache_hit
 
-    _duplicate_first_row(database, MUTATED_TABLE)
-    after = session.execute(sql)
-    assert not after.plan_cache_hit, "mutation must drop the cached plan"
-    counters = registry.snapshot()["counters"]
-    assert counters["plan_cache.invalidation"] >= 1
-    assert counters["plan_cache.miss"] == 2
-    assert counters["plan_cache.hit"] == 1
-
-    # The re-optimized plan sees the mutation, like an uncached session.
-    oracle = Session(database, OptimizerOptions(), plan_cache_size=0)
-    assert oracle.plan_cache is None
-    assert _rows(after.execution) == _rows(oracle.execute(sql).execution)
+    duplicate_first_row(database, MUTATED_TABLE)
+    with recorded(f"write_{seed}", sql, "write"):
+        after = session.execute(sql)
+        assert not after.plan_cache_hit, "mutation must drop the cached plan"
+        counters = registry.snapshot()["counters"]
+        assert counters["plan_cache.invalidation"] >= 1
+        assert counters["plan_cache.miss"] == 2
+        assert counters["plan_cache.hit"] == 1
+        # The re-optimized plan sees the mutation.
+        batch = Session(database).bind(sql)
+        check_rows(after, batch, evaluate_batch(database, batch), set())
 
 
 def test_unrelated_table_mutation_keeps_entries():
     database = build_tpch_database(scale_factor=0.0005)
-    session = Session(database, OptimizerOptions())
+    session = Session(database)
     sql = "select r_name from region"
     session.execute(sql)
-    _duplicate_first_row(database, "supplier")  # region plan unaffected
+    duplicate_first_row(database, "supplier")  # region plan unaffected
     assert session.execute(sql).plan_cache_hit

@@ -19,6 +19,7 @@ from repro.serve import QueryBudget, SharedBatchCoordinator
 from repro.serve.fingerprint import batch_fingerprint
 from repro.storage.worktable import WorkTable
 
+from .rows import assert_same_rows
 from .selection_reference import reference_select
 
 
@@ -36,16 +37,6 @@ Q_STATUS = (
     "from orders, lineitem where o_orderkey = l_orderkey "
     "group by o_orderstatus"
 )
-
-
-def _norm(rows):
-    return sorted(
-        [
-            tuple(round(v, 4) if isinstance(v, float) else v for v in row)
-            for row in rows
-        ],
-        key=repr,
-    )
 
 
 def _run_concurrent(jobs, timeout=60.0):
@@ -168,12 +159,8 @@ class TestCoordinatorMerging:
         # Results are renamed back to each consumer's own query names.
         assert [r.name for r in a.execution.results] == ["Q1"]
         assert [r.name for r in b.execution.results] == ["Q1"]
-        assert _norm(a.execution.results[0].rows) == _norm(
-            iso_a.execution.results[0].rows
-        )
-        assert _norm(b.execution.results[0].rows) == _norm(
-            iso_b.execution.results[0].rows
-        )
+        assert_same_rows(a.execution.results[0].rows, iso_a.execution.results[0].rows)
+        assert_same_rows(b.execution.results[0].rows, iso_b.execution.results[0].rows)
         assert not a.degraded and not b.degraded
         # The merged optimization actually shared work across sessions.
         assert a.optimization.stats.used_cses
@@ -263,8 +250,8 @@ class TestCoordinatorMerging:
         assert counters.get("coordinator.solo_windows") == 1
         assert counters.get("coordinator.merged_batches") is None
         iso = Session(DB).execute(Q_PRIORITY)
-        assert _norm(outcome.execution.results[0].rows) == _norm(
-            iso.execution.results[0].rows
+        assert_same_rows(
+            outcome.execution.results[0].rows, iso.execution.results[0].rows
         )
 
     def test_disjoint_signatures_do_not_merge(self):
@@ -303,8 +290,8 @@ class TestCoordinatorMerging:
         assert session.coordinator.enabled
         outcome = session.execute(Q_PRIORITY)
         iso = Session(DB).execute(Q_PRIORITY)
-        assert _norm(outcome.execution.results[0].rows) == _norm(
-            iso.execution.results[0].rows
+        assert_same_rows(
+            outcome.execution.results[0].rows, iso.execution.results[0].rows
         )
 
     def test_bound_batch_target_bypasses(self):
@@ -378,8 +365,8 @@ class TestCoordinatorBudgets:
         # The unbudgeted consumer was untouched by its neighbour's budget.
         assert not results["b"].degraded
         iso_a = Session(DB).execute(Q_PRIORITY)
-        assert _norm(results["a"].execution.results[0].rows) == _norm(
-            iso_a.execution.results[0].rows
+        assert_same_rows(
+            results["a"].execution.results[0].rows, iso_a.execution.results[0].rows
         )
 
     @pytest.mark.parametrize("budgeted", ["a", "b"])
@@ -465,8 +452,8 @@ class TestMergedPlanCache:
         warm = self._merge_round(coordinator, registry)
         assert not cold["a"].plan_cache_hit
         assert warm["a"].plan_cache_hit and warm["b"].plan_cache_hit
-        assert _norm(warm["a"].execution.results[0].rows) == _norm(
-            cold["a"].execution.results[0].rows
+        assert_same_rows(
+            warm["a"].execution.results[0].rows, cold["a"].execution.results[0].rows
         )
 
     def test_mid_window_mutation_evicts_merged_plan(self):
@@ -524,8 +511,8 @@ class TestMergedPlanCache:
         counters = _counters(registry)
         assert counters.get("plan_cache.invalidation", 0) >= 1
         iso = Session(database).execute(Q_PRIORITY)
-        assert _norm(outcomes["a"].execution.results[0].rows) == _norm(
-            iso.execution.results[0].rows
+        assert_same_rows(
+            outcomes["a"].execution.results[0].rows, iso.execution.results[0].rows
         )
 
     def test_merged_plan_cache_dies_with_its_database(self):
@@ -578,8 +565,8 @@ class TestCoordinatorStrategy:
         assert merged.stats.used_cses
         assert merged.est_cost <= found["greedy"][0]
         iso = iso.execute(Q_PRIORITY)
-        assert _norm(results["a"].execution.results[0].rows) == _norm(
-            iso.execution.results[0].rows
+        assert_same_rows(
+            results["a"].execution.results[0].rows, iso.execution.results[0].rows
         )
 
     def test_trace_names_shared_merge_and_strategy(self):
@@ -658,9 +645,7 @@ class TestCoordinatorStress:
         )
         sessions = _sessions(coordinator, registry, count=8)
         oracle = {
-            sql: _norm(
-                Session(DB).execute(sql).execution.results[0].rows
-            )
+            sql: Session(DB).execute(sql).execution.results[0].rows
             for sql in self.SQL_POOL
         }
         for round_no in range(3):
@@ -672,9 +657,7 @@ class TestCoordinatorStress:
                 )
             results = _run_concurrent(jobs, timeout=120.0)
             for sql, outcome in results.values():
-                assert (
-                    _norm(outcome.execution.results[0].rows) == oracle[sql]
-                )
+                assert_same_rows(outcome.execution.results[0].rows, oracle[sql])
         counters = _counters(registry)
         # 24 executes across 3 rounds: sharing must actually have happened.
         assert counters.get("coordinator.merged_consumers", 0) >= 4

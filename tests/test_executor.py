@@ -1,5 +1,7 @@
 """Executor tests: operator semantics and full-bundle execution vs oracle."""
 
+import uuid
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,8 @@ from repro.optimizer.physical import (
 )
 from repro.storage.worktable import WorkTable
 from repro.types import DataType, string_pool
+
+from .rows import assert_same_rows
 
 
 def ctx_for(db):
@@ -280,33 +284,23 @@ class TestFullExecution:
         "group by c_mktsegment"
     )
 
-    @staticmethod
-    def _norm(rows):
-        return sorted(
-            [
-                tuple(round(v, 4) if isinstance(v, float) else v for v in row)
-                for row in rows
-            ],
-            key=repr,
-        )
-
     def test_matches_oracle_with_cse(self, small_session):
         batch = small_session.bind(self.SQL)
         outcome = small_session.execute(batch)
         oracle = evaluate_batch(small_session.database, batch)
         for query in batch.queries:
-            got = self._norm(outcome.execution.query(query.name).rows)
-            want = self._norm(oracle[query.name])
-            assert got == want
+            assert_same_rows(
+                outcome.execution.query(query.name).rows, oracle[query.name]
+            )
 
     def test_matches_oracle_without_cse(self, no_cse_session):
         batch = no_cse_session.bind(self.SQL)
         outcome = no_cse_session.execute(batch)
         oracle = evaluate_batch(no_cse_session.database, batch)
         for query in batch.queries:
-            got = self._norm(outcome.execution.query(query.name).rows)
-            want = self._norm(oracle[query.name])
-            assert got == want
+            assert_same_rows(
+                outcome.execution.query(query.name).rows, oracle[query.name]
+            )
 
     def test_order_by_respected(self, small_session):
         outcome = small_session.execute(
@@ -420,6 +414,10 @@ KEY_SHAPES = (
 )
 
 
+#: prefix of the STRING key values, unique to this module's process.
+_STRING_TAG = f"key-kernels-{uuid.uuid4().hex}-"
+
+
 def _key_pool(dtype):
     """``(left type, right type, left pool, right pool)``: distinct values,
     equal across the two pools exactly at equal positions."""
@@ -446,10 +444,11 @@ def _key_pool(dtype):
         pool[3] = np.nan
         return DataType.FLOAT, DataType.FLOAT, pool, pool
     if dtype == "string":
-        # STRING frames hold pool codes; interned together, they are dense.
-        pool = string_pool.intern(
-            ["a", "b", "c", "aa", "ab", "", "B", "zz", "a b", "é", "0", "c0"]
-        )
+        # STRING frames hold pool codes. The process-wide pool may already
+        # hold common strings, so these carry a tag no other code interns:
+        # interned in one call, their codes are consecutive, hence dense.
+        values = ["a", "b", "c", "aa", "ab", "", "B", "zz", "a b", "é", "0", "c0"]
+        pool = string_pool.intern([_STRING_TAG + value for value in values])
         return DataType.STRING, DataType.STRING, pool, pool
     assert dtype == "mixed"
     return DataType.INT, DataType.FLOAT, ints, ints.astype(np.float64)
@@ -638,10 +637,9 @@ class TestKeyKernels:
         assert metrics.key_factor_reuses == 0
         oracle = evaluate_batch(small_db, batch)
         for query in batch.queries:
-            got = TestFullExecution._norm(
-                outcome.execution.query(query.name).rows
+            assert_same_rows(
+                outcome.execution.query(query.name).rows, oracle[query.name]
             )
-            assert got == TestFullExecution._norm(oracle[query.name])
 
     def test_parallel_matches_serial(self, small_db):
         serial = Session(small_db, OptimizerOptions()).execute(

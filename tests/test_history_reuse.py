@@ -28,7 +28,7 @@ from repro.optimizer.step2 import build_pass_context
 from repro.sql.binder import bind_sql
 from repro.workloads import adapted_batch, independent_pairs_batch, scaleup_batch
 
-from .property.test_prop_history import assert_reuse_invisible, fresh_plan_cache
+from .plan_reuse import assert_reuse_invisible, fresh_plan_cache
 from .test_stacked import STACKED_SQL
 
 DB = build_tpch_database(scale_factor=0.002)

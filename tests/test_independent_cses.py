@@ -15,6 +15,7 @@ from repro.executor.reference import evaluate_batch
 from repro.optimizer.engine import Optimizer
 from repro.sql.binder import bind_batch
 
+from .rows import assert_same_rows
 from .selection_reference import SubsetEnumerator, competing
 
 #: Query 1: the customer⋈orders join appears twice internally.
@@ -111,24 +112,6 @@ class TestIndependence:
         outcome = session.execute(batch)
         oracle = evaluate_batch(session.database, batch)
         for query in batch.queries:
-            got = sorted(
-                [
-                    tuple(
-                        round(v, 3) if isinstance(v, float) else v
-                        for v in row
-                    )
-                    for row in outcome.execution.query(query.name).rows
-                ],
-                key=repr,
+            assert_same_rows(
+                outcome.execution.query(query.name).rows, oracle[query.name]
             )
-            want = sorted(
-                [
-                    tuple(
-                        round(v, 3) if isinstance(v, float) else v
-                        for v in row
-                    )
-                    for row in oracle[query.name]
-                ],
-                key=repr,
-            )
-            assert got == want

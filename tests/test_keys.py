@@ -25,6 +25,8 @@ from repro.optimizer.physical import PhysIdentityAgg
 from repro.storage.database import Database
 from repro.workloads import scaleup_batch
 
+from .rows import assert_same_rows
+
 #: Five queries of a benchmark-harness Fig-8 batch: one signature, ranges
 #: on ``c_nationkey`` and ``o_orderdate``, groupings over all three tables.
 FIG8_BATCH = ";".join(
@@ -52,21 +54,14 @@ KEYED = (
 )
 
 
-def normalize(rows):
-    return sorted(
-        (tuple(round(v, 4) if isinstance(v, float) else v for v in row) for row in rows),
-        key=repr,
-    )
-
-
 def assert_oracle_rows(session, sql):
     batch = session.bind(sql)
     outcome = session.execute(batch)
     oracle = evaluate_batch(session.database, batch)
     for query in batch.queries:
-        assert normalize(outcome.execution.query(query.name).rows) == normalize(
-            oracle[query.name]
-        ), query.name
+        assert_same_rows(
+            outcome.execution.query(query.name).rows, oracle[query.name], query.name
+        )
     return outcome
 
 

@@ -7,14 +7,7 @@ import threading
 import pytest
 
 from repro import MetricsRegistry, Session, Tracer
-from repro.obs import (
-    NULL_REGISTRY,
-    NULL_TRACER,
-    TRACE_HEADER_TYPE,
-    active_registry,
-    render_why,
-    use_registry,
-)
+from repro.obs import NULL_REGISTRY, NULL_TRACER, TRACE_HEADER_TYPE, render_why
 from repro.workloads import example1_batch, scaleup_batch
 
 
@@ -73,16 +66,6 @@ class TestMetricsRegistry:
         for t in threads:
             t.join()
         assert registry.get("hits") == 4000
-
-    def test_ambient_registry(self):
-        registry = MetricsRegistry()
-        assert active_registry() is NULL_REGISTRY
-        with use_registry(registry):
-            assert active_registry() is registry
-            with use_registry(None):
-                assert active_registry() is NULL_REGISTRY
-            assert active_registry() is registry
-        assert active_registry() is NULL_REGISTRY
 
 
 class TestTracer:
@@ -149,6 +132,19 @@ class TestSessionWiring:
         assert counters["executor.spools_materialized"] >= 1
         assert counters["executor.spool_reads"] >= 2
         assert registry.histogram("optimizer.total_seconds").total > 0
+
+    def test_step3_seconds_observes_only_step3_passes(self, tiny_db):
+        """Single-table queries never reach Step 3, so they add no
+        ``optimizer.step3_seconds`` observation."""
+        registry = MetricsRegistry()
+        session = Session(tiny_db, registry=registry)
+        session.optimize("select r_name from region")
+        session.optimize("select n_name from nation")
+        session.optimize(example1_batch())
+        snapshot = registry.snapshot()
+        passes = snapshot["counters"]["optimizer.cse_passes"]
+        assert snapshot["counters"]["optimizer.batches"] == 3
+        assert snapshot["histograms"]["optimizer.step3_seconds"]["count"] == passes == 1
 
     @pytest.mark.parametrize("batch", ["example1", "fig8_6"])
     def test_candidate_generation_work_counts(self, tiny_db, batch):

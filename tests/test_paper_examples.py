@@ -11,15 +11,7 @@ from repro.optimizer.physical import (
     PhysSpoolRead,
 )
 
-
-def normalize(rows):
-    return sorted(
-        [
-            tuple(round(v, 3) if isinstance(v, float) else v for v in row)
-            for row in rows
-        ],
-        key=repr,
-    )
+from .rows import assert_same_rows
 
 
 class TestExample7IndexedConsumer:
@@ -73,8 +65,8 @@ class TestExample7IndexedConsumer:
         outcome = session.execute(batch)
         oracle = evaluate_batch(session.database, batch)
         for query in batch.queries:
-            assert normalize(outcome.execution.query(query.name).rows) == (
-                normalize(oracle[query.name])
+            assert_same_rows(
+                outcome.execution.query(query.name).rows, oracle[query.name]
             )
 
 
@@ -135,9 +127,7 @@ class TestExample8IntraQuery:
             batch = session.bind(self.SQL)
             outcome = session.execute(batch)
             oracle = evaluate_batch(session.database, batch)
-            assert normalize(outcome.execution.query("Q1").rows) == (
-                normalize(oracle["Q1"])
-            )
+            assert_same_rows(outcome.execution.query("Q1").rows, oracle["Q1"])
 
 
 class TestIntraQuerySharingActivates:
@@ -163,9 +153,7 @@ class TestIntraQuerySharingActivates:
         batch = session.bind(self.SQL)
         outcome = session.execute(batch)
         oracle = evaluate_batch(session.database, batch)
-        assert normalize(outcome.execution.query("Q1").rows) == (
-            normalize(oracle["Q1"])
-        )
+        assert_same_rows(outcome.execution.query("Q1").rows, oracle["Q1"])
 
     def test_spool_settles_inside_the_query(self, small_db):
         result = Session(small_db).optimize(self.SQL)

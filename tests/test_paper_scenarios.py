@@ -19,23 +19,17 @@ from repro.workloads import (
     scaleup_batch,
 )
 
-
-def normalize(rows):
-    return sorted(
-        [
-            tuple(round(v, 3) if isinstance(v, float) else v for v in row)
-            for row in rows
-        ],
-        key=repr,
-    )
+from .rows import assert_same_rows
 
 
 def assert_matches_oracle(session, batch, outcome):
     oracle = evaluate_batch(session.database, batch)
     for query in batch.queries:
-        got = normalize(outcome.execution.query(query.name).rows)
-        want = normalize(oracle[query.name])
-        assert got == want, f"{query.name} differs from oracle"
+        assert_same_rows(
+            outcome.execution.query(query.name).rows,
+            oracle[query.name],
+            f"{query.name} differs from oracle",
+        )
 
 
 class TestTable1Figure6:

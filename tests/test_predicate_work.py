@@ -27,14 +27,7 @@ from repro.optimizer.memo import BlockInfo
 from repro.optimizer.physical import PhysHashJoin, PhysScan
 from repro.workloads.tpch_queries import adapted_query
 
-
-def normalize(rows):
-    def value(v):
-        if isinstance(v, float):
-            return None if math.isnan(v) else round(v, 3)
-        return v.item() if isinstance(v, np.generic) else v
-
-    return sorted((tuple(value(v) for v in row) for row in rows), key=repr)
+from .rows import assert_same_rows
 
 
 def _check_against_oracle(session, sql):
@@ -42,7 +35,7 @@ def _check_against_oracle(session, sql):
     outcome = session.execute(batch)
     oracle = evaluate_batch(session.database, batch)
     for result, query in zip(outcome.execution.results, batch.queries):
-        assert normalize(result.rows) == normalize(oracle[query.name]), sql
+        assert_same_rows(result.rows, oracle[query.name], sql)
     return outcome
 
 

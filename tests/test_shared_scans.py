@@ -20,6 +20,8 @@ from repro import OptimizerOptions, Session
 from repro.executor.reference import evaluate_batch
 from repro.obs import MetricsRegistry, render_ledger
 
+from .rows import assert_same_rows
+
 #: two queries over the same join, different aggregates: with CSE off,
 #: customer and orders are each scanned by both queries.
 SHARED_SQL = """
@@ -37,16 +39,6 @@ SHARED_SQL = """
 
 def _no_cse(db, **kwargs) -> Session:
     return Session(db, OptimizerOptions(enable_cse=False), **kwargs)
-
-
-def _normalize(rows):
-    return sorted(
-        [
-            tuple(round(v, 6) if isinstance(v, float) else v for v in row)
-            for row in rows
-        ],
-        key=repr,
-    )
 
 
 class TestSharingInvariant:
@@ -78,13 +70,9 @@ class TestSharingInvariant:
         unshared = _no_cse(small_db, shared_scans=False).execute(batch)
         oracle = evaluate_batch(small_db, batch)
         for query in batch.queries:
-            want = _normalize(oracle[query.name])
-            assert _normalize(
-                shared.execution.query(query.name).rows
-            ) == want
-            assert _normalize(
-                unshared.execution.query(query.name).rows
-            ) == want
+            want = oracle[query.name]
+            assert_same_rows(shared.execution.query(query.name).rows, want)
+            assert_same_rows(unshared.execution.query(query.name).rows, want)
 
     def test_disabled_sharing_has_no_stats(self, small_db):
         outcome = _no_cse(small_db, shared_scans=False).execute(SHARED_SQL)

@@ -11,6 +11,8 @@ from repro.optimizer.physical import PhysSpoolRead
 from repro.sql.binder import bind_batch
 from repro.workloads import adapted_batch, complex_join_batch, example1_batch
 
+from .rows import assert_same_rows
+
 STACKED_SQL = (
     "select c_nationkey, sum(l_extendedprice) as v "
     "from customer, orders, lineitem "
@@ -124,11 +126,9 @@ class TestStackedExecution:
         batch = session.bind(STACKED_SQL)
         oracle = evaluate_batch(session.database, batch)
         for query in batch.queries:
-            got = sorted(outcome.execution.query(query.name).rows, key=repr)
-            want = sorted(oracle[query.name], key=repr)
-            got = [tuple(round(v, 3) if isinstance(v, float) else v for v in r) for r in got]
-            want = [tuple(round(v, 3) if isinstance(v, float) else v for v in r) for r in want]
-            assert got == want
+            assert_same_rows(
+                outcome.execution.query(query.name).rows, oracle[query.name]
+            )
 
 
 def find_stacked_consumers_scan(run, candidates, profiles):

@@ -12,15 +12,7 @@ from repro.workloads.tpch_queries import (
     adapted_query,
 )
 
-
-def normalize(rows):
-    return sorted(
-        [
-            tuple(round(v, 3) if isinstance(v, float) else v for v in row)
-            for row in rows
-        ],
-        key=repr,
-    )
+from .rows import assert_same_rows
 
 
 class TestIndividualQueries:
@@ -30,9 +22,7 @@ class TestIndividualQueries:
         batch = session.bind(adapted_query(name))
         outcome = session.execute(batch)
         oracle = evaluate_batch(session.database, batch)
-        got = normalize(outcome.execution.results[0].rows)
-        want = normalize(oracle["Q1"])
-        assert got == want, name
+        assert_same_rows(outcome.execution.results[0].rows, oracle["Q1"], name)
 
     @pytest.mark.parametrize("name", sorted(ADAPTED_QUERIES))
     def test_positive_costs(self, tiny_db, name):
@@ -65,9 +55,7 @@ class TestSharingBatches:
         outcome = session.execute_bundle(result)
         oracle = evaluate_batch(session.database, batch)
         for query in batch.queries:
-            got = normalize(outcome.query(query.name).rows)
-            want = normalize(oracle[query.name])
-            assert got == want
+            assert_same_rows(outcome.query(query.name).rows, oracle[query.name])
 
     def test_full_suite_batch_runs(self, tiny_db):
         session = Session(tiny_db)
@@ -76,9 +64,9 @@ class TestSharingBatches:
         assert len(outcome.execution.results) == len(ADAPTED_QUERIES)
         oracle = evaluate_batch(session.database, batch)
         for query in batch.queries:
-            got = normalize(outcome.execution.query(query.name).rows)
-            want = normalize(oracle[query.name])
-            assert got == want
+            assert_same_rows(
+                outcome.execution.query(query.name).rows, oracle[query.name]
+            )
 
     def test_q3_q10_sharing_reduces_cost(self, small_db):
         sql = adapted_batch("Q3", "Q10")
