@@ -104,7 +104,6 @@ def generate_candidates(
     evaluations (both :class:`~repro.optimizer.state.OptimizerStats`
     counters)."""
     tracer = active_tracer()
-    work = Counter() if work is None else work
     consumers = sorted(compatible_set, key=lambda g: g.gid)
     if len(consumers) < 2:
         return []
@@ -163,6 +162,7 @@ def generate_candidates(
     # Algorithm 1: greedy merging driven by the benefit Δ (Heuristic 3),
     # starting from one trivial CSE per consumer.
     candidates: List[CseDefinition] = []
+    probes = evaluations = 0
     remaining: List[CoveringState] = [
         CoveringState.trivial(profiles(g)) for g in consumers
     ]
@@ -175,12 +175,12 @@ def generate_candidates(
             best_index = -1
             best_merged: Optional[CoveringState] = None
             probed = len(remaining)
-            work["merge_probes"] += probed
+            probes += probed
             for index, other in enumerate(remaining):
                 merged = current.merged_with(other.members[0])
                 if merged is None:
                     continue
-                work["merge_benefit_evaluations"] += 1
+                evaluations += 1
                 delta = merge_benefit(merged, [current, other], cost_model)
                 if delta > top_delta:
                     top_delta = delta
@@ -217,4 +217,7 @@ def generate_candidates(
             candidates.append(emit(current))
         # Un-merged seeds are dropped (a trivial CSE with one consumer is
         # never useful); the while loop retries with the rest.
+    if work is not None:
+        work["merge_probes"] += probes
+        work["merge_benefit_evaluations"] += evaluations
     return candidates

@@ -166,15 +166,15 @@ def heuristic4_filter(
     exceeds β × the containing candidate's (S_c > β × S_p): the wider
     candidate shares more computation *and* is not meaningfully larger.
     ``work`` counts the containment checks."""
-    work = Counter() if work is None else work
     tracer = active_tracer()
     kept: List[CseDefinition] = []
+    checks = 0
     for inner in candidates:
         contained = False
         for outer in candidates:
             if outer is inner:
                 continue
-            work["containment_checks"] += 1
+            checks += 1
             if is_contained(inner, outer, memo):
                 contained_prunes = inner.est_bytes > beta * outer.est_bytes
                 if tracer.enabled:
@@ -195,4 +195,6 @@ def heuristic4_filter(
                 pruned["H4"] += 1
             continue
         kept.append(inner)
+    if work is not None:
+        work["containment_checks"] += checks
     return kept

@@ -24,16 +24,21 @@ def fresh_plan_cache():
         yield
 
 
+def reuse_signature(optimization) -> tuple:
+    """What §5.4 reuse must not change: the final estimate, the used CSEs,
+    the plan bundle and the §5.2 discard tallies."""
+    return (
+        optimization.stats.est_cost_final,
+        optimization.stats.used_cses,
+        optimization.bundle.fingerprint(),
+        optimization.bundle.describe(),
+        optimization.stats.single_consumer_discards,
+    )
+
+
 def assert_reuse_invisible(reused, fresh, runs=None):
     """Two optimizations of one batch, with and without reuse, agree."""
-    assert reused.stats.est_cost_final == fresh.stats.est_cost_final
-    assert reused.stats.used_cses == fresh.stats.used_cses
-    assert reused.bundle.fingerprint() == fresh.bundle.fingerprint()
-    assert reused.bundle.describe() == fresh.bundle.describe()
-    assert (
-        reused.stats.single_consumer_discards
-        == fresh.stats.single_consumer_discards
-    )
+    assert reuse_signature(reused) == reuse_signature(fresh)
     assert fresh.stats.history_groups_reused == 0
     if runs is not None:
         assert runs[0].sc_discards == runs[1].sc_discards

@@ -6,8 +6,7 @@ Every seed-determined SPJG batch runs through a default :class:`Session`
 as cold, and is held to ``tests/matrix.py``'s invariants against the
 cached oracle rows. Handcrafted empty-result, NULL-extension and ORDER-BY
 scenarios, which the generator rarely produces, run under every matrix
-configuration with their §5.1 consumer matches held to
-``tests/match_reference.py``.
+configuration.
 
 The module and test names date from when this suite also compared a
 morsel-streamed fused pipeline path against the operator-at-a-time one;
@@ -21,7 +20,6 @@ import pytest
 
 from repro.workloads import random_spjg_batch
 
-from .. import match_reference
 from ..matrix import DEFAULT, NAMED, check_input
 
 SEED_COUNT = 200
@@ -40,7 +38,5 @@ def test_differential_at_production_morsel(chunk):
 
 
 @pytest.mark.parametrize("sql", HANDCRAFTED)
-def test_handcrafted_scenarios(sql, monkeypatch):
-    matches = match_reference.recording_matches(monkeypatch)
+def test_handcrafted_scenarios(sql):
     check_input("handcrafted", sql)
-    match_reference.assert_matches_oracle(matches)

@@ -41,8 +41,8 @@ MUTATION_SEEDS = range(0, 100, 10)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cache_hit_rows_equal_cold_rows(seed):
     # DEFAULT runs warm: a hit whose rows are the cold rows byte for
-    # byte, one miss and one hit on the session's cache, and the
-    # registry's counters.
+    # byte, and the registry's plan_cache.miss and plan_cache.hit at one
+    # each.
     check_input(f"spjg_{seed}", random_spjg_batch(seed), (DEFAULT,))
 
 
