@@ -31,7 +31,7 @@ Public entry points:
 * :class:`ResourceGovernor` / :class:`QueryBudget` — admission control and
   per-batch deadlines/budgets with cooperative cancellation; failures of
   the sharing machinery degrade to the paper's no-sharing baseline plan
-  (``Session(governor=..., default_budget=...)``).
+  (``Session(governor=...)``, ``execute(sql, budget=...)``).
 """
 
 from .api import ExecutionOutcome, Session

@@ -146,7 +146,6 @@ class Session:
         plan_cache_size: int = 64,
         query_log: Optional[QueryLog] = None,
         governor: Optional[ResourceGovernor] = None,
-        default_budget: Optional[QueryBudget] = None,
         shared_scans: bool = True,
         coordinator: Optional["SharedBatchCoordinator"] = None,
     ) -> None:
@@ -177,9 +176,6 @@ class Session:
             and self.registry is not NULL_REGISTRY
         ):
             governor.registry = self.registry
-        #: budget applied to every :meth:`execute` that does not pass its
-        #: own (None = ungoverned).
-        self.default_budget = default_budget
         #: cross-session micro-batching (see
         #: :class:`~repro.serve.coordinator.SharedBatchCoordinator`): the
         #: sessions holding one coordinator share its windows. Like the
@@ -272,9 +268,9 @@ class Session:
         ``workers`` overrides the session's ``workers`` for this call: N > 1
         schedules the bundle's task DAG on N pool threads, 1 runs it inline.
 
-        ``budget`` (default: the session's ``default_budget``) governs the
-        call: its deadline and spool/row limits are checked cooperatively
-        throughout optimization and execution. Optimizer failures and
+        ``budget`` (None = ungoverned) governs the call: its deadline and
+        spool/row limits are checked cooperatively throughout optimization
+        and execution. Optimizer failures and
         budget busts degrade to the paper's no-sharing baseline plan
         (``outcome.degraded``); deadline expiry raises
         :class:`~repro.errors.QueryTimeoutError`. When the session has a
@@ -286,8 +282,6 @@ class Session:
         # *this* run; collect operator stats up front rather than re-run.
         if self.query_log.enabled and self.query_log.slow_ms is not None:
             collect_op_stats = True
-        if budget is None:
-            budget = self.default_budget
         start = perf_counter()
         admit = (
             self.governor.admit() if self.governor is not None

@@ -93,8 +93,8 @@ class TableSchema:
 
     def row_width(self, columns: Optional[Iterable[str]] = None) -> int:
         """Approximate row width in bytes over the given (or all) columns."""
-        names = list(columns) if columns is not None else self.column_names
-        return sum(self.column(n).data_type.byte_width for n in names)
+        cols = self.columns if columns is None else map(self.column, columns)
+        return sum(c.data_type.byte_width for c in cols)
 
     def index_on(self, column: str) -> Optional[IndexSchema]:
         """The index over ``column``, if declared."""
@@ -123,8 +123,9 @@ class Catalog:
 
     def __init__(self) -> None:
         self._tables: Dict[str, TableSchema] = {}
-        #: counts add_table and drop_table: the name-resolution state a
-        #: bound batch depends on (the binder's memo keys on it).
+        #: bumped once by add_table and drop_table, and by the database's
+        #: create_index and analyze: the binder's memo and every plan-cache
+        #: key embed it, so DDL and fresh statistics re-key both.
         self.version = 0
 
     def add_table(self, schema: TableSchema) -> None:

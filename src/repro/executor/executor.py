@@ -75,7 +75,7 @@ from ..optimizer.physical import (
     QueryPlan,
 )
 from ..storage.database import Database
-from ..storage.worktable import WorkTable
+from ..storage.table import Table
 from ..types import DataType, literal_type, string_pool
 from .iterators import execute_node, materialize_spool, sort_order_for
 from .runtime import ExecutionContext, ExecutionMetrics
@@ -140,13 +140,13 @@ class BatchState:
     spool task records its span id in ``spool_spans`` and then publishes
     its table in ``spools`` only once the table is fully materialized and
     every budget charge has passed, and a reader task is started only
-    after every spool task it depends on has finished (:class:`WorkTable`
-    columns are immutable once loaded). ``scans`` does its own per-key
-    locking. A caller that passes a state in with spools already loaded
+    after every spool task it depends on has finished (a spool
+    :class:`Table`'s columns are immutable once loaded). ``scans`` does
+    its own per-key locking. A caller that passes a state in with spools already loaded
     (the cross-session coordinator) vouches for the same edge: those
     tables were complete before the call."""
 
-    spools: Dict[str, WorkTable] = field(default_factory=dict)
+    spools: Dict[str, Table] = field(default_factory=dict)
     #: ``cse_id -> span_id`` of each spool's materialization span, for the
     #: producer→consumer flow events of consumer-side reads.
     spool_spans: Dict[str, int] = field(default_factory=dict)

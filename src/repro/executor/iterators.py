@@ -51,7 +51,8 @@ from ..optimizer.physical import (
     PhysSpoolRead,
     PhysicalPlan,
 )
-from ..storage.worktable import WorkTable
+from ..catalog.schema import ColumnSchema, TableSchema
+from ..storage.table import Table
 from ..types import DataType, string_pool
 from .runtime import ExecutionContext
 
@@ -540,12 +541,12 @@ def _filter(plan: PhysFilter, ctx: ExecutionContext) -> Frame:
 
 def _spool_read(plan: PhysSpoolRead, ctx: ExecutionContext) -> Frame:
     start = perf_counter()
-    worktable = ctx.spool(plan.cse_id)
+    table = ctx.spool(plan.cse_id)
     frame: Frame = {}
     for name, expr in plan.column_map:
-        frame[expr] = worktable.stored_column(name)
-    rows = worktable.row_count
-    read_cost = ctx.cost_model.spool_read(rows, worktable.row_width())
+        frame[expr] = table.stored_column(name)
+    rows = table.row_count
+    read_cost = ctx.cost_model.spool_read(rows, table.row_width())
     ctx.metrics.spool_rows_read += rows
     ctx.metrics.cost_units += read_cost
     spool = ctx.metrics.spool(plan.cse_id)
@@ -557,7 +558,7 @@ def _spool_read(plan: PhysSpoolRead, ctx: ExecutionContext) -> Frame:
     if ctx.tracer.enabled:
         # The producer→consumer edge: ``from_span`` is the materializing
         # span's id (registered before the spool was published, so it is
-        # visible under the same happens-before edge as the worktable).
+        # visible under the same happens-before edge as the table).
         ctx.tracer.event(
             "spool_flow",
             spool=plan.cse_id,
@@ -566,32 +567,33 @@ def _spool_read(plan: PhysSpoolRead, ctx: ExecutionContext) -> Frame:
         )
     ctx.registry.observe("executor.spool_read_rows", rows)
     ctx.registry.observe(
-        "executor.spool_read_bytes", rows * worktable.row_width()
+        "executor.spool_read_bytes", rows * table.row_width()
     )
     return frame
 
 
 def materialize_spool(
     cse_id: str, body: PhysicalPlan, ctx: ExecutionContext
-) -> WorkTable:
-    """Evaluate a spool body (a named projection) into a work table."""
+) -> Table:
+    """Evaluate a spool body (a named projection) into a work table: a
+    :class:`Table` whose schema is never added to the catalog."""
     tracer = ctx.tracer
     if not tracer.enabled:
         return _materialize_spool(cse_id, body, ctx)
     with tracer.span("spool_materialize", spool=cse_id) as span:
-        # Register the span id before the worktable is published (our
+        # Register the span id before the table is published (our
         # caller stores it into the shared ``spools`` dict after we
         # return), so any consumer that can see the spool can also see
         # its producing span — the flow edge is never dangling.
         ctx.spool_spans[cse_id] = span.span_id
-        worktable = _materialize_spool(cse_id, body, ctx)
-        span.attrs["rows"] = worktable.row_count
-        return worktable
+        table = _materialize_spool(cse_id, body, ctx)
+        span.attrs["rows"] = table.row_count
+        return table
 
 
 def _materialize_spool(
     cse_id: str, body: PhysicalPlan, ctx: ExecutionContext
-) -> WorkTable:
+) -> Table:
     if not isinstance(body, PhysProject):
         raise ExecutionError(
             f"spool body for {cse_id!r} must end in a projection"
@@ -605,35 +607,30 @@ def _materialize_spool(
     # charged — those rows are charged at every consumer read
     # (spool_read), so charging the producer too would double-count them.
     frame = execute_node(body.child, ctx)
-    names: List[str] = []
-    types: List[DataType] = []
-    columns: Dict[str, np.ndarray] = {}
-    for out in body.outputs:
-        values = evaluate(out.expr, frame)
-        names.append(out.name)
-        types.append(out.expr.data_type)
-        columns[out.name] = values
+    columns = {out.name: evaluate(out.expr, frame) for out in body.outputs}
     # Everything charged so far is body evaluation — the measured C_E.
     body_cost = ctx.metrics.cost_units - cost_before
-    worktable = WorkTable(cse_id, names, types)
-    worktable.load_stored(columns)
+    table = Table(TableSchema(cse_id, [
+        ColumnSchema(out.name, out.expr.data_type) for out in body.outputs
+    ]))
+    table.load_stored(columns)
     if ctx.token is not None:
         # Charge before any accounting or publication: a budget bust raises
         # here, so a partially-governed spool is never visible to readers.
         ctx.token.charge_spool(
-            worktable.row_count,
-            worktable.row_count * worktable.row_width(),
+            table.row_count,
+            table.row_count * table.row_width(),
         )
     write_cost = ctx.cost_model.spool_write(
-        worktable.row_count, worktable.row_width()
+        table.row_count, table.row_width()
     )
-    ctx.metrics.spool_rows_written += worktable.row_count
+    ctx.metrics.spool_rows_written += table.row_count
     ctx.metrics.spools_materialized += 1
     ctx.metrics.cost_units += write_cost
     elapsed = perf_counter() - start
     spool = ctx.metrics.spool(cse_id)
     spool.writes += 1
-    spool.rows_written += worktable.row_count
+    spool.rows_written += table.row_count
     # Measured "initial cost" per Definition 5.1: the body's evaluation
     # cost units (everything charged while producing the frame) plus C_W;
     # ``body_cost_units`` keeps the C_E share so the sharing ledger can
@@ -641,17 +638,17 @@ def _materialize_spool(
     spool.write_cost_units += ctx.metrics.cost_units - cost_before
     spool.body_cost_units += body_cost
     spool.materialize_wall_time += elapsed
-    ctx.registry.observe("executor.spool_write_rows", worktable.row_count)
+    ctx.registry.observe("executor.spool_write_rows", table.row_count)
     ctx.registry.observe(
         "executor.spool_write_bytes",
-        worktable.row_count * worktable.row_width(),
+        table.row_count * table.row_width(),
     )
     if ctx.op_stats is not None:
         stats = ctx.stats_for(body)
         stats.invocations += 1
-        stats.rows_out += worktable.row_count
+        stats.rows_out += table.row_count
         stats.wall_time += elapsed
-    return worktable
+    return table
 
 
 def _spool_def(plan: PhysSpoolDef, ctx: ExecutionContext) -> Frame:

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from ..obs import NULL_REGISTRY, NULL_TRACER, MetricsRegistry, OperatorStats, Tracer
 from ..optimizer.cost import CostModel
 from ..storage.database import Database
-from ..storage.worktable import WorkTable
+from ..storage.table import Table
 
 if TYPE_CHECKING:  # avoid the executor → serve → executor import cycle
     from ..serve.governor import CancellationToken
@@ -117,7 +117,7 @@ class SharedSpoolPool:
     The cross-session coordinator materializes each shared spool exactly
     once (the producer phase), then serves every consumer from this pool.
     ``publish`` records how many consumers will read a spool; each
-    consumer ``attach``-es the worktable (aliasing, never copying) and
+    consumer ``attach``-es the spool's table (aliasing, never copying) and
     ``detach``-es when its queries finish. The last detach drops the
     pool's reference so the arrays become collectable as soon as no
     consumer result aliases them — spools never wait for the whole merged
@@ -128,12 +128,12 @@ class SharedSpoolPool:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._tables: Dict[str, WorkTable] = {}
+        self._tables: Dict[str, Table] = {}
         self._refcounts: Dict[str, int] = {}
         self.published = 0
         self.freed = 0
 
-    def publish(self, cse_id: str, table: WorkTable, consumers: int) -> None:
+    def publish(self, cse_id: str, table: Table, consumers: int) -> None:
         """Register a materialized spool with its consumer refcount.
 
         A spool no consumer reads (``consumers == 0``) is dropped
@@ -146,8 +146,8 @@ class SharedSpoolPool:
             self._tables[cse_id] = table
             self._refcounts[cse_id] = consumers
 
-    def attach(self, cse_id: str) -> WorkTable:
-        """The published worktable for ``cse_id`` (error if unknown/freed)."""
+    def attach(self, cse_id: str) -> Table:
+        """The published spool table for ``cse_id`` (error if unknown/freed)."""
         with self._lock:
             try:
                 return self._tables[cse_id]
@@ -277,7 +277,7 @@ class ExecutionContext:
 
     database: Database
     cost_model: CostModel = field(default_factory=CostModel)
-    spools: Dict[str, WorkTable] = field(default_factory=dict)
+    spools: Dict[str, Table] = field(default_factory=dict)
     metrics: ExecutionMetrics = field(default_factory=ExecutionMetrics)
     registry: MetricsRegistry = field(default_factory=lambda: NULL_REGISTRY)
     #: ``id(plan node) -> OperatorStats``; None disables collection so the
@@ -306,7 +306,7 @@ class ExecutionContext:
             stats = self.op_stats[id(node)] = OperatorStats()
         return stats
 
-    def spool(self, cse_id: str) -> WorkTable:
+    def spool(self, cse_id: str) -> Table:
         """A materialized spool by id (error if missing)."""
         try:
             return self.spools[cse_id]

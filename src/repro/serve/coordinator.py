@@ -54,7 +54,7 @@ from ..executor.executor import BatchResult, BatchState
 from ..executor.runtime import ExecutionMetrics, SharedSpoolPool
 from ..executor.schedule import query_spool_read_counts
 from ..obs import NULL_REGISTRY, MetricsRegistry, build_ledger
-from ..storage.worktable import WorkTable
+from ..storage.table import Table
 from .cache import PlanCache, cached_optimize, register_invalidation
 from .fingerprint import batch_fingerprint, batch_tables, config_key
 
@@ -417,7 +417,7 @@ class SharedBatchCoordinator:
             }
         )
         token = consumer.budget.start() if consumer.budget is not None else None
-        attached: Dict[str, WorkTable] = {}
+        attached: Dict[str, Table] = {}
         try:
             with session.tracer.span(
                 "shared_consume", slot=consumer.slot, queries=len(my_plans)

@@ -149,6 +149,6 @@ def cache_key(
     """The composite plan-cache key for one lookup."""
     return (
         batch_fingerprint(batch),
-        database.catalog_version,
+        database.catalog.version,
         config_key(options, cost_model),
     )

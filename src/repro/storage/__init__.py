@@ -2,7 +2,6 @@
 
 from .table import Table
 from .index import RangeIndex
-from .worktable import WorkTable
 from .database import Database
 
-__all__ = ["Table", "RangeIndex", "WorkTable", "Database"]
+__all__ = ["Table", "RangeIndex", "Database"]

@@ -12,7 +12,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..catalog.schema import Catalog, IndexSchema, TableSchema
 from ..catalog.statistics import ColumnStats, TableStats, is_unique
-from ..errors import CatalogError, StorageError
+from ..errors import CatalogError
 from .index import RangeIndex
 from .table import Table
 
@@ -26,8 +26,9 @@ class Database:
 
     Mutations (DDL, DML, and ``analyze``) are serialized by an internal
     lock and announced to registered :data:`MutationListener` callbacks;
-    DDL and statistics changes additionally bump :attr:`catalog_version`,
-    which plan-cache keys embed so schema changes re-key every entry.
+    DDL and statistics changes additionally bump the catalog's
+    :attr:`~repro.catalog.schema.Catalog.version`, which plan-cache keys
+    embed so schema changes re-key every entry.
     Reads are lock-free: tables publish column updates with atomic swaps.
     """
 
@@ -38,14 +39,8 @@ class Database:
         self._stats: Dict[str, TableStats] = {}
         self._mutation_lock = threading.RLock()
         self._listeners: List[MutationListener] = []
-        self._catalog_version = 0
 
     # -- mutation bookkeeping ----------------------------------------------
-
-    @property
-    def catalog_version(self) -> int:
-        """Monotonic version bumped by DDL and statistics changes."""
-        return self._catalog_version
 
     def add_mutation_listener(self, listener: MutationListener) -> None:
         """Register a callback fired after every mutation."""
@@ -59,9 +54,7 @@ class Database:
             if listener in self._listeners:
                 self._listeners.remove(listener)
 
-    def _mutated(self, table_name: Optional[str], ddl: bool = False) -> None:
-        if ddl:
-            self._catalog_version += 1
+    def _mutated(self, table_name: Optional[str]) -> None:
         for listener in list(self._listeners):
             listener(table_name.lower() if table_name else None)
 
@@ -78,7 +71,7 @@ class Database:
             self._tables[schema.name.lower()] = table
             for index_schema in schema.indexes:
                 self._register_index(index_schema, table)
-            self._mutated(schema.name, ddl=True)
+            self._mutated(schema.name)
         return table
 
     def drop_table(self, name: str) -> None:
@@ -92,7 +85,7 @@ class Database:
             ]:
                 del self._indexes[index_name]
             self._stats.pop(key, None)
-            self._mutated(name, ddl=True)
+            self._mutated(name)
 
     def create_index(self, name: str, table_name: str, column: str) -> RangeIndex:
         """Create a range index over one numeric/date column."""
@@ -103,7 +96,8 @@ class Database:
             )
             schema.add_index(index_schema)
             index = self._register_index(index_schema, self.table(table_name))
-            self._mutated(table_name, ddl=True)
+            self.catalog.version += 1
+            self._mutated(table_name)
         return index
 
     def _register_index(self, index_schema: IndexSchema, table: Table) -> RangeIndex:
@@ -186,8 +180,10 @@ class Database:
                 self._stats[name.lower()] = TableStats(
                     row_count=table.row_count, columns=column_stats, primary_key=key
                 )
-                # Fresh statistics change plan choice just like DDL does.
-                self._mutated(name, ddl=True)
+            # Fresh statistics change plan choice just like DDL does.
+            self.catalog.version += 1
+            for name in names:
+                self._mutated(name)
 
     def statistics(self, table_name: str) -> TableStats:
         """Collected statistics (bare row count before analyze())."""

@@ -20,18 +20,19 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..api import Session
 from ..catalog.schema import ColumnSchema, TableSchema
 from ..cse.compatibility import remap_expr
-from ..errors import CatalogError, StorageError, UnsupportedFeatureError
+from ..errors import CatalogError, UnsupportedFeatureError
 from ..executor.executor import BatchResult
 from ..expr.expressions import AggExpr, AggFunc, Expr, TableRef
 from ..logical.blocks import BoundBatch, BoundQuery, OutputColumn, QueryBlock
 from ..optimizer.engine import OptimizationResult
 from ..optimizer.options import OptimizerOptions
 from ..storage.database import Database
+from ..storage.table import columns_of
 from .materialized import MaterializedView, ViewManager
 
 
@@ -171,7 +172,7 @@ class MaintenancePlanner:
         # convert and validate them before anything is registered or
         # replaced, so a rejected write stops here, before the catalog, any
         # view or the base table moved.
-        columns = _columns_of(schema, rows)
+        columns = columns_of(schema, rows)
         if self.database.has_table(delta_name):
             self.database.load(delta_name, columns)
         else:
@@ -211,22 +212,7 @@ class MaintenancePlanner:
         self, schema: TableSchema, rows: Sequence[Sequence[Any]]
     ) -> None:
         keep = _without_rows(self.database.table(schema.name).rows(), rows)
-        self.database.load(schema.name, _columns_of(schema, keep))
-        self.database.analyze(schema.name)
-
-
-def _columns_of(
-    schema: TableSchema, rows: Sequence[Sequence[Any]]
-) -> Mapping[str, List[Any]]:
-    """Row tuples as the column mapping ``Database.load`` takes."""
-    names = schema.column_names
-    for row in rows:
-        if len(row) != len(names):
-            raise StorageError(
-                f"row has {len(row)} values, table {schema.name!r} has "
-                f"{len(names)} columns"
-            )
-    return {name: [row[i] for row in rows] for i, name in enumerate(names)}
+        self.database.load(schema.name, columns_of(schema, keep))
 
 
 def _without_rows(

@@ -8,17 +8,17 @@ by an update to a base table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..api import Session
+from ..catalog.schema import ColumnSchema, TableSchema
 from ..errors import CatalogError
 from ..logical.blocks import BoundQuery
 from ..sql.binder import Binder
 from ..sql.parser import parse_batch
 from ..storage.database import Database
-from ..storage.worktable import WorkTable
-from ..types import DataType
+from ..storage.table import Table, columns_of
 
 
 @dataclass
@@ -28,8 +28,10 @@ class MaterializedView:
     name: str
     sql: str
     query: BoundQuery
-    #: stored rows, column name -> array (None until first refresh)
-    contents: Optional[WorkTable] = None
+    #: the stored contents' schema, named like the view (never in the catalog)
+    schema: TableSchema
+    #: stored rows: a table over ``schema`` (None until first refresh)
+    contents: Optional[Table] = None
 
     @property
     def base_tables(self) -> List[str]:
@@ -62,7 +64,10 @@ class ViewManager:
         if len(statements) != 1:
             raise CatalogError("a view is defined by exactly one statement")
         query = Binder(self.database.catalog).bind_statement(statements[0], name)
-        view = MaterializedView(name=name, sql=sql, query=query)
+        schema = TableSchema(name, [
+            ColumnSchema(o.name, o.expr.data_type) for o in query.block.output
+        ])
+        view = MaterializedView(name=name, sql=sql, query=query, schema=schema)
         self._views[key] = view
         return view
 
@@ -98,19 +103,10 @@ class ViewManager:
         # A throw-away session, so no plan cache (or its listener) to set up.
         outcome = Session(self.database, plan_cache_size=0).execute(view.query)
         rows = outcome.execution.query(view.name).rows
-        view.contents = _rows_to_worktable(view, rows)
+        view.contents = Table(view.schema, columns_of(view.schema, rows))
         return view
 
     def refresh_all(self) -> None:
         """Recompute every view's contents."""
         for view in self._views.values():
             self.refresh(view.name)
-
-
-def _rows_to_worktable(
-    view: MaterializedView, rows: List[Tuple]
-) -> WorkTable:
-    types: List[DataType] = [o.expr.data_type for o in view.query.block.output]
-    table = WorkTable(view.name, view.column_names, types)
-    table.load_rows(rows)
-    return table

@@ -102,12 +102,15 @@ def oracle(sql: str, batch) -> Dict[str, list]:
 @dataclass(frozen=True)
 class Config:
     """One engine configuration: ``Session`` keyword arguments, plus the
-    switches that are not session settings. Every run builds fresh
+    switches that are not session settings (the per-call budget among
+    them). Every run builds fresh
     sessions, so a flipped ablation constant never meets a plan cached
     before the flip."""
 
     name: str
     session: Mapping = field(default_factory=dict)
+    #: the ``budget`` every ``execute`` passes.
+    budget: Optional[QueryBudget] = None
     #: run with :data:`repro.optimizer.search.NAIVE_COST_SPLIT` on.
     naive_cost_split: bool = False
     #: start Step 3 on empty §5.4 plan-set tables.
@@ -129,15 +132,13 @@ NAIVE = Config(
 )
 SPOOL_BUDGET = Config(
     "spool budget, fresh plan sets",
-    {"default_budget": QueryBudget(max_spool_rows=0)},
+    budget=QueryBudget(max_spool_rows=0),
     fresh_plan_sets=True,
 )
 DEADLINE = Config(
     "optimizer deadline",
-    {
-        "default_budget": QueryBudget(optimizer_deadline_ms=1e-6),
-        "plan_cache_size": 0,
-    },
+    {"plan_cache_size": 0},
+    budget=QueryBudget(optimizer_deadline_ms=1e-6),
 )
 
 #: the engine configurations. Axes that cannot interact with each other's
@@ -178,9 +179,11 @@ def execute(config: Config, batch):
             stack.enter_context(patch.object(search, "NAIVE_COST_SPLIT", True))
         if config.fresh_plan_sets:
             stack.enter_context(fresh_plan_cache())
-        cold = session.execute(batch)
+        cold = session.execute(batch, budget=config.budget)
         counters = [registry.snapshot()["counters"]]
-        warm = session.execute(batch) if config.warm else None
+        warm = None
+        if config.warm:
+            warm = session.execute(batch, budget=config.budget)
         counters.append(registry.snapshot()["counters"])
     return cold, warm, counters
 
@@ -598,7 +601,7 @@ def check_step3(reference: str, plans) -> None:
 
 def duplicate_first_row(database, table_name):
     table = database.table(table_name)
-    database.insert(table_name, [table.row(0)])
+    database.insert(table_name, [table.rows()[0]])
 
 
 VIEW_SQL = {

@@ -56,7 +56,7 @@ LEFT_TO_OTHER_CHECKS = {
 #: must stay on an axis.
 OLD_SUITE_AXES = {
     "options", "enable_cse", "enable_heuristics", "NAIVE_COST_SPLIT",
-    "plan_cache_size", "default_budget", "coordinator", "database",
+    "plan_cache_size", "coordinator", "database",
 }
 
 # -- named inputs ------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.executor.runtime import SharedSpoolPool
 from repro.obs import MetricsRegistry, Tracer
 from repro.serve import QueryBudget, SharedBatchCoordinator
 from repro.serve.fingerprint import batch_fingerprint
-from repro.storage.worktable import WorkTable
+from repro.storage.table import Table
 
 from .rows import assert_same_rows
 from .selection_reference import reference_select
@@ -70,13 +70,12 @@ def _run_concurrent(jobs, timeout=60.0):
 
 
 def _worktable(rows=3):
+    from repro.catalog.schema import ColumnSchema, TableSchema
     from repro.types import DataType
 
-    return WorkTable(
-        name="t",
-        column_names=["x"],
-        column_types=[DataType.INT],
-        columns={"x": np.arange(rows, dtype=np.int64)},
+    return Table(
+        TableSchema("t", [ColumnSchema("x", DataType.INT)]),
+        {"x": np.arange(rows, dtype=np.int64)},
     )
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import OptimizerOptions, Session, types
+from repro.catalog.schema import ColumnSchema, TableSchema
 from repro.errors import ExecutionError
 from repro.executor import iterators
 from repro.executor.executor import Executor, bind_scalars
@@ -41,7 +42,7 @@ from repro.optimizer.physical import (
     PhysScan,
     PhysSpoolRead,
 )
-from repro.storage.worktable import WorkTable
+from repro.storage.table import Table
 from repro.types import DataType, string_pool
 
 from .rows import assert_same_rows
@@ -214,6 +215,10 @@ class TestOperators:
         worktable = materialize_spool("E1", body, ctx)
         assert worktable.row_count == 3
         assert ctx.metrics.spools_materialized == 1
+        # A spool is a table outside the catalog, typed like its body.
+        assert isinstance(worktable, Table)
+        assert worktable.schema.column_type("k0") is DataType.INT
+        assert not tiny_db.catalog.has_table("E1")
         from repro.optimizer.physical import PhysSpoolRead
 
         ctx.spools["E1"] = worktable
@@ -509,9 +514,11 @@ def _assert_group_ids_equal(got, want):
 def _spool_source(cse_id, frame, ctx):
     """Publish ``frame`` as a spool in ``ctx`` and return a plan reading it."""
     names = [f"c{i}" for i in range(len(frame))]
-    worktable = WorkTable(cse_id, names, [expr.data_type for expr in frame])
-    worktable.load_stored(dict(zip(names, frame.values())))
-    ctx.spools[cse_id] = worktable
+    table = Table(TableSchema(cse_id, [
+        ColumnSchema(name, expr.data_type) for name, expr in zip(names, frame)
+    ]))
+    table.load_stored(dict(zip(names, frame.values())))
+    ctx.spools[cse_id] = table
     return PhysSpoolRead(cse_id, tuple(zip(names, frame)))
 
 

@@ -219,7 +219,7 @@ class TestDataIntegrityFailures:
 
         def state():
             return (
-                db.catalog_version,
+                db.catalog.version,
                 sorted(db.catalog.table_names()),
                 db.table("t").rows(),
                 [

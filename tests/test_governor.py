@@ -477,12 +477,12 @@ class TestRowBudgetCharging:
         assert reader.token.rows_charged == spool.row_count
 
     def test_row_budget_trips_on_filtered_scan(self, small_db):
-        session = Session(
-            small_db,
-            default_budget=QueryBudget(max_rows=5, allow_fallback=False),
-        )
+        session = Session(small_db)
         with pytest.raises(BudgetExceededError):
-            session.execute(FILTERED_SQL)
+            session.execute(
+                FILTERED_SQL,
+                budget=QueryBudget(max_rows=5, allow_fallback=False),
+            )
 
     def test_expired_deadline_stops_before_first_operator(
         self, small_db, monkeypatch
@@ -640,16 +640,6 @@ class TestFallback:
                 budget=QueryBudget(deadline_ms=0.001),
                 workers=4,
             )
-
-    def test_default_budget_applies_to_every_execute(self, small_db):
-        session = self._governed_session(
-            small_db, default_budget=QueryBudget(max_spool_rows=0)
-        )
-        out = session.execute(self.SQL)
-        assert out.degraded and out.fallback_reason == "spool_budget"
-        # A per-call budget overrides the session default.
-        ok = session.execute(self.SQL, budget=QueryBudget())
-        assert not ok.degraded
 
     def test_degraded_plan_never_cached(self, small_db):
         """A fallback plan must not poison the cache: the next normal

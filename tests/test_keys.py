@@ -115,7 +115,7 @@ def test_writes_drop_the_fact_and_deltas_never_have_one(fresh_db):
     assert estimator.key_columns(orders)
     delta = TableRef("orders", 1, is_delta=True, storage_name="orders")
     assert estimator.key_columns(delta) == ()
-    fresh_db.insert("orders", [fresh_db.table("orders").row(0)])
+    fresh_db.insert("orders", [fresh_db.table("orders").rows()[0]])
     assert estimator.key_columns(orders) == ()
     fresh_db.analyze("orders")  # the duplicate o_orderkey fails verification
     assert fresh_db.has_statistics("orders")
@@ -238,8 +238,8 @@ def test_duplicate_keys_switch_the_facts_off(fresh_db):
     """Declared keys are not enforced: after a duplicate ``o_orderkey`` and a
     duplicate ``c_custkey`` arrive through ``insert``, no plan may rely on
     them — before and after statistics are collected again."""
-    fresh_db.insert("orders", [fresh_db.table("orders").row(3)])
-    fresh_db.insert("customer", [fresh_db.table("customer").row(5)])
+    fresh_db.insert("orders", [fresh_db.table("orders").rows()[3]])
+    fresh_db.insert("customer", [fresh_db.table("customer").rows()[5]])
     for analyzed in (False, True):
         if analyzed:
             fresh_db.analyze()

@@ -32,7 +32,7 @@ def db():
 
 def _existing_customers(db, count=20):
     table = db.table("customer")
-    return [table.row(i) for i in range(count)]
+    return table.rows()[:count]
 
 
 def _view_dict(view):
@@ -118,7 +118,7 @@ class TestDeleteMaintenance:
         )
         manager.refresh("v")
         table = db.table("customer")
-        victim = table.row(0)
+        victim = table.rows()[0]
         groups_before = _view_dict(manager.view("v"))
         MaintenancePlanner(db, manager).apply_delete("customer", [victim])
         groups_after = _view_dict(manager.view("v"))
@@ -139,7 +139,7 @@ class TestDeleteMaintenance:
     def test_delete_one_of_two_identical_rows(self, db):
         """Bag semantics on the base table too: deleting one copy of a
         duplicated row leaves the other, in the table and in the views."""
-        twin = db.table("customer").row(0)
+        twin = db.table("customer").rows()[0]
         db.insert("customer", [twin])
         views = {"flat": SPJ_VIEW.replace("< 5", "< 25"), "agg": SUM_VIEW}
         manager = ViewManager(db)
@@ -155,3 +155,26 @@ class TestDeleteMaintenance:
             fresh.view("flat").contents.rows()
         )
         assert _view_dict(manager.view("agg")) == _view_dict(fresh.view("agg"))
+
+    def test_delete_keeps_the_cached_plan(self, db):
+        """A delete re-keys no cached plan, as an insert does not: insert,
+        delete, insert through one planner optimizes once (two plan-cache
+        hits), and the delete leaves the catalog version alone."""
+        manager = ViewManager(db)
+        manager.create_view("v", SUM_VIEW)
+        manager.refresh("v")
+        planner = MaintenancePlanner(db, manager)
+        new_rows = [
+            (10_000_000 + i, f"Customer#{i}", i % 25, "BUILDING", 10.0)
+            for i in range(5)
+        ]
+        planner.apply_insert("customer", new_rows)
+        version = db.catalog.version
+        planner.apply_delete("customer", new_rows)
+        assert db.catalog.version == version
+        planner.apply_insert("customer", new_rows)
+        assert planner.session.plan_cache.hits == 2
+        fresh = ViewManager(db)
+        fresh.create_view("f", SUM_VIEW)
+        fresh.refresh("f")
+        assert _view_dict(manager.view("v")) == _view_dict(fresh.view("f"))

@@ -403,9 +403,9 @@ def test_extended_queries_are_assembled_only_in_logical():
 
 def test_session_init_parameters():
     """``Session.__init__`` only shrinks (13 parameters before the decision
-    journal became trace events)."""
+    journal became trace events, 12 before budgets became per call)."""
     parameters = list(inspect.signature(Session.__init__).parameters)
-    assert parameters[0] == "self" and len(parameters) - 1 <= 12
+    assert parameters[0] == "self" and len(parameters) - 1 <= 11
 
 
 def test_no_journal_parameter():
@@ -479,3 +479,33 @@ def test_ledger_is_one_record():
     assert len(source.splitlines()) <= 300
     gone = {"SharingLedger", "SpoolLedgerEntry", "ScanLedgerEntry", "estimated_ledger"}
     assert gone.isdisjoint(set(repro.obs.__all__) | set(vars(repro.obs)))
+
+
+# -- one table class ----------------------------------------------------------
+
+
+def test_one_table_class():
+    """Spool results and stored view contents are ``Table``s whose schema
+    is never added to the catalog: no ``WorkTable`` comes back under
+    ``src/``, and ``repro/storage/`` defines one table class — a class
+    named like a table or holding columns behind ``stored_column``."""
+    mentions = [
+        f"{path.relative_to(SRC).as_posix()}"
+        for path in sorted(REPRO.rglob("*.py"))
+        if "WorkTable" in path.read_text()
+    ]
+    assert mentions == []
+    tables = [
+        f"{path.name}: {node.name}"
+        for path in sorted((REPRO / "storage").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and (
+            "Table" in node.name
+            or any(
+                isinstance(item, ast.FunctionDef) and item.name == "stored_column"
+                for item in node.body
+            )
+        )
+    ]
+    assert tables == ["table.py: Table"]

@@ -106,7 +106,7 @@ class TestFingerprint:
         planner.apply_insert("customer", [row])
         cache = planner.session.plan_cache
         assert (len(cache), cache.hits) == (1, 1)
-        database.insert("orders", [database.table("orders").row(0)])
+        database.insert("orders", [database.table("orders").rows()[0]])
         assert len(cache) == 0
 
     def test_config_key_distinguishes_options(self):

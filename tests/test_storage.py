@@ -8,7 +8,6 @@ from repro.errors import CatalogError, StorageError
 from repro.storage.database import Database
 from repro.storage.index import RangeIndex
 from repro.storage.table import Table
-from repro.storage.worktable import WorkTable
 from repro.types import DataType, string_pool
 
 
@@ -63,20 +62,15 @@ class TestTable:
         with pytest.raises(StorageError):
             Table(_schema()).replace_data(data)
 
-    def test_row_access(self):
-        table = Table(_schema(), _data())
-        assert table.row(2) == (2, 3.0, "row2")
-        with pytest.raises(StorageError):
-            table.row(99)
-
     def test_rows(self):
         table = Table(_schema(), _data(2))
         assert table.rows() == [(0, 0.0, "row0"), (1, 1.5, "row1")]
 
     def test_row_agrees_with_rows_on_plain_python_values(self):
-        """Regression: ``row(i)`` returned numpy scalars where ``rows()[i]``
-        returned python values, and a ``np.str_`` / ``str``-subclass value
-        came back as that subclass."""
+        """Regression: a single row once came back as numpy scalars where
+        ``rows()`` returned python values, and a ``np.str_`` /
+        ``str``-subclass value came back as that subclass. ``rows()`` is
+        now the one row accessor; each row equals its column values."""
 
         class Tagged(str):
             pass
@@ -85,9 +79,9 @@ class TestTable:
         table.append_rows([(7, 2.5, Tagged("tag")), (8, 3.5, np.str_("np"))])
         rows = table.rows()
         assert rows[2:] == [(7, 2.5, "tag"), (8, 3.5, "np")]
+        columns = [table.column(n).tolist() for n in table.column_names]
         for index, row in enumerate(rows):
-            assert table.row(index) == row
-            assert [type(v) for v in table.row(index)] == [int, float, str]
+            assert row == tuple(column[index] for column in columns)
             assert [type(v) for v in row] == [int, float, str]
         assert {type(v) for v in table.column("s").tolist()} == {str}
 
@@ -109,12 +103,6 @@ class TestTable:
         with pytest.raises(StorageError):
             table.append_rows([(9, 1.0, bad)])
         assert table.row_count == 2
-
-    def test_select_mask(self):
-        table = Table(_schema(), _data())
-        subset = table.select(table.column("k") >= 3)
-        assert subset.row_count == 2
-        assert subset.column("k").tolist() == [3, 4]
 
     def test_append_rows(self):
         table = Table(_schema(), _data(2))
@@ -177,66 +165,104 @@ class TestRangeIndex:
         assert len(index.lookup_equal(100)) == 1
 
 
+def _work_schema(*columns):
+    return TableSchema("w", [ColumnSchema(n, t) for n, t in columns])
+
+
+def _catalog_and_spool(*columns):
+    """One schema as a catalog table (registered by a database) and as a
+    spool table (a :class:`Table` never added to the catalog, as the spool
+    write builds it)."""
+    schema = _work_schema(*columns)
+    return Database().create_table(schema), Table(schema)
+
+
 class TestWorkTable:
+    """The paper's work tables (§4.3.2) — spool results and stored view
+    contents — are tables outside the catalog: every case runs the same
+    accessor contract on a catalog table and on a spool table."""
+
     def test_load_and_read(self):
-        wt = WorkTable("w", ["a", "b"], [DataType.INT, DataType.FLOAT])
-        wt.load({"a": np.array([1, 2]), "b": np.array([0.5, 1.5])})
-        assert wt.row_count == 2
-        assert wt.column("a").tolist() == [1, 2]
-        assert wt.column_type("b") is DataType.FLOAT
+        for table in _catalog_and_spool(("a", DataType.INT), ("b", DataType.FLOAT)):
+            table.replace_data({"a": np.array([1, 2]), "b": np.array([0.5, 1.5])})
+            assert table.row_count == 2
+            assert table.column("a").tolist() == [1, 2]
+            assert table.schema.column_type("b") is DataType.FLOAT
+            assert table.rows() == [(1, 0.5), (2, 1.5)]
+            assert table.size_bytes() == 2 * 16
 
     def test_mismatched_load_rejected(self):
-        wt = WorkTable("w", ["a"], [DataType.INT])
-        with pytest.raises(StorageError):
-            wt.load({"b": np.array([1])})
+        for table in _catalog_and_spool(("a", DataType.INT)):
+            with pytest.raises(StorageError):
+                table.replace_data({"b": np.array([1])})
+            with pytest.raises(StorageError):
+                table.load_stored({"b": np.array([1])})
+            with pytest.raises(StorageError):
+                table.load_rows([(1, 2)])
+            assert table.row_count == 0
 
     def test_ragged_load_rejected(self):
-        wt = WorkTable("w", ["a", "b"], [DataType.INT, DataType.INT])
-        with pytest.raises(StorageError):
-            wt.load({"a": np.array([1]), "b": np.array([1, 2])})
+        for table in _catalog_and_spool(("a", DataType.INT), ("b", DataType.INT)):
+            ragged = {"a": np.array([1]), "b": np.array([1, 2])}
+            with pytest.raises(StorageError):
+                table.replace_data(ragged)
+            with pytest.raises(StorageError):
+                table.load_stored(ragged)
+            with pytest.raises(StorageError):
+                table.load_rows([(1, 2), (3,)])
+            with pytest.raises(StorageError):
+                table.append_rows([(1, 2), (3,)])
+            assert table.row_count == 0
 
     def test_duplicate_columns_rejected(self):
-        with pytest.raises(StorageError):
-            WorkTable("w", ["a", "a"], [DataType.INT, DataType.INT])
+        duplicated = (("a", DataType.INT), ("a", DataType.INT))
+        with pytest.raises(CatalogError):
+            Database().create_table(_work_schema(*duplicated))
+        with pytest.raises(CatalogError):
+            Table(_work_schema(*duplicated))
 
     def test_missing_column_read(self):
-        wt = WorkTable("w", ["a"], [DataType.INT])
-        with pytest.raises(StorageError):
-            wt.column("zz")
+        for table in _catalog_and_spool(("a", DataType.INT)):
+            with pytest.raises(StorageError):
+                table.column("zz")
+            with pytest.raises(StorageError):
+                table.stored_column("zz")
 
     def test_string_values_in_codes_stored(self):
-        wt = WorkTable("w", ["k", "s"], [DataType.INT, DataType.STRING])
-        wt.load({"k": np.array([1, 2]), "s": ["x", "y"]})
-        assert wt.stored_column("s").dtype == np.int64
-        assert wt.column("s").tolist() == ["x", "y"]
-        assert wt.rows() == [(1, "x"), (2, "y")]
-        wt.load_rows([(3, "y"), (4, "z"), (5, "y")])
-        assert wt.rows() == [(3, "y"), (4, "z"), (5, "y")]
-        for bad in (7, None):
-            with pytest.raises(StorageError):
-                wt.load({"k": np.array([1]), "s": [bad]})
-        assert wt.row_count == 3
+        for table in _catalog_and_spool(("k", DataType.INT), ("s", DataType.STRING)):
+            table.replace_data({"k": np.array([1, 2]), "s": ["x", "y"]})
+            assert table.stored_column("s").dtype == np.int64
+            assert table.column("s").tolist() == ["x", "y"]
+            assert table.rows() == [(1, "x"), (2, "y")]
+            table.load_rows([(3, "y"), (4, "z"), (5, "y")])
+            assert table.rows() == [(3, "y"), (4, "z"), (5, "y")]
+            for bad in (7, None):
+                with pytest.raises(StorageError):
+                    table.replace_data({"k": np.array([1]), "s": [bad]})
+                with pytest.raises(StorageError):
+                    table.load_rows([(1, bad)])
+            assert table.row_count == 3
 
     def test_spool_write_checks_codes_against_the_pool(self):
         """``load_stored`` takes the executor's code arrays as they are,
         but only int64 codes that the pool can decode."""
-        wt = WorkTable("w", ["s"], [DataType.STRING])
-        codes = string_pool.intern(["p", "q", "p"])
-        wt.load_stored({"s": codes})
-        assert wt.stored_column("s") is codes
-        assert wt.column("s").tolist() == ["p", "q", "p"]
-        wt.load_stored({"s": np.empty(0, dtype=np.int64)})
-        assert wt.row_count == 0
-        for bad in (
-            np.array([len(string_pool)], dtype=np.int64),  # past the pool
-            np.array([0, -1], dtype=np.int64),  # a never-stored literal
-            np.array([0.0, np.nan]),  # float-widened: a NULL string
-            np.array(["p"], dtype=object),  # values, not codes
-            [0, 1],
-        ):
-            with pytest.raises(StorageError):
-                wt.load_stored({"s": bad})
-        assert wt.row_count == 0
+        for table in _catalog_and_spool(("s", DataType.STRING)):
+            codes = string_pool.intern(["p", "q", "p"])
+            table.load_stored({"s": codes})
+            assert table.stored_column("s") is codes
+            assert table.column("s").tolist() == ["p", "q", "p"]
+            table.load_stored({"s": np.empty(0, dtype=np.int64)})
+            assert table.row_count == 0
+            for bad in (
+                np.array([len(string_pool)], dtype=np.int64),  # past the pool
+                np.array([0, -1], dtype=np.int64),  # a never-stored literal
+                np.array([0.0, np.nan]),  # float-widened: a NULL string
+                np.array(["p"], dtype=object),  # values, not codes
+                [0, 1],
+            ):
+                with pytest.raises(StorageError):
+                    table.load_stored({"s": bad})
+            assert table.row_count == 0
 
 
 class TestDatabase:
@@ -259,7 +285,7 @@ class TestDatabase:
             db.create_table(_schema(), data)
         assert not db.has_table("t")
         assert db.catalog.table_names() == []
-        assert (db.catalog_version, db.catalog.version) == (0, 0)
+        assert db.catalog.version == 0
         db.create_table(_schema(), _data())  # the name is still free
         assert db.table("t").row_count == 5
 

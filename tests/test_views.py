@@ -101,6 +101,15 @@ class TestViewManager:
         with pytest.raises(CatalogError):
             manager.create_view("v1", V1)
 
+    def test_name_must_make_a_table_schema(self, manager):
+        """A view's contents are a table outside the catalog, so a name no
+        table could have is refused when the view is defined, not at its
+        first refresh."""
+        with pytest.raises(CatalogError, match="invalid table name"):
+            manager.create_view("my-view", V1)
+        assert len(manager.views()) == 3
+        assert manager.view("v1").contents.column_names == ["c_nationkey", "le", "lq"]
+
     def test_affected_by(self, manager):
         assert len(manager.affected_by("customer")) == 3
         assert len(manager.affected_by("nation")) == 1
@@ -147,7 +156,7 @@ class TestMaintenance:
         """A write rejected by row validation creates no delta table and
         bumps no version, so no cached plan or statement memo is re-keyed."""
         planner = MaintenancePlanner(db, manager)
-        versions = (db.catalog_version, db.catalog.version)
+        version = db.catalog.version
         names = db.catalog.table_names()
         with pytest.raises(StorageError, match="expected int, got 'notanint'"):
             planner.apply_insert(
@@ -155,7 +164,7 @@ class TestMaintenance:
             )
         assert not db.has_table("__delta_customer")
         assert db.catalog.table_names() == names
-        assert (db.catalog_version, db.catalog.version) == versions
+        assert db.catalog.version == version
 
     def test_maintenance_result_equals_recompute(self, manager, db):
         planner = MaintenancePlanner(db, manager)
@@ -252,11 +261,11 @@ class TestMaintenanceThroughSession:
         planner.apply_insert("customer", _new_customers(db, 5))
         reader.execute(untouched)
         reader.execute(touched)
-        version = db.catalog_version
+        version = db.catalog.version
         planner.apply_insert(
             "customer", _new_customers(db, 5, start_key=11_000_000)
         )
-        assert db.catalog_version == version
+        assert db.catalog.version == version
         assert reader.execute(untouched).plan_cache_hit
         assert not reader.execute(touched).plan_cache_hit
 
