@@ -18,7 +18,7 @@ from ..logical.blocks import BoundQuery
 from ..sql.binder import Binder
 from ..sql.parser import parse_batch
 from ..storage.database import Database
-from ..storage.table import Table, columns_of
+from ..storage.table import Table
 
 
 @dataclass
@@ -41,7 +41,7 @@ class MaterializedView:
     @property
     def column_names(self) -> List[str]:
         """Output column names, in order."""
-        return [o.name for o in self.query.block.output]
+        return self.schema.column_names
 
     def references(self, table_name: str) -> bool:
         """Whether the view reads ``table_name``."""
@@ -103,7 +103,9 @@ class ViewManager:
         # A throw-away session, so no plan cache (or its listener) to set up.
         outcome = Session(self.database, plan_cache_size=0).execute(view.query)
         rows = outcome.execution.query(view.name).rows
-        view.contents = Table(view.schema, columns_of(view.schema, rows))
+        contents = Table(view.schema)
+        contents.load_rows(rows)
+        view.contents = contents
         return view
 
     def refresh_all(self) -> None:

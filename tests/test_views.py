@@ -241,6 +241,39 @@ class TestMaintenance:
         planner.apply_insert("customer", rows)
         assert manager.view("flat").contents.row_count == before + matching
 
+    def test_float_widened_results_are_stored(self, db):
+        """The executor returns MIN/MAX over a DATE column, and SUM over no
+        rows, as floats; refresh and maintenance store them in the view's
+        column types, equal to a recomputation."""
+        views = {
+            "last_order": "select o_custkey, max(o_orderdate) as last_date "
+                          "from orders group by o_custkey",
+            "no_sum": "select sum(o_custkey) as total from orders "
+                      "where o_custkey < 0",
+        }
+        manager = ViewManager(db)
+        for name, sql in views.items():
+            manager.create_view(name, sql)
+        manager.refresh_all()
+        assert manager.view("no_sum").contents.rows() == [(0,)]
+        MaintenancePlanner(db, manager).apply_insert("orders", [
+            (90_000_001, 1, "O", 10.0, "1999-01-01", "1-URGENT"),
+            (90_000_002, 2, "F", 20.0, "1990-01-01", "2-HIGH"),
+            (90_000_003, 99_999, "O", 30.0, "1995-06-30", "3-MEDIUM"),
+        ])
+        fresh = ViewManager(db)
+        for name, sql in views.items():
+            fresh.create_view(name, sql)
+        fresh.refresh_all()
+        for name in views:
+            stored = manager.view(name).contents
+            assert sorted(stored.rows()) == sorted(fresh.view(name).contents.rows())
+            assert all(
+                stored.stored_column(n).dtype == np.int64
+                for n in stored.column_names
+            )
+        assert (1, 10592) in manager.view("last_order").contents.rows()
+
 
 class TestMaintenanceThroughSession:
     """§6.4 through the one engine: the maintenance batch is a plan-cache
