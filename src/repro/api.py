@@ -54,7 +54,12 @@ from .optimizer.cost import CostModel
 from .optimizer.engine import OptimizationResult, Optimizer
 from .optimizer.explain import explain_with_costs, render_analyzed_bundle
 from .optimizer.options import OptimizerOptions
-from .serve.cache import PlanCache, cached_optimize, register_invalidation
+from .serve.cache import (
+    PlanCache,
+    PlanCheck,
+    cached_optimize,
+    register_invalidation,
+)
 from .serve.fingerprint import batch_fingerprint
 from .serve.governor import CancellationToken, QueryBudget, ResourceGovernor
 from .sql.binder import Binder
@@ -117,8 +122,9 @@ class Session:
     threads; with 1 the same tasks run inline on the calling thread.
     ``plan_cache_size`` bounds the per-session LRU plan cache (``0``
     disables caching): a warm :meth:`execute` skips optimization entirely,
-    and any mutation of the underlying :class:`Database` invalidates the
-    affected entries.
+    and a mutation of the underlying :class:`Database` invalidates the
+    affected entries — an insert that keeps the table's verified key only
+    marks them for a check on their next run (:mod:`repro.serve.cache`).
 
     Telemetry sinks (all optional, all no-ops by default):
 
@@ -302,14 +308,18 @@ class Session:
                     ledger = shared.ledger
                 else:
                     token = budget.start() if budget is not None else None
-                    result, cache_hit, opt_fallback = self._optimize_governed(
-                        batch, budget, token
+                    result, cache_hit, check, opt_fallback = (
+                        self._optimize_governed(batch, budget, token)
                     )
                     execution, exec_fallback = self._execute_governed(
                         result, collect_op_stats, workers, budget, token
                     )
                     reason = opt_fallback or exec_fallback
                     ledger = self._build_ledger(result, execution, reason)
+                    if check is not None and reason is None:
+                        check.settle(
+                            execution.metrics.cost_units, ledger, self.tracer
+                        )
         wall = perf_counter() - start
         self.registry.observe("serve.query_seconds", wall)
         outcome = ExecutionOutcome(
@@ -400,26 +410,27 @@ class Session:
         batch: BoundBatch,
         budget: Optional[QueryBudget],
         token: Optional[CancellationToken],
-    ) -> "tuple[OptimizationResult, bool, Optional[str]]":
+    ) -> "tuple[OptimizationResult, bool, Optional[PlanCheck], Optional[str]]":
         """Optimize under the budget's deadline, degrading on failure.
 
-        Returns ``(result, cache_hit, fallback_reason)``. An
+        Returns ``(result, cache_hit, check, fallback_reason)``, ``check``
+        as :func:`~repro.serve.cache.cached_optimize` hands it out. An
         :class:`OptimizerError` (or optimizer-deadline expiry) retries
         with CSE exploitation disabled — the no-sharing plan is always
         valid, so sharing machinery failures never fail the batch. The
         retry bypasses the plan cache entirely: a degraded plan is never
         stored under the batch's normal fingerprint."""
         if budget is None:
-            result, cache_hit = cached_optimize(
+            result, cache_hit, check = cached_optimize(
                 self.plan_cache, self, batch, "plan_cache_hit"
             )
-            return result, cache_hit, None
+            return result, cache_hit, check, None
         try:
-            result, cache_hit = cached_optimize(
+            result, cache_hit, check = cached_optimize(
                 self.plan_cache, self, batch, "plan_cache_hit",
                 deadline=budget.optimizer_deadline(token),
             )
-            return result, cache_hit, None
+            return result, cache_hit, check, None
         except OptimizerTimeoutError as error:
             if not budget.allow_fallback:
                 raise QueryTimeoutError(str(error)) from error
@@ -433,7 +444,7 @@ class Session:
             # expired overall deadline fails the batch here and now.
             token.check()
         result = self._fallback_optimize(batch, token, reason, cause)
-        return result, False, reason
+        return result, False, None, reason
 
     def _fallback_optimize(
         self,

@@ -15,7 +15,7 @@ Statistics are collected by scanning stored tables (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -143,6 +143,37 @@ class ColumnStats:
             mcv=mcv,
         )
 
+    def widened(
+        self, appended: np.ndarray, data_type: DataType, row_count: int
+    ) -> "ColumnStats":
+        """These statistics after ``appended`` (stored form) joined the
+        column, now ``row_count`` rows long, read from the appended values
+        only: min/max widen; the NDV grows by the appended distinct values
+        not already known present (the MCVs list every value when there
+        are ``ndv`` of them), capped by the row count and, for integer
+        columns, by the widened range's width; the histogram and MCVs are
+        kept as collected."""
+        if len(appended) == 0:
+            return self
+        distinct = np.unique(appended)
+        fresh = len(distinct)
+        if len(self.mcv) == self.ndv:
+            values = (
+                string_pool.decode(distinct)
+                if data_type is DataType.STRING
+                else distinct
+            )
+            fresh = sum(v not in self.mcv for v in values.tolist())
+        ndv = min(self.ndv + fresh, row_count)
+        if data_type is DataType.STRING:
+            return replace(self, ndv=ndv)
+        low, high = float(distinct[0]), float(distinct[-1])
+        if self.min_value is not None:
+            low, high = min(low, self.min_value), max(high, self.max_value)
+        if distinct.dtype.kind in "iu":
+            ndv = min(ndv, int(high - low) + 1)
+        return replace(self, ndv=ndv, min_value=low, max_value=high)
+
 
 def _mcv_from_counts(counts: Dict[object, int], total: int) -> Dict[object, float]:
     top = sorted(counts.items(), key=lambda kv: (-kv[1], repr(kv[0])))[:MCV_SIZE]
@@ -189,8 +220,9 @@ class TableStats:
     row_count: int
     columns: Dict[str, ColumnStats] = field(default_factory=dict)
     #: The declared primary key, when ``analyze`` found it holds on the
-    #: stored rows (declared keys are not enforced); else empty. A write
-    #: drops it with the rest of the statistics.
+    #: stored rows (declared keys are not enforced); else empty. An insert
+    #: re-verifies it over the stored key columns and drops it once a
+    #: duplicate lands; a ``load`` verifies it afresh.
     primary_key: Tuple[str, ...] = ()
 
     def column(self, name: str) -> Optional[ColumnStats]:

@@ -490,7 +490,7 @@ def _aggregate_column(
             nulls = isnan
     if func is AggFunc.SUM:
         if n == 0:
-            return np.zeros(count, dtype=np.float64)
+            return np.zeros(count, dtype=compute.out.data_type.numpy_dtype)
         weights = values.astype(np.float64, copy=False)
         if nulls is not None:
             weights = np.where(nulls, 0.0, weights)
@@ -511,8 +511,9 @@ def _aggregate_column(
         # A group with no live row (all NULL, or a scalar aggregate over no
         # rows) aggregates to NULL.
         result[~seen] = np.nan
-        if compute.out.data_type is DataType.INT and bool(seen.all()):
-            return result.astype(np.int64)
+        dtype = compute.out.data_type.numpy_dtype
+        if dtype.kind != "f" and bool(seen.all()):
+            return result.astype(dtype)
         return result
     if func is AggFunc.AVG:
         live_gids, live_values = gids, values.astype(np.float64, copy=False)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -55,7 +55,7 @@ from ..executor.runtime import ExecutionMetrics, SharedSpoolPool
 from ..executor.schedule import query_spool_read_counts
 from ..obs import NULL_REGISTRY, MetricsRegistry, build_ledger
 from ..storage.table import Table
-from .cache import PlanCache, cached_optimize, register_invalidation
+from .cache import PlanCache, PlanCheck, cached_optimize, register_invalidation
 from .fingerprint import batch_fingerprint, batch_tables, config_key
 
 if TYPE_CHECKING:  # avoid the serve → api → serve import cycle
@@ -119,6 +119,15 @@ class _SharedRun:
     #: into its own result, so the completed outcomes still sum to an
     #: isolated execution whichever consumers fall back; None once claimed.
     producer_metrics: Optional[ExecutionMetrics]
+    #: the plan-cache judgement owed when the merged entry was written
+    #: since it was optimized; settled on the whole run by its last
+    #: consumer to finish, the one that frees the last spool.
+    check: Optional[PlanCheck] = None
+    #: the whole run so far (producer plus every finished consumer) and
+    #: how many consumers finished it or fell back, under the group lock.
+    whole: ExecutionMetrics = field(default_factory=ExecutionMetrics)
+    finished: int = 0
+    fell_back: bool = False
 
 
 class _Group:
@@ -325,7 +334,7 @@ class SharedBatchCoordinator:
             # mutation that lands mid-window bumps the version and
             # re-keys (and the mutation listener has already evicted any
             # stale merged entry).
-            result, cache_hit = cached_optimize(
+            result, cache_hit, check = cached_optimize(
                 self._plan_cache_for(session.database),
                 session,
                 merged,
@@ -333,7 +342,7 @@ class SharedBatchCoordinator:
             )
             reads = query_spool_read_counts(result.bundle)
             run = self._materialize(session, result, reads)
-            run.cache_hit = cache_hit
+            run.cache_hit, run.check = cache_hit, check
             session.tracer.event(
                 "shared_merge",
                 consumers=len(group.consumers),
@@ -451,12 +460,15 @@ class SharedBatchCoordinator:
                 "shared_fallback", stage="consumer", slot=consumer.slot,
                 detail=str(error),
             )
-            return None
+            execution = None
         finally:
             for cse_id in attached:
                 if shared.pool.detach(cse_id):
                     self.registry.counter("coordinator.spools_freed")
                     session.tracer.event("shared_spool_freed", spool=cse_id)
+        if execution is None:
+            self._finish(group, None, session)
+            return None
         # Back to this consumer's own query names.
         execution.results = [
             replace(r, name=r.name[len(prefix):]) for r in execution.results
@@ -472,6 +484,7 @@ class SharedBatchCoordinator:
             # of an isolated execution (spools, then queries).
             produced.merge(execution.metrics)
             execution.metrics = produced
+        self._finish(group, execution.metrics, session)
         # Spools are priced over every consumer's planned reads (this
         # consumer's names de-prefixed): a spool's n is the merged batch's.
         ledger = build_ledger(
@@ -493,3 +506,29 @@ class SharedBatchCoordinator:
             plan_cache_hit=shared.cache_hit,
             ledger=ledger,
         )
+
+    def _finish(
+        self,
+        group: _Group,
+        metrics: Optional[ExecutionMetrics],
+        session: "Session",
+    ) -> None:
+        """Count one consumer out of the merged run (``metrics`` None: it
+        fell back); the last one out settles the run's plan-cache check
+        on the whole run — never on one consumer's part of it."""
+        shared = group.shared
+        if shared.check is None:
+            return
+        with group.lock:
+            if metrics is None:
+                shared.fell_back = True
+            else:
+                shared.whole.merge(metrics)
+            shared.finished += 1
+            last = shared.finished == len(group.consumers)
+        if not last or shared.fell_back:
+            return
+        ledger = build_ledger(
+            shared.result.candidates, shared.reads, shared.whole.spool_stats
+        )
+        shared.check.settle(shared.whole.cost_units, ledger, session.tracer)

@@ -16,9 +16,11 @@ from ..errors import CatalogError
 from .index import RangeIndex
 from .table import Table
 
-#: A mutation listener: called with the lower-cased table name that changed,
-#: or None for batch-wide changes. Plan caches register one to invalidate.
-MutationListener = Callable[[Optional[str]], None]
+#: A mutation listener: called with the lower-cased table name that changed
+#: (None for batch-wide changes) and ``facts_kept``: True only for an insert
+#: after which every fact a plan may have read off the table still holds
+#: (its verified key survived). Plan caches register one to invalidate.
+MutationListener = Callable[[Optional[str], bool], None]
 
 
 class Database:
@@ -26,7 +28,7 @@ class Database:
 
     Mutations (DDL, DML, and ``analyze``) are serialized by an internal
     lock and announced to registered :data:`MutationListener` callbacks;
-    DDL and statistics changes additionally bump the catalog's
+    DDL and ``analyze`` additionally bump the catalog's
     :attr:`~repro.catalog.schema.Catalog.version`, which plan-cache keys
     embed so schema changes re-key every entry.
     Reads are lock-free: tables publish column updates with atomic swaps.
@@ -54,9 +56,9 @@ class Database:
             if listener in self._listeners:
                 self._listeners.remove(listener)
 
-    def _mutated(self, table_name: Optional[str]) -> None:
+    def _mutated(self, table_name: Optional[str], facts_kept: bool = False) -> None:
         for listener in list(self._listeners):
-            listener(table_name.lower() if table_name else None)
+            listener(table_name.lower() if table_name else None, facts_kept)
 
     # -- DDL ---------------------------------------------------------------
 
@@ -138,27 +140,58 @@ class Database:
     # -- DML ---------------------------------------------------------------
 
     def insert(self, table_name: str, rows: Any) -> int:
-        """Append rows; refreshes indexes and invalidates statistics."""
+        """Append rows; refreshes indexes and the table's statistics.
+
+        Collected statistics are refreshed from the appended rows alone
+        (:meth:`ColumnStats.widened`: exact row count, widened min/max,
+        bounded NDV) and the verified key is re-checked over the stored
+        key columns. The catalog version does not move; the listeners
+        learn whether the key survived, so plans that relied on it go."""
         with self._mutation_lock:
             table = self.table(table_name)
+            first = table.row_count
             count = table.append_rows(rows)
             for index in self._indexes.values():
                 if index.table is table:
                     index.refresh()
-            # Stored statistics are now stale; callers re-run analyze().
-            self._stats.pop(table_name.lower(), None)
-            self._mutated(table_name)
+            facts_kept = self._refresh_statistics(table, first)
+            self._mutated(table_name, facts_kept)
         return count
 
+    def _refresh_statistics(self, table: Table, first: int) -> bool:
+        """Swap in the statistics of ``table`` after rows ``first:`` were
+        appended; False when its verified key broke."""
+        name = table.name.lower()
+        stats = self._stats.get(name)
+        if stats is None:
+            return True
+        rows = table.row_count
+        columns = {
+            col.name: stats.columns[col.name].widened(
+                table.stored_column(col.name)[first:], col.data_type, rows
+            )
+            for col in table.schema.columns
+        }
+        key = stats.primary_key
+        if key and not is_unique([table.stored_column(c) for c in key]):
+            key = ()
+        self._stats[name] = TableStats(rows, columns, key)
+        return key == stats.primary_key
+
     def load(self, table_name: str, columns: Mapping[str, Any]) -> None:
-        """Replace a table's contents wholesale."""
+        """Replace a table's contents wholesale.
+
+        Collected statistics are recollected over the new contents (a
+        table never analyzed stays so); every plan reading the table is
+        evicted."""
         with self._mutation_lock:
             table = self.table(table_name)
             table.replace_data(columns)
             for index in self._indexes.values():
                 if index.table is table:
                     index.refresh()
-            self._stats.pop(table_name.lower(), None)
+            if self.has_statistics(table_name):
+                self._collect_statistics(table)
             self._mutated(table_name)
 
     # -- statistics ----------------------------------------------------------
@@ -168,22 +201,25 @@ class Database:
         with self._mutation_lock:
             names = [table_name] if table_name else list(self._tables)
             for name in names:
-                table = self.table(name)
-                column_stats: Dict[str, ColumnStats] = {}
-                for col in table.schema.columns:
-                    column_stats[col.name] = ColumnStats.collect(
-                        table.stored_column(col.name), col.data_type, histogram_buckets
-                    )
-                key = table.schema.primary_key
-                if key and not is_unique([table.stored_column(c) for c in key]):
-                    key = ()
-                self._stats[name.lower()] = TableStats(
-                    row_count=table.row_count, columns=column_stats, primary_key=key
-                )
+                self._collect_statistics(self.table(name), histogram_buckets)
             # Fresh statistics change plan choice just like DDL does.
             self.catalog.version += 1
             for name in names:
                 self._mutated(name)
+
+    def _collect_statistics(self, table: Table, histogram_buckets: int = 32) -> None:
+        """Scan ``table`` for its statistics and verify its declared key."""
+        column_stats: Dict[str, ColumnStats] = {}
+        for col in table.schema.columns:
+            column_stats[col.name] = ColumnStats.collect(
+                table.stored_column(col.name), col.data_type, histogram_buckets
+            )
+        key = table.schema.primary_key
+        if key and not is_unique([table.stored_column(c) for c in key]):
+            key = ()
+        self._stats[table.name.lower()] = TableStats(
+            row_count=table.row_count, columns=column_stats, primary_key=key
+        )
 
     def statistics(self, table_name: str) -> TableStats:
         """Collected statistics (bare row count before analyze())."""

@@ -119,18 +119,8 @@ class Table:
         self._install(columns, coerce_column)
 
     def load_rows(self, rows: Sequence[Sequence[Any]]) -> None:
-        """Replace the contents with result rows ordered like the schema.
-
-        Non-STRING values are cast to the column's storage dtype, since the
-        executor returns some results widened to float (MIN/MAX over a DATE
-        column, SUM over no rows); STRING values are interned."""
-        columns = columns_of(self.schema, rows)
-        self.replace_data({
-            col.name: columns[col.name]
-            if col.data_type is DataType.STRING
-            else np.array(columns[col.name], dtype=col.data_type.numpy_dtype)
-            for col in self.schema.columns
-        })
+        """Replace the contents with row tuples ordered like the schema."""
+        self.replace_data(columns_of(self.schema, rows))
 
     def load_stored(self, columns: Mapping[str, np.ndarray]) -> None:
         """The spool write: like :meth:`replace_data`, but STRING columns

@@ -600,8 +600,20 @@ def check_step3(reference: str, plans) -> None:
 
 
 def duplicate_first_row(database, table_name):
+    """Insert a copy of the first row: the table's key no longer holds."""
     table = database.table(table_name)
     database.insert(table_name, [table.rows()[0]])
+
+
+def append_fresh_key_row(database, table_name):
+    """Insert a copy of the first row under key values past every stored
+    one: the table's key still holds."""
+    table = database.table(table_name)
+    row = list(table.rows()[0])
+    names = table.schema.column_names
+    for column in table.schema.primary_key:
+        row[names.index(column)] = int(table.stored_column(column).max()) + 1
+    database.insert(table_name, [tuple(row)])
 
 
 VIEW_SQL = {

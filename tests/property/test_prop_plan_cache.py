@@ -8,9 +8,11 @@ property suites use), three invariants must hold on every workload:
   the oracle's (``tests/matrix.py``'s ``DEFAULT`` configuration);
 * every lookup lands in exactly one of ``plan_cache.hit`` /
   ``plan_cache.miss`` — the counters account for all lookups;
-* mutating a table the batch reads invalidates the entry, and the
-  re-optimized plan's rows equal the reference oracle's on the mutated
-  database.
+* a write that breaks the key of a table the batch reads invalidates the
+  entry, and the re-optimized plan's rows equal the reference oracle's on
+  the mutated database;
+* a write that keeps that key keeps the entry, and the cached plan's rows
+  equal the oracle's on the written database.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.workloads import random_spjg_batch
 
 from ..matrix import (
     DEFAULT,
+    append_fresh_key_row,
     check_input,
     check_rows,
     duplicate_first_row,
@@ -67,6 +70,25 @@ def test_mutation_invalidates_and_recomputes(seed):
         assert counters["plan_cache.miss"] == 2
         assert counters["plan_cache.hit"] == 1
         # The re-optimized plan sees the mutation.
+        batch = Session(database).bind(sql)
+        check_rows(after, batch, evaluate_batch(database, batch), set())
+
+
+@pytest.mark.parametrize("seed", MUTATION_SEEDS)
+def test_fresh_key_append_keeps_the_plan(seed):
+    database = build_tpch_database(scale_factor=0.0005)
+    sql = random_spjg_batch(seed)
+    registry = MetricsRegistry()
+    session = Session(database, registry=registry)
+    cold = session.execute(sql)
+
+    append_fresh_key_row(database, MUTATED_TABLE)
+    with recorded(f"fresh_key_{seed}", sql, "write"):
+        after = session.execute(sql)
+        assert after.plan_cache_hit, "a fresh-key append must keep the plan"
+        assert after.optimization is cold.optimization
+        counters = registry.snapshot()["counters"]
+        assert "plan_cache.invalidation" not in counters
         batch = Session(database).bind(sql)
         check_rows(after, batch, evaluate_batch(database, batch), set())
 

@@ -509,3 +509,59 @@ def test_one_table_class():
         )
     ]
     assert tables == ["table.py: Table"]
+
+
+def _methods_reached(cls: ast.ClassDef, name: str) -> dict:
+    """``name`` and every ``self.<method>`` of ``cls`` it calls, transitively."""
+    methods = {
+        item.name: item for item in cls.body if isinstance(item, ast.FunctionDef)
+    }
+    reached, pending = {}, [name]
+    while pending:
+        method = methods[pending.pop()]
+        reached[method.name] = method
+        for node in ast.walk(method):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "self"
+                and node.func.attr in methods
+                and node.func.attr not in reached
+            ):
+                pending.append(node.func.attr)
+    return reached
+
+
+def test_insert_refreshes_statistics():
+    """``Database.insert`` refreshes the written table's statistics rather
+    than dropping them, and re-keys no plan: neither it nor a method it
+    calls pops ``_stats`` or touches ``catalog.version``."""
+    tree = ast.parse((REPRO / "storage" / "database.py").read_text())
+    database = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "Database"
+    )
+    reached = _methods_reached(database, "insert")
+    assert "_refresh_statistics" in reached
+    offences = []
+    for name, method in reached.items():
+        for node in ast.walk(method):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "version"
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "catalog"
+            ):
+                offences.append(f"{name}: catalog.version")
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("pop", "clear", "popitem")
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "_stats"
+            ):
+                offences.append(f"{name}: _stats.{node.func.attr}")
+            if isinstance(node, ast.Delete) and "_stats" in ast.dump(node):
+                offences.append(f"{name}: del _stats[...]")
+    assert offences == []

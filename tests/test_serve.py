@@ -214,7 +214,7 @@ class TestPlanCache:
         sql = "select cc_id from CamelCase"
         session.execute(sql)
         assert session.execute(sql).plan_cache_hit
-        database.insert("CamelCase", [(99,)])
+        database.load("CamelCase", {"cc_id": np.arange(5, dtype=np.int64)})
         assert not session.execute(sql).plan_cache_hit
 
     def test_invalidate_all(self):

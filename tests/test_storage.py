@@ -295,9 +295,13 @@ class TestDatabase:
         db.create_index("ix_k", "t", "k")
         db.analyze()
         assert db.statistics("t").row_count == 5
+        version = db.catalog.version
         db.insert("t", [(50, 1.0, "new")])
-        # stats were invalidated: falls back to bare row count
-        assert db.statistics("t").row_count == 6
+        # Refreshed from the appended row, not dropped; no re-key.
+        stats = db.statistics("t")
+        assert db.has_statistics("t") and db.catalog.version == version
+        assert stats.row_count == 6
+        assert (stats.column("k").ndv, stats.column("k").max_value) == (6, 50.0)
         assert len(db.index("ix_k").lookup_equal(50)) == 1
 
     def test_index_for(self):

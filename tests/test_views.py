@@ -280,6 +280,9 @@ class TestMaintenanceThroughSession:
     entry like any other, and a write invalidates by table, not by DDL."""
 
     def test_write_invalidates_by_table_only(self, manager, db):
+        # A fresh-key write keeps customer's verified key: the plan that
+        # reads customer survives it and still returns current rows; a
+        # write that duplicates a key evicts it.
         planner = MaintenancePlanner(db, manager)
         reader = Session(db)
         untouched = (
@@ -298,6 +301,14 @@ class TestMaintenanceThroughSession:
         planner.apply_insert(
             "customer", _new_customers(db, 5, start_key=11_000_000)
         )
+        assert db.catalog.version == version
+        assert reader.execute(untouched).plan_cache_hit
+        kept = reader.execute(touched)
+        assert kept.plan_cache_hit
+        assert sorted(kept.execution.results[0].rows) == sorted(
+            Session(db).execute(touched).execution.results[0].rows
+        )
+        planner.apply_insert("customer", _new_customers(db, 5, start_key=1))
         assert db.catalog.version == version
         assert reader.execute(untouched).plan_cache_hit
         assert not reader.execute(touched).plan_cache_hit
